@@ -149,24 +149,30 @@ class State:
     transitions: tuple[Transition, ...] = ()
 
 
+def validate_state(st: State, states: dict[str, State]) -> None:
+    """The rules one state must meet: its targets are in `states`, and its
+    transitions fit its kind."""
+    for tr in st.transitions:
+        if tr.target not in states:
+            raise ConfigError(f"state {st.name!r} targets undefined state {tr.target!r}")
+    if st.kind is StateKind.OUTPUT:
+        if len(st.transitions) != 1 or st.transitions[0].guard is not None:
+            raise ConfigError(f"output state {st.name!r} needs exactly one unguarded send")
+    elif st.kind is StateKind.INPUT:
+        if not st.transitions or any(tr.guard is None for tr in st.transitions):
+            raise ConfigError(f"input state {st.name!r} needs guarded transitions only")
+        if sum(isinstance(tr.guard, Timeout) for tr in st.transitions) > 1:
+            raise ConfigError(f"input state {st.name!r} has more than one timeout guard")
+    else:
+        if st.transitions:
+            raise ConfigError(f"terminal state {st.name!r} must have no transitions")
+
+
 def validate_states(states: dict[str, State], initial: str) -> None:
     if initial not in states:
         raise ConfigError(f"initial state {initial!r} is not defined")
     for st in states.values():
-        for tr in st.transitions:
-            if tr.target not in states:
-                raise ConfigError(f"state {st.name!r} targets undefined state {tr.target!r}")
-        if st.kind is StateKind.OUTPUT:
-            if len(st.transitions) != 1 or st.transitions[0].guard is not None:
-                raise ConfigError(f"output state {st.name!r} needs exactly one unguarded send")
-        elif st.kind is StateKind.INPUT:
-            if not st.transitions or any(tr.guard is None for tr in st.transitions):
-                raise ConfigError(f"input state {st.name!r} needs guarded transitions only")
-            if sum(isinstance(tr.guard, Timeout) for tr in st.transitions) > 1:
-                raise ConfigError(f"input state {st.name!r} has more than one timeout guard")
-        else:
-            if st.transitions:
-                raise ConfigError(f"terminal state {st.name!r} must have no transitions")
+        validate_state(st, states)
 
 
 Enabled = tuple[Transition, Optional[Envelope]]

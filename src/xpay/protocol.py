@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .automata import (
     Automaton,
@@ -36,6 +36,7 @@ from .automata import (
     StateKind,
     Timeout,
     Transition,
+    validate_state,
 )
 from .core import (
     AbortCert,
@@ -589,6 +590,39 @@ def make_weak_participants(
 
 # -------------------------------------------------------------- transaction manager
 
+class _CollectStates(dict):
+    """The manager's state table, its collect states built on first entry.
+
+    A collect state stands for a lock bitmask and whether Bob's commit request
+    is in. There are 2^(n+1) - 1 of them and a run enters at most n + 2, so
+    none is built until a lookup asks for it. `name` gives a collect state's
+    name and records its (mask, chi); membership accepts every recorded name,
+    and looking one up builds the state from what was recorded, checks it with
+    `validate_state` and keeps it.
+    """
+
+    def __init__(self, n: int, build: Callable[[int, bool], tuple[Transition, ...]]):
+        super().__init__()
+        self._width = n
+        self._build = build
+        self._named: dict[str, tuple[int, bool]] = {}
+
+    def name(self, mask: int, chi: bool) -> str:
+        name = f"collect_{mask:0{self._width}b}_{'x' if chi else '-'}"
+        self._named[name] = (mask, chi)
+        return name
+
+    def __contains__(self, name: object) -> bool:
+        return dict.__contains__(self, name) or name in self._named
+
+    def __missing__(self, name: str) -> State:
+        mask, chi = self._named[name]
+        state = State(name, INPUT, self._build(mask, chi))
+        validate_state(state, self)
+        self[name] = state
+        return state
+
+
 def make_transaction_manager(
     n: int,
     pay: PaymentInstance,
@@ -603,6 +637,11 @@ def make_transaction_manager(
     before a decision. The decision is broadcast to every escrow and customer,
     and any request arriving after the decision is answered with the recorded
     decision, so latecomers always converge.
+
+    The collect states `collect_<mask>_<x|->` are built only when a run first
+    enters one, and the 2n + 2 receive guards (n lock notices, the commit
+    request, n + 1 abort requests) are built once and shared by every state,
+    so building the manager costs time and memory linear in n.
     """
     if n < 1:
         raise ConfigError("hop count must be at least 1")
@@ -619,37 +658,30 @@ def make_transaction_manager(
             and verify(cert, bob)
         )
 
+    recv_lock = [Receive(escrow(i), LockNotice,
+                         attrs=(("instance", pay.instance), ("escrow_index", i)),
+                         signed_by=escrow(i))
+                 for i in range(n)]
     recv_commit_req = Receive(bob, CommitReq, attrs=(("instance", pay.instance),), where=chi_valid)
+    recv_abort_req = [Receive(customer(k), AbortReq, attrs=(("instance", pay.instance),),
+                              signed_by=customer(k))
+                      for k in range(n + 1)]
+    to_abort = tuple(Transition("decide_abort", guard=g) for g in recv_abort_req)
 
-    def collect_name(mask: int, chi: bool) -> str:
-        return f"collect_{mask:0{n}b}_{'x' if chi else '-'}"
+    def collect(mask: int, chi: bool) -> tuple[Transition, ...]:
+        def after(new_mask: int, new_chi: bool) -> str:
+            if new_mask == full and new_chi:
+                return "decide_commit"
+            return states.name(new_mask, new_chi)
+
+        transitions = [Transition(after(mask | (1 << i), chi), guard=recv_lock[i])
+                       for i in range(n) if not mask & (1 << i)]
+        if not chi:
+            transitions.append(Transition(after(mask, True), guard=recv_commit_req, capture="creq"))
+        return tuple(transitions) + to_abort
 
     everyone = [escrow(i) for i in range(n)] + [customer(k) for k in range(n + 1)]
-    states: dict[str, State] = {}
-
-    for mask in range(full + 1):
-        for chi in (False, True):
-            if mask == full and chi:
-                continue  # that configuration decides commit immediately
-            transitions: list[Transition] = []
-            for i in range(n):
-                if mask & (1 << i):
-                    continue
-                new_mask = mask | (1 << i)
-                target = "decide_commit" if (new_mask == full and chi) else collect_name(new_mask, chi)
-                transitions.append(Transition(target, guard=Receive(
-                    escrow(i), LockNotice,
-                    attrs=(("instance", pay.instance), ("escrow_index", i)),
-                    signed_by=escrow(i))))
-            if not chi:
-                target = "decide_commit" if mask == full else collect_name(mask, True)
-                transitions.append(Transition(target, guard=recv_commit_req, capture="creq"))
-            for k in range(n + 1):
-                transitions.append(Transition("decide_abort", guard=Receive(
-                    customer(k), AbortReq, attrs=(("instance", pay.instance),),
-                    signed_by=customer(k))))
-            name = collect_name(mask, chi)
-            states[name] = State(name, INPUT, tuple(transitions))
+    states = _CollectStates(n, collect)
 
     states["decide_commit"] = State("decide_commit", OUTPUT, (
         Transition("decided_commit",
@@ -665,9 +697,7 @@ def make_transaction_manager(
         transitions = []
         for k in range(n + 1):
             answer = f"reanswer_{decision}_c{k}"
-            transitions.append(Transition(answer, guard=Receive(
-                customer(k), AbortReq, attrs=(("instance", pay.instance),),
-                signed_by=customer(k))))
+            transitions.append(Transition(answer, guard=recv_abort_req[k]))
             states[answer] = State(answer, OUTPUT, (
                 Transition(decided, emits=((customer(k), Fresh(cert_type(pay.instance))),)),
             ))
@@ -678,4 +708,4 @@ def make_transaction_manager(
         ))
         states[decided] = State(decided, INPUT, tuple(transitions))
 
-    return Automaton(me, states, collect_name(0, False), clock=clock, key=key)
+    return Automaton(me, states, states.name(0, False), clock=clock, key=key)

@@ -7,12 +7,16 @@ are genuinely independent routes to the same answer.
 """
 from __future__ import annotations
 
+from xpay.automata import Fresh, Receive, State, StateKind, Transition
 from xpay.core import (
     AbortCert,
+    AbortReq,
     Certificate,
     CommitCert,
     CommitReq,
+    LockNotice,
     Money,
+    SignedMessage,
     customer,
     escrow,
     manager,
@@ -231,3 +235,85 @@ def acceptable_by_definition(m, party: int, outcome) -> bool:
         if gains >= base_gain and losses <= base_loss:
             return True
     return False
+
+
+def eager_manager_states(n: int, pay) -> dict[str, State]:
+    """The transaction manager's full state table, every collect state built up
+    front as the product of lock bitmask and commit-request flag (2^(n+1) - 1
+    collect states), with a fresh guard on every transition.
+
+    The reference the on-demand manager of `make_transaction_manager` is
+    compared against state by state; its initial state is collect_0..0_-.
+    """
+    bob = customer(n)
+    full = (1 << n) - 1
+
+    def chi_valid(payload) -> bool:
+        cert = payload.certificate
+        return (
+            isinstance(cert, SignedMessage)
+            and isinstance(cert.payload, Certificate)
+            and cert.payload.instance == pay.instance
+            and verify(cert, bob)
+        )
+
+    recv_commit_req = Receive(bob, CommitReq, attrs=(("instance", pay.instance),), where=chi_valid)
+
+    def collect_name(mask: int, chi: bool) -> str:
+        return f"collect_{mask:0{n}b}_{'x' if chi else '-'}"
+
+    everyone = [escrow(i) for i in range(n)] + [customer(k) for k in range(n + 1)]
+    states: dict[str, State] = {}
+
+    for mask in range(full + 1):
+        for chi in (False, True):
+            if mask == full and chi:
+                continue  # that configuration decides commit immediately
+            transitions = []
+            for i in range(n):
+                if mask & (1 << i):
+                    continue
+                new_mask = mask | (1 << i)
+                target = "decide_commit" if (new_mask == full and chi) else collect_name(new_mask, chi)
+                transitions.append(Transition(target, guard=Receive(
+                    escrow(i), LockNotice,
+                    attrs=(("instance", pay.instance), ("escrow_index", i)),
+                    signed_by=escrow(i))))
+            if not chi:
+                target = "decide_commit" if mask == full else collect_name(mask, True)
+                transitions.append(Transition(target, guard=recv_commit_req, capture="creq"))
+            for k in range(n + 1):
+                transitions.append(Transition("decide_abort", guard=Receive(
+                    customer(k), AbortReq, attrs=(("instance", pay.instance),),
+                    signed_by=customer(k))))
+            name = collect_name(mask, chi)
+            states[name] = State(name, StateKind.INPUT, tuple(transitions))
+
+    states["decide_commit"] = State("decide_commit", StateKind.OUTPUT, (
+        Transition("decided_commit",
+                   emits=tuple((p, Fresh(CommitCert(pay.instance))) for p in everyone)),
+    ))
+    states["decide_abort"] = State("decide_abort", StateKind.OUTPUT, (
+        Transition("decided_abort",
+                   emits=tuple((p, Fresh(AbortCert(pay.instance))) for p in everyone)),
+    ))
+
+    for decision, cert_type in (("commit", CommitCert), ("abort", AbortCert)):
+        decided = f"decided_{decision}"
+        transitions = []
+        for k in range(n + 1):
+            answer = f"reanswer_{decision}_c{k}"
+            transitions.append(Transition(answer, guard=Receive(
+                customer(k), AbortReq, attrs=(("instance", pay.instance),),
+                signed_by=customer(k))))
+            states[answer] = State(answer, StateKind.OUTPUT, (
+                Transition(decided, emits=((customer(k), Fresh(cert_type(pay.instance))),)),
+            ))
+        late_commit = f"reanswer_{decision}_creq"
+        transitions.append(Transition(late_commit, guard=recv_commit_req))
+        states[late_commit] = State(late_commit, StateKind.OUTPUT, (
+            Transition(decided, emits=((bob, Fresh(cert_type(pay.instance))),)),
+        ))
+        states[decided] = State(decided, StateKind.INPUT, tuple(transitions))
+
+    return states

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import derived, strong_scenario
+from conftest import derived, strong_scenario, weak_scenario
+from oracles import eager_manager_states
 from xpay.simnet import StrategySpec
-from xpay.automata import StateKind, Timeout
+from xpay.automata import State, StateKind, Timeout, Transition
 from xpay.core import (
     AbortReq,
     Certificate,
@@ -30,8 +33,11 @@ from xpay.protocol import (
     make_strong_participants,
     make_transaction_manager,
     make_weak_participants,
+    _CollectStates,
 )
-from xpay.simnet import Scripted, run_simulation
+from xpay.properties import evaluate_all
+from xpay.simnet import Scripted, _Sim, run_simulation
+from xpay.trace import Rec
 
 
 PAY1 = PaymentInstance("pay0", 1, 1)
@@ -274,6 +280,76 @@ def test_tm_simultaneous_commit_and_abort_both_orders():
         assert len(kinds) == 1
         decisions[flip] = kinds.pop()
     assert decisions == {False: "CommitCert", True: "AbortCert"}
+
+
+def _same_guard(got, want, probes) -> bool:
+    """Receive guards agree field by field; a `where` hook is a closure, so it
+    is compared by its answers on `probes` instead."""
+    if (got.where is None) != (want.where is None):
+        return False
+    if got.where is not None and any(got.where(p) != want.where(p) for p in probes):
+        return False
+    return replace(got, where=None) == replace(want, where=None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tm_matches_the_eager_reference_state_by_state(n):
+    pay = PaymentInstance("pay0", n, 1)
+    tm = make_transaction_manager(n, pay)
+    reference = eager_manager_states(n, pay)
+    bob, c0 = customer(n), customer(0)
+    probes = [CommitReq("pay0", sign(Certificate("pay0"), bob, SigningKey(bob))),
+              CommitReq("pay0", sign(Certificate("pay0"), c0, SigningKey(c0))),
+              CommitReq("pay0", sign(Certificate("other"), bob, SigningKey(bob)))]
+    seen = set()
+    frontier = [tm.initial]
+    while frontier:
+        name = frontier.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        got, want = tm.states[name], reference[name]
+        assert (got.name, got.kind) == (want.name, want.kind)
+        assert len(got.transitions) == len(want.transitions), name
+        for g, w in zip(got.transitions, want.transitions):
+            assert (g.target, g.capture, g.assign, g.emits) == (w.target, w.capture, w.assign, w.emits)
+            assert (g.guard is None) == (w.guard is None)
+            assert g.guard is None or _same_guard(g.guard, w.guard, probes), (name, g.target)
+        frontier.extend(tr.target for tr in got.transitions)
+    assert seen == set(reference)
+    assert dict(tm.states) == {name: tm.states[name] for name in seen}
+
+
+def test_tm_builds_collect_states_on_demand_and_validates_them():
+    def build(mask, chi):
+        return (Transition("nowhere", guard=Timeout(Fraction(1))),)
+
+    states = _CollectStates(2, build)
+    name = states.name(1, True)
+    assert name == "collect_01_x" and name in states and len(states) == 0
+    assert "collect_10_x" not in states
+    with pytest.raises(KeyError):
+        states["collect_10_x"]
+    with pytest.raises(ConfigError, match="undefined state 'nowhere'"):
+        states[name]
+    states["nowhere"] = State("nowhere", StateKind.TERMINAL)
+    assert states[name].transitions == build(1, True) and len(states) == 2
+
+
+def test_weak_n12_run_builds_only_the_manager_states_it_enters():
+    n = 12
+    start = time.perf_counter()
+    sim = _Sim(weak_scenario(n=n, seed=3))
+    trace = sim.run()
+    elapsed = time.perf_counter() - start
+    assert all(v.holds for v in evaluate_all(trace))
+    tm = sim.automata[manager()]
+    entered = {e.state for e in trace.entries
+               if e.rec is Rec.STATE_ENTERED and e.participant == manager()}
+    built = {name for name in tm.states if name.startswith("collect_")}
+    assert built <= entered | {tm.initial}
+    assert len(tm.states) <= 3 * n + 10  # 2n + 8 decision states, at most n + 2 collect states
+    assert elapsed < 1.0  # the eager product alone took about 2.7 s to build at n=12
 
 
 def test_strong_connector_refund_path_is_net_zero():
