@@ -61,6 +61,18 @@ def manager() -> ParticipantId:
     return ParticipantId(ParticipantKind.MANAGER, 0)
 
 
+def escrows_of(n: int, c: ParticipantId) -> list[ParticipantId]:
+    """The escrows customer `c` of an n-hop chain holds accounts at (one for
+    Alice and Bob, two for connectors)."""
+    i = c.index
+    out = []
+    if i > 0:
+        out.append(escrow(i - 1))
+    if i < n:
+        out.append(escrow(i))
+    return out
+
+
 def parse_participant(token: str) -> ParticipantId:
     """Parse the compact form used in configs and trace lines, e.g. "e0", "c2", "m0"."""
     if len(token) < 2:

@@ -174,7 +174,6 @@ def explore(
                 bob_paid = policy[0] != "receive_first" or (
                     live.status is Status.HOLDS or (
                         live.status is not Status.VIOLATED and _net_paid(trace, bob)))
-                hit = trace.terminal_entry(bob)
                 for c in range(base.n + 1):
                     h = trace.terminal_entry(customer(c))
                     if h is not None and (report.max_customer_terminal is None

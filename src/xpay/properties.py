@@ -28,8 +28,10 @@ from .core import (
     CommitReq,
     Money,
     ParticipantId,
+    Promise,
     customer,
     escrow,
+    escrows_of,
     manager,
     verify,
 )
@@ -126,15 +128,6 @@ def _witness_for(trace: Trace, pids: list[ParticipantId]) -> list[int]:
     return [i for i, e in enumerate(trace.entries) if e.participant in wanted]
 
 
-def _escrows_of(trace: Trace, c: ParticipantId) -> list[ParticipantId]:
-    out = []
-    if c.index > 0:
-        out.append(escrow(c.index - 1))
-    if c.index < trace.meta.n:
-        out.append(escrow(c.index))
-    return out
-
-
 def _compliant(trace: Trace, p: ParticipantId) -> bool:
     return p in trace.meta.compliant
 
@@ -193,7 +186,7 @@ def check_termination(trace: Trace, bound=None) -> Verdict:
         c = customer(k)
         if not _compliant(trace, c):
             continue
-        if any(not _compliant(trace, e) for e in _escrows_of(trace, c)):
+        if any(not _compliant(trace, e) for e in escrows_of(meta.n, c)):
             continue
         if eventual:
             patience = meta.patience[k] if meta.patience else None
@@ -312,7 +305,7 @@ def check_customer_security(trace: Trace) -> CustomerSecurity:
         c = customer(k)
         if not _compliant(trace, c):
             continue
-        if any(not _compliant(trace, e) for e in _escrows_of(trace, c)):
+        if any(not _compliant(trace, e) for e in escrows_of(meta.n, c)):
             continue
         hit = trace.terminal_entry(c)
         if hit is None:
@@ -442,7 +435,7 @@ def check_promises(trace: Trace) -> list[Verdict]:
                 deposit_local = entry.local
             elif entry.rec is Rec.SENT:
                 payload = entry.env.msg.payload
-                if entry.env.dst == down and payload.__class__.__name__ == "Promise":
+                if entry.env.dst == down and isinstance(payload, Promise):
                     if promise_local is None:
                         promise_local = entry.local
                 elif entry.env.dst == up and (isinstance(payload, Money)

@@ -150,16 +150,6 @@ class PaymentInstance:
             out.append(manager())
         return out
 
-    def escrows_of(self, c: ParticipantId) -> list[ParticipantId]:
-        """The escrows a customer holds accounts at (one for Alice and Bob, two for connectors)."""
-        i = c.index
-        out = []
-        if i > 0:
-            out.append(escrow(i - 1))
-        if i < self.n:
-            out.append(escrow(i))
-        return out
-
 
 def _money(pay: PaymentInstance) -> Money:
     return Money(pay.instance, pay.amount)

@@ -32,6 +32,7 @@ from .core import (
     InsufficientFunds,
     Ledger,
     Money,
+    PAYLOAD_KINDS,
     Payload,
     ParticipantId,
     ParticipantKind,
@@ -145,15 +146,11 @@ class PartialSync:
                 "delta": fmt_fraction(self.delta), "grid": [fmt_fraction(g) for g in self.grid]}
 
 
-_PAYLOAD_NAMES = {
-    "Guarantee": "guarantee", "Promise": "promise", "Money": "money",
-    "Certificate": "certificate", "AbortCert": "abort_cert", "CommitCert": "commit_cert",
-    "LockNotice": "lock_notice", "CommitReq": "commit_req", "AbortReq": "abort_req",
-}
+_PAYLOAD_NAMES = {cls: name for name, cls in PAYLOAD_KINDS.items()}
 
 
 def payload_kind(payload: Payload) -> str:
-    return _PAYLOAD_NAMES[type(payload).__name__]
+    return _PAYLOAD_NAMES[type(payload)]
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ class ScriptRule:
         object.__setattr__(self, "delay", Fraction(self.delay))
         if self.delay <= 0:
             raise ConfigError("scripted delay must be strictly positive")
-        if self.payload is not None and self.payload not in _PAYLOAD_NAMES.values():
+        if self.payload is not None and self.payload not in PAYLOAD_KINDS:
             raise ConfigError(f"unknown payload kind {self.payload!r}")
 
     def matches(self, env: Envelope) -> bool:
@@ -685,7 +682,7 @@ class _Sim:
         )
         self.compliant_total = sum(1 for pid in roster if scenario.is_compliant(pid))
 
-        self.heap: list[tuple[Fraction, int, _Event]] = []
+        self.heap: list[tuple[Fraction, int, int, _Event]] = []
         self.seq = 0
         self.now = Fraction(0)
         self.send_index = 0
