@@ -492,7 +492,8 @@ def _weak_bob(
     """Weak-variant Bob: after the last escrow confirms funding, send the manager a
     commit request carrying the payment certificate, then await the decision and,
     on commit, the payment. The inner certificate is signed with Bob's own key up
-    front; it leaves his hands only inside the commit request."""
+    front; it leaves his hands only inside the commit request. If his patience
+    runs out first, he sends an abort request instead, funded or not."""
     me = pay.bob
     e = escrow(params.n - 1)
     tm = manager()
@@ -518,7 +519,7 @@ def _weak_bob(
             Transition(WEAK_ABORTED, guard=recv_abort),
         ) + timeouts("request_abort_unfunded")),
         "request_abort_unfunded": State("request_abort_unfunded", OUTPUT, (
-            Transition("await_decision_unfunded", emits=((tm, Fresh(CommitReq(pay.instance, chi))),)),
+            Transition("await_decision_unfunded", emits=((tm, Fresh(AbortReq(pay.instance))),)),
         )),
         "request_commit": State("request_commit", OUTPUT, (
             Transition("await_decision", emits=((tm, Fresh(CommitReq(pay.instance, chi))),)),

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from conftest import weak_scenario
 from xpay.core import AbortCert, CommitCert, customer, escrow, manager
+from xpay.explore import battery_assignments
 from xpay.properties import Status, evaluate_all, check_certificate_consistency
 from xpay.simnet import PartialSync, Scripted, ScriptRule, StrategySpec, run_simulation
 from xpay.trace import Rec
@@ -156,3 +159,20 @@ def test_weak_termination_vacuous_for_unbounded_patience_without_decision():
     got2 = {v.name: v.status for v in evaluate_all(trace2)}
     assert got2["T"] is Status.HOLDS
     assert terminal_state(trace2, customer(0)) == "refunded"
+
+
+def test_weak_battery_under_every_patience_violates_nothing():
+    """Every Byzantine assignment of the n=1 battery, crossed with Alice's and
+    Bob's patience in {unbounded, 0, 3, 10}: no verdict may be VIOLATED. A
+    compliant Bob whose patience runs out before his funding notice must still
+    terminate, through an abort request, even when a depositor stays silent."""
+    base = weak_scenario(n=1)
+    patiences = (None, F(0), F(3), F(10))
+    violated = []
+    for assignment in battery_assignments(base):
+        for alice, bob in itertools.product(patiences, patiences):
+            trace = run_simulation(replace(base, byzantine=assignment, patience=(alice, bob)))
+            for v in evaluate_all(trace):
+                if v.status is Status.VIOLATED:
+                    violated.append((sorted(map(str, assignment.items())), alice, bob, v.name, v.detail))
+    assert violated == []
