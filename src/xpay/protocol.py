@@ -659,16 +659,14 @@ def make_transaction_manager(
                       for k in range(n + 1)]
     to_abort = tuple(Transition("decide_abort", guard=g) for g in recv_abort_req)
 
-    def collect(mask: int, chi: bool) -> tuple[Transition, ...]:
-        def after(new_mask: int, new_chi: bool) -> str:
-            if new_mask == full and new_chi:
-                return "decide_commit"
-            return states.name(new_mask, new_chi)
+    def target(mask: int, chi: bool) -> str:
+        return "decide_commit" if mask == full and chi else states.name(mask, chi)
 
-        transitions = [Transition(after(mask | (1 << i), chi), guard=recv_lock[i])
+    def collect(mask: int, chi: bool) -> tuple[Transition, ...]:
+        transitions = [Transition(target(mask | (1 << i), chi), guard=recv_lock[i])
                        for i in range(n) if not mask & (1 << i)]
         if not chi:
-            transitions.append(Transition(after(mask, True), guard=recv_commit_req, capture="creq"))
+            transitions.append(Transition(target(mask, True), guard=recv_commit_req, capture="creq"))
         return tuple(transitions) + to_abort
 
     everyone = [escrow(i) for i in range(n)] + [customer(k) for k in range(n + 1)]
