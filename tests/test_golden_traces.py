@@ -1,14 +1,17 @@
-"""Byte-identity gate: sha256 digests of rendered traces over a fixed corpus.
+"""Byte-identity gate: sha256 digests of rendered traces and of their verdicts
+over a fixed corpus.
 
-Every case is one `run_simulation` of a fixed scenario; its digest is the
-sha256 of `Trace.render()`. The recorded digests live in
-`golden_traces.json` beside this file. A change meant to keep traces
-byte-identical must leave every digest as it is. A change that alters traces
-on purpose updates exactly the digests it changed and names those cases.
+Every case is one `run_simulation` of a fixed scenario. Its trace digest is the
+sha256 of `Trace.render()`; its verdict digest is the sha256 of the lines of
+`evaluate_all(trace, include_promises=True)`, each followed by its witness
+list. The recorded digests live in `golden_traces.json` and
+`golden_verdicts.json` beside this file. A change meant to keep traces and
+verdicts as they are must leave every digest as it is. A change that alters
+them on purpose updates exactly the digests it changed and names those cases.
 
-Regenerate the file from the current code with
+Regenerate both files from the current code with
 
-    PYTHONPATH=src python tests/test_golden_traces.py > tests/golden_traces.json
+    PYTHONPATH=src python tests/test_golden_traces.py
 """
 from __future__ import annotations
 
@@ -23,10 +26,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import strong_scenario, weak_scenario
 from xpay.core import customer
-from xpay.simnet import StrategySpec, run_simulation
+from xpay.properties import Status, evaluate_all
+from xpay.simnet import PartialSync, ScriptRule, Scripted, StrategySpec, run_simulation
 
 F = Fraction
 GOLDEN = Path(__file__).with_name("golden_traces.json")
+GOLDEN_VERDICTS = Path(__file__).with_name("golden_verdicts.json")
 RHO = F(1, 10)
 
 STRONG_NS = (1, 2, 4, 8, 32)
@@ -34,6 +39,9 @@ STRONG_SEEDS = (0, 1, 2)
 WEAK_NS = (1, 2, 3, 8)
 PATIENCES = (None, F(0), F(3), F(10))  # None is unbounded patience
 WEAK_BYZANTINE = ("none", "silent", "impatient_abort")
+LATE_KINDS = ("certificate", "money", "promise", "guarantee")
+LATE_DELAYS = (2, 4, 9)
+GSTS = (0, 3, 20)
 
 
 def _p(patience) -> str:
@@ -57,25 +65,82 @@ def weak_cases():
             yield f"weak-n{n}-d{_p(dep)}-b{_p(bob)}-{byz}", scenario
 
 
-def digests(cases) -> dict[str, str]:
-    return {name: hashlib.sha256(run_simulation(sc).render().encode()).hexdigest()
-            for name, sc in cases}
+def violating_cases():
+    """Runs outside the synchrony the protocol assumes, so that verdicts come
+    back VIOLATED and their witnesses are gated too.
+
+    Strong: every message takes 1/2 except one payload kind to or from one
+    customer, which takes 2, 4 or 9 (the bound is 1). Weak: partial synchrony
+    stabilizing at 0, 3 or 20, under every pair of depositor and Bob patience.
+    """
+    for n in (1, 2, 3):
+        late = itertools.product(range(n + 1), ("src", "dst"), LATE_KINDS, LATE_DELAYS)
+        for k, end, kind, delay in late:
+            rule = ScriptRule(delay=F(delay), payload=kind, **{end: customer(k)})
+            scenario = strong_scenario(n=n, rho=RHO, delay=Scripted(
+                default=F(1, 2), delta=F(1), rules=(rule,)))
+            yield f"late-n{n}-{kind}-{end}-c{k}-{delay}", scenario
+    for n in (1, 2):
+        for gst, dep, bob in itertools.product(GSTS, PATIENCES, PATIENCES):
+            scenario = weak_scenario(n=n, rho=RHO, patience=(dep,) * n + (bob,),
+                                     delay=PartialSync(F(gst), F(1)))
+            yield f"psync-n{n}-g{gst}-d{_p(dep)}-b{_p(bob)}", scenario
 
 
-def _mismatches(got: dict[str, str]) -> list[str]:
-    want = json.loads(GOLDEN.read_text())
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def verdict_text(trace) -> str:
+    return "".join(f"{v.line()} witness={v.witness}\n"
+                   for v in evaluate_all(trace, include_promises=True))
+
+
+def digests(cases) -> tuple[dict[str, str], dict[str, str]]:
+    """Trace digests and verdict digests, keyed by case name."""
+    traces: dict[str, str] = {}
+    verdicts: dict[str, str] = {}
+    for name, scenario in cases:
+        trace = run_simulation(scenario)
+        traces[name] = _sha256(trace.render())
+        verdicts[name] = _sha256(verdict_text(trace))
+    return traces, verdicts
+
+
+def _mismatches(got: dict[str, str], golden: Path) -> list[str]:
+    want = json.loads(golden.read_text())
     assert set(got) <= set(want), f"cases without a recorded digest: {sorted(set(got) - set(want))}"
     return [name for name, digest in got.items() if want[name] != digest]
 
 
+def _assert_recorded(cases) -> None:
+    traces, verdicts = digests(cases)
+    assert _mismatches(traces, GOLDEN) == []
+    assert _mismatches(verdicts, GOLDEN_VERDICTS) == []
+
+
 def test_strong_traces_match_recorded_digests():
-    assert _mismatches(digests(strong_cases())) == []
+    _assert_recorded(strong_cases())
 
 
 def test_weak_traces_match_recorded_digests():
-    assert _mismatches(digests(weak_cases())) == []
+    _assert_recorded(weak_cases())
+
+
+def test_violating_traces_match_recorded_digests():
+    _assert_recorded(violating_cases())
+
+
+def test_violating_cases_violate_termination_liveness_and_the_guarantee():
+    violated = {v.name for _, scenario in violating_cases()
+                for v in evaluate_all(run_simulation(scenario), include_promises=True)
+                if v.status is Status.VIOLATED}
+    assert {"T", "L", "G_PROMISE"} <= violated
 
 
 if __name__ == "__main__":
-    recorded = {**digests(strong_cases()), **digests(weak_cases())}
-    print(json.dumps(recorded, indent=1, sort_keys=True))
+    recorded = [digests(family()) for family in (strong_cases, weak_cases, violating_cases)]
+    for path, tables in ((GOLDEN, [r[0] for r in recorded]),
+                         (GOLDEN_VERDICTS, [r[1] for r in recorded])):
+        merged = {name: digest for table in tables for name, digest in table.items()}
+        path.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
