@@ -19,9 +19,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import ConfigError, Envelope, ParticipantId, ParticipantKind, customer
-from .properties import Status, Verdict, check_liveness, safety_verdicts
+from .core import ConfigError, Envelope, ParticipantId, ParticipantKind
+from .properties import Status, Verdict, bob_paid, check_liveness, safety_verdicts
 from .simnet import STRATEGIES, Scenario, StrategySpec, run_simulation
+from .timing import customer_terminal_times
 from .trace import Trace
 
 
@@ -145,7 +146,6 @@ def explore(
     params = base.resolved_timing()
     check = check or safety_verdicts
     report = ExploreReport()
-    bob = customer(base.n)
 
     for assignment in assignments:
         label = assignment_label(assignment)
@@ -171,18 +171,16 @@ def explore(
                 live = check_liveness(trace)
                 # progress is only promised under the protocol's own tie-break;
                 # timeout-first runs exist to show safety is order-independent
-                bob_paid = policy[0] != "receive_first" or (
+                paid = policy[0] != "receive_first" or (
                     live.status is Status.HOLDS or (
-                        live.status is not Status.VIOLATED and _net_paid(trace, bob)))
-                for c in range(base.n + 1):
-                    h = trace.terminal_entry(customer(c))
-                    if h is not None and (report.max_customer_terminal is None
-                                          or h[1].t > report.max_customer_terminal):
-                        report.max_customer_terminal = h[1].t
+                        live.status is not Status.VIOLATED and bob_paid(trace)))
+                for t in customer_terminal_times(trace, base.n):
+                    if report.max_customer_terminal is None or t > report.max_customer_terminal:
+                        report.max_customer_terminal = t
                 outcome = BranchOutcome(label, policy, tuple(decisions), verdicts, trace)
                 if on_branch is not None:
                     on_branch(outcome)
-                report._record(outcome, bob_paid, keep_trace=False)
+                report._record(outcome, paid, keep_trace=False)
             # odometer step over however many decisions this leaf consumed
             while decisions and decisions[-1] == len(grid) - 1:
                 decisions.pop()
@@ -190,11 +188,6 @@ def explore(
                 break
             decisions[-1] += 1
     return report
-
-
-def _net_paid(trace: Trace, bob: ParticipantId) -> bool:
-    hit = trace.terminal_entry(bob)
-    return hit is not None and trace.net_change(bob, upto=hit[0]) >= trace.meta.amount
 
 
 def battery_assignments(scenario: Scenario) -> list[dict[ParticipantId, StrategySpec]]:

@@ -13,13 +13,19 @@ amounts; commissions are out of scope). "Upon termination" clauses are
 evaluated at each participant's terminal entry; participants that never
 terminate leave the clause vacuous, except where termination itself is the
 property under check.
+
+Checking costs one pass over the entries to build the trace's shared index
+(`Trace.index`: each participant's entries and balance moves), plus one pass
+each for the checkers that must see every entry (C, CONS, AUTH). Every other
+query reads only the entries of the participant it is about. Traces are
+read-only once built: the index is cached on the trace and never rebuilt.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     AbortCert,
@@ -74,58 +80,39 @@ def _is_chi(msg, trace: Trace) -> bool:
             and verify(msg, bob))
 
 
-def _carries_own_certificate(entry: TraceEntry, trace: Trace) -> bool:
-    """Did this SENT entry put the sender's own payment certificate on the wire?"""
-    msg = entry.env.msg
-    bob = customer(trace.meta.n)
-    if entry.participant != bob:
+def _sends_own_certificate(e: TraceEntry, trace: Trace) -> bool:
+    """Did this entry put the sender's own payment certificate on the wire?"""
+    if e.rec is not Rec.SENT or e.participant != customer(trace.meta.n):
         return False
-    if _is_chi(msg, trace):
-        return True
-    return isinstance(msg.payload, CommitReq) and _is_chi(msg.payload.certificate, trace)
+    msg = e.env.msg
+    return _is_chi(msg, trace) or (isinstance(msg.payload, CommitReq)
+                                   and _is_chi(msg.payload.certificate, trace))
 
 
-def _received_chi(trace: Trace, p: ParticipantId, upto: Optional[int]) -> Optional[int]:
-    for idx, e in enumerate(trace.entries):
-        if upto is not None and idx > upto:
-            break
-        if e.rec is Rec.DELIVERED and e.participant == p and _is_chi(e.env.msg, trace):
-            return idx
-    return None
-
-
-def _received_decision(trace: Trace, p: ParticipantId, kind: type, upto: Optional[int]) -> Optional[int]:
-    tm = manager()
-    for idx, e in enumerate(trace.entries):
-        if upto is not None and idx > upto:
-            break
-        if (e.rec is Rec.DELIVERED and e.participant == p
-                and isinstance(e.env.msg.payload, kind)
+def _delivers(kind: type) -> Callable[[TraceEntry, Trace], bool]:
+    """Matches the delivery of a verified `kind` certificate of this payment:
+    Bob's payment certificate, or the manager's commit or abort certificate."""
+    def match(e: TraceEntry, trace: Trace) -> bool:
+        signer = customer(trace.meta.n) if kind is Certificate else manager()
+        return (e.rec is Rec.DELIVERED and isinstance(e.env.msg.payload, kind)
                 and e.env.msg.payload.instance == trace.meta.instance
-                and verify(e.env.msg, tm)):
-            return idx
-    return None
+                and verify(e.env.msg, signer))
+    return match
 
 
-def _made_payment(trace: Trace, p: ParticipantId) -> Optional[int]:
-    for idx, e in enumerate(trace.entries):
-        if e.rec is Rec.SENT and e.participant == p and isinstance(e.env.msg.payload, Money):
-            return idx
-    return None
+def _issues_decision(e: TraceEntry, trace: Trace) -> bool:
+    return e.rec is Rec.SENT and isinstance(e.env.msg.payload, (AbortCert, CommitCert))
 
 
-def _issued_certificate(trace: Trace, p: ParticipantId, upto: Optional[int] = None) -> Optional[int]:
-    for idx, e in enumerate(trace.entries):
+def _first(trace: Trace, p: ParticipantId, match: Callable[[TraceEntry, Trace], bool],
+           upto: Optional[int] = None) -> Optional[int]:
+    """Index of `p`'s first entry, at or before `upto` (whole trace if None), that matches."""
+    for idx in trace.index.entries[p]:
         if upto is not None and idx > upto:
             break
-        if e.rec is Rec.SENT and e.participant == p and _carries_own_certificate(e, trace):
+        if match(trace.entries[idx], trace):
             return idx
     return None
-
-
-def _witness_for(trace: Trace, pids: list[ParticipantId]) -> list[int]:
-    wanted = set(pids)
-    return [i for i, e in enumerate(trace.entries) if e.participant in wanted]
 
 
 def _compliant(trace: Trace, p: ParticipantId) -> bool:
@@ -173,11 +160,7 @@ def check_termination(trace: Trace, bound=None) -> Verdict:
         else:
             limit = Fraction(bound)
 
-    decision_issued = any(
-        e.rec is Rec.SENT and e.participant == manager()
-        and isinstance(e.env.msg.payload, (AbortCert, CommitCert))
-        for e in trace.entries
-    ) if eventual else False
+    decision_issued = eventual and _first(trace, manager(), _issues_decision) is not None
 
     evaluated = 0
     violations: list[int] = []
@@ -193,12 +176,14 @@ def check_termination(trace: Trace, bound=None) -> Verdict:
             if patience is None and not decision_issued:
                 continue  # waiting forever was this customer's own choice
         else:
-            if _made_payment(trace, c) is None and _issued_certificate(trace, c) is None:
+            engaged = _first(trace, c, lambda e, t: (e.rec is Rec.SENT and isinstance(
+                e.env.msg.payload, Money)) or _sends_own_certificate(e, t))
+            if engaged is None:
                 continue
         evaluated += 1
         hit = trace.terminal_entry(c)
         if hit is None:
-            violations.extend(_witness_for(trace, [c]))
+            violations.extend(trace.index.entries[c])
             details.append(f"{c} never terminal")
         elif hit[1].t > limit:
             violations.append(hit[0])
@@ -217,16 +202,11 @@ def check_escrow_security(trace: Trace) -> Verdict:
             continue
         evaluated += 1
         net = 0
-        for idx, entry in enumerate(trace.entries):
-            if entry.rec is not Rec.TRANSFERRED:
-                continue
-            if entry.phase == "sent" and entry.frm == e:
-                net -= entry.amount
-            elif entry.phase == "received" and entry.to == e:
-                net += entry.amount
+        for idx, amount in trace.index.transfers[e]:
+            net += amount
             if net < 0:
                 violations.append(idx)
-                details.append(f"{e} below initial balance at t={entry.t}")
+                details.append(f"{e} below initial balance at t={trace.entries[idx].t}")
                 break
     return Verdict("ES", _summarize(evaluated, violations), violations, "; ".join(details))
 
@@ -264,14 +244,11 @@ def check_customer_security(trace: Trace) -> CustomerSecurity:
         else:
             idx, _ = hit
             money_back = trace.net_change(alice, upto=idx) >= 0
-            if weak:
-                got_cert = _received_decision(trace, alice, CommitCert, idx) is not None
-            else:
-                got_cert = _received_chi(trace, alice, idx) is not None
-            if money_back or got_cert:
+            got_cert = _first(trace, alice, _delivers(CommitCert if weak else Certificate), idx)
+            if money_back or got_cert is not None:
                 cs1 = Verdict("CS1", Status.HOLDS)
             else:
-                cs1 = Verdict("CS1", Status.VIOLATED, _witness_for(trace, [alice]),
+                cs1 = Verdict("CS1", Status.VIOLATED, list(trace.index.entries[alice]),
                               "alice lost value without the certificate")
     else:
         cs1 = Verdict("CS1", Status.VACUOUS)
@@ -285,15 +262,15 @@ def check_customer_security(trace: Trace) -> CustomerSecurity:
             idx, _ = hit
             got_money = trace.net_change(bob, upto=idx) >= meta.amount
             if weak:
-                ok = got_money or _received_decision(trace, bob, AbortCert, idx) is not None
+                ok = got_money or _first(trace, bob, _delivers(AbortCert), idx) is not None
                 why = "bob has neither the money nor the abort certificate"
             else:
-                ok = got_money or _issued_certificate(trace, bob, idx) is None
+                ok = got_money or _first(trace, bob, _sends_own_certificate, idx) is None
                 why = "bob issued the certificate but was not paid"
             if ok:
                 cs2 = Verdict("CS2", Status.HOLDS)
             else:
-                cs2 = Verdict("CS2", Status.VIOLATED, _witness_for(trace, [bob]), why)
+                cs2 = Verdict("CS2", Status.VIOLATED, list(trace.index.entries[bob]), why)
     else:
         cs2 = Verdict("CS2", Status.VACUOUS)
 
@@ -312,7 +289,7 @@ def check_customer_security(trace: Trace) -> CustomerSecurity:
             continue
         evaluated += 1
         if trace.net_change(c, upto=hit[0]) < 0:
-            violations.extend(_witness_for(trace, [c]))
+            violations.extend(trace.index.entries[c])
             details.append(f"{c} terminated below her starting balance")
     cs3 = Verdict("CS3", _summarize(evaluated, violations), violations, "; ".join(details))
     return CustomerSecurity(cs1, cs2, cs3)
@@ -326,24 +303,28 @@ def check_liveness(trace: Trace) -> Verdict:
         return Verdict("L", Status.VACUOUS, detail="byzantine participants present")
     if meta.variant == "weak" and not meta.patience_sufficient:
         return Verdict("L", Status.VACUOUS, detail="patience declared insufficient")
-    bob = customer(meta.n)
-    hit = trace.terminal_entry(bob)
-    if hit is not None and trace.net_change(bob, upto=hit[0]) >= meta.amount:
+    if bob_paid(trace):
         return Verdict("L", Status.HOLDS)
-    return Verdict("L", Status.VIOLATED, _witness_for(trace, [bob]), "bob was not paid")
+    return Verdict("L", Status.VIOLATED, list(trace.index.entries[customer(meta.n)]),
+                   "bob was not paid")
+
+
+def bob_paid(trace: Trace) -> bool:
+    """Bob reached a terminal state at least the payment amount richer."""
+    bob = customer(trace.meta.n)
+    hit = trace.terminal_entry(bob)
+    return hit is not None and trace.net_change(bob, upto=hit[0]) >= trace.meta.amount
 
 
 def check_certificate_consistency(trace: Trace) -> Verdict:
     """Weak variant only: the manager never issues both certificate kinds."""
     if trace.meta.variant != "weak":
         return Verdict("CC", Status.INAPPLICABLE)
-    tm = manager()
     kinds: dict[str, int] = {}
-    for idx, e in enumerate(trace.entries):
-        if e.rec is Rec.SENT and e.participant == tm:
-            payload = e.env.msg.payload
-            if isinstance(payload, (AbortCert, CommitCert)):
-                kinds.setdefault(type(payload).__name__, idx)
+    for idx in trace.index.entries[manager()]:
+        e = trace.entries[idx]
+        if _issues_decision(e, trace):
+            kinds.setdefault(type(e.env.msg.payload).__name__, idx)
     if len(kinds) > 1:
         return Verdict("CC", Status.VIOLATED, sorted(kinds.values()),
                        "both certificate kinds issued")
@@ -427,9 +408,8 @@ def check_promises(trace: Trace) -> list[Verdict]:
         chi_local = None
         resolved_up = None
         paid_down = None
-        for idx, entry in enumerate(trace.entries):
-            if entry.participant != e:
-                continue
+        for idx in trace.index.entries[e]:
+            entry = trace.entries[idx]
             if (entry.rec is Rec.DELIVERED and deposit_local is None
                     and entry.env.src == up and isinstance(entry.env.msg.payload, Money)):
                 deposit_local = entry.local
@@ -452,7 +432,7 @@ def check_promises(trace: Trace) -> list[Verdict]:
             g_eval += 1
             deadline = deposit_local + params.d[i]
             if resolved_up is None or resolved_up[1] > deadline:
-                g_viol.extend(_witness_for(trace, [e]))
+                g_viol.extend(trace.index.entries[e])
         if promise_local is not None and chi_local is not None and chi_local < promise_local + params.a[i]:
             # a certificate that raced ahead of the promise counts as received
             # the instant the promise (and with it the obligation) came to be
@@ -460,7 +440,7 @@ def check_promises(trace: Trace) -> list[Verdict]:
             p_eval += 1
             deadline = v_eff + params.epsilon
             if paid_down is None or paid_down[1] > deadline:
-                p_viol.extend(_witness_for(trace, [e]))
+                p_viol.extend(trace.index.entries[e])
     return [
         Verdict("G_PROMISE", _summarize(g_eval, g_viol), g_viol),
         Verdict("P_PROMISE", _summarize(p_eval, p_viol), p_viol),

@@ -8,10 +8,12 @@ the same scenario and seed produce byte-identical files.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .core import Envelope, Money, ParticipantId, fmt_fraction
 
@@ -104,6 +106,13 @@ class TraceMeta:
     patience_sufficient: bool = True
 
 
+class TraceIndex(NamedTuple):
+    """Per-participant views of a trace; a participant without any reads as []."""
+    entries: defaultdict[ParticipantId, list[int]]  # entry indices, in trace order
+    # (index, +-amount) of each TRANSFERRED entry: "sent" debits frm, "received" credits to
+    transfers: defaultdict[ParticipantId, list[tuple[int, int]]]
+
+
 STOP_ALL_TERMINAL = "all_compliant_terminal"
 STOP_QUEUE_EMPTY = "queue_empty"
 STOP_HORIZON = "horizon_exceeded"
@@ -121,27 +130,37 @@ class Trace:
     def participants(self) -> list[ParticipantId]:
         return sorted(self.meta.initial_balances, key=lambda p: p.sort_key)
 
-    def entries_for(self, p: ParticipantId) -> list[TraceEntry]:
-        return [e for e in self.entries if e.participant == p]
+    @cached_property
+    def index(self) -> TraceIndex:
+        """The trace index, built in one pass on first use and never rebuilt.
+
+        The code relies on a trace not being changed once built: the simulator
+        hands it over finished, and nothing appends to or edits `entries` after.
+        """
+        entries: defaultdict[ParticipantId, list[int]] = defaultdict(list)
+        transfers: defaultdict[ParticipantId, list[tuple[int, int]]] = defaultdict(list)
+        for idx, e in enumerate(self.entries):
+            entries[e.participant].append(idx)
+            if e.rec is Rec.TRANSFERRED:
+                if e.phase == "sent":
+                    transfers[e.frm].append((idx, -e.amount))
+                elif e.phase == "received":
+                    transfers[e.to].append((idx, e.amount))
+        return TraceIndex(entries, transfers)
 
     def net_change(self, p: ParticipantId, upto: Optional[int] = None) -> int:
         """Balance change of `p` over the entry prefix [0, upto] (whole trace if None)."""
         net = 0
-        for idx, e in enumerate(self.entries):
+        for idx, amount in self.index.transfers[p]:
             if upto is not None and idx > upto:
                 break
-            if e.rec is not Rec.TRANSFERRED:
-                continue
-            if e.phase == "sent" and e.frm == p:
-                net -= e.amount
-            elif e.phase == "received" and e.to == p:
-                net += e.amount
+            net += amount
         return net
 
     def terminal_entry(self, p: ParticipantId) -> Optional[tuple[int, TraceEntry]]:
-        for idx, e in enumerate(self.entries):
-            if e.rec is Rec.TERMINAL_REACHED and e.participant == p:
-                return idx, e
+        for idx in self.index.entries[p]:
+            if self.entries[idx].rec is Rec.TERMINAL_REACHED:
+                return idx, self.entries[idx]
         return None
 
     def header_lines(self) -> list[str]:
