@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
-from .core import ConfigError, ParticipantId, fmt_fraction, parse_participant
+from .core import ConfigError, ParticipantId, as_fraction, fmt_fraction, parse_participant
 from .deals import is_well_formed, parse_deal_file, to_digraph
 from .explore import battery_assignments, explore
 from .properties import Status, evaluate_all, property_names
@@ -44,17 +44,12 @@ EXIT_BUDGET = 3
 
 def parse_rational(value, what: str = "value") -> Fraction:
     """Accept 3, "3", "21/10"."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{what}: expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"{what}: cannot parse rational {value!r}") from exc
-    raise ConfigError(f"{what}: expected a rational, got {type(value).__name__} "
-                      "(floats are not accepted; times are exact)")
+    return as_fraction(value, what)
 
 
 def _take(cfg: dict, known: dict[str, bool], where: str) -> None:

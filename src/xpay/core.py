@@ -85,12 +85,18 @@ def parse_participant(token: str) -> ParticipantId:
     return ParticipantId(kind, index)
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value, what: str = "value") -> Fraction:
+    """`value` as an exact rational: a Fraction as it is, an int converted.
+
+    Anything else is refused, floats and booleans included: a float such as 0.1
+    is not the rational it reads as, and times and amounts here are exact.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"expected exact rational, got {type(value).__name__}")
+    raise ConfigError(f"{what}: expected a rational, got {type(value).__name__} "
+                      "(floats are not accepted; times are exact)")
 
 
 def fmt_fraction(x: Fraction) -> str:
@@ -117,7 +123,7 @@ class Guarantee(Payload):
     resolve_within: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "resolve_within", _as_fraction(self.resolve_within))
+        object.__setattr__(self, "resolve_within", as_fraction(self.resolve_within, "guarantee"))
         if self.resolve_within <= 0:
             raise ConfigError("guarantee duration must be strictly positive")
 
@@ -132,7 +138,7 @@ class Promise(Payload):
     accept_within: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "accept_within", _as_fraction(self.accept_within))
+        object.__setattr__(self, "accept_within", as_fraction(self.accept_within, "promise"))
         if self.accept_within <= 0:
             raise ConfigError("promise window must be strictly positive")
 

@@ -38,6 +38,7 @@ from .core import (
     ParticipantKind,
     SigningKey,
     SignedMessage,
+    as_fraction,
     customer,
     escrow,
     fmt_fraction,
@@ -82,7 +83,7 @@ def _default_grid(delta: Fraction, points: int = 4) -> tuple[Fraction, ...]:
 
 
 def _check_grid(grid: Sequence[Fraction], delta: Fraction) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(g) for g in grid)
+    out = tuple(as_fraction(g, "grid delay") for g in grid)
     if not out:
         raise ConfigError("delay grid must be non-empty")
     for g in out:
@@ -98,7 +99,7 @@ class Synchronous:
     grid: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        self.delta = Fraction(self.delta)
+        self.delta = as_fraction(self.delta, "delta")
         if self.delta <= 0:
             raise ConfigError("delivery bound must be strictly positive")
         self.grid = _check_grid(self.grid or _default_grid(self.delta), self.delta)
@@ -124,8 +125,8 @@ class PartialSync:
     grid: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        self.gst = Fraction(self.gst)
-        self.delta = Fraction(self.delta)
+        self.gst = as_fraction(self.gst, "gst")
+        self.delta = as_fraction(self.delta, "delta")
         if self.delta <= 0:
             raise ConfigError("delivery bound must be strictly positive")
         if self.gst < 0:
@@ -162,7 +163,7 @@ class ScriptRule:
     payload: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "delay", Fraction(self.delay))
+        object.__setattr__(self, "delay", as_fraction(self.delay, "scripted delay"))
         if self.delay <= 0:
             raise ConfigError("scripted delay must be strictly positive")
         if self.payload is not None and self.payload not in PAYLOAD_KINDS:
@@ -197,12 +198,12 @@ class Scripted:
     delta: Optional[Fraction] = None
 
     def __post_init__(self):
-        self.default = Fraction(self.default)
+        self.default = as_fraction(self.default, "default delay")
         if self.default <= 0:
             raise ConfigError("default delay must be strictly positive")
         self.rules = tuple(self.rules)
         if self.delta is not None:
-            self.delta = Fraction(self.delta)
+            self.delta = as_fraction(self.delta, "delta")
 
     def delta_bound(self) -> Optional[Fraction]:
         return self.delta
@@ -460,15 +461,16 @@ class Scenario:
     raw_injections: tuple = ()  # ((t, Envelope), ...) test hook; bypasses emission checks
 
     def __post_init__(self):
-        self.pi = Fraction(self.pi)
-        self.rho = Fraction(self.rho)
-        self.mu = Fraction(self.mu)
+        self.pi = as_fraction(self.pi, "pi")
+        self.rho = as_fraction(self.rho, "rho")
+        self.mu = as_fraction(self.mu, "mu")
         if self.epsilon is not None:
-            self.epsilon = Fraction(self.epsilon)
+            self.epsilon = as_fraction(self.epsilon, "epsilon")
         if self.horizon is not None:
-            self.horizon = Fraction(self.horizon)
+            self.horizon = as_fraction(self.horizon, "horizon")
         if self.patience is not None:
-            self.patience = tuple(None if p is None else Fraction(p) for p in self.patience)
+            self.patience = tuple(None if p is None else as_fraction(p, "patience")
+                                  for p in self.patience)
 
     def validate(self) -> None:
         if self.variant not in ("strong", "weak"):

@@ -24,6 +24,7 @@ from xpay.simnet import (
     Scripted,
     ScriptRule,
     StrategySpec,
+    Synchronous,
     assign_clocks,
     byzantine_emit,
     run_simulation,
@@ -290,6 +291,36 @@ def test_scenario_validation_errors():
     with pytest.raises(ConfigError):
         # scripted model without a bound cannot auto-derive timeouts
         run_simulation(strong_scenario(delay=Scripted(default=F(1))))
+
+
+# Each library input that holds a time, mapped to a builder that returns the
+# value it was coerced to.
+EXACT_INPUTS = {
+    "Scenario.pi": lambda x: strong_scenario(pi=x).pi,
+    "Scenario.rho": lambda x: strong_scenario(rho=x).rho,
+    "Scenario.mu": lambda x: strong_scenario(mu=x).mu,
+    "Scenario.epsilon": lambda x: strong_scenario(epsilon=x).epsilon,
+    "Scenario.horizon": lambda x: strong_scenario(horizon=x).horizon,
+    "Scenario.patience": lambda x: weak_scenario(patience=(None, x)).patience[1],
+    "Synchronous.delta": lambda x: Synchronous(x).delta,
+    "Synchronous.grid": lambda x: Synchronous(F(1), grid=(x,)).grid[0],
+    "PartialSync.gst": lambda x: PartialSync(x, F(1)).gst,
+    "PartialSync.delta": lambda x: PartialSync(F(0), x).delta,
+    "PartialSync.grid": lambda x: PartialSync(F(0), F(1), grid=(x,)).grid[0],
+    "Scripted.default": lambda x: Scripted(default=x).default,
+    "Scripted.delta": lambda x: Scripted(default=F(1), delta=x).delta,
+    "ScriptRule.delay": lambda x: ScriptRule(delay=x).delay,
+}
+
+
+@pytest.mark.parametrize("build", EXACT_INPUTS.values(), ids=EXACT_INPUTS.keys())
+def test_time_inputs_refuse_floats_and_booleans(build):
+    for inexact in (0.1, 1.0, True):
+        with pytest.raises(ConfigError):
+            build(inexact)
+    for exact in (1, F(1, 2)):
+        got = build(exact)
+        assert type(got) is Fraction and got == exact
 
 
 def test_trace_header_is_self_describing():
