@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from conftest import strong_scenario, weak_scenario
 from xpay.core import customer
-from xpay.explore import battery_assignments, explore
-from xpay.simnet import StrategySpec, Synchronous
+from xpay.explore import POLICIES, battery_assignments, explore
+from xpay.simnet import StrategySpec, Synchronous, run_simulation
 
 F = Fraction
 GRID3 = (F(1, 4), F(1, 2), F(1))
@@ -96,3 +97,24 @@ def test_weak_interleavings_certificate_consistency():
     assert report.safe
     cc = report.counts.get("CC")
     assert cc and cc["fail"] == 0 and cc["pass"] == report.branches
+
+
+def test_runs_without_a_tie_are_the_same_under_every_policy():
+    """The premise on which `explore` skips the other policies' re-runs: a run
+    that never offered the scheduler a choice has the same entries under every
+    tie-break and receive order. Only entry lines are compared; the header
+    names the policy."""
+    compared = {"strong": 0, "weak": 0}
+    for make, ns in ((strong_scenario, (1, 2, 4)), (weak_scenario, (1, 2, 3))):
+        for n in ns:
+            for seed in range(8):
+                scenario = make(n=n, seed=seed, rho=F(1, 10))
+                trace = run_simulation(scenario)
+                if trace.had_tie:
+                    continue
+                compared[scenario.variant] += 1
+                lines = [e.line() for e in trace.entries]
+                for tie_break, rx_order in POLICIES[1:]:
+                    other = run_simulation(replace(scenario, tie_break=tie_break, rx_order=rx_order))
+                    assert [e.line() for e in other.entries] == lines, (scenario.variant, n, seed)
+    assert compared["strong"] >= 20 and compared["weak"] >= 15
