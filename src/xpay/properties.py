@@ -73,11 +73,13 @@ class Verdict:
 
 # ------------------------------------------------------------------ trace helpers
 
-def _is_chi(msg, trace: Trace) -> bool:
-    bob = customer(trace.meta.n)
-    return (isinstance(msg.payload, Certificate)
+def _is_certificate(msg, trace: Trace, kind: type = Certificate) -> bool:
+    """Is `msg` a verified `kind` certificate of this payment? Bob signs the
+    payment certificate; the manager signs the commit and abort certificates."""
+    signer = customer(trace.meta.n) if kind is Certificate else manager()
+    return (isinstance(msg.payload, kind)
             and msg.payload.instance == trace.meta.instance
-            and verify(msg, bob))
+            and verify(msg, signer))
 
 
 def _sends_own_certificate(e: TraceEntry, trace: Trace) -> bool:
@@ -85,19 +87,14 @@ def _sends_own_certificate(e: TraceEntry, trace: Trace) -> bool:
     if e.rec is not Rec.SENT or e.participant != customer(trace.meta.n):
         return False
     msg = e.env.msg
-    return _is_chi(msg, trace) or (isinstance(msg.payload, CommitReq)
-                                   and _is_chi(msg.payload.certificate, trace))
+    if isinstance(msg.payload, CommitReq):  # the weak variant's Bob sends it inside his request
+        return _is_certificate(msg.payload.certificate, trace)
+    return _is_certificate(msg, trace)
 
 
 def _delivers(kind: type) -> Callable[[TraceEntry, Trace], bool]:
-    """Matches the delivery of a verified `kind` certificate of this payment:
-    Bob's payment certificate, or the manager's commit or abort certificate."""
-    def match(e: TraceEntry, trace: Trace) -> bool:
-        signer = customer(trace.meta.n) if kind is Certificate else manager()
-        return (e.rec is Rec.DELIVERED and isinstance(e.env.msg.payload, kind)
-                and e.env.msg.payload.instance == trace.meta.instance
-                and verify(e.env.msg, signer))
-    return match
+    """Matches the delivery of a verified `kind` certificate of this payment."""
+    return lambda e, trace: e.rec is Rec.DELIVERED and _is_certificate(e.env.msg, trace, kind)
 
 
 def _issues_decision(e: TraceEntry, trace: Trace) -> bool:
@@ -419,14 +416,14 @@ def check_promises(trace: Trace) -> list[Verdict]:
                     if promise_local is None:
                         promise_local = entry.local
                 elif entry.env.dst == up and (isinstance(payload, Money)
-                                              or _is_chi(entry.env.msg, trace)):
+                                              or _is_certificate(entry.env.msg, trace)):
                     if resolved_up is None:
                         resolved_up = (idx, entry.local)
                 elif entry.env.dst == down and isinstance(payload, Money):
                     if paid_down is None:
                         paid_down = (idx, entry.local)
             elif (entry.rec is Rec.DELIVERED and chi_local is None
-                    and entry.env.src == down and _is_chi(entry.env.msg, trace)):
+                    and entry.env.src == down and _is_certificate(entry.env.msg, trace)):
                 chi_local = entry.local
         if deposit_local is not None:
             g_eval += 1

@@ -115,6 +115,7 @@ def test_runs_without_a_tie_are_the_same_under_every_policy():
                 compared[scenario.variant] += 1
                 lines = [e.line() for e in trace.entries]
                 for tie_break, rx_order in POLICIES[1:]:
-                    other = run_simulation(replace(scenario, tie_break=tie_break, rx_order=rx_order))
-                    assert [e.line() for e in other.entries] == lines, (scenario.variant, n, seed)
+                    other = replace(scenario, tie_break=tie_break, rx_order=rx_order)
+                    assert [e.line() for e in run_simulation(other).entries] == lines, (
+                        scenario.variant, n, seed, tie_break, rx_order)
     assert compared["strong"] >= 20 and compared["weak"] >= 15
