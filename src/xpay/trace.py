@@ -137,8 +137,8 @@ class Trace:
         The code relies on a trace not being changed once built: the simulator
         hands it over finished, and nothing appends to or edits `entries` after.
         """
-        entries: defaultdict[ParticipantId, list[int]] = defaultdict(list)
-        transfers: defaultdict[ParticipantId, list[tuple[int, int]]] = defaultdict(list)
+        entries = defaultdict(list)
+        transfers = defaultdict(list)
         for idx, e in enumerate(self.entries):
             entries[e.participant].append(idx)
             if e.rec is Rec.TRANSFERRED:
