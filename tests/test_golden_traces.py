@@ -25,9 +25,16 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import strong_scenario, weak_scenario
-from xpay.core import customer
+from xpay.core import Certificate, Envelope, SigningKey, customer, escrow, sign
 from xpay.properties import Status, evaluate_all
-from xpay.simnet import PartialSync, ScriptRule, Scripted, StrategySpec, run_simulation
+from xpay.simnet import (
+    PartialSync,
+    ScriptRule,
+    Scripted,
+    StrategySpec,
+    Synchronous,
+    run_simulation,
+)
 
 F = Fraction
 GOLDEN = Path(__file__).with_name("golden_traces.json")
@@ -42,6 +49,15 @@ WEAK_BYZANTINE = ("none", "silent", "impatient_abort")
 LATE_KINDS = ("certificate", "money", "promise", "guarantee")
 LATE_DELAYS = (2, 4, 9)
 GSTS = (0, 3, 20)
+ODD_RHOS = (F(1, 7), F(2, 9))
+ODD_CLOCKS = ("seeded", "worst_case", "escrows_slow")
+ODD_DELAYS = {
+    "sync3_7": Synchronous(F(3, 7)),
+    "script2_11": Scripted(default=F(2, 11), delta=F(1),
+                           rules=(ScriptRule(delay=F(13, 5), payload="money"),)),
+    "psync5_3": PartialSync(F(5, 3), F(1)),
+}
+ODD_BYZANTINE = ("none", "delay_own_sends", "replayer", "greedy_escrow", "premature_certificate")
 
 
 def _p(patience) -> str:
@@ -85,6 +101,43 @@ def violating_cases():
             scenario = weak_scenario(n=n, rho=RHO, patience=(dep,) * n + (bob,),
                                      delay=PartialSync(F(gst), F(1)))
             yield f"psync-n{n}-g{gst}-d{_p(dep)}-b{_p(bob)}", scenario
+
+
+def _odd_byzantine(name: str, n: int) -> dict:
+    if name == "none":
+        return {}
+    if name == "delay_own_sends":
+        return {customer(0): StrategySpec(name, {"delay": F(5, 3)})}
+    if name == "greedy_escrow":
+        return {escrow(0): StrategySpec(name)}
+    if name == "premature_certificate":
+        return {customer(n): StrategySpec(name)}
+    return {customer(0): StrategySpec(name)}
+
+
+def odd_instant_cases():
+    """Runs whose instants have large denominators: pi = 2/13, drift 1/7 or
+    2/9, delays in sevenths, elevenths, fifths and thirds.
+
+    Every (variant, n, rho, clock mode, delay model, Byzantine member)
+    combination runs once, and every other case also gets a foreign-instance
+    certificate from Bob injected at e0 at t=2/9.
+    """
+    combos = itertools.product(("strong", "weak"), (1, 2, 3), ODD_RHOS, ODD_CLOCKS,
+                               ODD_DELAYS, ODD_BYZANTINE)
+    for k, (variant, n, rho, clocks, delay, byz) in enumerate(combos):
+        build = strong_scenario if variant == "strong" else weak_scenario
+        injections = ()
+        if k % 2 == 0:
+            bob = customer(n)
+            foreign = sign(Certificate("other-payment"), bob, SigningKey(bob))
+            injections = ((F(2, 9), Envelope(bob, escrow(0), foreign)),)
+        scenario = build(n=n, seed=k, rho=rho, pi=F(2, 13), clock_mode=clocks,
+                         delay=ODD_DELAYS[delay], byzantine=_odd_byzantine(byz, n),
+                         raw_injections=injections)
+        name = (f"odd-{variant}-n{n}-r{rho.numerator}_{rho.denominator}-{clocks}-{delay}"
+                f"-{byz}{'-inj' if injections else ''}")
+        yield name, scenario
 
 
 def _sha256(text: str) -> str:
@@ -131,6 +184,10 @@ def test_violating_traces_match_recorded_digests():
     _assert_recorded(violating_cases())
 
 
+def test_odd_instant_traces_match_recorded_digests():
+    _assert_recorded(odd_instant_cases())
+
+
 def test_violating_cases_violate_termination_liveness_and_the_guarantee():
     violated = {v.name for _, scenario in violating_cases()
                 for v in evaluate_all(run_simulation(scenario), include_promises=True)
@@ -139,7 +196,8 @@ def test_violating_cases_violate_termination_liveness_and_the_guarantee():
 
 
 if __name__ == "__main__":
-    recorded = [digests(family()) for family in (strong_cases, weak_cases, violating_cases)]
+    recorded = [digests(family()) for family in (strong_cases, weak_cases, violating_cases,
+                                               odd_instant_cases)]
     for path, tables in ((GOLDEN, [r[0] for r in recorded]),
                          (GOLDEN_VERDICTS, [r[1] for r in recorded])):
         merged = {name: digest for table in tables for name, digest in table.items()}
