@@ -52,11 +52,14 @@ class LocalClock:
             raise ConfigError("clock rate must be strictly positive")
 
     def local_time(self, real_time: Fraction) -> Fraction:
-        return self.offset + self.rate * Fraction(real_time)
+        local = self.rate * real_time
+        return local + self.offset if self.offset else local
 
     def real_time_of_deadline(self, local_deadline: Fraction) -> Fraction:
         """Unique real instant t with local_time(t) = local_deadline (exact inversion)."""
-        return (Fraction(local_deadline) - self.offset) / self.rate
+        if self.offset:
+            local_deadline -= self.offset
+        return local_deadline / self.rate
 
 
 class StateKind(Enum):
@@ -254,9 +257,10 @@ class Automaton:
         """
         if self.state.kind is StateKind.TERMINAL:
             raise ProtocolComplete(f"{self.id} already terminal in {self.current!r}")
-        now = self.now(real_time)
-        for var in transition.assign:
-            self.clock_vars[var] = now
+        if transition.assign:
+            now = self.now(real_time)
+            for var in transition.assign:
+                self.clock_vars[var] = now
         if matched is not None:
             self.inbox.remove(matched)
             if transition.capture:

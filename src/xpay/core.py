@@ -29,24 +29,31 @@ class ParticipantKind(Enum):
     MANAGER = "m"
 
 
-_KIND_ORDER = {ParticipantKind.ESCROW: 0, ParticipantKind.CUSTOMER: 1, ParticipantKind.MANAGER: 2}
+# keyed by the kind's value: a str key hashes in C, an Enum member in Python
+_KIND_ORDER = {"e": 0, "c": 1, "m": 2}
 
 
 @dataclass(frozen=True)
 class ParticipantId:
+    """A participant, hashed by its sort key. The hash is computed once: ids
+    key most of the simulator's per-participant dicts."""
     kind: ParticipantKind
     index: int
 
     def __post_init__(self):
         if self.index < 0:
             raise ConfigError(f"participant index must be non-negative, got {self.index}")
+        object.__setattr__(self, "_hash", hash(self.sort_key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"{self.kind.value}{self.index}"
 
     @property
     def sort_key(self) -> tuple[int, int]:
-        return (_KIND_ORDER[self.kind], self.index)
+        return (_KIND_ORDER[self.kind._value_], self.index)
 
 
 def escrow(i: int) -> ParticipantId:
@@ -100,9 +107,9 @@ def as_fraction(value, what: str = "value") -> Fraction:
 
 
 def fmt_fraction(x: Fraction) -> str:
-    """Render a rational as num/den, denominator always explicit (bit-exact trace fields)."""
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """Render a rational (or an int) as num/den, denominator always explicit
+    (bit-exact trace fields)."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 # --------------------------------------------------------------------------- payloads

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core import ConfigError, Envelope, ParticipantId, ParticipantKind
+from .core import ConfigError, Envelope, ParticipantId, ParticipantKind, as_fraction
 from .properties import Status, Verdict, bob_paid, check_liveness, safety_verdicts
 from .simnet import STRATEGIES, Scenario, StrategySpec, run_simulation
 from .timing import customer_terminal_times
@@ -44,6 +44,9 @@ class _DecidedDelays:
 
     def delta_bound(self) -> Optional[Fraction]:
         return self._delta
+
+    def delays(self) -> tuple[Fraction, ...]:
+        return self.grid
 
     def delay_for(self, env: Envelope, t, rng, index) -> Fraction:
         if env.dst in self.byzantine:
@@ -142,7 +145,7 @@ def explore(
             grid = (base.delay.delta_bound(),)
     if not grid:
         raise ConfigError("exploration needs a delay grid")
-    grid = tuple(Fraction(g) for g in grid)
+    grid = tuple(as_fraction(g, "grid delay") for g in grid)
     params = base.resolved_timing()
     check = check or safety_verdicts
     report = ExploreReport()

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .core import (
@@ -35,6 +34,7 @@ from .core import (
     Money,
     ParticipantId,
     Promise,
+    as_fraction,
     customer,
     escrow,
     escrows_of,
@@ -155,7 +155,7 @@ def check_termination(trace: Trace, bound=None) -> Verdict:
             from .timing import termination_bound
             limit = termination_bound(meta.params)
         else:
-            limit = Fraction(bound)
+            limit = as_fraction(bound, "termination bound")
 
     decision_issued = eventual and _first(trace, manager(), _issues_decision) is not None
 

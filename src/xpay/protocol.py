@@ -53,6 +53,7 @@ from .core import (
     Promise,
     SignedMessage,
     SigningKey,
+    as_fraction,
     customer,
     escrow,
     manager,
@@ -102,10 +103,10 @@ class TimingParams:
             raise ConfigError("hop count must be at least 1")
         if len(self.a) != self.n or len(self.d) != self.n:
             raise ConfigError("need one a_i and one d_i per hop")
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "d", tuple(Fraction(x) for x in self.d))
+        object.__setattr__(self, "a", tuple(as_fraction(x, "a_i") for x in self.a))
+        object.__setattr__(self, "d", tuple(as_fraction(x, "d_i") for x in self.d))
         for name in ("epsilon", "pi", "delta", "rho", "mu"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, as_fraction(getattr(self, name), name))
         if any(x <= 0 for x in self.a) or any(x <= 0 for x in self.d):
             raise ConfigError("timeout durations must be strictly positive")
         for i in range(self.n):

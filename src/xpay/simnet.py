@@ -1,9 +1,22 @@
 """Deterministic discrete-event network for the payment protocols.
 
 One simulation is one sequential event loop over a heap ordered by
-(real_time, sequence). All delays come either from a seeded generator on a
-finite grid or from an explicit script, all clocks are exact rationals, so a
-Scenario (seed included) maps to exactly one trace, byte for byte.
+(real_time, priority, sequence). All delays come either from a seeded
+generator on a finite grid or from an explicit script, all clocks are exact
+rationals, so a Scenario (seed included) maps to exactly one trace, byte for
+byte.
+
+Inside the loop real time is an integer count of ticks of 1/S. The scale S is
+fixed before the first event (`time_scale`): the lcm of the denominators of
+pi, of every delay the delay model lists, of each roster timeout's real length
+delay/rate, of the strategies' own delays and of the injection instants, so
+every instant of the run is a whole number of ticks. Event times, heap keys,
+delivery delays, timeout deadlines and the horizon test are int arithmetic;
+`to_ticks` is the one conversion in, and it raises rather than round. Fractions
+are made only where time leaves the loop: each instant's Fraction once, each
+participant's local time once per instant, and a delivery delay once per
+distinct length. Trace entries, `StrategyContext.now`, the `t` passed to
+`delay_for` and the automata see those Fractions.
 
 Byzantine participants are driven by strategy objects instead of (or wrapped
 around) their protocol automaton. A strategy can observe everything delivered
@@ -17,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -107,6 +121,9 @@ class Synchronous:
     def delta_bound(self) -> Optional[Fraction]:
         return self.delta
 
+    def delays(self) -> tuple[Fraction, ...]:
+        return self.grid
+
     def delay_for(self, env: Envelope, t: Fraction, rng: random.Random, index: int) -> Fraction:
         return self.grid[rng.randrange(len(self.grid))]
 
@@ -135,6 +152,10 @@ class PartialSync:
 
     def delta_bound(self) -> Optional[Fraction]:
         return self.delta
+
+    def delays(self) -> tuple[Fraction, ...]:
+        # a delay before stabilization is gst - t + a grid point
+        return (self.gst, *self.grid)
 
     def delay_for(self, env: Envelope, t: Fraction, rng: random.Random, index: int) -> Fraction:
         base = self.grid[rng.randrange(len(self.grid))]
@@ -208,6 +229,9 @@ class Scripted:
     def delta_bound(self) -> Optional[Fraction]:
         return self.delta
 
+    def delays(self) -> tuple[Fraction, ...]:
+        return (self.default, *(rule.delay for rule in self.rules))
+
     def delay_for(self, env: Envelope, t: Fraction, rng: random.Random, index: int) -> Fraction:
         for rule in self.rules:
             if rule.matches(env):
@@ -266,12 +290,12 @@ class StrategyContext:
              as_signer: Optional[ParticipantId] = None) -> None:
         msg = byzantine_emit(self._sim.strategies[self.pid], self.vault,
                              payload, as_signer or self.pid)
-        self._sim.send(Envelope(self.pid, dst, msg), self.now)
+        self._sim.send(Envelope(self.pid, dst, msg))
 
     def replay(self, dst: ParticipantId, msg: SignedMessage) -> None:
         if msg not in self.vault:
             raise ForgeryRejected(f"{self.pid} never observed {msg.token()}")
-        self._sim.send(Envelope(self.pid, dst, msg), self.now)
+        self._sim.send(Envelope(self.pid, dst, msg))
 
 
 class Strategy:
@@ -308,7 +332,7 @@ class DelayOwnSends(Strategy):
 
     def __init__(self, pid, key, params):
         super().__init__(pid, key, params)
-        self.delay = Fraction(params.get("delay", 1))
+        self.delay = as_fraction(params.get("delay", 1), "delay_own_sends delay")
         if self.delay <= 0:
             raise ConfigError("delay_own_sends needs a positive delay")
 
@@ -441,7 +465,9 @@ class Scenario:
     """Everything one run depends on. Equal scenarios produce identical traces."""
     variant: str
     n: int
-    delay: object  # Synchronous | PartialSync | Scripted (duck-typed delay model)
+    # Synchronous | PartialSync | Scripted, or any object with their methods
+    # delta_bound, delays, delay_for and to_config (a duck-typed delay model)
+    delay: object
     pi: Fraction
     amount: int = 1
     rho: Fraction = Fraction(0)
@@ -471,6 +497,8 @@ class Scenario:
         if self.patience is not None:
             self.patience = tuple(None if p is None else as_fraction(p, "patience")
                                   for p in self.patience)
+        self.raw_injections = tuple((as_fraction(t, "injection time"), env)
+                                    for t, env in self.raw_injections)
 
     def validate(self) -> None:
         if self.variant not in ("strong", "weak"):
@@ -634,13 +662,45 @@ def assign_clocks(scenario: Scenario) -> dict[ParticipantId, LocalClock]:
 
 # --------------------------------------------------------------------- the engine
 
+def to_ticks(x: Fraction, scale: int, what: str) -> int:
+    """`x` as a whole number of ticks of 1/scale. Raises ConfigError naming `x`
+    when it falls between two ticks; never rounds."""
+    ticks, rest = divmod(x.numerator * scale, x.denominator)
+    if rest:
+        raise ConfigError(f"{what} {fmt_fraction(x)} falls between the run's ticks of 1/{scale}")
+    return ticks
+
+
+def time_scale(sc: Scenario, automata: dict[ParticipantId, Automaton],
+               strategies: dict[ParticipantId, Strategy]) -> int:
+    """Ticks per time unit for one run: the lcm of the denominators of every
+    length that can separate two instants of the run.
+
+    Those are pi, the delays the delay model lists, the real length delay/rate
+    of each timeout of the roster (a deadline is the assignment instant plus
+    delay/rate; a clock's offset cancels out), the strategies' own delays and
+    the injection instants. Only states already built are read: the states a
+    manager builds on first entry have no timeout.
+    """
+    lengths = [sc.pi, *sc.delay.delays()]
+    for aut in automata.values():
+        rate = aut.clock.rate
+        for st in aut.states.values():
+            for tr in st.transitions:
+                if isinstance(tr.guard, Timeout):
+                    lengths.append(tr.guard.delay / rate)
+    lengths += [s.delay for s in strategies.values() if isinstance(s, DelayOwnSends)]
+    lengths += [t for t, _ in sc.raw_injections]
+    return math.lcm(*(x.denominator for x in lengths))
+
+
 @dataclass
 class _Event:
     kind: str  # deliver | output_done | timeout | send_later
     env: Optional[Envelope] = None
     pid: Optional[ParticipantId] = None
     state: Optional[str] = None
-    sent_at: Optional[Fraction] = None
+    sent_at: int = 0  # deliver: the send instant, in ticks
 
 
 class _Sim:
@@ -684,9 +744,14 @@ class _Sim:
         )
         self.compliant_total = sum(1 for pid in roster if scenario.is_compliant(pid))
 
-        self.heap: list[tuple[Fraction, int, int, _Event]] = []
+        self.heap: list[tuple[int, int, int, _Event]] = []
         self.seq = 0
+        self.scale = 1  # ticks per time unit; run() fixes it before the first event
+        self.pi_ticks = 0
+        self.tick = 0  # the current instant in ticks, and as a Fraction
         self.now = Fraction(0)
+        self.local_now: dict[ParticipantId, Fraction] = {}  # local times at `now`
+        self.transit_times: dict[int, Fraction] = {}  # delivery delays by their length in ticks
         self.send_index = 0
         self.entries: list[TraceEntry] = []
         self.had_tie = False
@@ -694,18 +759,22 @@ class _Sim:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def schedule(self, t: Fraction, ev: _Event) -> None:
+    def schedule(self, tick: int, ev: _Event) -> None:
         # Deliveries sort before automaton steps at the same instant: a message
         # arriving exactly at a deadline must be in the inbox when the
         # scheduler applies its tie-break, and simultaneous arrivals must all
         # be visible before any of them can fire a transition.
         priority = 0 if ev.kind == "deliver" else 1
-        heapq.heappush(self.heap, (t, priority, self.seq, ev))
+        heapq.heappush(self.heap, (tick, priority, self.seq, ev))
         self.seq += 1
 
-    def entry(self, rec: Rec, pid: ParticipantId, t: Fraction, **kw) -> TraceEntry:
-        e = TraceEntry(t=t, seq=len(self.entries), participant=pid,
-                       local=self.clocks[pid].local_time(t), rec=rec, **kw)
+    def entry(self, rec: Rec, pid: ParticipantId, **kw) -> TraceEntry:
+        """Record `rec` for `pid` at the current instant."""
+        local = self.local_now.get(pid)
+        if local is None:
+            local = self.local_now[pid] = self.clocks[pid].local_time(self.now)
+        e = TraceEntry(t=self.now, seq=len(self.entries), participant=pid,
+                       local=local, rec=rec, **kw)
         self.entries.append(e)
         return e
 
@@ -714,29 +783,30 @@ class _Sim:
 
     # -- wire ------------------------------------------------------------------
 
-    def send(self, env: Envelope, t: Fraction) -> bool:
+    def send(self, env: Envelope) -> bool:
         payload = env.msg.payload
         if isinstance(payload, Money):
             try:
                 self.ledger.send_value(env.src, payload.amount)
             except InsufficientFunds:
-                self.entry(Rec.IMPOSSIBLE_STEP, env.src, t, reason="insufficient_funds")
+                self.entry(Rec.IMPOSSIBLE_STEP, env.src, reason="insufficient_funds")
                 aut = self.automata.get(env.src)
                 if aut is not None and self.sc.is_compliant(env.src):
                     aut.stuck = True
                     if self.strict:
                         raise ConsistencyViolation(
-                            f"{env.src} prescribed a transfer it cannot fund at t={t}")
+                            f"{env.src} prescribed a transfer it cannot fund at t={self.now}")
                 return False
-            self.entry(Rec.TRANSFERRED, env.src, t, frm=env.src, to=env.dst,
+            self.entry(Rec.TRANSFERRED, env.src, frm=env.src, to=env.dst,
                        amount=payload.amount, phase="sent")
-        self.entry(Rec.SENT, env.src, t, env=env)
-        delay = self.sc.delay.delay_for(env, t, self.rng, self.send_index)
+        self.entry(Rec.SENT, env.src, env=env)
+        delay = self.sc.delay.delay_for(env, self.now, self.rng, self.send_index)
         self.send_index += 1
-        self.schedule(t + delay, _Event("deliver", env=env, sent_at=t))
+        self.schedule(self.tick + to_ticks(delay, self.scale, "delay"),
+                      _Event("deliver", env=env, sent_at=self.tick))
         return True
 
-    def _deliver(self, env: Envelope, t: Fraction, sent_at: Optional[Fraction]) -> Optional[ParticipantId]:
+    def _deliver(self, env: Envelope, sent_at: int) -> Optional[ParticipantId]:
         """Deliver into the inbox; returns the recipient if its automaton may now fire.
 
         Firing is the caller's job: all deliveries at one instant land before
@@ -744,14 +814,17 @@ class _Sim:
         """
         pid = env.dst
         if not verify(env.msg, env.msg.signer):
-            self.entry(Rec.REJECTED, pid, t, env=env, reason="bad_signature")
+            self.entry(Rec.REJECTED, pid, env=env, reason="bad_signature")
             return None
-        self.entry(Rec.DELIVERED, pid, t, env=env,
-                   delay=(t - sent_at) if sent_at is not None else Fraction(0))
+        length = self.tick - sent_at
+        delay = self.transit_times.get(length)
+        if delay is None:
+            delay = self.transit_times[length] = Fraction(length, self.scale)
+        self.entry(Rec.DELIVERED, pid, env=env, delay=delay)
         payload = env.msg.payload
         if isinstance(payload, Money):
             self.ledger.receive_value(pid, payload.amount)
-            self.entry(Rec.TRANSFERRED, pid, t, frm=env.src, to=pid,
+            self.entry(Rec.TRANSFERRED, pid, frm=env.src, to=pid,
                        amount=payload.amount, phase="received")
         strategy = self.strategies.get(pid)
         if strategy is not None:
@@ -766,14 +839,14 @@ class _Sim:
 
     # -- automaton driving -------------------------------------------------------
 
-    def _enter_state(self, pid: ParticipantId, t: Fraction) -> None:
+    def _enter_state(self, pid: ParticipantId) -> None:
         aut = self.automata[pid]
         st = aut.state
-        self.entry(Rec.STATE_ENTERED, pid, t, state=st.name)
+        self.entry(Rec.STATE_ENTERED, pid, state=st.name)
         if st.kind is StateKind.OUTPUT:
-            self.schedule(t + self.sc.pi, _Event("output_done", pid=pid, state=st.name))
+            self.schedule(self.tick + self.pi_ticks, _Event("output_done", pid=pid, state=st.name))
         elif st.kind is StateKind.TERMINAL:
-            self.entry(Rec.TERMINAL_REACHED, pid, t, state=st.name, discarded=len(aut.inbox))
+            self.entry(Rec.TERMINAL_REACHED, pid, state=st.name, discarded=len(aut.inbox))
             if self.sc.is_compliant(pid):
                 self.pending_compliant -= 1
         else:
@@ -781,12 +854,13 @@ class _Sim:
             if tr is not None:
                 deadline = tr.guard.local_deadline(aut.clock_vars, aut.clock)
                 if deadline is not None:
-                    real = aut.clock.real_time_of_deadline(deadline)
-                    if real > t:
+                    real = to_ticks(aut.clock.real_time_of_deadline(deadline), self.scale,
+                                    "timeout deadline")
+                    if real > self.tick:
                         self.schedule(real, _Event("timeout", pid=pid, state=st.name))
 
-    def _ordered_candidates(self, aut: Automaton, t: Fraction):
-        cands = aut.enabled_transitions(t)
+    def _ordered_candidates(self, aut: Automaton):
+        cands = aut.enabled_transitions(self.now)
         receives = [c for c in cands if not isinstance(c[0].guard, Timeout)]
         timeouts = [c for c in cands if isinstance(c[0].guard, Timeout)]
         if (receives and timeouts) or len(receives) > 1:
@@ -797,98 +871,108 @@ class _Sim:
             return timeouts + receives
         return receives + timeouts
 
-    def _try_fire(self, pid: ParticipantId, t: Fraction) -> None:
+    def _try_fire(self, pid: ParticipantId) -> None:
         aut = self.automata[pid]
         while not aut.stuck and aut.state.kind is StateKind.INPUT:
-            ordered = self._ordered_candidates(aut, t)
+            ordered = self._ordered_candidates(aut)
             if not ordered:
                 return
             tr, env = ordered[0]
             if isinstance(tr.guard, Timeout):
                 deadline = tr.guard.local_deadline(aut.clock_vars, aut.clock)
-                self.entry(Rec.TIMEOUT_FIRED, pid, t, state=aut.current, deadline=deadline)
-            emissions = aut.step(tr, t, env)
-            self._route_emissions(pid, emissions, t)
-            self._enter_state(pid, t)
+                self.entry(Rec.TIMEOUT_FIRED, pid, state=aut.current, deadline=deadline)
+            emissions = aut.step(tr, self.now, env)
+            self._route_emissions(pid, emissions)
+            self._enter_state(pid)
 
-    def _fire_output(self, pid: ParticipantId, state_name: str, t: Fraction) -> None:
+    def _fire_output(self, pid: ParticipantId, state_name: str) -> None:
         aut = self.automata.get(pid)
         if aut is None or aut.stuck or aut.current != state_name:
             return
         tr = aut.state.transitions[0]
-        emissions = aut.step(tr, t, None)
-        self._route_emissions(pid, emissions, t)
-        self._enter_state(pid, t)
+        emissions = aut.step(tr, self.now, None)
+        self._route_emissions(pid, emissions)
+        self._enter_state(pid)
         if aut.state.kind is StateKind.INPUT:
-            self._try_fire(pid, t)
+            self._try_fire(pid)
 
-    def _on_timeout(self, pid: ParticipantId, state_name: str, t: Fraction) -> None:
+    def _on_timeout(self, pid: ParticipantId, state_name: str) -> None:
         aut = self.automata.get(pid)
         if aut is None or aut.stuck or aut.current != state_name:
             return
         if aut.state.kind is StateKind.INPUT:
-            self._try_fire(pid, t)
+            self._try_fire(pid)
 
-    def _route_emissions(self, pid: ParticipantId, emissions: list[Envelope], t: Fraction) -> None:
+    def _route_emissions(self, pid: ParticipantId, emissions: list[Envelope]) -> None:
         strategy = self.strategies.get(pid)
         for env in emissions:
             if strategy is not None:
                 for env2, when in strategy.filter_send(self.ctx(pid), env):
-                    if when <= t:
-                        self.send(env2, t)
+                    tick = to_ticks(when, self.scale, "send time")
+                    if tick <= self.tick:
+                        self.send(env2)
                     else:
-                        self.schedule(when, _Event("send_later", env=env2))
+                        self.schedule(tick, _Event("send_later", env=env2))
             else:
-                self.send(env, t)
+                self.send(env)
                 if self.automata[pid].stuck:
                     break
 
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> Trace:
+        self.scale = time_scale(self.sc, self.automata, self.strategies)
+        self.pi_ticks = to_ticks(self.sc.pi, self.scale, "pi")
+        horizon = self.horizon.numerator * self.scale // self.horizon.denominator
         for pid in sorted(self.automata, key=lambda p: p.sort_key):
-            self._enter_state(pid, Fraction(0))
+            self._enter_state(pid)
         for pid in sorted(self.automata, key=lambda p: p.sort_key):
             aut = self.automata[pid]
             if not aut.stuck and aut.state.kind is StateKind.INPUT:
-                self._try_fire(pid, Fraction(0))
+                self._try_fire(pid)
         for pid in sorted(self.strategies, key=lambda p: p.sort_key):
             self.strategies[pid].on_start(self.ctx(pid))
         for at, env in self.sc.raw_injections:
-            self.schedule(Fraction(at), _Event("deliver", env=env, sent_at=Fraction(at)))
+            tick = to_ticks(at, self.scale, "injection time")
+            self.schedule(tick, _Event("deliver", env=env, sent_at=tick))
 
+        heap = self.heap
         self.stop_reason = STOP_QUEUE_EMPTY
-        while self.heap:
+        while heap:
             if self.compliant_total > 0 and self.pending_compliant == 0:
                 self.stop_reason = STOP_ALL_TERMINAL
                 break
-            t = self.heap[0][0]
-            if t > self.horizon:
+            tick = heap[0][0]
+            if tick > horizon:
                 self.stop_reason = STOP_HORIZON
                 if self.strict:
-                    raise HorizonExceeded(f"event at t={t} beyond horizon {self.horizon}")
+                    raise HorizonExceeded(f"event at t={Fraction(tick, self.scale)} "
+                                          f"beyond horizon {self.horizon}")
                 break
-            self.now = t
-            if self.heap[0][1] == 0:
+            if tick != self.tick:
+                self.tick = tick
+                self.now = Fraction(tick, self.scale)
+                self.local_now.clear()
+            if heap[0][1] == 0:
                 # drain every delivery at this instant, then let recipients fire
                 touched: dict[ParticipantId, None] = {}
-                while self.heap and self.heap[0][0] == t and self.heap[0][1] == 0:
-                    _, _, _, ev = heapq.heappop(self.heap)
-                    pid = self._deliver(ev.env, t, ev.sent_at)
+                while heap and heap[0][0] == tick and heap[0][1] == 0:
+                    ev = heapq.heappop(heap)[3]
+                    pid = self._deliver(ev.env, ev.sent_at)
                     if pid is not None:
                         touched[pid] = None
                 for pid in touched:
                     aut = self.automata.get(pid)
                     if aut is not None and not aut.stuck and aut.state.kind is StateKind.INPUT:
-                        self._try_fire(pid, t)
+                        self._try_fire(pid)
                 continue
-            _, _, _, ev = heapq.heappop(self.heap)
+            ev = heapq.heappop(heap)[3]
             if ev.kind == "output_done":
-                self._fire_output(ev.pid, ev.state, t)
+                self._fire_output(ev.pid, ev.state)
             elif ev.kind == "timeout":
-                self._on_timeout(ev.pid, ev.state, t)
+                self._on_timeout(ev.pid, ev.state)
             else:
-                self.send(ev.env, t)
+                self.send(ev.env)
         else:
             if self.compliant_total > 0 and self.pending_compliant == 0:
                 self.stop_reason = STOP_ALL_TERMINAL

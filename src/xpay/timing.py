@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import ConfigError, customer
+from .core import ConfigError, as_fraction, customer
 from .protocol import BOB_PAID, TimingParams
 from .simnet import Scenario, Scripted, run_simulation
 from .trace import Trace
@@ -65,10 +65,10 @@ def derive_timeouts(
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    delta = Fraction(delta)
-    pi = Fraction(pi)
-    rho = Fraction(rho)
-    margin = Fraction(margin)
+    delta = as_fraction(delta, "delta")
+    pi = as_fraction(pi, "pi")
+    rho = as_fraction(rho, "rho")
+    margin = as_fraction(margin, "margin")
     if delta <= 0:
         raise ConfigError("delta must be strictly positive")
     if pi < 0 or rho < 0 or margin < 0:
@@ -84,7 +84,7 @@ def derive_timeouts(
     d = tuple(ai + 2 * drift * pi + margin for ai in a)
     if epsilon is None:
         epsilon = 2 * drift * pi + margin
-    return TimingParams(n=n, a=a, d=d, epsilon=Fraction(epsilon), pi=pi,
+    return TimingParams(n=n, a=a, d=d, epsilon=epsilon, pi=pi,
                         delta=delta, rho=rho, mu=margin)
 
 

@@ -139,9 +139,10 @@ class Trace:
         """
         entries = defaultdict(list)
         transfers = defaultdict(list)
+        transferred = Rec.TRANSFERRED
         for idx, e in enumerate(self.entries):
             entries[e.participant].append(idx)
-            if e.rec is Rec.TRANSFERRED:
+            if e.rec is transferred:
                 if e.phase == "sent":
                     transfers[e.frm].append((idx, -e.amount))
                 elif e.phase == "received":

@@ -1,0 +1,125 @@
+"""Property-based differential and metamorphic tests over generated scenarios.
+
+Scenarios: strong or weak, n <= 3, rational delta, pi and rho, a grid of 1-4
+points in (0, delta], one of four clock modes, at most one Byzantine member
+running an applicable battery strategy, and on weak runs a random patience per
+customer.
+
+* Differential: the library's `evaluate_all` statuses equal those of the
+  independent brute-force evaluator in `oracles.py`.
+* Metamorphic: multiplying every length of the scenario (delta, pi, the grid,
+  finite patience, the `delay_own_sends` delay) by k multiplies every entry's
+  t, local, delay and deadline by k and changes nothing else, statuses included.
+
+Examples are derandomized, so every run checks the same scenarios.
+"""
+from __future__ import annotations
+
+from dataclasses import replace
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from conftest import strong_scenario, weak_scenario
+from oracles import brute_force_statuses
+from xpay.core import ParticipantKind
+from xpay.properties import evaluate_all
+from xpay.simnet import STRATEGIES, StrategySpec, Synchronous, run_simulation
+
+F = Fraction
+CLOCK_MODES = ("identity", "seeded", "worst_case", "escrows_slow")
+SCALES = (F(2), F(3, 2), F(7))
+EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+def positive_rationals(max_num: int, max_den: int):
+    return st.builds(F, st.integers(1, max_num), st.integers(1, max_den))
+
+
+@st.composite
+def scenarios(draw):
+    variant = draw(st.sampled_from(("strong", "weak")))
+    n = draw(st.integers(1, 3))
+    delta = draw(positive_rationals(9, 7))
+    # grid points k/m * delta, 0 < k <= m: inside (0, delta]
+    grid = draw(st.lists(st.builds(lambda m, k: delta * min(k, m) / m,
+                                   st.integers(1, 6), st.integers(1, 6)),
+                         min_size=1, max_size=4))
+    common = dict(
+        n=n,
+        delay=Synchronous(delta, grid=tuple(grid)),
+        pi=draw(st.builds(F, st.integers(0, 5), st.integers(1, 13))),
+        rho=draw(st.builds(F, st.integers(0, 3), st.integers(1, 10))),
+        clock_mode=draw(st.sampled_from(CLOCK_MODES)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    if variant == "weak":
+        patience = draw(st.lists(st.one_of(st.none(), st.builds(F, st.integers(0, 20),
+                                                                st.integers(1, 4))),
+                                 min_size=n + 1, max_size=n + 1))
+        scenario = weak_scenario(patience=tuple(patience), **common)
+    else:
+        scenario = strong_scenario(**common)
+    options = [(pid, name) for pid in scenario.participant_ids()
+               if pid.kind is not ParticipantKind.MANAGER
+               for name in sorted(STRATEGIES) if STRATEGIES[name][1](pid, scenario)]
+    pick = draw(st.sampled_from([None, *options]))
+    if pick is not None:
+        pid, name = pick
+        params = {"delay": 2 * delta} if name == "delay_own_sends" else {}
+        scenario = replace(scenario, byzantine={pid: StrategySpec(name, params)})
+    return scenario
+
+
+def scaled(scenario, k: Fraction):
+    """The same scenario with every length multiplied by k (clock rates kept)."""
+    model = scenario.delay
+    byzantine = {pid: StrategySpec(spec.name, {name: k * value
+                                               for name, value in spec.params.items()})
+                 for pid, spec in scenario.byzantine.items()}
+    patience = scenario.patience
+    if patience is not None:
+        patience = tuple(None if p is None else k * p for p in patience)
+    return replace(scenario, delay=Synchronous(k * model.delta,
+                                               grid=tuple(k * g for g in model.grid)),
+                   pi=k * scenario.pi, patience=patience, byzantine=byzantine)
+
+
+def statuses(trace) -> dict[str, str]:
+    return {v.name: v.status.value for v in evaluate_all(trace)}
+
+
+def _times_k(x, k):
+    return None if x is None else k * x
+
+
+def untimed(e) -> tuple:
+    """An entry without its times; a message is kept as its wire identity,
+    since guarantees and promises carry durations in their payloads."""
+    wire = None if e.env is None else (e.env.src, e.env.dst, type(e.env.msg.payload),
+                                       e.env.msg.signer, e.env.msg.nonce)
+    return (e.seq, e.participant, e.rec, wire, e.state, e.frm, e.to, e.amount, e.phase,
+            e.reason, e.discarded)
+
+
+@EXAMPLES
+@given(scenarios())
+def test_checkers_agree_with_the_brute_force_oracle(scenario):
+    trace = run_simulation(scenario)
+    lib = statuses(trace)
+    for name, want in brute_force_statuses(trace).items():
+        assert lib[name] == want, (name, lib[name], want, scenario.config_dict())
+
+
+@EXAMPLES
+@given(scenarios(), st.sampled_from(SCALES))
+def test_scaling_every_length_scales_every_time(scenario, k):
+    base = run_simulation(scenario)
+    grown = run_simulation(scaled(scenario, k))
+    assert grown.stop_reason == base.stop_reason
+    assert len(grown.entries) == len(base.entries)
+    for e, g in zip(base.entries, grown.entries):
+        assert (g.t, g.local, g.delay, g.deadline) == (
+            k * e.t, k * e.local, _times_k(e.delay, k), _times_k(e.deadline, k)), (e.line(), g.line())
+        assert untimed(g) == untimed(e)
+    assert statuses(grown) == statuses(base)

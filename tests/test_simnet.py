@@ -18,7 +18,11 @@ from xpay.core import (
     manager,
     sign,
 )
+from xpay.explore import explore
+from xpay.properties import check_termination
+from xpay.protocol import TimingParams
 from xpay.simnet import (
+    DelayOwnSends,
     ForgeryRejected,
     PartialSync,
     Scripted,
@@ -28,6 +32,7 @@ from xpay.simnet import (
     assign_clocks,
     byzantine_emit,
     run_simulation,
+    to_ticks,
 )
 from xpay.simnet import Silent
 from xpay.trace import Rec, STOP_ALL_TERMINAL
@@ -310,6 +315,20 @@ EXACT_INPUTS = {
     "Scripted.default": lambda x: Scripted(default=x).default,
     "Scripted.delta": lambda x: Scripted(default=F(1), delta=x).delta,
     "ScriptRule.delay": lambda x: ScriptRule(delay=x).delay,
+    "DelayOwnSends.delay": lambda x: DelayOwnSends(
+        customer(0), SigningKey(customer(0)), {"delay": x}).delay,
+    "TimingParams.a": lambda x: TimingParams(1, (x,), (F(5),), F(0), F(0), F(1), F(0)).a[0],
+    "TimingParams.d": lambda x: TimingParams(1, (F(1, 4),), (x,), F(0), F(0), F(1), F(0)).d[0],
+    "TimingParams.epsilon": lambda x: TimingParams(1, (F(1),), (F(2),), x, F(0), F(1), F(0)).epsilon,
+    "TimingParams.pi": lambda x: TimingParams(1, (F(1),), (F(2),), F(0), x, F(1), F(0)).pi,
+    "TimingParams.delta": lambda x: TimingParams(1, (F(1),), (F(2),), F(0), F(0), x, F(0)).delta,
+    "TimingParams.rho": lambda x: TimingParams(1, (F(1),), (F(2),), F(0), F(0), F(1), x).rho,
+    "TimingParams.mu": lambda x: TimingParams(1, (F(1),), (F(2),), F(0), F(0), F(1), F(0), x).mu,
+    "derive_timeouts.delta": lambda x: derived(delta=x).delta,
+    "derive_timeouts.pi": lambda x: derived(pi=x).pi,
+    "derive_timeouts.rho": lambda x: derived(rho=x).rho,
+    "derive_timeouts.margin": lambda x: derived(margin=x).mu,
+    "derive_timeouts.epsilon": lambda x: derived(epsilon=x).epsilon,
 }
 
 
@@ -321,6 +340,61 @@ def test_time_inputs_refuse_floats_and_booleans(build):
     for exact in (1, F(1, 2)):
         got = build(exact)
         assert type(got) is Fraction and got == exact
+
+
+def test_exploration_grid_and_termination_bound_refuse_floats():
+    base = strong_scenario()
+    trace = run_simulation(base)
+    for inexact in (0.1, 1.0, True):
+        with pytest.raises(ConfigError):
+            explore(base, grid=(inexact,))
+        with pytest.raises(ConfigError):
+            check_termination(trace, bound=inexact)
+    want = explore(base, grid=(F(1, 2), F(1)))
+    got = explore(base, grid=(F(1, 2), 1))
+    assert (got.branches, got.counts, got.max_customer_terminal) == (
+        want.branches, want.counts, want.max_customer_terminal)
+    for bound in (20, F(41, 2)):
+        verdict = check_termination(trace, bound=bound)
+        assert verdict.line() == check_termination(trace, bound=F(bound)).line()
+
+
+class _UnlistedDelay:
+    """A duck-typed delay model whose delays() lists 1/2 but which returns 1/3."""
+
+    def delta_bound(self):
+        return F(1)
+
+    def delays(self):
+        return (F(1, 2),)
+
+    def delay_for(self, env, t, rng, index):
+        return F(1, 3)
+
+    def to_config(self):
+        return {"kind": "unlisted"}
+
+
+class _ListedDelay(_UnlistedDelay):
+    def delays(self):
+        return (F(1, 3),)
+
+
+def test_ticks_are_exact_or_refused():
+    assert to_ticks(F(7, 5), 10, "delay") == 14
+    assert to_ticks(F(3), 10, "delay") == 30
+    with pytest.raises(ConfigError, match="delay 1/3 falls between"):
+        to_ticks(F(1, 3), 10, "delay")
+    with pytest.raises(ConfigError, match=f"delay {10**18 + 1}/{10**19} falls between"):
+        to_ticks(F(10**18 + 1, 10**19), 10**18, "delay")  # one part in 10^18 off a tick
+
+
+def test_a_delay_the_model_does_not_list_is_refused_not_rounded():
+    with pytest.raises(ConfigError, match="delay 1/3 falls between the run's ticks"):
+        run_simulation(strong_scenario(delay=_UnlistedDelay()))
+    trace = run_simulation(strong_scenario(delay=_ListedDelay()))
+    delays = {e.delay for e in trace.entries if e.rec is Rec.DELIVERED}
+    assert delays == {F(1, 3)}
 
 
 def test_trace_header_is_self_describing():
