@@ -923,6 +923,7 @@ class _Sim:
     def run(self) -> Trace:
         self.scale = time_scale(self.sc, self.automata, self.strategies)
         self.pi_ticks = to_ticks(self.sc.pi, self.scale, "pi")
+        # the last tick not beyond the horizon
         horizon = self.horizon.numerator * self.scale // self.horizon.denominator
         for pid in sorted(self.automata, key=lambda p: p.sort_key):
             self._enter_state(pid)
