@@ -1,10 +1,11 @@
 """Deterministic simulator and property checker for chained escrow payments.
 
 Public surface: the scenario/runner pair (Scenario, run_simulation), the
-protocol constructors, the timeout derivation, the trace property checkers,
-the exhaustive explorer, and the deal-matrix analysis.
+protocol constructors (each returns a `Machine` definition shared by the runs,
+which wrap it in their own `Automaton`), the timeout derivation, the trace
+property checkers, the exhaustive explorer, and the deal-matrix analysis.
 """
-from .automata import Automaton, LocalClock, Receive, State, StateKind, Timeout, Transition
+from .automata import Automaton, LocalClock, Machine, Receive, State, StateKind, Timeout, Transition
 from .core import (
     AuthorizationError,
     ConfigError,

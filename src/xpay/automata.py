@@ -1,6 +1,12 @@
-"""Timed-automaton runtime: drifting local clocks, receive/timeout guards, output dwell.
+"""Timed automata: drifting local clocks, receive/timeout guards, output dwell.
 
-Each participant is a state machine with three state kinds:
+A participant's automaton comes in two parts. A `Machine` is its definition:
+id, states and initial state, validated once and never changed by a run, so one
+definition serves every run of the same protocol role. An `Automaton` is one
+run of a machine: the clock and key of that run and the state it has reached
+(current state, clock variables, captured messages, inbox).
+
+Each machine has three state kinds:
 
 * output states do a bounded amount of local work and leave via a single
   unguarded transition that sends one or more messages;
@@ -17,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Union
 
 from .core import (
     ConfigError,
@@ -26,6 +33,7 @@ from .core import (
     ParticipantId,
     SignedMessage,
     SigningKey,
+    as_fraction,
     sign,
     verify,
 )
@@ -46,8 +54,8 @@ class LocalClock:
     offset: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", Fraction(self.rate))
-        object.__setattr__(self, "offset", Fraction(self.offset))
+        object.__setattr__(self, "rate", as_fraction(self.rate, "clock rate"))
+        object.__setattr__(self, "offset", as_fraction(self.offset, "clock offset"))
         if self.rate <= 0:
             raise ConfigError("clock rate must be strictly positive")
 
@@ -109,7 +117,7 @@ class Timeout:
     var: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "delay", Fraction(self.delay))
+        object.__setattr__(self, "delay", as_fraction(self.delay, "timeout delay"))
 
     def local_deadline(self, clock_vars: dict[str, Fraction], clock: LocalClock) -> Optional[Fraction]:
         if self.var is None:
@@ -181,12 +189,38 @@ def validate_states(states: dict[str, State], initial: str) -> None:
 Enabled = tuple[Transition, Optional[Envelope]]
 
 
+@dataclass(frozen=True, eq=False)
+class Machine:
+    """A participant's automaton as its protocol role defines it, validated once.
+
+    `states` is a read-only view, so the runs that share a definition cannot
+    change it. `timeouts` holds the delays of the timeout guards of the states
+    present at construction. `nonces_spent` counts the signatures the
+    definition made with its owner's key (a message signed up front and sent
+    later); a run's key starts past them.
+    """
+    id: ParticipantId
+    states: Mapping[str, State]
+    initial: str
+    nonces_spent: int = 0
+    timeouts: tuple[Fraction, ...] = field(init=False)
+
+    def __post_init__(self):
+        validate_states(self.states, self.initial)
+        object.__setattr__(self, "states", MappingProxyType(self.states))
+        object.__setattr__(self, "timeouts", tuple(
+            tr.guard.delay for st in self.states.values() for tr in st.transitions
+            if isinstance(tr.guard, Timeout)))
+
+    def new_key(self) -> SigningKey:
+        """A fresh signing key for one run, past the nonces the definition spent."""
+        return SigningKey(self.id, self.nonces_spent)
+
+
 @dataclass
 class Automaton:
-    """One participant's state machine plus its runtime baggage (clock, key, inbox)."""
-    id: ParticipantId
-    states: dict[str, State]
-    initial: str
+    """One run of a machine: its clock and key, and the state the run has reached."""
+    machine: Machine
     clock: LocalClock = field(default_factory=LocalClock)
     key: Optional[SigningKey] = None
     current: str = ""
@@ -196,17 +230,20 @@ class Automaton:
     stuck: bool = False
 
     def __post_init__(self):
-        validate_states(self.states, self.initial)
         if not self.current:
-            self.current = self.initial
+            self.current = self.machine.initial
         if self.key is None:
-            self.key = SigningKey(self.id)
-        elif self.key.owner != self.id:
-            raise ConfigError(f"automaton {self.id} was handed {self.key.owner}'s key")
+            self.key = self.machine.new_key()
+        elif self.key.owner != self.machine.id:
+            raise ConfigError(f"automaton {self.machine.id} was handed {self.key.owner}'s key")
+
+    @property
+    def id(self) -> ParticipantId:
+        return self.machine.id
 
     @property
     def state(self) -> State:
-        return self.states[self.current]
+        return self.machine.states[self.current]
 
     def is_terminal(self) -> bool:
         return self.state.kind is StateKind.TERMINAL

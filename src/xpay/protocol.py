@@ -17,20 +17,28 @@ Two constructions are provided:
   customer may abort after a patience deadline of their own choosing without
   risking value.
 
+Every factory returns a `Machine`: the definition of one participant's
+automaton, which depends only on the hop count, the timing parameters, the
+payment instance and, in the weak variant, the patience. The roster builders
+and the transaction manager are memoised by those values, so each definition
+is built and validated once and then shared by every run that asks for it;
+`simnet` wraps it in a per-run `Automaton` with that run's clock and key.
+
 The weak construction here is our own; it is validated against the variant's
 stated properties by the checker suite rather than against a reference.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from .automata import (
-    Automaton,
     Forward,
     Fresh,
-    LocalClock,
+    Machine,
     Receive,
     State,
     StateKind,
@@ -76,6 +84,10 @@ BOB_PAID = "paid"
 WEAK_COMMITTED = "committed"
 WEAK_ABORTED = "aborted"
 WEAK_ABORTED_UNFUNDED = "aborted_unfunded"
+
+# Definitions kept per memoised builder. A sweep or an exploration needs a
+# handful: one per distinct patience vector, timing and instance it runs.
+_DEFINITIONS_CACHED = 64
 
 
 @dataclass(frozen=True)
@@ -171,13 +183,7 @@ def _recv_decision(pay: PaymentInstance, kind: type) -> Receive:
 
 # ------------------------------------------------------------------ strong variant
 
-def make_escrow(
-    i: int,
-    params: TimingParams,
-    pay: PaymentInstance,
-    clock: LocalClock = LocalClock(),
-    key: Optional[SigningKey] = None,
-) -> Automaton:
+def make_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
     """Escrow e_i of the time-bounded protocol.
 
     Guarantee out, deposit in, promise out (recording its issue time u), then
@@ -219,15 +225,10 @@ def make_escrow(
         ESCROW_PAID_OUT: State(ESCROW_PAID_OUT, TERMINAL),
         ESCROW_REFUNDED: State(ESCROW_REFUNDED, TERMINAL),
     }
-    return Automaton(me, states, "send_guarantee", clock=clock, key=key)
+    return Machine(me, states, "send_guarantee")
 
 
-def make_alice(
-    params: TimingParams,
-    pay: PaymentInstance,
-    clock: LocalClock = LocalClock(),
-    key: Optional[SigningKey] = None,
-) -> Automaton:
+def make_alice(params: TimingParams, pay: PaymentInstance) -> Machine:
     """Customer c_0: pays e_0 once its guarantee arrives, then awaits refund or certificate."""
     e0 = escrow(0)
     states = {
@@ -247,16 +248,10 @@ def make_alice(
         ALICE_REFUNDED: State(ALICE_REFUNDED, TERMINAL),
         ALICE_HAS_CERTIFICATE: State(ALICE_HAS_CERTIFICATE, TERMINAL),
     }
-    return Automaton(customer(0), states, "await_guarantee", clock=clock, key=key)
+    return Machine(customer(0), states, "await_guarantee")
 
 
-def make_connector(
-    i: int,
-    params: TimingParams,
-    pay: PaymentInstance,
-    clock: LocalClock = LocalClock(),
-    key: Optional[SigningKey] = None,
-) -> Automaton:
+def make_connector(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
     """Connector c_i (0 < i < n): fronts her own deposit downstream once both the
     downstream guarantee and the upstream promise are in, then either takes the
     refund (done) or relays the certificate upstream and collects the payment."""
@@ -293,15 +288,10 @@ def make_connector(
         CONNECTOR_REFUNDED: State(CONNECTOR_REFUNDED, TERMINAL),
         CONNECTOR_PAID: State(CONNECTOR_PAID, TERMINAL),
     }
-    return Automaton(customer(i), states, "await_guarantee", clock=clock, key=key)
+    return Machine(customer(i), states, "await_guarantee")
 
 
-def make_bob(
-    params: TimingParams,
-    pay: PaymentInstance,
-    clock: LocalClock = LocalClock(),
-    key: Optional[SigningKey] = None,
-) -> Automaton:
+def make_bob(params: TimingParams, pay: PaymentInstance) -> Machine:
     """Customer c_n: issues the certificate against the upstream promise, then awaits payment.
 
     Structurally issues at most one certificate (single send state), and never
@@ -323,30 +313,23 @@ def make_bob(
         )),
         BOB_PAID: State(BOB_PAID, TERMINAL),
     }
-    return Automaton(customer(params.n), states, "await_promise", clock=clock, key=key)
+    return Machine(customer(params.n), states, "await_promise")
 
 
+@functools.lru_cache(maxsize=_DEFINITIONS_CACHED)
 def make_strong_participants(
-    params: TimingParams,
-    pay: PaymentInstance,
-    clocks: Optional[dict[ParticipantId, LocalClock]] = None,
-    keys: Optional[dict[ParticipantId, SigningKey]] = None,
-) -> dict[ParticipantId, Automaton]:
-    """Full roster of the time-bounded protocol, keyed by participant id."""
-    clocks = clocks or {}
-    keys = keys or {}
+    params: TimingParams, pay: PaymentInstance,
+) -> Mapping[ParticipantId, Machine]:
+    """Full roster of the time-bounded protocol, keyed by participant id.
 
-    def build(pid, factory, *args):
-        return factory(*args, clock=clocks.get(pid, LocalClock()), key=keys.get(pid))
-
-    roster: dict[ParticipantId, Automaton] = {}
-    for i in range(params.n):
-        roster[escrow(i)] = build(escrow(i), make_escrow, i, params, pay)
-    roster[customer(0)] = build(customer(0), make_alice, params, pay)
+    Memoised by (params, pay): equal arguments get the same read-only roster.
+    """
+    roster = {escrow(i): make_escrow(i, params, pay) for i in range(params.n)}
+    roster[customer(0)] = make_alice(params, pay)
     for i in range(1, params.n):
-        roster[customer(i)] = build(customer(i), make_connector, i, params, pay)
-    roster[customer(params.n)] = build(customer(params.n), make_bob, params, pay)
-    return roster
+        roster[customer(i)] = make_connector(i, params, pay)
+    roster[customer(params.n)] = make_bob(params, pay)
+    return MappingProxyType(roster)
 
 
 # -------------------------------------------------------------------- weak variant
@@ -354,13 +337,7 @@ def make_strong_participants(
 Patience = Optional[Fraction]  # None means unbounded patience
 
 
-def _weak_escrow(
-    i: int,
-    params: TimingParams,
-    pay: PaymentInstance,
-    clock: LocalClock,
-    key: Optional[SigningKey],
-) -> Automaton:
+def _weak_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
     """Weak-variant escrow: hold the deposit until the manager's decision.
 
     On deposit, notify the manager that hop i is locked (the last escrow also
@@ -404,17 +381,11 @@ def _weak_escrow(
         ESCROW_PAID_OUT: State(ESCROW_PAID_OUT, TERMINAL),
         ESCROW_REFUNDED: State(ESCROW_REFUNDED, TERMINAL),
     }
-    return Automaton(me, states, "send_guarantee", clock=clock, key=key)
+    return Machine(me, states, "send_guarantee")
 
 
-def _weak_depositor(
-    i: int,
-    params: TimingParams,
-    pay: PaymentInstance,
-    patience: Patience,
-    clock: LocalClock,
-    key: Optional[SigningKey],
-) -> Automaton:
+def _weak_depositor(i: int, params: TimingParams, pay: PaymentInstance,
+                    patience: Patience) -> Machine:
     """Weak-variant customer c_i for i < n (Alice or a connector).
 
     Deposits with e_i after its guarantee; on commit, Alice keeps the commit
@@ -480,25 +451,20 @@ def _weak_depositor(
             Transition(CONNECTOR_PAID, guard=_recv_money(pay, up_escrow)),
         ))
         states[CONNECTOR_PAID] = State(CONNECTOR_PAID, TERMINAL)
-    return Automaton(me, states, "await_guarantee", clock=clock, key=key)
+    return Machine(me, states, "await_guarantee")
 
 
-def _weak_bob(
-    params: TimingParams,
-    pay: PaymentInstance,
-    patience: Patience,
-    clock: LocalClock,
-    key: SigningKey,
-) -> Automaton:
+def _weak_bob(params: TimingParams, pay: PaymentInstance, patience: Patience) -> Machine:
     """Weak-variant Bob: after the last escrow confirms funding, send the manager a
     commit request carrying the payment certificate, then await the decision and,
     on commit, the payment. The inner certificate is signed with Bob's own key up
-    front; it leaves his hands only inside the commit request. If his patience
-    runs out first, he sends an abort request instead, funded or not."""
+    front, as his nonce 0, and the definition records that nonce as spent; it
+    leaves his hands only inside the commit request. If his patience runs out
+    first, he sends an abort request instead, funded or not."""
     me = pay.bob
     e = escrow(params.n - 1)
     tm = manager()
-    chi = sign(Certificate(pay.instance), me, key)
+    chi = sign(Certificate(pay.instance), me, SigningKey(me))
     recv_commit = _recv_decision(pay, CommitCert)
     recv_abort = _recv_decision(pay, AbortCert)
 
@@ -538,46 +504,34 @@ def _weak_bob(
         BOB_PAID: State(BOB_PAID, TERMINAL),
         WEAK_ABORTED: State(WEAK_ABORTED, TERMINAL),
     }
-    return Automaton(me, states, "await_funding_notice", clock=clock, key=key)
+    return Machine(me, states, "await_funding_notice", nonces_spent=chi.nonce + 1)
 
 
 def make_weak_participants(
-    params: TimingParams,
-    pay: PaymentInstance,
-    patience: Sequence[Patience],
-    clocks: Optional[dict[ParticipantId, LocalClock]] = None,
-    keys: Optional[dict[ParticipantId, SigningKey]] = None,
-) -> dict[ParticipantId, Automaton]:
+    params: TimingParams, pay: PaymentInstance, patience: Sequence[Patience],
+) -> Mapping[ParticipantId, Machine]:
     """Weak-variant roster (escrows and customers; the manager is built separately).
 
     `patience` has one entry per customer c_0..c_n; None means unbounded.
+    Memoised by (params, pay, patience as a tuple of Fractions): equal
+    arguments get the same read-only roster.
     """
     if len(patience) != params.n + 1:
         raise ConfigError(f"need {params.n + 1} patience entries, got {len(patience)}")
-    norm: list[Patience] = []
-    for p in patience:
-        if p is None:
-            norm.append(None)
-        else:
-            p = Fraction(p)
-            if p < 0:
-                raise ConfigError("patience must be non-negative or unbounded")
-            norm.append(p)
-    clocks = clocks or {}
-    keys = keys or {}
+    norm = tuple(None if p is None else as_fraction(p, "patience") for p in patience)
+    if any(p is not None and p < 0 for p in norm):
+        raise ConfigError("patience must be non-negative or unbounded")
+    return _weak_roster(params, pay, norm)
 
-    roster: dict[ParticipantId, Automaton] = {}
+
+@functools.lru_cache(maxsize=_DEFINITIONS_CACHED)
+def _weak_roster(params: TimingParams, pay: PaymentInstance,
+                 patience: tuple[Patience, ...]) -> Mapping[ParticipantId, Machine]:
+    roster = {escrow(i): _weak_escrow(i, params, pay) for i in range(params.n)}
     for i in range(params.n):
-        pid = escrow(i)
-        roster[pid] = _weak_escrow(i, params, pay, clocks.get(pid, LocalClock()), keys.get(pid))
-    for i in range(params.n):
-        pid = customer(i)
-        roster[pid] = _weak_depositor(i, params, pay, norm[i],
-                                      clocks.get(pid, LocalClock()), keys.get(pid))
-    bob = pay.bob
-    bob_key = keys.get(bob) or SigningKey(bob)
-    roster[bob] = _weak_bob(params, pay, norm[params.n], clocks.get(bob, LocalClock()), bob_key)
-    return roster
+        roster[customer(i)] = _weak_depositor(i, params, pay, patience[i])
+    roster[pay.bob] = _weak_bob(params, pay, patience[params.n])
+    return MappingProxyType(roster)
 
 
 # -------------------------------------------------------------- transaction manager
@@ -615,12 +569,8 @@ class _CollectStates(dict):
         return state
 
 
-def make_transaction_manager(
-    n: int,
-    pay: PaymentInstance,
-    clock: LocalClock = LocalClock(),
-    key: Optional[SigningKey] = None,
-) -> Automaton:
+@functools.lru_cache(maxsize=_DEFINITIONS_CACHED)
+def make_transaction_manager(n: int, pay: PaymentInstance) -> Machine:
     """The trusted decider of the weak variant.
 
     Collects lock notices from the n escrows and Bob's commit request (whose
@@ -633,7 +583,9 @@ def make_transaction_manager(
     The collect states `collect_<mask>_<x|->` are built only when a run first
     enters one, and the 2n + 2 receive guards (n lock notices, the commit
     request, n + 1 abort requests) are built once and shared by every state,
-    so building the manager costs time and memory linear in n.
+    so building the manager costs time and memory linear in n. Memoised by
+    (n, pay); the collect states a run enters stay built in the shared
+    definition for later runs.
     """
     if n < 1:
         raise ConfigError("hop count must be at least 1")
@@ -698,4 +650,4 @@ def make_transaction_manager(
         ))
         states[decided] = State(decided, INPUT, tuple(transitions))
 
-    return Automaton(me, states, states.name(0, False), clock=clock, key=key)
+    return Machine(me, states, states.name(0, False))

@@ -8,7 +8,7 @@ byte.
 
 Inside the loop real time is an integer count of ticks of 1/S. The scale S is
 fixed before the first event (`time_scale`): the lcm of the denominators of
-pi, of every delay the delay model lists, of each roster timeout's real length
+pi, of every delay the delay model lists, of each timeout's real length
 delay/rate, of the strategies' own delays and of the injection instants, so
 every instant of the run is a whole number of ticks. Event times, heap keys,
 delivery delays, timeout deadlines and the horizon test are int arithmetic;
@@ -677,18 +677,14 @@ def time_scale(sc: Scenario, automata: dict[ParticipantId, Automaton],
     length that can separate two instants of the run.
 
     Those are pi, the delays the delay model lists, the real length delay/rate
-    of each timeout of the roster (a deadline is the assignment instant plus
-    delay/rate; a clock's offset cancels out), the strategies' own delays and
-    the injection instants. Only states already built are read: the states a
-    manager builds on first entry have no timeout.
+    of each timeout an automaton's definition lists (a deadline is the
+    assignment instant plus delay/rate; a clock's offset cancels out), the
+    strategies' own delays and the injection instants. The states a manager
+    builds on first entry have no timeout.
     """
     lengths = [sc.pi, *sc.delay.delays()]
     for aut in automata.values():
-        rate = aut.clock.rate
-        for st in aut.states.values():
-            for tr in st.transitions:
-                if isinstance(tr.guard, Timeout):
-                    lengths.append(tr.guard.delay / rate)
+        lengths += [delay / aut.clock.rate for delay in aut.machine.timeouts]
     lengths += [s.delay for s in strategies.values() if isinstance(s, DelayOwnSends)]
     lengths += [t for t, _ in sc.raw_injections]
     return math.lcm(*(x.denominator for x in lengths))
@@ -713,36 +709,35 @@ class _Sim:
         self.pay = PaymentInstance(scenario.instance, scenario.n, scenario.amount)
         self.rng = random.Random(f"{scenario.seed}:delays")
         self.clocks = assign_clocks(scenario)
-        self.keys = {p: SigningKey(p) for p in scenario.participant_ids()}
         self.ledger = Ledger(scenario.resolved_balances())
         self.initial_balances = dict(self.ledger.balances)
 
-        patience = scenario.resolved_patience()
+        # the definitions are shared between runs; only the wrappers below are this run's
         if scenario.variant == "weak":
-            roster = make_weak_participants(self.params, self.pay, patience,
-                                            clocks=self.clocks, keys=self.keys)
-            tm = manager()
-            roster[tm] = make_transaction_manager(scenario.n, self.pay,
-                                                  clock=self.clocks[tm], key=self.keys[tm])
+            machines = {**make_weak_participants(self.params, self.pay,
+                                                 scenario.resolved_patience()),
+                        manager(): make_transaction_manager(scenario.n, self.pay)}
         else:
-            roster = make_strong_participants(self.params, self.pay,
-                                              clocks=self.clocks, keys=self.keys)
+            machines = make_strong_participants(self.params, self.pay)
+        self.keys = {pid: machine.new_key() for pid, machine in machines.items()}
 
         self.strategies: dict[ParticipantId, Strategy] = {}
         self.vaults: dict[ParticipantId, list[SignedMessage]] = {}
         for pid, spec in scenario.byzantine.items():
             cls, _ = STRATEGIES[spec.name]
-            strategy = cls(pid, self.keys[pid], spec.params)
-            self.strategies[pid] = strategy
+            self.strategies[pid] = cls(pid, self.keys[pid], spec.params)
             self.vaults[pid] = []
-            if not strategy.uses_automaton:
-                roster.pop(pid, None)
-        self.automata: dict[ParticipantId, Automaton] = roster
+        self.automata: dict[ParticipantId, Automaton] = {
+            pid: Automaton(machine, self.clocks[pid], self.keys[pid])
+            for pid, machine in machines.items()
+            if pid not in self.strategies or self.strategies[pid].uses_automaton
+        }
 
         self.pending_compliant = sum(
-            1 for pid in roster if scenario.is_compliant(pid) and not roster[pid].is_terminal()
+            1 for pid, aut in self.automata.items()
+            if scenario.is_compliant(pid) and not aut.is_terminal()
         )
-        self.compliant_total = sum(1 for pid in roster if scenario.is_compliant(pid))
+        self.compliant_total = sum(1 for pid in self.automata if scenario.is_compliant(pid))
 
         self.heap: list[tuple[int, int, int, _Event]] = []
         self.seq = 0

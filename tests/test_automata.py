@@ -9,6 +9,7 @@ from xpay.automata import (
     Automaton,
     Fresh,
     LocalClock,
+    Machine,
     ProtocolComplete,
     Receive,
     State,
@@ -59,7 +60,7 @@ def _await_automaton():
         "paid": State("paid", StateKind.TERMINAL),
         "refunded": State("refunded", StateKind.TERMINAL),
     }
-    aut = Automaton(escrow(0), states, "await")
+    aut = Automaton(Machine(escrow(0), states, "await"))
     aut.clock_vars["u"] = Fraction(1)
     return aut
 
@@ -111,7 +112,7 @@ def test_step_assigns_clock_variables_at_local_now():
         )),
         "done": State("done", StateKind.TERMINAL),
     }
-    aut = Automaton(e0, states, "out", clock=LocalClock(rate=Fraction(2)))
+    aut = Automaton(Machine(e0, states, "out"), clock=LocalClock(rate=Fraction(2)))
     emitted = aut.step(states["out"].transitions[0], Fraction(3), None)
     assert aut.clock_vars["u"] == 6  # 2 * 3 on the local clock
     assert len(emitted) == 1
@@ -138,13 +139,13 @@ def test_guard_rejects_wrong_signer_and_wrong_source():
 
 def test_state_validation_catches_malformed_machines():
     with pytest.raises(ConfigError):
-        Automaton(escrow(0), {"a": State("a", StateKind.OUTPUT, ())}, "a")
+        Machine(escrow(0), {"a": State("a", StateKind.OUTPUT, ())}, "a")
     with pytest.raises(ConfigError):
-        Automaton(escrow(0), {
+        Machine(escrow(0), {
             "a": State("a", StateKind.INPUT, (Transition("missing", guard=Timeout(Fraction(1))),)),
         }, "a")
     with pytest.raises(ConfigError):
-        Automaton(escrow(0), {
+        Machine(escrow(0), {
             "a": State("a", StateKind.TERMINAL, (Transition("a"),)),
         }, "a")
 
@@ -152,4 +153,4 @@ def test_state_validation_catches_malformed_machines():
 def test_automaton_refuses_foreign_key():
     states = {"a": State("a", StateKind.TERMINAL)}
     with pytest.raises(ConfigError):
-        Automaton(escrow(0), states, "a", key=SigningKey(customer(0)))
+        Automaton(Machine(escrow(0), states, "a"), key=SigningKey(customer(0)))

@@ -1,0 +1,44 @@
+"""The benchmark's span hooks still fit the library.
+
+`perfbench/spans.py` wraps library functions by module and attribute name and
+reads the transaction manager's states. A rename in the library would only
+crash the benchmark's traced pass; these tests make it fail here first. The
+file is loaded by path and nothing is installed, so the library is untouched.
+"""
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from xpay.protocol import PaymentInstance, make_transaction_manager
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load_spans()
+
+
+@pytest.mark.parametrize("path, attr, name", spans.TARGETS,
+                         ids=[f"{path}.{attr}" for path, attr, _ in spans.TARGETS])
+def test_every_span_target_resolves(path, attr, name):
+    owner = spans._owner(path)
+    target = owner.__dict__.get(attr) if isinstance(owner, type) else getattr(owner, attr, None)
+    assert callable(target), f"{path} has no callable {attr} for span {name}"
+
+
+def test_the_manager_observer_reads_the_built_definition():
+    tm = make_transaction_manager(2, PaymentInstance("pay0", 2, 1))
+    tracer = spans.Tracer()
+    tracer._observe_tm(tm)
+    states, transitions = tracer.tm_sizes[0]
+    assert states == len(tm.states) > 0
+    assert transitions == sum(len(st.transitions) for st in tm.states.values()) > 0

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from xpay import protocol
 from xpay.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -14,6 +15,7 @@ from xpay.cli import (
     parse_scenario_config,
 )
 from xpay.core import ConfigError
+from xpay.protocol import make_escrow
 
 
 def write(tmp_path, name, payload):
@@ -152,10 +154,20 @@ def test_explore_budget_exceeded_exit_3(tmp_path, configs):
                  "--budget", "5"]) == EXIT_BUDGET
 
 
-def test_explore_full_battery_exit_0(configs, capsys):
+def test_explore_full_battery_exit_0(configs, capsys, monkeypatch):
+    built = []
+
+    def counted_escrow(*args):
+        built.append(args)
+        return make_escrow(*args)
+
+    monkeypatch.setattr(protocol, "make_escrow", counted_escrow)
+    protocol.make_strong_participants.cache_clear()
     assert main(["explore", str(configs / "explore_strong_battery_n1.json")]) == EXIT_OK
     out = capsys.readouterr().out
     assert "no safety violation on any branch" in out
+    assert "explore branches=1800 " in out
+    assert len(built) == 1  # one escrow definition serves every branch
 
 
 def test_explore_weak_patience_grid(tmp_path, capsys):

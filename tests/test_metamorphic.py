@@ -10,6 +10,11 @@ customer.
 * Metamorphic: multiplying every length of the scenario (delta, pi, the grid,
   finite patience, the `delay_own_sends` delay) by k multiplies every entry's
   t, local, delay and deadline by k and changes nothing else, statuses included.
+* Metamorphic: renaming the payment instance changes nothing but the name in
+  the rendered trace, statuses included; the n=1 strategy batteries are
+  checked the same way. Since the protocol definitions are shared between runs
+  and keyed by the instance, this also shows that no definition built for one
+  instance serves another.
 
 Examples are derandomized, so every run checks the same scenarios.
 """
@@ -18,11 +23,13 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import strong_scenario, weak_scenario
 from oracles import brute_force_statuses
 from xpay.core import ParticipantKind
+from xpay.explore import battery_assignments
 from xpay.properties import evaluate_all
 from xpay.simnet import STRATEGIES, StrategySpec, Synchronous, run_simulation
 
@@ -123,3 +130,34 @@ def test_scaling_every_length_scales_every_time(scenario, k):
             k * e.t, k * e.local, _times_k(e.delay, k), _times_k(e.deadline, k)), (e.line(), g.line())
         assert untimed(g) == untimed(e)
     assert statuses(grown) == statuses(base)
+
+
+RENAMED = "other-7"
+
+
+def lines_but_digest(trace) -> list[str]:
+    """The rendered trace without its scenario digest, which hashes the instance."""
+    return [line for line in trace.render().splitlines()
+            if not line.startswith("# scenario sha256=")]
+
+
+def check_renaming(scenario) -> None:
+    base = run_simulation(scenario)
+    other = run_simulation(replace(scenario, instance=RENAMED))
+    assert statuses(other) == statuses(base)
+    lines = lines_but_digest(other)
+    assert not any(scenario.instance in line for line in lines)
+    assert [line.replace(RENAMED, scenario.instance) for line in lines] == lines_but_digest(base)
+
+
+@EXAMPLES
+@given(scenarios())
+def test_renaming_the_instance_changes_only_the_name(scenario):
+    check_renaming(scenario)
+
+
+@pytest.mark.parametrize("make", [strong_scenario, weak_scenario], ids=["strong", "weak"])
+def test_renaming_the_instance_changes_only_the_name_across_the_n1_battery(make):
+    base = make(seed=7)
+    for assignment in battery_assignments(base):
+        check_renaming(replace(base, byzantine=assignment))

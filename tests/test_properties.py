@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from conftest import derived, strong_scenario, weak_scenario
 from oracles import brute_force_statuses
-from xpay.automata import Fresh, State, StateKind, Transition
+from xpay.automata import Automaton, Fresh, Machine, State, StateKind, Transition
 from xpay.core import Money, customer, escrow
 from xpay.properties import (
     Status,
@@ -109,9 +109,9 @@ def test_deliberate_double_refund_breaks_consistency():
 
     from xpay.protocol import make_escrow
 
-    def broken_escrow(i, params, pay, clock, key):
-        aut = make_escrow(i, params, pay, clock, key)
-        states = dict(aut.states)
+    def broken_escrow(i, params, pay):
+        machine = make_escrow(i, params, pay)
+        states = dict(machine.states)
         # refund twice before going terminal
         states["resolve_refund"] = State("resolve_refund", StateKind.OUTPUT, (
             Transition("refund_again", emits=((customer(i), Fresh(Money(pay.instance, pay.amount))),)),
@@ -119,8 +119,7 @@ def test_deliberate_double_refund_breaks_consistency():
         states["refund_again"] = State("refund_again", StateKind.OUTPUT, (
             Transition("refunded", emits=((customer(i), Fresh(Money(pay.instance, pay.amount))),)),
         ))
-        aut.states = states
-        return aut
+        return Machine(machine.id, states, machine.initial)
 
     import xpay.simnet as simnet
     sc2 = strong_scenario(
@@ -128,7 +127,8 @@ def test_deliberate_double_refund_breaks_consistency():
         byzantine={customer(1): StrategySpec("withhold_certificate")})
     sim = simnet._Sim(sc2)
     pid = escrow(0)
-    sim.automata[pid] = broken_escrow(0, sim.params, sim.pay, sim.clocks[pid], sim.keys[pid])
+    sim.automata[pid] = Automaton(broken_escrow(0, sim.params, sim.pay),
+                                  sim.clocks[pid], sim.keys[pid])
     trace = sim.run()
     verdict = check_consistency(trace)
     assert verdict.status is Status.VIOLATED

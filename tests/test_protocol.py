@@ -9,7 +9,7 @@ import pytest
 from conftest import derived, strong_scenario, weak_scenario
 from oracles import eager_manager_states
 from xpay.simnet import StrategySpec
-from xpay.automata import State, StateKind, Timeout, Transition
+from xpay.automata import Automaton, State, StateKind, Timeout, Transition
 from xpay.core import (
     AbortReq,
     Certificate,
@@ -80,7 +80,7 @@ def test_smallest_topology_escrow_talks_only_to_alice_and_bob():
 def test_alice_cannot_pay_before_guarantee():
     """Structural: the only path to the paying state goes through the guarantee receive."""
     aut = make_alice(derived(1), PAY1)
-    assert aut.current == "await_guarantee"
+    assert aut.initial == "await_guarantee"
     first = aut.states["await_guarantee"]
     assert first.kind is StateKind.INPUT
     assert all(tr.target == "pay_escrow" for tr in first.transitions)
@@ -192,7 +192,7 @@ def test_weak_customer_without_patience_has_no_timeout():
 
 def _tm_feed(n=1):
     pay = PaymentInstance("pay0", n, 1)
-    tm = make_transaction_manager(n, pay)
+    tm = Automaton(make_transaction_manager(n, pay))
     keys = {p: SigningKey(p) for p in pay.participants(with_manager=True)}
     return pay, tm, keys
 
@@ -337,12 +337,13 @@ def test_tm_builds_collect_states_on_demand_and_validates_them():
 
 def test_weak_n12_run_builds_only_the_manager_states_it_enters():
     n = 12
+    make_transaction_manager.cache_clear()  # no state built by an earlier run
     start = time.perf_counter()
     sim = _Sim(weak_scenario(n=n, seed=3))
     trace = sim.run()
     elapsed = time.perf_counter() - start
     assert all(v.holds for v in evaluate_all(trace))
-    tm = sim.automata[manager()]
+    tm = sim.automata[manager()].machine
     entered = {e.state for e in trace.entries
                if e.rec is Rec.STATE_ENTERED and e.participant == manager()}
     built = {name for name in tm.states if name.startswith("collect_")}
@@ -373,3 +374,56 @@ def test_tm_ignores_forged_commit_request():
     emitted = _deliver_and_fire(tm, Envelope(bob, manager(), creq))
     assert emitted == []
     assert tm.current.startswith("collect_")
+
+
+# ------------------------------------------------------------ shared definitions
+
+def test_definitions_are_shared_and_never_touched_by_a_run():
+    """Interleaved strong and weak runs, twice: the builders hand back the very
+    same definitions, the runs wrap exactly those, no run changes a state of
+    one, and every trace renders the same the second time. The weak runs take
+    Bob through a commit request then an abort request (patience 3), and
+    through `premature_certificate`, both signing past his pre-signed nonce."""
+    scenarios = {
+        "strong": strong_scenario(n=3, seed=5),
+        "weak": weak_scenario(n=2, seed=0, patience=(None, None, Fraction(3))),
+        "premature": weak_scenario(n=2, seed=1, byzantine={
+            customer(2): StrategySpec("premature_certificate")}),
+    }
+    pay3, pay2 = PaymentInstance("pay0", 3, 1), PaymentInstance("pay0", 2, 1)
+
+    def definitions():
+        weak_params = scenarios["weak"].resolved_timing()
+        return {
+            "strong": make_strong_participants(scenarios["strong"].resolved_timing(), pay3),
+            "weak": {**make_weak_participants(weak_params, pay2, [None, None, Fraction(3)]),
+                     manager(): make_transaction_manager(2, pay2)},
+            "premature": {**make_weak_participants(weak_params, pay2, [None, None, None]),
+                          manager(): make_transaction_manager(2, pay2)},
+        }
+
+    before = definitions()
+    states = {(name, pid): dict(m.states)
+              for name, roster in before.items() for pid, m in roster.items()}
+    renders = []
+    for _ in range(2):
+        for name, sc in scenarios.items():
+            sim = _Sim(sc)
+            assert {pid: aut.machine for pid, aut in sim.automata.items()} == before[name]
+            renders.append(sim.run().render())
+    assert renders[:3] == renders[3:]
+    bob_sent = [line.split(" msg=")[1] for line in renders[1].splitlines()
+                if " p=c2 " in line and " ev=SENT " in line]
+    assert bob_sent == ["CREQ[pay0,X[pay0]@c2/0]@c2/1", "AREQ[pay0]@c2/2"]
+    assert "msg=CREQ[pay0,X[pay0]@c2/1]@c2/2" in renders[2]
+
+    after = definitions()
+    for name, roster in after.items():
+        for pid, machine in roster.items():
+            assert machine is before[name][pid]
+            kept = states[name, pid]
+            assert all(machine.states[state] is st for state, st in kept.items())
+            if pid != manager():  # the manager builds collect states on first entry
+                assert dict(machine.states) == kept
+            with pytest.raises(TypeError):
+                machine.states["await_guarantee"] = None

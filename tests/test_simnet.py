@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import derived, strong_scenario, weak_scenario
+from xpay.automata import LocalClock, Timeout
 from xpay.core import (
     Certificate,
     ConfigError,
@@ -20,7 +21,7 @@ from xpay.core import (
 )
 from xpay.explore import explore
 from xpay.properties import check_termination
-from xpay.protocol import TimingParams
+from xpay.protocol import PaymentInstance, TimingParams, make_weak_participants
 from xpay.simnet import (
     DelayOwnSends,
     ForgeryRejected,
@@ -329,6 +330,11 @@ EXACT_INPUTS = {
     "derive_timeouts.rho": lambda x: derived(rho=x).rho,
     "derive_timeouts.margin": lambda x: derived(margin=x).mu,
     "derive_timeouts.epsilon": lambda x: derived(epsilon=x).epsilon,
+    "LocalClock.rate": lambda x: LocalClock(x).rate,
+    "LocalClock.offset": lambda x: LocalClock(F(1), x).offset,
+    "Timeout.delay": lambda x: Timeout(x).delay,
+    "make_weak_participants.patience": lambda x: make_weak_participants(
+        derived(1), PaymentInstance("pay0", 1, 1), [x, None])[customer(0)].timeouts[0],
 }
 
 
