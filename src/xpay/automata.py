@@ -76,7 +76,7 @@ class StateKind(Enum):
     TERMINAL = "terminal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receive:
     """Guard matching a buffered message from `sender` whose payload has the given shape.
 
@@ -106,7 +106,7 @@ class Receive:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Timeout:
     """Guard of the form now >= var + delay over the local clock.
 
@@ -128,13 +128,13 @@ class Timeout:
         return base + self.delay
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fresh:
     """Emit spec: sign `payload` with the automaton's own key at send time."""
     payload: Payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forward:
     """Emit spec: relay the captured message stored under `slot` verbatim."""
     slot: str
@@ -144,7 +144,7 @@ EmitSpec = Union[Fresh, Forward]
 Guard = Union[Receive, Timeout]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     target: str
     guard: Optional[Guard] = None  # None only on the single send of an output state
@@ -153,7 +153,7 @@ class Transition:
     emits: tuple[tuple[ParticipantId, EmitSpec], ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class State:
     name: str
     kind: StateKind

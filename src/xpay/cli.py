@@ -333,12 +333,19 @@ def cmd_explore(args) -> int:
     complete = True
     violations = []
     bob_paid = {}
+    entries = simulated = tie_reruns = 0
+    depths: dict[int, int] = {}
     for patience in patience_sets:
         scenario.patience = patience
         scenario.patience_sufficient = None
         report = explore(scenario, assignments=assignments, budget=args.budget)
         total_branches += report.branches
         complete = complete and report.complete
+        entries += report.entries
+        simulated += report.entries_simulated
+        tie_reruns += report.tie_reruns
+        for depth, leaves in report.leaf_depths.items():
+            depths[depth] = depths.get(depth, 0) + leaves
         violations.extend(report.violations)
         for label, ok in report.bob_paid_everywhere.items():
             key = (label, patience)
@@ -348,6 +355,8 @@ def cmd_explore(args) -> int:
 
     print(f"explore branches={total_branches} complete={complete} "
           f"assignments={len(assignments)} patience_sets={len(patience_sets)}")
+    print(f"explore entries={entries} entries_simulated={simulated} tie_reruns={tie_reruns} "
+          f"leaf_depths={','.join(f'{d}:{depths[d]}' for d in sorted(depths))}")
     for v in violations[:20]:
         names = ",".join(x.name for x in v.verdicts if x.status is Status.VIOLATED)
         print(f"VIOLATION {names} byz=[{v.assignment_label}] policy={v.policy} "

@@ -7,6 +7,7 @@ grants, and it keeps runs deterministic.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -35,8 +36,9 @@ _KIND_ORDER = {"e": 0, "c": 1, "m": 2}
 
 @dataclass(frozen=True)
 class ParticipantId:
-    """A participant, hashed by its sort key. The hash is computed once: ids
-    key most of the simulator's per-participant dicts."""
+    """A participant, hashed by its sort key. The hash and the string form are
+    computed once: ids key most of the simulator's per-participant dicts and
+    name their participant in every rendered trace line."""
     kind: ParticipantKind
     index: int
 
@@ -44,28 +46,40 @@ class ParticipantId:
         if self.index < 0:
             raise ConfigError(f"participant index must be non-negative, got {self.index}")
         object.__setattr__(self, "_hash", hash(self.sort_key))
+        object.__setattr__(self, "_str", f"{self.kind.value}{self.index}")
 
     def __hash__(self) -> int:
         return self._hash
 
     def __str__(self) -> str:
-        return f"{self.kind.value}{self.index}"
+        return self._str
 
     @property
     def sort_key(self) -> tuple[int, int]:
         return (_KIND_ORDER[self.kind._value_], self.index)
 
 
+# escrow(), customer() and manager() hand out one shared id per participant; the
+# bound only caps what an unusually wide topology leaves behind
+_IDS_CACHED = 1024
+
+
+@functools.lru_cache(maxsize=_IDS_CACHED)
 def escrow(i: int) -> ParticipantId:
     return ParticipantId(ParticipantKind.ESCROW, i)
 
 
+@functools.lru_cache(maxsize=_IDS_CACHED)
 def customer(i: int) -> ParticipantId:
     return ParticipantId(ParticipantKind.CUSTOMER, i)
 
 
+@functools.lru_cache(maxsize=1)
 def manager() -> ParticipantId:
     return ParticipantId(ParticipantKind.MANAGER, 0)
+
+
+_BY_KIND = {ParticipantKind.ESCROW: escrow, ParticipantKind.CUSTOMER: customer}
 
 
 def escrows_of(n: int, c: ParticipantId) -> list[ParticipantId]:
@@ -89,7 +103,9 @@ def parse_participant(token: str) -> ParticipantId:
         index = int(token[1:])
     except ValueError as exc:
         raise ConfigError(f"bad participant token {token!r}") from exc
-    return ParticipantId(kind, index)
+    if kind is ParticipantKind.MANAGER:
+        return manager() if index == 0 else ParticipantId(kind, index)
+    return _BY_KIND[kind](index)
 
 
 def as_fraction(value, what: str = "value") -> Fraction:
@@ -242,11 +258,11 @@ class SigningKey:
     distinguishable in traces.
     """
     owner: ParticipantId
-    _nonce: int = field(default=0, repr=False)
+    nonce: int = field(default=0, repr=False)  # the nonce of the next signature
 
     def next_nonce(self) -> int:
-        n = self._nonce
-        self._nonce += 1
+        n = self.nonce
+        self.nonce += 1
         return n
 
 

@@ -4,24 +4,33 @@ Enumerates every assignment of grid delays to messages bound for compliant
 recipients (deliveries to Byzantine participants are pinned at the grid
 maximum: the adversary's reaction timing is its own to choose, and pinning it
 keeps the tree finite), crossed with the scheduler's tie-break policies and
-with a configurable family of Byzantine assignments. Every branch is fully
-simulated and checked.
+with a configurable family of Byzantine assignments. Every branch is checked
+on its own complete trace.
 
 Policies beyond the default are re-run only for leaves whose baseline run hit
 a simultaneity (two enabled receives, or a receive against a due timeout):
 branches without ties execute identically under every policy, so skipping
 them loses nothing.
+
+The search is depth first over checkpoints (stateless search as in VeriSoft,
+Godefroid, POPL 1997). Each assignment builds one run; its baseline runs keep
+a snapshot of the start of the instant that consumed each decision, and of the
+first instant with a tie. The odometer step that changes decision i restores
+the snapshot of decision i and simulates only the rest of the run; a tie
+re-run restores the first tied instant under the next policy. The branch
+order, the decision vectors and every trace are those of running each branch
+from t=0.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import ConfigError, Envelope, ParticipantId, ParticipantKind, as_fraction
 from .properties import Status, Verdict, bob_paid, check_liveness, safety_verdicts
-from .simnet import STRATEGIES, Scenario, StrategySpec, run_simulation
+from .simnet import STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, run_simulation
 from .timing import customer_terminal_times
 from .trace import Trace
 
@@ -89,6 +98,10 @@ class ExploreReport:
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
     bob_paid_everywhere: dict[str, bool] = field(default_factory=dict)
     max_customer_terminal: Optional[Fraction] = None
+    entries: int = 0  # trace entries over all branches
+    entries_simulated: int = 0  # of those, the ones a branch simulated past its checkpoint
+    tie_reruns: int = 0  # branches under a policy other than the first
+    leaf_depths: dict[int, int] = field(default_factory=dict)  # leaves by decisions taken
 
     @property
     def safe(self) -> bool:
@@ -96,6 +109,12 @@ class ExploreReport:
 
     def _record(self, outcome: BranchOutcome, bob_paid: bool, keep_trace: bool) -> None:
         self.branches += 1
+        self.entries += len(outcome.trace.entries)
+        if outcome.policy == POLICIES[0]:
+            depth = len(outcome.decisions)
+            self.leaf_depths[depth] = self.leaf_depths.get(depth, 0) + 1
+        else:
+            self.tie_reruns += 1
         violated = False
         for v in outcome.verdicts:
             per = self.counts.setdefault(v.name, {"pass": 0, "vacuous": 0, "fail": 0})
@@ -121,6 +140,63 @@ def assignment_label(assignment: dict[ParticipantId, StrategySpec]) -> str:
     parts = [f"{p}={assignment[p].label()}"
              for p in sorted(assignment, key=lambda q: q.sort_key)]
     return ",".join(parts)
+
+
+class _Checkpoint(NamedTuple):
+    snapshot: Snapshot
+    cursor: int  # decisions consumed before the instant
+
+
+class _Checkpoints:
+    """Where the branches of one assignment resume.
+
+    The baseline (first-policy) run of each leaf records, for every decision
+    index it consumes, the snapshot taken at the start of the instant that
+    consumed it, and the start of its first tied instant. Until a decision
+    changes, every later run agrees with it up to that decision's instant, and
+    runs under the other policies agree with it up to its first tie (no policy
+    matters before there is a choice to make).
+    """
+
+    def __init__(self, sim: _Sim, model: _DecidedDelays):
+        self.sim = sim
+        self.model = model
+        self.by_decision: list[_Checkpoint] = []
+        self.current = self.start = _Checkpoint(sim.snapshot(), 0)
+        self.tie: Optional[_Checkpoint] = None
+
+    def instant(self) -> None:
+        """The engine's `on_instant` during baseline runs."""
+        self.close()
+        self.current = _Checkpoint(self.sim.snapshot(), self.model.cursor)
+
+    def close(self) -> None:
+        """Credit the instant that just ended with the decisions it consumed
+        and, if it was the first to see a tie, with the tie."""
+        missing = self.model.cursor - len(self.by_decision)
+        if missing > 0:
+            self.by_decision.extend([self.current] * missing)
+        if self.tie is None and self.sim.had_tie:
+            self.tie = self.current
+
+    def resume(self, index: int) -> _Checkpoint:
+        """Restore the start of the instant that consumed decision `index` in
+        the last baseline run, or, if that run stopped short of it, the last
+        instant that consumed one (the prefix decides the run up to there)."""
+        if index < len(self.by_decision):
+            cp = self.by_decision[index]
+        else:
+            cp = self.by_decision[-1] if self.by_decision else self.start
+        del self.by_decision[cp.cursor:]
+        if not cp.snapshot.had_tie:
+            self.tie = None
+        self.current = cp
+        return self.restore(cp)
+
+    def restore(self, cp: _Checkpoint) -> _Checkpoint:
+        self.sim.restore(cp.snapshot)
+        self.model.cursor = cp.cursor
+        return cp
 
 
 def explore(
@@ -152,9 +228,15 @@ def explore(
 
     for assignment in assignments:
         label = assignment_label(assignment)
-        byz_pids = set(assignment)
         report.bob_paid_everywhere.setdefault(label, True)
         decisions: list[int] = []
+        model = _DecidedDelays(grid, set(assignment), decisions, base.delay.delta_bound())
+        scenarios = [replace(base, delay=model, timing=params, byzantine=dict(assignment),
+                             tie_break=tie_break, rx_order=rx_order)
+                     for tie_break, rx_order in POLICIES]
+        sim = _Sim(scenarios[0])
+        checkpoints = _Checkpoints(sim, model)
+        resumed = checkpoints.start
         while True:
             had_tie = False
             for k, policy in enumerate(POLICIES):
@@ -163,13 +245,16 @@ def explore(
                 if report.branches >= budget:
                     report.complete = False
                     return report
-                model = _DecidedDelays(grid, byz_pids, decisions, base.delay.delta_bound())
-                scenario = replace(base, delay=model, timing=params,
-                                   byzantine=dict(assignment),
-                                   tie_break=policy[0], rx_order=policy[1])
-                trace = run_simulation(scenario)
                 if k == 0:
+                    sim.on_instant = checkpoints.instant
+                    trace = run_simulation(scenarios[0], sim)
+                    checkpoints.close()
                     had_tie = trace.had_tie
+                else:
+                    sim.on_instant = None
+                    resumed = checkpoints.restore(checkpoints.tie)
+                    trace = run_simulation(scenarios[k], sim)
+                report.entries_simulated += len(trace.entries) - resumed.snapshot.entry_count
                 verdicts = check(trace)
                 live = check_liveness(trace)
                 # progress is only promised under the protocol's own tie-break;
@@ -190,6 +275,7 @@ def explore(
             if not decisions:
                 break
             decisions[-1] += 1
+            resumed = checkpoints.resume(len(decisions) - 1)
     return report
 
 

@@ -18,6 +18,18 @@ participant's local time once per instant, and a delivery delay once per
 distinct length. Trace entries, `StrategyContext.now`, the `t` passed to
 `delay_for` and the automata see those Fractions.
 
+A run can be branched. Between two instants its whole state is a `Snapshot`,
+a plain value: the event heap and its sequence counter, the current instant,
+each automaton's current state, clock variables, captured messages, inbox and
+stuck flag, each key's next nonce, the ledger's balances and value in flight,
+each strategy's own state and vault, the delay generator's state (once it has
+drawn), the send counter, the tie flag, the count of compliant participants
+still running, and the number of trace entries so far (entries are only ever
+appended, so the count names the prefix). `restore` puts one back and `run`
+continues from there; a plain run is the same loop, with no snapshot taken.
+A delay model that keeps its own state, such as the explorer's decision
+cursor, is saved by whoever drives it.
+
 Byzantine participants are driven by strategy objects instead of (or wrapped
 around) their protocol automaton. A strategy can observe everything delivered
 to it, drop or postpone its own prescribed sends, and emit anything it can
@@ -34,7 +46,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .automata import Automaton, LocalClock, StateKind, Timeout
 from .core import (
@@ -80,14 +92,6 @@ from .trace import (
 
 class ForgeryRejected(Exception):
     """A Byzantine strategy tried to emit a message it cannot legitimately produce."""
-
-
-class ConsistencyViolation(Exception):
-    """A compliant automaton was prescribed an impossible step (strict mode only)."""
-
-
-class HorizonExceeded(Exception):
-    """The horizon cut a run short (strict mode only)."""
 
 
 # ----------------------------------------------------------------- delay models
@@ -321,6 +325,13 @@ class Strategy:
     def filter_send(self, ctx: StrategyContext, env: Envelope) -> list[tuple[Envelope, Fraction]]:
         return [(env, ctx.now)]
 
+    def snapshot(self) -> object:
+        """What this strategy has learnt during the run, as a value `restore` takes back."""
+        return None
+
+    def restore(self, state: object) -> None:
+        pass
+
 
 class Silent(Strategy):
     """Sends nothing, ever; prescribed behaviour dropped wholesale."""
@@ -397,6 +408,12 @@ class Replayer(Strategy):
         for p in ctx.scenario.participant_ids():
             if p != self.pid:
                 ctx.replay(p, msg)
+
+    def snapshot(self):
+        return frozenset(self._done)
+
+    def restore(self, state):
+        self._done = set(state)
 
 
 class ImpatientAbort(Strategy):
@@ -699,15 +716,67 @@ class _Event:
     sent_at: int = 0  # deliver: the send instant, in ticks
 
 
+class _Generator(random.Random):
+    """The run's delay generator. It notes its first draw, so that a snapshot
+    of a run that has drawn nothing (under every delay model but the seeded
+    grids) needs no copy of its 2.5 KB state. Overriding both primitives keeps
+    the inherited `randrange` and the draw sequence as in `random.Random`."""
+    drawn = False
+
+    def random(self) -> float:
+        self.drawn = True
+        return super().random()
+
+    def getrandbits(self, k: int) -> int:
+        self.drawn = True
+        return super().getrandbits(k)
+
+
+class Snapshot(NamedTuple):
+    """The state of a run between two instants, as a plain value.
+
+    What does not change during a run (definitions, clocks, keys' owners, the
+    time scale, the trace header facts) is not in it. Restoring never changes
+    a snapshot, so one can be restored any number of times.
+    """
+    started: bool  # the t=0 setup is done
+    heap: tuple
+    seq: int
+    tick: int
+    now: Fraction
+    send_index: int
+    # entries are append-only and a restore starts a new list, so the list the
+    # snapshot saw keeps its first `entry_count` entries for good
+    entries: list
+    entry_count: int
+    had_tie: bool
+    pending_compliant: int
+    balances: tuple  # ((pid, balance), ...)
+    in_flight: int
+    rng: Optional[tuple]  # None while the generator has drawn nothing
+    automata: tuple  # per automaton: (current, clock_vars, captured, inbox, stuck)
+    nonces: tuple  # per key, the next nonce
+    strategies: tuple  # per strategy, its own `snapshot()`
+    vaults: tuple
+
+
 class _Sim:
-    def __init__(self, scenario: Scenario, strict: bool = False):
+    """One run of a scenario.
+
+    `run` takes the run from where it stands to its end and returns the trace.
+    Between two instants the whole run state can be taken as a `Snapshot` and
+    put back with `restore`, so a caller can branch a run: `on_instant`, when
+    set, is called at the start of every instant (before the t=0 setup, and
+    whenever time advances), which is where such snapshots are taken.
+    """
+
+    def __init__(self, scenario: Scenario):
         scenario.validate()
         self.sc = scenario
-        self.strict = strict
         self.params = scenario.resolved_timing()
         self.horizon = scenario.resolved_horizon(self.params)
         self.pay = PaymentInstance(scenario.instance, scenario.n, scenario.amount)
-        self.rng = random.Random(f"{scenario.seed}:delays")
+        self.rng = _Generator(f"{scenario.seed}:delays")
         self.clocks = assign_clocks(scenario)
         self.ledger = Ledger(scenario.resolved_balances())
         self.initial_balances = dict(self.ledger.balances)
@@ -741,8 +810,10 @@ class _Sim:
 
         self.heap: list[tuple[int, int, int, _Event]] = []
         self.seq = 0
-        self.scale = 1  # ticks per time unit; run() fixes it before the first event
+        self.started = False
+        self.scale = 1  # ticks per time unit; the t=0 setup fixes it before the first event
         self.pi_ticks = 0
+        self.horizon_tick = 0  # the last tick not beyond the horizon
         self.tick = 0  # the current instant in ticks, and as a Fraction
         self.now = Fraction(0)
         self.local_now: dict[ParticipantId, Fraction] = {}  # local times at `now`
@@ -751,6 +822,68 @@ class _Sim:
         self.entries: list[TraceEntry] = []
         self.had_tie = False
         self.stop_reason = STOP_QUEUE_EMPTY
+        self.on_instant: Optional[Callable[[], None]] = None
+
+    # -- snapshots -------------------------------------------------------------
+
+    def snapshot(self) -> Snapshot:
+        """The run state now; take it between two instants (from `on_instant`,
+        or before or after `run`)."""
+        return Snapshot(
+            started=self.started,
+            heap=tuple(self.heap),
+            seq=self.seq,
+            tick=self.tick,
+            now=self.now,
+            send_index=self.send_index,
+            entries=self.entries,
+            entry_count=len(self.entries),
+            had_tie=self.had_tie,
+            pending_compliant=self.pending_compliant,
+            balances=tuple(self.ledger.balances.items()),
+            in_flight=self.ledger.in_flight,
+            rng=self.rng.getstate() if self.rng.drawn else None,
+            automata=tuple((a.current, dict(a.clock_vars), dict(a.captured), tuple(a.inbox),
+                            a.stuck) for a in self.automata.values()),
+            nonces=tuple(key.nonce for key in self.keys.values()),
+            strategies=tuple(s.snapshot() for s in self.strategies.values()),
+            vaults=tuple(tuple(v) for v in self.vaults.values()),
+        )
+
+    def restore(self, snap: Snapshot) -> None:
+        """Put this run back into the state `snap` was taken in; the trace
+        entries after it are left to the traces already returned."""
+        self.started = snap.started
+        self.heap = list(snap.heap)
+        self.seq = snap.seq
+        self.tick = snap.tick
+        self.now = snap.now
+        self.local_now = {}
+        self.send_index = snap.send_index
+        self.entries = snap.entries[:snap.entry_count]
+        self.had_tie = snap.had_tie
+        self.pending_compliant = snap.pending_compliant
+        self.ledger.balances = dict(snap.balances)
+        self.ledger.in_flight = snap.in_flight
+        if snap.rng is not None:
+            self.rng.setstate(snap.rng)
+            self.rng.drawn = True
+        elif self.rng.drawn:
+            self.rng.seed(f"{self.sc.seed}:delays")
+            self.rng.drawn = False
+        for aut, (current, clock_vars, captured, inbox, stuck) in zip(
+                self.automata.values(), snap.automata):
+            aut.current = current
+            aut.clock_vars = dict(clock_vars)
+            aut.captured = dict(captured)
+            aut.inbox = list(inbox)
+            aut.stuck = stuck
+        for key, nonce in zip(self.keys.values(), snap.nonces):
+            key.nonce = nonce
+        for strategy, state in zip(self.strategies.values(), snap.strategies):
+            strategy.restore(state)
+        for pid, vault in zip(self.vaults, snap.vaults):
+            self.vaults[pid] = list(vault)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -788,9 +921,6 @@ class _Sim:
                 aut = self.automata.get(env.src)
                 if aut is not None and self.sc.is_compliant(env.src):
                     aut.stuck = True
-                    if self.strict:
-                        raise ConsistencyViolation(
-                            f"{env.src} prescribed a transfer it cannot fund at t={self.now}")
                 return False
             self.entry(Rec.TRANSFERRED, env.src, frm=env.src, to=env.dst,
                        amount=payload.amount, phase="sent")
@@ -915,11 +1045,13 @@ class _Sim:
 
     # -- main loop ----------------------------------------------------------------
 
-    def run(self) -> Trace:
+    def _start(self) -> None:
+        """The t=0 setup: fix the time scale, enter every initial state, start
+        the strategies and schedule the injections."""
+        self.started = True
         self.scale = time_scale(self.sc, self.automata, self.strategies)
         self.pi_ticks = to_ticks(self.sc.pi, self.scale, "pi")
-        # the last tick not beyond the horizon
-        horizon = self.horizon.numerator * self.scale // self.horizon.denominator
+        self.horizon_tick = self.horizon.numerator * self.scale // self.horizon.denominator
         for pid in sorted(self.automata, key=lambda p: p.sort_key):
             self._enter_state(pid)
         for pid in sorted(self.automata, key=lambda p: p.sort_key):
@@ -932,7 +1064,15 @@ class _Sim:
             tick = to_ticks(at, self.scale, "injection time")
             self.schedule(tick, _Event("deliver", env=env, sent_at=tick))
 
+    def run(self) -> Trace:
+        """Run from the current state to the end and return the trace."""
+        on_instant = self.on_instant
+        if not self.started:
+            if on_instant is not None:
+                on_instant()
+            self._start()
         heap = self.heap
+        horizon = self.horizon_tick
         self.stop_reason = STOP_QUEUE_EMPTY
         while heap:
             if self.compliant_total > 0 and self.pending_compliant == 0:
@@ -941,14 +1081,13 @@ class _Sim:
             tick = heap[0][0]
             if tick > horizon:
                 self.stop_reason = STOP_HORIZON
-                if self.strict:
-                    raise HorizonExceeded(f"event at t={Fraction(tick, self.scale)} "
-                                          f"beyond horizon {self.horizon}")
                 break
             if tick != self.tick:
                 self.tick = tick
                 self.now = Fraction(tick, self.scale)
                 self.local_now.clear()
+                if on_instant is not None:
+                    on_instant()
             if heap[0][1] == 0:
                 # drain every delivery at this instant, then let recipients fire
                 touched: dict[ParticipantId, None] = {}
@@ -1002,12 +1141,19 @@ class _Sim:
                      final_in_flight=self.ledger.in_flight, had_tie=self.had_tie)
 
 
-def run_simulation(scenario: Scenario, strict: bool = False) -> Trace:
+def run_simulation(scenario: Scenario, sim: Optional[_Sim] = None) -> Trace:
     """Execute one scenario to completion and return its trace.
 
     Pure function of the scenario: identical inputs give byte-identical traces.
-    With strict=True, impossible prescribed steps raise ConsistencyViolation and
-    a horizon cut raises HorizonExceeded; by default both are recorded in the
-    trace so the property checkers can pass verdicts on what actually happened.
+    Impossible prescribed steps and a horizon cut are recorded in the trace,
+    so the property checkers pass verdicts on what actually happened.
+
+    `sim` continues a run instead of starting one: a run of a scenario built
+    like `scenario`, restored to a snapshot up to which the two scenarios
+    behave alike (`explore` passes its branches' runs, and a tie-break policy
+    that has not yet had a tie to break), goes on to the end under `scenario`.
     """
-    return _Sim(scenario, strict=strict).run()
+    if sim is None:
+        return _Sim(scenario).run()
+    sim.sc = scenario
+    return sim.run()

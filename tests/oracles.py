@@ -4,8 +4,13 @@ Everything here deliberately recomputes results from raw trace entries (or raw
 matrices) with straight-line code, sharing no helper with the library's
 checkers. When a test compares library verdicts against these, the two sides
 are genuinely independent routes to the same answer.
+
+`rerun_explore` is the reference for the library's checkpointed `explore`: the
+same branches, each simulated from t=0 by a fresh `run_simulation`.
 """
 from __future__ import annotations
+
+from dataclasses import replace
 
 from xpay.automata import Fresh, Receive, State, StateKind, Transition
 from xpay.core import (
@@ -22,6 +27,10 @@ from xpay.core import (
     manager,
     verify,
 )
+from xpay.explore import POLICIES, BranchOutcome, ExploreReport, _DecidedDelays, assignment_label
+from xpay.properties import Status, bob_paid, check_liveness, safety_verdicts
+from xpay.simnet import run_simulation
+from xpay.timing import customer_terminal_times
 from xpay.trace import Rec
 
 
@@ -317,3 +326,58 @@ def eager_manager_states(n: int, pay) -> dict[str, State]:
         states[decided] = State(decided, StateKind.INPUT, tuple(transitions))
 
     return states
+
+
+def rerun_explore(base, assignments=({},), grid=None, budget=200_000, check=None,
+                  on_branch=None):
+    """`xpay.explore.explore` as it was before checkpoints: every branch runs
+    from t=0 under its own scenario. Same arguments, same branch order, same
+    report fields; `entries_simulated` is every entry, as nothing is reused."""
+    if grid is None:
+        grid = getattr(base.delay, "grid", None)
+        if grid is None and base.delay.delta_bound() is not None:
+            grid = (base.delay.delta_bound(),)
+    grid = tuple(grid)
+    params = base.resolved_timing()
+    check = check or safety_verdicts
+    report = ExploreReport()
+
+    for assignment in assignments:
+        label = assignment_label(assignment)
+        report.bob_paid_everywhere.setdefault(label, True)
+        decisions = []
+        while True:
+            had_tie = False
+            for k, policy in enumerate(POLICIES):
+                if k > 0 and not had_tie:
+                    break
+                if report.branches >= budget:
+                    report.complete = False
+                    return report
+                model = _DecidedDelays(grid, set(assignment), decisions,
+                                       base.delay.delta_bound())
+                scenario = replace(base, delay=model, timing=params,
+                                   byzantine=dict(assignment),
+                                   tie_break=policy[0], rx_order=policy[1])
+                trace = run_simulation(scenario)
+                if k == 0:
+                    had_tie = trace.had_tie
+                report.entries_simulated += len(trace.entries)
+                verdicts = check(trace)
+                live = check_liveness(trace)
+                paid = policy[0] != "receive_first" or (
+                    live.status is Status.HOLDS or (
+                        live.status is not Status.VIOLATED and bob_paid(trace)))
+                for t in customer_terminal_times(trace, base.n):
+                    if report.max_customer_terminal is None or t > report.max_customer_terminal:
+                        report.max_customer_terminal = t
+                outcome = BranchOutcome(label, policy, tuple(decisions), verdicts, trace)
+                if on_branch is not None:
+                    on_branch(outcome)
+                report._record(outcome, paid, keep_trace=False)
+            while decisions and decisions[-1] == len(grid) - 1:
+                decisions.pop()
+            if not decisions:
+                break
+            decisions[-1] += 1
+    return report

@@ -1,15 +1,96 @@
 from __future__ import annotations
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from conftest import strong_scenario, weak_scenario
-from xpay.core import customer
+from oracles import rerun_explore
+from xpay.core import customer, escrow
 from xpay.explore import POLICIES, battery_assignments, explore
-from xpay.simnet import StrategySpec, Synchronous, run_simulation
+from xpay.simnet import StrategySpec, Synchronous, _Sim, run_simulation
 
 F = Fraction
 GRID3 = (F(1, 4), F(1, 2), F(1))
+GRID2 = (F(1, 2), F(1))
+
+
+def _strong_battery():
+    base = strong_scenario(delay=Synchronous(F(1), grid=GRID3))
+    return base, {"assignments": battery_assignments(base)}, 1800
+
+
+# (base scenario, explore arguments, branches)
+DIFFERENTIAL = {
+    "strong-n1-battery": _strong_battery,
+    "weak-n1-patience-2-2": lambda: (
+        weak_scenario(delay=Synchronous(F(1), grid=GRID2), patience=(F(2), F(2))), {}, 7040),
+    "weak-n1-patience-inf": lambda: (
+        weak_scenario(delay=Synchronous(F(1), grid=GRID2), patience=(None, None)), {}, 512),
+    "strong-n2-prefix": lambda: (
+        strong_scenario(n=2, delay=Synchronous(F(1), grid=GRID3)), {"budget": 5000}, 5000),
+}
+
+
+def branch_sequence(explorer, base, **kw):
+    """Every branch `explorer` visits, in order, as (assignment, policy,
+    decisions, sha256 of the rendered trace, verdict lines), and its report."""
+    seen = []
+
+    def record(outcome):
+        digest = hashlib.sha256(outcome.trace.render().encode()).hexdigest()
+        seen.append((outcome.assignment_label, outcome.policy, outcome.decisions, digest,
+                     [v.line() for v in outcome.verdicts]))
+
+    return seen, explorer(base, on_branch=record, **kw)
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL)
+def test_checkpointed_exploration_matches_the_rerun_reference(case):
+    """Resuming each branch from a checkpoint visits the same branches in the
+    same order as running each from t=0, with byte-identical traces."""
+    base, kw, branches = DIFFERENTIAL[case]()
+    want, want_report = branch_sequence(rerun_explore, base, **kw)
+    got, report = branch_sequence(explore, base, **kw)
+    assert len(got) == branches
+    assert got == want
+    for name in ("branches", "complete", "counts", "bob_paid_everywhere",
+                 "max_customer_terminal", "entries", "tie_reruns", "leaf_depths"):
+        assert getattr(report, name) == getattr(want_report, name), name
+    assert ([(v.assignment_label, v.policy, v.decisions) for v in report.violations]
+            == [(v.assignment_label, v.policy, v.decisions) for v in want_report.violations])
+    assert report.complete == (branches < kw.get("budget", 200_000))
+    assert sum(report.leaf_depths.values()) + report.tie_reruns == report.branches
+    # only suffixes were simulated
+    assert 0 < report.entries_simulated < report.entries == want_report.entries_simulated
+
+
+@pytest.mark.parametrize("scenario", [
+    strong_scenario(n=2, seed=3, rho=F(1, 10), byzantine={escrow(1): StrategySpec("replayer")}),
+    weak_scenario(n=2, seed=5, patience=(None, F(3), F(3)),
+                  byzantine={customer(2): StrategySpec("premature_certificate")}),
+], ids=["strong-replayer", "weak-premature"])
+def test_a_restored_snapshot_finishes_the_run_it_was_taken_from(scenario):
+    """Snapshots taken at every instant of a seeded run, restored after the
+    run ended and in no particular order, each finish into the same trace,
+    and the runs leave the shared definitions as they found them."""
+    want = run_simulation(scenario).render()
+    sim = _Sim(scenario)
+    taken = []
+    sim.on_instant = lambda: taken.append(sim.snapshot())
+    machines = {pid: aut.machine for pid, aut in sim.automata.items()}
+    states = {pid: dict(m.states) for pid, m in machines.items()}
+    assert sim.run().render() == want
+    assert len(taken) > 4 and sim.rng.drawn
+    sim.on_instant = None
+    for snap in (taken[len(taken) // 2], taken[0], taken[-1], taken[len(taken) // 2]):
+        sim.restore(snap)
+        assert sim.run().render() == want
+    assert {pid: aut.machine for pid, aut in sim.automata.items()} == machines
+    for pid, m in machines.items():
+        assert {name: m.states[name] for name in states[pid]} == states[pid]
 
 
 def test_compliant_exploration_is_safe_and_live():
