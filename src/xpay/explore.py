@@ -248,10 +248,12 @@ def explore(
                 if k == 0:
                     sim.on_instant = checkpoints.instant
                     trace = run_simulation(scenarios[0], sim)
+                    # unhooked, the run and its checkpoints form no reference
+                    # cycle, so they are freed as soon as the assignment ends
+                    sim.on_instant = None
                     checkpoints.close()
                     had_tie = trace.had_tie
                 else:
-                    sim.on_instant = None
                     resumed = checkpoints.restore(checkpoints.tie)
                     trace = run_simulation(scenarios[k], sim)
                 report.entries_simulated += len(trace.entries) - resumed.snapshot.entry_count

@@ -1148,10 +1148,11 @@ def run_simulation(scenario: Scenario, sim: Optional[_Sim] = None) -> Trace:
     Impossible prescribed steps and a horizon cut are recorded in the trace,
     so the property checkers pass verdicts on what actually happened.
 
-    `sim` continues a run instead of starting one: a run of a scenario built
-    like `scenario`, restored to a snapshot up to which the two scenarios
-    behave alike (`explore` passes its branches' runs, and a tie-break policy
-    that has not yet had a tie to break), goes on to the end under `scenario`.
+    `sim` continues a run instead of starting one, under `scenario` from the
+    state it stands in. It must be a run of a scenario that differs from
+    `scenario` at most in tie-break and receive order, standing before the
+    first instant at which the two could differ (a tie); this is how
+    `explore` runs the suffix of each branch.
     """
     if sim is None:
         return _Sim(scenario).run()
