@@ -168,6 +168,12 @@ def test_explore_full_battery_exit_0(configs, capsys, monkeypatch):
     assert "no safety violation on any branch" in out
     assert "explore branches=1800 " in out
     assert len(built) == 1  # one escrow definition serves every branch
+    second = out.splitlines()[1].split()
+    assert second[0] == "explore"
+    fields = dict(field.split("=") for field in second[1:])
+    assert fields["entries"] == "52219" and fields["tie_reruns"] == "282"
+    assert 0 < int(fields["entries_simulated"]) < 52219
+    assert fields["leaf_depths"] == "0:84,1:48,2:99,3:126,4:189,5:243,6:729"
 
 
 def test_explore_weak_patience_grid(tmp_path, capsys):
