@@ -16,6 +16,7 @@ import itertools
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional
@@ -334,7 +335,7 @@ def cmd_explore(args) -> int:
     violations = []
     bob_paid = {}
     entries = simulated = tie_reruns = 0
-    depths: dict[int, int] = {}
+    depths: Counter = Counter()
     for patience in patience_sets:
         scenario.patience = patience
         scenario.patience_sufficient = None
@@ -344,8 +345,7 @@ def cmd_explore(args) -> int:
         entries += report.entries
         simulated += report.entries_simulated
         tie_reruns += report.tie_reruns
-        for depth, leaves in report.leaf_depths.items():
-            depths[depth] = depths.get(depth, 0) + leaves
+        depths.update(report.leaf_depths)
         violations.extend(report.violations)
         for label, ok in report.bob_paid_everywhere.items():
             key = (label, patience)
