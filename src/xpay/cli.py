@@ -17,14 +17,14 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
 from .core import ConfigError, ParticipantId, as_fraction, fmt_fraction, parse_participant
 from .deals import is_well_formed, parse_deal_file, to_digraph
 from .explore import battery_assignments, explore
-from .properties import Status, evaluate_all, property_names
+from .properties import Status, evaluate_all, property_names, tally
 from .protocol import TimingParams
 from .simnet import (
     PartialSync,
@@ -33,6 +33,7 @@ from .simnet import (
     Scripted,
     StrategySpec,
     Synchronous,
+    _default_grid,
     run_simulation,
 )
 from .timing import ValidationFailed, derive_timeouts, termination_bound, validate_timeouts
@@ -62,7 +63,7 @@ def _take(cfg: dict, known: dict[str, bool], where: str) -> None:
         raise ConfigError(f"missing required field(s) in {where}: {', '.join(missing)}")
 
 
-def _parse_delay_model(cfg, rho_hint: str = "delay_model"):
+def _parse_delay_model(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("delay_model must be an object")
     kind = cfg.get("kind")
@@ -106,7 +107,7 @@ def _parse_grid(cfg: dict, delta: Fraction) -> Optional[tuple[Fraction, ...]]:
         points = cfg["grid_points"]
         if not isinstance(points, int) or points < 1:
             raise ConfigError("grid_points must be a positive integer")
-        return tuple(delta * k / points for k in range(1, points + 1))
+        return _default_grid(delta, points)
     return None
 
 
@@ -132,12 +133,12 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
     if not isinstance(n, int):
         raise ConfigError("n must be an integer")
 
+    delay = _parse_delay_model(cfg["delay_model"])
     timing = None
     if "timing" in cfg and cfg["timing"] not in (None, "auto"):
         tcfg = cfg["timing"]
         _take(tcfg, {"a": True, "d": True}, "timing")
-        delay_for_delta = _parse_delay_model(cfg["delay_model"])
-        delta = delay_for_delta.delta_bound()
+        delta = delay.delta_bound()
         if delta is None:
             raise ConfigError("explicit timing with a scripted model also needs delay_model.delta")
         timing = TimingParams(
@@ -184,7 +185,7 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
     scenario = Scenario(
         variant=cfg["variant"],
         n=n,
-        delay=_parse_delay_model(cfg["delay_model"]),
+        delay=delay,
         pi=parse_rational(cfg["pi"], "pi"),
         amount=cfg.get("amount", 1),
         rho=parse_rational(cfg.get("rho", 0), "rho"),
@@ -266,48 +267,26 @@ def cmd_run(args) -> int:
     return _verdict_exit(verdicts)
 
 
-def _sweep_worker(payload: tuple[str, int]) -> tuple[int, list[tuple[str, str]]]:
-    path, seed = payload
-    scenario, _ = parse_scenario_config(load_config(path))
-    scenario.seed = seed
-    trace = run_simulation(scenario)
-    return seed, [(v.name, v.status.value) for v in evaluate_all(trace)]
-
-
 def cmd_sweep(args) -> int:
     if args.runs < 1:
         raise ConfigError("runs must be at least 1")
     scenario, _ = parse_scenario_config(load_config(args.config))
     base_seed = args.seed if args.seed is not None else scenario.seed
     seeds = [base_seed + k for k in range(args.runs)]
-    jobs = [(args.config, s) for s in seeds]
-    if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_sweep_worker(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
 
-    names = list(property_names(scenario.variant))
-    counts = {name: {"pass": 0, "vacuous": 0, "fail": 0} for name in names}
-    failures = 0
-    for _, verdicts in results:
-        for name, status in verdicts:
-            bucket = counts[name]
-            if status == Status.VIOLATED.value:
-                bucket["fail"] += 1
-                failures += 1
-            elif status in (Status.VACUOUS.value, Status.INAPPLICABLE.value):
-                bucket["vacuous"] += 1
-            else:
-                bucket["pass"] += 1
+    names = property_names(scenario.variant)
+    counts: dict[str, dict[str, int]] = {}
+    failed = False
+    for seed in seeds:
+        trace = run_simulation(replace(scenario, seed=seed))
+        failed = tally(counts, evaluate_all(trace)) or failed
     print(f"sweep runs={args.runs} seeds={seeds[0]}..{seeds[-1]} properties={len(names)}")
     for name in names:
         c = counts[name]
         print(f"{name}: pass={c['pass']} vacuous={c['vacuous']} fail={c['fail']}")
     total = sum(sum(c.values()) for c in counts.values())
     print(f"total={total} (= runs x properties = {args.runs * len(names)})")
-    return EXIT_VIOLATION if failures else EXIT_OK
+    return EXIT_VIOLATION if failed else EXIT_OK
 
 
 def cmd_explore(args) -> int:
@@ -333,12 +312,10 @@ def cmd_explore(args) -> int:
     total_branches = 0
     complete = True
     violations = []
-    bob_paid = {}
     entries = simulated = tie_reruns = 0
     depths: Counter = Counter()
     for patience in patience_sets:
         scenario.patience = patience
-        scenario.patience_sufficient = None
         report = explore(scenario, assignments=assignments, budget=args.budget)
         total_branches += report.branches
         complete = complete and report.complete
@@ -347,9 +324,6 @@ def cmd_explore(args) -> int:
         tie_reruns += report.tie_reruns
         depths.update(report.leaf_depths)
         violations.extend(report.violations)
-        for label, ok in report.bob_paid_everywhere.items():
-            key = (label, patience)
-            bob_paid[key] = ok
         if not report.complete:
             break
 
@@ -372,24 +346,20 @@ def cmd_explore(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    try:
-        n = args.n
-        delta = parse_rational(args.delta, "--delta")
-        pi = parse_rational(args.pi, "--pi")
-        rho = parse_rational(args.rho, "--rho")
-        mu = parse_rational(args.mu, "--mu")
-        epsilon = parse_rational(args.epsilon, "--epsilon") if args.epsilon else None
-        params = derive_timeouts(n, delta, pi, rho, epsilon=epsilon, margin=mu)
-        if args.force_a:
-            forced = tuple(parse_rational(x, "--force-a") for x in args.force_a.split(","))
-            if len(forced) != n:
-                raise ConfigError(f"--force-a needs {n} comma-separated values")
-            d = tuple(ai + 2 * (1 + rho) * pi + mu for ai in forced)
-            params = TimingParams(n=n, a=forced, d=d, epsilon=params.epsilon,
-                                  pi=pi, delta=delta, rho=rho, mu=mu)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    n = args.n
+    delta = parse_rational(args.delta, "--delta")
+    pi = parse_rational(args.pi, "--pi")
+    rho = parse_rational(args.rho, "--rho")
+    mu = parse_rational(args.mu, "--mu")
+    epsilon = parse_rational(args.epsilon, "--epsilon") if args.epsilon else None
+    params = derive_timeouts(n, delta, pi, rho, epsilon=epsilon, margin=mu)
+    if args.force_a:
+        forced = tuple(parse_rational(x, "--force-a") for x in args.force_a.split(","))
+        if len(forced) != n:
+            raise ConfigError(f"--force-a needs {n} comma-separated values")
+        d = tuple(ai + 2 * (1 + rho) * pi + mu for ai in forced)
+        params = TimingParams(n=n, a=forced, d=d, epsilon=params.epsilon,
+                              pi=pi, delta=delta, rho=rho, mu=mu)
 
     for i in range(n):
         print(f"a_{i} = {fmt_fraction(params.a[i])}")
@@ -421,9 +391,6 @@ def cmd_deals_check(args) -> int:
     except OSError as exc:
         print(f"config error: cannot read {args.matrix}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     graph = to_digraph(matrix)
     ok = is_well_formed(matrix)
     print(f"parties={matrix.parties} arcs={len(graph.arcs)}")
@@ -449,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--seed", type=int, default=None, help="base seed (run k uses seed+k)")
-    p.add_argument("--parallel", type=int, default=1)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("explore", help="exhaustive delay/order/adversary exploration")

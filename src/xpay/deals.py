@@ -58,9 +58,6 @@ class Digraph:
     vertices: int
     arcs: dict[Arc, Asset]
 
-    def successors(self, v: int) -> list[int]:
-        return [j for (i, j) in self.arcs if i == v]
-
 
 def to_digraph(m: DealMatrix) -> Digraph:
     """One vertex per party, one labelled arc per non-empty entry."""

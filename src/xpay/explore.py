@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import ConfigError, Envelope, ParticipantId, ParticipantKind, as_fraction
-from .properties import Status, Verdict, bob_paid, check_liveness, safety_verdicts
+from .properties import Status, Verdict, bob_paid, check_liveness, safety_verdicts, tally
 from .simnet import STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, run_simulation
 from .timing import customer_terminal_times
 from .trace import Trace
@@ -107,7 +107,7 @@ class ExploreReport:
     def safe(self) -> bool:
         return not self.violations
 
-    def _record(self, outcome: BranchOutcome, bob_paid: bool, keep_trace: bool) -> None:
+    def _record(self, outcome: BranchOutcome, bob_paid: bool) -> None:
         self.branches += 1
         self.entries += len(outcome.trace.entries)
         if outcome.policy == POLICIES[0]:
@@ -115,19 +115,9 @@ class ExploreReport:
             self.leaf_depths[depth] = self.leaf_depths.get(depth, 0) + 1
         else:
             self.tie_reruns += 1
-        violated = False
-        for v in outcome.verdicts:
-            per = self.counts.setdefault(v.name, {"pass": 0, "vacuous": 0, "fail": 0})
-            if v.status is Status.VIOLATED:
-                per["fail"] += 1
-                violated = True
-            elif v.status in (Status.VACUOUS, Status.INAPPLICABLE):
-                per["vacuous"] += 1
-            else:
-                per["pass"] += 1
-        if violated:
+        if tally(self.counts, outcome.verdicts):
             self.violations.append(outcome)
-        elif not keep_trace:
+        else:
             outcome.trace = None  # free the bulk of the memory on clean branches
         label = outcome.assignment_label
         self.bob_paid_everywhere[label] = (
@@ -204,12 +194,11 @@ def explore(
     assignments: Sequence[dict[ParticipantId, StrategySpec]] = ({},),
     grid: Optional[Sequence[Fraction]] = None,
     budget: int = 200_000,
-    check: Optional[Callable[[Trace], list[Verdict]]] = None,
     on_branch: Optional[Callable[[BranchOutcome], None]] = None,
 ) -> ExploreReport:
     """Simulate and check every (assignment, delay vector, needed policy) branch.
 
-    `check` defaults to the safety verdict set; the per-assignment liveness
+    Each branch gets the safety verdict set; the per-assignment liveness
     outcome lands in report.bob_paid_everywhere rather than in the violations.
     The report comes back complete=False once `budget` branches were run.
     `on_branch` sees every outcome (traces of clean branches are dropped after
@@ -223,7 +212,6 @@ def explore(
         raise ConfigError("exploration needs a delay grid")
     grid = tuple(as_fraction(g, "grid delay") for g in grid)
     params = base.resolved_timing()
-    check = check or safety_verdicts
     report = ExploreReport()
 
     for assignment in assignments:
@@ -257,7 +245,7 @@ def explore(
                     resumed = checkpoints.restore(checkpoints.tie)
                     trace = run_simulation(scenarios[k], sim)
                 report.entries_simulated += len(trace.entries) - resumed.snapshot.entry_count
-                verdicts = check(trace)
+                verdicts = safety_verdicts(trace)
                 live = check_liveness(trace)
                 # progress is only promised under the protocol's own tie-break;
                 # timeout-first runs exist to show safety is order-independent
@@ -270,7 +258,7 @@ def explore(
                 outcome = BranchOutcome(label, policy, tuple(decisions), verdicts, trace)
                 if on_branch is not None:
                     on_branch(outcome)
-                report._record(outcome, paid, keep_trace=False)
+                report._record(outcome, paid)
             # odometer step over however many decisions this leaf consumed
             while decisions and decisions[-1] == len(grid) - 1:
                 decisions.pop()

@@ -446,7 +446,6 @@ def check_promises(trace: Trace) -> list[Verdict]:
 
 STRONG_PROPERTIES = ("C", "T", "ES", "CS1", "CS2", "CS3", "L", "CONS", "AUTH")
 WEAK_PROPERTIES = ("C", "T", "ES", "CS1", "CS2", "CS3", "L", "CC", "CONS", "AUTH")
-SAFETY_PROPERTIES = ("C", "ES", "CS1", "CS2", "CS3", "CC", "CONS", "AUTH")
 
 
 def property_names(variant: str) -> tuple[str, ...]:
@@ -489,3 +488,19 @@ def safety_verdicts(trace: Trace) -> list[Verdict]:
     if trace.meta.variant == "weak":
         verdicts.append(check_certificate_consistency(trace))
     return verdicts
+
+
+def tally(counts: dict[str, dict[str, int]], verdicts: list[Verdict]) -> bool:
+    """Add each verdict to its property's pass/vacuous/fail count in `counts`
+    (INAPPLICABLE counts as vacuous); True if any verdict is a violation."""
+    violated = False
+    for v in verdicts:
+        per = counts.setdefault(v.name, {"pass": 0, "vacuous": 0, "fail": 0})
+        if v.status is Status.VIOLATED:
+            per["fail"] += 1
+            violated = True
+        elif v.status in (Status.VACUOUS, Status.INAPPLICABLE):
+            per["vacuous"] += 1
+        else:
+            per["pass"] += 1
+    return violated

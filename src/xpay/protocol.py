@@ -144,24 +144,8 @@ class PaymentInstance:
             raise ConfigError("amount must be strictly positive")
 
     @property
-    def alice(self) -> ParticipantId:
-        return customer(0)
-
-    @property
     def bob(self) -> ParticipantId:
         return customer(self.n)
-
-    def escrows(self) -> list[ParticipantId]:
-        return [escrow(i) for i in range(self.n)]
-
-    def customers(self) -> list[ParticipantId]:
-        return [customer(i) for i in range(self.n + 1)]
-
-    def participants(self, with_manager: bool = False) -> list[ParticipantId]:
-        out = self.escrows() + self.customers()
-        if with_manager:
-            out.append(manager())
-        return out
 
 
 def _money(pay: PaymentInstance) -> Money:

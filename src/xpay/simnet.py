@@ -499,8 +499,6 @@ class Scenario:
     rx_order: str = "declared"
     clock_mode: str = "auto"
     instance: str = "pay0"
-    initial_balances: Optional[dict[ParticipantId, int]] = None
-    patience_sufficient: Optional[bool] = None
     raw_injections: tuple = ()  # ((t, Envelope), ...) test hook; bypasses emission checks
 
     def __post_init__(self):
@@ -584,8 +582,6 @@ class Scenario:
         balances = {p: 0 for p in self.participant_ids()}
         for i in range(self.n):
             balances[customer(i)] = self.amount
-        if self.initial_balances:
-            balances.update(self.initial_balances)
         return balances
 
     def is_compliant(self, pid: ParticipantId) -> bool:
@@ -1113,9 +1109,6 @@ class _Sim:
                 self.stop_reason = STOP_ALL_TERMINAL
 
         patience = self.sc.resolved_patience()
-        sufficient = self.sc.patience_sufficient
-        if sufficient is None:
-            sufficient = patience is None or all(p is None for p in patience)
         meta = TraceMeta(
             variant=self.sc.variant,
             n=self.sc.n,
@@ -1134,7 +1127,7 @@ class _Sim:
             initial_balances=self.initial_balances,
             clock_rates={p: self.clocks[p].rate for p in self.clocks},
             patience=patience,
-            patience_sufficient=sufficient,
+            patience_sufficient=patience is None or all(p is None for p in patience),
         )
         return Trace(meta=meta, entries=self.entries, stop_reason=self.stop_reason,
                      final_balances=dict(self.ledger.balances),

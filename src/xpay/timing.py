@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import ConfigError, as_fraction, customer
-from .protocol import BOB_PAID, TimingParams
+from .protocol import TimingParams
 from .simnet import Scenario, Scripted, run_simulation
 from .trace import Trace
 
@@ -133,12 +133,6 @@ def _worst_case_scenario(params: TimingParams, n: int, clock_mode: str) -> Scena
     )
 
 
-def _bob_paid(trace: Trace, n: int) -> bool:
-    bob = customer(n)
-    hit = trace.terminal_entry(bob)
-    return hit is not None and hit[1].state == BOB_PAID
-
-
 def _clock_modes(rho: Fraction) -> tuple[str, ...]:
     if rho == 0:
         return ("identity",)
@@ -162,7 +156,7 @@ def validate_timeouts(
       connector above the shortened window forwarding the certificate too late
       and waiting forever for her payment: a termination failure.
     """
-    from .properties import check_promises, check_termination, Status
+    from .properties import Status, bob_paid, check_promises, check_termination
 
     if n != p.n:
         raise ConfigError("hop count does not match the timing parameters")
@@ -173,7 +167,7 @@ def validate_timeouts(
     worst_terminal: Optional[Fraction] = None
     for mode in _clock_modes(p.rho):
         trace = run_simulation(_worst_case_scenario(p, n, mode))
-        paid = _bob_paid(trace, n)
+        paid = bob_paid(trace)
         result = SweepResult(mode, paid, trace)
         report.sweeps.append(result)
         if not paid:
@@ -203,7 +197,7 @@ def validate_timeouts(
         broke = False
         for mode in _clock_modes(p.rho):
             trace = run_simulation(_worst_case_scenario(reduced, n, mode))
-            paid = _bob_paid(trace, n)
+            paid = bob_paid(trace)
             term = check_termination(trace, bound=termination_bound(reduced))
             if not paid or term.status is Status.VIOLATED:
                 which = "L" if not paid else "T"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Optional
 
-from .core import Envelope, Money, ParticipantId, fmt_fraction
+from .core import Envelope, ParticipantId, fmt_fraction
 
 
 class Rec(Enum):
@@ -187,9 +187,3 @@ class Trace:
 
     def render(self) -> str:
         return "\n".join(self.lines()) + "\n"
-
-
-def money_amount(env: Envelope) -> Optional[int]:
-    if isinstance(env.msg.payload, Money):
-        return env.msg.payload.amount
-    return None

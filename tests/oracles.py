@@ -328,8 +328,7 @@ def eager_manager_states(n: int, pay) -> dict[str, State]:
     return states
 
 
-def rerun_explore(base, assignments=({},), grid=None, budget=200_000, check=None,
-                  on_branch=None):
+def rerun_explore(base, assignments=({},), grid=None, budget=200_000, on_branch=None):
     """`xpay.explore.explore` as it was before checkpoints: every branch runs
     from t=0 under its own scenario. Same arguments, same branch order, same
     report fields; `entries_simulated` is every entry, as nothing is reused."""
@@ -339,7 +338,6 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, check=None
             grid = (base.delay.delta_bound(),)
     grid = tuple(grid)
     params = base.resolved_timing()
-    check = check or safety_verdicts
     report = ExploreReport()
 
     for assignment in assignments:
@@ -363,7 +361,7 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, check=None
                 if k == 0:
                     had_tie = trace.had_tie
                 report.entries_simulated += len(trace.entries)
-                verdicts = check(trace)
+                verdicts = safety_verdicts(trace)
                 live = check_liveness(trace)
                 paid = policy[0] != "receive_first" or (
                     live.status is Status.HOLDS or (
@@ -374,7 +372,7 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, check=None
                 outcome = BranchOutcome(label, policy, tuple(decisions), verdicts, trace)
                 if on_branch is not None:
                     on_branch(outcome)
-                report._record(outcome, paid, keep_trace=False)
+                report._record(outcome, paid)
             while decisions and decisions[-1] == len(grid) - 1:
                 decisions.pop()
             if not decisions:

@@ -174,7 +174,6 @@ def test_acceptance_4_weak_variant_interleavings():
     total = 0
     for patience in itertools.product((F(0), F(2), None), repeat=2):
         base.patience = patience
-        base.patience_sufficient = None
         report = explore(base, on_branch=outcome_discipline)
         assert report.complete
         assert report.safe

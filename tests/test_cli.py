@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,12 +11,15 @@ from xpay.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_VIOLATION,
+    load_config,
     main,
     parse_rational,
     parse_scenario_config,
 )
 from xpay.core import ConfigError
+from xpay.properties import Status, evaluate_all
 from xpay.protocol import make_escrow
+from xpay.simnet import run_simulation
 
 
 def write(tmp_path, name, payload):
@@ -125,13 +129,45 @@ def test_sweep_totals_add_up(tmp_path, capsys):
     assert "total=108 (= runs x properties = 108)" in out  # 12 runs x 9 properties
 
 
-def test_sweep_parallel_agrees_with_serial(tmp_path, capsys):
-    cfg = write(tmp_path, "c.json", NOMINAL)
-    main(["sweep", cfg, "--runs", "6"])
-    serial = capsys.readouterr().out
-    main(["sweep", cfg, "--runs", "6", "--parallel", "2"])
-    parallel = capsys.readouterr().out
-    assert serial == parallel
+def _one_by_one_counts(path, seeds):
+    """Per-property bucket counts over separate runs of freshly parsed configs."""
+    counts = {}
+    for seed in seeds:
+        scenario, _ = parse_scenario_config(load_config(path))
+        scenario.seed = seed
+        for v in evaluate_all(run_simulation(scenario)):
+            if v.status is Status.VIOLATED:
+                bucket = "fail"
+            elif v.status in (Status.VACUOUS, Status.INAPPLICABLE):
+                bucket = "vacuous"
+            else:
+                bucket = "pass"
+            counts.setdefault(v.name, Counter())[bucket] += 1
+    return counts
+
+
+def test_sweep_lines_equal_the_tally_of_single_runs(tmp_path, configs, capsys):
+    weak_byzantine = {
+        "variant": "weak",
+        "n": 2,
+        "delay_model": {"kind": "synchronous", "delta": "1", "grid_points": 3},
+        "pi": "1/10",
+        "rho": "1/10",
+        "patience": ["inf", "3", "inf"],
+        "byzantine": {"e0": {"strategy": "greedy_escrow"}},
+        "seed": 9,
+    }
+    buckets = set()
+    for path, seed in ((str(configs / "late_certificate_n1.json"), 0),
+                       (write(tmp_path, "weak.json", weak_byzantine), 9)):
+        code = main(["sweep", path, "--runs", "6"])
+        lines = capsys.readouterr().out.splitlines()[1:-1]
+        counts = _one_by_one_counts(path, range(seed, seed + 6))
+        assert lines == [f"{name}: pass={c['pass']} vacuous={c['vacuous']} fail={c['fail']}"
+                         for name, c in counts.items()]
+        assert code == (EXIT_VIOLATION if any(c["fail"] for c in counts.values()) else EXIT_OK)
+        buckets.update(*counts.values())
+    assert buckets == {"pass", "vacuous", "fail"}
 
 
 def test_sweep_zero_runs_exit_2(tmp_path):
@@ -234,6 +270,11 @@ def test_deals_check(tmp_path, configs, capsys):
     out = capsys.readouterr().out
     assert "well_formed=no" in out
     assert main(["deals-check", str(tmp_path / "missing.matrix")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cannot read ")
+    assert main(["deals-check", write(tmp_path, "bad.matrix", "not a deal\n")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: deal file must start with a parties=<m> header\n"
 
 
 def test_weak_config_with_patience(tmp_path, configs):

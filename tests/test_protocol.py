@@ -193,7 +193,8 @@ def test_weak_customer_without_patience_has_no_timeout():
 def _tm_feed(n=1):
     pay = PaymentInstance("pay0", n, 1)
     tm = Automaton(make_transaction_manager(n, pay))
-    keys = {p: SigningKey(p) for p in pay.participants(with_manager=True)}
+    ids = [escrow(i) for i in range(n)] + [customer(i) for i in range(n + 1)] + [manager()]
+    keys = {p: SigningKey(p) for p in ids}
     return pay, tm, keys
 
 
