@@ -153,8 +153,12 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
             mu=parse_rational(cfg.get("mu", 0), "mu"),
         )
 
+    raw_byzantine = cfg.get("byzantine") or {}
+    if not isinstance(raw_byzantine, dict):
+        raise ConfigError('byzantine must be an object of participant to strategy '
+                          '("battery" is for xpay explore only)')
     byzantine: dict[ParticipantId, StrategySpec] = {}
-    for token, spec in (cfg.get("byzantine") or {}).items():
+    for token, spec in raw_byzantine.items():
         if not isinstance(spec, dict):
             raise ConfigError(f"byzantine[{token}] must be an object")
         if "strategy" not in spec:
@@ -312,7 +316,7 @@ def cmd_explore(args) -> int:
     total_branches = 0
     complete = True
     violations = []
-    entries = simulated = tie_reruns = 0
+    entries = simulated = checked = tie_reruns = 0
     depths: Counter = Counter()
     for patience in patience_sets:
         scenario.patience = patience
@@ -321,6 +325,7 @@ def cmd_explore(args) -> int:
         complete = complete and report.complete
         entries += report.entries
         simulated += report.entries_simulated
+        checked += report.entries_checked
         tie_reruns += report.tie_reruns
         depths.update(report.leaf_depths)
         violations.extend(report.violations)
@@ -329,8 +334,8 @@ def cmd_explore(args) -> int:
 
     print(f"explore branches={total_branches} complete={complete} "
           f"assignments={len(assignments)} patience_sets={len(patience_sets)}")
-    print(f"explore entries={entries} entries_simulated={simulated} tie_reruns={tie_reruns} "
-          f"leaf_depths={','.join(f'{d}:{depths[d]}' for d in sorted(depths))}")
+    print(f"explore entries={entries} entries_simulated={simulated} entries_checked={checked} "
+          f"tie_reruns={tie_reruns} leaf_depths={','.join(f'{d}:{depths[d]}' for d in sorted(depths))}")
     for v in violations[:20]:
         names = ",".join(x.name for x in v.verdicts if x.status is Status.VIOLATED)
         print(f"VIOLATION {names} byz=[{v.assignment_label}] policy={v.policy} "

@@ -8,7 +8,7 @@ grants, and it keeps runs deterministic.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
 
@@ -131,15 +131,34 @@ def fmt_fraction(x: Fraction) -> str:
 # --------------------------------------------------------------------------- payloads
 
 class Payload:
-    """Base class for message bodies. All payloads are bound to a payment instance id."""
+    """Base class for message bodies. All payloads are bound to a payment instance id.
+
+    A payload is hashed once, at construction, to the value its frozen
+    dataclass would compute (the hash of the tuple of its fields): the checkers
+    key every message sent and delivered by its payload, and a `CommitReq`
+    would otherwise hash the certificate it carries at every lookup.
+    """
 
     instance: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def token(self) -> str:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+def _payload(cls: type) -> type:
+    """A frozen dataclass payload, keeping the hash `Payload` computes at construction."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Payload.__hash__
+    return cls
+
+
+@_payload
 class Guarantee(Payload):
     """Escrow's resolve-within-d commitment to its upstream customer (local-time duration)."""
     instance: str
@@ -149,12 +168,13 @@ class Guarantee(Payload):
         object.__setattr__(self, "resolve_within", as_fraction(self.resolve_within, "guarantee"))
         if self.resolve_within <= 0:
             raise ConfigError("guarantee duration must be strictly positive")
+        super().__post_init__()
 
     def token(self) -> str:
         return f"G[{self.instance},d={fmt_fraction(self.resolve_within)}]"
 
 
-@dataclass(frozen=True)
+@_payload
 class Promise(Payload):
     """Escrow's pay-on-certificate-within-window promise to its downstream customer."""
     instance: str
@@ -164,12 +184,13 @@ class Promise(Payload):
         object.__setattr__(self, "accept_within", as_fraction(self.accept_within, "promise"))
         if self.accept_within <= 0:
             raise ConfigError("promise window must be strictly positive")
+        super().__post_init__()
 
     def token(self) -> str:
         return f"P[{self.instance},a={fmt_fraction(self.accept_within)}]"
 
 
-@dataclass(frozen=True)
+@_payload
 class Money(Payload):
     instance: str
     amount: int
@@ -177,12 +198,13 @@ class Money(Payload):
     def __post_init__(self):
         if not isinstance(self.amount, int) or self.amount <= 0:
             raise ConfigError("money amount must be a strictly positive integer")
+        super().__post_init__()
 
     def token(self) -> str:
         return f"$[{self.instance},{self.amount}]"
 
 
-@dataclass(frozen=True)
+@_payload
 class Certificate(Payload):
     """Bob's attestation that the payment obligation has been met."""
     instance: str
@@ -191,7 +213,7 @@ class Certificate(Payload):
         return f"X[{self.instance}]"
 
 
-@dataclass(frozen=True)
+@_payload
 class AbortCert(Payload):
     instance: str
 
@@ -199,7 +221,7 @@ class AbortCert(Payload):
         return f"XA[{self.instance}]"
 
 
-@dataclass(frozen=True)
+@_payload
 class CommitCert(Payload):
     instance: str
 
@@ -207,7 +229,7 @@ class CommitCert(Payload):
         return f"XC[{self.instance}]"
 
 
-@dataclass(frozen=True)
+@_payload
 class LockNotice(Payload):
     """Escrow's notification that the deposit for hop `escrow_index` is held."""
     instance: str
@@ -217,7 +239,7 @@ class LockNotice(Payload):
         return f"LOCK[{self.instance},{self.escrow_index}]"
 
 
-@dataclass(frozen=True)
+@_payload
 class CommitReq(Payload):
     """Commit request carrying the payment certificate (weak variant)."""
     instance: str
@@ -227,7 +249,7 @@ class CommitReq(Payload):
         return f"CREQ[{self.instance},{self.certificate.token()}]"
 
 
-@dataclass(frozen=True)
+@_payload
 class AbortReq(Payload):
     instance: str
 

@@ -4,8 +4,8 @@ Enumerates every assignment of grid delays to messages bound for compliant
 recipients (deliveries to Byzantine participants are pinned at the grid
 maximum: the adversary's reaction timing is its own to choose, and pinning it
 keeps the tree finite), crossed with the scheduler's tie-break policies and
-with a configurable family of Byzantine assignments. Every branch is checked
-on its own complete trace.
+with a configurable family of Byzantine assignments. Every branch gets the
+verdicts of its own complete trace.
 
 Policies beyond the default are re-run only for leaves whose baseline run hit
 a simultaneity (two enabled receives, or a receive against a due timeout):
@@ -19,7 +19,10 @@ first instant with a tie. The odometer step that changes decision i restores
 the snapshot of decision i and simulates only the rest of the run; a tie
 re-run restores the first tied instant under the next policy. The branch
 order, the decision vectors and every trace are those of running each branch
-from t=0.
+from t=0. The checks are forked the same way: each checkpoint keeps a copy of
+the safety monitor (`properties.Monitor`) fed the entries before it, so a
+branch checks only the entries it simulates, and its verdicts are those of
+checking its whole trace.
 """
 from __future__ import annotations
 
@@ -29,9 +32,8 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import ConfigError, Envelope, ParticipantId, ParticipantKind, as_fraction
-from .properties import Status, Verdict, bob_paid, check_liveness, safety_verdicts, tally
+from .properties import Monitor, Status, Verdict, check_liveness, safety_verdicts, tally
 from .simnet import STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, run_simulation
-from .timing import customer_terminal_times
 from .trace import Trace
 
 
@@ -100,6 +102,7 @@ class ExploreReport:
     max_customer_terminal: Optional[Fraction] = None
     entries: int = 0  # trace entries over all branches
     entries_simulated: int = 0  # of those, the ones a branch simulated past its checkpoint
+    entries_checked: int = 0  # of those, the ones fed to a branch's monitor past its checkpoint
     tie_reruns: int = 0  # branches under a policy other than the first
     leaf_depths: dict[int, int] = field(default_factory=dict)  # leaves by decisions taken
 
@@ -135,6 +138,7 @@ def assignment_label(assignment: dict[ParticipantId, StrategySpec]) -> str:
 class _Checkpoint(NamedTuple):
     snapshot: Snapshot
     cursor: int  # decisions consumed before the instant
+    monitor: Monitor  # the checks, fed every entry before the instant
 
 
 class _Checkpoints:
@@ -146,19 +150,25 @@ class _Checkpoints:
     changes, every later run agrees with it up to that decision's instant, and
     runs under the other policies agree with it up to its first tie (no policy
     matters before there is a choice to make).
+
+    `monitor` is the check of the run in progress. Each checkpoint keeps a
+    copy of it as it stood at the snapshot, so a branch feeds the monitor only
+    the entries it simulates.
     """
 
     def __init__(self, sim: _Sim, model: _DecidedDelays):
         self.sim = sim
         self.model = model
+        self.monitor = Monitor(sim.meta)
         self.by_decision: list[_Checkpoint] = []
-        self.current = self.start = _Checkpoint(sim.snapshot(), 0)
+        self.current = self.start = _Checkpoint(sim.snapshot(), 0, self.monitor.copy())
         self.tie: Optional[_Checkpoint] = None
 
     def instant(self) -> None:
         """The engine's `on_instant` during baseline runs."""
         self.close()
-        self.current = _Checkpoint(self.sim.snapshot(), self.model.cursor)
+        self.monitor.feed(self.sim.entries)
+        self.current = _Checkpoint(self.sim.snapshot(), self.model.cursor, self.monitor.copy())
 
     def close(self) -> None:
         """Credit the instant that just ended with the decisions it consumed
@@ -186,6 +196,7 @@ class _Checkpoints:
     def restore(self, cp: _Checkpoint) -> _Checkpoint:
         self.sim.restore(cp.snapshot)
         self.model.cursor = cp.cursor
+        self.monitor = cp.monitor.copy()
         return cp
 
 
@@ -245,14 +256,16 @@ def explore(
                     resumed = checkpoints.restore(checkpoints.tie)
                     trace = run_simulation(scenarios[k], sim)
                 report.entries_simulated += len(trace.entries) - resumed.snapshot.entry_count
-                verdicts = safety_verdicts(trace)
-                live = check_liveness(trace)
+                monitor = checkpoints.monitor
+                verdicts = safety_verdicts(trace, monitor)
+                live = check_liveness(trace, monitor)
+                report.entries_checked += monitor.fed - resumed.monitor.fed
                 # progress is only promised under the protocol's own tie-break;
                 # timeout-first runs exist to show safety is order-independent
                 paid = policy[0] != "receive_first" or (
                     live.status is Status.HOLDS or (
-                        live.status is not Status.VIOLATED and bob_paid(trace)))
-                for t in customer_terminal_times(trace, base.n):
+                        live.status is not Status.VIOLATED and monitor.bob_paid()))
+                for t in monitor.terminal_times():
                     if report.max_customer_terminal is None or t > report.max_customer_terminal:
                         report.max_customer_terminal = t
                 outcome = BranchOutcome(label, policy, tuple(decisions), verdicts, trace)

@@ -1,11 +1,18 @@
-"""Verdicts over completed traces.
+"""Verdicts over traces, decided online.
 
-Each checker is a pure function of the trace. Conditional clauses are
-evaluated only when their named participants are compliant ("provided her
-escrows abide"); a clause whose precondition never applies comes back VACUOUS.
-Violations always carry a witness: the indices of the trace entries that
-substantiate them, minimal enough that replaying just the witness-relevant
-participants' entries re-triggers the same verdict.
+Every checker of the paper's clauses is part of one monitor (`Monitor`): a
+small state fed the trace one entry at a time, a synthesised safety monitor in
+the sense of Havelund and Roşu (TACAS 2002). The state can be copied at any
+point, so a caller that branches a run (the explorer) forks the monitor with
+the run and feeds each branch only the entries that branch simulates.
+`evaluate_all` and `safety_verdicts` are folds of the monitor over a whole
+trace, so each check has one implementation.
+
+Conditional clauses are evaluated only when their named participants are
+compliant ("provided her escrows abide"); a clause whose precondition never
+applies comes back VACUOUS. Violations always carry a witness: the indices of
+the trace entries that substantiate them, minimal enough that replaying just
+the witness-relevant participants' entries re-triggers the same verdict.
 
 "Got her money back" is interpreted as net balance change >= 0 at the
 participant's termination entry (exact refund equals net zero with uniform
@@ -14,17 +21,23 @@ evaluated at each participant's terminal entry; participants that never
 terminate leave the clause vacuous, except where termination itself is the
 property under check.
 
-Checking costs one pass over the entries to build the trace's shared index
-(`Trace.index`: each participant's entries and balance moves), plus one pass
-each for the checkers that must see every entry (C, CONS, AUTH). Every other
-query reads only the entries of the participant it is about. Traces are
-read-only once built: the index is cached on the trace and never rebuilt.
+Checking costs one pass over the entries, each entry fed once. C, ES, CONS,
+AUTH and CC are decided as the entries arrive, and their witnesses build up
+with them. For T, L and CS1-3 the monitor keeps each customer's first terminal
+entry, its time, the customer's net balance change there and whether it held
+the certificate the clause asks about; those clauses are decided from these
+facts when the run is over, and only a violation reads the trace again, to
+list the participant's entries as its witness. Copying the monitor copies a
+few small dicts and sets. The escrow promises (`check_promises`) stay a batch
+check over the finished trace: they compare local times per escrow and are
+not part of exploration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from fractions import Fraction
+from typing import NamedTuple, Optional
 
 from .core import (
     AbortCert,
@@ -34,6 +47,7 @@ from .core import (
     Money,
     ParticipantId,
     Promise,
+    SignedMessage,
     as_fraction,
     customer,
     escrow,
@@ -41,7 +55,7 @@ from .core import (
     manager,
     verify,
 )
-from .trace import Rec, Trace, TraceEntry
+from .trace import Rec, Trace, TraceEntry, TraceMeta
 
 
 class Status(Enum):
@@ -73,47 +87,25 @@ class Verdict:
 
 # ------------------------------------------------------------------ trace helpers
 
-def _is_certificate(msg, trace: Trace, kind: type = Certificate) -> bool:
+def _is_certificate(msg: SignedMessage, meta: TraceMeta, kind: type = Certificate) -> bool:
     """Is `msg` a verified `kind` certificate of this payment? Bob signs the
     payment certificate; the manager signs the commit and abort certificates."""
-    signer = customer(trace.meta.n) if kind is Certificate else manager()
+    signer = customer(meta.n) if kind is Certificate else manager()
     return (isinstance(msg.payload, kind)
-            and msg.payload.instance == trace.meta.instance
+            and msg.payload.instance == meta.instance
             and verify(msg, signer))
 
 
-def _sends_own_certificate(e: TraceEntry, trace: Trace) -> bool:
-    """Did this entry put the sender's own payment certificate on the wire?"""
-    if e.rec is not Rec.SENT or e.participant != customer(trace.meta.n):
-        return False
-    msg = e.env.msg
+def _own_certificate(msg: SignedMessage, meta: TraceMeta) -> bool:
+    """Does this message of Bob's put his own payment certificate on the wire?"""
     if isinstance(msg.payload, CommitReq):  # the weak variant's Bob sends it inside his request
-        return _is_certificate(msg.payload.certificate, trace)
-    return _is_certificate(msg, trace)
+        return _is_certificate(msg.payload.certificate, meta)
+    return _is_certificate(msg, meta)
 
 
-def _delivers(kind: type) -> Callable[[TraceEntry, Trace], bool]:
-    """Matches the delivery of a verified `kind` certificate of this payment."""
-    return lambda e, trace: e.rec is Rec.DELIVERED and _is_certificate(e.env.msg, trace, kind)
-
-
-def _issues_decision(e: TraceEntry, trace: Trace) -> bool:
-    return e.rec is Rec.SENT and isinstance(e.env.msg.payload, (AbortCert, CommitCert))
-
-
-def _first(trace: Trace, p: ParticipantId, match: Callable[[TraceEntry, Trace], bool],
-           upto: Optional[int] = None) -> Optional[int]:
-    """Index of `p`'s first entry, at or before `upto` (whole trace if None), that matches."""
-    for idx in trace.index.entries[p]:
-        if upto is not None and idx > upto:
-            break
-        if match(trace.entries[idx], trace):
-            return idx
-    return None
-
-
-def _compliant(trace: Trace, p: ParticipantId) -> bool:
-    return p in trace.meta.compliant
+def _entries_of(trace: Trace, p: ParticipantId) -> list[int]:
+    """The indices of `p`'s entries: the witness of a clause about all `p` did."""
+    return [idx for idx, e in enumerate(trace.entries) if e.participant == p]
 
 
 def _summarize(evaluated: int, violations: list[int]) -> Status:
@@ -122,19 +114,340 @@ def _summarize(evaluated: int, violations: list[int]) -> Status:
     return Status.HOLDS if evaluated else Status.VACUOUS
 
 
-# ---------------------------------------------------------------------- checkers
-
-def check_consistency(trace: Trace) -> Verdict:
-    """No compliant participant ever hit an impossible prescribed step."""
-    witness = [i for i, e in enumerate(trace.entries)
-               if e.rec is Rec.IMPOSSIBLE_STEP and _compliant(trace, e.participant)]
-    if witness:
-        return Verdict("C", Status.VIOLATED, witness, "impossible prescribed step")
-    return Verdict("C", Status.HOLDS)
-
+# ----------------------------------------------------------------------- monitor
 
 EVENTUAL = "eventual"
 
+# the participants whose entries the monitor reads beyond money and messages
+_ALICE, _CONNECTOR, _BOB, _MANAGER = range(4)
+
+_SENT = Rec.SENT
+_DELIVERED = Rec.DELIVERED
+_TRANSFERRED = Rec.TRANSFERRED
+_TERMINAL = Rec.TERMINAL_REACHED
+_IMPOSSIBLE = Rec.IMPOSSIBLE_STEP
+
+
+class _Terminal(NamedTuple):
+    """A customer's first terminal entry, as the monitor saw it."""
+    idx: int
+    t: Fraction
+    net: int  # the customer's net balance change up to the entry
+    certified: bool  # Alice: her certificate had reached her; Bob: see `Monitor.feed`
+
+
+class Monitor:
+    """The online state of every clause's check over one trace.
+
+    `feed` takes in the entries appended since the last feed; `copy` forks the
+    state, so a run that is branched can have its check branched with it. The
+    verdict methods read the state once the last entry is in; those whose
+    witness lists a participant's entries also take the trace.
+    """
+
+    def __init__(self, meta: TraceMeta):
+        n = meta.n
+        self.meta = meta
+        # what does not change during the run; copies share it
+        self._roles = {customer(k): _CONNECTOR for k in range(1, n)}
+        self._roles.update({customer(0): _ALICE, customer(n): _BOB, manager(): _MANAGER})
+        self._weak = meta.variant == "weak"
+        self._alice_certificate = CommitCert if self._weak else Certificate
+        self._escrows = {escrow(i): i for i in range(n) if escrow(i) in meta.compliant}
+        # the state; `copy` copies each dict and set, the tuples grow by replacement
+        self.fed = 0  # entries taken in
+        self.net: dict[ParticipantId, int] = {}  # net balance change per participant
+        self.in_flight = 0
+        self.sent: set = set()  # (signer, nonce, payload) of each message sent
+        self.seen: set = set()  # (recipient, (signer, nonce, payload)) of each delivery
+        self.terminal: dict[ParticipantId, _Terminal] = {}  # per customer that terminated
+        self.engaged: set = set()  # customers that sent money or Bob's certificate
+        self.impossible: tuple[int, ...] = ()  # C: impossible steps of compliant participants
+        self.dips: tuple = ()  # ES: (escrow index, entry, detail), each compliant escrow's first dip
+        self.auth: tuple = ()  # AUTH: (entry, detail) per violation
+        self.cons: Optional[tuple[int, str]] = None  # CONS: the first violation
+        self.alice_certified = False  # the certificate of CS1 has reached Alice
+        self.bob_signed = False  # Bob has sent his own certificate
+        self.bob_aborted = False  # the abort certificate has reached Bob
+        self.commit_at: Optional[int] = None  # the manager's first commit certificate sent
+        self.abort_at: Optional[int] = None  # and its first abort certificate
+
+    def copy(self) -> "Monitor":
+        """An independent copy: feeding one leaves the other as it was."""
+        other = object.__new__(Monitor)
+        other.__dict__.update(self.__dict__)
+        other.net = dict(self.net)
+        other.sent = set(self.sent)
+        other.seen = set(self.seen)
+        other.terminal = dict(self.terminal)
+        other.engaged = set(self.engaged)
+        return other
+
+    def feed(self, entries: list[TraceEntry]) -> None:
+        """Take in `entries[self.fed:]`, the entries of the run since the last feed.
+
+        A customer's terminal record notes whether it was certified: Alice, if
+        the certificate CS1 asks about (the commit certificate in the weak
+        variant) had reached her; Bob, if he had sent his own certificate
+        (strong) or the abort certificate had reached him (weak).
+        """
+        meta = self.meta
+        roles = self._roles
+        net, sent, seen, terminal = self.net, self.sent, self.seen, self.terminal
+        for idx in range(self.fed, len(entries)):
+            e = entries[idx]
+            rec = e.rec
+            p = e.participant
+            if rec is _SENT:
+                msg = e.env.msg
+                key = (msg.signer, msg.nonce, msg.payload)
+                sent.add(key)
+                if msg.signer != p and (p, key) not in seen:
+                    self.auth += ((idx, f"{p} emitted {msg.token()} it never observed"),)
+                role = roles.get(p)
+                if role is None:
+                    continue
+                payload = msg.payload
+                if role == _MANAGER:
+                    if isinstance(payload, CommitCert):
+                        if self.commit_at is None:
+                            self.commit_at = idx
+                    elif isinstance(payload, AbortCert) and self.abort_at is None:
+                        self.abort_at = idx
+                elif isinstance(payload, Money):
+                    self.engaged.add(p)
+                elif role == _BOB and not self.bob_signed and _own_certificate(msg, meta):
+                    self.bob_signed = True
+                    self.engaged.add(p)
+            elif rec is _DELIVERED:
+                msg = e.env.msg
+                key = (msg.signer, msg.nonce, msg.payload)
+                if key not in sent:
+                    self.auth += ((idx, f"{msg.token()} delivered without a matching send"),)
+                seen.add((p, key))
+                role = roles.get(p)
+                if role == _ALICE:
+                    if not self.alice_certified and _is_certificate(
+                            msg, meta, self._alice_certificate):
+                        self.alice_certified = True
+                elif role == _BOB and not self.bob_aborted and _is_certificate(
+                        msg, meta, AbortCert):
+                    self.bob_aborted = True
+            elif rec is _TRANSFERRED:
+                amount = e.amount
+                if e.phase == "sent":
+                    frm = e.frm
+                    left = net[frm] = net.get(frm, 0) - amount
+                    self.in_flight += amount
+                    if left < 0 and frm in self._escrows:
+                        i = self._escrows[frm]
+                        if all(dip[0] != i for dip in self.dips):
+                            self.dips += ((i, idx, f"{frm} below initial balance at t={e.t}"),)
+                    if self.cons is None and meta.initial_balances.get(frm, 0) + left < 0:
+                        self.cons = (idx, f"{frm} went negative")
+                else:
+                    to = e.to
+                    self.in_flight -= amount
+                    net[to] = net.get(to, 0) + amount
+                    if self.cons is None and self.in_flight < 0:
+                        self.cons = (idx, "in-flight value went negative")
+                if self.cons is None and sum(net.values()) + self.in_flight != 0:
+                    self.cons = (idx, "total value changed")
+            elif rec is _TERMINAL:
+                role = roles.get(p)
+                if role is None or role == _MANAGER or p in terminal:
+                    continue
+                if role == _ALICE:
+                    certified = self.alice_certified
+                elif role == _BOB:
+                    certified = self.bob_aborted if self._weak else self.bob_signed
+                else:
+                    certified = False
+                terminal[p] = _Terminal(idx, e.t, net.get(p, 0), certified)
+            elif rec is _IMPOSSIBLE and p in meta.compliant:
+                self.impossible += (idx,)
+        self.fed = len(entries)
+
+    # -- facts at the end of the run ----------------------------------------------
+
+    def bob_paid(self) -> bool:
+        """Bob reached a terminal state at least the payment amount richer."""
+        hit = self.terminal.get(customer(self.meta.n))
+        return hit is not None and hit.net >= self.meta.amount
+
+    def terminal_times(self) -> list[Fraction]:
+        """When each customer first reached a terminal state, in customer order;
+        a customer that never did is left out."""
+        return [self.terminal[c].t for c in map(customer, range(self.meta.n + 1))
+                if c in self.terminal]
+
+    def _guarded(self, c: ParticipantId) -> bool:
+        """`c` and the escrows she holds accounts at are all compliant."""
+        compliant = self.meta.compliant
+        return c in compliant and all(e in compliant for e in escrows_of(self.meta.n, c))
+
+    # -- verdicts ---------------------------------------------------------------
+
+    def consistency(self) -> Verdict:
+        """C: no compliant participant ever hit an impossible prescribed step."""
+        if self.impossible:
+            return Verdict("C", Status.VIOLATED, list(self.impossible),
+                           "impossible prescribed step")
+        return Verdict("C", Status.HOLDS)
+
+    def termination(self, trace: Trace, bound=None) -> Verdict:
+        """T; see `check_termination`."""
+        meta = self.meta
+        eventual = self._weak or bound == EVENTUAL
+        if eventual:
+            limit = meta.horizon
+        elif bound is None:
+            from .timing import termination_bound
+            limit = termination_bound(meta.params)
+        else:
+            limit = as_fraction(bound, "termination bound")
+        decision_issued = eventual and (self.commit_at is not None or self.abort_at is not None)
+
+        evaluated = 0
+        violations: list[int] = []
+        details = []
+        for k in range(meta.n + 1):
+            c = customer(k)
+            if not self._guarded(c):
+                continue
+            if eventual:
+                patience = meta.patience[k] if meta.patience else None
+                if patience is None and not decision_issued:
+                    continue  # waiting forever was this customer's own choice
+            elif c not in self.engaged:
+                continue
+            evaluated += 1
+            hit = self.terminal.get(c)
+            if hit is None:
+                violations.extend(_entries_of(trace, c))
+                details.append(f"{c} never terminal")
+            elif hit.t > limit:
+                violations.append(hit.idx)
+                details.append(f"{c} terminal at t={hit.t} > {limit}")
+        return Verdict("T", _summarize(evaluated, violations), violations, "; ".join(details))
+
+    def escrow_security(self) -> Verdict:
+        """ES: no compliant escrow ever dips below its initial balance."""
+        dips = sorted(self.dips)
+        violations = [idx for _, idx, _ in dips]
+        return Verdict("ES", _summarize(len(self._escrows), violations), violations,
+                       "; ".join(detail for _, _, detail in dips))
+
+    def customer_security(self, trace: Trace) -> tuple[Verdict, Verdict, Verdict]:
+        """CS1, CS2 and CS3, strong or weak wording per the trace variant.
+
+        CS1 (Alice, her escrow compliant, at her termination): money back, or the
+        certificate (strong) / the commit certificate (weak).
+        CS2 (Bob, his escrow compliant, at his termination): the money, or no
+        certificate issued (strong) / the abort certificate received (weak).
+        CS3 (each connector with both her escrows compliant, at her termination):
+        money back.
+        """
+        meta = self.meta
+        alice = customer(0)
+        bob = customer(meta.n)
+
+        if self._guarded(alice):
+            hit = self.terminal.get(alice)
+            if hit is None:
+                cs1 = Verdict("CS1", Status.VACUOUS, detail="alice never terminal")
+            elif hit.net >= 0 or hit.certified:
+                cs1 = Verdict("CS1", Status.HOLDS)
+            else:
+                cs1 = Verdict("CS1", Status.VIOLATED, _entries_of(trace, alice),
+                              "alice lost value without the certificate")
+        else:
+            cs1 = Verdict("CS1", Status.VACUOUS)
+
+        if self._guarded(bob):
+            hit = self.terminal.get(bob)
+            if hit is None:
+                cs2 = Verdict("CS2", Status.VACUOUS, detail="bob never terminal")
+            else:
+                got_money = hit.net >= meta.amount
+                if self._weak:
+                    ok = got_money or hit.certified
+                    why = "bob has neither the money nor the abort certificate"
+                else:
+                    ok = got_money or not hit.certified
+                    why = "bob issued the certificate but was not paid"
+                if ok:
+                    cs2 = Verdict("CS2", Status.HOLDS)
+                else:
+                    cs2 = Verdict("CS2", Status.VIOLATED, _entries_of(trace, bob), why)
+        else:
+            cs2 = Verdict("CS2", Status.VACUOUS)
+
+        evaluated = 0
+        violations: list[int] = []
+        details = []
+        for k in range(1, meta.n):
+            c = customer(k)
+            if not self._guarded(c):
+                continue
+            hit = self.terminal.get(c)
+            if hit is None:
+                continue
+            evaluated += 1
+            if hit.net < 0:
+                violations.extend(_entries_of(trace, c))
+                details.append(f"{c} terminated below her starting balance")
+        cs3 = Verdict("CS3", _summarize(evaluated, violations), violations, "; ".join(details))
+        return cs1, cs2, cs3
+
+    def liveness(self, trace: Trace) -> Verdict:
+        """L; see `check_liveness`."""
+        meta = self.meta
+        if len(meta.compliant) != len(meta.initial_balances):
+            return Verdict("L", Status.VACUOUS, detail="byzantine participants present")
+        if self._weak and not meta.patience_sufficient:
+            return Verdict("L", Status.VACUOUS, detail="patience declared insufficient")
+        if self.bob_paid():
+            return Verdict("L", Status.HOLDS)
+        return Verdict("L", Status.VIOLATED, _entries_of(trace, customer(meta.n)),
+                       "bob was not paid")
+
+    def certificate_consistency(self) -> Verdict:
+        """CC (weak variant): the manager never issues both certificate kinds."""
+        if self.commit_at is not None and self.abort_at is not None:
+            return Verdict("CC", Status.VIOLATED, sorted((self.commit_at, self.abort_at)),
+                           "both certificate kinds issued")
+        return Verdict("CC", Status.HOLDS)
+
+    def conservation(self) -> Verdict:
+        """CONS: at every prefix, balances plus in-flight value sum to the
+        initial total, and nothing ever goes negative."""
+        if self.cons is not None:
+            idx, detail = self.cons
+            return Verdict("CONS", Status.VIOLATED, [idx], detail)
+        return Verdict("CONS", Status.HOLDS)
+
+    def authentication(self) -> Verdict:
+        """AUTH: every message on the wire is either signed by its transmitter or
+        a replay of a message the transmitter had already observed; every
+        verified delivery has a matching send. Byzantine containment,
+        re-derived from the trace alone."""
+        if self.auth:
+            return Verdict("AUTH", Status.VIOLATED, [idx for idx, _ in self.auth],
+                           "; ".join(detail for _, detail in self.auth))
+        return Verdict("AUTH", Status.HOLDS)
+
+
+def fold(trace: Trace, monitor: Optional[Monitor] = None) -> Monitor:
+    """`monitor` fed the entries of `trace` it has not taken in yet; without
+    one, a new monitor fed the whole trace."""
+    if monitor is None:
+        monitor = Monitor(trace.meta)
+    monitor.feed(trace.entries)
+    return monitor
+
+
+# ---------------------------------------------------------------------- checkers
 
 def check_termination(trace: Trace, bound=None) -> Verdict:
     """Customers finish in time.
@@ -146,238 +459,19 @@ def check_termination(trace: Trace, bound=None) -> Verdict:
     with compliant escrows terminates within the horizon; customers who chose
     unbounded patience are exempt when no decision was ever issued.
     """
-    meta = trace.meta
-    eventual = meta.variant == "weak" or bound == EVENTUAL
-    if eventual:
-        limit = meta.horizon
-    else:
-        if bound is None:
-            from .timing import termination_bound
-            limit = termination_bound(meta.params)
-        else:
-            limit = as_fraction(bound, "termination bound")
-
-    decision_issued = eventual and _first(trace, manager(), _issues_decision) is not None
-
-    evaluated = 0
-    violations: list[int] = []
-    details = []
-    for k in range(meta.n + 1):
-        c = customer(k)
-        if not _compliant(trace, c):
-            continue
-        if any(not _compliant(trace, e) for e in escrows_of(meta.n, c)):
-            continue
-        if eventual:
-            patience = meta.patience[k] if meta.patience else None
-            if patience is None and not decision_issued:
-                continue  # waiting forever was this customer's own choice
-        else:
-            engaged = _first(trace, c, lambda e, t: (e.rec is Rec.SENT and isinstance(
-                e.env.msg.payload, Money)) or _sends_own_certificate(e, t))
-            if engaged is None:
-                continue
-        evaluated += 1
-        hit = trace.terminal_entry(c)
-        if hit is None:
-            violations.extend(trace.index.entries[c])
-            details.append(f"{c} never terminal")
-        elif hit[1].t > limit:
-            violations.append(hit[0])
-            details.append(f"{c} terminal at t={hit[1].t} > {limit}")
-    return Verdict("T", _summarize(evaluated, violations), violations, "; ".join(details))
+    return fold(trace).termination(trace, bound)
 
 
-def check_escrow_security(trace: Trace) -> Verdict:
-    """No compliant escrow ever dips below its initial balance, and ends at or above it."""
-    evaluated = 0
-    violations: list[int] = []
-    details = []
-    for i in range(trace.meta.n):
-        e = escrow(i)
-        if not _compliant(trace, e):
-            continue
-        evaluated += 1
-        net = 0
-        for idx, amount in trace.index.transfers[e]:
-            net += amount
-            if net < 0:
-                violations.append(idx)
-                details.append(f"{e} below initial balance at t={trace.entries[idx].t}")
-                break
-    return Verdict("ES", _summarize(evaluated, violations), violations, "; ".join(details))
-
-
-@dataclass
-class CustomerSecurity:
-    cs1: Verdict
-    cs2: Verdict
-    cs3: Verdict
-
-    def all(self) -> list[Verdict]:
-        return [self.cs1, self.cs2, self.cs3]
-
-
-def check_customer_security(trace: Trace) -> CustomerSecurity:
-    """The three per-role safety clauses, strong or weak wording per the trace variant.
-
-    CS1 (Alice, her escrow compliant, at her termination): money back, or the
-    certificate (strong) / the commit certificate (weak).
-    CS2 (Bob, his escrow compliant, at his termination): the money, or no
-    certificate issued (strong) / the abort certificate received (weak).
-    CS3 (each connector with both her escrows compliant, at her termination):
-    money back.
-    """
-    meta = trace.meta
-    weak = meta.variant == "weak"
-    alice = customer(0)
-    bob = customer(meta.n)
-
-    # CS1
-    if _compliant(trace, alice) and _compliant(trace, escrow(0)):
-        hit = trace.terminal_entry(alice)
-        if hit is None:
-            cs1 = Verdict("CS1", Status.VACUOUS, detail="alice never terminal")
-        else:
-            idx, _ = hit
-            money_back = trace.net_change(alice, upto=idx) >= 0
-            got_cert = _first(trace, alice, _delivers(CommitCert if weak else Certificate), idx)
-            if money_back or got_cert is not None:
-                cs1 = Verdict("CS1", Status.HOLDS)
-            else:
-                cs1 = Verdict("CS1", Status.VIOLATED, list(trace.index.entries[alice]),
-                              "alice lost value without the certificate")
-    else:
-        cs1 = Verdict("CS1", Status.VACUOUS)
-
-    # CS2
-    if _compliant(trace, bob) and _compliant(trace, escrow(meta.n - 1)):
-        hit = trace.terminal_entry(bob)
-        if hit is None:
-            cs2 = Verdict("CS2", Status.VACUOUS, detail="bob never terminal")
-        else:
-            idx, _ = hit
-            got_money = trace.net_change(bob, upto=idx) >= meta.amount
-            if weak:
-                ok = got_money or _first(trace, bob, _delivers(AbortCert), idx) is not None
-                why = "bob has neither the money nor the abort certificate"
-            else:
-                ok = got_money or _first(trace, bob, _sends_own_certificate, idx) is None
-                why = "bob issued the certificate but was not paid"
-            if ok:
-                cs2 = Verdict("CS2", Status.HOLDS)
-            else:
-                cs2 = Verdict("CS2", Status.VIOLATED, list(trace.index.entries[bob]), why)
-    else:
-        cs2 = Verdict("CS2", Status.VACUOUS)
-
-    # CS3
-    evaluated = 0
-    violations: list[int] = []
-    details = []
-    for k in range(1, meta.n):
-        c = customer(k)
-        if not _compliant(trace, c):
-            continue
-        if any(not _compliant(trace, e) for e in escrows_of(meta.n, c)):
-            continue
-        hit = trace.terminal_entry(c)
-        if hit is None:
-            continue
-        evaluated += 1
-        if trace.net_change(c, upto=hit[0]) < 0:
-            violations.extend(trace.index.entries[c])
-            details.append(f"{c} terminated below her starting balance")
-    cs3 = Verdict("CS3", _summarize(evaluated, violations), violations, "; ".join(details))
-    return CustomerSecurity(cs1, cs2, cs3)
-
-
-def check_liveness(trace: Trace) -> Verdict:
+def check_liveness(trace: Trace, monitor: Optional[Monitor] = None) -> Verdict:
     """Bob is paid eventually, contingent on everybody abiding (and, weak mode,
-    on the customers having waited long enough)."""
-    meta = trace.meta
-    if len(meta.compliant) != len(meta.initial_balances):
-        return Verdict("L", Status.VACUOUS, detail="byzantine participants present")
-    if meta.variant == "weak" and not meta.patience_sufficient:
-        return Verdict("L", Status.VACUOUS, detail="patience declared insufficient")
-    if bob_paid(trace):
-        return Verdict("L", Status.HOLDS)
-    return Verdict("L", Status.VIOLATED, list(trace.index.entries[customer(meta.n)]),
-                   "bob was not paid")
+    on the customers having waited long enough). `monitor`, if given, has
+    taken in a prefix of the trace."""
+    return fold(trace, monitor).liveness(trace)
 
 
 def bob_paid(trace: Trace) -> bool:
     """Bob reached a terminal state at least the payment amount richer."""
-    bob = customer(trace.meta.n)
-    hit = trace.terminal_entry(bob)
-    return hit is not None and trace.net_change(bob, upto=hit[0]) >= trace.meta.amount
-
-
-def check_certificate_consistency(trace: Trace) -> Verdict:
-    """Weak variant only: the manager never issues both certificate kinds."""
-    if trace.meta.variant != "weak":
-        return Verdict("CC", Status.INAPPLICABLE)
-    kinds: dict[str, int] = {}
-    for idx in trace.index.entries[manager()]:
-        e = trace.entries[idx]
-        if _issues_decision(e, trace):
-            kinds.setdefault(type(e.env.msg.payload).__name__, idx)
-    if len(kinds) > 1:
-        return Verdict("CC", Status.VIOLATED, sorted(kinds.values()),
-                       "both certificate kinds issued")
-    return Verdict("CC", Status.HOLDS)
-
-
-def check_conservation(trace: Trace) -> Verdict:
-    """At every prefix, balances plus in-flight value sum to the initial total,
-    and nothing ever goes negative."""
-    balances = dict(trace.meta.initial_balances)
-    in_flight = 0
-    expected = sum(balances.values())
-    for idx, e in enumerate(trace.entries):
-        if e.rec is not Rec.TRANSFERRED:
-            continue
-        if e.phase == "sent":
-            balances[e.frm] = balances.get(e.frm, 0) - e.amount
-            in_flight += e.amount
-            if balances[e.frm] < 0:
-                return Verdict("CONS", Status.VIOLATED, [idx], f"{e.frm} went negative")
-        else:
-            in_flight -= e.amount
-            balances[e.to] = balances.get(e.to, 0) + e.amount
-            if in_flight < 0:
-                return Verdict("CONS", Status.VIOLATED, [idx], "in-flight value went negative")
-        if sum(balances.values()) + in_flight != expected:
-            return Verdict("CONS", Status.VIOLATED, [idx], "total value changed")
-    return Verdict("CONS", Status.HOLDS)
-
-
-def check_authentication(trace: Trace) -> Verdict:
-    """Every message on the wire is either signed by its transmitter or a replay of
-    a message the transmitter had already observed; every verified delivery has a
-    matching send. Byzantine containment, re-derived from the trace alone."""
-    violations: list[int] = []
-    details = []
-    seen_by: dict[ParticipantId, set] = {}
-    sent_keys: set = set()
-    for idx, e in enumerate(trace.entries):
-        if e.rec is Rec.SENT:
-            msg = e.env.msg
-            key = (msg.signer, msg.nonce, msg.payload)
-            sent_keys.add(key)
-            if msg.signer != e.participant and key not in seen_by.get(e.participant, set()):
-                violations.append(idx)
-                details.append(f"{e.participant} emitted {msg.token()} it never observed")
-        elif e.rec is Rec.DELIVERED:
-            msg = e.env.msg
-            key = (msg.signer, msg.nonce, msg.payload)
-            if key not in sent_keys:
-                violations.append(idx)
-                details.append(f"{msg.token()} delivered without a matching send")
-            seen_by.setdefault(e.participant, set()).add(key)
-    if violations:
-        return Verdict("AUTH", Status.VIOLATED, violations, "; ".join(details))
-    return Verdict("AUTH", Status.HOLDS)
+    return fold(trace).bob_paid()
 
 
 def check_promises(trace: Trace) -> list[Verdict]:
@@ -390,13 +484,18 @@ def check_promises(trace: Trace) -> list[Verdict]:
     """
     meta = trace.meta
     params = meta.params
+    own: dict[ParticipantId, list[int]] = {escrow(i): [] for i in range(meta.n)}
+    for idx, entry in enumerate(trace.entries):
+        mine = own.get(entry.participant)
+        if mine is not None:
+            mine.append(idx)
     g_eval = 0
     g_viol: list[int] = []
     p_eval = 0
     p_viol: list[int] = []
     for i in range(meta.n):
         e = escrow(i)
-        if not _compliant(trace, e):
+        if e not in meta.compliant:
             continue
         up = customer(i)
         down = customer(i + 1)
@@ -405,7 +504,7 @@ def check_promises(trace: Trace) -> list[Verdict]:
         chi_local = None
         resolved_up = None
         paid_down = None
-        for idx in trace.index.entries[e]:
+        for idx in own[e]:
             entry = trace.entries[idx]
             if (entry.rec is Rec.DELIVERED and deposit_local is None
                     and entry.env.src == up and isinstance(entry.env.msg.payload, Money)):
@@ -416,20 +515,20 @@ def check_promises(trace: Trace) -> list[Verdict]:
                     if promise_local is None:
                         promise_local = entry.local
                 elif entry.env.dst == up and (isinstance(payload, Money)
-                                              or _is_certificate(entry.env.msg, trace)):
+                                              or _is_certificate(entry.env.msg, meta)):
                     if resolved_up is None:
                         resolved_up = (idx, entry.local)
                 elif entry.env.dst == down and isinstance(payload, Money):
                     if paid_down is None:
                         paid_down = (idx, entry.local)
             elif (entry.rec is Rec.DELIVERED and chi_local is None
-                    and entry.env.src == down and _is_certificate(entry.env.msg, trace)):
+                    and entry.env.src == down and _is_certificate(entry.env.msg, meta)):
                 chi_local = entry.local
         if deposit_local is not None:
             g_eval += 1
             deadline = deposit_local + params.d[i]
             if resolved_up is None or resolved_up[1] > deadline:
-                g_viol.extend(trace.index.entries[e])
+                g_viol.extend(own[e])
         if promise_local is not None and chi_local is not None and chi_local < promise_local + params.a[i]:
             # a certificate that raced ahead of the promise counts as received
             # the instant the promise (and with it the obligation) came to be
@@ -437,7 +536,7 @@ def check_promises(trace: Trace) -> list[Verdict]:
             p_eval += 1
             deadline = v_eff + params.epsilon
             if paid_down is None or paid_down[1] > deadline:
-                p_viol.extend(trace.index.entries[e])
+                p_viol.extend(own[e])
     return [
         Verdict("G_PROMISE", _summarize(g_eval, g_viol), g_viol),
         Verdict("P_PROMISE", _summarize(p_eval, p_viol), p_viol),
@@ -454,39 +553,39 @@ def property_names(variant: str) -> tuple[str, ...]:
 
 def evaluate_all(trace: Trace, bound=None, include_promises: bool = False) -> list[Verdict]:
     """Every applicable verdict for the trace, in report order."""
-    cs = check_customer_security(trace)
+    monitor = fold(trace)
+    cs1, cs2, cs3 = monitor.customer_security(trace)
     verdicts = [
-        check_consistency(trace),
-        check_termination(trace, bound=bound),
-        check_escrow_security(trace),
-        cs.cs1,
-        cs.cs2,
-        cs.cs3,
-        check_liveness(trace),
+        monitor.consistency(),
+        monitor.termination(trace, bound),
+        monitor.escrow_security(),
+        cs1,
+        cs2,
+        cs3,
+        monitor.liveness(trace),
     ]
     if trace.meta.variant == "weak":
-        verdicts.append(check_certificate_consistency(trace))
-    verdicts.append(check_conservation(trace))
-    verdicts.append(check_authentication(trace))
+        verdicts.append(monitor.certificate_consistency())
+    verdicts.append(monitor.conservation())
+    verdicts.append(monitor.authentication())
     if include_promises:
         verdicts.extend(check_promises(trace))
     return verdicts
 
 
-def safety_verdicts(trace: Trace) -> list[Verdict]:
-    """The unconditional-safety subset used by exhaustive exploration."""
-    cs = check_customer_security(trace)
+def safety_verdicts(trace: Trace, monitor: Optional[Monitor] = None) -> list[Verdict]:
+    """The unconditional-safety subset used by exhaustive exploration.
+    `monitor`, if given, has taken in a prefix of the trace; it is fed the rest."""
+    monitor = fold(trace, monitor)
     verdicts = [
-        check_consistency(trace),
-        check_escrow_security(trace),
-        cs.cs1,
-        cs.cs2,
-        cs.cs3,
-        check_conservation(trace),
-        check_authentication(trace),
+        monitor.consistency(),
+        monitor.escrow_security(),
+        *monitor.customer_security(trace),
+        monitor.conservation(),
+        monitor.authentication(),
     ]
     if trace.meta.variant == "weak":
-        verdicts.append(check_certificate_consistency(trace))
+        verdicts.append(monitor.certificate_consistency())
     return verdicts
 
 

@@ -39,12 +39,10 @@ signature; `byzantine_emit` is the chokepoint that enforces this.
 """
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -87,6 +85,7 @@ from .trace import (
     Trace,
     TraceEntry,
     TraceMeta,
+    config_digest,
 )
 
 
@@ -621,8 +620,7 @@ class Scenario:
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.config_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return config_digest(self.config_dict())
 
 
 def _rate_grid(rho: Fraction, points: int = 9) -> list[Fraction]:
@@ -803,6 +801,29 @@ class _Sim:
             if scenario.is_compliant(pid) and not aut.is_terminal()
         )
         self.compliant_total = sum(1 for pid in self.automata if scenario.is_compliant(pid))
+
+        # the trace header's facts; a re-run under another tie-break or receive
+        # order gets a copy naming that policy
+        patience = scenario.resolved_patience()
+        self.meta = TraceMeta(
+            variant=scenario.variant,
+            n=scenario.n,
+            amount=scenario.amount,
+            instance=scenario.instance,
+            seed=scenario.seed,
+            byzantine={p: s.label() for p, s in scenario.byzantine.items()},
+            compliant=frozenset(p for p in scenario.participant_ids()
+                                if scenario.is_compliant(p)),
+            params=self.params,
+            horizon=self.horizon,
+            delta=scenario.delay.delta_bound(),
+            tie_break=scenario.tie_break,
+            rx_order=scenario.rx_order,
+            initial_balances=self.initial_balances,
+            clock_rates={p: self.clocks[p].rate for p in self.clocks},
+            patience=patience,
+            patience_sufficient=patience is None or all(p is None for p in patience),
+        )
 
         self.heap: list[tuple[int, int, int, _Event]] = []
         self.seq = 0
@@ -1108,30 +1129,14 @@ class _Sim:
             if self.compliant_total > 0 and self.pending_compliant == 0:
                 self.stop_reason = STOP_ALL_TERMINAL
 
-        patience = self.sc.resolved_patience()
-        meta = TraceMeta(
-            variant=self.sc.variant,
-            n=self.sc.n,
-            amount=self.sc.amount,
-            instance=self.sc.instance,
-            seed=self.sc.seed,
-            digest=self.sc.digest(),
-            byzantine={p: s.label() for p, s in self.sc.byzantine.items()},
-            compliant=frozenset(p for p in self.sc.participant_ids()
-                                if self.sc.is_compliant(p)),
-            params=self.params,
-            horizon=self.horizon,
-            delta=self.sc.delay.delta_bound(),
-            tie_break=self.sc.tie_break,
-            rx_order=self.sc.rx_order,
-            initial_balances=self.initial_balances,
-            clock_rates={p: self.clocks[p].rate for p in self.clocks},
-            patience=patience,
-            patience_sufficient=patience is None or all(p is None for p in patience),
-        )
+        sc = self.sc
+        meta = self.meta
+        if (sc.tie_break, sc.rx_order) != (meta.tie_break, meta.rx_order):
+            meta = replace(meta, tie_break=sc.tie_break, rx_order=sc.rx_order)
         return Trace(meta=meta, entries=self.entries, stop_reason=self.stop_reason,
                      final_balances=dict(self.ledger.balances),
-                     final_in_flight=self.ledger.in_flight, had_tie=self.had_tie)
+                     final_in_flight=self.ledger.in_flight, had_tie=self.had_tie,
+                     scenario=sc, delay_config=sc.delay.to_config())
 
 
 def run_simulation(scenario: Scenario, sim: Optional[_Sim] = None) -> Trace:

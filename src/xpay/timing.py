@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import ConfigError, as_fraction, customer
+from .core import ConfigError, as_fraction
 from .protocol import TimingParams
 from .simnet import Scenario, Scripted, run_simulation
 from .trace import Trace
@@ -156,7 +156,7 @@ def validate_timeouts(
       connector above the shortened window forwarding the certificate too late
       and waiting forever for her payment: a termination failure.
     """
-    from .properties import Status, bob_paid, check_promises, check_termination
+    from .properties import Status, check_promises, fold
 
     if n != p.n:
         raise ConfigError("hop count does not match the timing parameters")
@@ -167,13 +167,14 @@ def validate_timeouts(
     worst_terminal: Optional[Fraction] = None
     for mode in _clock_modes(p.rho):
         trace = run_simulation(_worst_case_scenario(p, n, mode))
-        paid = bob_paid(trace)
+        monitor = fold(trace)
+        paid = monitor.bob_paid()
         result = SweepResult(mode, paid, trace)
         report.sweeps.append(result)
         if not paid:
             raise ValidationFailed(
                 f"liveness fails at the derived values under clock mode {mode!r}", trace)
-        term = check_termination(trace, bound=bound)
+        term = monitor.termination(trace, bound)
         if term.status is Status.VIOLATED:
             report.within_bound = False
             raise ValidationFailed(
@@ -183,7 +184,7 @@ def validate_timeouts(
                 report.promises_ok = False
                 raise ValidationFailed(
                     f"{verdict.name} dishonored under clock mode {mode!r}", trace)
-        for c in customer_terminal_times(trace, n):
+        for c in monitor.terminal_times():
             if worst_terminal is None or c > worst_terminal:
                 worst_terminal = c
     report.max_customer_terminal = worst_terminal
@@ -197,8 +198,9 @@ def validate_timeouts(
         broke = False
         for mode in _clock_modes(p.rho):
             trace = run_simulation(_worst_case_scenario(reduced, n, mode))
-            paid = bob_paid(trace)
-            term = check_termination(trace, bound=termination_bound(reduced))
+            monitor = fold(trace)
+            paid = monitor.bob_paid()
+            term = monitor.termination(trace, termination_bound(reduced))
             if not paid or term.status is Status.VIOLATED:
                 which = "L" if not paid else "T"
                 report.counterexamples.append(SweepResult(mode, paid, trace, broken=which))
@@ -210,12 +212,3 @@ def validate_timeouts(
     # not a requirement: a positive margin is supposed to leave headroom
     report.passed = True
     return report
-
-
-def customer_terminal_times(trace: Trace, n: int) -> list[Fraction]:
-    out = []
-    for k in range(n + 1):
-        hit = trace.terminal_entry(customer(k))
-        if hit is not None:
-            out.append(hit[1].t)
-    return out

@@ -8,12 +8,13 @@ the same scenario and seed produce byte-identical files.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+import hashlib
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .core import Envelope, ParticipantId, fmt_fraction
 
@@ -84,6 +85,12 @@ class TraceEntry:
         return " ".join(parts)
 
 
+def config_digest(config: dict) -> str:
+    """sha256 of a scenario config, as the trace header and `xpay run --report` name it."""
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 @dataclass
 class TraceMeta:
     """Scenario facts the checkers need, frozen into the trace header."""
@@ -92,7 +99,6 @@ class TraceMeta:
     amount: int
     instance: str
     seed: int
-    digest: str
     byzantine: dict[ParticipantId, str]
     compliant: frozenset[ParticipantId]
     params: object  # TimingParams
@@ -104,13 +110,6 @@ class TraceMeta:
     clock_rates: dict[ParticipantId, Fraction]
     patience: Optional[tuple] = None
     patience_sufficient: bool = True
-
-
-class TraceIndex(NamedTuple):
-    """Per-participant views of a trace; a participant without any reads as []."""
-    entries: defaultdict[ParticipantId, list[int]]  # entry indices, in trace order
-    # (index, +-amount) of each TRANSFERRED entry: "sent" debits frm, "received" credits to
-    transfers: defaultdict[ParticipantId, list[tuple[int, int]]]
 
 
 STOP_ALL_TERMINAL = "all_compliant_terminal"
@@ -126,49 +125,45 @@ class Trace:
     final_balances: dict[ParticipantId, int] = field(default_factory=dict)
     final_in_flight: int = 0
     had_tie: bool = False  # some instant offered the scheduler a real choice
+    # what the header's scenario digest is taken from: the scenario the run was
+    # made from, and its delay model's `to_config()` when the run ended
+    scenario: object = None  # Scenario
+    delay_config: Optional[dict] = None
 
     def participants(self) -> list[ParticipantId]:
         return sorted(self.meta.initial_balances, key=lambda p: p.sort_key)
 
     @cached_property
-    def index(self) -> TraceIndex:
-        """The trace index, built in one pass on first use and never rebuilt.
-
-        The code relies on a trace not being changed once built: the simulator
-        hands it over finished, and nothing appends to or edits `entries` after.
-        """
-        entries = defaultdict(list)
-        transfers = defaultdict(list)
-        transferred = Rec.TRANSFERRED
-        for idx, e in enumerate(self.entries):
-            entries[e.participant].append(idx)
-            if e.rec is transferred:
-                if e.phase == "sent":
-                    transfers[e.frm].append((idx, -e.amount))
-                elif e.phase == "received":
-                    transfers[e.to].append((idx, e.amount))
-        return TraceIndex(entries, transfers)
+    def digest(self) -> str:
+        """sha256 of the scenario the run was made from, taken on first use
+        (only a rendered header shows it), with the delay model as it stood
+        when the run ended."""
+        return config_digest({**self.scenario.config_dict(), "delay_model": self.delay_config})
 
     def net_change(self, p: ParticipantId, upto: Optional[int] = None) -> int:
         """Balance change of `p` over the entry prefix [0, upto] (whole trace if None)."""
         net = 0
-        for idx, amount in self.index.transfers[p]:
+        for idx, e in enumerate(self.entries):
             if upto is not None and idx > upto:
                 break
-            net += amount
+            if e.rec is Rec.TRANSFERRED:
+                if e.phase == "sent" and e.frm == p:
+                    net -= e.amount
+                elif e.phase == "received" and e.to == p:
+                    net += e.amount
         return net
 
     def terminal_entry(self, p: ParticipantId) -> Optional[tuple[int, TraceEntry]]:
-        for idx in self.index.entries[p]:
-            if self.entries[idx].rec is Rec.TERMINAL_REACHED:
-                return idx, self.entries[idx]
+        for idx, e in enumerate(self.entries):
+            if e.rec is Rec.TERMINAL_REACHED and e.participant == p:
+                return idx, e
         return None
 
     def header_lines(self) -> list[str]:
         m = self.meta
         lines = [
             "# xpay-trace v1",
-            f"# scenario sha256={m.digest}",
+            f"# scenario sha256={self.digest}",
             f"# run variant={m.variant} n={m.n} amount={m.amount} instance={m.instance} "
             f"seed={m.seed} horizon={fmt_fraction(m.horizon)} tie_break={m.tie_break} "
             f"rx_order={m.rx_order}",

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from xpay import Scenario, Synchronous, derive_timeouts
+from xpay import Scenario, Synchronous, derive_timeouts, evaluate_all
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -42,6 +42,11 @@ def weak_scenario(n=1, seed=0, patience=None, **kw) -> Scenario:
     )
     defaults.update(kw)
     return Scenario(**defaults)
+
+
+def verdicts_by_name(trace) -> dict:
+    """The trace's `evaluate_all` verdicts, keyed by property name."""
+    return {v.name: v for v in evaluate_all(trace)}
 
 
 def derived(n=1, delta=Fraction(1), pi=Fraction(1, 10), rho=Fraction(0), **kw):

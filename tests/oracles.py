@@ -30,7 +30,6 @@ from xpay.core import (
 from xpay.explore import POLICIES, BranchOutcome, ExploreReport, _DecidedDelays, assignment_label
 from xpay.properties import Status, bob_paid, check_liveness, safety_verdicts
 from xpay.simnet import run_simulation
-from xpay.timing import customer_terminal_times
 from xpay.trace import Rec
 
 
@@ -366,9 +365,11 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, on_branch=
                 paid = policy[0] != "receive_first" or (
                     live.status is Status.HOLDS or (
                         live.status is not Status.VIOLATED and bob_paid(trace)))
-                for t in customer_terminal_times(trace, base.n):
-                    if report.max_customer_terminal is None or t > report.max_customer_terminal:
-                        report.max_customer_terminal = t
+                for k in range(base.n + 1):
+                    hit = trace.terminal_entry(customer(k))
+                    if hit is not None and (report.max_customer_terminal is None
+                                            or hit[1].t > report.max_customer_terminal):
+                        report.max_customer_terminal = hit[1].t
                 outcome = BranchOutcome(label, policy, tuple(decisions), verdicts, trace)
                 if on_branch is not None:
                     on_branch(outcome)

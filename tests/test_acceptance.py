@@ -77,7 +77,8 @@ def test_acceptance_2_safety_under_byzantium():
     """Exhaustive n=1 exploration: 3-point grid, both tie-break orders, every
     Byzantine subset with the full strategy battery: zero safety violations on
     any branch, and the checkers coincide with the independent brute-force
-    evaluator on every branch. Under 5 min."""
+    evaluator on every branch, both as the explorer's forked monitors decided
+    them and as a whole-trace check decides them. Under 5 min."""
     started = time.monotonic()
     base = strong_scenario(delay=Synchronous(F(1), grid=(F(1, 4), F(1, 2), F(1))))
     assignments = battery_assignments(base)
@@ -90,6 +91,11 @@ def test_acceptance_2_safety_under_byzantium():
         for name, want in oracle.items():
             if lib[name] != want:
                 mismatches.append((outcome.assignment_label, name, lib[name], want))
+        # the oracle has no CONS or AUTH; those are held to the whole-trace check
+        for v in outcome.verdicts:
+            want = oracle.get(v.name, lib[v.name])
+            if v.status.value != want:
+                mismatches.append((outcome.assignment_label, v.name, v.status.value, want))
 
     report = explore(base, assignments=assignments, budget=500_000,
                      on_branch=coincide)

@@ -209,7 +209,21 @@ def test_explore_full_battery_exit_0(configs, capsys, monkeypatch):
     fields = dict(field.split("=") for field in second[1:])
     assert fields["entries"] == "52219" and fields["tie_reruns"] == "282"
     assert 0 < int(fields["entries_simulated"]) < 52219
+    # each branch's monitor takes in only the entries the branch simulates
+    assert fields["entries_checked"] == fields["entries_simulated"] == "21127"
     assert fields["leaf_depths"] == "0:84,1:48,2:99,3:126,4:189,5:243,6:729"
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--runs", "2"]])
+def test_battery_config_is_a_config_error_outside_explore(configs, capsys, command):
+    """`"byzantine": "battery"` names a family of assignments that only
+    `explore` enumerates; a single run or a sweep refuses it as a config error."""
+    path = str(configs / "explore_strong_battery_n1.json")
+    assert main([command[0], path, *command[1:]]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ('config error: byzantine must be an object of participant to '
+                            'strategy ("battery" is for xpay explore only)\n')
 
 
 def test_explore_weak_patience_grid(tmp_path, capsys):

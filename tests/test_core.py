@@ -7,10 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from xpay.core import (
+    AbortCert,
+    AbortReq,
     AuthorizationError,
     Certificate,
+    CommitCert,
+    CommitReq,
     ConfigError,
     Guarantee,
+    LockNotice,
     InsufficientFunds,
     Ledger,
     Money,
@@ -44,6 +49,27 @@ def test_payload_invariants():
         Money("pay0", 0)
     assert Money("pay0", 3).token() == "$[pay0,3]"
     assert Guarantee("pay0", Fraction(23, 10)).token() == "G[pay0,d=23/10]"
+
+
+def test_payload_hash_is_the_hash_of_its_fields():
+    """Each payload's hash, taken once at construction, is the value its frozen
+    dataclass derives from its fields; equal payloads hash alike."""
+    chi = sign(Certificate("pay0"), customer(1), SigningKey(customer(1)))
+    payloads = [
+        (Guarantee("pay0", 3), ("pay0", Fraction(3))),
+        (Promise("pay0", Fraction(5, 2)), ("pay0", Fraction(5, 2))),
+        (Money("pay0", 1), ("pay0", 1)),
+        (Certificate("pay0"), ("pay0",)),
+        (AbortCert("pay0"), ("pay0",)),
+        (CommitCert("pay0"), ("pay0",)),
+        (LockNotice("pay0", 2), ("pay0", 2)),
+        (CommitReq("pay0", chi), ("pay0", chi)),
+        (AbortReq("pay0"), ("pay0",)),
+    ]
+    for payload, values in payloads:
+        assert hash(payload) == hash(values), payload
+        assert hash(type(payload)(*values)) == hash(payload)
+    assert len({Money("pay0", 1), Money("pay0", 1), Money("pay0", 2)}) == 2
 
 
 def test_sign_verify_round_trip():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,8 +9,12 @@ import pytest
 
 from conftest import strong_scenario, weak_scenario
 from oracles import rerun_explore
-from xpay.core import customer, escrow
+from xpay import simnet
+from xpay.automata import Fresh, Machine, State, StateKind, Transition
+from xpay.core import Certificate, Envelope, Money, SigningKey, customer, escrow, sign
 from xpay.explore import POLICIES, battery_assignments, explore
+from xpay.properties import Status
+from xpay.protocol import make_strong_participants
 from xpay.simnet import StrategySpec, Synchronous, _Sim, run_simulation
 
 F = Fraction
@@ -56,15 +61,63 @@ def test_checkpointed_exploration_matches_the_rerun_reference(case):
     got, report = branch_sequence(explore, base, **kw)
     assert len(got) == branches
     assert got == want
+    assert_same_report(report, want_report)
+    assert report.complete == (branches < kw.get("budget", 200_000))
+    assert sum(report.leaf_depths.values()) + report.tie_reruns == report.branches
+    # only suffixes were simulated, and only they were fed to the monitors
+    assert 0 < report.entries_simulated < report.entries == want_report.entries_simulated
+    assert report.entries_checked == report.entries_simulated
+
+
+def assert_same_report(report, want_report):
     for name in ("branches", "complete", "counts", "bob_paid_everywhere",
                  "max_customer_terminal", "entries", "tie_reruns", "leaf_depths"):
         assert getattr(report, name) == getattr(want_report, name), name
     assert ([(v.assignment_label, v.policy, v.decisions) for v in report.violations]
             == [(v.assignment_label, v.policy, v.decisions) for v in want_report.violations])
-    assert report.complete == (branches < kw.get("budget", 200_000))
-    assert sum(report.leaf_depths.values()) + report.tie_reruns == report.branches
-    # only suffixes were simulated
-    assert 0 < report.entries_simulated < report.entries == want_report.entries_simulated
+
+
+def broken_roster(params, pay):
+    """The strong n=1 roster with three compliant participants that break the
+    protocol: Alice goes terminal right after paying, Bob right after issuing
+    his certificate, and the escrow refunds twice."""
+    roster = dict(make_strong_participants(params, pay))
+    money = Fresh(Money(pay.instance, pay.amount))
+    alice, bob, e0 = customer(0), customer(1), escrow(0)
+
+    def rewire(pid, **states):
+        machine = roster[pid]
+        roster[pid] = Machine(machine.id, {**machine.states, **states}, machine.initial)
+
+    rewire(alice, pay_escrow=State("pay_escrow", StateKind.OUTPUT, (
+        Transition("refunded", emits=((e0, money),)),)))
+    rewire(bob, issue_certificate=State("issue_certificate", StateKind.OUTPUT, (
+        Transition("paid", emits=((e0, Fresh(Certificate(pay.instance))),)),)))
+    rewire(e0, resolve_refund=State("resolve_refund", StateKind.OUTPUT, (
+        Transition("refund_again", emits=((alice, money),)),)),
+        refund_again=State("refund_again", StateKind.OUTPUT, (
+            Transition("refunded", emits=((alice, money),)),)))
+    return roster
+
+
+def test_forked_violations_and_witnesses_match_the_rerun_reference(monkeypatch):
+    """Branches that violate safety get the same verdict lines, witnesses
+    included, from the forked monitors as from checking each whole trace. The
+    broken roster and a certificate delivered with no matching send make C,
+    CS1, CS2 and AUTH fail across the n=1 battery."""
+    monkeypatch.setattr(simnet, "make_strong_participants", broken_roster)
+    chi = sign(Certificate("pay0"), customer(1), SigningKey(customer(1)))
+    base = strong_scenario(delay=Synchronous(F(1), grid=GRID3),
+                           raw_injections=((F(3), Envelope(customer(1), escrow(0), chi)),))
+    kw = {"assignments": battery_assignments(base)}
+    want, want_report = branch_sequence(rerun_explore, base, **kw)
+    got, report = branch_sequence(explore, base, **kw)
+    assert got == want
+    assert_same_report(report, want_report)
+    assert report.entries_checked == report.entries_simulated < report.entries
+    violated = Counter(v.name for outcome in report.violations for v in outcome.verdicts
+                       if v.status is Status.VIOLATED)
+    assert set(violated) == {"C", "CS1", "CS2", "AUTH"}, violated
 
 
 @pytest.mark.parametrize("scenario", [

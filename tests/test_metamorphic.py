@@ -1,6 +1,6 @@
 """Property-based differential and metamorphic tests over generated scenarios.
 
-Scenarios: strong or weak, n <= 3, rational delta, pi and rho, a grid of 1-4
+Scenarios: strong or weak, n <= 4, rational delta, pi and rho, a grid of 1-4
 points in (0, delta], one of four clock modes, at most one Byzantine member
 running an applicable battery strategy, and on weak runs a random patience per
 customer.
@@ -46,7 +46,7 @@ def positive_rationals(max_num: int, max_den: int):
 @st.composite
 def scenarios(draw):
     variant = draw(st.sampled_from(("strong", "weak")))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
     delta = draw(positive_rationals(9, 7))
     # grid points k/m * delta, 0 < k <= m: inside (0, delta]
     grid = draw(st.lists(st.builds(lambda m, k: delta * min(k, m) / m,

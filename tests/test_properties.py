@@ -2,20 +2,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from conftest import derived, strong_scenario, weak_scenario
+from conftest import derived, strong_scenario, verdicts_by_name, weak_scenario
 from oracles import brute_force_statuses
 from xpay.automata import Automaton, Fresh, Machine, State, StateKind, Transition
 from xpay.core import Money, customer, escrow
 from xpay.properties import (
+    Monitor,
     Status,
-    check_certificate_consistency,
-    check_conservation,
-    check_consistency,
-    check_customer_security,
-    check_escrow_security,
     check_liveness,
     check_termination,
     evaluate_all,
+    property_names,
+    safety_verdicts,
 )
 from xpay.simnet import Scripted, ScriptRule, StrategySpec, Synchronous, run_simulation
 from xpay.trace import Rec, Trace
@@ -59,10 +57,10 @@ def test_late_certificate_violates_liveness_with_witness():
     assert live.witness
     assert all(trace.entries[i].participant == customer(1) for i in live.witness)
     # safety still fine
-    assert check_escrow_security(trace).status is Status.HOLDS
-    cs = check_customer_security(trace)
-    assert cs.cs1.status is Status.HOLDS
-    assert check_conservation(trace).status is Status.HOLDS
+    verdicts = verdicts_by_name(trace)
+    assert verdicts["ES"].status is Status.HOLDS
+    assert verdicts["CS1"].status is Status.HOLDS
+    assert verdicts["CONS"].status is Status.HOLDS
 
 
 def test_witness_validity_replaying_witness_participants_retriggers():
@@ -105,7 +103,7 @@ def test_deliberate_double_refund_breaks_consistency():
     the oracle is the ledger itself."""
     sc = strong_scenario(seed=4, timing=derived(1))
     base = run_simulation(sc)
-    assert check_consistency(base).status is Status.HOLDS
+    assert verdicts_by_name(base)["C"].status is Status.HOLDS
 
     from xpay.protocol import make_escrow
 
@@ -130,15 +128,46 @@ def test_deliberate_double_refund_breaks_consistency():
     sim.automata[pid] = Automaton(broken_escrow(0, sim.params, sim.pay),
                                   sim.clocks[pid], sim.keys[pid])
     trace = sim.run()
-    verdict = check_consistency(trace)
+    verdict = verdicts_by_name(trace)["C"]
     assert verdict.status is Status.VIOLATED
     assert verdict.witness
     assert any(trace.entries[i].rec is Rec.IMPOSSIBLE_STEP for i in verdict.witness)
 
 
+def test_monitor_copies_share_no_state():
+    """Copies of one monitor, each fed its own continuation, give each the
+    verdicts of checking it whole, even after another copy took in a
+    continuation that would mask its violation."""
+    trace = run_simulation(strong_scenario(seed=1))
+    bob_sends = next(i for i, e in enumerate(trace.entries)
+                     if e.rec is Rec.SENT and e.participant == customer(1))
+    e0_receives = next(i for i, e in enumerate(trace.entries)
+                       if e.rec is Rec.DELIVERED and e.participant == escrow(0)
+                       and e.env.msg.signer == customer(1))
+    entries = trace.entries
+    continuations = {
+        "as run": entries,
+        # e0 relays Bob's certificate to Alice without having received it
+        "relay unobserved": entries[:e0_receives] + entries[e0_receives + 1:],
+        # e0 receives Bob's certificate that he never sent
+        "delivery unsent": entries[:bob_sends] + entries[bob_sends + 1:],
+    }
+    prefix = Monitor(trace.meta)
+    prefix.feed(entries[:bob_sends])
+    lines = {}
+    for name, branch in continuations.items():
+        whole = Trace(meta=trace.meta, entries=branch)
+        lines[name] = [v.line() for v in safety_verdicts(whole, prefix.copy())]
+        assert lines[name] == [v.line() for v in safety_verdicts(whole)], name
+    assert "AUTH: HOLDS" in lines["as run"]
+    assert "never observed" in lines["relay unobserved"][-1]
+    assert "without a matching send" in lines["delivery unsent"][-1]
+
+
 def test_certificate_consistency_inapplicable_on_strong_traces():
     trace = run_simulation(strong_scenario(seed=5))
-    assert check_certificate_consistency(trace).status is Status.INAPPLICABLE
+    assert "CC" not in verdicts_by_name(trace)
+    assert "CC" not in property_names("strong")
 
 
 def test_conservation_on_empty_trace():
@@ -146,7 +175,7 @@ def test_conservation_on_empty_trace():
         byzantine={escrow(0): StrategySpec("silent"),
                    customer(0): StrategySpec("silent"),
                    customer(1): StrategySpec("silent")}))
-    assert check_conservation(trace).status is Status.HOLDS
+    assert verdicts_by_name(trace)["CONS"].status is Status.HOLDS
 
 
 # ----------------------------------------------------- brute-force coincidence

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import derived, strong_scenario, weak_scenario
+from conftest import derived, strong_scenario, verdicts_by_name, weak_scenario
 from xpay.automata import LocalClock, Timeout
 from xpay.core import (
     Certificate,
@@ -96,9 +96,10 @@ def test_all_silent_run_moves_no_value():
     trace = run_simulation(strong_scenario(byzantine=byz))
     assert [e for e in trace.entries if e.rec is Rec.TRANSFERRED] == []
     assert trace.final_balances == trace.meta.initial_balances
-    from xpay.properties import check_conservation, check_consistency, Status
-    assert check_consistency(trace).status is Status.HOLDS
-    assert check_conservation(trace).status is Status.HOLDS
+    from xpay.properties import Status
+    verdicts = verdicts_by_name(trace)
+    assert verdicts["C"].status is Status.HOLDS
+    assert verdicts["CONS"].status is Status.HOLDS
 
 
 def test_partial_sync_delivers_after_stabilization():
@@ -207,11 +208,11 @@ def test_greedy_escrow_takes_the_money_and_gives_nothing():
     assert terminal_state(trace, customer(2)) == "paid"
     assert trace.final_balances[customer(1)] == 0  # the connector's loss...
     # ...is unprotected: both of her clauses name her escrows, one is byzantine
-    from xpay.properties import check_customer_security, check_escrow_security, Status
-    cs = check_customer_security(trace)
-    assert cs.cs1.status is Status.VACUOUS
-    assert cs.cs3.status is Status.VACUOUS
-    assert check_escrow_security(trace).status is Status.HOLDS  # e1 lost nothing
+    from xpay.properties import Status
+    verdicts = verdicts_by_name(trace)
+    assert verdicts["CS1"].status is Status.VACUOUS
+    assert verdicts["CS3"].status is Status.VACUOUS
+    assert verdicts["ES"].status is Status.HOLDS  # e1 lost nothing
 
 
 def test_delay_own_sends_pushes_certificate_past_the_window():
@@ -224,9 +225,10 @@ def test_replayer_cannot_break_anything(tmp_path):
     byz = {customer(0): StrategySpec("replayer")}
     trace = run_simulation(strong_scenario(byzantine=byz, seed=8))
     # replays are attributable: every sent message verifies for its signer
-    from xpay.properties import check_authentication, check_conservation, Status
-    assert check_authentication(trace).status is Status.HOLDS
-    assert check_conservation(trace).status is Status.HOLDS
+    from xpay.properties import Status
+    verdicts = verdicts_by_name(trace)
+    assert verdicts["AUTH"].status is Status.HOLDS
+    assert verdicts["CONS"].status is Status.HOLDS
 
 
 def test_replayed_certificate_from_another_instance_is_inert():

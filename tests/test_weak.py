@@ -4,10 +4,10 @@ import itertools
 from dataclasses import replace
 from fractions import Fraction
 
-from conftest import weak_scenario
+from conftest import verdicts_by_name, weak_scenario
 from xpay.core import AbortCert, CommitCert, customer, escrow, manager
 from xpay.explore import battery_assignments
-from xpay.properties import Status, evaluate_all, check_certificate_consistency
+from xpay.properties import Status, evaluate_all
 from xpay.simnet import PartialSync, Scripted, ScriptRule, StrategySpec, run_simulation
 from xpay.trace import Rec
 
@@ -96,7 +96,7 @@ def test_abort_request_after_commit_is_answered_with_the_commit():
                   and type(e.env.msg.payload).__name__ == "AbortReq"]
         if aborts:
             assert reanswers
-    assert check_certificate_consistency(trace).status is Status.HOLDS
+    assert verdicts_by_name(trace)["CC"].status is Status.HOLDS
     assert all(v.holds for v in evaluate_all(trace))
 
 
