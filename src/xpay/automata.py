@@ -35,6 +35,7 @@ from .core import (
     SigningKey,
     as_fraction,
     sign,
+    to_ticks,
     verify,
 )
 
@@ -58,9 +59,17 @@ class LocalClock:
         object.__setattr__(self, "offset", as_fraction(self.offset, "clock offset"))
         if self.rate <= 0:
             raise ConfigError("clock rate must be strictly positive")
+        # local time is real time; not a field, so equality and hash ignore it
+        object.__setattr__(self, "is_identity", self.rate == 1 and not self.offset)
 
     def local_time(self, real_time: Fraction) -> Fraction:
         local = self.rate * real_time
+        return local + self.offset if self.offset else local
+
+    def local_at_tick(self, tick: int, scale: int) -> Fraction:
+        """local_time(tick / scale), made as one Fraction from integers."""
+        rate = self.rate
+        local = Fraction(rate.numerator * tick, rate.denominator * scale)
         return local + self.offset if self.offset else local
 
     def real_time_of_deadline(self, local_deadline: Fraction) -> Fraction:
@@ -217,9 +226,20 @@ class Machine:
         return SigningKey(self.id, self.nonces_spent)
 
 
+# `Automaton.due` before the current state's deadline has been worked out
+UNARMED = "unarmed"
+
+
 @dataclass
 class Automaton:
-    """One run of a machine: its clock and key, and the state the run has reached."""
+    """One run of a machine: its clock and key, and the state the run has reached.
+
+    Times given to `enabled_transitions` count ticks of 1/`scale` (the engine
+    sets its run's scale), or real time when `scale` is None. `due` is when
+    the current state's timeout falls due on that axis, None if never; it is
+    worked out on first use after each step, since only a step changes the
+    state and the clock variables.
+    """
     machine: Machine
     clock: LocalClock = field(default_factory=LocalClock)
     key: Optional[SigningKey] = None
@@ -228,6 +248,8 @@ class Automaton:
     captured: dict[str, SignedMessage] = field(default_factory=dict)
     inbox: list[Envelope] = field(default_factory=list)
     stuck: bool = False
+    scale: Optional[int] = None
+    due: Union[int, Fraction, None, str] = UNARMED
 
     def __post_init__(self):
         if not self.current:
@@ -257,9 +279,26 @@ class Automaton:
                 return tr
         return None
 
-    def enabled_transitions(self, real_time: Fraction) -> list[Enabled]:
-        """Enabled transitions of the current input state: receives matched against the
-        buffered inbox (oldest matching message per guard), plus the timeout if due.
+    def deadline(self) -> Union[int, Fraction, None]:
+        """When the current state's timeout falls due, on the axis of `scale`;
+        None when the state has no timeout or its clock variable is unset."""
+        due = self.due
+        if due is UNARMED:
+            due = None
+            tr = self.timeout_guard()
+            if tr is not None:
+                local = tr.guard.local_deadline(self.clock_vars, self.clock)
+                if local is not None:
+                    due = self.clock.real_time_of_deadline(local)
+                    if self.scale is not None:
+                        due = to_ticks(due, self.scale, "timeout deadline")
+            self.due = due
+        return due
+
+    def enabled_transitions(self, now: Union[int, Fraction]) -> list[Enabled]:
+        """Enabled transitions of the current input state at `now` (on the axis
+        of `scale`): receives matched against the buffered inbox (oldest
+        matching message per guard), plus the timeout if due.
 
         Order: declaration order, receives carrying their matched envelope. The
         scheduler applies its tie-break policy on top of this list.
@@ -275,8 +314,8 @@ class Automaton:
                         out.append((tr, env))
                         break
             else:
-                deadline = tr.guard.local_deadline(self.clock_vars, self.clock)
-                if deadline is not None and self.now(real_time) >= deadline:
+                due = self.deadline()
+                if due is not None and now >= due:
                     out.append((tr, None))
         return out
 
@@ -310,4 +349,5 @@ class Automaton:
                 msg = sign(spec.payload, self.id, self.key)
             emissions.append(Envelope(self.id, recipient, msg))
         self.current = transition.target
+        self.due = UNARMED
         return emissions

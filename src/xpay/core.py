@@ -51,6 +51,14 @@ class ParticipantId:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        # ids are shared, so equal ids are nearly always one object
+        if self is other:
+            return True
+        if other.__class__ is not ParticipantId:
+            return NotImplemented
+        return self.kind is other.kind and self.index == other.index
+
     def __str__(self) -> str:
         return self._str
 
@@ -126,6 +134,15 @@ def fmt_fraction(x: Fraction) -> str:
     """Render a rational (or an int) as num/den, denominator always explicit
     (bit-exact trace fields)."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def to_ticks(x: Fraction, scale: int, what: str) -> int:
+    """`x` as a whole number of ticks of 1/scale. Raises ConfigError naming `x`
+    when it falls between two ticks; never rounds."""
+    ticks, rest = divmod(x.numerator * scale, x.denominator)
+    if rest:
+        raise ConfigError(f"{what} {fmt_fraction(x)} falls between the run's ticks of 1/{scale}")
+    return ticks
 
 
 # --------------------------------------------------------------------------- payloads
@@ -324,12 +341,14 @@ def sign(payload: Payload, signer: ParticipantId, key: SigningKey) -> SignedMess
 
 def verify(msg: SignedMessage, claimed_signer: ParticipantId) -> bool:
     """True iff `msg` was produced by sign() with `claimed_signer`'s key (relays included)."""
+    seal = msg.seal
     return (
-        msg.seal.mint is _MINT
+        seal.mint is _MINT
         and msg.signer == claimed_signer
-        and msg.seal.issuer == claimed_signer
-        and msg.seal.payload == msg.payload
-        and msg.seal.nonce == msg.nonce
+        and seal.issuer == claimed_signer
+        # sign() seals the message's own payload object, so equality is rarely compared
+        and (seal.payload is msg.payload or seal.payload == msg.payload)
+        and seal.nonce == msg.nonce
     )
 
 

@@ -30,7 +30,7 @@ stated properties by the checker suite rather than against a reference.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
@@ -100,6 +100,9 @@ class TimingParams:
     output-state processing budget. delta: the delivery bound the values were
     derived against. rho: clock drift bound. mu: safety margin folded into the
     derived values and the termination bound.
+
+    It is hashed once, at construction, to the value the frozen dataclass
+    would compute: the memoised roster builders are keyed by it on every run.
     """
     n: int
     a: tuple[Fraction, ...]
@@ -128,6 +131,10 @@ class TimingParams:
             raise ConfigError("delivery bound must be strictly positive")
         if self.pi < 0 or self.rho < 0 or self.mu < 0 or self.epsilon < 0:
             raise ConfigError("pi, rho, mu, epsilon must be non-negative")
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -498,7 +505,8 @@ def make_weak_participants(
 
     `patience` has one entry per customer c_0..c_n; None means unbounded.
     Memoised by (params, pay, patience as a tuple of Fractions): equal
-    arguments get the same read-only roster.
+    arguments get the same read-only roster, and rosters that differ only in
+    patience hold the same escrow definitions.
     """
     if len(patience) != params.n + 1:
         raise ConfigError(f"need {params.n + 1} patience entries, got {len(patience)}")
@@ -509,9 +517,16 @@ def make_weak_participants(
 
 
 @functools.lru_cache(maxsize=_DEFINITIONS_CACHED)
+def _weak_escrows(params: TimingParams, pay: PaymentInstance) -> tuple[Machine, ...]:
+    """The weak escrows, which do not depend on patience: one set serves every
+    patience vector."""
+    return tuple(_weak_escrow(i, params, pay) for i in range(params.n))
+
+
+@functools.lru_cache(maxsize=_DEFINITIONS_CACHED)
 def _weak_roster(params: TimingParams, pay: PaymentInstance,
                  patience: tuple[Patience, ...]) -> Mapping[ParticipantId, Machine]:
-    roster = {escrow(i): _weak_escrow(i, params, pay) for i in range(params.n)}
+    roster = {machine.id: machine for machine in _weak_escrows(params, pay)}
     for i in range(params.n):
         roster[customer(i)] = _weak_depositor(i, params, pay, patience[i])
     roster[pay.bob] = _weak_bob(params, pay, patience[params.n])

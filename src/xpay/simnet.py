@@ -12,11 +12,17 @@ pi, of every delay the delay model lists, of each timeout's real length
 delay/rate, of the strategies' own delays and of the injection instants, so
 every instant of the run is a whole number of ticks. Event times, heap keys,
 delivery delays, timeout deadlines and the horizon test are int arithmetic;
-`to_ticks` is the one conversion in, and it raises rather than round. Fractions
-are made only where time leaves the loop: each instant's Fraction once, each
-participant's local time once per instant, and a delivery delay once per
-distinct length. Trace entries, `StrategyContext.now`, the `t` passed to
-`delay_for` and the automata see those Fractions.
+`to_ticks` is the one conversion in, and it raises rather than round. Each
+delay object the delay model returns is converted once. A timeout deadline is
+a tick: it is worked out once when its state is entered, kept with the
+automaton's run state (`Automaton.due`, and in a `Snapshot`), and "is this
+timeout due" is one int comparison. Fractions are made only where time
+leaves the loop: each instant's Fraction once; each participant's local time
+once per instant, as one Fraction built from integers (an identity clock
+reuses the instant's); a delivery delay once per distinct length; the
+deadline of a state entered with a timeout; and the local deadline each
+TIMEOUT_FIRED entry records. Trace entries, `StrategyContext.now`, the `t`
+passed to `delay_for` and `Automaton.step` see those Fractions.
 
 A run can be branched. Between two instants its whole state is a `Snapshot`,
 a plain value: the event heap and its sequence counter, the current instant,
@@ -46,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .automata import Automaton, LocalClock, StateKind, Timeout
+from .automata import Automaton, LocalClock, StateKind
 from .core import (
     AbortReq,
     Certificate,
@@ -68,6 +74,7 @@ from .core import (
     fmt_fraction,
     manager,
     sign,
+    to_ticks,
     verify,
 )
 from .protocol import (
@@ -642,22 +649,24 @@ def assign_clocks(scenario: Scenario) -> dict[ParticipantId, LocalClock]:
     if mode == "auto":
         mode = "identity" if rho == 0 else "seeded"
     participants = sorted(scenario.participant_ids(), key=lambda p: p.sort_key)
-    lo = Fraction(1) / (1 + rho)
-    hi = 1 + rho
+    # clocks are values; participants with the same rate share one
+    one = LocalClock()
+    lo = LocalClock(Fraction(1) / (1 + rho))
+    hi = LocalClock(1 + rho)
 
-    def fixed(escrow_rate: Fraction, customer_rate: Fraction) -> dict[ParticipantId, LocalClock]:
+    def fixed(escrow_clock: LocalClock, customer_clock: LocalClock) -> dict[ParticipantId, LocalClock]:
         out = {}
         for p in participants:
             if p.kind is ParticipantKind.ESCROW:
-                out[p] = LocalClock(escrow_rate)
+                out[p] = escrow_clock
             elif p.kind is ParticipantKind.CUSTOMER:
-                out[p] = LocalClock(customer_rate)
+                out[p] = customer_clock
             else:
-                out[p] = LocalClock(Fraction(1))
+                out[p] = one
         return out
 
     if mode == "identity":
-        return {p: LocalClock() for p in participants}
+        return fixed(one, one)
     if mode == "worst_case":
         return fixed(hi, lo)
     if mode == "escrows_slow":
@@ -667,20 +676,11 @@ def assign_clocks(scenario: Scenario) -> dict[ParticipantId, LocalClock]:
     if mode == "all_slow":
         return fixed(lo, lo)
     rng = random.Random(f"{scenario.seed}:clocks")
-    grid = _rate_grid(rho)
-    return {p: LocalClock(grid[rng.randrange(len(grid))]) for p in participants}
+    grid = [LocalClock(rate) for rate in _rate_grid(rho)]
+    return {p: grid[rng.randrange(len(grid))] for p in participants}
 
 
 # --------------------------------------------------------------------- the engine
-
-def to_ticks(x: Fraction, scale: int, what: str) -> int:
-    """`x` as a whole number of ticks of 1/scale. Raises ConfigError naming `x`
-    when it falls between two ticks; never rounds."""
-    ticks, rest = divmod(x.numerator * scale, x.denominator)
-    if rest:
-        raise ConfigError(f"{what} {fmt_fraction(x)} falls between the run's ticks of 1/{scale}")
-    return ticks
-
 
 def time_scale(sc: Scenario, automata: dict[ParticipantId, Automaton],
                strategies: dict[ParticipantId, Strategy]) -> int:
@@ -701,13 +701,14 @@ def time_scale(sc: Scenario, automata: dict[ParticipantId, Automaton],
     return math.lcm(*(x.denominator for x in lengths))
 
 
-@dataclass
-class _Event:
-    kind: str  # deliver | output_done | timeout | send_later
-    env: Optional[Envelope] = None
-    pid: Optional[ParticipantId] = None
-    state: Optional[str] = None
-    sent_at: int = 0  # deliver: the send instant, in ticks
+# An event is a plain tuple on the heap, (tick, priority, seq, kind, a, b):
+#   _DELIVER      a = envelope, b = the send instant in ticks
+#   _OUTPUT_DONE  a = participant, b = the output state it was scheduled in
+#   _TIMEOUT      a = participant, b = the input state whose timeout it is
+#   _SEND_LATER   a = envelope, b = None
+# Deliveries have priority 0 and everything else 1, and no two events share
+# a seq, so tuples never compare past it.
+_DELIVER, _OUTPUT_DONE, _TIMEOUT, _SEND_LATER = range(4)
 
 
 class _Generator(random.Random):
@@ -748,7 +749,7 @@ class Snapshot(NamedTuple):
     balances: tuple  # ((pid, balance), ...)
     in_flight: int
     rng: Optional[tuple]  # None while the generator has drawn nothing
-    automata: tuple  # per automaton: (current, clock_vars, captured, inbox, stuck)
+    automata: tuple  # per automaton: (current, clock_vars, captured, inbox, stuck, due)
     nonces: tuple  # per key, the next nonce
     strategies: tuple  # per strategy, its own `snapshot()`
     vaults: tuple
@@ -825,7 +826,7 @@ class _Sim:
             patience_sufficient=patience is None or all(p is None for p in patience),
         )
 
-        self.heap: list[tuple[int, int, int, _Event]] = []
+        self.heap: list[tuple] = []
         self.seq = 0
         self.started = False
         self.scale = 1  # ticks per time unit; the t=0 setup fixes it before the first event
@@ -835,6 +836,9 @@ class _Sim:
         self.now = Fraction(0)
         self.local_now: dict[ParticipantId, Fraction] = {}  # local times at `now`
         self.transit_times: dict[int, Fraction] = {}  # delivery delays by their length in ticks
+        # the length in ticks of each delay object the delay model returned,
+        # keyed by id and holding the object so that its id is not reused
+        self.delay_ticks: dict[int, tuple[Fraction, int]] = {}
         self.send_index = 0
         self.entries: list[TraceEntry] = []
         self.had_tie = False
@@ -861,7 +865,7 @@ class _Sim:
             in_flight=self.ledger.in_flight,
             rng=self.rng.getstate() if self.rng.drawn else None,
             automata=tuple((a.current, dict(a.clock_vars), dict(a.captured), tuple(a.inbox),
-                            a.stuck) for a in self.automata.values()),
+                            a.stuck, a.due) for a in self.automata.values()),
             nonces=tuple(key.nonce for key in self.keys.values()),
             strategies=tuple(s.snapshot() for s in self.strategies.values()),
             vaults=tuple(tuple(v) for v in self.vaults.values()),
@@ -888,13 +892,14 @@ class _Sim:
         elif self.rng.drawn:
             self.rng.seed(f"{self.sc.seed}:delays")
             self.rng.drawn = False
-        for aut, (current, clock_vars, captured, inbox, stuck) in zip(
+        for aut, (current, clock_vars, captured, inbox, stuck, due) in zip(
                 self.automata.values(), snap.automata):
             aut.current = current
             aut.clock_vars = dict(clock_vars)
             aut.captured = dict(captured)
             aut.inbox = list(inbox)
             aut.stuck = stuck
+            aut.due = due
         for key, nonce in zip(self.keys.values(), snap.nonces):
             key.nonce = nonce
         for strategy, state in zip(self.strategies.values(), snap.strategies):
@@ -904,24 +909,29 @@ class _Sim:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def schedule(self, tick: int, ev: _Event) -> None:
+    def schedule(self, tick: int, kind: int, a, b) -> None:
         # Deliveries sort before automaton steps at the same instant: a message
         # arriving exactly at a deadline must be in the inbox when the
         # scheduler applies its tie-break, and simultaneous arrivals must all
         # be visible before any of them can fire a transition.
-        priority = 0 if ev.kind == "deliver" else 1
-        heapq.heappush(self.heap, (tick, priority, self.seq, ev))
+        heapq.heappush(self.heap, (tick, 0 if kind == _DELIVER else 1, self.seq, kind, a, b))
         self.seq += 1
 
-    def entry(self, rec: Rec, pid: ParticipantId, **kw) -> TraceEntry:
+    def entry(self, rec: Rec, pid: ParticipantId, env: Optional[Envelope] = None,
+              delay: Optional[Fraction] = None, state: Optional[str] = None,
+              deadline: Optional[Fraction] = None, frm: Optional[ParticipantId] = None,
+              to: Optional[ParticipantId] = None, amount: Optional[int] = None,
+              phase: Optional[str] = None, reason: Optional[str] = None,
+              discarded: int = 0) -> None:
         """Record `rec` for `pid` at the current instant."""
         local = self.local_now.get(pid)
         if local is None:
-            local = self.local_now[pid] = self.clocks[pid].local_time(self.now)
-        e = TraceEntry(t=self.now, seq=len(self.entries), participant=pid,
-                       local=local, rec=rec, **kw)
-        self.entries.append(e)
-        return e
+            clock = self.clocks[pid]
+            local = self.local_now[pid] = (self.now if clock.is_identity
+                                           else clock.local_at_tick(self.tick, self.scale))
+        entries = self.entries
+        entries.append(TraceEntry(self.now, len(entries), pid, local, rec, env, delay, state,
+                                  deadline, frm, to, amount, phase, reason, discarded))
 
     def ctx(self, pid: ParticipantId) -> StrategyContext:
         return StrategyContext(self, pid)
@@ -944,8 +954,10 @@ class _Sim:
         self.entry(Rec.SENT, env.src, env=env)
         delay = self.sc.delay.delay_for(env, self.now, self.rng, self.send_index)
         self.send_index += 1
-        self.schedule(self.tick + to_ticks(delay, self.scale, "delay"),
-                      _Event("deliver", env=env, sent_at=self.tick))
+        known = self.delay_ticks.get(id(delay))
+        if known is None:
+            known = self.delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))
+        self.schedule(self.tick + known[1], _DELIVER, env, self.tick)
         return True
 
     def _deliver(self, env: Envelope, sent_at: int) -> Optional[ParticipantId]:
@@ -986,27 +998,24 @@ class _Sim:
         st = aut.state
         self.entry(Rec.STATE_ENTERED, pid, state=st.name)
         if st.kind is StateKind.OUTPUT:
-            self.schedule(self.tick + self.pi_ticks, _Event("output_done", pid=pid, state=st.name))
+            self.schedule(self.tick + self.pi_ticks, _OUTPUT_DONE, pid, st.name)
         elif st.kind is StateKind.TERMINAL:
             self.entry(Rec.TERMINAL_REACHED, pid, state=st.name, discarded=len(aut.inbox))
             if self.sc.is_compliant(pid):
                 self.pending_compliant -= 1
         else:
-            tr = aut.timeout_guard()
-            if tr is not None:
-                deadline = tr.guard.local_deadline(aut.clock_vars, aut.clock)
-                if deadline is not None:
-                    real = to_ticks(aut.clock.real_time_of_deadline(deadline), self.scale,
-                                    "timeout deadline")
-                    if real > self.tick:
-                        self.schedule(real, _Event("timeout", pid=pid, state=st.name))
+            due = aut.deadline()
+            if due is not None and due > self.tick:
+                self.schedule(due, _TIMEOUT, pid, st.name)
 
     def _ordered_candidates(self, aut: Automaton):
-        cands = aut.enabled_transitions(self.now)
-        receives = [c for c in cands if not isinstance(c[0].guard, Timeout)]
-        timeouts = [c for c in cands if isinstance(c[0].guard, Timeout)]
-        if (receives and timeouts) or len(receives) > 1:
-            self.had_tie = True
+        cands = aut.enabled_transitions(self.tick)
+        if len(cands) < 2:
+            return cands
+        # receives carry their matched envelope, the timeout None
+        receives = [c for c in cands if c[1] is not None]
+        timeouts = [c for c in cands if c[1] is None]
+        self.had_tie = True
         if self.sc.rx_order == "reversed":
             receives.reverse()
         if self.sc.tie_break == "timeout_first":
@@ -1020,7 +1029,7 @@ class _Sim:
             if not ordered:
                 return
             tr, env = ordered[0]
-            if isinstance(tr.guard, Timeout):
+            if env is None:
                 deadline = tr.guard.local_deadline(aut.clock_vars, aut.clock)
                 self.entry(Rec.TIMEOUT_FIRED, pid, state=aut.current, deadline=deadline)
             emissions = aut.step(tr, self.now, env)
@@ -1054,7 +1063,7 @@ class _Sim:
                     if tick <= self.tick:
                         self.send(env2)
                     else:
-                        self.schedule(tick, _Event("send_later", env=env2))
+                        self.schedule(tick, _SEND_LATER, env2, None)
             else:
                 self.send(env)
                 if self.automata[pid].stuck:
@@ -1069,6 +1078,8 @@ class _Sim:
         self.scale = time_scale(self.sc, self.automata, self.strategies)
         self.pi_ticks = to_ticks(self.sc.pi, self.scale, "pi")
         self.horizon_tick = self.horizon.numerator * self.scale // self.horizon.denominator
+        for aut in self.automata.values():
+            aut.scale = self.scale
         for pid in sorted(self.automata, key=lambda p: p.sort_key):
             self._enter_state(pid)
         for pid in sorted(self.automata, key=lambda p: p.sort_key):
@@ -1079,7 +1090,7 @@ class _Sim:
             self.strategies[pid].on_start(self.ctx(pid))
         for at, env in self.sc.raw_injections:
             tick = to_ticks(at, self.scale, "injection time")
-            self.schedule(tick, _Event("deliver", env=env, sent_at=tick))
+            self.schedule(tick, _DELIVER, env, tick)
 
     def run(self) -> Trace:
         """Run from the current state to the end and return the trace."""
@@ -1109,8 +1120,8 @@ class _Sim:
                 # drain every delivery at this instant, then let recipients fire
                 touched: dict[ParticipantId, None] = {}
                 while heap and heap[0][0] == tick and heap[0][1] == 0:
-                    ev = heapq.heappop(heap)[3]
-                    pid = self._deliver(ev.env, ev.sent_at)
+                    ev = heapq.heappop(heap)
+                    pid = self._deliver(ev[4], ev[5])
                     if pid is not None:
                         touched[pid] = None
                 for pid in touched:
@@ -1118,13 +1129,13 @@ class _Sim:
                     if aut is not None and not aut.stuck and aut.state.kind is StateKind.INPUT:
                         self._try_fire(pid)
                 continue
-            ev = heapq.heappop(heap)[3]
-            if ev.kind == "output_done":
-                self._fire_output(ev.pid, ev.state)
-            elif ev.kind == "timeout":
-                self._on_timeout(ev.pid, ev.state)
+            _, _, _, kind, a, b = heapq.heappop(heap)
+            if kind == _OUTPUT_DONE:
+                self._fire_output(a, b)
+            elif kind == _TIMEOUT:
+                self._on_timeout(a, b)
             else:
-                self.send(ev.env)
+                self.send(a)
         else:
             if self.compliant_total > 0 and self.pending_compliant == 0:
                 self.stop_reason = STOP_ALL_TERMINAL

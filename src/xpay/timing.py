@@ -32,6 +32,7 @@ empirical oracle for both claims.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -40,6 +41,9 @@ from .core import ConfigError, as_fraction
 from .protocol import TimingParams
 from .simnet import Scenario, Scripted, run_simulation
 from .trace import Trace
+
+# Parameter sets kept by `derive_timeouts`; a sweep or an exploration uses one.
+_DERIVED_CACHED = 64
 
 
 class ValidationFailed(Exception):
@@ -62,13 +66,25 @@ def derive_timeouts(
 
     epsilon defaults to 2*(1+rho)*pi + margin, twice the slack the resolution
     step actually needs.
+
+    Equal arguments get the same `TimingParams` object, derived once. Floats
+    and booleans are refused before the memo is consulted: 1.0 and True equal
+    (and hash like) Fraction(1), and must not be answered from its entry.
     """
-    if n < 1:
-        raise ConfigError("n must be at least 1")
     delta = as_fraction(delta, "delta")
     pi = as_fraction(pi, "pi")
     rho = as_fraction(rho, "rho")
     margin = as_fraction(margin, "margin")
+    if epsilon is not None:
+        epsilon = as_fraction(epsilon, "epsilon")
+    return _derive_timeouts(n, delta, pi, rho, epsilon, margin)
+
+
+@functools.lru_cache(maxsize=_DERIVED_CACHED)
+def _derive_timeouts(n: int, delta: Fraction, pi: Fraction, rho: Fraction,
+                     epsilon: Optional[Fraction], margin: Fraction) -> TimingParams:
+    if n < 1:
+        raise ConfigError("n must be at least 1")
     if delta <= 0:
         raise ConfigError("delta must be strictly positive")
     if pi < 0 or rho < 0 or margin < 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import Envelope, ParticipantId, fmt_fraction
 
@@ -30,7 +30,7 @@ class Rec(Enum):
     IMPOSSIBLE_STEP = "IMPOSSIBLE_STEP"
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEntry:
     t: Fraction
     seq: int
@@ -49,40 +49,55 @@ class TraceEntry:
     discarded: int = 0                    # TERMINAL_REACHED: unconsumed inbox size
 
     def line(self) -> str:
-        parts = [
-            f"t={fmt_fraction(self.t)}",
-            f"seq={self.seq}",
-            f"p={self.participant}",
-            f"lt={fmt_fraction(self.local)}",
-            f"ev={self.rec.value}",
-        ]
-        if self.rec is Rec.SENT:
-            parts.append(f"dst={self.env.dst}")
-            parts.append(f"msg={self.env.msg.token()}")
-        elif self.rec is Rec.DELIVERED:
-            parts.append(f"src={self.env.src}")
-            parts.append(f"msg={self.env.msg.token()}")
-            parts.append(f"delay={fmt_fraction(self.delay)}")
-        elif self.rec is Rec.REJECTED:
-            parts.append(f"src={self.env.src}")
-            parts.append(f"msg={self.env.msg.token()}")
-            parts.append(f"reason={self.reason}")
-        elif self.rec is Rec.TIMEOUT_FIRED:
-            parts.append(f"state={self.state}")
-            parts.append(f"deadline={fmt_fraction(self.deadline)}")
-        elif self.rec is Rec.STATE_ENTERED:
-            parts.append(f"state={self.state}")
-        elif self.rec is Rec.TRANSFERRED:
-            parts.append(f"from={self.frm}")
-            parts.append(f"to={self.to}")
-            parts.append(f"amount={self.amount}")
-            parts.append(f"phase={self.phase}")
-        elif self.rec is Rec.TERMINAL_REACHED:
-            parts.append(f"state={self.state}")
-            parts.append(f"discarded={self.discarded}")
-        elif self.rec is Rec.IMPOSSIBLE_STEP:
-            parts.append(f"reason={self.reason}")
-        return " ".join(parts)
+        return format_lines([self])[0]
+
+
+def format_lines(entries: Iterable[TraceEntry]) -> list[str]:
+    """The text line of each entry.
+
+    The entries of one instant share its time object and each participant's
+    local time object, and a relayed message is the same object wherever it
+    goes, so each time and each message token is formatted once and looked up
+    by the object's id after that. Keying by Fraction value would be slower:
+    `Fraction.__hash__` is computed in Python. The ids stay valid because the
+    entries hold their objects until the call returns.
+    """
+    times: dict[int, str] = {}
+    tokens: dict[int, str] = {}
+
+    def fmt(x) -> str:
+        text = times.get(id(x))
+        if text is None:
+            text = times[id(x)] = f"{x.numerator}/{x.denominator}"
+        return text
+
+    def token(msg) -> str:
+        text = tokens.get(id(msg))
+        if text is None:
+            text = tokens[id(msg)] = msg.token()
+        return text
+
+    out = []
+    for e in entries:
+        rec = e.rec
+        head = f"t={fmt(e.t)} seq={e.seq} p={e.participant} lt={fmt(e.local)} ev={rec._value_}"
+        if rec is Rec.STATE_ENTERED:
+            out.append(f"{head} state={e.state}")
+        elif rec is Rec.SENT:
+            out.append(f"{head} dst={e.env.dst} msg={token(e.env.msg)}")
+        elif rec is Rec.DELIVERED:
+            out.append(f"{head} src={e.env.src} msg={token(e.env.msg)} delay={fmt(e.delay)}")
+        elif rec is Rec.TRANSFERRED:
+            out.append(f"{head} from={e.frm} to={e.to} amount={e.amount} phase={e.phase}")
+        elif rec is Rec.TERMINAL_REACHED:
+            out.append(f"{head} state={e.state} discarded={e.discarded}")
+        elif rec is Rec.TIMEOUT_FIRED:
+            out.append(f"{head} state={e.state} deadline={fmt(e.deadline)}")
+        elif rec is Rec.REJECTED:
+            out.append(f"{head} src={e.env.src} msg={token(e.env.msg)} reason={e.reason}")
+        else:  # IMPOSSIBLE_STEP
+            out.append(f"{head} reason={e.reason}")
+    return out
 
 
 def config_digest(config: dict) -> str:
@@ -178,7 +193,7 @@ class Trace:
         return lines
 
     def lines(self) -> list[str]:
-        return self.header_lines() + [e.line() for e in self.entries]
+        return self.header_lines() + format_lines(self.entries)
 
     def render(self) -> str:
         return "\n".join(self.lines()) + "\n"

@@ -146,6 +146,21 @@ def test_a_restored_snapshot_finishes_the_run_it_was_taken_from(scenario):
         assert {name: m.states[name] for name in states[pid]} == states[pid]
 
 
+def test_a_restore_puts_back_each_armed_deadline():
+    """A snapshot keeps each automaton's deadline tick as well as its state:
+    after the run has moved on, a restore puts back both, as they stood."""
+    sim = _Sim(strong_scenario(n=2, seed=3, rho=F(1, 10)))
+    taken = []
+    sim.on_instant = lambda: taken.append(
+        (sim.snapshot(), [(aut.current, aut.due) for aut in sim.automata.values()]))
+    sim.run()
+    sim.on_instant = None
+    assert any(isinstance(due, int) for _, automata in taken for _, due in automata)
+    for snap, automata in reversed(taken):
+        sim.restore(snap)
+        assert [(aut.current, aut.due) for aut in sim.automata.values()] == automata
+
+
 def test_compliant_exploration_is_safe_and_live():
     base = strong_scenario(delay=Synchronous(F(1), grid=GRID3))
     report = explore(base)

@@ -6,7 +6,9 @@ running an applicable battery strategy, and on weak runs a random patience per
 customer.
 
 * Differential: the library's `evaluate_all` statuses equal those of the
-  independent brute-force evaluator in `oracles.py`.
+  independent brute-force evaluator in `oracles.py`. The drawn scenarios
+  include no strong n=4 one, so a separate test runs strong n=4 under each
+  clock mode with every single-member Byzantine assignment.
 * Metamorphic: multiplying every length of the scenario (delta, pi, the grid,
   finite patience, the `delay_own_sends` delay) by k multiplies every entry's
   t, local, delay and deadline by k and changes nothing else, statuses included.
@@ -116,6 +118,40 @@ def test_checkers_agree_with_the_brute_force_oracle(scenario):
     lib = statuses(trace)
     for name, want in brute_force_statuses(trace).items():
         assert lib[name] == want, (name, lib[name], want, scenario.config_dict())
+
+
+def single_member_assignments(scenario) -> list[dict]:
+    """No Byzantine member, then each member alone under each strategy that
+    applies to it, with the parameters `battery_assignments` gives it."""
+    delta = scenario.delay.delta_bound()
+    out: list[dict] = [{}]
+    for pid in scenario.participant_ids():
+        for name in sorted(STRATEGIES):
+            if pid.kind is not ParticipantKind.MANAGER and STRATEGIES[name][1](pid, scenario):
+                params = {"delay": 2 * delta} if name == "delay_own_sends" else {}
+                out.append({pid: StrategySpec(name, params)})
+    return out
+
+
+@pytest.mark.parametrize("clock_mode", CLOCK_MODES)
+def test_strong_n4_checkers_agree_with_the_brute_force_oracle(clock_mode):
+    """The drawn differential above never draws a strong n=4 scenario; this
+    one runs each clock mode with every single-member Byzantine assignment,
+    at the derived windows and with a_0 halved, which breaks progress."""
+    base = strong_scenario(n=4, rho=F(1, 7), clock_mode=clock_mode,
+                           delay=Synchronous(F(3, 2), grid=(F(1, 2), F(1), F(3, 2))))
+    params = base.resolved_timing()
+    halved = replace(params, a=(params.a[0] / 2, *params.a[1:]))
+    seen = set()
+    for timing in (params, halved):
+        for k, byzantine in enumerate(single_member_assignments(base)):
+            scenario = replace(base, timing=timing, byzantine=byzantine, seed=k)
+            trace = run_simulation(scenario)
+            lib = statuses(trace)
+            for name, want in brute_force_statuses(trace).items():
+                assert lib[name] == want, (name, lib[name], want, scenario.config_dict())
+                seen.add(want)
+    assert seen == {"HOLDS", "VACUOUS", "VIOLATED"}
 
 
 @EXAMPLES

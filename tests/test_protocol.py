@@ -176,6 +176,17 @@ def test_weak_roster_shape():
     assert {r for r, _ in lock_emits0} == {manager()}
 
 
+def test_weak_rosters_share_the_escrows_across_patience_vectors():
+    params = derived(2)
+    pay = PaymentInstance("pay0", 2, 1)
+    patient = make_weak_participants(params, pay, patience=[None, None, None])
+    hasty = make_weak_participants(params, pay, patience=[Fraction(1), Fraction(2), Fraction(3)])
+    assert patient is not hasty
+    for i in range(2):
+        assert hasty[escrow(i)] is patient[escrow(i)]
+    assert hasty[customer(0)] is not patient[customer(0)]
+
+
 def test_weak_customer_without_patience_has_no_timeout():
     params = derived(1)
     roster = make_weak_participants(params, PAY1, patience=[None, None])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from xpay.simnet import (
     to_ticks,
 )
 from xpay.simnet import Silent
-from xpay.trace import Rec, STOP_ALL_TERMINAL
+from xpay.trace import Rec, STOP_ALL_TERMINAL, TraceEntry
 
 F = Fraction
 
@@ -350,6 +351,28 @@ def test_time_inputs_refuse_floats_and_booleans(build):
         assert type(got) is Fraction and got == exact
 
 
+# Each memoised library call that takes a time, mapped to a builder. A memo
+# keyed by value would answer 0.5, 1.0 or True from the entry of the equal
+# Fraction, so each builder is called with the Fraction first.
+MEMOISED_INPUTS = {
+    "derive_timeouts.delta": lambda x: derived(delta=x),
+    "derive_timeouts.pi": lambda x: derived(pi=x),
+    "derive_timeouts.rho": lambda x: derived(rho=x),
+    "derive_timeouts.margin": lambda x: derived(margin=x),
+    "derive_timeouts.epsilon": lambda x: derived(epsilon=x),
+    "make_weak_participants.patience": lambda x: make_weak_participants(
+        derived(1), PaymentInstance("pay0", 1, 1), [x, None]),
+}
+
+
+@pytest.mark.parametrize("build", MEMOISED_INPUTS.values(), ids=MEMOISED_INPUTS.keys())
+def test_memoised_time_inputs_refuse_floats_after_the_equal_fraction(build):
+    for exact, inexact in ((F(1, 2), 0.5), (F(1), 1.0), (F(1), True)):
+        assert build(exact) is build(exact)  # the second call is answered by the memo
+        with pytest.raises(ConfigError):
+            build(inexact)
+
+
 def test_exploration_grid_and_termination_bound_refuse_floats():
     base = strong_scenario()
     trace = run_simulation(base)
@@ -414,3 +437,38 @@ def test_trace_header_is_self_describing():
     assert any("p=e0" in line for line in head)
     assert text.endswith("\n")
     assert not any(line != line.rstrip() for line in text.splitlines())
+
+
+def _fresh_times(entry: TraceEntry) -> TraceEntry:
+    """The entry with each of its times a new Fraction object of the same value."""
+    def fresh(x):
+        return None if x is None else F(x.numerator, x.denominator)
+    return replace(entry, t=fresh(entry.t), local=fresh(entry.local),
+                   delay=fresh(entry.delay), deadline=fresh(entry.deadline))
+
+
+def _body(trace) -> list[str]:
+    return trace.render().splitlines()[len(trace.header_lines()):]
+
+
+def test_render_formats_every_entry_as_its_line():
+    """`Trace.render` formats each instant, local time and message once; its
+    entry lines are still exactly the entries' own `line()`s: with drifting
+    clocks, with a fresh delay object per send before stabilization, with
+    relayed messages, and on a trace whose equal times are distinct objects."""
+    runs = {
+        "drift": run_simulation(strong_scenario(n=2, seed=4, rho=F(1, 10), clock_mode="seeded")),
+        "partial_sync": run_simulation(strong_scenario(n=2, seed=2, delay=PartialSync(F(5, 2), F(1)))),
+        "replayer": run_simulation(strong_scenario(n=2, seed=1, byzantine={
+            customer(1): StrategySpec("replayer")})),
+    }
+    sent = [e.env.msg for e in runs["replayer"].entries if e.rec is Rec.SENT]
+    assert len({id(m) for m in sent}) < len(sent)  # some message went out more than once
+    # PartialSync makes a new delay object for each send before stabilization
+    assert sum(e.rec is Rec.SENT and e.t < F(5, 2) for e in runs["partial_sync"].entries) > 1
+    drift = runs["drift"]
+    assert any(e.local != e.t for e in drift.entries)
+    runs["hand_built"] = replace(drift, entries=[_fresh_times(e) for e in drift.entries])
+    for name, trace in runs.items():
+        assert _body(trace) == [e.line() for e in trace.entries], name
+    assert _body(runs["hand_built"]) == _body(drift)
