@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .core import Envelope, ParticipantId, fmt_fraction
 
@@ -52,15 +52,15 @@ class TraceEntry:
         return format_lines([self])[0]
 
 
-def format_lines(entries: Iterable[TraceEntry]) -> list[str]:
+def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
     """The text line of each entry.
 
     The entries of one instant share its time object and each participant's
     local time object, and a relayed message is the same object wherever it
     goes, so each time and each message token is formatted once and looked up
     by the object's id after that. Keying by Fraction value would be slower:
-    `Fraction.__hash__` is computed in Python. The ids stay valid because the
-    entries hold their objects until the call returns.
+    `Fraction.__hash__` is computed in Python. The ids stay valid because
+    `entries` holds their objects until the call returns.
     """
     times: dict[int, str] = {}
     tokens: dict[int, str] = {}
@@ -68,7 +68,7 @@ def format_lines(entries: Iterable[TraceEntry]) -> list[str]:
     def fmt(x) -> str:
         text = times.get(id(x))
         if text is None:
-            text = times[id(x)] = f"{x.numerator}/{x.denominator}"
+            text = times[id(x)] = fmt_fraction(x)
         return text
 
     def token(msg) -> str:
