@@ -294,6 +294,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.budget < 1:
+        raise ConfigError("budget must be at least 1")
     raw = load_config(args.config)
     battery = raw.get("byzantine") == "battery"
     if battery:
@@ -320,7 +322,9 @@ def cmd_explore(args) -> int:
     depths: Counter = Counter()
     for patience in patience_sets:
         scenario.patience = patience
-        report = explore(scenario, assignments=assignments, budget=args.budget)
+        # one budget for every patience set
+        report = explore(scenario, assignments=assignments,
+                         budget=args.budget - total_branches)
         total_branches += report.branches
         complete = complete and report.complete
         entries += report.entries

@@ -19,10 +19,11 @@ first instant with a tie. The odometer step that changes decision i restores
 the snapshot of decision i and simulates only the rest of the run; a tie
 re-run restores the first tied instant under the next policy. The branch
 order, the decision vectors and every trace are those of running each branch
-from t=0. The checks are forked the same way: each checkpoint keeps a copy of
-the safety monitor (`properties.Monitor`) fed the entries before it, so a
-branch checks only the entries it simulates, and its verdicts are those of
-checking its whole trace.
+from t=0. The checks are forked the same way, but only at checkpoints a branch
+can resume from: a checkpoint credited with a decision or the first tie keeps
+a copy of the safety monitor (`properties.Monitor`) fed the entries before
+it. A branch checks only the entries it simulates, and its verdicts are those
+of checking its whole trace.
 """
 from __future__ import annotations
 
@@ -48,6 +49,7 @@ class _DecidedDelays:
     def __init__(self, grid: tuple[Fraction, ...], byzantine: set[ParticipantId],
                  decisions: list[int], delta: Optional[Fraction]):
         self.grid = grid
+        self._grid_config = [str(g) for g in grid]
         self.byzantine = byzantine
         self.decisions = decisions
         self.cursor = 0
@@ -71,7 +73,7 @@ class _DecidedDelays:
         return self.grid[choice]
 
     def to_config(self) -> dict:
-        return {"kind": "explored", "grid": [str(g) for g in self.grid],
+        return {"kind": "explored", "grid": list(self._grid_config),
                 "decisions": list(self.decisions)}
 
 
@@ -138,7 +140,9 @@ def assignment_label(assignment: dict[ParticipantId, StrategySpec]) -> str:
 class _Checkpoint(NamedTuple):
     snapshot: Snapshot
     cursor: int  # decisions consumed before the instant
-    monitor: Monitor  # the checks, fed every entry before the instant
+    # the checks, fed every entry before the instant; None until a branch can
+    # resume here
+    monitor: Optional[Monitor]
 
 
 class _Checkpoints:
@@ -151,9 +155,11 @@ class _Checkpoints:
     runs under the other policies agree with it up to its first tie (no policy
     matters before there is a choice to make).
 
-    `monitor` is the check of the run in progress. Each checkpoint keeps a
-    copy of it as it stood at the snapshot, so a branch feeds the monitor only
-    the entries it simulates.
+    `monitor` is the check of the run in progress; it takes in the entries
+    only as far as it has to. A checkpoint that a branch can resume from (one
+    credited with a decision or the tie) gets a copy of it as it stood at the
+    snapshot, so a branch feeds the monitor only the entries it simulates. The
+    other instants keep no copy: most of them are never resumed.
     """
 
     def __init__(self, sim: _Sim, model: _DecidedDelays):
@@ -161,23 +167,30 @@ class _Checkpoints:
         self.model = model
         self.monitor = Monitor(sim.meta)
         self.by_decision: list[_Checkpoint] = []
-        self.current = self.start = _Checkpoint(sim.snapshot(), 0, self.monitor.copy())
+        self.current = self.start = _Checkpoint(sim.snapshot(), 0, Monitor(sim.meta))
         self.tie: Optional[_Checkpoint] = None
 
     def instant(self) -> None:
         """The engine's `on_instant` during baseline runs."""
         self.close()
-        self.monitor.feed(self.sim.entries)
-        self.current = _Checkpoint(self.sim.snapshot(), self.model.cursor, self.monitor.copy())
+        self.current = _Checkpoint(self.sim.snapshot(), self.model.cursor, None)
 
     def close(self) -> None:
         """Credit the instant that just ended with the decisions it consumed
         and, if it was the first to see a tie, with the tie."""
         missing = self.model.cursor - len(self.by_decision)
+        tie = self.tie is None and self.sim.had_tie
+        if missing <= 0 and not tie:
+            return
+        cp = self.current
+        if cp.monitor is None:
+            # the live monitor has taken in no entry of this instant yet
+            self.monitor.feed(self.sim.entries, cp.snapshot.entry_count)
+            cp = self.current = _Checkpoint(cp.snapshot, cp.cursor, self.monitor.copy())
         if missing > 0:
-            self.by_decision.extend([self.current] * missing)
-        if self.tie is None and self.sim.had_tie:
-            self.tie = self.current
+            self.by_decision.extend([cp] * missing)
+        if tie:
+            self.tie = cp
 
     def resume(self, index: int) -> _Checkpoint:
         """Restore the start of the instant that consumed decision `index` in
@@ -198,6 +211,21 @@ class _Checkpoints:
         self.model.cursor = cp.cursor
         self.monitor = cp.monitor.copy()
         return cp
+
+
+def _branch_grid(grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The grid's points, exact, positive and distinct: a point <= 0 would
+    deliver before the send, and a repeated one would run every branch through
+    it twice. Points past delta are allowed (they model lost synchrony)."""
+    out: list[Fraction] = []
+    for g in grid:
+        g = as_fraction(g, "grid delay")
+        if g <= 0:
+            raise ConfigError(f"grid delay {g} must be positive")
+        if g in out:
+            raise ConfigError(f"grid delay {g} is repeated")
+        out.append(g)
+    return tuple(out)
 
 
 def explore(
@@ -221,7 +249,7 @@ def explore(
             grid = (base.delay.delta_bound(),)
     if not grid:
         raise ConfigError("exploration needs a delay grid")
-    grid = tuple(as_fraction(g, "grid delay") for g in grid)
+    grid = _branch_grid(grid)
     params = base.resolved_timing()
     report = ExploreReport()
 

@@ -183,8 +183,9 @@ class Monitor:
         other.engaged = set(self.engaged)
         return other
 
-    def feed(self, entries: list[TraceEntry]) -> None:
-        """Take in `entries[self.fed:]`, the entries of the run since the last feed.
+    def feed(self, entries: list[TraceEntry], end: Optional[int] = None) -> None:
+        """Take in `entries[self.fed:end]`, the entries of the run since the
+        last feed (up to `end`, if given).
 
         A customer's terminal record notes whether it was certified: Alice, if
         the certificate CS1 asks about (the commit certificate in the weak
@@ -194,7 +195,9 @@ class Monitor:
         meta = self.meta
         roles = self._roles
         net, sent, seen, terminal = self.net, self.sent, self.seen, self.terminal
-        for idx in range(self.fed, len(entries)):
+        if end is None:
+            end = len(entries)
+        for idx in range(self.fed, end):
             e = entries[idx]
             rec = e.rec
             p = e.participant
@@ -266,7 +269,7 @@ class Monitor:
                 terminal[p] = _Terminal(idx, e.t, net.get(p, 0), certified)
             elif rec is _IMPOSSIBLE and p in meta.compliant:
                 self.impossible += (idx,)
-        self.fed = len(entries)
+        self.fed = end
 
     # -- facts at the end of the run ----------------------------------------------
 
@@ -594,7 +597,9 @@ def tally(counts: dict[str, dict[str, int]], verdicts: list[Verdict]) -> bool:
     (INAPPLICABLE counts as vacuous); True if any verdict is a violation."""
     violated = False
     for v in verdicts:
-        per = counts.setdefault(v.name, {"pass": 0, "vacuous": 0, "fail": 0})
+        per = counts.get(v.name)
+        if per is None:
+            per = counts[v.name] = {"pass": 0, "vacuous": 0, "fail": 0}
         if v.status is Status.VIOLATED:
             per["fail"] += 1
             violated = True

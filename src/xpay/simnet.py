@@ -746,13 +746,13 @@ class Snapshot(NamedTuple):
     entry_count: int
     had_tie: bool
     pending_compliant: int
-    balances: tuple  # ((pid, balance), ...)
+    balances: dict  # pid -> balance
     in_flight: int
     rng: Optional[tuple]  # None while the generator has drawn nothing
-    automata: tuple  # per automaton: (current, clock_vars, captured, inbox, stuck, due)
-    nonces: tuple  # per key, the next nonce
-    strategies: tuple  # per strategy, its own `snapshot()`
-    vaults: tuple
+    automata: list  # per automaton: (current, clock_vars, captured, inbox, stuck, due)
+    nonces: list  # per key, the next nonce
+    strategies: Sequence  # per strategy, its own `snapshot()`; empty with no strategy
+    vaults: Sequence  # per strategy, the messages delivered to it
 
 
 class _Sim:
@@ -797,6 +797,10 @@ class _Sim:
             if pid not in self.strategies or self.strategies[pid].uses_automaton
         }
 
+        # in a fixed order, for snapshots
+        self._automata = list(self.automata.values())
+        self._keys = list(self.keys.values())
+
         self.pending_compliant = sum(
             1 for pid, aut in self.automata.items()
             if scenario.is_compliant(pid) and not aut.is_terminal()
@@ -804,7 +808,7 @@ class _Sim:
         self.compliant_total = sum(1 for pid in self.automata if scenario.is_compliant(pid))
 
         # the trace header's facts; a re-run under another tie-break or receive
-        # order gets a copy naming that policy
+        # order gets a copy naming that policy, made once (`metas`)
         patience = scenario.resolved_patience()
         self.meta = TraceMeta(
             variant=scenario.variant,
@@ -825,6 +829,7 @@ class _Sim:
             patience=patience,
             patience_sufficient=patience is None or all(p is None for p in patience),
         )
+        self.metas = {(scenario.tie_break, scenario.rx_order): self.meta}
 
         self.heap: list[tuple] = []
         self.seq = 0
@@ -850,61 +855,50 @@ class _Sim:
     def snapshot(self) -> Snapshot:
         """The run state now; take it between two instants (from `on_instant`,
         or before or after `run`)."""
+        entries = self.entries
+        strategies = self.strategies
         return Snapshot(
-            started=self.started,
-            heap=tuple(self.heap),
-            seq=self.seq,
-            tick=self.tick,
-            now=self.now,
-            send_index=self.send_index,
-            entries=self.entries,
-            entry_count=len(self.entries),
-            had_tie=self.had_tie,
-            pending_compliant=self.pending_compliant,
-            balances=tuple(self.ledger.balances.items()),
-            in_flight=self.ledger.in_flight,
-            rng=self.rng.getstate() if self.rng.drawn else None,
-            automata=tuple((a.current, dict(a.clock_vars), dict(a.captured), tuple(a.inbox),
-                            a.stuck, a.due) for a in self.automata.values()),
-            nonces=tuple(key.nonce for key in self.keys.values()),
-            strategies=tuple(s.snapshot() for s in self.strategies.values()),
-            vaults=tuple(tuple(v) for v in self.vaults.values()),
+            self.started, tuple(self.heap), self.seq, self.tick, self.now, self.send_index,
+            entries, len(entries), self.had_tie, self.pending_compliant,
+            self.ledger.balances.copy(), self.ledger.in_flight,
+            self.rng.getstate() if self.rng.drawn else None,
+            [(a.current, a.clock_vars.copy(), a.captured.copy(), tuple(a.inbox), a.stuck, a.due)
+             for a in self._automata],
+            [key.nonce for key in self._keys],
+            [s.snapshot() for s in strategies.values()] if strategies else (),
+            [tuple(v) for v in self.vaults.values()] if strategies else (),
         )
 
     def restore(self, snap: Snapshot) -> None:
         """Put this run back into the state `snap` was taken in; the trace
         entries after it are left to the traces already returned."""
-        self.started = snap.started
-        self.heap = list(snap.heap)
-        self.seq = snap.seq
-        self.tick = snap.tick
-        self.now = snap.now
+        (self.started, heap, self.seq, self.tick, self.now, self.send_index, entries,
+         entry_count, self.had_tie, self.pending_compliant, balances, in_flight, rng,
+         automata, nonces, strategies, vaults) = snap
+        self.heap = list(heap)
         self.local_now = {}
-        self.send_index = snap.send_index
-        self.entries = snap.entries[:snap.entry_count]
-        self.had_tie = snap.had_tie
-        self.pending_compliant = snap.pending_compliant
-        self.ledger.balances = dict(snap.balances)
-        self.ledger.in_flight = snap.in_flight
-        if snap.rng is not None:
-            self.rng.setstate(snap.rng)
+        self.entries = entries[:entry_count]
+        self.ledger.balances = balances.copy()
+        self.ledger.in_flight = in_flight
+        if rng is not None:
+            self.rng.setstate(rng)
             self.rng.drawn = True
         elif self.rng.drawn:
             self.rng.seed(f"{self.sc.seed}:delays")
             self.rng.drawn = False
         for aut, (current, clock_vars, captured, inbox, stuck, due) in zip(
-                self.automata.values(), snap.automata):
+                self._automata, automata):
             aut.current = current
-            aut.clock_vars = dict(clock_vars)
-            aut.captured = dict(captured)
+            aut.clock_vars = clock_vars.copy()
+            aut.captured = captured.copy()
             aut.inbox = list(inbox)
             aut.stuck = stuck
             aut.due = due
-        for key, nonce in zip(self.keys.values(), snap.nonces):
+        for key, nonce in zip(self._keys, nonces):
             key.nonce = nonce
-        for strategy, state in zip(self.strategies.values(), snap.strategies):
+        for strategy, state in zip(self.strategies.values(), strategies):
             strategy.restore(state)
-        for pid, vault in zip(self.vaults, snap.vaults):
+        for pid, vault in zip(self.vaults, vaults):
             self.vaults[pid] = list(vault)
 
     # -- bookkeeping ---------------------------------------------------------
@@ -1141,9 +1135,11 @@ class _Sim:
                 self.stop_reason = STOP_ALL_TERMINAL
 
         sc = self.sc
-        meta = self.meta
-        if (sc.tie_break, sc.rx_order) != (meta.tie_break, meta.rx_order):
-            meta = replace(meta, tie_break=sc.tie_break, rx_order=sc.rx_order)
+        policy = (sc.tie_break, sc.rx_order)
+        meta = self.metas.get(policy)
+        if meta is None:
+            meta = self.metas[policy] = replace(self.meta, tie_break=sc.tie_break,
+                                                rx_order=sc.rx_order)
         return Trace(meta=meta, entries=self.entries, stop_reason=self.stop_reason,
                      final_balances=dict(self.ledger.balances),
                      final_in_flight=self.ledger.in_flight, had_tie=self.had_tie,

@@ -7,12 +7,17 @@ file is loaded by path and nothing is installed, so the library is untouched.
 """
 from __future__ import annotations
 
+import importlib
 import importlib.util
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import strong_scenario
 from xpay.protocol import PaymentInstance, make_transaction_manager
+from xpay.simnet import Synchronous
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -42,3 +47,28 @@ def test_the_manager_observer_reads_the_built_definition():
     states, transitions = tracer.tm_sizes[0]
     assert states == len(tm.states) > 0
     assert transitions == sum(len(st.transitions) for st in tm.states.values()) > 0
+
+
+def test_explore_calls_each_wrapped_layer_once_per_branch(monkeypatch):
+    """The explore spans wrap the event loop and the checkers where the
+    explorer looks them up, in its module globals; each wrapper must see every
+    branch, the resumed ones and the tie re-runs included."""
+    module = importlib.import_module("xpay.explore")
+    names = {attr for path, attr, _ in spans.TARGETS if path == "xpay.explore"} - {"explore"}
+    assert names == {"run_simulation", "safety_verdicts", "check_liveness"}
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    base = strong_scenario(delay=Synchronous(Fraction(1), grid=(Fraction(1, 2), Fraction(1))))
+    ties = Counter()
+    report = module.explore(base, assignments=module.battery_assignments(base)[:3],
+                            budget=100, on_branch=lambda o: ties.update([o.policy]))
+    assert report.branches == 100 and not report.complete and len(ties) > 1
+    assert calls == {name: report.branches for name in names}

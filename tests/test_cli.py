@@ -190,6 +190,26 @@ def test_explore_budget_exceeded_exit_3(tmp_path, configs):
                  "--budget", "5"]) == EXIT_BUDGET
 
 
+def test_explore_budget_covers_every_patience_set_together(configs, capsys):
+    """The budget is one for the whole patience grid: the first four of the
+    shipped weak config's nine patience sets take 2156 branches, so a budget
+    of 3000 leaves 844 for the fifth and stops there."""
+    assert main(["explore", str(configs / "explore_weak_n1.json"),
+                 "--budget", "3000"]) == EXIT_BUDGET
+    out = capsys.readouterr().out
+    assert out.startswith("explore branches=3000 complete=False ")
+    assert "budget exceeded before full coverage" in out
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_explore_budget_below_one_exit_2(configs, capsys, budget):
+    assert main(["explore", str(configs / "explore_weak_n1.json"),
+                 "--budget", budget]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: budget must be at least 1\n"
+
+
 def test_explore_full_battery_exit_0(configs, capsys, monkeypatch):
     built = []
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 from collections import Counter
 from dataclasses import replace
@@ -11,9 +12,10 @@ from conftest import strong_scenario, weak_scenario
 from oracles import rerun_explore
 from xpay import simnet
 from xpay.automata import Fresh, Machine, State, StateKind, Transition
-from xpay.core import Certificate, Envelope, Money, SigningKey, customer, escrow, sign
-from xpay.explore import POLICIES, battery_assignments, explore
-from xpay.properties import Status
+from xpay.core import (Certificate, ConfigError, Envelope, Money, SigningKey, customer, escrow,
+                       sign)
+from xpay.explore import POLICIES, _Checkpoints, battery_assignments, explore
+from xpay.properties import Monitor, Status
 from xpay.protocol import make_strong_participants
 from xpay.simnet import StrategySpec, Synchronous, _Sim, run_simulation
 
@@ -146,19 +148,111 @@ def test_a_restored_snapshot_finishes_the_run_it_was_taken_from(scenario):
         assert {name: m.states[name] for name in states[pid]} == states[pid]
 
 
+def run_state(sim):
+    """Everything a restore puts back, read from the run's own objects."""
+    return (
+        sim.started, list(sim.heap), sim.seq, sim.tick, sim.now, sim.send_index,
+        list(sim.entries), sim.had_tie, sim.pending_compliant,
+        dict(sim.ledger.balances), sim.ledger.in_flight,
+        [(aut.current, dict(aut.clock_vars), dict(aut.captured), list(aut.inbox), aut.stuck,
+          aut.due) for aut in sim.automata.values()],
+        {pid: key.nonce for pid, key in sim.keys.items()},
+        {pid: strategy.snapshot() for pid, strategy in sim.strategies.items()},
+        {pid: list(vault) for pid, vault in sim.vaults.items()},
+    )
+
+
+def snapshot_contents(snap):
+    """A deep copy of what `snap` holds, its prefix of the entries included."""
+    return copy.deepcopy(snap._replace(entries=snap.entries[:snap.entry_count]))
+
+
 def test_a_restore_puts_back_each_armed_deadline():
-    """A snapshot keeps each automaton's deadline tick as well as its state:
-    after the run has moved on, a restore puts back both, as they stood."""
-    sim = _Sim(strong_scenario(n=2, seed=3, rho=F(1, 10)))
-    taken = []
-    sim.on_instant = lambda: taken.append(
-        (sim.snapshot(), [(aut.current, aut.due) for aut in sim.automata.values()]))
-    sim.run()
-    sim.on_instant = None
-    assert any(isinstance(due, int) for _, automata in taken for _, due in automata)
-    for snap, automata in reversed(taken):
-        sim.restore(snap)
-        assert [(aut.current, aut.due) for aut in sim.automata.values()] == automata
+    """A snapshot keeps each automaton's deadline tick, clock variables,
+    captured messages, inbox and stuck flag, the ledger, the key nonces and
+    the strategies' state with their vaults: after the run has moved on, a
+    restore puts back each of them as it stood, and neither the later runs nor
+    the restores change what any snapshot holds. Bob sending his certificate
+    early gets it captured; Bob as a replayer is a strategy with a state."""
+    states = []
+    for strategy in ("premature_certificate", "replayer"):
+        sim = _Sim(strong_scenario(n=2, seed=3, rho=F(1, 10),
+                                   byzantine={customer(2): StrategySpec(strategy)}))
+        taken = []
+        sim.on_instant = lambda: taken.append(
+            (sim.snapshot(), run_state(sim), snapshot_contents(sim.snapshot())))
+        want = sim.run().render()
+        sim.on_instant = None
+        for snap, state, _ in reversed(taken):
+            sim.restore(snap)
+            assert run_state(sim) == state
+            assert sim.run().render() == want
+        for snap, _, contents in taken:
+            assert snapshot_contents(snap) == contents
+        states += [state for _, state, _ in taken]
+    automata = [aut for state in states for aut in state[11]]
+    assert any(isinstance(due, int) for *_, due in automata)
+    assert any(clock_vars for _, clock_vars, *_ in automata)
+    assert any(captured for _, _, captured, *_ in automata)
+    assert any(inbox for _, _, _, inbox, *_ in automata)
+    assert any(strategy for state in states for strategy in state[13].values())
+    assert any(vault for state in states for vault in state[14].values())
+
+
+def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
+    """A checkpoint gets a copy of the monitor only once it is credited with a
+    decision or the first tie; every other copy is a restore's. Over the n=1
+    battery such checkpoints are under a quarter of the instants the
+    baseline runs pass."""
+    counts = Counter()
+    credited = {}
+
+    def counted(name, fn, after=None):
+        def wrapper(self, *args):
+            counts[name] += 1
+            out = fn(self, *args)
+            if after is not None:
+                after(self)
+            return out
+        return wrapper
+
+    def note_credited(checkpoints):
+        for cp in (*checkpoints.by_decision, checkpoints.tie):
+            if cp is not None:
+                assert cp.monitor is not None
+                credited[id(cp)] = cp
+
+    monkeypatch.setattr(Monitor, "copy", counted("copies", Monitor.copy))
+    monkeypatch.setattr(_Checkpoints, "instant", counted("instants", _Checkpoints.instant))
+    monkeypatch.setattr(_Checkpoints, "close", counted("closes", _Checkpoints.close,
+                                                       note_credited))
+    monkeypatch.setattr(_Checkpoints, "restore", counted("restores", _Checkpoints.restore))
+    base, kw, branches = _strong_battery()
+    assert explore(base, **kw).branches == branches
+    assert counts["instants"] == 4201
+    assert counts["restores"] == branches - len(kw["assignments"])
+    assert counts["copies"] == len(credited) + counts["restores"]
+    assert len(credited) < counts["instants"] / 4
+
+
+@pytest.mark.parametrize("grid, point", [
+    ((F(-1),), "-1"), ((F(0), F(1)), "0"), ((F(1, 2), F(1, 2)), "1/2"),
+    ((F(1, 4), F(1), F(1, 4)), "1/4"),
+], ids=["negative", "zero", "repeated", "repeated-apart"])
+def test_grid_points_must_be_positive_and_distinct(grid, point):
+    """A point <= 0 delivers before the send, and a repeated point runs every
+    branch through it twice; both are refused, naming the point."""
+    base = strong_scenario(delay=Synchronous(F(1), grid=GRID3))
+    with pytest.raises(ConfigError, match=f"grid delay {point} "):
+        explore(base, grid=grid)
+
+
+def test_grid_points_past_delta_are_explored():
+    """A point past the synchrony bound is kept: it models lost synchrony."""
+    base = strong_scenario(delay=Synchronous(F(1), grid=GRID3))
+    report = explore(base, grid=(F(1, 2), F(2)))
+    assert report.complete and report.branches > explore(base, grid=(F(1, 2),)).branches
+    assert report.max_customer_terminal > explore(base, grid=GRID2).max_customer_terminal
 
 
 def test_compliant_exploration_is_safe_and_live():
