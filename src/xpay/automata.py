@@ -46,36 +46,30 @@ class ProtocolComplete(Exception):
 
 @dataclass(frozen=True)
 class LocalClock:
-    """Affine local clock: local_time(t) = offset + rate * t, rate > 0.
+    """Drifting local clock: local_time(t) = rate * t, rate > 0.
 
-    With rate 1 and offset 0 local time equals real time. Drift bounded by rho
-    means rate lies in [1/(1+rho), 1+rho].
+    Every clock reads zero at real time zero. With rate 1 local time equals
+    real time. Drift bounded by rho means rate lies in [1/(1+rho), 1+rho].
     """
     rate: Fraction = Fraction(1)
-    offset: Fraction = Fraction(0)
 
     def __post_init__(self):
         object.__setattr__(self, "rate", as_fraction(self.rate, "clock rate"))
-        object.__setattr__(self, "offset", as_fraction(self.offset, "clock offset"))
         if self.rate <= 0:
             raise ConfigError("clock rate must be strictly positive")
         # local time is real time; not a field, so equality and hash ignore it
-        object.__setattr__(self, "is_identity", self.rate == 1 and not self.offset)
+        object.__setattr__(self, "is_identity", self.rate == 1)
 
     def local_time(self, real_time: Fraction) -> Fraction:
-        local = self.rate * real_time
-        return local + self.offset if self.offset else local
+        return self.rate * real_time
 
     def local_at_tick(self, tick: int, scale: int) -> Fraction:
         """local_time(tick / scale), made as one Fraction from integers."""
         rate = self.rate
-        local = Fraction(rate.numerator * tick, rate.denominator * scale)
-        return local + self.offset if self.offset else local
+        return Fraction(rate.numerator * tick, rate.denominator * scale)
 
     def real_time_of_deadline(self, local_deadline: Fraction) -> Fraction:
         """Unique real instant t with local_time(t) = local_deadline (exact inversion)."""
-        if self.offset:
-            local_deadline -= self.offset
         return local_deadline / self.rate
 
 
@@ -128,9 +122,9 @@ class Timeout:
     def __post_init__(self):
         object.__setattr__(self, "delay", as_fraction(self.delay, "timeout delay"))
 
-    def local_deadline(self, clock_vars: dict[str, Fraction], clock: LocalClock) -> Optional[Fraction]:
+    def local_deadline(self, clock_vars: dict[str, Fraction]) -> Optional[Fraction]:
         if self.var is None:
-            return clock.offset + self.delay
+            return self.delay
         base = clock_vars.get(self.var)
         if base is None:
             return None
@@ -287,7 +281,7 @@ class Automaton:
             due = None
             tr = self.timeout_guard()
             if tr is not None:
-                local = tr.guard.local_deadline(self.clock_vars, self.clock)
+                local = tr.guard.local_deadline(self.clock_vars)
                 if local is not None:
                     due = self.clock.real_time_of_deadline(local)
                     if self.scale is not None:

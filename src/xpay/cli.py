@@ -3,8 +3,9 @@
 Scenario configs are JSON files using exactly the Scenario field names;
 unknown fields anywhere are errors (typos in adversary names must not pass
 silently). Rationals are written as "num/den" strings ("21/10"), integers are
-accepted, patience may be "inf". The XPAY_SEED environment variable supplies
-the default seed.
+accepted, patience may be "inf". Counts (n, amount, seed, grid_points) are
+integers, never booleans. A run's seed is `--seed` if given, else the
+config's `seed`, else 0.
 
 Exit codes: 0 all applicable non-vacuous properties hold, 1 property
 violation, 2 configuration error, 3 exploration budget exceeded.
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -24,7 +24,7 @@ from typing import Optional
 from .core import ConfigError, ParticipantId, as_fraction, fmt_fraction, parse_participant
 from .deals import is_well_formed, parse_deal_file, to_digraph
 from .explore import battery_assignments, explore
-from .properties import Status, evaluate_all, property_names, tally
+from .properties import Status, evaluate_all, tally
 from .protocol import TimingParams
 from .simnet import (
     PartialSync,
@@ -36,7 +36,13 @@ from .simnet import (
     _default_grid,
     run_simulation,
 )
-from .timing import ValidationFailed, derive_timeouts, termination_bound, validate_timeouts
+from .timing import (
+    ValidationFailed,
+    derive_timeouts,
+    resolution_deadlines,
+    termination_bound,
+    validate_timeouts,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -105,7 +111,7 @@ def _parse_grid(cfg: dict, delta: Fraction) -> Optional[tuple[Fraction, ...]]:
         return tuple(parse_rational(g, "grid delay") for g in cfg["grid"])
     if "grid_points" in cfg:
         points = cfg["grid_points"]
-        if not isinstance(points, int) or points < 1:
+        if type(points) is not int or points < 1:
             raise ConfigError("grid_points must be a positive integer")
         return _default_grid(delta, points)
     return None
@@ -130,7 +136,7 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
         raise ConfigError("config root must be an object")
     _take(cfg, _SCENARIO_FIELDS, "config")
     n = cfg["n"]
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ConfigError("n must be an integer")
 
     delay = _parse_delay_model(cfg["delay_model"])
@@ -212,17 +218,11 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
 
 
 def _seed_default(value) -> int:
-    if value is not None:
-        if not isinstance(value, int):
-            raise ConfigError("seed must be an integer")
-        return value
-    env = os.environ.get("XPAY_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"XPAY_SEED={env!r} is not an integer") from exc
-    return 0
+    if value is None:
+        return 0
+    if type(value) is not int:
+        raise ConfigError("seed must be an integer")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -278,18 +278,17 @@ def cmd_sweep(args) -> int:
     base_seed = args.seed if args.seed is not None else scenario.seed
     seeds = [base_seed + k for k in range(args.runs)]
 
-    names = property_names(scenario.variant)
     counts: dict[str, dict[str, int]] = {}
     failed = False
     for seed in seeds:
         trace = run_simulation(replace(scenario, seed=seed))
         failed = tally(counts, evaluate_all(trace)) or failed
-    print(f"sweep runs={args.runs} seeds={seeds[0]}..{seeds[-1]} properties={len(names)}")
-    for name in names:
-        c = counts[name]
+    # every run gives one verdict per property, in `evaluate_all`'s order
+    print(f"sweep runs={args.runs} seeds={seeds[0]}..{seeds[-1]} properties={len(counts)}")
+    for name, c in counts.items():
         print(f"{name}: pass={c['pass']} vacuous={c['vacuous']} fail={c['fail']}")
     total = sum(sum(c.values()) for c in counts.values())
-    print(f"total={total} (= runs x properties = {args.runs * len(names)})")
+    print(f"total={total} (= runs x properties = {args.runs * len(counts)})")
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
@@ -366,9 +365,7 @@ def cmd_derive(args) -> int:
         forced = tuple(parse_rational(x, "--force-a") for x in args.force_a.split(","))
         if len(forced) != n:
             raise ConfigError(f"--force-a needs {n} comma-separated values")
-        d = tuple(ai + 2 * (1 + rho) * pi + mu for ai in forced)
-        params = TimingParams(n=n, a=forced, d=d, epsilon=params.epsilon,
-                              pi=pi, delta=delta, rho=rho, mu=mu)
+        params = replace(params, a=forced, d=resolution_deadlines(forced, pi, rho, mu))
 
     for i in range(n):
         print(f"a_{i} = {fmt_fraction(params.a[i])}")

@@ -386,22 +386,8 @@ class Ledger:
     def balance(self, p: ParticipantId) -> int:
         return self.balances.get(p, 0)
 
-    def total(self) -> int:
-        return sum(self.balances.values()) + self.in_flight
-
-    def transfer(self, frm: ParticipantId, to: ParticipantId, amount: int) -> "Ledger":
-        """Atomic debit/credit; returns a new ledger, the original is untouched."""
-        if amount <= 0:
-            raise ConfigError("transfer amount must be strictly positive")
-        if self.balance(frm) < amount:
-            raise InsufficientFunds(f"{frm} holds {self.balance(frm)}, cannot transfer {amount}")
-        balances = dict(self.balances)
-        balances[frm] = self.balance(frm) - amount
-        balances[to] = self.balance(to) + amount
-        return Ledger(balances, self.in_flight)
-
-    # In-place pair used by the event loop: value leaves the sender at Sent and
-    # reaches the recipient at Delivered, spending the interim in `in_flight`.
+    # Value leaves the sender at Sent and reaches the recipient at Delivered,
+    # spending the interim in `in_flight`.
 
     def send_value(self, frm: ParticipantId, amount: int) -> None:
         if amount <= 0:

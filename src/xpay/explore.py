@@ -32,9 +32,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import ConfigError, Envelope, ParticipantId, ParticipantKind, as_fraction
+from .core import ConfigError, Envelope, ParticipantId, ParticipantKind
 from .properties import Monitor, Status, Verdict, check_liveness, safety_verdicts, tally
-from .simnet import STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, run_simulation
+from .simnet import STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, _check_grid, run_simulation
 from .trace import Trace
 
 
@@ -61,7 +61,7 @@ class _DecidedDelays:
     def delays(self) -> tuple[Fraction, ...]:
         return self.grid
 
-    def delay_for(self, env: Envelope, t, rng, index) -> Fraction:
+    def delay_for(self, env: Envelope, t, rng) -> Fraction:
         if env.dst in self.byzantine:
             return self.grid[-1]
         if self.cursor < len(self.decisions):
@@ -213,21 +213,6 @@ class _Checkpoints:
         return cp
 
 
-def _branch_grid(grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """The grid's points, exact, positive and distinct: a point <= 0 would
-    deliver before the send, and a repeated one would run every branch through
-    it twice. Points past delta are allowed (they model lost synchrony)."""
-    out: list[Fraction] = []
-    for g in grid:
-        g = as_fraction(g, "grid delay")
-        if g <= 0:
-            raise ConfigError(f"grid delay {g} must be positive")
-        if g in out:
-            raise ConfigError(f"grid delay {g} is repeated")
-        out.append(g)
-    return tuple(out)
-
-
 def explore(
     base: Scenario,
     assignments: Sequence[dict[ParticipantId, StrategySpec]] = ({},),
@@ -249,7 +234,7 @@ def explore(
             grid = (base.delay.delta_bound(),)
     if not grid:
         raise ConfigError("exploration needs a delay grid")
-    grid = _branch_grid(grid)
+    grid = _check_grid(grid, None)
     params = base.resolved_timing()
     report = ExploreReport()
 

@@ -29,8 +29,8 @@ the certificate the clause asks about; those clauses are decided from these
 facts when the run is over, and only a violation reads the trace again, to
 list the participant's entries as its witness. Copying the monitor copies a
 few small dicts and sets. The escrow promises (`check_promises`) stay a batch
-check over the finished trace: they compare local times per escrow and are
-not part of exploration.
+check over the finished trace: they compare local times per escrow, only
+`validate_timeouts` reads them, and exploration does not check them.
 """
 from __future__ import annotations
 
@@ -62,7 +62,6 @@ class Status(Enum):
     HOLDS = "HOLDS"
     VIOLATED = "VIOLATED"
     VACUOUS = "VACUOUS"
-    INAPPLICABLE = "INAPPLICABLE"
 
 
 @dataclass
@@ -115,8 +114,6 @@ def _summarize(evaluated: int, violations: list[int]) -> Status:
 
 
 # ----------------------------------------------------------------------- monitor
-
-EVENTUAL = "eventual"
 
 # the participants whose entries the monitor reads beyond money and messages
 _ALICE, _CONNECTOR, _BOB, _MANAGER = range(4)
@@ -301,15 +298,14 @@ class Monitor:
     def termination(self, trace: Trace, bound=None) -> Verdict:
         """T; see `check_termination`."""
         meta = self.meta
-        eventual = self._weak or bound == EVENTUAL
-        if eventual:
+        if self._weak:  # eventual: by the horizon
             limit = meta.horizon
         elif bound is None:
             from .timing import termination_bound
             limit = termination_bound(meta.params)
         else:
             limit = as_fraction(bound, "termination bound")
-        decision_issued = eventual and (self.commit_at is not None or self.abort_at is not None)
+        decision_issued = self._weak and (self.commit_at is not None or self.abort_at is not None)
 
         evaluated = 0
         violations: list[int] = []
@@ -318,7 +314,7 @@ class Monitor:
             c = customer(k)
             if not self._guarded(c):
                 continue
-            if eventual:
+            if self._weak:
                 patience = meta.patience[k] if meta.patience else None
                 if patience is None and not decision_issued:
                     continue  # waiting forever was this customer's own choice
@@ -455,11 +451,11 @@ def fold(trace: Trace, monitor: Optional[Monitor] = None) -> Monitor:
 def check_termination(trace: Trace, bound=None) -> Verdict:
     """Customers finish in time.
 
-    Time-bounded mode (the default for strong traces): every compliant customer
-    that made a payment or issued a certificate, and whose escrows are
-    compliant, reaches a terminal state within `bound` of scenario start.
-    Eventual mode (weak traces, or bound=EVENTUAL): every compliant customer
-    with compliant escrows terminates within the horizon; customers who chose
+    Strong traces are time-bounded: every compliant customer that made a
+    payment or issued a certificate, and whose escrows are compliant, reaches
+    a terminal state within `bound` (by default the derived termination bound)
+    of scenario start. Weak traces are eventual: every compliant customer with
+    compliant escrows terminates within the horizon; customers who chose
     unbounded patience are exempt when no decision was ever issued.
     """
     return fold(trace).termination(trace, bound)
@@ -546,16 +542,9 @@ def check_promises(trace: Trace) -> list[Verdict]:
     ]
 
 
-STRONG_PROPERTIES = ("C", "T", "ES", "CS1", "CS2", "CS3", "L", "CONS", "AUTH")
-WEAK_PROPERTIES = ("C", "T", "ES", "CS1", "CS2", "CS3", "L", "CC", "CONS", "AUTH")
-
-
-def property_names(variant: str) -> tuple[str, ...]:
-    return WEAK_PROPERTIES if variant == "weak" else STRONG_PROPERTIES
-
-
-def evaluate_all(trace: Trace, bound=None, include_promises: bool = False) -> list[Verdict]:
-    """Every applicable verdict for the trace, in report order."""
+def evaluate_all(trace: Trace, bound=None) -> list[Verdict]:
+    """Every verdict for the trace, in report order: C, T, ES, CS1-3, L, CC
+    (weak traces only), CONS, AUTH."""
     monitor = fold(trace)
     cs1, cs2, cs3 = monitor.customer_security(trace)
     verdicts = [
@@ -571,8 +560,6 @@ def evaluate_all(trace: Trace, bound=None, include_promises: bool = False) -> li
         verdicts.append(monitor.certificate_consistency())
     verdicts.append(monitor.conservation())
     verdicts.append(monitor.authentication())
-    if include_promises:
-        verdicts.extend(check_promises(trace))
     return verdicts
 
 
@@ -593,8 +580,8 @@ def safety_verdicts(trace: Trace, monitor: Optional[Monitor] = None) -> list[Ver
 
 
 def tally(counts: dict[str, dict[str, int]], verdicts: list[Verdict]) -> bool:
-    """Add each verdict to its property's pass/vacuous/fail count in `counts`
-    (INAPPLICABLE counts as vacuous); True if any verdict is a violation."""
+    """Add each verdict to its property's pass/vacuous/fail count in `counts`;
+    True if any verdict is a violation."""
     violated = False
     for v in verdicts:
         per = counts.get(v.name)
@@ -603,7 +590,7 @@ def tally(counts: dict[str, dict[str, int]], verdicts: list[Verdict]) -> bool:
         if v.status is Status.VIOLATED:
             per["fail"] += 1
             violated = True
-        elif v.status in (Status.VACUOUS, Status.INAPPLICABLE):
+        elif v.status is Status.VACUOUS:
             per["vacuous"] += 1
         else:
             per["pass"] += 1

@@ -29,7 +29,7 @@ a plain value: the event heap and its sequence counter, the current instant,
 each automaton's current state, clock variables, captured messages, inbox and
 stuck flag, each key's next nonce, the ledger's balances and value in flight,
 each strategy's own state and vault, the delay generator's state (once it has
-drawn), the send counter, the tie flag, the count of compliant participants
+drawn), the tie flag, the count of compliant participants
 still running, and the number of trace entries so far (entries are only ever
 appended, so the count names the prefix). `restore` puts one back and `run`
 continues from there; a plain run is the same loop, with no snapshot taken.
@@ -106,14 +106,25 @@ def _default_grid(delta: Fraction, points: int = 4) -> tuple[Fraction, ...]:
     return tuple(delta * k / points for k in range(1, points + 1))
 
 
-def _check_grid(grid: Sequence[Fraction], delta: Fraction) -> tuple[Fraction, ...]:
-    out = tuple(as_fraction(g, "grid delay") for g in grid)
+def _check_grid(grid: Sequence[Fraction], delta: Optional[Fraction]) -> tuple[Fraction, ...]:
+    """The grid's points, exact, positive and distinct: a point <= 0 would
+    deliver before the send, and a repeated one would weight the seeded sampler
+    towards it, or run every explored branch through it twice. Points past
+    `delta` are refused unless it is None: the explorer passes None, since its
+    points past delta model lost synchrony."""
+    out: list[Fraction] = []
+    for g in grid:
+        g = as_fraction(g, "grid delay")
+        if delta is not None and not 0 < g <= delta:
+            raise ConfigError(f"grid delay {g} outside (0, {delta}]")
+        if g <= 0:
+            raise ConfigError(f"grid delay {g} must be positive")
+        if g in out:
+            raise ConfigError(f"grid delay {g} is repeated")
+        out.append(g)
     if not out:
         raise ConfigError("delay grid must be non-empty")
-    for g in out:
-        if not 0 < g <= delta:
-            raise ConfigError(f"grid delay {g} outside (0, {delta}]")
-    return out
+    return tuple(out)
 
 
 @dataclass
@@ -126,7 +137,8 @@ class Synchronous:
         self.delta = as_fraction(self.delta, "delta")
         if self.delta <= 0:
             raise ConfigError("delivery bound must be strictly positive")
-        self.grid = _check_grid(self.grid or _default_grid(self.delta), self.delta)
+        self.grid = _check_grid(_default_grid(self.delta) if self.grid is None else self.grid,
+                                self.delta)
 
     def delta_bound(self) -> Optional[Fraction]:
         return self.delta
@@ -134,7 +146,7 @@ class Synchronous:
     def delays(self) -> tuple[Fraction, ...]:
         return self.grid
 
-    def delay_for(self, env: Envelope, t: Fraction, rng: random.Random, index: int) -> Fraction:
+    def delay_for(self, env: Envelope, t: Fraction, rng: random.Random) -> Fraction:
         return self.grid[rng.randrange(len(self.grid))]
 
     def to_config(self) -> dict:
@@ -158,7 +170,8 @@ class PartialSync:
             raise ConfigError("delivery bound must be strictly positive")
         if self.gst < 0:
             raise ConfigError("stabilization time must be non-negative")
-        self.grid = _check_grid(self.grid or _default_grid(self.delta), self.delta)
+        self.grid = _check_grid(_default_grid(self.delta) if self.grid is None else self.grid,
+                                self.delta)
 
     def delta_bound(self) -> Optional[Fraction]:
         return self.delta
@@ -167,7 +180,7 @@ class PartialSync:
         # a delay before stabilization is gst - t + a grid point
         return (self.gst, *self.grid)
 
-    def delay_for(self, env: Envelope, t: Fraction, rng: random.Random, index: int) -> Fraction:
+    def delay_for(self, env: Envelope, t: Fraction, rng: random.Random) -> Fraction:
         base = self.grid[rng.randrange(len(self.grid))]
         if t < self.gst:
             return (self.gst - t) + base
@@ -242,7 +255,7 @@ class Scripted:
     def delays(self) -> tuple[Fraction, ...]:
         return (self.default, *(rule.delay for rule in self.rules))
 
-    def delay_for(self, env: Envelope, t: Fraction, rng: random.Random, index: int) -> Fraction:
+    def delay_for(self, env: Envelope, t: Fraction, rng: random.Random) -> Fraction:
         for rule in self.rules:
             if rule.matches(env):
                 return rule.delay
@@ -296,11 +309,8 @@ class StrategyContext:
     def sign_own(self, payload: Payload) -> SignedMessage:
         return byzantine_emit(self._sim.strategies[self.pid], self.vault, payload, self.pid)
 
-    def emit(self, dst: ParticipantId, payload: Payload,
-             as_signer: Optional[ParticipantId] = None) -> None:
-        msg = byzantine_emit(self._sim.strategies[self.pid], self.vault,
-                             payload, as_signer or self.pid)
-        self._sim.send(Envelope(self.pid, dst, msg))
+    def emit(self, dst: ParticipantId, payload: Payload) -> None:
+        self._sim.send(Envelope(self.pid, dst, self.sign_own(payload)))
 
     def replay(self, dst: ParticipantId, msg: SignedMessage) -> None:
         if msg not in self.vault:
@@ -320,7 +330,6 @@ class Strategy:
     def __init__(self, pid: ParticipantId, key: SigningKey, params: dict):
         self.pid = pid
         self.key = key
-        self.params = dict(params)
 
     def on_start(self, ctx: StrategyContext) -> None:
         pass
@@ -522,6 +531,9 @@ class Scenario:
                                     for t, env in self.raw_injections)
 
     def validate(self) -> None:
+        for name in ("n", "amount", "seed"):
+            if type(getattr(self, name)) is not int:  # a bool is not a count
+                raise ConfigError(f"{name} must be an integer")
         if self.variant not in ("strong", "weak"):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.n < 1:
@@ -637,7 +649,7 @@ def _rate_grid(rho: Fraction, points: int = 9) -> list[Fraction]:
 
 
 def assign_clocks(scenario: Scenario) -> dict[ParticipantId, LocalClock]:
-    """Per-participant clocks, rates within [1/(1+rho), 1+rho], zero offsets.
+    """Per-participant clocks, rates within [1/(1+rho), 1+rho].
 
     Modes: auto (identity when rho=0, else seeded), seeded (deterministic
     seed-derived rates), worst_case (escrows fastest, customers slowest: the
@@ -689,7 +701,7 @@ def time_scale(sc: Scenario, automata: dict[ParticipantId, Automaton],
 
     Those are pi, the delays the delay model lists, the real length delay/rate
     of each timeout an automaton's definition lists (a deadline is the
-    assignment instant plus delay/rate; a clock's offset cancels out), the
+    assignment instant plus delay/rate), the
     strategies' own delays and the injection instants. The states a manager
     builds on first entry have no timeout.
     """
@@ -739,7 +751,6 @@ class Snapshot(NamedTuple):
     seq: int
     tick: int
     now: Fraction
-    send_index: int
     # entries are append-only and a restore starts a new list, so the list the
     # snapshot saw keeps its first `entry_count` entries for good
     entries: list
@@ -844,7 +855,6 @@ class _Sim:
         # the length in ticks of each delay object the delay model returned,
         # keyed by id and holding the object so that its id is not reused
         self.delay_ticks: dict[int, tuple[Fraction, int]] = {}
-        self.send_index = 0
         self.entries: list[TraceEntry] = []
         self.had_tie = False
         self.stop_reason = STOP_QUEUE_EMPTY
@@ -858,7 +868,7 @@ class _Sim:
         entries = self.entries
         strategies = self.strategies
         return Snapshot(
-            self.started, tuple(self.heap), self.seq, self.tick, self.now, self.send_index,
+            self.started, tuple(self.heap), self.seq, self.tick, self.now,
             entries, len(entries), self.had_tie, self.pending_compliant,
             self.ledger.balances.copy(), self.ledger.in_flight,
             self.rng.getstate() if self.rng.drawn else None,
@@ -872,8 +882,8 @@ class _Sim:
     def restore(self, snap: Snapshot) -> None:
         """Put this run back into the state `snap` was taken in; the trace
         entries after it are left to the traces already returned."""
-        (self.started, heap, self.seq, self.tick, self.now, self.send_index, entries,
-         entry_count, self.had_tie, self.pending_compliant, balances, in_flight, rng,
+        (self.started, heap, self.seq, self.tick, self.now, entries, entry_count,
+         self.had_tie, self.pending_compliant, balances, in_flight, rng,
          automata, nonces, strategies, vaults) = snap
         self.heap = list(heap)
         self.local_now = {}
@@ -946,8 +956,7 @@ class _Sim:
             self.entry(Rec.TRANSFERRED, env.src, frm=env.src, to=env.dst,
                        amount=payload.amount, phase="sent")
         self.entry(Rec.SENT, env.src, env=env)
-        delay = self.sc.delay.delay_for(env, self.now, self.rng, self.send_index)
-        self.send_index += 1
+        delay = self.sc.delay.delay_for(env, self.now, self.rng)
         known = self.delay_ticks.get(id(delay))
         if known is None:
             known = self.delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))
@@ -1024,7 +1033,7 @@ class _Sim:
                 return
             tr, env = ordered[0]
             if env is None:
-                deadline = tr.guard.local_deadline(aut.clock_vars, aut.clock)
+                deadline = tr.guard.local_deadline(aut.clock_vars)
                 self.entry(Rec.TIMEOUT_FIRED, pid, state=aut.current, deadline=deadline)
             emissions = aut.step(tr, self.now, env)
             self._route_emissions(pid, emissions)

@@ -97,11 +97,16 @@ def _derive_timeouts(n: int, delta: Fraction, pi: Fraction, rho: Fraction,
 
     drift = 1 + rho
     a = tuple(drift * h + margin for h in budgets)
-    d = tuple(ai + 2 * drift * pi + margin for ai in a)
     if epsilon is None:
         epsilon = 2 * drift * pi + margin
-    return TimingParams(n=n, a=a, d=d, epsilon=epsilon, pi=pi,
-                        delta=delta, rho=rho, mu=margin)
+    return TimingParams(n=n, a=a, d=resolution_deadlines(a, pi, rho, margin),
+                        epsilon=epsilon, pi=pi, delta=delta, rho=rho, mu=margin)
+
+
+def resolution_deadlines(a: tuple[Fraction, ...], pi: Fraction, rho: Fraction,
+                         margin: Fraction) -> tuple[Fraction, ...]:
+    """The deadline d_i each escrow promises its depositor, for its window a_i."""
+    return tuple(ai + 2 * (1 + rho) * pi + margin for ai in a)
 
 
 def termination_bound(p: TimingParams) -> Fraction:
@@ -155,18 +160,14 @@ def _clock_modes(rho: Fraction) -> tuple[str, ...]:
     return _WORST_CLOCK_MODES
 
 
-def validate_timeouts(
-    p: TimingParams,
-    n: int,
-    step: Optional[Fraction] = None,
-) -> TimeoutValidation:
+def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
     """Run the worst-case scripted family (every delay at the bound, extreme clock
     assignments, full processing) and report:
 
     * liveness, termination-within-bound, and promise-honoring at `p`
       (raises ValidationFailed with the first counterexample trace otherwise);
-    * tightness evidence: lowering each a_i by one grid `step` (default
-      delta/4) produces a progress counterexample. For the bottom hop that is
+    * tightness evidence: lowering each a_i by one grid step of delta/4
+      produces a progress counterexample. For the bottom hop that is
       a liveness failure (Bob refunded-around, never paid); for the hops above
       it Bob is still paid by the escrows below, and the failure is the
       connector above the shortened window forwarding the certificate too late
@@ -176,7 +177,7 @@ def validate_timeouts(
 
     if n != p.n:
         raise ConfigError("hop count does not match the timing parameters")
-    step = Fraction(step) if step is not None else p.delta / 4
+    step = p.delta / 4
     report = TimeoutValidation(params=p, n=n, passed=False, tightness_step=step)
 
     bound = termination_bound(p)
@@ -208,8 +209,6 @@ def validate_timeouts(
     for i in range(n):
         a = list(p.a)
         a[i] = a[i] - step
-        if a[i] <= 0:
-            raise ConfigError(f"tightness step {step} is not smaller than a_{i}")
         reduced = replace(p, a=tuple(a))
         broke = False
         for mode in _clock_modes(p.rho):

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import strong_scenario
 from xpay import protocol
 from xpay.cli import (
     EXIT_BUDGET,
@@ -101,15 +102,17 @@ def test_seed_override_changes_the_trace(tmp_path):
     assert open(t1).read() != open(t2).read()
 
 
-def test_env_seed_default(tmp_path, monkeypatch):
-    cfg = dict(NOMINAL)
-    del cfg["seed"]
-    monkeypatch.setenv("XPAY_SEED", "123")
-    scenario, _ = parse_scenario_config(cfg)
-    assert scenario.seed == 123
-    monkeypatch.setenv("XPAY_SEED", "not-a-number")
-    with pytest.raises(ConfigError):
-        parse_scenario_config(cfg)
+@pytest.mark.parametrize("field", ["n", "amount", "seed", "grid_points"])
+def test_boolean_counts_are_config_errors(tmp_path, capsys, field):
+    """JSON true is a bool, and a bool is an int to Python: it must not pass
+    as the count 1."""
+    cfg = dict(NOMINAL, delay_model=dict(NOMINAL["delay_model"]))
+    (cfg["delay_model"] if field == "grid_points" else cfg)[field] = True
+    assert main(["run", write(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be ")
+    if field != "grid_points":  # a library scenario has no grid_points
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            run_simulation(strong_scenario(**{field: True}))
 
 
 def test_report_json(tmp_path):
@@ -138,7 +141,7 @@ def _one_by_one_counts(path, seeds):
         for v in evaluate_all(run_simulation(scenario)):
             if v.status is Status.VIOLATED:
                 bucket = "fail"
-            elif v.status in (Status.VACUOUS, Status.INAPPLICABLE):
+            elif v.status is Status.VACUOUS:
                 bucket = "vacuous"
             else:
                 bucket = "pass"

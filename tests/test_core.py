@@ -111,35 +111,38 @@ def test_nonces_distinguish_duplicate_payloads():
     assert a != b
 
 
-def test_transfer_basic():
-    ledger = Ledger({customer(0): 1, escrow(0): 0})
-    after = ledger.transfer(customer(0), escrow(0), 1)
-    assert after.balance(customer(0)) == 0
-    assert after.balance(escrow(0)) == 1
-    # the original is untouched
-    assert ledger.balance(customer(0)) == 1
-
-
 def test_transfer_insufficient_funds():
+    """Value moves by a send and a receive; neither may overdraw."""
     ledger = Ledger({customer(0): 0, escrow(0): 0})
     with pytest.raises(InsufficientFunds):
-        ledger.transfer(customer(0), escrow(0), 1)
+        ledger.send_value(customer(0), 1)
+    with pytest.raises(InsufficientFunds):
+        ledger.receive_value(escrow(0), 1)  # nothing is in flight
+    assert ledger.balances == {customer(0): 0, escrow(0): 0} and ledger.in_flight == 0
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_transfer_sequences_conserve_total(seed):
-    """Oracle: re-sum the balances after every random transfer."""
+    """Oracle: after every random send or receive, re-sum the balances and
+    the value in flight, and predict each refusal from the ledger before it."""
     rng = random.Random(seed)
     parties = [customer(i) for i in range(4)] + [escrow(0)]
     ledger = Ledger({p: rng.randrange(0, 5) for p in parties})
     expected = sum(ledger.balances.values())
-    for _ in range(30):
-        frm, to = rng.sample(parties, 2)
+    for _ in range(40):
+        p = rng.choice(parties)
         amount = rng.randrange(1, 4)
-        try:
-            ledger = ledger.transfer(frm, to, amount)
-        except InsufficientFunds:
-            continue
+        balances, in_flight = dict(ledger.balances), ledger.in_flight
+        if rng.randrange(2):
+            move, refused = ledger.send_value, balances[p] < amount
+        else:
+            move, refused = ledger.receive_value, in_flight < amount
+        if refused:
+            with pytest.raises(InsufficientFunds):
+                move(p, amount)
+            assert (ledger.balances, ledger.in_flight) == (balances, in_flight)
+        else:
+            move(p, amount)
         assert sum(ledger.balances.values()) + ledger.in_flight == expected
         assert all(b >= 0 for b in ledger.balances.values())
 
@@ -149,7 +152,6 @@ def test_send_receive_pair_tracks_in_flight():
     ledger.send_value(customer(0), 2)
     assert ledger.balance(customer(0)) == 0
     assert ledger.in_flight == 2
-    assert ledger.total() == 2
     ledger.receive_value(escrow(0), 2)
     assert ledger.balance(escrow(0)) == 2
     assert ledger.in_flight == 0

@@ -151,8 +151,7 @@ def test_a_restored_snapshot_finishes_the_run_it_was_taken_from(scenario):
 def run_state(sim):
     """Everything a restore puts back, read from the run's own objects."""
     return (
-        sim.started, list(sim.heap), sim.seq, sim.tick, sim.now, sim.send_index,
-        list(sim.entries), sim.had_tie, sim.pending_compliant,
+        sim.started, list(sim.heap), sim.seq, sim.tick, sim.now, list(sim.entries), sim.had_tie, sim.pending_compliant,
         dict(sim.ledger.balances), sim.ledger.in_flight,
         [(aut.current, dict(aut.clock_vars), dict(aut.captured), list(aut.inbox), aut.stuck,
           aut.due) for aut in sim.automata.values()],
@@ -190,13 +189,13 @@ def test_a_restore_puts_back_each_armed_deadline():
         for snap, _, contents in taken:
             assert snapshot_contents(snap) == contents
         states += [state for _, state, _ in taken]
-    automata = [aut for state in states for aut in state[11]]
+    automata = [aut for state in states for aut in state[10]]
     assert any(isinstance(due, int) for *_, due in automata)
     assert any(clock_vars for _, clock_vars, *_ in automata)
     assert any(captured for _, _, captured, *_ in automata)
     assert any(inbox for _, _, _, inbox, *_ in automata)
-    assert any(strategy for state in states for strategy in state[13].values())
-    assert any(vault for state in states for vault in state[14].values())
+    assert any(strategy for state in states for strategy in state[12].values())
+    assert any(vault for state in states for vault in state[13].values())
 
 
 def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):

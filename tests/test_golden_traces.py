@@ -3,8 +3,8 @@ over a fixed corpus.
 
 Every case is one `run_simulation` of a fixed scenario. Its trace digest is the
 sha256 of `Trace.render()`; its verdict digest is the sha256 of the lines of
-`evaluate_all(trace, include_promises=True)`, each followed by its witness
-list. The recorded digests live in `golden_traces.json` and
+`evaluate_all(trace)` and then of `check_promises(trace)`, each followed by its
+witness list. The recorded digests live in `golden_traces.json` and
 `golden_verdicts.json` beside this file. A change meant to keep traces and
 verdicts as they are must leave every digest as it is. A change that alters
 them on purpose updates exactly the digests it changed and names those cases.
@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import strong_scenario, weak_scenario
 from xpay.core import Certificate, Envelope, SigningKey, customer, escrow, sign
-from xpay.properties import Status, evaluate_all
+from xpay.properties import Status, check_promises, evaluate_all
 from xpay.simnet import (
     PartialSync,
     ScriptRule,
@@ -144,9 +144,12 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def all_verdicts(trace) -> list:
+    return evaluate_all(trace) + check_promises(trace)
+
+
 def verdict_text(trace) -> str:
-    return "".join(f"{v.line()} witness={v.witness}\n"
-                   for v in evaluate_all(trace, include_promises=True))
+    return "".join(f"{v.line()} witness={v.witness}\n" for v in all_verdicts(trace))
 
 
 def digests(cases) -> tuple[dict[str, str], dict[str, str]]:
@@ -190,7 +193,7 @@ def test_odd_instant_traces_match_recorded_digests():
 
 def test_violating_cases_violate_termination_liveness_and_the_guarantee():
     violated = {v.name for _, scenario in violating_cases()
-                for v in evaluate_all(run_simulation(scenario), include_promises=True)
+                for v in all_verdicts(run_simulation(scenario))
                 if v.status is Status.VIOLATED}
     assert {"T", "L", "G_PROMISE"} <= violated
 

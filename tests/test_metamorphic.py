@@ -50,13 +50,14 @@ def scenarios(draw):
     variant = draw(st.sampled_from(("strong", "weak")))
     n = draw(st.integers(1, 4))
     delta = draw(positive_rationals(9, 7))
-    # grid points k/m * delta, 0 < k <= m: inside (0, delta]
+    # grid points k/m * delta, 0 < k <= m: inside (0, delta]; a repeated
+    # point is dropped, as a grid's points are distinct
     grid = draw(st.lists(st.builds(lambda m, k: delta * min(k, m) / m,
                                    st.integers(1, 6), st.integers(1, 6)),
                          min_size=1, max_size=4))
     common = dict(
         n=n,
-        delay=Synchronous(delta, grid=tuple(grid)),
+        delay=Synchronous(delta, grid=tuple(dict.fromkeys(grid))),
         pi=draw(st.builds(F, st.integers(0, 5), st.integers(1, 13))),
         rho=draw(st.builds(F, st.integers(0, 3), st.integers(1, 10))),
         clock_mode=draw(st.sampled_from(CLOCK_MODES)),

@@ -334,7 +334,6 @@ EXACT_INPUTS = {
     "derive_timeouts.margin": lambda x: derived(margin=x).mu,
     "derive_timeouts.epsilon": lambda x: derived(epsilon=x).epsilon,
     "LocalClock.rate": lambda x: LocalClock(x).rate,
-    "LocalClock.offset": lambda x: LocalClock(F(1), x).offset,
     "Timeout.delay": lambda x: Timeout(x).delay,
     "make_weak_participants.patience": lambda x: make_weak_participants(
         derived(1), PaymentInstance("pay0", 1, 1), [x, None])[customer(0)].timeouts[0],
@@ -349,6 +348,33 @@ def test_time_inputs_refuse_floats_and_booleans(build):
     for exact in (1, F(1, 2)):
         got = build(exact)
         assert type(got) is Fraction and got == exact
+
+
+GRID_MODELS = {
+    "Synchronous": lambda grid: Synchronous(F(1), grid=grid),
+    "PartialSync": lambda grid: PartialSync(F(0), F(1), grid=grid),
+}
+
+
+@pytest.mark.parametrize("build", GRID_MODELS.values(), ids=GRID_MODELS.keys())
+@pytest.mark.parametrize("grid, refused", [
+    ((F(1, 2), F(1, 2), F(1)), "1/2 is repeated"),
+    ((F(1, 4), F(1), F(1, 4)), "1/4 is repeated"),
+    ((F(0), F(1)), "0 outside"),
+    ((F(1, 2), F(2)), "2 outside"),
+], ids=["repeated", "repeated-apart", "zero", "past-delta"])
+def test_delay_model_grids_are_positive_distinct_and_within_delta(build, grid, refused):
+    """The seeded sampler draws each grid point alike, so a repeated point
+    would weight it; the explorer refuses the same grids."""
+    with pytest.raises(ConfigError, match=f"grid delay {refused}"):
+        build(grid)
+
+
+@pytest.mark.parametrize("build", GRID_MODELS.values(), ids=GRID_MODELS.keys())
+def test_delay_model_grid_is_given_or_default_never_empty(build):
+    with pytest.raises(ConfigError, match="delay grid must be non-empty"):
+        build(())
+    assert build(None).grid == (F(1, 4), F(1, 2), F(3, 4), F(1))
 
 
 # Each memoised library call that takes a time, mapped to a builder. A memo
@@ -399,7 +425,7 @@ class _UnlistedDelay:
     def delays(self):
         return (F(1, 2),)
 
-    def delay_for(self, env, t, rng, index):
+    def delay_for(self, env, t, rng):
         return F(1, 3)
 
     def to_config(self):

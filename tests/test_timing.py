@@ -114,7 +114,16 @@ def test_rho_naive_values_fail_under_drift():
     assert validate_timeouts(aware, 1).passed
 
 
-def test_tightness_step_must_leave_windows_positive():
-    p = derive_timeouts(1, F(1), F(0), F(0))  # a_0 = 2
-    with pytest.raises(ConfigError):
-        validate_timeouts(p, 1, step=F(2))
+def test_tightness_step_must_leave_windows_positive(capsys):
+    """The tightness step is delta/4, and a window no longer than one step
+    fails the sweeps at the given values, before any window is lowered: the
+    certificate's round trip alone takes 2*delta. So every lowered window
+    stays positive."""
+    from xpay.cli import EXIT_VIOLATION, main
+    for n, rho in ((1, F(0)), (2, F(1, 10))):
+        p = derive_timeouts(n, F(1), F(1, 10), rho)
+        assert validate_timeouts(p, n).tightness_step == F(1, 4)
+    for argv in (["--n", "1", "--force-a", "1/4"], ["--n", "2", "--force-a", "5,1/10"],
+                 ["--n", "1", "--rho", "1/10", "--force-a", "1/10"]):
+        assert main(["derive", "--delta", "1", *argv, "--validate"]) == EXIT_VIOLATION
+        assert "VALIDATION FAILED: liveness fails" in capsys.readouterr().out
