@@ -228,6 +228,10 @@ UNARMED = "unarmed"
 class Automaton:
     """One run of a machine: its clock and key, and the state the run has reached.
 
+    `state` is the current `State` object itself (the machine's initial state
+    when none is given), so the engine reads its kind and transitions without
+    a table lookup; `current` reads and sets it by name.
+
     Times given to `enabled_transitions` count ticks of 1/`scale` (the engine
     sets its run's scale), or real time when `scale` is None. `due` is when
     the current state's timeout falls due on that axis, None if never; it is
@@ -237,7 +241,7 @@ class Automaton:
     machine: Machine
     clock: LocalClock = field(default_factory=LocalClock)
     key: Optional[SigningKey] = None
-    current: str = ""
+    state: Optional[State] = None
     clock_vars: dict[str, Fraction] = field(default_factory=dict)
     captured: dict[str, SignedMessage] = field(default_factory=dict)
     inbox: list[Envelope] = field(default_factory=list)
@@ -246,8 +250,8 @@ class Automaton:
     due: Union[int, Fraction, None, str] = UNARMED
 
     def __post_init__(self):
-        if not self.current:
-            self.current = self.machine.initial
+        if self.state is None:
+            self.state = self.machine.states[self.machine.initial]
         if self.key is None:
             self.key = self.machine.new_key()
         elif self.key.owner != self.machine.id:
@@ -258,8 +262,12 @@ class Automaton:
         return self.machine.id
 
     @property
-    def state(self) -> State:
-        return self.machine.states[self.current]
+    def current(self) -> str:
+        return self.state.name
+
+    @current.setter
+    def current(self, name: str) -> None:
+        self.state = self.machine.states[name]
 
     def is_terminal(self) -> bool:
         return self.state.kind is StateKind.TERMINAL
@@ -342,6 +350,6 @@ class Automaton:
             else:
                 msg = sign(spec.payload, self.id, self.key)
             emissions.append(Envelope(self.id, recipient, msg))
-        self.current = transition.target
+        self.state = self.machine.states[transition.target]
         self.due = UNARMED
         return emissions

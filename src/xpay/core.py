@@ -8,6 +8,7 @@ grants, and it keeps runs deterministic.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
@@ -30,41 +31,39 @@ class ParticipantKind(Enum):
     MANAGER = "m"
 
 
-# keyed by the kind's value: a str key hashes in C, an Enum member in Python
-_KIND_ORDER = {"e": 0, "c": 1, "m": 2}
+_KINDS = tuple(ParticipantKind)  # a kind's position is its order in an id
 
 
-@dataclass(frozen=True)
-class ParticipantId:
-    """A participant, hashed by its sort key. The hash and the string form are
-    computed once: ids key most of the simulator's per-participant dicts and
-    name their participant in every rendered trace line."""
-    kind: ParticipantKind
-    index: int
+class ParticipantId(tuple):
+    """A participant, as the int tuple (kind order, index): escrows are 0,
+    customers 1 and the manager 2.
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ConfigError(f"participant index must be non-negative, got {self.index}")
-        object.__setattr__(self, "_hash", hash(self.sort_key))
-        object.__setattr__(self, "_str", f"{self.kind.value}{self.index}")
+    Hashing, equality and ordering are the tuple's own and run in C. Ids sort
+    escrows first, then customers, then the manager, each kind by index, and
+    an id compares equal to the plain tuple: `escrow(3) == (0, 3)`. The
+    string form, e.g. "e3", is computed once and kept as `text`: ids key most
+    of the simulator's per-participant dicts and name their participant in
+    every rendered trace line.
+    """
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, kind: ParticipantKind, index: int):
+        if index < 0:
+            raise ConfigError(f"participant index must be non-negative, got {index}")
+        pid = super().__new__(cls, (_KINDS.index(kind), index))
+        pid.text = f"{kind.value}{index}"
+        return pid
 
-    def __eq__(self, other) -> bool:
-        # ids are shared, so equal ids are nearly always one object
-        if self is other:
-            return True
-        if other.__class__ is not ParticipantId:
-            return NotImplemented
-        return self.kind is other.kind and self.index == other.index
+    kind = property(lambda self: _KINDS[self[0]])
+    index = property(operator.itemgetter(1))
+
+    def __reduce__(self):
+        return ParticipantId, (self.kind, self.index)
+
+    def __repr__(self) -> str:
+        return f"ParticipantId(kind={self.kind!r}, index={self.index!r})"
 
     def __str__(self) -> str:
-        return self._str
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_ORDER[self.kind._value_], self.index)
+        return self.text
 
 
 # escrow(), customer() and manager() hand out one shared id per participant; the

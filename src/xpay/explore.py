@@ -132,9 +132,7 @@ class ExploreReport:
 def assignment_label(assignment: dict[ParticipantId, StrategySpec]) -> str:
     if not assignment:
         return "compliant"
-    parts = [f"{p}={assignment[p].label()}"
-             for p in sorted(assignment, key=lambda q: q.sort_key)]
-    return ",".join(parts)
+    return ",".join(f"{p}={assignment[p].label()}" for p in sorted(assignment))
 
 
 class _Checkpoint(NamedTuple):
@@ -314,7 +312,7 @@ def battery_assignments(scenario: Scenario) -> list[dict[ParticipantId, Strategy
             params = {"delay": 2 * delta} if name == "delay_own_sends" else {}
             options.append(StrategySpec(name, params))
         specs_for[pid] = options
-    pids = sorted(specs_for, key=lambda p: p.sort_key)
+    pids = sorted(specs_for)
     out: list[dict[ParticipantId, StrategySpec]] = [{}]
     for r in range(1, len(pids) + 1):
         for subset in itertools.combinations(pids, r):

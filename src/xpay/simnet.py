@@ -45,6 +45,7 @@ signature; `byzantine_emit` is the chokepoint that enforces this.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -52,7 +53,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .automata import Automaton, LocalClock, StateKind
+from .automata import Automaton, LocalClock, State, StateKind
 from .core import (
     AbortReq,
     Certificate,
@@ -629,7 +630,7 @@ class Scenario:
                 "mu": fmt_fraction(self.timing.mu),
             },
             "byzantine": {str(p): self.byzantine[p].label()
-                          for p in sorted(self.byzantine, key=lambda q: q.sort_key)},
+                          for p in sorted(self.byzantine)},
             "patience": pat,
             "seed": self.seed,
             "horizon": None if self.horizon is None else fmt_fraction(self.horizon),
@@ -642,10 +643,17 @@ class Scenario:
         return config_digest(self.config_dict())
 
 
-def _rate_grid(rho: Fraction, points: int = 9) -> list[Fraction]:
+_IDENTITY = LocalClock()
+
+
+@functools.lru_cache(maxsize=16)
+def _seeded_clocks(rho: Fraction, points: int = 9) -> tuple[LocalClock, ...]:
+    """The clocks a seeded run draws from: rates evenly spaced over
+    [1/(1+rho), 1+rho]. Built once per rho; clocks are frozen, so every run
+    shares them."""
     lo = Fraction(1) / (1 + rho)
     hi = 1 + rho
-    return [lo + (hi - lo) * k / (points - 1) for k in range(points)]
+    return tuple(LocalClock(lo + (hi - lo) * k / (points - 1)) for k in range(points))
 
 
 def assign_clocks(scenario: Scenario) -> dict[ParticipantId, LocalClock]:
@@ -660,36 +668,23 @@ def assign_clocks(scenario: Scenario) -> dict[ParticipantId, LocalClock]:
     mode = scenario.clock_mode
     if mode == "auto":
         mode = "identity" if rho == 0 else "seeded"
-    participants = sorted(scenario.participant_ids(), key=lambda p: p.sort_key)
-    # clocks are values; participants with the same rate share one
-    one = LocalClock()
-    lo = LocalClock(Fraction(1) / (1 + rho))
-    hi = LocalClock(1 + rho)
-
-    def fixed(escrow_clock: LocalClock, customer_clock: LocalClock) -> dict[ParticipantId, LocalClock]:
-        out = {}
-        for p in participants:
-            if p.kind is ParticipantKind.ESCROW:
-                out[p] = escrow_clock
-            elif p.kind is ParticipantKind.CUSTOMER:
-                out[p] = customer_clock
-            else:
-                out[p] = one
-        return out
-
-    if mode == "identity":
-        return fixed(one, one)
-    if mode == "worst_case":
-        return fixed(hi, lo)
-    if mode == "escrows_slow":
-        return fixed(lo, hi)
-    if mode == "all_fast":
-        return fixed(hi, hi)
-    if mode == "all_slow":
-        return fixed(lo, lo)
-    rng = random.Random(f"{scenario.seed}:clocks")
-    grid = [LocalClock(rate) for rate in _rate_grid(rho)]
-    return {p: grid[rng.randrange(len(grid))] for p in participants}
+    participants = scenario.participant_ids()  # in id order, the order of the draws
+    grid = _seeded_clocks(rho)
+    if mode == "seeded":
+        rng = random.Random(f"{scenario.seed}:clocks")
+        return {p: grid[rng.randrange(len(grid))] for p in participants}
+    # the fixed modes give each kind one clock: escrows, customers, the manager
+    lo, hi = grid[0], grid[-1]
+    escrow_clock, customer_clock = {
+        "identity": (_IDENTITY, _IDENTITY),
+        "worst_case": (hi, lo),
+        "escrows_slow": (lo, hi),
+        "all_fast": (hi, hi),
+        "all_slow": (lo, lo),
+    }[mode]
+    by_kind = {ParticipantKind.ESCROW: escrow_clock, ParticipantKind.CUSTOMER: customer_clock,
+               ParticipantKind.MANAGER: _IDENTITY}
+    return {p: by_kind[p.kind] for p in participants}
 
 
 # --------------------------------------------------------------------- the engine
@@ -715,8 +710,8 @@ def time_scale(sc: Scenario, automata: dict[ParticipantId, Automaton],
 
 # An event is a plain tuple on the heap, (tick, priority, seq, kind, a, b):
 #   _DELIVER      a = envelope, b = the send instant in ticks
-#   _OUTPUT_DONE  a = participant, b = the output state it was scheduled in
-#   _TIMEOUT      a = participant, b = the input state whose timeout it is
+#   _OUTPUT_DONE  a = participant, b = the output `State` it was scheduled in
+#   _TIMEOUT      a = participant, b = the input `State` whose timeout it is
 #   _SEND_LATER   a = envelope, b = None
 # Deliveries have priority 0 and everything else 1, and no two events share
 # a seq, so tuples never compare past it.
@@ -760,7 +755,7 @@ class Snapshot(NamedTuple):
     balances: dict  # pid -> balance
     in_flight: int
     rng: Optional[tuple]  # None while the generator has drawn nothing
-    automata: list  # per automaton: (current, clock_vars, captured, inbox, stuck, due)
+    automata: list  # per automaton: (state, clock_vars, captured, inbox, stuck, due)
     nonces: list  # per key, the next nonce
     strategies: Sequence  # per strategy, its own `snapshot()`; empty with no strategy
     vaults: Sequence  # per strategy, the messages delivered to it
@@ -872,7 +867,7 @@ class _Sim:
             entries, len(entries), self.had_tie, self.pending_compliant,
             self.ledger.balances.copy(), self.ledger.in_flight,
             self.rng.getstate() if self.rng.drawn else None,
-            [(a.current, a.clock_vars.copy(), a.captured.copy(), tuple(a.inbox), a.stuck, a.due)
+            [(a.state, a.clock_vars.copy(), a.captured.copy(), tuple(a.inbox), a.stuck, a.due)
              for a in self._automata],
             [key.nonce for key in self._keys],
             [s.snapshot() for s in strategies.values()] if strategies else (),
@@ -896,9 +891,9 @@ class _Sim:
         elif self.rng.drawn:
             self.rng.seed(f"{self.sc.seed}:delays")
             self.rng.drawn = False
-        for aut, (current, clock_vars, captured, inbox, stuck, due) in zip(
+        for aut, (state, clock_vars, captured, inbox, stuck, due) in zip(
                 self._automata, automata):
-            aut.current = current
+            aut.state = state
             aut.clock_vars = clock_vars.copy()
             aut.captured = captured.copy()
             aut.inbox = list(inbox)
@@ -1001,7 +996,7 @@ class _Sim:
         st = aut.state
         self.entry(Rec.STATE_ENTERED, pid, state=st.name)
         if st.kind is StateKind.OUTPUT:
-            self.schedule(self.tick + self.pi_ticks, _OUTPUT_DONE, pid, st.name)
+            self.schedule(self.tick + self.pi_ticks, _OUTPUT_DONE, pid, st)
         elif st.kind is StateKind.TERMINAL:
             self.entry(Rec.TERMINAL_REACHED, pid, state=st.name, discarded=len(aut.inbox))
             if self.sc.is_compliant(pid):
@@ -1009,7 +1004,7 @@ class _Sim:
         else:
             due = aut.deadline()
             if due is not None and due > self.tick:
-                self.schedule(due, _TIMEOUT, pid, st.name)
+                self.schedule(due, _TIMEOUT, pid, st)
 
     def _ordered_candidates(self, aut: Automaton):
         cands = aut.enabled_transitions(self.tick)
@@ -1034,28 +1029,27 @@ class _Sim:
             tr, env = ordered[0]
             if env is None:
                 deadline = tr.guard.local_deadline(aut.clock_vars)
-                self.entry(Rec.TIMEOUT_FIRED, pid, state=aut.current, deadline=deadline)
+                self.entry(Rec.TIMEOUT_FIRED, pid, state=aut.state.name, deadline=deadline)
             emissions = aut.step(tr, self.now, env)
             self._route_emissions(pid, emissions)
             self._enter_state(pid)
 
-    def _fire_output(self, pid: ParticipantId, state_name: str) -> None:
+    def _fire_output(self, pid: ParticipantId, state: State) -> None:
         aut = self.automata.get(pid)
-        if aut is None or aut.stuck or aut.current != state_name:
+        if aut is None or aut.stuck or aut.state is not state:
             return
-        tr = aut.state.transitions[0]
+        tr = state.transitions[0]
         emissions = aut.step(tr, self.now, None)
         self._route_emissions(pid, emissions)
         self._enter_state(pid)
         if aut.state.kind is StateKind.INPUT:
             self._try_fire(pid)
 
-    def _on_timeout(self, pid: ParticipantId, state_name: str) -> None:
+    def _on_timeout(self, pid: ParticipantId, state: State) -> None:
         aut = self.automata.get(pid)
-        if aut is None or aut.stuck or aut.current != state_name:
+        if aut is None or aut.stuck or aut.state is not state:
             return
-        if aut.state.kind is StateKind.INPUT:
-            self._try_fire(pid)
+        self._try_fire(pid)
 
     def _route_emissions(self, pid: ParticipantId, emissions: list[Envelope]) -> None:
         strategy = self.strategies.get(pid)
@@ -1083,13 +1077,13 @@ class _Sim:
         self.horizon_tick = self.horizon.numerator * self.scale // self.horizon.denominator
         for aut in self.automata.values():
             aut.scale = self.scale
-        for pid in sorted(self.automata, key=lambda p: p.sort_key):
+        for pid in sorted(self.automata):
             self._enter_state(pid)
-        for pid in sorted(self.automata, key=lambda p: p.sort_key):
+        for pid in sorted(self.automata):
             aut = self.automata[pid]
             if not aut.stuck and aut.state.kind is StateKind.INPUT:
                 self._try_fire(pid)
-        for pid in sorted(self.strategies, key=lambda p: p.sort_key):
+        for pid in sorted(self.strategies):
             self.strategies[pid].on_start(self.ctx(pid))
         for at, env in self.sc.raw_injections:
             tick = to_ticks(at, self.scale, "injection time")

@@ -129,13 +129,12 @@ class SweepResult:
 
 @dataclass
 class TimeoutValidation:
+    """What `validate_timeouts` found. It is returned only when every sweep at
+    the given values passed; a failing sweep raises `ValidationFailed`."""
     params: TimingParams
     n: int
-    passed: bool
     sweeps: list[SweepResult] = field(default_factory=list)
     max_customer_terminal: Optional[Fraction] = None
-    within_bound: bool = True
-    promises_ok: bool = True
     tight: list[bool] = field(default_factory=list)
     tightness_step: Fraction = Fraction(0)
     counterexamples: list[SweepResult] = field(default_factory=list)
@@ -178,7 +177,7 @@ def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
     if n != p.n:
         raise ConfigError("hop count does not match the timing parameters")
     step = p.delta / 4
-    report = TimeoutValidation(params=p, n=n, passed=False, tightness_step=step)
+    report = TimeoutValidation(params=p, n=n, tightness_step=step)
 
     bound = termination_bound(p)
     worst_terminal: Optional[Fraction] = None
@@ -193,12 +192,10 @@ def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
                 f"liveness fails at the derived values under clock mode {mode!r}", trace)
         term = monitor.termination(trace, bound)
         if term.status is Status.VIOLATED:
-            report.within_bound = False
             raise ValidationFailed(
                 f"termination bound exceeded under clock mode {mode!r}", trace)
         for verdict in check_promises(trace):
             if verdict.status is Status.VIOLATED:
-                report.promises_ok = False
                 raise ValidationFailed(
                     f"{verdict.name} dishonored under clock mode {mode!r}", trace)
         for c in monitor.terminal_times():
@@ -223,7 +220,6 @@ def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
                 break
         report.tight.append(broke)
 
-    # every sweep at p succeeded (failures raise above); tightness is evidence,
-    # not a requirement: a positive margin is supposed to leave headroom
-    report.passed = True
+    # tightness is evidence, not a requirement: a positive margin is supposed
+    # to leave headroom
     return report

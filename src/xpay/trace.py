@@ -53,15 +53,22 @@ class TraceEntry:
 
 
 def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
-    """The text line of each entry.
+    """The text line of each entry, each built by one f-string.
 
-    The entries of one instant share its time object and each participant's
-    local time object, and a relayed message is the same object wherever it
-    goes, so each time and each message token is formatted once and looked up
-    by the object's id after that. Keying by Fraction value would be slower:
-    `Fraction.__hash__` is computed in Python. The ids stay valid because
-    `entries` holds their objects until the call returns.
+    A line starts "t=N/D seq=S p=P lt=N/D ev=E". The entries of one instant
+    share its time object, and the entries one participant records in it
+    share its local-time object, so the two parts around the sequence number
+    are formatted once and looked up after that: "t=N/D seq=" by the time
+    object's id, " p=P lt=N/D ev=" by the local-time object's id together
+    with the participant. The participant must be part of that key: under an
+    identity clock every participant's local time is the instant's own time
+    object. A relayed message is the same object wherever it goes, so each
+    message token is formatted once too. Keying by Fraction value would be
+    slower: `Fraction.__hash__` is computed in Python. The ids stay valid
+    because `entries` holds their objects until the call returns.
     """
+    instants: dict[int, str] = {}
+    heads: dict[tuple[int, ParticipantId], str] = {}
     times: dict[int, str] = {}
     tokens: dict[int, str] = {}
 
@@ -78,25 +85,38 @@ def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
         return text
 
     out = []
+    append = out.append
     for e in entries:
+        t = e.t
+        when = instants.get(id(t))
+        if when is None:
+            when = instants[id(t)] = f"t={t.numerator}/{t.denominator} seq="
+        local = e.local
+        who = heads.get((id(local), e.participant))
+        if who is None:
+            who = heads[id(local), e.participant] = (
+                f" p={e.participant.text} lt={local.numerator}/{local.denominator} ev=")
         rec = e.rec
-        head = f"t={fmt(e.t)} seq={e.seq} p={e.participant} lt={fmt(e.local)} ev={rec._value_}"
         if rec is Rec.STATE_ENTERED:
-            out.append(f"{head} state={e.state}")
+            append(f"{when}{e.seq}{who}STATE_ENTERED state={e.state}")
         elif rec is Rec.SENT:
-            out.append(f"{head} dst={e.env.dst} msg={token(e.env.msg)}")
+            append(f"{when}{e.seq}{who}SENT dst={e.env.dst.text} msg={token(e.env.msg)}")
         elif rec is Rec.DELIVERED:
-            out.append(f"{head} src={e.env.src} msg={token(e.env.msg)} delay={fmt(e.delay)}")
+            env = e.env
+            append(f"{when}{e.seq}{who}DELIVERED src={env.src.text} msg={token(env.msg)} "
+                   f"delay={fmt(e.delay)}")
         elif rec is Rec.TRANSFERRED:
-            out.append(f"{head} from={e.frm} to={e.to} amount={e.amount} phase={e.phase}")
+            append(f"{when}{e.seq}{who}TRANSFERRED from={e.frm.text} to={e.to.text} "
+                   f"amount={e.amount} phase={e.phase}")
         elif rec is Rec.TERMINAL_REACHED:
-            out.append(f"{head} state={e.state} discarded={e.discarded}")
+            append(f"{when}{e.seq}{who}TERMINAL_REACHED state={e.state} discarded={e.discarded}")
         elif rec is Rec.TIMEOUT_FIRED:
-            out.append(f"{head} state={e.state} deadline={fmt(e.deadline)}")
+            append(f"{when}{e.seq}{who}TIMEOUT_FIRED state={e.state} deadline={fmt(e.deadline)}")
         elif rec is Rec.REJECTED:
-            out.append(f"{head} src={e.env.src} msg={token(e.env.msg)} reason={e.reason}")
+            append(f"{when}{e.seq}{who}REJECTED src={e.env.src.text} msg={token(e.env.msg)} "
+                   f"reason={e.reason}")
         else:  # IMPOSSIBLE_STEP
-            out.append(f"{head} reason={e.reason}")
+            append(f"{when}{e.seq}{who}IMPOSSIBLE_STEP reason={e.reason}")
     return out
 
 
@@ -146,7 +166,7 @@ class Trace:
     delay_config: Optional[dict] = None
 
     def participants(self) -> list[ParticipantId]:
-        return sorted(self.meta.initial_balances, key=lambda p: p.sort_key)
+        return sorted(self.meta.initial_balances)
 
     @cached_property
     def digest(self) -> str:

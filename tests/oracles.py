@@ -7,6 +7,7 @@ are genuinely independent routes to the same answer.
 
 `rerun_explore` is the reference for the library's checkpointed `explore`: the
 same branches, each simulated from t=0 by a fresh `run_simulation`.
+`format_lines` is the reference for the library's trace renderer.
 """
 from __future__ import annotations
 
@@ -380,3 +381,45 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, on_branch=
                 break
             decisions[-1] += 1
     return report
+
+
+def format_lines(entries):
+    """The library's `xpay.trace.format_lines` as it was before its line
+    prefixes were cached: each line built from its entry's fields alone, times
+    formatted once per object and message tokens once per message."""
+    times = {}
+    tokens = {}
+
+    def fmt(x):
+        text = times.get(id(x))
+        if text is None:
+            text = times[id(x)] = f"{x.numerator}/{x.denominator}"
+        return text
+
+    def token(msg):
+        text = tokens.get(id(msg))
+        if text is None:
+            text = tokens[id(msg)] = msg.token()
+        return text
+
+    out = []
+    for e in entries:
+        rec = e.rec
+        head = f"t={fmt(e.t)} seq={e.seq} p={e.participant} lt={fmt(e.local)} ev={rec.value}"
+        if rec is Rec.STATE_ENTERED:
+            out.append(f"{head} state={e.state}")
+        elif rec is Rec.SENT:
+            out.append(f"{head} dst={e.env.dst} msg={token(e.env.msg)}")
+        elif rec is Rec.DELIVERED:
+            out.append(f"{head} src={e.env.src} msg={token(e.env.msg)} delay={fmt(e.delay)}")
+        elif rec is Rec.TRANSFERRED:
+            out.append(f"{head} from={e.frm} to={e.to} amount={e.amount} phase={e.phase}")
+        elif rec is Rec.TERMINAL_REACHED:
+            out.append(f"{head} state={e.state} discarded={e.discarded}")
+        elif rec is Rec.TIMEOUT_FIRED:
+            out.append(f"{head} state={e.state} deadline={fmt(e.deadline)}")
+        elif rec is Rec.REJECTED:
+            out.append(f"{head} src={e.env.src} msg={token(e.env.msg)} reason={e.reason}")
+        else:  # IMPOSSIBLE_STEP
+            out.append(f"{head} reason={e.reason}")
+    return out

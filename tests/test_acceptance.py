@@ -202,7 +202,7 @@ def test_acceptance_5_clock_drift_claim():
         trace = run_simulation(strong_scenario(rho=rho, timing=aware, seed=seed))
         hit = trace.terminal_entry(customer(1))
         assert hit and hit[1].state == "paid", seed
-    assert validate_timeouts(aware, 1).passed
+    validate_timeouts(aware, 1)  # raises ValidationFailed on a failing sweep
 
     naive = derive_timeouts(1, F(1), F(1, 10), F(0))
     from xpay.protocol import TimingParams
@@ -224,7 +224,6 @@ def test_acceptance_6_timing_tightness():
     for n in (1, 2):
         params = derive_timeouts(n, F(1), F(1, 10), F(0))
         report = validate_timeouts(params, n)
-        assert report.passed, n
         assert all(report.tight), (n, report.tight)
         assert report.counterexamples[-1].broken == "L"  # bottom hop
         for c in report.counterexamples:

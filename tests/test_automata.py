@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,17 @@ def test_step_assigns_clock_variables_at_local_now():
     assert len(emitted) == 1
     assert emitted[0].dst == customer(1)
     assert emitted[0].msg.signer == e0
+
+
+def test_an_automaton_holds_its_state_object():
+    """`state` is a plain attribute holding the current `State` of the
+    machine's table; `current` reads and sets it by name."""
+    assert not isinstance(inspect.getattr_static(Automaton, "state"), property)
+    aut = _await_automaton()
+    states = aut.machine.states
+    assert aut.state is states[aut.machine.initial]
+    aut.current = "paid"
+    assert aut.state is states["paid"] and aut.current == "paid"
 
 
 def test_stepping_terminal_state_signals_completion():

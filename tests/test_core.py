@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +21,8 @@ from xpay.core import (
     InsufficientFunds,
     Ledger,
     Money,
+    ParticipantId,
+    ParticipantKind,
     Promise,
     SigningKey,
     customer,
@@ -38,6 +42,32 @@ def test_participant_tokens_round_trip():
         parse_participant("x1")
     with pytest.raises(ConfigError):
         parse_participant("c")
+
+
+def test_participant_ids_hash_compare_and_order_as_int_tuples():
+    """Ids hash, compare and sort as the tuple (kind order, index), in C: the
+    hash is the tuple's own, equal to the hash of the plain tuple, and the
+    order is escrows, then customers, then the manager, each by index."""
+    assert ParticipantId.__hash__ is tuple.__hash__
+    assert ParticipantId.__eq__ is tuple.__eq__
+    assert hash(escrow(3)) == hash((0, 3))
+    assert escrow(3) == (0, 3) and manager() == (2, 0)
+    ids = [manager(), customer(2), escrow(1), customer(0), escrow(0), escrow(10), customer(10)]
+    kind_order = {"e": 0, "c": 1, "m": 2}
+    assert sorted(ids) == sorted(ids, key=lambda p: (kind_order[str(p)[0]], int(str(p)[1:])))
+    assert [str(p) for p in sorted(ids)] == ["e0", "e1", "e10", "c0", "c2", "c10", "m0"]
+    assert (escrow(2).kind, escrow(2).index) == (ParticipantKind.ESCROW, 2)
+    assert repr(customer(1)) == "ParticipantId(kind=<ParticipantKind.CUSTOMER: 'c'>, index=1)"
+    with pytest.raises(ConfigError):
+        ParticipantId(ParticipantKind.ESCROW, -1)
+
+
+def test_participant_ids_survive_pickle_and_copy():
+    for pid in (escrow(0), customer(3), manager(), ParticipantId(ParticipantKind.MANAGER, 2)):
+        for clone in (pickle.loads(pickle.dumps(pid)), copy.copy(pid), copy.deepcopy(pid)):
+            assert clone == pid and hash(clone) == hash(pid)
+            assert type(clone) is ParticipantId
+            assert (clone.kind, clone.index, str(clone)) == (pid.kind, pid.index, str(pid))
 
 
 def test_payload_invariants():

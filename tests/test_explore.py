@@ -153,7 +153,7 @@ def run_state(sim):
     return (
         sim.started, list(sim.heap), sim.seq, sim.tick, sim.now, list(sim.entries), sim.had_tie, sim.pending_compliant,
         dict(sim.ledger.balances), sim.ledger.in_flight,
-        [(aut.current, dict(aut.clock_vars), dict(aut.captured), list(aut.inbox), aut.stuck,
+        [(aut.state, dict(aut.clock_vars), dict(aut.captured), list(aut.inbox), aut.stuck,
           aut.due) for aut in sim.automata.values()],
         {pid: key.nonce for pid, key in sim.keys.items()},
         {pid: strategy.snapshot() for pid, strategy in sim.strategies.items()},
@@ -167,13 +167,14 @@ def snapshot_contents(snap):
 
 
 def test_a_restore_puts_back_each_armed_deadline():
-    """A snapshot keeps each automaton's deadline tick, clock variables,
+    """A snapshot keeps each automaton's state, deadline tick, clock variables,
     captured messages, inbox and stuck flag, the ledger, the key nonces and
     the strategies' state with their vaults: after the run has moved on, a
     restore puts back each of them as it stood, and neither the later runs nor
     the restores change what any snapshot holds. Bob sending his certificate
     early gets it captured; Bob as a replayer is a strategy with a state."""
     states = []
+    moved_back = []  # per automaton and restore: did the restore change its state
     for strategy in ("premature_certificate", "replayer"):
         sim = _Sim(strong_scenario(n=2, seed=3, rho=F(1, 10),
                                    byzantine={customer(2): StrategySpec(strategy)}))
@@ -183,13 +184,16 @@ def test_a_restore_puts_back_each_armed_deadline():
         want = sim.run().render()
         sim.on_instant = None
         for snap, state, _ in reversed(taken):
+            ended = [aut.state for aut in sim.automata.values()]
             sim.restore(snap)
             assert run_state(sim) == state
+            moved_back += [was is not aut.state for was, aut in zip(ended, sim.automata.values())]
             assert sim.run().render() == want
         for snap, _, contents in taken:
             assert snapshot_contents(snap) == contents
         states += [state for _, state, _ in taken]
     automata = [aut for state in states for aut in state[10]]
+    assert any(moved_back)
     assert any(isinstance(due, int) for *_, due in automata)
     assert any(clock_vars for _, clock_vars, *_ in automata)
     assert any(captured for _, _, captured, *_ in automata)

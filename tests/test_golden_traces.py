@@ -43,6 +43,8 @@ RHO = F(1, 10)
 
 STRONG_NS = (1, 2, 4, 8, 32)
 STRONG_SEEDS = (0, 1, 2)
+IDENTITY_STRONG_NS = (1, 2, 4)
+IDENTITY_WEAK_NS = (1, 2)
 WEAK_NS = (1, 2, 3, 8)
 PATIENCES = (None, F(0), F(3), F(10))  # None is unbounded patience
 WEAK_BYZANTINE = ("none", "silent", "impatient_abort")
@@ -79,6 +81,16 @@ def weak_cases():
             scenario = weak_scenario(n=n, seed=seed, rho=RHO, patience=(dep,) * n + (bob,),
                                      byzantine=byzantine)
             yield f"weak-n{n}-d{_p(dep)}-b{_p(bob)}-{byz}", scenario
+
+
+def identity_cases():
+    """Runs with rho = 0, so every clock is the identity: each participant's
+    local time at an instant is that instant's own time object, shared by
+    every participant acting in it."""
+    for n, seed in itertools.product(IDENTITY_STRONG_NS, STRONG_SEEDS):
+        yield f"identity-strong-n{n}-s{seed}", strong_scenario(n=n, seed=seed, rho=F(0))
+    for n, seed in itertools.product(IDENTITY_WEAK_NS, STRONG_SEEDS):
+        yield f"identity-weak-n{n}-s{seed}", weak_scenario(n=n, seed=seed, rho=F(0))
 
 
 def violating_cases():
@@ -183,6 +195,10 @@ def test_weak_traces_match_recorded_digests():
     _assert_recorded(weak_cases())
 
 
+def test_identity_clock_traces_match_recorded_digests():
+    _assert_recorded(identity_cases())
+
+
 def test_violating_traces_match_recorded_digests():
     _assert_recorded(violating_cases())
 
@@ -199,8 +215,8 @@ def test_violating_cases_violate_termination_liveness_and_the_guarantee():
 
 
 if __name__ == "__main__":
-    recorded = [digests(family()) for family in (strong_cases, weak_cases, violating_cases,
-                                               odd_instant_cases)]
+    recorded = [digests(family()) for family in (strong_cases, weak_cases, identity_cases,
+                                               violating_cases, odd_instant_cases)]
     for path, tables in ((GOLDEN, [r[0] for r in recorded]),
                          (GOLDEN_VERDICTS, [r[1] for r in recorded])):
         merged = {name: digest for table in tables for name, digest in table.items()}

@@ -73,9 +73,7 @@ def test_derive_rejects_bad_inputs():
 def test_validate_passes_and_is_tight(n):
     p = derive_timeouts(n, F(1), F(1, 10), F(0))
     report = validate_timeouts(p, n)
-    assert report.passed
     assert all(report.tight)
-    assert report.within_bound and report.promises_ok
     # worst observed customer terminal hits the bound exactly at mu=0
     assert report.max_customer_terminal == termination_bound(p)
     # the bottom hop's counterexample is a liveness failure
@@ -85,9 +83,19 @@ def test_validate_passes_and_is_tight(n):
 def test_validate_margin_keeps_everything_green_but_not_tight():
     p = derive_timeouts(2, F(1), F(1, 10), F(0), margin=F(1, 2))
     report = validate_timeouts(p, 2)
-    assert report.passed
     assert not any(report.tight)  # the margin is headroom; one grid step cannot bite
     assert report.max_customer_terminal < termination_bound(p)
+
+
+def test_validate_raises_when_a_guarantee_is_dishonored():
+    """The promise check of the sweeps at the given values is reachable: with
+    d_0 a tenth below the derived 23/10, the guarantee escrow 0 gives Alice
+    is broken, and validation raises with that trace."""
+    p = derive_timeouts(1, F(1), F(1, 10), F(0))
+    assert p.d == (F(23, 10),)
+    with pytest.raises(ValidationFailed, match="G_PROMISE dishonored under clock mode 'identity'") as info:
+        validate_timeouts(replace(p, d=(F(11, 5),)), 1)
+    assert info.value.trace is not None
 
 
 def test_halved_a0_breaks_the_sweep():
@@ -111,7 +119,7 @@ def test_rho_naive_values_fail_under_drift():
         validate_timeouts(drifted, 1)
     assert info.value.trace is not None
     aware = derive_timeouts(1, F(1), F(1, 10), F(1, 10))
-    assert validate_timeouts(aware, 1).passed
+    validate_timeouts(aware, 1)  # raises ValidationFailed on a failing sweep
 
 
 def test_tightness_step_must_leave_windows_positive(capsys):
