@@ -15,8 +15,10 @@ Each machine has three state kinds:
   clock becomes true, and then fire immediately;
 * terminal states have no outgoing transitions.
 
-All real and local times are exact rationals, so timeout boundaries are
-decided exactly and runs are reproducible bit for bit.
+All real and local times are exact, so timeout boundaries are decided exactly
+and runs are reproducible bit for bit. A run's automaton keeps time on its
+engine's axis: int ticks of 1/scale under the simulator, exact rationals of
+real time when driven directly.
 """
 from __future__ import annotations
 
@@ -50,6 +52,9 @@ class LocalClock:
 
     Every clock reads zero at real time zero. With rate 1 local time equals
     real time. Drift bounded by rho means rate lies in [1/(1+rho), 1+rho].
+    `num` and `den` hold the rate in lowest terms as two ints, so that a
+    local time can be made from integers; they are not fields, so equality
+    and hash ignore them.
     """
     rate: Fraction = Fraction(1)
 
@@ -57,16 +62,11 @@ class LocalClock:
         object.__setattr__(self, "rate", as_fraction(self.rate, "clock rate"))
         if self.rate <= 0:
             raise ConfigError("clock rate must be strictly positive")
-        # local time is real time; not a field, so equality and hash ignore it
-        object.__setattr__(self, "is_identity", self.rate == 1)
+        object.__setattr__(self, "num", self.rate.numerator)
+        object.__setattr__(self, "den", self.rate.denominator)
 
     def local_time(self, real_time: Fraction) -> Fraction:
         return self.rate * real_time
-
-    def local_at_tick(self, tick: int, scale: int) -> Fraction:
-        """local_time(tick / scale), made as one Fraction from integers."""
-        rate = self.rate
-        return Fraction(rate.numerator * tick, rate.denominator * scale)
 
     def real_time_of_deadline(self, local_deadline: Fraction) -> Fraction:
         """Unique real instant t with local_time(t) = local_deadline (exact inversion)."""
@@ -121,14 +121,6 @@ class Timeout:
 
     def __post_init__(self):
         object.__setattr__(self, "delay", as_fraction(self.delay, "timeout delay"))
-
-    def local_deadline(self, clock_vars: dict[str, Fraction]) -> Optional[Fraction]:
-        if self.var is None:
-            return self.delay
-        base = clock_vars.get(self.var)
-        if base is None:
-            return None
-        return base + self.delay
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,6 +215,8 @@ class Machine:
 # `Automaton.due` before the current state's deadline has been worked out
 UNARMED = "unarmed"
 
+Instant = Union[int, Fraction]
+
 
 @dataclass
 class Automaton:
@@ -232,22 +226,31 @@ class Automaton:
     when none is given), so the engine reads its kind and transitions without
     a table lookup; `current` reads and sets it by name.
 
-    Times given to `enabled_transitions` count ticks of 1/`scale` (the engine
-    sets its run's scale), or real time when `scale` is None. `due` is when
-    the current state's timeout falls due on that axis, None if never; it is
-    worked out on first use after each step, since only a step changes the
-    state and the clock variables.
+    An automaton keeps time on one axis: real time as exact rationals, or int
+    ticks of 1/scale once the engine has put it on its run's axis
+    (`set_scale`). Every instant it is given or gives back is
+    on that axis: the `now` of `step` and `enabled_transitions`, the value of
+    a clock variable (the instant at which it was set) and `due`, when the
+    current state's timeout falls due (None if never). A timeout over the
+    local clock lapses its real length delay/rate after the instant its
+    variable was set (after time zero when it has none). `real_lengths` holds
+    that length for each delay of the definition and `lengths` holds it on the
+    axis, both keyed by the delay object's id (the definition holds the
+    objects), so under the engine a deadline is one int add. `due` is worked
+    out on first use after each step, since only a step changes the state and
+    the clock variables.
     """
     machine: Machine
     clock: LocalClock = field(default_factory=LocalClock)
     key: Optional[SigningKey] = None
     state: Optional[State] = None
-    clock_vars: dict[str, Fraction] = field(default_factory=dict)
+    clock_vars: dict[str, Instant] = field(default_factory=dict)
     captured: dict[str, SignedMessage] = field(default_factory=dict)
     inbox: list[Envelope] = field(default_factory=list)
     stuck: bool = False
-    scale: Optional[int] = None
-    due: Union[int, Fraction, None, str] = UNARMED
+    due: Union[Instant, None, str] = UNARMED
+    real_lengths: dict[int, Fraction] = field(init=False, repr=False, compare=False)
+    lengths: dict[int, Instant] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.state is None:
@@ -256,6 +259,16 @@ class Automaton:
             self.key = self.machine.new_key()
         elif self.key.owner != self.machine.id:
             raise ConfigError(f"automaton {self.machine.id} was handed {self.key.owner}'s key")
+        real = self.clock.real_time_of_deadline
+        self.lengths = self.real_lengths = {
+            id(delay): real(delay) for delay in self.machine.timeouts}
+
+    def set_scale(self, scale: int) -> None:
+        """Put the run on the axis of ticks of 1/`scale`, before its first
+        step: each timeout's length in ticks, worked out once here. The
+        engine's scale makes every length a whole number of ticks."""
+        self.lengths = {key: to_ticks(length, scale, "timeout length")
+                        for key, length in self.real_lengths.items()}
 
     @property
     def id(self) -> ParticipantId:
@@ -272,34 +285,31 @@ class Automaton:
     def is_terminal(self) -> bool:
         return self.state.kind is StateKind.TERMINAL
 
-    def now(self, real_time: Fraction) -> Fraction:
-        return self.clock.local_time(real_time)
-
     def timeout_guard(self) -> Optional[Transition]:
         for tr in self.state.transitions:
             if isinstance(tr.guard, Timeout):
                 return tr
         return None
 
-    def deadline(self) -> Union[int, Fraction, None]:
-        """When the current state's timeout falls due, on the axis of `scale`;
-        None when the state has no timeout or its clock variable is unset."""
+    def deadline(self) -> Optional[Instant]:
+        """When the current state's timeout falls due, on the automaton's
+        axis; None when the state has no timeout or its clock variable is
+        unset."""
         due = self.due
         if due is UNARMED:
             due = None
             tr = self.timeout_guard()
             if tr is not None:
-                local = tr.guard.local_deadline(self.clock_vars)
-                if local is not None:
-                    due = self.clock.real_time_of_deadline(local)
-                    if self.scale is not None:
-                        due = to_ticks(due, self.scale, "timeout deadline")
+                guard = tr.guard
+                start = 0 if guard.var is None else self.clock_vars.get(guard.var)
+                if start is not None:
+                    due = start + self.lengths[id(guard.delay)]
             self.due = due
         return due
 
-    def enabled_transitions(self, now: Union[int, Fraction]) -> list[Enabled]:
-        """Enabled transitions of the current input state at `now` (on the axis
-        of `scale`): receives matched against the buffered inbox (oldest
+    def enabled_transitions(self, now: Instant) -> list[Enabled]:
+        """Enabled transitions of the current input state at `now` (on the
+        automaton's axis): receives matched against the buffered inbox (oldest
         matching message per guard), plus the timeout if due.
 
         Order: declaration order, receives carrying their matched envelope. The
@@ -324,21 +334,20 @@ class Automaton:
     def step(
         self,
         transition: Transition,
-        real_time: Fraction,
+        now: Instant,
         matched: Optional[Envelope] = None,
     ) -> list[Envelope]:
-        """Fire `transition`: apply clock assignments, consume the matched message,
-        move to the target state, and return the envelopes to be sent.
+        """Fire `transition` at `now` (on the automaton's axis): set its clock
+        variables to `now`, consume the matched message, move to the target
+        state, and return the envelopes to be sent.
 
         Fresh emissions are signed here with the automaton's own key; Forward
         emissions relay the captured message verbatim.
         """
         if self.state.kind is StateKind.TERMINAL:
             raise ProtocolComplete(f"{self.id} already terminal in {self.current!r}")
-        if transition.assign:
-            now = self.now(real_time)
-            for var in transition.assign:
-                self.clock_vars[var] = now
+        for var in transition.assign:
+            self.clock_vars[var] = now
         if matched is not None:
             self.inbox.remove(matched)
             if transition.capture:

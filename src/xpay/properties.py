@@ -128,6 +128,8 @@ _IMPOSSIBLE = Rec.IMPOSSIBLE_STEP
 class _Terminal(NamedTuple):
     """A customer's first terminal entry, as the monitor saw it."""
     idx: int
+    # a Fraction, not the entry's tick: terminal times are compared across
+    # runs (`explore`, `validate_timeouts`), whose ticks count different scales
     t: Fraction
     net: int  # the customer's net balance change up to the entry
     certified: bool  # Alice: her certificate had reached her; Bob: see `Monitor.feed`

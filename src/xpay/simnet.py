@@ -6,26 +6,30 @@ generator on a finite grid or from an explicit script, all clocks are exact
 rationals, so a Scenario (seed included) maps to exactly one trace, byte for
 byte.
 
-Inside the loop real time is an integer count of ticks of 1/S. The scale S is
-fixed before the first event (`time_scale`): the lcm of the denominators of
-pi, of every delay the delay model lists, of each timeout's real length
-delay/rate, of the strategies' own delays and of the injection instants, so
-every instant of the run is a whole number of ticks. Event times, heap keys,
-delivery delays, timeout deadlines and the horizon test are int arithmetic;
+Real time is an integer count of ticks of 1/S, from the event loop all the
+way into the trace. The scale S is fixed before the first event
+(`time_scale`): the lcm of the denominators of pi, of every delay the delay
+model lists, of each timeout's real length delay/rate, of the strategies' own
+delays and of the injection instants, so every instant of the run is a whole
+number of ticks. Event times, heap keys, delivery delays, the horizon test,
+the automata's clock variables and timeout deadlines are int arithmetic;
 `to_ticks` is the one conversion in, and it raises rather than round. Each
-delay object the delay model returns is converted once. A timeout deadline is
-a tick: it is worked out once when its state is entered, kept with the
-automaton's run state (`Automaton.due`, and in a `Snapshot`), and "is this
-timeout due" is one int comparison. Fractions are made only where time
-leaves the loop: each instant's Fraction once; each participant's local time
-once per instant, as one Fraction built from integers (an identity clock
-reuses the instant's); a delivery delay once per distinct length; the
-deadline of a state entered with a timeout; and the local deadline each
-TIMEOUT_FIRED entry records. Trace entries, `StrategyContext.now`, the `t`
-passed to `delay_for` and `Automaton.step` see those Fractions.
+delay object the delay model returns is converted once, and each timeout's
+length in ticks is worked out once per run (`Automaton.set_scale`). A timeout
+deadline is the tick its clock variable was set at plus that length, worked
+out when its state is entered and kept with the automaton's run state
+(`Automaton.due`, and in a `Snapshot`); "is this timeout due" is one int
+comparison. A trace entry records its tick and its participant's `TimeBase`
+(the scale and the clock rate as ints), and builds its real and local time as
+Fractions only when they are read. The loop makes a Fraction only for a
+delivery delay, once per distinct length, and for the local deadline each
+TIMEOUT_FIRED entry records. `now`, the current instant as a Fraction, is
+built at most once per instant and only when asked for: by a strategy
+(`StrategyContext.now`) or by a delay model that reads the send instant
+(`PartialSync`).
 
 A run can be branched. Between two instants its whole state is a `Snapshot`,
-a plain value: the event heap and its sequence counter, the current instant,
+a plain value: the event heap and its sequence counter, the current tick,
 each automaton's current state, clock variables, captured messages, inbox and
 stuck flag, each key's next nonce, the ledger's balances and value in flight,
 each strategy's own state and vault, the delay generator's state (once it has
@@ -90,6 +94,7 @@ from .trace import (
     STOP_ALL_TERMINAL,
     STOP_HORIZON,
     STOP_QUEUE_EMPTY,
+    TimeBase,
     Trace,
     TraceEntry,
     TraceMeta,
@@ -147,7 +152,7 @@ class Synchronous:
     def delays(self) -> tuple[Fraction, ...]:
         return self.grid
 
-    def delay_for(self, env: Envelope, t: Fraction, rng: random.Random) -> Fraction:
+    def delay_for(self, env: Envelope, run, rng: random.Random) -> Fraction:
         return self.grid[rng.randrange(len(self.grid))]
 
     def to_config(self) -> dict:
@@ -181,8 +186,9 @@ class PartialSync:
         # a delay before stabilization is gst - t + a grid point
         return (self.gst, *self.grid)
 
-    def delay_for(self, env: Envelope, t: Fraction, rng: random.Random) -> Fraction:
+    def delay_for(self, env: Envelope, run, rng: random.Random) -> Fraction:
         base = self.grid[rng.randrange(len(self.grid))]
+        t = run.now
         if t < self.gst:
             return (self.gst - t) + base
         return base
@@ -256,7 +262,7 @@ class Scripted:
     def delays(self) -> tuple[Fraction, ...]:
         return (self.default, *(rule.delay for rule in self.rules))
 
-    def delay_for(self, env: Envelope, t: Fraction, rng: random.Random) -> Fraction:
+    def delay_for(self, env: Envelope, run, rng: random.Random) -> Fraction:
         for rule in self.rules:
             if rule.matches(env):
                 return rule.delay
@@ -499,7 +505,9 @@ class Scenario:
     variant: str
     n: int
     # Synchronous | PartialSync | Scripted, or any object with their methods
-    # delta_bound, delays, delay_for and to_config (a duck-typed delay model)
+    # delta_bound, delays, delay_for and to_config (a duck-typed delay model).
+    # delay_for(env, run, rng) is handed the run, so that a model that depends
+    # on the send instant reads it as `run.now` and no other model pays for it
     delay: object
     pi: Fraction
     amount: int = 1
@@ -702,7 +710,7 @@ def time_scale(sc: Scenario, automata: dict[ParticipantId, Automaton],
     """
     lengths = [sc.pi, *sc.delay.delays()]
     for aut in automata.values():
-        lengths += [delay / aut.clock.rate for delay in aut.machine.timeouts]
+        lengths += aut.real_lengths.values()
     lengths += [s.delay for s in strategies.values() if isinstance(s, DelayOwnSends)]
     lengths += [t for t, _ in sc.raw_injections]
     return math.lcm(*(x.denominator for x in lengths))
@@ -745,7 +753,6 @@ class Snapshot(NamedTuple):
     heap: tuple
     seq: int
     tick: int
-    now: Fraction
     # entries are append-only and a restore starts a new list, so the list the
     # snapshot saw keeps its first `entry_count` entries for good
     entries: list
@@ -843,9 +850,9 @@ class _Sim:
         self.scale = 1  # ticks per time unit; the t=0 setup fixes it before the first event
         self.pi_ticks = 0
         self.horizon_tick = 0  # the last tick not beyond the horizon
-        self.tick = 0  # the current instant in ticks, and as a Fraction
-        self.now = Fraction(0)
-        self.local_now: dict[ParticipantId, Fraction] = {}  # local times at `now`
+        self.tick = 0  # the current instant in ticks
+        self._now = (0, Fraction(0))  # the last instant `now` was asked for: (tick, Fraction)
+        self.bases: dict[ParticipantId, TimeBase] = {}  # per participant, from the t=0 setup
         self.transit_times: dict[int, Fraction] = {}  # delivery delays by their length in ticks
         # the length in ticks of each delay object the delay model returned,
         # keyed by id and holding the object so that its id is not reused
@@ -855,6 +862,15 @@ class _Sim:
         self.stop_reason = STOP_QUEUE_EMPTY
         self.on_instant: Optional[Callable[[], None]] = None
 
+    @property
+    def now(self) -> Fraction:
+        """The current instant as a Fraction, built on first use in each instant."""
+        tick, now = self._now
+        if tick != self.tick:
+            now = Fraction(self.tick, self.scale)
+            self._now = (self.tick, now)
+        return now
+
     # -- snapshots -------------------------------------------------------------
 
     def snapshot(self) -> Snapshot:
@@ -863,7 +879,7 @@ class _Sim:
         entries = self.entries
         strategies = self.strategies
         return Snapshot(
-            self.started, tuple(self.heap), self.seq, self.tick, self.now,
+            self.started, tuple(self.heap), self.seq, self.tick,
             entries, len(entries), self.had_tie, self.pending_compliant,
             self.ledger.balances.copy(), self.ledger.in_flight,
             self.rng.getstate() if self.rng.drawn else None,
@@ -877,11 +893,10 @@ class _Sim:
     def restore(self, snap: Snapshot) -> None:
         """Put this run back into the state `snap` was taken in; the trace
         entries after it are left to the traces already returned."""
-        (self.started, heap, self.seq, self.tick, self.now, entries, entry_count,
+        (self.started, heap, self.seq, self.tick, entries, entry_count,
          self.had_tie, self.pending_compliant, balances, in_flight, rng,
          automata, nonces, strategies, vaults) = snap
         self.heap = list(heap)
-        self.local_now = {}
         self.entries = entries[:entry_count]
         self.ledger.balances = balances.copy()
         self.ledger.in_flight = in_flight
@@ -923,14 +938,9 @@ class _Sim:
               phase: Optional[str] = None, reason: Optional[str] = None,
               discarded: int = 0) -> None:
         """Record `rec` for `pid` at the current instant."""
-        local = self.local_now.get(pid)
-        if local is None:
-            clock = self.clocks[pid]
-            local = self.local_now[pid] = (self.now if clock.is_identity
-                                           else clock.local_at_tick(self.tick, self.scale))
         entries = self.entries
-        entries.append(TraceEntry(self.now, len(entries), pid, local, rec, env, delay, state,
-                                  deadline, frm, to, amount, phase, reason, discarded))
+        entries.append(TraceEntry(self.tick, len(entries), pid, self.bases[pid], rec, env, delay,
+                                  state, deadline, frm, to, amount, phase, reason, discarded))
 
     def ctx(self, pid: ParticipantId) -> StrategyContext:
         return StrategyContext(self, pid)
@@ -951,7 +961,7 @@ class _Sim:
             self.entry(Rec.TRANSFERRED, env.src, frm=env.src, to=env.dst,
                        amount=payload.amount, phase="sent")
         self.entry(Rec.SENT, env.src, env=env)
-        delay = self.sc.delay.delay_for(env, self.now, self.rng)
+        delay = self.sc.delay.delay_for(env, self, self.rng)
         known = self.delay_ticks.get(id(delay))
         if known is None:
             known = self.delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))
@@ -1028,9 +1038,9 @@ class _Sim:
                 return
             tr, env = ordered[0]
             if env is None:
-                deadline = tr.guard.local_deadline(aut.clock_vars)
-                self.entry(Rec.TIMEOUT_FIRED, pid, state=aut.state.name, deadline=deadline)
-            emissions = aut.step(tr, self.now, env)
+                self.entry(Rec.TIMEOUT_FIRED, pid, state=aut.state.name,
+                           deadline=self.bases[pid].local(aut.deadline()))
+            emissions = aut.step(tr, self.tick, env)
             self._route_emissions(pid, emissions)
             self._enter_state(pid)
 
@@ -1039,7 +1049,7 @@ class _Sim:
         if aut is None or aut.stuck or aut.state is not state:
             return
         tr = state.transitions[0]
-        emissions = aut.step(tr, self.now, None)
+        emissions = aut.step(tr, self.tick, None)
         self._route_emissions(pid, emissions)
         self._enter_state(pid)
         if aut.state.kind is StateKind.INPUT:
@@ -1069,14 +1079,17 @@ class _Sim:
     # -- main loop ----------------------------------------------------------------
 
     def _start(self) -> None:
-        """The t=0 setup: fix the time scale, enter every initial state, start
-        the strategies and schedule the injections."""
+        """The t=0 setup: fix the time scale, put the automata and the
+        participants' time bases on it, enter every initial state, start the
+        strategies and schedule the injections."""
         self.started = True
-        self.scale = time_scale(self.sc, self.automata, self.strategies)
-        self.pi_ticks = to_ticks(self.sc.pi, self.scale, "pi")
-        self.horizon_tick = self.horizon.numerator * self.scale // self.horizon.denominator
+        scale = self.scale = time_scale(self.sc, self.automata, self.strategies)
+        self.pi_ticks = to_ticks(self.sc.pi, scale, "pi")
+        self.horizon_tick = self.horizon.numerator * scale // self.horizon.denominator
         for aut in self.automata.values():
-            aut.scale = self.scale
+            aut.set_scale(scale)
+        self.bases = {pid: TimeBase(scale, clock.num, clock.den)
+                      for pid, clock in self.clocks.items()}
         for pid in sorted(self.automata):
             self._enter_state(pid)
         for pid in sorted(self.automata):
@@ -1109,8 +1122,6 @@ class _Sim:
                 break
             if tick != self.tick:
                 self.tick = tick
-                self.now = Fraction(tick, self.scale)
-                self.local_now.clear()
                 if on_instant is not None:
                     on_instant()
             if heap[0][1] == 0:

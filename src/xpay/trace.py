@@ -1,20 +1,23 @@
 """Run traces: the totally ordered event record a simulation produces.
 
-Every entry carries the real timestamp, a sequence number breaking ties, the
-acting participant and its local time. The text rendering is bit-exact and
-documented in the README: fixed key order per event kind, rationals always as
-num/den, newline-terminated lines, no trailing whitespace. Repeated runs of
-the same scenario and seed produce byte-identical files.
+Every entry carries its instant as an int tick of the run's time axis, a
+sequence number breaking ties, the acting participant and that participant's
+time base, from which the real and local times are read as exact Fractions.
+The text rendering is bit-exact and documented in the README: fixed key order
+per event kind, rationals always as num/den, newline-terminated lines, no
+trailing whitespace. Repeated runs of the same scenario and seed produce
+byte-identical files.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import Envelope, ParticipantId, fmt_fraction
 
@@ -30,12 +33,32 @@ class Rec(Enum):
     IMPOSSIBLE_STEP = "IMPOSSIBLE_STEP"
 
 
+class TimeBase(NamedTuple):
+    """How one participant's entries of one run tell time: the run's ticks of
+    1/`scale` of real time, and the participant's clock rate `num`/`den` in
+    lowest terms. A run makes one per participant and every entry of that
+    participant holds it."""
+    scale: int
+    num: int
+    den: int
+
+    def local(self, tick: int) -> Fraction:
+        """The participant's local time at `tick`, as one Fraction."""
+        return Fraction(self.num * tick, self.den * self.scale)
+
+
 @dataclass(slots=True)
 class TraceEntry:
-    t: Fraction
+    """One event of a run, at the instant `tick` (ticks of 1/`base.scale`).
+
+    `t`, the real time, and `local`, the participant's local time, are
+    read-only and built as exact Fractions each time they are read; a run makes
+    no Fraction for an entry's times, and `format_lines` reads the ints.
+    """
+    tick: int
     seq: int
     participant: ParticipantId
-    local: Fraction
+    base: TimeBase
     rec: Rec
     env: Optional[Envelope] = None
     delay: Optional[Fraction] = None      # DELIVERED: transit time
@@ -48,6 +71,14 @@ class TraceEntry:
     reason: Optional[str] = None          # REJECTED / IMPOSSIBLE_STEP
     discarded: int = 0                    # TERMINAL_REACHED: unconsumed inbox size
 
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.tick, self.base.scale)
+
+    @property
+    def local(self) -> Fraction:
+        return self.base.local(self.tick)
+
     def line(self) -> str:
         return format_lines([self])[0]
 
@@ -55,20 +86,19 @@ class TraceEntry:
 def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
     """The text line of each entry, each built by one f-string.
 
-    A line starts "t=N/D seq=S p=P lt=N/D ev=E". The entries of one instant
-    share its time object, and the entries one participant records in it
-    share its local-time object, so the two parts around the sequence number
-    are formatted once and looked up after that: "t=N/D seq=" by the time
-    object's id, " p=P lt=N/D ev=" by the local-time object's id together
-    with the participant. The participant must be part of that key: under an
-    identity clock every participant's local time is the instant's own time
-    object. A relayed message is the same object wherever it goes, so each
-    message token is formatted once too. Keying by Fraction value would be
-    slower: `Fraction.__hash__` is computed in Python. The ids stay valid
-    because `entries` holds their objects until the call returns.
+    A line starts "t=N/D seq=S p=P lt=N/D ev=E", and both times come from the
+    entry's ints. "t=N/D seq=" is made whenever the instant (tick, scale)
+    differs from the previous entry's, with one `math.gcd` to put tick/scale
+    in lowest terms; a run's entries of one instant follow each other, so
+    that is once per instant. " p=P lt=N/D ev=" is made once per (tick,
+    participant, time base) and looked up after that: the local time is
+    num/den times the reduced instant, put in lowest terms with one more
+    gcd, of smaller ints than tick and scale. A relayed message is the same object
+    wherever it goes, so each message token is formatted once, and so is each
+    delay and deadline object; those are keyed by object id, which stays valid
+    because `entries` holds the objects until the call returns.
     """
-    instants: dict[int, str] = {}
-    heads: dict[tuple[int, ParticipantId], str] = {}
+    heads: dict[tuple[int, ParticipantId, TimeBase], str] = {}
     times: dict[int, str] = {}
     tokens: dict[int, str] = {}
 
@@ -84,18 +114,27 @@ def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
             text = tokens[id(msg)] = msg.token()
         return text
 
+    gcd = math.gcd
+    tick_at = scale_at = None  # the instant of the entries so far
     out = []
     append = out.append
     for e in entries:
-        t = e.t
-        when = instants.get(id(t))
-        if when is None:
-            when = instants[id(t)] = f"t={t.numerator}/{t.denominator} seq="
-        local = e.local
-        who = heads.get((id(local), e.participant))
+        tick = e.tick
+        p = e.participant
+        base = e.base
+        if tick != tick_at or base.scale != scale_at:
+            tick_at = tick
+            scale_at = base.scale
+            g = gcd(tick, scale_at)
+            t_num = tick // g
+            t_den = scale_at // g
+            when = f"t={t_num}/{t_den} seq="
+        who = heads.get((tick, p, base))
         if who is None:
-            who = heads[id(local), e.participant] = (
-                f" p={e.participant.text} lt={local.numerator}/{local.denominator} ev=")
+            lt_num = base.num * t_num
+            lt_den = base.den * t_den
+            g = gcd(lt_num, lt_den)
+            who = heads[tick, p, base] = f" p={p.text} lt={lt_num // g}/{lt_den // g} ev="
         rec = e.rec
         if rec is Rec.STATE_ENTERED:
             append(f"{when}{e.seq}{who}STATE_ENTERED state={e.state}")

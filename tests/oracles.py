@@ -385,16 +385,13 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, on_branch=
 
 def format_lines(entries):
     """The library's `xpay.trace.format_lines` as it was before its line
-    prefixes were cached: each line built from its entry's fields alone, times
-    formatted once per object and message tokens once per message."""
-    times = {}
+    prefixes were cached: each line built from its entry's fields alone, each
+    time read as a Fraction and formatted where it is read, and message tokens
+    formatted once per message."""
     tokens = {}
 
     def fmt(x):
-        text = times.get(id(x))
-        if text is None:
-            text = times[id(x)] = f"{x.numerator}/{x.denominator}"
-        return text
+        return f"{x.numerator}/{x.denominator}"
 
     def token(msg):
         text = tokens.get(id(msg))

@@ -115,10 +115,33 @@ def test_step_assigns_clock_variables_at_local_now():
     }
     aut = Automaton(Machine(e0, states, "out"), clock=LocalClock(rate=Fraction(2)))
     emitted = aut.step(states["out"].transitions[0], Fraction(3), None)
-    assert aut.clock_vars["u"] == 6  # 2 * 3 on the local clock
+    assert aut.clock_vars["u"] == 3  # the instant it was set; the rate applies at the deadline
     assert len(emitted) == 1
     assert emitted[0].dst == customer(1)
     assert emitted[0].msg.signer == e0
+
+
+def test_a_deadline_is_the_set_instant_plus_the_timeout_length_on_the_axis():
+    """On a clock of rate 2 a local delay of 2 lasts 1 real unit: set at real
+    time 3 the timeout falls due at 4, and on an axis of 10 ticks per unit,
+    set at tick 30 it falls due at tick 40, an int."""
+    states = {
+        "out": State("out", StateKind.OUTPUT, (Transition("wait", assign=("u",)),)),
+        "wait": State("wait", StateKind.INPUT, (
+            Transition("done", guard=Timeout(Fraction(2), var="u")),)),
+        "done": State("done", StateKind.TERMINAL),
+    }
+    due = []
+    for scale, now in ((None, Fraction(3)), (10, 30)):
+        aut = Automaton(Machine(escrow(0), states, "out"), clock=LocalClock(rate=Fraction(2)))
+        if scale is not None:
+            aut.set_scale(scale)
+        aut.step(states["out"].transitions[0], now, None)
+        assert aut.clock_vars["u"] == now
+        due.append(aut.deadline())
+        assert aut.enabled_transitions(due[-1] - 1) == []
+        assert len(aut.enabled_transitions(due[-1])) == 1
+    assert due == [4, 40] and type(due[1]) is int
 
 
 def test_an_automaton_holds_its_state_object():

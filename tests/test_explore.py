@@ -71,6 +71,27 @@ def test_checkpointed_exploration_matches_the_rerun_reference(case):
     assert report.entries_checked == report.entries_simulated
 
 
+def test_exploration_across_time_scales_matches_the_rerun_reference():
+    """Two assignments whose runs tick at different scales: 20 ticks per unit
+    for the compliant runs, 60 once Bob posts his sends 1/3 late. Both
+    explorers compare terminal times across the two, and agree branch for
+    branch, on the worst terminal time and on every count."""
+    base = strong_scenario(delay=Synchronous(F(1), grid=GRID3))
+    assignments = [{}, {customer(1): StrategySpec("delay_own_sends", {"delay": F(1, 3)})}]
+    scales = []
+    for assignment in assignments:
+        sim = _Sim(replace(base, byzantine=assignment))
+        sim.run()
+        scales.append(sim.scale)
+    assert scales == [20, 60]
+    want, want_report = branch_sequence(rerun_explore, base, assignments=assignments)
+    got, report = branch_sequence(explore, base, assignments=assignments)
+    assert len(got) == 1053
+    assert got == want
+    assert_same_report(report, want_report)
+    assert report.max_customer_terminal == want_report.max_customer_terminal is not None
+
+
 def assert_same_report(report, want_report):
     for name in ("branches", "complete", "counts", "bob_paid_everywhere",
                  "max_customer_terminal", "entries", "tie_reruns", "leaf_depths"):
@@ -151,7 +172,8 @@ def test_a_restored_snapshot_finishes_the_run_it_was_taken_from(scenario):
 def run_state(sim):
     """Everything a restore puts back, read from the run's own objects."""
     return (
-        sim.started, list(sim.heap), sim.seq, sim.tick, sim.now, list(sim.entries), sim.had_tie, sim.pending_compliant,
+        sim.started, list(sim.heap), sim.seq, sim.tick, list(sim.entries), sim.had_tie,
+        sim.pending_compliant,
         dict(sim.ledger.balances), sim.ledger.in_flight,
         [(aut.state, dict(aut.clock_vars), dict(aut.captured), list(aut.inbox), aut.stuck,
           aut.due) for aut in sim.automata.values()],
@@ -171,8 +193,9 @@ def test_a_restore_puts_back_each_armed_deadline():
     captured messages, inbox and stuck flag, the ledger, the key nonces and
     the strategies' state with their vaults: after the run has moved on, a
     restore puts back each of them as it stood, and neither the later runs nor
-    the restores change what any snapshot holds. Bob sending his certificate
-    early gets it captured; Bob as a replayer is a strategy with a state."""
+    the restores change what any snapshot holds. Clock variables hold ticks,
+    ints. Bob sending his certificate early gets it captured; Bob as a
+    replayer is a strategy with a state."""
     states = []
     moved_back = []  # per automaton and restore: did the restore change its state
     for strategy in ("premature_certificate", "replayer"):
@@ -192,14 +215,16 @@ def test_a_restore_puts_back_each_armed_deadline():
         for snap, _, contents in taken:
             assert snapshot_contents(snap) == contents
         states += [state for _, state, _ in taken]
-    automata = [aut for state in states for aut in state[10]]
+    automata = [aut for state in states for aut in state[9]]
     assert any(moved_back)
     assert any(isinstance(due, int) for *_, due in automata)
     assert any(clock_vars for _, clock_vars, *_ in automata)
+    assert all(type(tick) is int for _, clock_vars, *_ in automata
+               for tick in clock_vars.values())
     assert any(captured for _, _, captured, *_ in automata)
     assert any(inbox for _, _, _, inbox, *_ in automata)
-    assert any(strategy for state in states for strategy in state[12].values())
-    assert any(vault for state in states for vault in state[13].values())
+    assert any(strategy for state in states for strategy in state[11].values())
+    assert any(vault for state in states for vault in state[12].values())
 
 
 def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):

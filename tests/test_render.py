@@ -1,11 +1,12 @@
 """Render differential: the library's trace lines against `oracles.format_lines`.
 
-The library caches two line prefixes, one per instant object and one per
-(local-time object, participant), and reads each id's stored string. The
-reference formats every line from its entry's fields alone. Both must agree
-byte for byte on simulated traces, under seeded and identity clocks, and on
-hand-built entries of every record kind whose time objects are shared or
-duplicated in every way a cache keyed by object could get wrong.
+The library formats an entry's times from its tick and time base, makes the
+instant's prefix when the instant changes and caches the participant's prefix
+per (tick, participant, time base). The reference reads every time as a
+Fraction and formats every line from its entry's fields alone. Both must
+agree byte for byte on simulated traces, under seeded and identity clocks and
+at time scales of about 10^21, and on hand-built entries of every record kind
+whose times are shared or repeated in every way such caches could get wrong.
 """
 from __future__ import annotations
 
@@ -15,12 +16,12 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import CONFIG_DIR, strong_scenario, weak_scenario
+from conftest import CONFIG_DIR, entry_at, strong_scenario, weak_scenario
 from xpay.cli import load_config, parse_scenario_config
 from xpay.core import Certificate, Envelope, Money, SigningKey, customer, escrow, manager, sign
 from xpay.explore import battery_assignments
 from xpay.simnet import run_simulation
-from xpay.trace import Rec, TraceEntry, format_lines
+from xpay.trace import Rec, format_lines
 
 F = Fraction
 
@@ -55,22 +56,29 @@ def test_shipped_configs_render_as_the_reference():
     assert len(names) > 100  # six configs, the battery's one per assignment
 
 
-@pytest.mark.parametrize("clock_mode", ["seeded", "identity"])
-@pytest.mark.parametrize("variant", ["strong", "weak"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_runs_render_as_the_reference(variant, n, clock_mode):
+# (n, variant, clock mode, seeds); the strong n=32 seeded runs have time
+# scales of about 10^21, so their ticks and gcds are multi-limb ints
+RENDERED_RUNS = [(n, variant, clock_mode, range(3))
+                 for clock_mode in ("seeded", "identity")
+                 for variant in ("strong", "weak")
+                 for n in (1, 2, 3, 4)] + [(32, "strong", "seeded", range(2))]
+
+
+@pytest.mark.parametrize("n, variant, clock_mode, seeds", RENDERED_RUNS,
+                         ids=[f"{n}-{variant}-{mode}" for n, variant, mode, _ in RENDERED_RUNS])
+def test_runs_render_as_the_reference(n, variant, clock_mode, seeds):
     build = strong_scenario if variant == "strong" else weak_scenario
-    for seed in range(3):
+    for seed in seeds:
         trace = run_simulation(build(n=n, seed=seed, rho=F(1, 10), clock_mode=clock_mode))
-        # an identity clock's local time is the instant's own object
-        same = [e.local is e.t for e in trace.entries]
-        assert all(same) if clock_mode == "identity" else not any(same)
+        if n == 32:
+            assert trace.entries[0].base.scale > 10**20
         _assert_same_lines(trace.entries)
 
 
-def _every_kind(t, local, other_local):
+def _every_kind(t, local, other_local, scale=None):
     """One entry of every record kind at instant `t`: e0 and c1 at `local`,
-    m0 at `other_local`."""
+    m0 at `other_local`, each with a time base of its own at `scale` ticks
+    per unit (see `conftest.entry_at`)."""
     e0, c0, c1, m0 = escrow(0), customer(0), customer(1), manager()
     chi = sign(Certificate("pay0"), c1, SigningKey(c1))
     money = sign(Money("pay0", 1), e0, SigningKey(e0))
@@ -85,23 +93,26 @@ def _every_kind(t, local, other_local):
         dict(participant=m0, rec=Rec.IMPOSSIBLE_STEP, reason="insufficient_funds"),
         dict(participant=c1, rec=Rec.SENT, env=Envelope(c1, c0, money)),
     ]
-    return [TraceEntry(t=t, seq=k, local=other_local if row["participant"] == m0 else local,
-                       **row) for k, row in enumerate(rows)]
+    return [entry_at(t, other_local if row["participant"] == m0 else local, scale, seq=k, **row)
+            for k, row in enumerate(rows)]
 
 
 def test_hand_built_entries_of_every_kind_render_as_the_reference():
-    """Entries of every kind where participants share one local-time object
-    (an identity clock's instant, and a drifting one), and where equal times,
-    local times, delays and deadlines are distinct objects."""
+    """Entries of every kind where participants share one local time (an
+    identity clock's instant, and a drifting one) under equal time bases,
+    where equal times sit at another scale, one tick names two instants at
+    two scales, equal delays and deadlines are distinct objects (each call of
+    `_every_kind` makes its own), and one local time is shared across
+    instants."""
     t = F(5, 2)
     drifted = F(11, 4)
     identity = _every_kind(t, t, t)
     shared = _every_kind(t, drifted, t)
-    fresh = [replace(e, t=F(5, 2), local=F(e.local.numerator, e.local.denominator),
-                     delay=e.delay and F(1, 2), deadline=e.deadline and F(7, 3))
-             for e in shared]
+    rescaled = _every_kind(t, drifted, t, scale=12)  # tick 30
+    other = _every_kind(F(5, 4), F(3, 2), F(1), scale=24)  # tick 30 again
     later = _every_kind(F(3), drifted, drifted)  # a local time shared across instants
-    entries = [replace(e, seq=k) for k, e in enumerate(identity + shared + fresh + later)]
+    entries = [replace(e, seq=k)
+               for k, e in enumerate(identity + shared + rescaled + other + later)]
     assert {e.rec for e in entries} == set(Rec)
     _assert_same_lines(entries)
     lines = format_lines(entries)
@@ -111,4 +122,6 @@ def test_hand_built_entries_of_every_kind_render_as_the_reference():
     ]
     assert lines[5] == "t=5/2 seq=5 p=m0 lt=5/2 ev=TIMEOUT_FIRED state=collect deadline=7/3"
     assert lines[len(identity)] == "t=5/2 seq=9 p=e0 lt=11/4 ev=STATE_ENTERED state=await_chi"
-    assert lines[-1] == "t=3/1 seq=35 p=c1 lt=11/4 ev=SENT dst=c0 msg=$[pay0,1]@e0/0"
+    assert lines[3 * len(identity)] == (
+        "t=5/4 seq=27 p=e0 lt=3/2 ev=STATE_ENTERED state=await_chi")
+    assert lines[-1] == "t=3/1 seq=44 p=c1 lt=11/4 ev=SENT dst=c0 msg=$[pay0,1]@e0/0"

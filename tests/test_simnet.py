@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import derived, strong_scenario, verdicts_by_name, weak_scenario
+from conftest import derived, entry_at, strong_scenario, verdicts_by_name, weak_scenario
 from xpay.automata import LocalClock, Timeout
 from xpay.core import (
     Certificate,
@@ -31,6 +32,7 @@ from xpay.simnet import (
     ScriptRule,
     StrategySpec,
     Synchronous,
+    _Sim,
     assign_clocks,
     byzantine_emit,
     run_simulation,
@@ -466,10 +468,14 @@ def test_trace_header_is_self_describing():
 
 
 def _fresh_times(entry: TraceEntry) -> TraceEntry:
-    """The entry with each of its times a new Fraction object of the same value."""
+    """The entry at the same real and local time on a time base of its own,
+    at the denominator of its instant instead of the run's scale, with new
+    delay and deadline objects of the same value."""
     def fresh(x):
         return None if x is None else F(x.numerator, x.denominator)
-    return replace(entry, t=fresh(entry.t), local=fresh(entry.local),
+    rebuilt = entry_at(entry.t, entry.local, seq=entry.seq, participant=entry.participant,
+                       rec=entry.rec)
+    return replace(entry, tick=rebuilt.tick, base=rebuilt.base,
                    delay=fresh(entry.delay), deadline=fresh(entry.deadline))
 
 
@@ -481,7 +487,8 @@ def test_render_formats_every_entry_as_its_line():
     """`Trace.render` formats each instant, local time and message once; its
     entry lines are still exactly the entries' own `line()`s: with drifting
     clocks, with a fresh delay object per send before stabilization, with
-    relayed messages, and on a trace whose equal times are distinct objects."""
+    relayed messages, and on a trace rebuilt with other ticks and time bases
+    for the same times and with distinct delay and deadline objects."""
     runs = {
         "drift": run_simulation(strong_scenario(n=2, seed=4, rho=F(1, 10), clock_mode="seeded")),
         "partial_sync": run_simulation(strong_scenario(n=2, seed=2, delay=PartialSync(F(5, 2), F(1)))),
@@ -498,3 +505,35 @@ def test_render_formats_every_entry_as_its_line():
     for name, trace in runs.items():
         assert _body(trace) == [e.line() for e in trace.entries], name
     assert _body(runs["hand_built"]) == _body(drift)
+
+
+def test_the_event_loop_makes_a_fraction_only_for_delays_and_lapsed_deadlines():
+    """Past the t=0 setup, a run makes a Fraction once per distinct delivery
+    delay and once per TIMEOUT_FIRED entry (its local deadline), and for
+    nothing else: trace entries hold ticks and time bases, and clock
+    variables and deadlines are ticks. Counted with a profile hook on
+    `Fraction.__new__` over a strong n=8 seeded run and a seeded run whose
+    timeouts fire."""
+    code = Fraction.__new__.__code__
+    for scenario in (strong_scenario(n=8, seed=0, rho=F(1, 10), clock_mode="seeded"),
+                     strong_scenario(n=2, seed=3, rho=F(1, 10), clock_mode="seeded",
+                                     byzantine={customer(2): StrategySpec("silent")})):
+        sim = _Sim(scenario)
+        sim._start()
+        made = 0
+
+        def count(frame, event, arg):
+            nonlocal made
+            if event == "call" and frame.f_code is code:
+                made += 1
+
+        sys.setprofile(count)
+        try:
+            trace = sim.run()
+        finally:
+            sys.setprofile(None)
+        delays = {e.delay for e in trace.entries if e.rec is Rec.DELIVERED}
+        fired = sum(e.rec is Rec.TIMEOUT_FIRED for e in trace.entries)
+        assert len(trace.entries) > 40
+        assert made <= len(delays) + fired, (made, len(delays), fired)
+    assert fired > 0  # with Bob silent, the escrows' windows lapse
