@@ -5,7 +5,7 @@ protocol constructors (each returns a `Machine` definition shared by the runs,
 which wrap it in their own `Automaton`), the timeout derivation, the trace
 property checkers, the exhaustive explorer, and the deal-matrix analysis.
 """
-from .automata import Automaton, LocalClock, Machine, Receive, State, StateKind, Timeout, Transition
+from .automata import Automaton, Machine, Receive, State, StateKind, Timeout, Transition
 from .core import (
     AuthorizationError,
     ConfigError,
@@ -28,7 +28,6 @@ from .deals import (
     is_acceptable_payoff,
     is_well_formed,
     payment_to_deal,
-    to_digraph,
 )
 from .explore import battery_assignments, explore
 from .properties import Status, Verdict, evaluate_all

@@ -1,10 +1,11 @@
-"""Timed automata: drifting local clocks, receive/timeout guards, output dwell.
+"""Timed automata: receive/timeout guards over a local clock, output dwell.
 
 A participant's automaton comes in two parts. A `Machine` is its definition:
 id, states and initial state, validated once and never changed by a run, so one
 definition serves every run of the same protocol role. An `Automaton` is one
-run of a machine: the clock and key of that run and the state it has reached
-(current state, clock variables, captured messages, inbox).
+run of a machine: the key of that run, the length of each timeout on the run's
+time axis, and the state it has reached (current state, clock variables,
+captured messages, inbox).
 
 Each machine has three state kinds:
 
@@ -15,10 +16,11 @@ Each machine has three state kinds:
   clock becomes true, and then fire immediately;
 * terminal states have no outgoing transitions.
 
-All real and local times are exact, so timeout boundaries are decided exactly
-and runs are reproducible bit for bit. A run's automaton keeps time on its
-engine's axis: int ticks of 1/scale under the simulator, exact rationals of
-real time when driven directly.
+All times are exact, so timeout boundaries are decided exactly and runs are
+reproducible bit for bit. An automaton knows no clock rate and no time scale:
+whoever builds it hands it the length of each timeout on its axis (int ticks
+under the simulator), and every instant it is given or gives back is on that
+axis.
 """
 from __future__ import annotations
 
@@ -37,40 +39,12 @@ from .core import (
     SigningKey,
     as_fraction,
     sign,
-    to_ticks,
     verify,
 )
 
 
 class ProtocolComplete(Exception):
     """Raised when asked to step an automaton that already reached a terminal state."""
-
-
-@dataclass(frozen=True)
-class LocalClock:
-    """Drifting local clock: local_time(t) = rate * t, rate > 0.
-
-    Every clock reads zero at real time zero. With rate 1 local time equals
-    real time. Drift bounded by rho means rate lies in [1/(1+rho), 1+rho].
-    `num` and `den` hold the rate in lowest terms as two ints, so that a
-    local time can be made from integers; they are not fields, so equality
-    and hash ignore them.
-    """
-    rate: Fraction = Fraction(1)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rate", as_fraction(self.rate, "clock rate"))
-        if self.rate <= 0:
-            raise ConfigError("clock rate must be strictly positive")
-        object.__setattr__(self, "num", self.rate.numerator)
-        object.__setattr__(self, "den", self.rate.denominator)
-
-    def local_time(self, real_time: Fraction) -> Fraction:
-        return self.rate * real_time
-
-    def real_time_of_deadline(self, local_deadline: Fraction) -> Fraction:
-        """Unique real instant t with local_time(t) = local_deadline (exact inversion)."""
-        return local_deadline / self.rate
 
 
 class StateKind(Enum):
@@ -212,45 +186,39 @@ class Machine:
         return SigningKey(self.id, self.nonces_spent)
 
 
-# `Automaton.due` before the current state's deadline has been worked out
-UNARMED = "unarmed"
-
 Instant = Union[int, Fraction]
 
 
 @dataclass
 class Automaton:
-    """One run of a machine: its clock and key, and the state the run has reached.
+    """One run of a machine: its key, its timeout lengths and the state the
+    run has reached.
 
     `state` is the current `State` object itself (the machine's initial state
     when none is given), so the engine reads its kind and transitions without
     a table lookup; `current` reads and sets it by name.
 
-    An automaton keeps time on one axis: real time as exact rationals, or int
-    ticks of 1/scale once the engine has put it on its run's axis
-    (`set_scale`). Every instant it is given or gives back is
-    on that axis: the `now` of `step` and `enabled_transitions`, the value of
-    a clock variable (the instant at which it was set) and `due`, when the
-    current state's timeout falls due (None if never). A timeout over the
-    local clock lapses its real length delay/rate after the instant its
-    variable was set (after time zero when it has none). `real_lengths` holds
-    that length for each delay of the definition and `lengths` holds it on the
-    axis, both keyed by the delay object's id (the definition holds the
-    objects), so under the engine a deadline is one int add. `due` is worked
-    out on first use after each step, since only a step changes the state and
-    the clock variables.
+    An automaton keeps time on one axis, the one `lengths` is given on: the
+    `now` of `step` and `enabled_transitions`, the value of a clock variable
+    (the instant at which it was set) and `due` are all on it. `lengths` maps
+    the id of each timeout delay of the definition (the definition holds the
+    delay objects) to the time that timeout lasts, from the instant its
+    variable was set (from time zero when it has none). The engine works these
+    out once per run in int ticks, from each delay and the participant's
+    clock rate. Without `lengths` each timeout lasts its delay: real time on a
+    clock of rate 1. `due`, when the current state's timeout falls due (None
+    if never), is worked out on entering a state: at construction, by `step`
+    and when `current` is set.
     """
     machine: Machine
-    clock: LocalClock = field(default_factory=LocalClock)
     key: Optional[SigningKey] = None
+    lengths: Optional[dict[int, Instant]] = field(default=None, repr=False, compare=False)
     state: Optional[State] = None
     clock_vars: dict[str, Instant] = field(default_factory=dict)
     captured: dict[str, SignedMessage] = field(default_factory=dict)
     inbox: list[Envelope] = field(default_factory=list)
     stuck: bool = False
-    due: Union[Instant, None, str] = UNARMED
-    real_lengths: dict[int, Fraction] = field(init=False, repr=False, compare=False)
-    lengths: dict[int, Instant] = field(init=False, repr=False, compare=False)
+    due: Optional[Instant] = field(default=None, init=False)
 
     def __post_init__(self):
         if self.state is None:
@@ -259,16 +227,20 @@ class Automaton:
             self.key = self.machine.new_key()
         elif self.key.owner != self.machine.id:
             raise ConfigError(f"automaton {self.machine.id} was handed {self.key.owner}'s key")
-        real = self.clock.real_time_of_deadline
-        self.lengths = self.real_lengths = {
-            id(delay): real(delay) for delay in self.machine.timeouts}
+        if self.lengths is None:
+            self.lengths = {id(delay): delay for delay in self.machine.timeouts}
+        self._arm()
 
-    def set_scale(self, scale: int) -> None:
-        """Put the run on the axis of ticks of 1/`scale`, before its first
-        step: each timeout's length in ticks, worked out once here. The
-        engine's scale makes every length a whole number of ticks."""
-        self.lengths = {key: to_ticks(length, scale, "timeout length")
-                        for key, length in self.real_lengths.items()}
+    def _arm(self) -> None:
+        """Work out `due` for the state just entered."""
+        due = None
+        tr = self.timeout_guard()
+        if tr is not None:
+            guard = tr.guard
+            start = 0 if guard.var is None else self.clock_vars.get(guard.var)
+            if start is not None:
+                due = start + self.lengths[id(guard.delay)]
+        self.due = due
 
     @property
     def id(self) -> ParticipantId:
@@ -281,6 +253,7 @@ class Automaton:
     @current.setter
     def current(self, name: str) -> None:
         self.state = self.machine.states[name]
+        self._arm()
 
     def is_terminal(self) -> bool:
         return self.state.kind is StateKind.TERMINAL
@@ -290,22 +263,6 @@ class Automaton:
             if isinstance(tr.guard, Timeout):
                 return tr
         return None
-
-    def deadline(self) -> Optional[Instant]:
-        """When the current state's timeout falls due, on the automaton's
-        axis; None when the state has no timeout or its clock variable is
-        unset."""
-        due = self.due
-        if due is UNARMED:
-            due = None
-            tr = self.timeout_guard()
-            if tr is not None:
-                guard = tr.guard
-                start = 0 if guard.var is None else self.clock_vars.get(guard.var)
-                if start is not None:
-                    due = start + self.lengths[id(guard.delay)]
-            self.due = due
-        return due
 
     def enabled_transitions(self, now: Instant) -> list[Enabled]:
         """Enabled transitions of the current input state at `now` (on the
@@ -326,7 +283,7 @@ class Automaton:
                         out.append((tr, env))
                         break
             else:
-                due = self.deadline()
+                due = self.due
                 if due is not None and now >= due:
                     out.append((tr, None))
         return out
@@ -360,5 +317,5 @@ class Automaton:
                 msg = sign(spec.payload, self.id, self.key)
             emissions.append(Envelope(self.id, recipient, msg))
         self.state = self.machine.states[transition.target]
-        self.due = UNARMED
+        self._arm()
         return emissions

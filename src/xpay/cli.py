@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import ConfigError, ParticipantId, as_fraction, fmt_fraction, parse_participant
-from .deals import is_well_formed, parse_deal_file, to_digraph
+from .deals import is_well_formed, parse_deal_file
 from .explore import battery_assignments, explore
 from .properties import Status, evaluate_all, tally
 from .protocol import TimingParams
@@ -397,9 +397,8 @@ def cmd_deals_check(args) -> int:
     except OSError as exc:
         print(f"config error: cannot read {args.matrix}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    graph = to_digraph(matrix)
     ok = is_well_formed(matrix)
-    print(f"parties={matrix.parties} arcs={len(graph.arcs)}")
+    print(f"parties={matrix.parties} arcs={len(matrix.entries)}")
     print(f"well_formed={'yes' if ok else 'no'}")
     return EXIT_OK if ok else EXIT_VIOLATION
 

@@ -2,8 +2,8 @@
 
 A deal is an m-by-m matrix whose (i, j) entry, when present, is the asset
 party i transfers to party j. Its digraph has one vertex per party and one
-labelled arc per non-empty entry; a deal is well-formed iff that digraph is
-strongly connected.
+arc per non-empty entry (the keys of `DealMatrix.entries`); a deal is
+well-formed iff that digraph is strongly connected.
 
 A payoff (set of executed arcs) is acceptable to party i iff she loses
 nothing at all, or receives every incoming asset (losing at most her outgoing
@@ -53,74 +53,27 @@ class DealMatrix:
         return {arc for arc in self.entries if arc[0] == party}
 
 
-@dataclass
-class Digraph:
-    vertices: int
-    arcs: dict[Arc, Asset]
-
-
-def to_digraph(m: DealMatrix) -> Digraph:
-    """One vertex per party, one labelled arc per non-empty entry."""
-    return Digraph(m.parties, dict(m.entries))
-
-
-def _strongly_connected(g: Digraph) -> bool:
-    """Iterative Tarjan; true iff the whole vertex set is one component."""
-    if g.vertices == 1:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(g.vertices)}
-    for (i, j) in g.arcs:
+def _reaches_all(arcs: Iterable[Arc], parties: int) -> bool:
+    """True iff party 0 reaches every party along `arcs`."""
+    adj: dict[int, list[int]] = {v: [] for v in range(parties)}
+    for i, j in arcs:
         adj[i].append(j)
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    components = 0
-
-    for root in range(g.vertices):
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                components += 1
-                if components > 1:
-                    return False
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    if w == v:
-                        break
-    return components == 1 and len(index) == g.vertices
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == parties
 
 
 def is_well_formed(m: DealMatrix) -> bool:
-    """True iff the transfer digraph is strongly connected."""
-    return _strongly_connected(to_digraph(m))
+    """True iff the transfer digraph is strongly connected: party 0 reaches
+    every party along the arcs, and every party reaches party 0 (party 0
+    reaches it along the reversed arcs)."""
+    return (_reaches_all(m.entries, m.parties)
+            and _reaches_all(((j, i) for i, j in m.entries), m.parties))
 
 
 def is_acceptable_payoff(m: DealMatrix, party: int, outcome: Iterable[Arc]) -> bool:
@@ -138,25 +91,15 @@ def is_acceptable_payoff(m: DealMatrix, party: int, outcome: Iterable[Arc]) -> b
     return not losses or gains == m.incoming(party)
 
 
-def payment_to_deal(n: int, amount: int = 1,
-                    with_certificate_arcs: bool = False) -> DealMatrix:
+def payment_to_deal(n: int, amount: int = 1) -> DealMatrix:
     """The chained payment written as a deal: customers 0..n, one money arc per hop.
 
     The result is never well-formed for n >= 1 (a path is not strongly
-    connected): chained payments and swap deals do not coincide. Passing
-    with_certificate_arcs=True adds the reverse attestation chain as pseudo
-    assets, which closes the cycle; that is an illustrative experiment only,
-    no equivalence is claimed.
+    connected): chained payments and swap deals do not coincide.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
-    entries: dict[Arc, Asset] = {}
-    for i in range(n):
-        entries[(i, i + 1)] = Asset("$", amount)
-    if with_certificate_arcs:
-        for i in range(n, 0, -1):
-            entries[(i, i - 1)] = Asset("attestation", 1)
-    return DealMatrix(n + 1, entries)
+    return DealMatrix(n + 1, {(i, i + 1): Asset("$", amount) for i in range(n)})
 
 
 # ------------------------------------------------------------------- file format
@@ -189,10 +132,3 @@ def parse_deal_file(text: str) -> DealMatrix:
         entries[(i, j)] = Asset(parts[2], magnitude)
     return DealMatrix(parties, entries)
 
-
-def format_deal_file(m: DealMatrix) -> str:
-    lines = [f"parties={m.parties}"]
-    for (i, j) in sorted(m.entries):
-        asset = m.entries[(i, j)]
-        lines.append(f"{i} {j} {asset.label} {asset.magnitude}")
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,8 @@ automaton, which depends only on the hop count, the timing parameters, the
 payment instance and, in the weak variant, the patience. The roster builders
 and the transaction manager are memoised by those values, so each definition
 is built and validated once and then shared by every run that asks for it;
-`simnet` wraps it in a per-run `Automaton` with that run's clock and key.
+`simnet` wraps it in a per-run `Automaton` with that run's key and timeout
+lengths.
 
 The weak construction here is our own; it is validated against the variant's
 stated properties by the checker suite rather than against a reference.

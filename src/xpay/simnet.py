@@ -7,26 +7,29 @@ rationals, so a Scenario (seed included) maps to exactly one trace, byte for
 byte.
 
 Real time is an integer count of ticks of 1/S, from the event loop all the
-way into the trace. The scale S is fixed before the first event
-(`time_scale`): the lcm of the denominators of pi, of every delay the delay
-model lists, of each timeout's real length delay/rate, of the strategies' own
-delays and of the injection instants, so every instant of the run is a whole
-number of ticks. Event times, heap keys, delivery delays, the horizon test,
-the automata's clock variables and timeout deadlines are int arithmetic;
-`to_ticks` is the one conversion in, and it raises rather than round. Each
-delay object the delay model returns is converted once, and each timeout's
-length in ticks is worked out once per run (`Automaton.set_scale`). A timeout
-deadline is the tick its clock variable was set at plus that length, worked
-out when its state is entered and kept with the automaton's run state
-(`Automaton.due`, and in a `Snapshot`); "is this timeout due" is one int
-comparison. A trace entry records its tick and its participant's `TimeBase`
-(the scale and the clock rate as ints), and builds its real and local time as
-Fractions only when they are read. The loop makes a Fraction only for a
-delivery delay, once per distinct length, and for the local deadline each
-TIMEOUT_FIRED entry records. `now`, the current instant as a Fraction, is
-built at most once per instant and only when asked for: by a strategy
-(`StrategyContext.now`) or by a delay model that reads the send instant
-(`PartialSync`).
+way into the trace, and this module is the one place where a duration becomes
+ticks (`to_ticks`, which raises rather than round). A participant's clock is
+a rate r within [1/(1+rho), 1+rho], so a timeout of local delay d lasts d/r
+real time. A run fixes its time axis when it is built, where every input is
+known: the scale S (`time_scale`), the lcm of the denominators of pi, of
+every delay the delay model lists, of each timeout's real length d/r, of the
+strategies' own delays and of the injection instants, so every instant of the
+run is a whole number of ticks; pi and the horizon in ticks; each
+participant's `TimeBase`; and each automaton's timeout lengths in ticks,
+handed to it when it is built. Event times, heap keys, delivery delays, the
+horizon test, the automata's clock variables and timeout deadlines are then
+int arithmetic. Each delay object the delay model returns is converted once,
+and a strategy hands back each send with a delay, converted when it is
+scheduled. A timeout deadline is the tick its clock variable was set at plus
+its length, worked out by the automaton when it enters the state and kept
+with its run state (`Automaton.due`, and in a `Snapshot`); "is this timeout
+due" is one int comparison. A trace entry records its tick and its
+participant's `TimeBase` (the scale and the clock rate as ints), and builds
+its real and local time as Fractions only when they are read. The loop makes a
+Fraction only for a delivery delay, once per distinct length, and for the
+local deadline each TIMEOUT_FIRED entry records. `now`, the current instant as
+a Fraction, is built each time a delay model that reads the send instant
+(`PartialSync`) asks for it.
 
 A run can be branched. Between two instants its whole state is a `Snapshot`,
 a plain value: the event heap and its sequence counter, the current tick,
@@ -57,7 +60,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .automata import Automaton, LocalClock, State, StateKind
+from .automata import Automaton, State, StateKind
 from .core import (
     AbortReq,
     Certificate,
@@ -298,10 +301,6 @@ class StrategyContext:
         self.pid = pid
 
     @property
-    def now(self) -> Fraction:
-        return self._sim.now
-
-    @property
     def scenario(self) -> "Scenario":
         return self._sim.sc
 
@@ -314,7 +313,7 @@ class StrategyContext:
         return self._sim.vaults[self.pid]
 
     def sign_own(self, payload: Payload) -> SignedMessage:
-        return byzantine_emit(self._sim.strategies[self.pid], self.vault, payload, self.pid)
+        return byzantine_emit(self._sim.strategies[self.pid], payload, self.pid)
 
     def emit(self, dst: ParticipantId, payload: Payload) -> None:
         self._sim.send(Envelope(self.pid, dst, self.sign_own(payload)))
@@ -330,7 +329,8 @@ class Strategy:
 
     Subclasses flip `uses_automaton` off to discard the prescribed behaviour
     entirely, hook `on_start`/`on_delivery` for own traffic, or override
-    `filter_send` to drop or postpone prescribed messages.
+    `filter_send` to drop or postpone prescribed messages: it hands back each
+    envelope to send with its delay, 0 for at once.
     """
     uses_automaton = True
 
@@ -345,7 +345,7 @@ class Strategy:
         pass
 
     def filter_send(self, ctx: StrategyContext, env: Envelope) -> list[tuple[Envelope, Fraction]]:
-        return [(env, ctx.now)]
+        return [(env, 0)]
 
     def snapshot(self) -> object:
         """What this strategy has learnt during the run, as a value `restore` takes back."""
@@ -370,7 +370,7 @@ class DelayOwnSends(Strategy):
             raise ConfigError("delay_own_sends needs a positive delay")
 
     def filter_send(self, ctx, env):
-        return [(env, ctx.now + self.delay)]
+        return [(env, self.delay)]
 
 
 def _carries_certificate(payload: Payload) -> bool:
@@ -383,7 +383,7 @@ class WithholdCertificate(Strategy):
     def filter_send(self, ctx, env):
         if _carries_certificate(env.msg.payload):
             return []
-        return [(env, ctx.now)]
+        return [(env, 0)]
 
 
 class PrematureCertificate(Strategy):
@@ -401,7 +401,7 @@ class PrematureCertificate(Strategy):
         # already issued; prescribed issue (or commit request) is suppressed
         if _carries_certificate(env.msg.payload):
             return []
-        return [(env, ctx.now)]
+        return [(env, 0)]
 
 
 class GreedyEscrow(Strategy):
@@ -410,7 +410,7 @@ class GreedyEscrow(Strategy):
     def filter_send(self, ctx, env):
         if isinstance(env.msg.payload, Money) or _carries_certificate(env.msg.payload):
             return []
-        return [(env, ctx.now)]
+        return [(env, 0)]
 
 
 class Replayer(Strategy):
@@ -473,22 +473,14 @@ STRATEGIES: dict[str, tuple[type, Callable[[ParticipantId, "Scenario"], bool]]] 
 }
 
 
-def byzantine_emit(
-    strategy: Strategy,
-    observed: Sequence[SignedMessage],
-    attempt: Payload,
-    as_signer: ParticipantId,
-) -> SignedMessage:
-    """Construct a message a Byzantine participant may legitimately put on the wire.
-
-    Succeeds iff `as_signer` is the strategy's own identity (fresh signature)
-    or an identical signed payload exists in its vault (verbatim replay).
+def byzantine_emit(strategy: Strategy, attempt: Payload,
+                   as_signer: ParticipantId) -> SignedMessage:
+    """Sign a payload a Byzantine participant may legitimately put on the
+    wire: only as itself. A message signed by anyone else goes out only as a
+    verbatim replay of one it observed (`StrategyContext.replay`).
     """
     if as_signer == strategy.pid:
         return sign(attempt, as_signer, strategy.key)
-    for msg in observed:
-        if msg.signer == as_signer and msg.payload == attempt:
-            return msg
     raise ForgeryRejected(f"{strategy.pid} cannot emit {attempt.token()} as {as_signer}")
 
 
@@ -651,21 +643,21 @@ class Scenario:
         return config_digest(self.config_dict())
 
 
-_IDENTITY = LocalClock()
+_IDENTITY = Fraction(1)
 
 
 @functools.lru_cache(maxsize=16)
-def _seeded_clocks(rho: Fraction, points: int = 9) -> tuple[LocalClock, ...]:
-    """The clocks a seeded run draws from: rates evenly spaced over
-    [1/(1+rho), 1+rho]. Built once per rho; clocks are frozen, so every run
-    shares them."""
+def _seeded_clocks(rho: Fraction, points: int = 9) -> tuple[Fraction, ...]:
+    """The clock rates a seeded run draws from, evenly spaced over
+    [1/(1+rho), 1+rho]. Built once per rho and shared by every run."""
     lo = Fraction(1) / (1 + rho)
     hi = 1 + rho
-    return tuple(LocalClock(lo + (hi - lo) * k / (points - 1)) for k in range(points))
+    return tuple(lo + (hi - lo) * k / (points - 1) for k in range(points))
 
 
-def assign_clocks(scenario: Scenario) -> dict[ParticipantId, LocalClock]:
-    """Per-participant clocks, rates within [1/(1+rho), 1+rho].
+def assign_clocks(scenario: Scenario) -> dict[ParticipantId, Fraction]:
+    """Per-participant clock rates, within [1/(1+rho), 1+rho]. A clock reads
+    rate * t at real time t, so every clock reads zero at time zero.
 
     Modes: auto (identity when rho=0, else seeded), seeded (deterministic
     seed-derived rates), worst_case (escrows fastest, customers slowest: the
@@ -697,20 +689,16 @@ def assign_clocks(scenario: Scenario) -> dict[ParticipantId, LocalClock]:
 
 # --------------------------------------------------------------------- the engine
 
-def time_scale(sc: Scenario, automata: dict[ParticipantId, Automaton],
+def time_scale(sc: Scenario, timeouts: Sequence[Fraction],
                strategies: dict[ParticipantId, Strategy]) -> int:
     """Ticks per time unit for one run: the lcm of the denominators of every
     length that can separate two instants of the run.
 
-    Those are pi, the delays the delay model lists, the real length delay/rate
-    of each timeout an automaton's definition lists (a deadline is the
-    assignment instant plus delay/rate), the
-    strategies' own delays and the injection instants. The states a manager
-    builds on first entry have no timeout.
+    Those are pi, the delays the delay model lists, the real length of each
+    timeout (`timeouts`: a deadline is the assignment instant plus
+    delay/rate), the strategies' own delays and the injection instants.
     """
-    lengths = [sc.pi, *sc.delay.delays()]
-    for aut in automata.values():
-        lengths += aut.real_lengths.values()
+    lengths = [sc.pi, *sc.delay.delays(), *timeouts]
     lengths += [s.delay for s in strategies.values() if isinstance(s, DelayOwnSends)]
     lengths += [t for t, _ in sc.raw_injections]
     return math.lcm(*(x.denominator for x in lengths))
@@ -745,9 +733,10 @@ class _Generator(random.Random):
 class Snapshot(NamedTuple):
     """The state of a run between two instants, as a plain value.
 
-    What does not change during a run (definitions, clocks, keys' owners, the
-    time scale, the trace header facts) is not in it. Restoring never changes
-    a snapshot, so one can be restored any number of times.
+    What does not change during a run (definitions, clock rates, keys'
+    owners, timeout lengths, the time scale, the trace header facts) is not
+    in it. Restoring never changes a snapshot, so one can be restored any
+    number of times.
     """
     started: bool  # the t=0 setup is done
     heap: tuple
@@ -804,10 +793,27 @@ class _Sim:
             cls, _ = STRATEGIES[spec.name]
             self.strategies[pid] = cls(pid, self.keys[pid], spec.params)
             self.vaults[pid] = []
+        machines = {pid: machine for pid, machine in machines.items()
+                    if pid not in self.strategies or self.strategies[pid].uses_automaton}
+
+        # the run's time axis. A timeout's real length is its local delay over
+        # the clock rate, keyed by the delay object's id as `Automaton.lengths`
+        # is. The states a manager builds on first entry have no timeout.
+        real = {pid: {id(delay): delay / self.clocks[pid] for delay in machine.timeouts}
+                for pid, machine in machines.items()}
+        scale = self.scale = time_scale(  # ticks per time unit
+            scenario, [length for lengths in real.values() for length in lengths.values()],
+            self.strategies)
+        self.pi_ticks = to_ticks(scenario.pi, scale, "pi")
+        # the last tick not beyond the horizon
+        self.horizon_tick = self.horizon.numerator * scale // self.horizon.denominator
+        self.bases = {pid: TimeBase(scale, rate.numerator, rate.denominator)
+                      for pid, rate in self.clocks.items()}
         self.automata: dict[ParticipantId, Automaton] = {
-            pid: Automaton(machine, self.clocks[pid], self.keys[pid])
+            pid: Automaton(machine, self.keys[pid], {
+                key: to_ticks(length, scale, "timeout length")
+                for key, length in real[pid].items()})
             for pid, machine in machines.items()
-            if pid not in self.strategies or self.strategies[pid].uses_automaton
         }
 
         # in a fixed order, for snapshots
@@ -834,11 +840,10 @@ class _Sim:
                                 if scenario.is_compliant(p)),
             params=self.params,
             horizon=self.horizon,
-            delta=scenario.delay.delta_bound(),
             tie_break=scenario.tie_break,
             rx_order=scenario.rx_order,
             initial_balances=self.initial_balances,
-            clock_rates={p: self.clocks[p].rate for p in self.clocks},
+            clock_rates=self.clocks,
             patience=patience,
             patience_sufficient=patience is None or all(p is None for p in patience),
         )
@@ -847,12 +852,7 @@ class _Sim:
         self.heap: list[tuple] = []
         self.seq = 0
         self.started = False
-        self.scale = 1  # ticks per time unit; the t=0 setup fixes it before the first event
-        self.pi_ticks = 0
-        self.horizon_tick = 0  # the last tick not beyond the horizon
         self.tick = 0  # the current instant in ticks
-        self._now = (0, Fraction(0))  # the last instant `now` was asked for: (tick, Fraction)
-        self.bases: dict[ParticipantId, TimeBase] = {}  # per participant, from the t=0 setup
         self.transit_times: dict[int, Fraction] = {}  # delivery delays by their length in ticks
         # the length in ticks of each delay object the delay model returned,
         # keyed by id and holding the object so that its id is not reused
@@ -864,12 +864,8 @@ class _Sim:
 
     @property
     def now(self) -> Fraction:
-        """The current instant as a Fraction, built on first use in each instant."""
-        tick, now = self._now
-        if tick != self.tick:
-            now = Fraction(self.tick, self.scale)
-            self._now = (self.tick, now)
-        return now
+        """The current instant as a Fraction, built on each call."""
+        return Fraction(self.tick, self.scale)
 
     # -- snapshots -------------------------------------------------------------
 
@@ -1012,7 +1008,7 @@ class _Sim:
             if self.sc.is_compliant(pid):
                 self.pending_compliant -= 1
         else:
-            due = aut.deadline()
+            due = aut.due
             if due is not None and due > self.tick:
                 self.schedule(due, _TIMEOUT, pid, st)
 
@@ -1039,7 +1035,7 @@ class _Sim:
             tr, env = ordered[0]
             if env is None:
                 self.entry(Rec.TIMEOUT_FIRED, pid, state=aut.state.name,
-                           deadline=self.bases[pid].local(aut.deadline()))
+                           deadline=self.bases[pid].local(aut.due))
             emissions = aut.step(tr, self.tick, env)
             self._route_emissions(pid, emissions)
             self._enter_state(pid)
@@ -1065,12 +1061,12 @@ class _Sim:
         strategy = self.strategies.get(pid)
         for env in emissions:
             if strategy is not None:
-                for env2, when in strategy.filter_send(self.ctx(pid), env):
-                    tick = to_ticks(when, self.scale, "send time")
-                    if tick <= self.tick:
-                        self.send(env2)
+                for env2, delay in strategy.filter_send(self.ctx(pid), env):
+                    if delay > 0:
+                        self.schedule(self.tick + to_ticks(delay, self.scale, "send delay"),
+                                      _SEND_LATER, env2, None)
                     else:
-                        self.schedule(tick, _SEND_LATER, env2, None)
+                        self.send(env2)
             else:
                 self.send(env)
                 if self.automata[pid].stuck:
@@ -1079,17 +1075,9 @@ class _Sim:
     # -- main loop ----------------------------------------------------------------
 
     def _start(self) -> None:
-        """The t=0 setup: fix the time scale, put the automata and the
-        participants' time bases on it, enter every initial state, start the
-        strategies and schedule the injections."""
+        """The t=0 setup: enter every initial state, start the strategies and
+        schedule the injections."""
         self.started = True
-        scale = self.scale = time_scale(self.sc, self.automata, self.strategies)
-        self.pi_ticks = to_ticks(self.sc.pi, scale, "pi")
-        self.horizon_tick = self.horizon.numerator * scale // self.horizon.denominator
-        for aut in self.automata.values():
-            aut.set_scale(scale)
-        self.bases = {pid: TimeBase(scale, clock.num, clock.den)
-                      for pid, clock in self.clocks.items()}
         for pid in sorted(self.automata):
             self._enter_state(pid)
         for pid in sorted(self.automata):

@@ -177,7 +177,6 @@ class TraceMeta:
     compliant: frozenset[ParticipantId]
     params: object  # TimingParams
     horizon: Fraction
-    delta: Optional[Fraction]
     tie_break: str
     rx_order: str
     initial_balances: dict[ParticipantId, int]

@@ -4,12 +4,10 @@ import inspect
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from xpay.automata import (
     Automaton,
     Fresh,
-    LocalClock,
     Machine,
     ProtocolComplete,
     Receive,
@@ -19,36 +17,6 @@ from xpay.automata import (
     Transition,
 )
 from xpay.core import Certificate, ConfigError, Envelope, Money, SigningKey, customer, escrow, sign
-
-rationals = st.fractions(min_value=Fraction(0), max_value=Fraction(1000))
-rates = st.fractions(min_value=Fraction(1, 3), max_value=Fraction(3))
-
-
-def test_identity_clock():
-    clock = LocalClock()
-    assert clock.local_time(Fraction(5)) == 5
-
-
-def test_fast_clock_arithmetic():
-    clock = LocalClock(rate=Fraction(11, 10))
-    assert clock.local_time(Fraction(10)) == 11
-    assert clock.real_time_of_deadline(Fraction(11)) == 10
-
-
-@given(rates, rationals)
-def test_clock_round_trip_is_exact(rate, t):
-    """Oracle: exact rational inversion, local -> real -> local."""
-    clock = LocalClock(rate=rate)
-    local = clock.local_time(t)
-    assert local == rate * t
-    assert clock.real_time_of_deadline(local) == t
-    assert clock.local_time(clock.real_time_of_deadline(t)) == t
-
-
-def test_clock_rejects_nonpositive_rate():
-    with pytest.raises(ConfigError):
-        LocalClock(rate=Fraction(0))
-
 
 def _await_automaton():
     """Input state awaiting a certificate from c1, with a timeout over var u."""
@@ -61,9 +29,7 @@ def _await_automaton():
         "paid": State("paid", StateKind.TERMINAL),
         "refunded": State("refunded", StateKind.TERMINAL),
     }
-    aut = Automaton(Machine(escrow(0), states, "await"))
-    aut.clock_vars["u"] = Fraction(1)
-    return aut
+    return Automaton(Machine(escrow(0), states, "await"), clock_vars={"u": Fraction(1)})
 
 
 def _chi_envelope(instance="pay0"):
@@ -113,35 +79,38 @@ def test_step_assigns_clock_variables_at_local_now():
         )),
         "done": State("done", StateKind.TERMINAL),
     }
-    aut = Automaton(Machine(e0, states, "out"), clock=LocalClock(rate=Fraction(2)))
+    aut = Automaton(Machine(e0, states, "out"))
     emitted = aut.step(states["out"].transitions[0], Fraction(3), None)
-    assert aut.clock_vars["u"] == 3  # the instant it was set; the rate applies at the deadline
+    assert aut.clock_vars["u"] == 3  # the instant it was set
     assert len(emitted) == 1
     assert emitted[0].dst == customer(1)
     assert emitted[0].msg.signer == e0
 
 
 def test_a_deadline_is_the_set_instant_plus_the_timeout_length_on_the_axis():
-    """On a clock of rate 2 a local delay of 2 lasts 1 real unit: set at real
-    time 3 the timeout falls due at 4, and on an axis of 10 ticks per unit,
-    set at tick 30 it falls due at tick 40, an int."""
+    """Without `lengths` a timeout lasts its delay: set at 3, a delay of 2
+    falls due at 5. Handed a length of 10 ticks for it (a clock of rate 2 on
+    an axis of 10 ticks per unit), set at tick 30 it falls due at tick 40, an
+    int. `due` is worked out on entering each state."""
+    delay = Fraction(2)
     states = {
         "out": State("out", StateKind.OUTPUT, (Transition("wait", assign=("u",)),)),
         "wait": State("wait", StateKind.INPUT, (
-            Transition("done", guard=Timeout(Fraction(2), var="u")),)),
+            Transition("done", guard=Timeout(delay, var="u")),)),
         "done": State("done", StateKind.TERMINAL),
     }
     due = []
-    for scale, now in ((None, Fraction(3)), (10, 30)):
-        aut = Automaton(Machine(escrow(0), states, "out"), clock=LocalClock(rate=Fraction(2)))
-        if scale is not None:
-            aut.set_scale(scale)
+    for lengths, now in ((None, Fraction(3)), ({id(delay): 10}, 30)):
+        aut = Automaton(Machine(escrow(0), states, "out"), lengths=lengths)
+        assert aut.due is None
         aut.step(states["out"].transitions[0], now, None)
         assert aut.clock_vars["u"] == now
-        due.append(aut.deadline())
+        due.append(aut.due)
         assert aut.enabled_transitions(due[-1] - 1) == []
         assert len(aut.enabled_transitions(due[-1])) == 1
-    assert due == [4, 40] and type(due[1]) is int
+        aut.current = "done"
+        assert aut.due is None
+    assert due == [5, 40] and type(due[1]) is int
 
 
 def test_an_automaton_holds_its_state_object():

@@ -9,12 +9,10 @@ from xpay.core import ConfigError
 from xpay.deals import (
     Asset,
     DealMatrix,
-    format_deal_file,
     is_acceptable_payoff,
     is_well_formed,
     parse_deal_file,
     payment_to_deal,
-    to_digraph,
 )
 
 
@@ -38,19 +36,7 @@ def test_single_party_empty_matrix_is_well_formed():
 
 def test_empty_matrix_many_parties_is_isolated_vertices():
     m = DealMatrix(3, {})
-    assert to_digraph(m).arcs == {}
     assert not is_well_formed(m)
-
-
-def test_digraph_arc_count_matches_nonzero_entries():
-    import random
-    rng = random.Random(7)
-    for _ in range(50):
-        parties = rng.randrange(1, 6)
-        arcs = [(i, j) for i in range(parties) for j in range(parties)
-                if i != j and rng.random() < 0.4]
-        m = matrix_from_arcs(parties, arcs)
-        assert len(to_digraph(m).arcs) == len(arcs)
 
 
 def test_diagonal_entries_rejected():
@@ -128,14 +114,9 @@ def test_payment_chain_is_never_well_formed(n):
     assert strongly_connected_bruteforce(m.parties, m.entries) is False
 
 
-def test_certificate_arcs_close_the_cycle():
-    m = payment_to_deal(3, with_certificate_arcs=True)
-    assert is_well_formed(m)
-
-
 def test_deal_file_round_trip():
     m = matrix_from_arcs(3, [(0, 1), (1, 2), (2, 0)])
-    text = format_deal_file(m)
+    text = "# a three-cycle\nparties=3\n\n0 1 x 1\n1 2 x 1\n2 0 x 1\n"
     again = parse_deal_file(text)
     assert again.parties == 3
     assert set(again.entries) == set(m.entries)

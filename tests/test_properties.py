@@ -124,8 +124,9 @@ def test_deliberate_double_refund_breaks_consistency():
         byzantine={customer(1): StrategySpec("withhold_certificate")})
     sim = simnet._Sim(sc2)
     pid = escrow(0)
-    sim.automata[pid] = Automaton(broken_escrow(0, sim.params, sim.pay),
-                                  sim.clocks[pid], sim.keys[pid])
+    # the broken definition keeps the escrow's timeouts, so it keeps their lengths
+    sim.automata[pid] = Automaton(broken_escrow(0, sim.params, sim.pay), sim.keys[pid],
+                                  sim.automata[pid].lengths)
     trace = sim.run()
     verdict = verdicts_by_name(trace)["C"]
     assert verdict.status is Status.VIOLATED

@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import ast
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import xpay
+import xpay.simnet as simnet
 
 from conftest import derived, entry_at, strong_scenario, verdicts_by_name, weak_scenario
-from xpay.automata import LocalClock, Timeout
+from xpay.automata import Timeout
 from xpay.core import (
     Certificate,
     ConfigError,
@@ -125,23 +132,21 @@ def test_assign_clocks_modes():
     lo, hi = F(10, 11), F(11, 10)
 
     sc.clock_mode = "identity"
-    assert all(c.rate == 1 for c in assign_clocks(sc).values())
+    assert all(rate == 1 for rate in assign_clocks(sc).values())
 
     sc.clock_mode = "worst_case"
-    clocks = assign_clocks(sc)
-    assert clocks[escrow(0)].rate == hi
-    assert clocks[customer(0)].rate == lo
+    rates = assign_clocks(sc)
+    assert rates[escrow(0)] == hi
+    assert rates[customer(0)] == lo
 
     sc.clock_mode = "seeded"
     seeded = assign_clocks(sc)
-    again = assign_clocks(sc)
-    assert {str(p): c.rate for p, c in seeded.items()} == \
-           {str(p): c.rate for p, c in again.items()}
-    assert all(lo <= c.rate <= hi for c in seeded.values())
+    assert seeded == assign_clocks(sc)
+    assert all(lo <= rate <= hi for rate in seeded.values())
 
     sc.rho = F(0)
     sc.clock_mode = "auto"
-    assert all(c.rate == 1 for c in assign_clocks(sc).values())
+    assert all(rate == 1 for rate in assign_clocks(sc).values())
 
 
 def test_worst_case_clocks_minimize_liveness_slack():
@@ -162,22 +167,33 @@ def test_worst_case_clocks_minimize_liveness_slack():
 
 
 def test_byzantine_emit_own_signature_replay_and_forgery():
+    """A Byzantine participant signs only as itself, and sends a message
+    another participant signed only as a verbatim replay of one it observed."""
     bob = customer(1)
     c0 = customer(0)
     strategy = Silent(c0, SigningKey(c0), {})
-    own = byzantine_emit(strategy, [], Money("pay0", 1), c0)
+    own = byzantine_emit(strategy, Money("pay0", 1), c0)
     assert own.signer == c0
-    chi = sign(Certificate("pay0"), bob, SigningKey(bob))
-    replayed = byzantine_emit(strategy, [chi], Certificate("pay0"), bob)
-    assert replayed is chi
     with pytest.raises(ForgeryRejected):
-        byzantine_emit(strategy, [], Certificate("pay0"), bob)
+        byzantine_emit(strategy, Certificate("pay0"), bob)
     # a byzantine escrow may sign a bogus promise as itself; customers of that
     # escrow are exactly the ones the conditional clauses stop protecting
     from xpay.core import Promise
     dirty = Silent(escrow(0), SigningKey(escrow(0)), {})
-    fake = byzantine_emit(dirty, [], Promise("pay0", F(1, 2)), escrow(0))
+    fake = byzantine_emit(dirty, Promise("pay0", F(1, 2)), escrow(0))
     assert fake.signer == escrow(0)
+
+    sim = _Sim(strong_scenario(byzantine={c0: StrategySpec("silent")}))
+    ctx = sim.ctx(c0)
+    chi = sign(Certificate("pay0"), bob, SigningKey(bob))
+    sim.vaults[c0].append(chi)
+    ctx.replay(escrow(0), chi)
+    sent = sim.entries[-1]
+    assert sent.rec is Rec.SENT and sent.env.msg is chi and sent.env.src == c0
+    unobserved = sign(Certificate("pay1"), bob, SigningKey(bob))
+    with pytest.raises(ForgeryRejected):
+        ctx.replay(escrow(0), unobserved)
+    assert sim.entries[-1] is sent
 
 
 def test_withhold_certificate_forces_refund():
@@ -335,7 +351,6 @@ EXACT_INPUTS = {
     "derive_timeouts.rho": lambda x: derived(rho=x).rho,
     "derive_timeouts.margin": lambda x: derived(margin=x).mu,
     "derive_timeouts.epsilon": lambda x: derived(epsilon=x).epsilon,
-    "LocalClock.rate": lambda x: LocalClock(x).rate,
     "Timeout.delay": lambda x: Timeout(x).delay,
     "make_weak_participants.patience": lambda x: make_weak_participants(
         derived(1), PaymentInstance("pay0", 1, 1), [x, None])[customer(0)].timeouts[0],
@@ -446,6 +461,47 @@ def test_ticks_are_exact_or_refused():
         to_ticks(F(1, 3), 10, "delay")
     with pytest.raises(ConfigError, match=f"delay {10**18 + 1}/{10**19} falls between"):
         to_ticks(F(10**18 + 1, 10**19), 10**18, "delay")  # one part in 10^18 off a tick
+
+
+rates = st.fractions(min_value=F(1, 3), max_value=F(3), max_denominator=60)
+delays = st.fractions(min_value=F(1, 100), max_value=F(50), max_denominator=100)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(rates, min_size=5, max_size=5), delays, delays, delays, st.integers(0, 10**6))
+def test_a_timeout_lasts_its_delay_on_its_participants_clock(clock_rates, a0, a1, slack, k):
+    """The engine hands each automaton its timeouts' lengths in ticks. For a
+    timeout of local delay d on a clock of any rate in [1/3, 3], set at any
+    tick k, the length L it was handed ends when the participant's clock has
+    advanced exactly d: local(k + L) - local(k) == d."""
+    timing = TimingParams(2, (a0, a1), (a0 + slack, a1 + slack), F(0), F(1, 10), F(1), F(0))
+    sc = strong_scenario(n=2, timing=timing)
+    with mock.patch.object(simnet, "assign_clocks",
+                           lambda sc: dict(zip(sc.participant_ids(), clock_rates))):
+        sim = _Sim(sc)
+    checked = 0
+    for pid, aut in sim.automata.items():
+        base = sim.bases[pid]
+        for delay in aut.machine.timeouts:
+            length = aut.lengths[id(delay)]
+            assert type(length) is int
+            assert base.local(k + length) - base.local(k) == delay
+            checked += 1
+    assert checked == 2  # each escrow's window
+
+
+def test_only_the_engine_turns_a_duration_into_ticks():
+    """`to_ticks` is called in simnet alone, so the run's time axis has one
+    owner; automata are handed their lengths in ticks."""
+    callers = set()
+    for path in sorted(Path(xpay.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "to_ticks":
+                    callers.add(path.name)
+    assert callers == {"simnet.py"}
 
 
 def test_a_delay_the_model_does_not_list_is_refused_not_rounded():
