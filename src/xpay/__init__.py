@@ -51,7 +51,6 @@ from .simnet import (
     StrategySpec,
     Synchronous,
     assign_clocks,
-    byzantine_emit,
     run_simulation,
 )
 from .timing import ValidationFailed, derive_timeouts, termination_bound, validate_timeouts

@@ -164,6 +164,18 @@ def _recv_money(pay: PaymentInstance, frm: ParticipantId) -> Receive:
     return Receive(frm, Money, attrs=(("instance", pay.instance), ("amount", pay.amount)))
 
 
+def _recv_guarantee(pay: PaymentInstance, e: ParticipantId, d: Fraction) -> Receive:
+    """Escrow `e`'s guarantee to resolve its depositor within `d`."""
+    return Receive(e, Guarantee, attrs=(("instance", pay.instance), ("resolve_within", d)),
+                   signed_by=e)
+
+
+def _recv_promise(pay: PaymentInstance, e: ParticipantId, a: Fraction) -> Receive:
+    """Escrow `e`'s promise to accept a certificate within `a`."""
+    return Receive(e, Promise, attrs=(("instance", pay.instance), ("accept_within", a)),
+                   signed_by=e)
+
+
 def _recv_certificate(pay: PaymentInstance, frm: ParticipantId) -> Receive:
     """A certificate relayed by `frm` but necessarily signed by Bob for this instance."""
     return Receive(frm, Certificate, attrs=(("instance", pay.instance),), signed_by=pay.bob)
@@ -225,10 +237,7 @@ def make_alice(params: TimingParams, pay: PaymentInstance) -> Machine:
     e0 = escrow(0)
     states = {
         "await_guarantee": State("await_guarantee", INPUT, (
-            Transition("pay_escrow", guard=Receive(
-                e0, Guarantee,
-                attrs=(("instance", pay.instance), ("resolve_within", params.d[0])),
-                signed_by=e0)),
+            Transition("pay_escrow", guard=_recv_guarantee(pay, e0, params.d[0])),
         )),
         "pay_escrow": State("pay_escrow", OUTPUT, (
             Transition("await_outcome", emits=((e0, Fresh(_money(pay))),)),
@@ -253,16 +262,10 @@ def make_connector(i: int, params: TimingParams, pay: PaymentInstance) -> Machin
     down_escrow = escrow(i)
     states = {
         "await_guarantee": State("await_guarantee", INPUT, (
-            Transition("await_promise", guard=Receive(
-                down_escrow, Guarantee,
-                attrs=(("instance", pay.instance), ("resolve_within", params.d[i])),
-                signed_by=down_escrow)),
+            Transition("await_promise", guard=_recv_guarantee(pay, down_escrow, params.d[i])),
         )),
         "await_promise": State("await_promise", INPUT, (
-            Transition("pay_escrow", guard=Receive(
-                up_escrow, Promise,
-                attrs=(("instance", pay.instance), ("accept_within", params.a[i - 1])),
-                signed_by=up_escrow)),
+            Transition("pay_escrow", guard=_recv_promise(pay, up_escrow, params.a[i - 1])),
         )),
         "pay_escrow": State("pay_escrow", OUTPUT, (
             Transition("await_outcome", emits=((down_escrow, Fresh(_money(pay))),)),
@@ -292,10 +295,7 @@ def make_bob(params: TimingParams, pay: PaymentInstance) -> Machine:
     e = escrow(params.n - 1)
     states = {
         "await_promise": State("await_promise", INPUT, (
-            Transition("issue_certificate", guard=Receive(
-                e, Promise,
-                attrs=(("instance", pay.instance), ("accept_within", params.a[params.n - 1])),
-                signed_by=e)),
+            Transition("issue_certificate", guard=_recv_promise(pay, e, params.a[params.n - 1])),
         )),
         "issue_certificate": State("issue_certificate", OUTPUT, (
             Transition("await_payment", emits=((e, Fresh(Certificate(pay.instance))),)),
@@ -327,6 +327,11 @@ def make_strong_participants(
 # -------------------------------------------------------------------- weak variant
 
 Patience = Optional[Fraction]  # None means unbounded patience
+
+
+def _impatience(target: str, patience: Patience) -> tuple[Transition, ...]:
+    """The timeout to `target` once `patience` runs out; none when it is unbounded."""
+    return () if patience is None else (Transition(target, guard=Timeout(patience)),)
 
 
 def _weak_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
@@ -390,12 +395,6 @@ def _weak_depositor(i: int, params: TimingParams, pay: PaymentInstance,
     dep_escrow = escrow(i)
     up_escrow = escrow(i - 1) if i > 0 else None
     tm = manager()
-
-    def timeouts(target: str) -> tuple:
-        if patience is None:
-            return ()
-        return (Transition(target, guard=Timeout(patience)),)
-
     recv_commit = _recv_decision(pay, CommitCert)
     recv_abort = _recv_decision(pay, AbortCert)
     if i == 0:
@@ -409,12 +408,9 @@ def _weak_depositor(i: int, params: TimingParams, pay: PaymentInstance,
     )
     states = {
         "await_guarantee": State("await_guarantee", INPUT, (
-            Transition("pay_escrow", guard=Receive(
-                dep_escrow, Guarantee,
-                attrs=(("instance", pay.instance), ("resolve_within", params.d[i])),
-                signed_by=dep_escrow)),
+            Transition("pay_escrow", guard=_recv_guarantee(pay, dep_escrow, params.d[i])),
             Transition(WEAK_ABORTED_UNFUNDED, guard=recv_abort),
-        ) + timeouts("request_abort_unfunded")),
+        ) + _impatience("request_abort_unfunded", patience)),
         "request_abort_unfunded": State("request_abort_unfunded", OUTPUT, (
             Transition("await_decision_unfunded", emits=((tm, Fresh(AbortReq(pay.instance))),)),
         )),
@@ -425,7 +421,7 @@ def _weak_depositor(i: int, params: TimingParams, pay: PaymentInstance,
             Transition("await_decision", emits=((dep_escrow, Fresh(_money(pay))),)),
         )),
         "await_decision": State("await_decision", INPUT,
-                                decision_transitions + timeouts("request_abort")),
+                                decision_transitions + _impatience("request_abort", patience)),
         "request_abort": State("request_abort", OUTPUT, (
             Transition("await_decision_final", emits=((tm, Fresh(AbortReq(pay.instance))),)),
         )),
@@ -459,12 +455,6 @@ def _weak_bob(params: TimingParams, pay: PaymentInstance, patience: Patience) ->
     chi = sign(Certificate(pay.instance), me, SigningKey(me))
     recv_commit = _recv_decision(pay, CommitCert)
     recv_abort = _recv_decision(pay, AbortCert)
-
-    def timeouts(target: str) -> tuple:
-        if patience is None:
-            return ()
-        return (Transition(target, guard=Timeout(patience)),)
-
     decision_transitions = (
         Transition("await_payment", guard=recv_commit),
         Transition(WEAK_ABORTED, guard=recv_abort),
@@ -476,7 +466,7 @@ def _weak_bob(params: TimingParams, pay: PaymentInstance, patience: Patience) ->
                 attrs=(("instance", pay.instance), ("escrow_index", params.n - 1)),
                 signed_by=e)),
             Transition(WEAK_ABORTED, guard=recv_abort),
-        ) + timeouts("request_abort_unfunded")),
+        ) + _impatience("request_abort_unfunded", patience)),
         "request_abort_unfunded": State("request_abort_unfunded", OUTPUT, (
             Transition("await_decision_unfunded", emits=((tm, Fresh(AbortReq(pay.instance))),)),
         )),
@@ -484,7 +474,7 @@ def _weak_bob(params: TimingParams, pay: PaymentInstance, patience: Patience) ->
             Transition("await_decision", emits=((tm, Fresh(CommitReq(pay.instance, chi))),)),
         )),
         "await_decision": State("await_decision", INPUT,
-                                decision_transitions + timeouts("request_abort")),
+                                decision_transitions + _impatience("request_abort", patience)),
         "request_abort": State("request_abort", OUTPUT, (
             Transition("await_decision_final", emits=((tm, Fresh(AbortReq(pay.instance))),)),
         )),

@@ -35,11 +35,11 @@ A run can be branched. Between two instants its whole state is a `Snapshot`,
 a plain value: the event heap and its sequence counter, the current tick,
 each automaton's current state, clock variables, captured messages, inbox and
 stuck flag, each key's next nonce, the ledger's balances and value in flight,
-each strategy's own state and vault, the delay generator's state (once it has
-drawn), the tie flag, the count of compliant participants
-still running, and the number of trace entries so far (entries are only ever
-appended, so the count names the prefix). `restore` puts one back and `run`
-continues from there; a plain run is the same loop, with no snapshot taken.
+each Byzantine participant's vault, the delay generator's state (once it has
+drawn), the tie flag, the count of compliant participants still running, and
+the number of trace entries so far (entries are only ever appended, so the
+count names the prefix). `restore` puts one back and `run` continues from
+there; a plain run is the same loop, with no snapshot taken.
 A delay model that keeps its own state, such as the explorer's decision
 cursor, is saved by whoever drives it.
 
@@ -47,8 +47,10 @@ Byzantine participants are driven by strategy objects instead of (or wrapped
 around) their protocol automaton. A strategy can observe everything delivered
 to it, drop or postpone its own prescribed sends, and emit anything it can
 legitimately construct: messages signed with its own key, or verbatim replays
-of messages it has seen. It can never fabricate another participant's
-signature; `byzantine_emit` is the chokepoint that enforces this.
+of messages it has seen. The messages delivered to it are its vault, the one
+state a Byzantine participant keeps. It can never fabricate another
+participant's signature: `StrategyContext.sign_own`, the one place a strategy
+signs, signs as its own participant.
 """
 from __future__ import annotations
 
@@ -56,7 +58,7 @@ import functools
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -74,7 +76,6 @@ from .core import (
     Payload,
     ParticipantId,
     ParticipantKind,
-    SigningKey,
     SignedMessage,
     as_fraction,
     customer,
@@ -313,7 +314,7 @@ class StrategyContext:
         return self._sim.vaults[self.pid]
 
     def sign_own(self, payload: Payload) -> SignedMessage:
-        return byzantine_emit(self._sim.strategies[self.pid], payload, self.pid)
+        return sign(payload, self.pid, self._sim.keys[self.pid])
 
     def emit(self, dst: ParticipantId, payload: Payload) -> None:
         self._sim.send(Envelope(self.pid, dst, self.sign_own(payload)))
@@ -329,14 +330,15 @@ class Strategy:
 
     Subclasses flip `uses_automaton` off to discard the prescribed behaviour
     entirely, hook `on_start`/`on_delivery` for own traffic, or override
-    `filter_send` to drop or postpone prescribed messages: it hands back each
-    envelope to send with its delay, 0 for at once.
+    `filter_send` to drop or postpone prescribed messages: it returns the
+    delay to send a prescribed envelope after, 0 for at once, or None to drop
+    it. A strategy keeps no state of its own: what it learns is its vault
+    (`ctx.vault`), which a snapshot keeps.
     """
     uses_automaton = True
 
-    def __init__(self, pid: ParticipantId, key: SigningKey, params: dict):
+    def __init__(self, pid: ParticipantId, params: dict):
         self.pid = pid
-        self.key = key
 
     def on_start(self, ctx: StrategyContext) -> None:
         pass
@@ -344,15 +346,8 @@ class Strategy:
     def on_delivery(self, ctx: StrategyContext, env: Envelope) -> None:
         pass
 
-    def filter_send(self, ctx: StrategyContext, env: Envelope) -> list[tuple[Envelope, Fraction]]:
-        return [(env, 0)]
-
-    def snapshot(self) -> object:
-        """What this strategy has learnt during the run, as a value `restore` takes back."""
-        return None
-
-    def restore(self, state: object) -> None:
-        pass
+    def filter_send(self, env: Envelope) -> Optional[Fraction]:
+        return 0
 
 
 class Silent(Strategy):
@@ -363,14 +358,14 @@ class Silent(Strategy):
 class DelayOwnSends(Strategy):
     """Behaves like the compliant automaton but posts every send `delay` late."""
 
-    def __init__(self, pid, key, params):
-        super().__init__(pid, key, params)
+    def __init__(self, pid, params):
+        super().__init__(pid, params)
         self.delay = as_fraction(params.get("delay", 1), "delay_own_sends delay")
         if self.delay <= 0:
             raise ConfigError("delay_own_sends needs a positive delay")
 
-    def filter_send(self, ctx, env):
-        return [(env, self.delay)]
+    def filter_send(self, env):
+        return self.delay
 
 
 def _carries_certificate(payload: Payload) -> bool:
@@ -380,10 +375,8 @@ def _carries_certificate(payload: Payload) -> bool:
 class WithholdCertificate(Strategy):
     """Bob plays along but the certificate never leaves his hands."""
 
-    def filter_send(self, ctx, env):
-        if _carries_certificate(env.msg.payload):
-            return []
-        return [(env, 0)]
+    def filter_send(self, env):
+        return None if _carries_certificate(env.msg.payload) else 0
 
 
 class PrematureCertificate(Strategy):
@@ -397,45 +390,33 @@ class PrematureCertificate(Strategy):
         else:
             ctx.emit(escrow(pay.n - 1), Certificate(pay.instance))
 
-    def filter_send(self, ctx, env):
+    def filter_send(self, env):
         # already issued; prescribed issue (or commit request) is suppressed
-        if _carries_certificate(env.msg.payload):
-            return []
-        return [(env, 0)]
+        return None if _carries_certificate(env.msg.payload) else 0
 
 
 class GreedyEscrow(Strategy):
     """Keeps every value it receives: promises go out, money and certificates never do."""
 
-    def filter_send(self, ctx, env):
-        if isinstance(env.msg.payload, Money) or _carries_certificate(env.msg.payload):
-            return []
-        return [(env, 0)]
+    def filter_send(self, env):
+        payload = env.msg.payload
+        return None if isinstance(payload, Money) or _carries_certificate(payload) else 0
 
 
 class Replayer(Strategy):
-    """Echoes every message it observes to every other participant, once each."""
+    """Echoes each message it observes to every other participant, unless its
+    vault already held an earlier message of the same signer and nonce."""
     uses_automaton = False
-
-    def __init__(self, pid, key, params):
-        super().__init__(pid, key, params)
-        self._done: set[tuple] = set()
 
     def on_delivery(self, ctx, env):
         msg = env.msg
-        key = (msg.signer, msg.nonce)
-        if key in self._done:
+        signer, nonce = msg.signer, msg.nonce
+        # the vault already holds this delivery, as its last message
+        if any(m.signer == signer and m.nonce == nonce for m in ctx.vault[:-1]):
             return
-        self._done.add(key)
         for p in ctx.scenario.participant_ids():
             if p != self.pid:
                 ctx.replay(p, msg)
-
-    def snapshot(self):
-        return frozenset(self._done)
-
-    def restore(self, state):
-        self._done = set(state)
 
 
 class ImpatientAbort(Strategy):
@@ -471,17 +452,6 @@ STRATEGIES: dict[str, tuple[type, Callable[[ParticipantId, "Scenario"], bool]]] 
     "replayer": (Replayer, _role_any),
     "impatient_abort": (ImpatientAbort, _role_weak_customer),
 }
-
-
-def byzantine_emit(strategy: Strategy, attempt: Payload,
-                   as_signer: ParticipantId) -> SignedMessage:
-    """Sign a payload a Byzantine participant may legitimately put on the
-    wire: only as itself. A message signed by anyone else goes out only as a
-    verbatim replay of one it observed (`StrategyContext.replay`).
-    """
-    if as_signer == strategy.pid:
-        return sign(attempt, as_signer, strategy.key)
-    raise ForgeryRejected(f"{strategy.pid} cannot emit {attempt.token()} as {as_signer}")
 
 
 # ---------------------------------------------------------------------- scenario
@@ -549,6 +519,8 @@ class Scenario:
             raise ConfigError(f"rx_order must be one of {_RX_ORDERS}")
         if self.clock_mode not in _CLOCK_MODES:
             raise ConfigError(f"clock_mode must be one of {_CLOCK_MODES}")
+        if self.horizon is not None and self.horizon <= 0:
+            raise ConfigError("horizon must be positive")
         if self.variant == "strong" and self.patience is not None:
             raise ConfigError("patience applies to the weak variant only")
         if self.patience is not None and len(self.patience) != self.n + 1:
@@ -753,8 +725,7 @@ class Snapshot(NamedTuple):
     rng: Optional[tuple]  # None while the generator has drawn nothing
     automata: list  # per automaton: (state, clock_vars, captured, inbox, stuck, due)
     nonces: list  # per key, the next nonce
-    strategies: Sequence  # per strategy, its own `snapshot()`; empty with no strategy
-    vaults: Sequence  # per strategy, the messages delivered to it
+    vaults: Sequence  # per strategy, the messages delivered to it; empty with no strategy
 
 
 class _Sim:
@@ -791,7 +762,7 @@ class _Sim:
         self.vaults: dict[ParticipantId, list[SignedMessage]] = {}
         for pid, spec in scenario.byzantine.items():
             cls, _ = STRATEGIES[spec.name]
-            self.strategies[pid] = cls(pid, self.keys[pid], spec.params)
+            self.strategies[pid] = cls(pid, spec.params)
             self.vaults[pid] = []
         machines = {pid: machine for pid, machine in machines.items()
                     if pid not in self.strategies or self.strategies[pid].uses_automaton}
@@ -826,28 +797,23 @@ class _Sim:
         )
         self.compliant_total = sum(1 for pid in self.automata if scenario.is_compliant(pid))
 
-        # the trace header's facts; a re-run under another tie-break or receive
-        # order gets a copy naming that policy, made once (`metas`)
+        # the trace header's facts, shared by every trace of this run; the
+        # policy a re-run takes is read from its trace's scenario
         patience = scenario.resolved_patience()
         self.meta = TraceMeta(
             variant=scenario.variant,
             n=scenario.n,
             amount=scenario.amount,
             instance=scenario.instance,
-            seed=scenario.seed,
-            byzantine={p: s.label() for p, s in scenario.byzantine.items()},
             compliant=frozenset(p for p in scenario.participant_ids()
                                 if scenario.is_compliant(p)),
             params=self.params,
             horizon=self.horizon,
-            tie_break=scenario.tie_break,
-            rx_order=scenario.rx_order,
             initial_balances=self.initial_balances,
             clock_rates=self.clocks,
             patience=patience,
             patience_sufficient=patience is None or all(p is None for p in patience),
         )
-        self.metas = {(scenario.tie_break, scenario.rx_order): self.meta}
 
         self.heap: list[tuple] = []
         self.seq = 0
@@ -873,7 +839,6 @@ class _Sim:
         """The run state now; take it between two instants (from `on_instant`,
         or before or after `run`)."""
         entries = self.entries
-        strategies = self.strategies
         return Snapshot(
             self.started, tuple(self.heap), self.seq, self.tick,
             entries, len(entries), self.had_tie, self.pending_compliant,
@@ -882,8 +847,7 @@ class _Sim:
             [(a.state, a.clock_vars.copy(), a.captured.copy(), tuple(a.inbox), a.stuck, a.due)
              for a in self._automata],
             [key.nonce for key in self._keys],
-            [s.snapshot() for s in strategies.values()] if strategies else (),
-            [tuple(v) for v in self.vaults.values()] if strategies else (),
+            [tuple(v) for v in self.vaults.values()] if self.vaults else (),
         )
 
     def restore(self, snap: Snapshot) -> None:
@@ -891,7 +855,7 @@ class _Sim:
         entries after it are left to the traces already returned."""
         (self.started, heap, self.seq, self.tick, entries, entry_count,
          self.had_tie, self.pending_compliant, balances, in_flight, rng,
-         automata, nonces, strategies, vaults) = snap
+         automata, nonces, vaults) = snap
         self.heap = list(heap)
         self.entries = entries[:entry_count]
         self.ledger.balances = balances.copy()
@@ -912,8 +876,6 @@ class _Sim:
             aut.due = due
         for key, nonce in zip(self._keys, nonces):
             key.nonce = nonce
-        for strategy, state in zip(self.strategies.values(), strategies):
-            strategy.restore(state)
         for pid, vault in zip(self.vaults, vaults):
             self.vaults[pid] = list(vault)
 
@@ -1058,18 +1020,19 @@ class _Sim:
         self._try_fire(pid)
 
     def _route_emissions(self, pid: ParticipantId, emissions: list[Envelope]) -> None:
+        # a Byzantine sender is never compliant, so never stuck
         strategy = self.strategies.get(pid)
+        aut = self.automata[pid]
         for env in emissions:
-            if strategy is not None:
-                for env2, delay in strategy.filter_send(self.ctx(pid), env):
-                    if delay > 0:
-                        self.schedule(self.tick + to_ticks(delay, self.scale, "send delay"),
-                                      _SEND_LATER, env2, None)
-                    else:
-                        self.send(env2)
+            delay = 0 if strategy is None else strategy.filter_send(env)
+            if delay is None:
+                continue
+            if delay:
+                self.schedule(self.tick + to_ticks(delay, self.scale, "send delay"),
+                              _SEND_LATER, env, None)
             else:
                 self.send(env)
-                if self.automata[pid].stuck:
+                if aut.stuck:
                     break
 
     # -- main loop ----------------------------------------------------------------
@@ -1137,12 +1100,7 @@ class _Sim:
                 self.stop_reason = STOP_ALL_TERMINAL
 
         sc = self.sc
-        policy = (sc.tie_break, sc.rx_order)
-        meta = self.metas.get(policy)
-        if meta is None:
-            meta = self.metas[policy] = replace(self.meta, tie_break=sc.tie_break,
-                                                rx_order=sc.rx_order)
-        return Trace(meta=meta, entries=self.entries, stop_reason=self.stop_reason,
+        return Trace(meta=self.meta, entries=self.entries, stop_reason=self.stop_reason,
                      final_balances=dict(self.ledger.balances),
                      final_in_flight=self.ledger.in_flight, had_tie=self.had_tie,
                      scenario=sc, delay_config=sc.delay.to_config())

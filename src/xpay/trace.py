@@ -167,18 +167,16 @@ def config_digest(config: dict) -> str:
 
 @dataclass
 class TraceMeta:
-    """Scenario facts the checkers need, frozen into the trace header."""
+    """Scenario facts the checkers need, resolved once per run and shared by
+    every trace of it; what else the header shows is read from the trace's
+    scenario."""
     variant: str
     n: int
     amount: int
     instance: str
-    seed: int
-    byzantine: dict[ParticipantId, str]
     compliant: frozenset[ParticipantId]
     params: object  # TimingParams
     horizon: Fraction
-    tie_break: str
-    rx_order: str
     initial_balances: dict[ParticipantId, int]
     clock_rates: dict[ParticipantId, Fraction]
     patience: Optional[tuple] = None
@@ -198,8 +196,9 @@ class Trace:
     final_balances: dict[ParticipantId, int] = field(default_factory=dict)
     final_in_flight: int = 0
     had_tie: bool = False  # some instant offered the scheduler a real choice
-    # what the header's scenario digest is taken from: the scenario the run was
-    # made from, and its delay model's `to_config()` when the run ended
+    # what the header's scenario digest, seed, policy and strategy labels are
+    # taken from: the scenario the run was made from, and its delay model's
+    # `to_config()` when the run ended
     scenario: object = None  # Scenario
     delay_config: Optional[dict] = None
 
@@ -234,15 +233,17 @@ class Trace:
 
     def header_lines(self) -> list[str]:
         m = self.meta
+        sc = self.scenario
         lines = [
             "# xpay-trace v1",
             f"# scenario sha256={self.digest}",
             f"# run variant={m.variant} n={m.n} amount={m.amount} instance={m.instance} "
-            f"seed={m.seed} horizon={fmt_fraction(m.horizon)} tie_break={m.tie_break} "
-            f"rx_order={m.rx_order}",
+            f"seed={sc.seed} horizon={fmt_fraction(m.horizon)} tie_break={sc.tie_break} "
+            f"rx_order={sc.rx_order}",
         ]
         for p in self.participants():
-            byz = m.byzantine.get(p, "-")
+            spec = sc.byzantine.get(p)
+            byz = "-" if spec is None else spec.label()
             lines.append(
                 f"# participant p={p} clock={fmt_fraction(m.clock_rates[p])} "
                 f"byz={byz} balance={m.initial_balances[p]}"

@@ -321,6 +321,13 @@ def test_weak_config_with_patience(tmp_path, configs):
     assert main(["run", write(tmp_path, "c.json", bad)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_a_horizon_that_is_not_positive_exits_2(tmp_path, capsys, horizon):
+    cfg = dict(NOMINAL, horizon=horizon)
+    assert main(["run", write(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: horizon must be positive\n"
+
+
 def test_invalid_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")

@@ -169,6 +169,32 @@ def test_a_restored_snapshot_finishes_the_run_it_was_taken_from(scenario):
         assert {name: m.states[name] for name in states[pid]} == states[pid]
 
 
+@pytest.mark.parametrize("name", simnet.STRATEGIES)
+def test_a_strategy_keeps_no_state_of_its_own(name):
+    """A strategy, on the last participant it applies to, changes none of its
+    attributes during a run: what it learns is its vault, which a snapshot
+    keeps. Restoring the middle, first and last instant's snapshot finishes
+    into the same trace."""
+    _, applies = simnet.STRATEGIES[name]
+    for base in (strong_scenario(n=2, seed=3, rho=F(1, 10)), weak_scenario(n=2, seed=5)):
+        pids = [pid for pid in base.participant_ids() if applies(pid, base)]
+        if pids:
+            break
+    scenario = replace(base, byzantine={pids[-1]: StrategySpec(name)})
+    want = run_simulation(scenario).render()
+    sim = _Sim(scenario)
+    (strategy,) = sim.strategies.values()
+    before = copy.deepcopy(vars(strategy))
+    taken = []
+    sim.on_instant = lambda: taken.append(sim.snapshot())
+    assert sim.run().render() == want
+    assert copy.deepcopy(vars(strategy)) == before
+    sim.on_instant = None
+    for snap in (taken[len(taken) // 2], taken[0], taken[-1]):
+        sim.restore(snap)
+        assert sim.run().render() == want
+
+
 def run_state(sim):
     """Everything a restore puts back, read from the run's own objects."""
     return (
@@ -178,7 +204,6 @@ def run_state(sim):
         [(aut.state, dict(aut.clock_vars), dict(aut.captured), list(aut.inbox), aut.stuck,
           aut.due) for aut in sim.automata.values()],
         {pid: key.nonce for pid, key in sim.keys.items()},
-        {pid: strategy.snapshot() for pid, strategy in sim.strategies.items()},
         {pid: list(vault) for pid, vault in sim.vaults.items()},
     )
 
@@ -191,11 +216,11 @@ def snapshot_contents(snap):
 def test_a_restore_puts_back_each_armed_deadline():
     """A snapshot keeps each automaton's state, deadline tick, clock variables,
     captured messages, inbox and stuck flag, the ledger, the key nonces and
-    the strategies' state with their vaults: after the run has moved on, a
-    restore puts back each of them as it stood, and neither the later runs nor
-    the restores change what any snapshot holds. Clock variables hold ticks,
+    the Byzantine participants' vaults: after the run has moved on, a restore
+    puts back each of them as it stood, and neither the later runs nor the
+    restores change what any snapshot holds. Clock variables hold ticks,
     ints. Bob sending his certificate early gets it captured; Bob as a
-    replayer is a strategy with a state."""
+    replayer decides what to echo from his vault alone."""
     states = []
     moved_back = []  # per automaton and restore: did the restore change its state
     for strategy in ("premature_certificate", "replayer"):
@@ -223,8 +248,7 @@ def test_a_restore_puts_back_each_armed_deadline():
                for tick in clock_vars.values())
     assert any(captured for _, _, captured, *_ in automata)
     assert any(inbox for _, _, _, inbox, *_ in automata)
-    assert any(strategy for state in states for strategy in state[11].values())
-    assert any(vault for state in states for vault in state[12].values())
+    assert any(vault for state in states for vault in state[11].values())
 
 
 def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):

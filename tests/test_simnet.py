@@ -41,11 +41,9 @@ from xpay.simnet import (
     Synchronous,
     _Sim,
     assign_clocks,
-    byzantine_emit,
     run_simulation,
     to_ticks,
 )
-from xpay.simnet import Silent
 from xpay.trace import Rec, STOP_ALL_TERMINAL, TraceEntry
 
 F = Fraction
@@ -166,24 +164,23 @@ def test_worst_case_clocks_minimize_liveness_slack():
     assert outcomes["identity"] == "paid"          # shave is below the drift term
 
 
-def test_byzantine_emit_own_signature_replay_and_forgery():
-    """A Byzantine participant signs only as itself, and sends a message
-    another participant signed only as a verbatim replay of one it observed."""
+def test_a_strategy_signs_only_as_itself_and_replays_only_what_it_observed():
+    """A Byzantine participant signs only as itself, with its run's key
+    (`sign_own`), and sends a message another participant signed only as a
+    verbatim replay of one it observed."""
+    from xpay.core import Promise, verify
     bob = customer(1)
     c0 = customer(0)
-    strategy = Silent(c0, SigningKey(c0), {})
-    own = byzantine_emit(strategy, Money("pay0", 1), c0)
-    assert own.signer == c0
-    with pytest.raises(ForgeryRejected):
-        byzantine_emit(strategy, Certificate("pay0"), bob)
+    sim = _Sim(strong_scenario(byzantine={c0: StrategySpec("silent"),
+                                          escrow(0): StrategySpec("silent")}))
     # a byzantine escrow may sign a bogus promise as itself; customers of that
     # escrow are exactly the ones the conditional clauses stop protecting
-    from xpay.core import Promise
-    dirty = Silent(escrow(0), SigningKey(escrow(0)), {})
-    fake = byzantine_emit(dirty, Promise("pay0", F(1, 2)), escrow(0))
-    assert fake.signer == escrow(0)
+    for pid, payload in ((c0, Money("pay0", 1)), (escrow(0), Promise("pay0", F(1, 2)))):
+        nonce = sim.keys[pid].nonce
+        own = sim.ctx(pid).sign_own(payload)
+        assert own.signer == pid and own.nonce == nonce and verify(own, pid)
+        assert sim.keys[pid].nonce == nonce + 1
 
-    sim = _Sim(strong_scenario(byzantine={c0: StrategySpec("silent")}))
     ctx = sim.ctx(c0)
     chi = sign(Certificate("pay0"), bob, SigningKey(bob))
     sim.vaults[c0].append(chi)
@@ -248,6 +245,26 @@ def test_replayer_cannot_break_anything(tmp_path):
     verdicts = verdicts_by_name(trace)
     assert verdicts["AUTH"].status is Status.HOLDS
     assert verdicts["CONS"].status is Status.HOLDS
+
+
+def test_the_replayer_echoes_each_signer_and_nonce_once():
+    """The replayer echoes a delivery unless its vault already held one of the
+    same signer and nonce, whatever its payload: of two certificates signed
+    as Bob's nonce 0, for two instances, it echoes only the first."""
+    bob = customer(1)
+    first, second = (sign(Certificate(instance), bob, SigningKey(bob))
+                     for instance in ("other-payment", "pay0"))
+    assert (first.signer, first.nonce) == (second.signer, second.nonce) and first != second
+    trace = run_simulation(strong_scenario(
+        byzantine={customer(0): StrategySpec("replayer")},
+        raw_injections=((F(2, 9), Envelope(bob, customer(0), first)),
+                        (F(1, 3), Envelope(bob, customer(0), second)))))
+    delivered = [e.env.msg for e in trace.entries
+                 if e.rec is Rec.DELIVERED and e.participant == customer(0)]
+    echoed = [e.env.msg for e in trace.entries
+              if e.rec is Rec.SENT and isinstance(e.env.msg.payload, Certificate)]
+    assert first in delivered and second in delivered
+    assert echoed == [first, first]
 
 
 def test_replayed_certificate_from_another_instance_is_inert():
@@ -337,8 +354,7 @@ EXACT_INPUTS = {
     "Scripted.default": lambda x: Scripted(default=x).default,
     "Scripted.delta": lambda x: Scripted(default=F(1), delta=x).delta,
     "ScriptRule.delay": lambda x: ScriptRule(delay=x).delay,
-    "DelayOwnSends.delay": lambda x: DelayOwnSends(
-        customer(0), SigningKey(customer(0)), {"delay": x}).delay,
+    "DelayOwnSends.delay": lambda x: DelayOwnSends(customer(0), {"delay": x}).delay,
     "TimingParams.a": lambda x: TimingParams(1, (x,), (F(5),), F(0), F(0), F(1), F(0)).a[0],
     "TimingParams.d": lambda x: TimingParams(1, (F(1, 4),), (x,), F(0), F(0), F(1), F(0)).d[0],
     "TimingParams.epsilon": lambda x: TimingParams(1, (F(1),), (F(2),), x, F(0), F(1), F(0)).epsilon,
@@ -502,6 +518,51 @@ def test_only_the_engine_turns_a_duration_into_ticks():
                 if name == "to_ticks":
                     callers.add(path.name)
     assert callers == {"simnet.py"}
+
+
+def test_a_byzantine_participant_signs_only_in_sign_own():
+    """`sign` is called in simnet only inside `StrategyContext.sign_own`, so a
+    Byzantine participant has one signing path, with its own key."""
+    tree = ast.parse(Path(simnet.__file__).read_text(encoding="utf-8"))
+    callers = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) == "sign":
+                callers.append(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    assert callers == ["StrategyContext.sign_own"]
+
+
+def test_a_run_is_freed_without_the_cycle_collector():
+    """A run holds no reference back to itself (a strategy's context is built
+    on demand, not kept), so dropping it frees it at once and no run waits
+    for the cyclic garbage collector."""
+    import gc
+    import weakref
+    scenario = strong_scenario(n=2, seed=3, rho=F(1, 10),
+                               byzantine={customer(2): StrategySpec("replayer")})
+    gc.disable()
+    try:
+        sim = _Sim(scenario)
+        sim.run()
+        freed = weakref.ref(sim)
+        del sim
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_a_horizon_that_is_not_positive_is_refused(horizon):
+    with pytest.raises(ConfigError, match="horizon must be positive"):
+        run_simulation(strong_scenario(horizon=horizon))
 
 
 def test_a_delay_the_model_does_not_list_is_refused_not_rounded():
