@@ -124,9 +124,22 @@ class Transition:
 
 @dataclass(frozen=True, slots=True)
 class State:
+    """A state of a machine. `receives` holds its receive transitions, in
+    declaration order, and `timeout` its timeout transition (None if none):
+    both are worked out once, when the state is defined."""
     name: str
     kind: StateKind
     transitions: tuple[Transition, ...] = ()
+    receives: tuple[Transition, ...] = field(init=False, repr=False, compare=False)
+    timeout: Optional[Transition] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        transitions = self.transitions
+        receives = tuple(tr for tr in transitions if isinstance(tr.guard, Receive))
+        timeout = next((tr for tr in transitions if isinstance(tr.guard, Timeout)), None)
+        # a state that only receives reuses its tuple: thousands of states stay defined
+        object.__setattr__(self, "receives", transitions if receives == transitions else receives)
+        object.__setattr__(self, "timeout", timeout)
 
 
 def validate_state(st: State, states: dict[str, State]) -> None:
@@ -178,8 +191,7 @@ class Machine:
         validate_states(self.states, self.initial)
         object.__setattr__(self, "states", MappingProxyType(self.states))
         object.__setattr__(self, "timeouts", tuple(
-            tr.guard.delay for st in self.states.values() for tr in st.transitions
-            if isinstance(tr.guard, Timeout)))
+            st.timeout.guard.delay for st in self.states.values() if st.timeout is not None))
 
     def new_key(self) -> SigningKey:
         """A fresh signing key for one run, past the nonces the definition spent."""
@@ -234,7 +246,7 @@ class Automaton:
     def _arm(self) -> None:
         """Work out `due` for the state just entered."""
         due = None
-        tr = self.timeout_guard()
+        tr = self.state.timeout
         if tr is not None:
             guard = tr.guard
             start = 0 if guard.var is None else self.clock_vars.get(guard.var)
@@ -258,34 +270,27 @@ class Automaton:
     def is_terminal(self) -> bool:
         return self.state.kind is StateKind.TERMINAL
 
-    def timeout_guard(self) -> Optional[Transition]:
-        for tr in self.state.transitions:
-            if isinstance(tr.guard, Timeout):
-                return tr
-        return None
-
     def enabled_transitions(self, now: Instant) -> list[Enabled]:
         """Enabled transitions of the current input state at `now` (on the
         automaton's axis): receives matched against the buffered inbox (oldest
         matching message per guard), plus the timeout if due.
 
-        Order: declaration order, receives carrying their matched envelope. The
-        scheduler applies its tie-break policy on top of this list.
+        Order: the receives in declaration order, each carrying its matched
+        envelope, then the timeout. The scheduler applies its tie-break policy
+        on top of this list.
         """
         st = self.state
         if st.kind is not StateKind.INPUT:
             return []
         out: list[Enabled] = []
-        for tr in st.transitions:
-            if isinstance(tr.guard, Receive):
-                for env in self.inbox:
-                    if tr.guard.matches(env):
-                        out.append((tr, env))
-                        break
-            else:
-                due = self.due
-                if due is not None and now >= due:
-                    out.append((tr, None))
+        for tr in st.receives:
+            for env in self.inbox:
+                if tr.guard.matches(env):
+                    out.append((tr, env))
+                    break
+        due = self.due
+        if due is not None and now >= due:
+            out.append((st.timeout, None))
         return out
 
     def step(

@@ -12,6 +12,8 @@ import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
+
 
 class AuthorizationError(Exception):
     """Attempt to sign with a key that does not belong to the claimed signer."""
@@ -304,23 +306,23 @@ class SigningKey:
         return n
 
 
-# Private mint token: a Seal verifies only if it was struck by sign() below.
-# Constructing Seal(...) by hand yields a dud, which is the point: unforgeability
-# holds even against code that reaches for the dataclass directly.
-_MINT = object()
+class Seal(NamedTuple):
+    """Binding of (issuer, payload, nonce) produced by sign(); survives verbatim relay.
 
-
-@dataclass(frozen=True)
-class Seal:
-    """Binding of (issuer, payload, nonce) produced by sign(); survives verbatim relay."""
+    A seal verifies only if sign() struck it as a `_Struck`: its type is its
+    mint, and takes part in neither equality nor hashing, which are the
+    tuple's. A Seal(...) built by hand is a dud, which is the point:
+    unforgeability holds even against code that reaches for the class."""
     issuer: ParticipantId
     payload: Payload
     nonce: int
-    mint: object = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
-class SignedMessage:
+class _Struck(Seal):
+    __slots__ = ()
+
+
+class SignedMessage(NamedTuple):
     payload: Payload
     signer: ParticipantId
     nonce: int
@@ -335,14 +337,14 @@ def sign(payload: Payload, signer: ParticipantId, key: SigningKey) -> SignedMess
     if key.owner != signer:
         raise AuthorizationError(f"key of {key.owner} cannot sign as {signer}")
     nonce = key.next_nonce()
-    return SignedMessage(payload, signer, nonce, Seal(signer, payload, nonce, _MINT))
+    return SignedMessage(payload, signer, nonce, _Struck(signer, payload, nonce))
 
 
 def verify(msg: SignedMessage, claimed_signer: ParticipantId) -> bool:
     """True iff `msg` was produced by sign() with `claimed_signer`'s key (relays included)."""
     seal = msg.seal
     return (
-        seal.mint is _MINT
+        type(seal) is _Struck
         and msg.signer == claimed_signer
         and seal.issuer == claimed_signer
         # sign() seals the message's own payload object, so equality is rarely compared
@@ -351,8 +353,7 @@ def verify(msg: SignedMessage, claimed_signer: ParticipantId) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """A message in transit: network-level sender and recipient around the signed body.
 
     The transmitter (`src`) need not be the payload signer: certificates are

@@ -235,6 +235,7 @@ def explore(
     grid = _check_grid(grid, None)
     params = base.resolved_timing()
     report = ExploreReport()
+    top_tick, top_scale = -1, 1  # max_customer_terminal as a tick of a scale
 
     for assignment in assignments:
         label = assignment_label(assignment)
@@ -276,9 +277,10 @@ def explore(
                 paid = policy[0] != "receive_first" or (
                     live.status is Status.HOLDS or (
                         live.status is not Status.VIOLATED and monitor.bob_paid()))
-                for t in monitor.terminal_times():
-                    if report.max_customer_terminal is None or t > report.max_customer_terminal:
-                        report.max_customer_terminal = t
+                for hit in monitor.terminal.values():
+                    if hit.tick * top_scale > top_tick * hit.scale:
+                        top_tick, top_scale = hit.tick, hit.scale
+                        report.max_customer_terminal = Fraction(top_tick, top_scale)
                 outcome = BranchOutcome(label, policy, tuple(decisions), verdicts, trace)
                 if on_branch is not None:
                     on_branch(outcome)

@@ -23,7 +23,9 @@ property under check.
 
 Checking costs one pass over the entries, each entry fed once. C, ES, CONS,
 AUTH and CC are decided as the entries arrive, and their witnesses build up
-with them. For T, L and CS1-3 the monitor keeps each customer's first terminal
+with them. CONS watches only for a balance or the in-flight value going
+negative: each transfer moves one amount between the two, so their total
+holds. For T, L and CS1-3 the monitor keeps each customer's first terminal
 entry, its time, the customer's net balance change there and whether it held
 the certificate the clause asks about; those clauses are decided from these
 facts when the run is over, and only a violation reads the trace again, to
@@ -118,6 +120,7 @@ def _summarize(evaluated: int, violations: list[int]) -> Status:
 # the participants whose entries the monitor reads beyond money and messages
 _ALICE, _CONNECTOR, _BOB, _MANAGER = range(4)
 
+_ENTERED = Rec.STATE_ENTERED
 _SENT = Rec.SENT
 _DELIVERED = Rec.DELIVERED
 _TRANSFERRED = Rec.TRANSFERRED
@@ -128,9 +131,10 @@ _IMPOSSIBLE = Rec.IMPOSSIBLE_STEP
 class _Terminal(NamedTuple):
     """A customer's first terminal entry, as the monitor saw it."""
     idx: int
-    # a Fraction, not the entry's tick: terminal times are compared across
-    # runs (`explore`, `validate_timeouts`), whose ticks count different scales
-    t: Fraction
+    # the entry's instant, tick/scale: terminal times are compared with each
+    # other and with bounds by cross-multiplying, since runs differ in scale
+    tick: int
+    scale: int
     net: int  # the customer's net balance change up to the entry
     certified: bool  # Alice: her certificate had reached her; Bob: see `Monitor.feed`
 
@@ -199,6 +203,8 @@ class Monitor:
         for idx in range(self.fed, end):
             e = entries[idx]
             rec = e.rec
+            if rec is _ENTERED:
+                continue
             p = e.participant
             if rec is _SENT:
                 msg = e.env.msg
@@ -253,8 +259,6 @@ class Monitor:
                     net[to] = net.get(to, 0) + amount
                     if self.cons is None and self.in_flight < 0:
                         self.cons = (idx, "in-flight value went negative")
-                if self.cons is None and sum(net.values()) + self.in_flight != 0:
-                    self.cons = (idx, "total value changed")
             elif rec is _TERMINAL:
                 role = roles.get(p)
                 if role is None or role == _MANAGER or p in terminal:
@@ -265,7 +269,7 @@ class Monitor:
                     certified = self.bob_aborted if self._weak else self.bob_signed
                 else:
                     certified = False
-                terminal[p] = _Terminal(idx, e.t, net.get(p, 0), certified)
+                terminal[p] = _Terminal(idx, e.tick, e.base.scale, net.get(p, 0), certified)
             elif rec is _IMPOSSIBLE and p in meta.compliant:
                 self.impossible += (idx,)
         self.fed = end
@@ -280,8 +284,7 @@ class Monitor:
     def terminal_times(self) -> list[Fraction]:
         """When each customer first reached a terminal state, in customer order;
         a customer that never did is left out."""
-        return [self.terminal[c].t for c in map(customer, range(self.meta.n + 1))
-                if c in self.terminal]
+        return [Fraction(hit.tick, hit.scale) for _, hit in sorted(self.terminal.items())]
 
     def _guarded(self, c: ParticipantId) -> bool:
         """`c` and the escrows she holds accounts at are all compliant."""
@@ -307,6 +310,7 @@ class Monitor:
             limit = termination_bound(meta.params)
         else:
             limit = as_fraction(bound, "termination bound")
+        num, den = limit.numerator, limit.denominator
         decision_issued = self._weak and (self.commit_at is not None or self.abort_at is not None)
 
         evaluated = 0
@@ -327,9 +331,9 @@ class Monitor:
             if hit is None:
                 violations.extend(_entries_of(trace, c))
                 details.append(f"{c} never terminal")
-            elif hit.t > limit:
+            elif hit.tick * den > num * hit.scale:
                 violations.append(hit.idx)
-                details.append(f"{c} terminal at t={hit.t} > {limit}")
+                details.append(f"{c} terminal at t={Fraction(hit.tick, hit.scale)} > {limit}")
         return Verdict("T", _summarize(evaluated, violations), violations, "; ".join(details))
 
     def escrow_security(self) -> Verdict:
@@ -421,8 +425,8 @@ class Monitor:
         return Verdict("CC", Status.HOLDS)
 
     def conservation(self) -> Verdict:
-        """CONS: at every prefix, balances plus in-flight value sum to the
-        initial total, and nothing ever goes negative."""
+        """CONS: no balance and no in-flight value ever goes negative; their
+        total cannot change, as each transfer moves its amount between them."""
         if self.cons is not None:
             idx, detail = self.cons
             return Verdict("CONS", Status.VIOLATED, [idx], detail)

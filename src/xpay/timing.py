@@ -42,7 +42,7 @@ from .protocol import TimingParams
 from .simnet import Scenario, Scripted, run_simulation
 from .trace import Trace
 
-# Parameter sets kept by `derive_timeouts`; a sweep or an exploration uses one.
+# Parameter sets kept by `derive_timeouts` and `termination_bound`.
 _DERIVED_CACHED = 64
 
 
@@ -109,10 +109,11 @@ def resolution_deadlines(a: tuple[Fraction, ...], pi: Fraction, rho: Fraction,
     return tuple(ai + 2 * (1 + rho) * pi + margin for ai in a)
 
 
+@functools.lru_cache(maxsize=_DERIVED_CACHED)
 def termination_bound(p: TimingParams) -> Fraction:
     """Real-time bound by which every compliant customer with compliant escrows
     resolves, over every admissible schedule (the worst-case sweep checks the
-    maximum actually attained equals this at mu = 0)."""
+    maximum actually attained equals this at mu = 0); every run asks, so it is kept."""
     return 2 * p.delta + 3 * p.pi + (1 + p.rho) * p.a[0] + p.pi + p.delta + p.mu
 
 

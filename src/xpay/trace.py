@@ -89,31 +89,18 @@ def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
     A line starts "t=N/D seq=S p=P lt=N/D ev=E", and both times come from the
     entry's ints. "t=N/D seq=" is made whenever the instant (tick, scale)
     differs from the previous entry's, with one `math.gcd` to put tick/scale
-    in lowest terms; a run's entries of one instant follow each other, so
-    that is once per instant. " p=P lt=N/D ev=" is made once per (tick,
-    participant, time base) and looked up after that: the local time is
-    num/den times the reduced instant, put in lowest terms with one more
-    gcd, of smaller ints than tick and scale. A relayed message is the same object
-    wherever it goes, so each message token is formatted once, and so is each
-    delay and deadline object; those are keyed by object id, which stays valid
-    because `entries` holds the objects until the call returns.
+    in lowest terms; a run's entries of one instant follow each other, so that
+    is once per instant. " p=P lt=N/D ev=" is made once per participant and
+    time base object within the instant, kept in a dict keyed by participant
+    that each instant starts afresh: the local time is num/den times the
+    reduced instant, put in lowest terms with one more gcd. A relayed message
+    is the same object wherever it goes, so each message token is formatted
+    once, and so is each delay and deadline object; those are kept by object
+    id, which stays valid because `entries` holds the objects until the call
+    returns.
     """
-    heads: dict[tuple[int, ParticipantId, TimeBase], str] = {}
-    times: dict[int, str] = {}
-    tokens: dict[int, str] = {}
-
-    def fmt(x) -> str:
-        text = times.get(id(x))
-        if text is None:
-            text = times[id(x)] = fmt_fraction(x)
-        return text
-
-    def token(msg) -> str:
-        text = tokens.get(id(msg))
-        if text is None:
-            text = tokens[id(msg)] = msg.token()
-        return text
-
+    texts: dict[int, str] = {}  # message tokens, delays and deadlines, by object id
+    sent, delivered, rejected, fired, entered, transferred, terminal, _ = Rec  # in Rec's order
     gcd = math.gcd
     tick_at = scale_at = None  # the instant of the entries so far
     out = []
@@ -123,37 +110,46 @@ def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
         p = e.participant
         base = e.base
         if tick != tick_at or base.scale != scale_at:
-            tick_at = tick
-            scale_at = base.scale
+            tick_at, scale_at = tick, base.scale
             g = gcd(tick, scale_at)
             t_num = tick // g
             t_den = scale_at // g
             when = f"t={t_num}/{t_den} seq="
-        who = heads.get((tick, p, base))
-        if who is None:
+            heads = {}  # participant -> (time base, its prefix) at this instant
+        head = heads.get(p)
+        if head is not None and head[0] is base:
+            who = head[1]
+        else:
             lt_num = base.num * t_num
             lt_den = base.den * t_den
             g = gcd(lt_num, lt_den)
-            who = heads[tick, p, base] = f" p={p.text} lt={lt_num // g}/{lt_den // g} ev="
+            who = f" p={p.text} lt={lt_num // g}/{lt_den // g} ev="
+            heads[p] = (base, who)
         rec = e.rec
-        if rec is Rec.STATE_ENTERED:
+        if rec is entered:
             append(f"{when}{e.seq}{who}STATE_ENTERED state={e.state}")
-        elif rec is Rec.SENT:
-            append(f"{when}{e.seq}{who}SENT dst={e.env.dst.text} msg={token(e.env.msg)}")
-        elif rec is Rec.DELIVERED:
-            env = e.env
-            append(f"{when}{e.seq}{who}DELIVERED src={env.src.text} msg={token(env.msg)} "
-                   f"delay={fmt(e.delay)}")
-        elif rec is Rec.TRANSFERRED:
+        elif rec is sent:
+            msg = e.env.msg
+            token = texts.get(id(msg)) or texts.setdefault(id(msg), msg.token())
+            append(f"{when}{e.seq}{who}SENT dst={e.env.dst.text} msg={token}")
+        elif rec is delivered:
+            msg, delay = e.env.msg, e.delay
+            token = texts.get(id(msg)) or texts.setdefault(id(msg), msg.token())
+            text = texts.get(id(delay)) or texts.setdefault(id(delay), fmt_fraction(delay))
+            append(f"{when}{e.seq}{who}DELIVERED src={e.env.src.text} msg={token} delay={text}")
+        elif rec is transferred:
             append(f"{when}{e.seq}{who}TRANSFERRED from={e.frm.text} to={e.to.text} "
                    f"amount={e.amount} phase={e.phase}")
-        elif rec is Rec.TERMINAL_REACHED:
+        elif rec is terminal:
             append(f"{when}{e.seq}{who}TERMINAL_REACHED state={e.state} discarded={e.discarded}")
-        elif rec is Rec.TIMEOUT_FIRED:
-            append(f"{when}{e.seq}{who}TIMEOUT_FIRED state={e.state} deadline={fmt(e.deadline)}")
-        elif rec is Rec.REJECTED:
-            append(f"{when}{e.seq}{who}REJECTED src={e.env.src.text} msg={token(e.env.msg)} "
-                   f"reason={e.reason}")
+        elif rec is fired:
+            deadline = e.deadline
+            text = texts.get(id(deadline)) or texts.setdefault(id(deadline), fmt_fraction(deadline))
+            append(f"{when}{e.seq}{who}TIMEOUT_FIRED state={e.state} deadline={text}")
+        elif rec is rejected:
+            msg = e.env.msg
+            token = texts.get(id(msg)) or texts.setdefault(id(msg), msg.token())
+            append(f"{when}{e.seq}{who}REJECTED src={e.env.src.text} msg={token} reason={e.reason}")
         else:  # IMPOSSIBLE_STEP
             append(f"{when}{e.seq}{who}IMPOSSIBLE_STEP reason={e.reason}")
     return out

@@ -16,7 +16,11 @@ from xpay.automata import (
     Timeout,
     Transition,
 )
-from xpay.core import Certificate, ConfigError, Envelope, Money, SigningKey, customer, escrow, sign
+from xpay.core import (
+    Certificate, ConfigError, Envelope, Money, SigningKey, customer, escrow, manager, sign)
+from xpay.simnet import _Sim
+
+from conftest import strong_scenario, weak_scenario
 
 def _await_automaton():
     """Input state awaiting a certificate from c1, with a timeout over var u."""
@@ -122,6 +126,32 @@ def test_an_automaton_holds_its_state_object():
     assert aut.state is states[aut.machine.initial]
     aut.current = "paid"
     assert aut.state is states["paid"] and aut.current == "paid"
+
+
+@pytest.mark.parametrize("variant, n", [("strong", n) for n in (1, 2, 3, 4)]
+                         + [("weak", n) for n in (1, 2, 3)])
+def test_each_state_holds_the_receive_table_and_timeout_of_a_scan(variant, n):
+    """`State.receives` and `State.timeout`, worked out when a state is
+    defined, are what a scan of its transitions finds, for every state of the
+    shipped rosters; the weak manager's collect states are looked at after a
+    run has built the ones it entered. Weak customers get a finite patience,
+    so that their states have timeouts too."""
+    if variant == "strong":
+        scenario = strong_scenario(n=n, rho=Fraction(1, 10), clock_mode="seeded")
+    else:
+        scenario = weak_scenario(n=n, patience=(Fraction(10),) * (n + 1))
+    sim = _Sim(scenario)
+    sim.run()
+    states = [st for aut in sim.automata.values() for st in aut.machine.states.values()]
+    for st in states:
+        assert st.receives == tuple(tr for tr in st.transitions
+                                    if isinstance(tr.guard, Receive)), st.name
+        timeouts = [tr for tr in st.transitions if isinstance(tr.guard, Timeout)]
+        assert st.timeout is (timeouts[0] if timeouts else None), st.name
+    assert any(st.receives for st in states) and any(st.timeout for st in states)
+    if variant == "weak":
+        assert any(name.startswith("collect_")
+                   for name in sim.automata[manager()].machine.states)
 
 
 def test_stepping_terminal_state_signals_completion():

@@ -16,6 +16,7 @@ from xpay.core import (
     CommitCert,
     CommitReq,
     ConfigError,
+    Envelope,
     Guarantee,
     LockNotice,
     InsufficientFunds,
@@ -24,6 +25,8 @@ from xpay.core import (
     ParticipantId,
     ParticipantKind,
     Promise,
+    Seal,
+    SignedMessage,
     SigningKey,
     customer,
     escrow,
@@ -109,6 +112,30 @@ def test_sign_verify_round_trip():
     assert verify(msg, bob)
     assert not verify(msg, customer(0))
     assert not verify(msg, escrow(0))
+
+
+def test_messages_are_tuples_that_survive_pickle_and_copy():
+    """Seals, signed messages and envelopes are built as one tuple each: they
+    hash and compare as the tuple of their fields, in C, and equal their
+    `copy.deepcopy` and `pickle` round trips, which still verify. A seal built
+    by hand equals the one sign() struck, and still does not verify."""
+    for cls in (Seal, SignedMessage, Envelope):
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
+    bob = customer(1)
+    key = SigningKey(bob)
+    chi = sign(Certificate("pay0"), bob, key)
+    creq = sign(CommitReq("pay0", chi), bob, key)
+    assert hash(chi.seal) == hash((bob, chi.payload, 0))
+    for msg in (chi, creq):
+        env = Envelope(bob, escrow(0), msg)
+        assert hash(env) == hash((bob, escrow(0), msg))
+        for x in (msg, env):
+            for clone in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert clone == x and hash(clone) == hash(x) and type(clone) is type(x)
+                assert verify(clone if x is msg else clone.msg, bob)
+    dud = Seal(bob, chi.payload, chi.nonce)
+    assert dud == chi.seal and hash(dud) == hash(chi.seal)
+    assert not verify(chi._replace(seal=dud), bob)
 
 
 def test_sign_requires_own_key():

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from conftest import derived, strong_scenario, verdicts_by_name, weak_scenario
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import derived, entry_at, strong_scenario, verdicts_by_name, weak_scenario
 from oracles import brute_force_statuses
 from xpay.automata import Automaton, Fresh, Machine, State, StateKind, Transition
 from xpay.core import Money, customer, escrow
@@ -176,6 +178,48 @@ def test_conservation_on_empty_trace():
                    customer(0): StrategySpec("silent"),
                    customer(1): StrategySpec("silent")}))
     assert verdicts_by_name(trace)["CONS"].status is Status.HOLDS
+
+
+_TRANSFER = st.tuples(st.sampled_from([escrow(0), escrow(1), customer(0), customer(1),
+                                       customer(2)]),
+                      st.integers(1, 3), st.sampled_from(["sent", "received"]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(_TRANSFER, max_size=12))
+@example([(customer(0), 2, "sent")])  # more than Alice's balance of 1
+@example([(escrow(0), 1, "received")])  # nothing in flight yet
+def test_every_transfer_keeps_balances_plus_in_flight_at_zero(transfers):
+    """Each transfer moves its amount between one net balance change and the
+    in-flight value, so their sum stays zero after every TRANSFERRED entry,
+    whatever the order, the parties and the amounts. That is why CONS checks
+    only that no balance and no in-flight value goes negative; the first
+    entry that drives one negative is its witness."""
+    meta = run_simulation(strong_scenario(n=2)).meta
+    monitor = Monitor(meta)
+    entries = []
+    balances, in_flight, want = dict(meta.initial_balances), 0, None
+    for k, (p, amount, phase) in enumerate(transfers):
+        entries.append(entry_at(k, k, seq=k, participant=p, rec=Rec.TRANSFERRED, frm=p, to=p,
+                                amount=amount, phase=phase))
+        monitor.feed(entries)
+        assert sum(monitor.net.values()) + monitor.in_flight == 0
+        if phase == "sent":
+            balances[p] -= amount
+            in_flight += amount
+            if want is None and balances[p] < 0:
+                want = (k, f"{p} went negative")
+        else:
+            balances[p] += amount
+            in_flight -= amount
+            if want is None and in_flight < 0:
+                want = (k, "in-flight value went negative")
+    verdict = monitor.conservation()
+    if want is None:
+        assert verdict.status is Status.HOLDS
+    else:
+        assert (verdict.status, verdict.witness, verdict.detail) == (
+            Status.VIOLATED, [want[0]], want[1])
 
 
 # ----------------------------------------------------- brute-force coincidence

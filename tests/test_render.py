@@ -1,15 +1,18 @@
 """Render differential: the library's trace lines against `oracles.format_lines`.
 
 The library formats an entry's times from its tick and time base, makes the
-instant's prefix when the instant changes and caches the participant's prefix
-per (tick, participant, time base). The reference reads every time as a
-Fraction and formats every line from its entry's fields alone. Both must
-agree byte for byte on simulated traces, under seeded and identity clocks and
-at time scales of about 10^21, and on hand-built entries of every record kind
-whose times are shared or repeated in every way such caches could get wrong.
+instant's prefix when the instant changes and keeps each participant's prefix
+in a dict that each instant starts afresh, keyed by participant and checked
+against the time base object. The reference reads every time as a Fraction
+and formats every line from its entry's fields alone. Both must agree byte for
+byte on simulated traces, under seeded and identity clocks and at time scales
+of about 10^21, and on hand-built entries of every record kind whose times are
+shared or repeated in every way such caches could get wrong.
 """
 from __future__ import annotations
 
+import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,7 +21,9 @@ import pytest
 import oracles
 from conftest import CONFIG_DIR, entry_at, strong_scenario, weak_scenario
 from xpay.cli import load_config, parse_scenario_config
-from xpay.core import Certificate, Envelope, Money, SigningKey, customer, escrow, manager, sign
+from xpay.core import (
+    Certificate, Envelope, Money, SignedMessage, SigningKey, customer, escrow, fmt_fraction,
+    manager, sign)
 from xpay.explore import battery_assignments
 from xpay.simnet import run_simulation
 from xpay.trace import Rec, format_lines
@@ -125,3 +130,29 @@ def test_hand_built_entries_of_every_kind_render_as_the_reference():
     assert lines[3 * len(identity)] == (
         "t=5/4 seq=27 p=e0 lt=3/2 ev=STATE_ENTERED state=await_chi")
     assert lines[-1] == "t=3/1 seq=44 p=c1 lt=11/4 ev=SENT dst=c0 msg=$[pay0,1]@e0/0"
+
+
+def test_each_message_token_and_time_is_formatted_once_per_object():
+    """Over a strong n=8 render, `format_lines` calls `SignedMessage.token`
+    once per distinct message object and `fmt_fraction` once per distinct
+    delay or deadline object, counted with a profile hook on the calls it
+    makes itself."""
+    trace = run_simulation(strong_scenario(n=8, seed=0, rho=F(1, 10), clock_mode="seeded"))
+    watched = {SignedMessage.token.__code__: "token", fmt_fraction.__code__: "fmt"}
+    caller = format_lines.__code__
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code in watched and frame.f_back.f_code is caller:
+            calls[watched[frame.f_code]] += 1
+
+    sys.setprofile(count)
+    try:
+        text = trace.render()
+    finally:
+        sys.setprofile(None)
+    entries = trace.entries
+    messages = {id(e.env.msg) for e in entries if e.env is not None}
+    times = {id(x) for e in entries for x in (e.delay, e.deadline) if x is not None}
+    assert text.count("\n") > len(entries) > len(messages) > 20
+    assert calls == {"token": len(messages), "fmt": len(times)}

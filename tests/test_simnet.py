@@ -29,7 +29,7 @@ from xpay.core import (
     sign,
 )
 from xpay.explore import explore
-from xpay.properties import check_termination
+from xpay.properties import check_termination, evaluate_all
 from xpay.protocol import PaymentInstance, TimingParams, make_weak_participants
 from xpay.simnet import (
     DelayOwnSends,
@@ -624,33 +624,44 @@ def test_render_formats_every_entry_as_its_line():
     assert _body(runs["hand_built"]) == _body(drift)
 
 
+def _fractions_made(call):
+    """What `call()` returns, and the `Fraction.__new__` calls it makes,
+    counted with a profile hook."""
+    code = Fraction.__new__.__code__
+    made = 0
+
+    def count(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code is code:
+            made += 1
+
+    sys.setprofile(count)
+    try:
+        return call(), made
+    finally:
+        sys.setprofile(None)
+
+
 def test_the_event_loop_makes_a_fraction_only_for_delays_and_lapsed_deadlines():
     """Past the t=0 setup, a run makes a Fraction once per distinct delivery
     delay and once per TIMEOUT_FIRED entry (its local deadline), and for
     nothing else: trace entries hold ticks and time bases, and clock
-    variables and deadlines are ticks. Counted with a profile hook on
-    `Fraction.__new__` over a strong n=8 seeded run and a seeded run whose
-    timeouts fire."""
-    code = Fraction.__new__.__code__
+    variables and deadlines are ticks. Checking the strong n=8 run, whose T
+    holds, makes none: terminal times are compared with the bound as ticks.
+    Counted with a profile hook on `Fraction.__new__` over a strong n=8
+    seeded run and a seeded run whose timeouts fire."""
     for scenario in (strong_scenario(n=8, seed=0, rho=F(1, 10), clock_mode="seeded"),
                      strong_scenario(n=2, seed=3, rho=F(1, 10), clock_mode="seeded",
                                      byzantine={customer(2): StrategySpec("silent")})):
         sim = _Sim(scenario)
         sim._start()
-        made = 0
-
-        def count(frame, event, arg):
-            nonlocal made
-            if event == "call" and frame.f_code is code:
-                made += 1
-
-        sys.setprofile(count)
-        try:
-            trace = sim.run()
-        finally:
-            sys.setprofile(None)
+        trace, made = _fractions_made(sim.run)
         delays = {e.delay for e in trace.entries if e.rec is Rec.DELIVERED}
         fired = sum(e.rec is Rec.TIMEOUT_FIRED for e in trace.entries)
         assert len(trace.entries) > 40
         assert made <= len(delays) + fired, (made, len(delays), fired)
+        if scenario.n == 8:
+            verdicts, checked = _fractions_made(lambda: evaluate_all(trace))
+            assert [v.line() for v in verdicts if v.name == "T"] == ["T: HOLDS"]
+            assert checked == 0
     assert fired > 0  # with Bob silent, the escrows' windows lapse
