@@ -53,6 +53,10 @@ class StateKind(Enum):
     TERMINAL = "terminal"
 
 
+# StateKind's members as globals: a read off the class takes `EnumType.__getattr__`, ~10x slower
+INPUT, OUTPUT, TERMINAL = StateKind  # in declaration order
+
+
 @dataclass(frozen=True, slots=True)
 class Receive:
     """Guard matching a buffered message from `sender` whose payload has the given shape.
@@ -148,10 +152,10 @@ def validate_state(st: State, states: dict[str, State]) -> None:
     for tr in st.transitions:
         if tr.target not in states:
             raise ConfigError(f"state {st.name!r} targets undefined state {tr.target!r}")
-    if st.kind is StateKind.OUTPUT:
+    if st.kind is OUTPUT:
         if len(st.transitions) != 1 or st.transitions[0].guard is not None:
             raise ConfigError(f"output state {st.name!r} needs exactly one unguarded send")
-    elif st.kind is StateKind.INPUT:
+    elif st.kind is INPUT:
         if not st.transitions or any(tr.guard is None for tr in st.transitions):
             raise ConfigError(f"input state {st.name!r} needs guarded transitions only")
         if sum(isinstance(tr.guard, Timeout) for tr in st.transitions) > 1:
@@ -268,7 +272,7 @@ class Automaton:
         self._arm()
 
     def is_terminal(self) -> bool:
-        return self.state.kind is StateKind.TERMINAL
+        return self.state.kind is TERMINAL
 
     def enabled_transitions(self, now: Instant) -> list[Enabled]:
         """Enabled transitions of the current input state at `now` (on the
@@ -280,7 +284,7 @@ class Automaton:
         on top of this list.
         """
         st = self.state
-        if st.kind is not StateKind.INPUT:
+        if st.kind is not INPUT:
             return []
         out: list[Enabled] = []
         for tr in st.receives:
@@ -306,7 +310,7 @@ class Automaton:
         Fresh emissions are signed here with the automaton's own key; Forward
         emissions relay the captured message verbatim.
         """
-        if self.state.kind is StateKind.TERMINAL:
+        if self.state.kind is TERMINAL:
             raise ProtocolComplete(f"{self.id} already terminal in {self.current!r}")
         for var in transition.assign:
             self.clock_vars[var] = now
@@ -314,13 +318,14 @@ class Automaton:
             self.inbox.remove(matched)
             if transition.capture:
                 self.captured[transition.capture] = matched.msg
+        me = self.machine.id
         emissions: list[Envelope] = []
         for recipient, spec in transition.emits:
             if isinstance(spec, Forward):
                 msg = self.captured[spec.slot]
             else:
-                msg = sign(spec.payload, self.id, self.key)
-            emissions.append(Envelope(self.id, recipient, msg))
+                msg = sign(spec.payload, me, self.key)
+            emissions.append(Envelope(me, recipient, msg))
         self.state = self.machine.states[transition.target]
         self._arm()
         return emissions

@@ -37,12 +37,14 @@ from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
 from .automata import (
+    INPUT,
+    OUTPUT,
+    TERMINAL,
     Forward,
     Fresh,
     Machine,
     Receive,
     State,
-    StateKind,
     Timeout,
     Transition,
     validate_state,
@@ -69,10 +71,6 @@ from .core import (
     sign,
     verify,
 )
-
-INPUT = StateKind.INPUT
-OUTPUT = StateKind.OUTPUT
-TERMINAL = StateKind.TERMINAL
 
 # Terminal state names shared by checkers and tests.
 ESCROW_PAID_OUT = "paid_out"

@@ -10,26 +10,28 @@ Real time is an integer count of ticks of 1/S, from the event loop all the
 way into the trace, and this module is the one place where a duration becomes
 ticks (`to_ticks`, which raises rather than round). A participant's clock is
 a rate r within [1/(1+rho), 1+rho], so a timeout of local delay d lasts d/r
-real time. A run fixes its time axis when it is built, where every input is
-known: the scale S (`time_scale`), the lcm of the denominators of pi, of
-every delay the delay model lists, of each timeout's real length d/r, of the
-strategies' own delays and of the injection instants, so every instant of the
-run is a whole number of ticks; pi and the horizon in ticks; each
-participant's `TimeBase`; and each automaton's timeout lengths in ticks,
-handed to it when it is built. Event times, heap keys, delivery delays, the
-horizon test, the automata's clock variables and timeout deadlines are then
-int arithmetic. Each delay object the delay model returns is converted once,
-and a strategy hands back each send with a delay, converted when it is
+real time, worked out once per delay and rate and shared between runs.
+A run fixes its time axis when it is built, where every input is known: the
+scale S (`time_scale`), so that every instant of the run is a whole number of
+ticks; pi and the horizon in ticks; each participant's `TimeBase`; and each
+automaton's timeout lengths in ticks, handed to it when it is built. Event
+times, heap keys, delivery delays, the horizon test, clock variables and
+timeout deadlines are then int arithmetic. Each delay object the delay model
+returns is converted once, and a strategy's delayed send when it is
 scheduled. A timeout deadline is the tick its clock variable was set at plus
 its length, worked out by the automaton when it enters the state and kept
-with its run state (`Automaton.due`, and in a `Snapshot`); "is this timeout
-due" is one int comparison. A trace entry records its tick and its
-participant's `TimeBase` (the scale and the clock rate as ints), and builds
-its real and local time as Fractions only when they are read. The loop makes a
-Fraction only for a delivery delay, once per distinct length, and for the
-local deadline each TIMEOUT_FIRED entry records. `now`, the current instant as
-a Fraction, is built each time a delay model that reads the send instant
-(`PartialSync`) asks for it.
+with its run state (`Automaton.due`, and in a `Snapshot`). A trace entry
+records its tick and its participant's `TimeBase` and builds its real and
+local time as Fractions only when they are read. The loop makes a Fraction
+only for a delivery delay, once per distinct length, for the local deadline
+each TIMEOUT_FIRED entry records, and for `now` when a delay model that reads
+the send instant (`PartialSync`) asks for it.
+
+An event is one pass through the engine. The loop pops it and calls its
+handler, which builds its trace entries and pushes the events it causes in
+place; the record and state kinds are read as module globals, not off their
+Enum classes. A fire lists the automaton's enabled transitions once and
+applies the tie-break policy only when two or more are enabled.
 
 A run can be branched. Between two instants its whole state is a `Snapshot`,
 a plain value: the event heap and its sequence counter, the current tick,
@@ -55,14 +57,14 @@ signs, signs as its own participant.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .automata import Automaton, State, StateKind
+from .automata import INPUT, OUTPUT, TERMINAL, Automaton
 from .core import (
     AbortReq,
     Certificate,
@@ -104,6 +106,10 @@ from .trace import (
     TraceMeta,
     config_digest,
 )
+
+# Rec's members as globals: a read off the class takes `EnumType.__getattr__`, ~10x slower
+(SENT, DELIVERED, REJECTED, TIMEOUT_FIRED, STATE_ENTERED, TRANSFERRED, TERMINAL_REACHED,
+ IMPOSSIBLE_STEP) = Rec  # in declaration order
 
 
 class ForgeryRejected(Exception):
@@ -157,7 +163,7 @@ class Synchronous:
         return self.grid
 
     def delay_for(self, env: Envelope, run, rng: random.Random) -> Fraction:
-        return self.grid[rng.randrange(len(self.grid))]
+        return rng.choice(self.grid)  # the draws of `randrange(len(grid))`
 
     def to_config(self) -> dict:
         return {"kind": "synchronous", "delta": fmt_fraction(self.delta),
@@ -191,7 +197,7 @@ class PartialSync:
         return (self.gst, *self.grid)
 
     def delay_for(self, env: Envelope, run, rng: random.Random) -> Fraction:
-        base = self.grid[rng.randrange(len(self.grid))]
+        base = rng.choice(self.grid)
         t = run.now
         if t < self.gst:
             return (self.gst - t) + base
@@ -661,6 +667,13 @@ def assign_clocks(scenario: Scenario) -> dict[ParticipantId, Fraction]:
 
 # --------------------------------------------------------------------- the engine
 
+@functools.lru_cache(maxsize=1024)
+def _real_length(num: int, den: int, rate_num: int, rate_den: int) -> Fraction:
+    """How long a local delay num/den lasts on a clock of rate rate_num/rate_den.
+    Keyed by ints, since hashing a Fraction costs about as much as dividing."""
+    return Fraction(num * rate_den, den * rate_num)
+
+
 def time_scale(sc: Scenario, timeouts: Sequence[Fraction],
                strategies: dict[ParticipantId, Strategy]) -> int:
     """Ticks per time unit for one run: the lcm of the denominators of every
@@ -681,8 +694,10 @@ def time_scale(sc: Scenario, timeouts: Sequence[Fraction],
 #   _OUTPUT_DONE  a = participant, b = the output `State` it was scheduled in
 #   _TIMEOUT      a = participant, b = the input `State` whose timeout it is
 #   _SEND_LATER   a = envelope, b = None
-# Deliveries have priority 0 and everything else 1, and no two events share
-# a seq, so tuples never compare past it.
+# Deliveries have priority 0 and everything else 1, so all arrivals at an
+# instant land before any transition fires there (a message due at a deadline
+# meets the tie-break). Each push takes the next seq, so tuples never compare
+# past it.
 _DELIVER, _OUTPUT_DONE, _TIMEOUT, _SEND_LATER = range(4)
 
 
@@ -690,7 +705,7 @@ class _Generator(random.Random):
     """The run's delay generator. It notes its first draw, so that a snapshot
     of a run that has drawn nothing (under every delay model but the seeded
     grids) needs no copy of its 2.5 KB state. Overriding both primitives keeps
-    the inherited `randrange` and the draw sequence as in `random.Random`."""
+    the inherited `randrange`, `choice` and draw sequence of `random.Random`."""
     drawn = False
 
     def random(self) -> float:
@@ -767,11 +782,13 @@ class _Sim:
         machines = {pid: machine for pid, machine in machines.items()
                     if pid not in self.strategies or self.strategies[pid].uses_automaton}
 
-        # the run's time axis. A timeout's real length is its local delay over
-        # the clock rate, keyed by the delay object's id as `Automaton.lengths`
-        # is. The states a manager builds on first entry have no timeout.
-        real = {pid: {id(delay): delay / self.clocks[pid] for delay in machine.timeouts}
-                for pid, machine in machines.items()}
+        # the run's time axis. Real timeout lengths are keyed by delay id, as
+        # `Automaton.lengths` is; a manager's states built on entry have none.
+        real = {}
+        for pid, machine in machines.items():
+            rate = self.clocks[pid].as_integer_ratio()
+            real[pid] = {id(delay): _real_length(*delay.as_integer_ratio(), *rate)
+                         for delay in machine.timeouts}
         scale = self.scale = time_scale(  # ticks per time unit
             scenario, [length for lengths in real.values() for length in lengths.values()],
             self.strategies)
@@ -881,50 +898,39 @@ class _Sim:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def schedule(self, tick: int, kind: int, a, b) -> None:
-        # Deliveries sort before automaton steps at the same instant: a message
-        # arriving exactly at a deadline must be in the inbox when the
-        # scheduler applies its tie-break, and simultaneous arrivals must all
-        # be visible before any of them can fire a transition.
-        heapq.heappush(self.heap, (tick, 0 if kind == _DELIVER else 1, self.seq, kind, a, b))
-        self.seq += 1
-
-    def entry(self, rec: Rec, pid: ParticipantId, env: Optional[Envelope] = None,
-              delay: Optional[Fraction] = None, state: Optional[str] = None,
-              deadline: Optional[Fraction] = None, frm: Optional[ParticipantId] = None,
-              to: Optional[ParticipantId] = None, amount: Optional[int] = None,
-              phase: Optional[str] = None, reason: Optional[str] = None,
-              discarded: int = 0) -> None:
-        """Record `rec` for `pid` at the current instant."""
+    def entry(self, rec: Rec, pid: ParticipantId, **fields) -> None:
+        """Record `rec` for `pid` now (SENT, DELIVERED, STATE_ENTERED: in place)."""
         entries = self.entries
-        entries.append(TraceEntry(self.tick, len(entries), pid, self.bases[pid], rec, env, delay,
-                                  state, deadline, frm, to, amount, phase, reason, discarded))
+        entries.append(TraceEntry(self.tick, len(entries), pid, self.bases[pid], rec, **fields))
 
     def ctx(self, pid: ParticipantId) -> StrategyContext:
         return StrategyContext(self, pid)
 
     # -- wire ------------------------------------------------------------------
 
-    def send(self, env: Envelope) -> bool:
+    def send(self, env: Envelope) -> None:
+        src = env.src
         payload = env.msg.payload
         if isinstance(payload, Money):
             try:
-                self.ledger.send_value(env.src, payload.amount)
+                self.ledger.send_value(src, payload.amount)
             except InsufficientFunds:
-                self.entry(Rec.IMPOSSIBLE_STEP, env.src, reason="insufficient_funds")
-                aut = self.automata.get(env.src)
-                if aut is not None and self.sc.is_compliant(env.src):
+                self.entry(IMPOSSIBLE_STEP, src, reason="insufficient_funds")
+                aut = self.automata.get(src)
+                if aut is not None and self.sc.is_compliant(src):
                     aut.stuck = True
-                return False
-            self.entry(Rec.TRANSFERRED, env.src, frm=env.src, to=env.dst,
-                       amount=payload.amount, phase="sent")
-        self.entry(Rec.SENT, env.src, env=env)
+                return
+            self.entry(TRANSFERRED, src, frm=src, to=env.dst, amount=payload.amount,
+                       phase="sent")
+        tick = self.tick
+        entries = self.entries
+        entries.append(TraceEntry(tick, len(entries), src, self.bases[src], SENT, env))
         delay = self.sc.delay.delay_for(env, self, self.rng)
         known = self.delay_ticks.get(id(delay))
         if known is None:
             known = self.delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))
-        self.schedule(self.tick + known[1], _DELIVER, env, self.tick)
-        return True
+        heappush(self.heap, (tick + known[1], 0, self.seq, _DELIVER, env, tick))
+        self.seq += 1
 
     def _deliver(self, env: Envelope, sent_at: int) -> Optional[ParticipantId]:
         """Deliver into the inbox; returns the recipient if its automaton may now fire.
@@ -933,103 +939,97 @@ class _Sim:
         any transition at that instant is taken.
         """
         pid = env.dst
-        if not verify(env.msg, env.msg.signer):
-            self.entry(Rec.REJECTED, pid, env=env, reason="bad_signature")
+        msg = env.msg
+        if not verify(msg, msg.signer):
+            self.entry(REJECTED, pid, env=env, reason="bad_signature")
             return None
-        length = self.tick - sent_at
+        tick = self.tick
+        length = tick - sent_at
         delay = self.transit_times.get(length)
         if delay is None:
             delay = self.transit_times[length] = Fraction(length, self.scale)
-        self.entry(Rec.DELIVERED, pid, env=env, delay=delay)
-        payload = env.msg.payload
+        entries = self.entries
+        entries.append(TraceEntry(tick, len(entries), pid, self.bases[pid], DELIVERED, env, delay))
+        payload = msg.payload
         if isinstance(payload, Money):
             self.ledger.receive_value(pid, payload.amount)
-            self.entry(Rec.TRANSFERRED, pid, frm=env.src, to=pid,
-                       amount=payload.amount, phase="received")
+            self.entry(TRANSFERRED, pid, frm=env.src, to=pid, amount=payload.amount,
+                       phase="received")
         strategy = self.strategies.get(pid)
         if strategy is not None:
-            self.vaults[pid].append(env.msg)
+            self.vaults[pid].append(msg)
             strategy.on_delivery(self.ctx(pid), env)
         aut = self.automata.get(pid)
-        if aut is not None and not aut.is_terminal() and not aut.stuck:
+        if aut is not None and not aut.stuck and aut.state.kind is not TERMINAL:
             aut.inbox.append(env)
-            if aut.state.kind is StateKind.INPUT:
+            if aut.state.kind is INPUT:
                 return pid
         return None
 
     # -- automaton driving -------------------------------------------------------
 
-    def _enter_state(self, pid: ParticipantId) -> None:
-        aut = self.automata[pid]
+    def _enter_state(self, pid: ParticipantId, aut: Automaton) -> None:
         st = aut.state
-        self.entry(Rec.STATE_ENTERED, pid, state=st.name)
-        if st.kind is StateKind.OUTPUT:
-            self.schedule(self.tick + self.pi_ticks, _OUTPUT_DONE, pid, st)
-        elif st.kind is StateKind.TERMINAL:
-            self.entry(Rec.TERMINAL_REACHED, pid, state=st.name, discarded=len(aut.inbox))
+        tick = self.tick
+        entries = self.entries
+        entries.append(TraceEntry(tick, len(entries), pid, self.bases[pid], STATE_ENTERED,
+                                  None, None, st.name))
+        if st.kind is OUTPUT:
+            heappush(self.heap, (tick + self.pi_ticks, 1, self.seq, _OUTPUT_DONE, pid, st))
+            self.seq += 1
+        elif st.kind is TERMINAL:
+            self.entry(TERMINAL_REACHED, pid, state=st.name, discarded=len(aut.inbox))
             if self.sc.is_compliant(pid):
                 self.pending_compliant -= 1
         else:
             due = aut.due
-            if due is not None and due > self.tick:
-                self.schedule(due, _TIMEOUT, pid, st)
-
-    def _ordered_candidates(self, aut: Automaton):
-        cands = aut.enabled_transitions(self.tick)
-        if len(cands) < 2:
-            return cands
-        # receives carry their matched envelope, the timeout None
-        receives = [c for c in cands if c[1] is not None]
-        timeouts = [c for c in cands if c[1] is None]
-        self.had_tie = True
-        if self.sc.rx_order == "reversed":
-            receives.reverse()
-        if self.sc.tie_break == "timeout_first":
-            return timeouts + receives
-        return receives + timeouts
+            if due is not None and due > tick:
+                heappush(self.heap, (due, 1, self.seq, _TIMEOUT, pid, st))
+                self.seq += 1
 
     def _try_fire(self, pid: ParticipantId) -> None:
+        """Fire enabled input transitions of `pid`'s automaton, one at a time,
+        until none is; on a tie (two or more enabled) the policy picks one."""
         aut = self.automata[pid]
-        while not aut.stuck and aut.state.kind is StateKind.INPUT:
-            ordered = self._ordered_candidates(aut)
-            if not ordered:
+        while not aut.stuck and aut.state.kind is INPUT:
+            cands = aut.enabled_transitions(self.tick)
+            if not cands:
                 return
-            tr, env = ordered[0]
+            tr, env = cands[0]
+            if len(cands) > 1:
+                self.had_tie = True
+                # receives in declaration order, then the timeout if due: a tie holds a receive
+                timed = cands[-1][1] is None
+                if timed and self.sc.tie_break == "timeout_first":
+                    tr, env = cands[-1]
+                elif self.sc.rx_order == "reversed":
+                    tr, env = cands[-2 if timed else -1]
             if env is None:
-                self.entry(Rec.TIMEOUT_FIRED, pid, state=aut.state.name,
+                self.entry(TIMEOUT_FIRED, pid, state=aut.state.name,
                            deadline=self.bases[pid].local(aut.due))
             emissions = aut.step(tr, self.tick, env)
-            self._route_emissions(pid, emissions)
-            self._enter_state(pid)
+            if emissions:
+                self._route_emissions(pid, aut, emissions)
+            self._enter_state(pid, aut)
 
-    def _fire_output(self, pid: ParticipantId, state: State) -> None:
-        aut = self.automata.get(pid)
-        if aut is None or aut.stuck or aut.state is not state:
-            return
-        tr = state.transitions[0]
-        emissions = aut.step(tr, self.tick, None)
-        self._route_emissions(pid, emissions)
-        self._enter_state(pid)
-        if aut.state.kind is StateKind.INPUT:
-            self._try_fire(pid)
-
-    def _on_timeout(self, pid: ParticipantId, state: State) -> None:
-        aut = self.automata.get(pid)
-        if aut is None or aut.stuck or aut.state is not state:
-            return
+    def _fire_output(self, pid: ParticipantId, aut: Automaton) -> None:
+        emissions = aut.step(aut.state.transitions[0], self.tick, None)
+        if emissions:
+            self._route_emissions(pid, aut, emissions)
+        self._enter_state(pid, aut)
         self._try_fire(pid)
 
-    def _route_emissions(self, pid: ParticipantId, emissions: list[Envelope]) -> None:
+    def _route_emissions(self, pid: ParticipantId, aut: Automaton, emissions: list) -> None:
         # a Byzantine sender is never compliant, so never stuck
         strategy = self.strategies.get(pid)
-        aut = self.automata[pid]
         for env in emissions:
             delay = 0 if strategy is None else strategy.filter_send(env)
             if delay is None:
                 continue
             if delay:
-                self.schedule(self.tick + to_ticks(delay, self.scale, "send delay"),
-                              _SEND_LATER, env, None)
+                later = self.tick + to_ticks(delay, self.scale, "send delay")
+                heappush(self.heap, (later, 1, self.seq, _SEND_LATER, env, None))
+                self.seq += 1
             else:
                 self.send(env)
                 if aut.stuck:
@@ -1042,16 +1042,15 @@ class _Sim:
         schedule the injections."""
         self.started = True
         for pid in sorted(self.automata):
-            self._enter_state(pid)
+            self._enter_state(pid, self.automata[pid])
         for pid in sorted(self.automata):
-            aut = self.automata[pid]
-            if not aut.stuck and aut.state.kind is StateKind.INPUT:
-                self._try_fire(pid)
+            self._try_fire(pid)
         for pid in sorted(self.strategies):
             self.strategies[pid].on_start(self.ctx(pid))
         for at, env in self.sc.raw_injections:
             tick = to_ticks(at, self.scale, "injection time")
-            self.schedule(tick, _DELIVER, env, tick)
+            heappush(self.heap, (tick, 0, self.seq, _DELIVER, env, tick))
+            self.seq += 1
 
     def run(self) -> Trace:
         """Run from the current state to the end and return the trace."""
@@ -1063,9 +1062,8 @@ class _Sim:
         heap = self.heap
         horizon = self.horizon_tick
         self.stop_reason = STOP_QUEUE_EMPTY
-        while heap:
-            if self.compliant_total > 0 and self.pending_compliant == 0:
-                self.stop_reason = STOP_ALL_TERMINAL
+        while self.compliant_total == 0 or self.pending_compliant != 0:
+            if not heap:
                 break
             tick = heap[0][0]
             if tick > horizon:
@@ -1079,25 +1077,26 @@ class _Sim:
                 # drain every delivery at this instant, then let recipients fire
                 touched: dict[ParticipantId, None] = {}
                 while heap and heap[0][0] == tick and heap[0][1] == 0:
-                    ev = heapq.heappop(heap)
+                    ev = heappop(heap)
                     pid = self._deliver(ev[4], ev[5])
                     if pid is not None:
                         touched[pid] = None
                 for pid in touched:
-                    aut = self.automata.get(pid)
-                    if aut is not None and not aut.stuck and aut.state.kind is StateKind.INPUT:
-                        self._try_fire(pid)
+                    self._try_fire(pid)
                 continue
-            _, _, _, kind, a, b = heapq.heappop(heap)
-            if kind == _OUTPUT_DONE:
-                self._fire_output(a, b)
-            elif kind == _TIMEOUT:
-                self._on_timeout(a, b)
-            else:
+            _, _, _, kind, a, b = heappop(heap)
+            if kind == _SEND_LATER:
                 self.send(a)
-        else:
-            if self.compliant_total > 0 and self.pending_compliant == 0:
-                self.stop_reason = STOP_ALL_TERMINAL
+                continue
+            aut = self.automata[a]
+            if aut.stuck or aut.state is not b:
+                continue  # the automaton left the state the event was set in
+            if kind == _OUTPUT_DONE:
+                self._fire_output(a, aut)
+            else:
+                self._try_fire(a)
+        else:  # every compliant participant is terminal
+            self.stop_reason = STOP_ALL_TERMINAL
 
         sc = self.sc
         return Trace(meta=self.meta, entries=self.entries, stop_reason=self.stop_reason,

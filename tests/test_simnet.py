@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import ast
+import functools
+import random
 import sys
+import types
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +17,7 @@ import xpay
 import xpay.simnet as simnet
 
 from conftest import derived, entry_at, strong_scenario, verdicts_by_name, weak_scenario
-from xpay.automata import Timeout
+from xpay.automata import Automaton, Timeout
 from xpay.core import (
     Certificate,
     ConfigError,
@@ -39,6 +42,7 @@ from xpay.simnet import (
     ScriptRule,
     StrategySpec,
     Synchronous,
+    _Generator,
     _Sim,
     assign_clocks,
     run_simulation,
@@ -643,17 +647,25 @@ def _fractions_made(call):
 
 
 def test_the_event_loop_makes_a_fraction_only_for_delays_and_lapsed_deadlines():
-    """Past the t=0 setup, a run makes a Fraction once per distinct delivery
-    delay and once per TIMEOUT_FIRED entry (its local deadline), and for
-    nothing else: trace entries hold ticks and time bases, and clock
-    variables and deadlines are ticks. Checking the strong n=8 run, whose T
-    holds, makes none: terminal times are compared with the bound as ticks.
+    """Building a second run of a scenario divides no timeout delay by a
+    clock rate again. Past the t=0 setup, a run makes a Fraction once per
+    distinct delivery delay and once per TIMEOUT_FIRED entry (its local
+    deadline), and for nothing else: trace entries hold ticks and time
+    bases, and clock variables and deadlines are ticks. Checking the strong
+    n=8 run, whose T holds, makes none: terminal times are compared with the
+    bound as ticks.
     Counted with a profile hook on `Fraction.__new__` over a strong n=8
     seeded run and a seeded run whose timeouts fire."""
     for scenario in (strong_scenario(n=8, seed=0, rho=F(1, 10), clock_mode="seeded"),
                      strong_scenario(n=2, seed=3, rho=F(1, 10), clock_mode="seeded",
                                      byzantine={customer(2): StrategySpec("silent")})):
         sim = _Sim(scenario)
+        # a timeout's real length is kept per delay and clock rate, so a second
+        # run of the scenario divides none again; the one Fraction left is the
+        # default horizon, 4 times the termination bound
+        _, rebuilt = _fractions_made(lambda: _Sim(scenario))
+        timeouts = sum(len(aut.machine.timeouts) for aut in sim.automata.values())
+        assert rebuilt <= 1 < timeouts, (rebuilt, timeouts)
         sim._start()
         trace, made = _fractions_made(sim.run)
         delays = {e.delay for e in trace.entries if e.rec is Rec.DELIVERED}
@@ -665,3 +677,109 @@ def test_the_event_loop_makes_a_fraction_only_for_delays_and_lapsed_deadlines():
             assert [v.line() for v in verdicts if v.name == "T"] == ["T: HOLDS"]
             assert checked == 0
     assert fired > 0  # with Bob silent, the escrows' windows lapse
+
+
+# The engine's per-event functions: one pass each per event, none reading a
+# member off an Enum class (`EnumType.__getattr__` makes that about ten times
+# the cost of a global read).
+PER_EVENT = (_Sim.send, _Sim._deliver, _Sim._enter_state, _Sim._try_fire, _Sim._fire_output,
+             _Sim.run, Automaton.step, Automaton.enabled_transitions, Automaton.is_terminal)
+
+
+def _names(code: types.CodeType):
+    """The global and attribute names `code` reads, its nested code's included."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _names(const)
+
+
+@pytest.mark.parametrize("fn", PER_EVENT, ids=[fn.__qualname__ for fn in PER_EVENT])
+def test_the_per_event_paths_read_no_enum_class(fn):
+    assert not {"Rec", "StateKind", "ParticipantKind"} & set(_names(fn.__code__))
+
+
+def _by_policy(cands, tie_break, rx_order):
+    """The enabled transitions in the order a policy takes them, as a
+    reference: receives (the last declared first under `reversed`) and the
+    timeout, the timeout first under `timeout_first`."""
+    receives = [c for c in cands if c[1] is not None]
+    timeouts = [c for c in cands if c[1] is None]
+    if rx_order == "reversed":
+        receives.reverse()
+    return timeouts + receives if tie_break == "timeout_first" else receives + timeouts
+
+
+@functools.lru_cache(maxsize=None)
+def _roster_inputs():
+    """Per shipped roster (strong n=1-3, weak n=1-2 with finite patience):
+    the scenario, and per participant its input states and every envelope a
+    few runs delivered to it (a replayer's echoes included, so that an inbox
+    can hold several matches)."""
+    out = []
+    rosters = [strong_scenario(n=n, rho=F(1, 10), clock_mode="seeded") for n in (1, 2, 3)]
+    rosters += [weak_scenario(n=n, patience=(F(3),) * (n + 1)) for n in (1, 2)]
+    for scenario in rosters:
+        pool = {}
+        for seed in range(3):
+            for byzantine in ({}, {customer(scenario.n): StrategySpec("replayer")}):
+                trace = run_simulation(replace(scenario, seed=seed, byzantine=byzantine))
+                for e in trace.entries:
+                    if e.rec is Rec.DELIVERED:
+                        pool.setdefault(e.participant, []).append(e.env)
+        sim = _Sim(scenario)
+        for pid, aut in sim.automata.items():
+            inputs = [st for st in aut.machine.states.values() if st.receives or st.timeout]
+            if inputs and pid in pool:
+                out.append((scenario, pid, tuple(inputs), tuple(pool[pid])))
+    return out
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from(("receive_first", "timeout_first")),
+       st.sampled_from(("declared", "reversed")))
+def test_the_engine_fires_the_enabled_transition_its_policy_puts_first(data, tie_break, rx_order):
+    """With any inbox of delivered messages, at any instant and deadline, the
+    transition `_try_fire` fires is the first of `enabled_transitions`
+    ordered by the policy, and the run notes a tie exactly when two or more
+    were enabled."""
+    scenario, pid, inputs, pool = data.draw(st.sampled_from(_roster_inputs()))
+    sim = _Sim(replace(scenario, tie_break=tie_break, rx_order=rx_order))
+    aut = sim.automata[pid]
+    aut.state = data.draw(st.sampled_from(inputs))
+    aut.inbox = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    aut.due = None if aut.state.timeout is None else data.draw(
+        st.one_of(st.none(), st.integers(0, 12)))
+    sim.tick = data.draw(st.integers(0, 20))
+    cands = aut.enabled_transitions(sim.tick)
+    fired = []
+
+    class Fired(Exception):
+        pass
+
+    def step(transition, now, matched=None):
+        fired.append((transition, matched))
+        raise Fired
+
+    aut.step = step
+    try:
+        sim._try_fire(pid)
+    except Fired:
+        pass
+    want = _by_policy(cands, tie_break, rx_order)[:1]
+    assert [tuple(map(id, f)) for f in fired] == [tuple(map(id, w)) for w in want]
+    assert sim.had_tie is (len(cands) >= 2)
+
+
+def test_the_synchronous_delay_draws_are_randrange_draws():
+    """`Synchronous.delay_for` draws `grid[randrange(len(grid))]` from the
+    run's generator, whatever the seed and grid size, and the generator notes
+    its first draw."""
+    for size in range(1, 10):
+        model = Synchronous(F(size), grid=tuple(F(k) for k in range(1, size + 1)))
+        for seed in range(100):
+            rng, ref = _Generator(seed), random.Random(seed)
+            assert not rng.drawn
+            got = [model.delay_for(None, None, rng) for _ in range(12)]
+            assert rng.drawn
+            assert got == [model.grid[ref.randrange(size)] for _ in range(12)], (size, seed)
