@@ -61,7 +61,7 @@ class _DecidedDelays:
     def delays(self) -> tuple[Fraction, ...]:
         return self.grid
 
-    def delay_for(self, env: Envelope, run, rng) -> Fraction:
+    def delay_for(self, env: Envelope, run) -> Fraction:
         if env.dst in self.byzantine:
             return self.grid[-1]
         if self.cursor < len(self.decisions):

@@ -37,11 +37,12 @@ A run can be branched. Between two instants its whole state is a `Snapshot`,
 a plain value: the event heap and its sequence counter, the current tick,
 each automaton's current state, clock variables, captured messages, inbox and
 stuck flag, each key's next nonce, the ledger's balances and value in flight,
-each Byzantine participant's vault, the delay generator's state (once it has
-drawn), the tie flag, the count of compliant participants still running, and
-the number of trace entries so far (entries are only ever appended, so the
-count names the prefix). `restore` puts one back and `run` continues from
-there; a plain run is the same loop, with no snapshot taken.
+each Byzantine participant's vault, the delay generator's state (built on the
+first draw; restoring a snapshot from before it drops the generator), the tie
+flag, the count of compliant participants still running, and the number of
+trace entries so far (entries are only ever appended, so the count names the
+prefix). `restore` puts one back and `run` continues from there; a plain run
+is the same loop, with no snapshot taken.
 A delay model that keeps its own state, such as the explorer's decision
 cursor, is saved by whoever drives it.
 
@@ -162,8 +163,8 @@ class Synchronous:
     def delays(self) -> tuple[Fraction, ...]:
         return self.grid
 
-    def delay_for(self, env: Envelope, run, rng: random.Random) -> Fraction:
-        return rng.choice(self.grid)  # the draws of `randrange(len(grid))`
+    def delay_for(self, env: Envelope, run) -> Fraction:
+        return run.rng.choice(self.grid)  # the draws of `randrange(len(grid))`
 
     def to_config(self) -> dict:
         return {"kind": "synchronous", "delta": fmt_fraction(self.delta),
@@ -196,8 +197,8 @@ class PartialSync:
         # a delay before stabilization is gst - t + a grid point
         return (self.gst, *self.grid)
 
-    def delay_for(self, env: Envelope, run, rng: random.Random) -> Fraction:
-        base = rng.choice(self.grid)
+    def delay_for(self, env: Envelope, run) -> Fraction:
+        base = run.rng.choice(self.grid)
         t = run.now
         if t < self.gst:
             return (self.gst - t) + base
@@ -272,7 +273,7 @@ class Scripted:
     def delays(self) -> tuple[Fraction, ...]:
         return (self.default, *(rule.delay for rule in self.rules))
 
-    def delay_for(self, env: Envelope, run, rng: random.Random) -> Fraction:
+    def delay_for(self, env: Envelope, run) -> Fraction:
         for rule in self.rules:
             if rule.matches(env):
                 return rule.delay
@@ -474,8 +475,8 @@ class Scenario:
     n: int
     # Synchronous | PartialSync | Scripted, or any object with their methods
     # delta_bound, delays, delay_for and to_config (a duck-typed delay model).
-    # delay_for(env, run, rng) is handed the run, so that a model that depends
-    # on the send instant reads it as `run.now` and no other model pays for it
+    # delay_for(env, run) is handed the run: a model draws from `run.rng`
+    # (built on the first draw) and reads the send instant as `run.now`
     delay: object
     pi: Fraction
     amount: int = 1
@@ -491,7 +492,7 @@ class Scenario:
     rx_order: str = "declared"
     clock_mode: str = "auto"
     instance: str = "pay0"
-    raw_injections: tuple = ()  # ((t, Envelope), ...) test hook; bypasses emission checks
+    raw_injections: tuple = ()  # ((t, Envelope), ...) test hook; bypasses emission checks, no money
 
     def __post_init__(self):
         self.pi = as_fraction(self.pi, "pi")
@@ -527,6 +528,8 @@ class Scenario:
             raise ConfigError(f"clock_mode must be one of {_CLOCK_MODES}")
         if self.horizon is not None and self.horizon <= 0:
             raise ConfigError("horizon must be positive")
+        if any(isinstance(env.msg.payload, Money) for _, env in self.raw_injections):
+            raise ConfigError("a raw injection cannot carry money: value moves only by a send")
         if self.variant == "strong" and self.patience is not None:
             raise ConfigError("patience applies to the weak variant only")
         if self.patience is not None and len(self.patience) != self.n + 1:
@@ -564,10 +567,8 @@ class Scenario:
                                epsilon=self.epsilon, margin=self.mu)
 
     def resolved_horizon(self, params: TimingParams) -> Fraction:
-        if self.horizon is not None:
-            return self.horizon
-        from .timing import termination_bound
-        return 4 * termination_bound(params)
+        from .timing import default_horizon
+        return self.horizon if self.horizon is not None else default_horizon(params)
 
     def resolved_patience(self) -> Optional[tuple]:
         if self.variant != "weak":
@@ -701,22 +702,6 @@ def time_scale(sc: Scenario, timeouts: Sequence[Fraction],
 _DELIVER, _OUTPUT_DONE, _TIMEOUT, _SEND_LATER = range(4)
 
 
-class _Generator(random.Random):
-    """The run's delay generator. It notes its first draw, so that a snapshot
-    of a run that has drawn nothing (under every delay model but the seeded
-    grids) needs no copy of its 2.5 KB state. Overriding both primitives keeps
-    the inherited `randrange`, `choice` and draw sequence of `random.Random`."""
-    drawn = False
-
-    def random(self) -> float:
-        self.drawn = True
-        return super().random()
-
-    def getrandbits(self, k: int) -> int:
-        self.drawn = True
-        return super().getrandbits(k)
-
-
 class Snapshot(NamedTuple):
     """The state of a run between two instants, as a plain value.
 
@@ -737,7 +722,7 @@ class Snapshot(NamedTuple):
     pending_compliant: int
     balances: dict  # pid -> balance
     in_flight: int
-    rng: Optional[tuple]  # None while the generator has drawn nothing
+    rng: Optional[tuple]  # the delay generator's state; None while the run has none
     automata: list  # per automaton: (state, clock_vars, captured, inbox, stuck, due)
     nonces: list  # per key, the next nonce
     vaults: Sequence  # per strategy, the messages delivered to it; empty with no strategy
@@ -759,7 +744,6 @@ class _Sim:
         self.params = scenario.resolved_timing()
         self.horizon = scenario.resolved_horizon(self.params)
         self.pay = PaymentInstance(scenario.instance, scenario.n, scenario.amount)
-        self.rng = _Generator(f"{scenario.seed}:delays")
         self.clocks = assign_clocks(scenario)
         self.ledger = Ledger(scenario.resolved_balances())
         self.initial_balances = dict(self.ledger.balances)
@@ -845,6 +829,11 @@ class _Sim:
         self.stop_reason = STOP_QUEUE_EMPTY
         self.on_instant: Optional[Callable[[], None]] = None
 
+    @functools.cached_property
+    def rng(self) -> random.Random:
+        """The run's delay generator, built when a delay model first draws."""
+        return random.Random(f"{self.sc.seed}:delays")
+
     @property
     def now(self) -> Fraction:
         """The current instant as a Fraction, built on each call."""
@@ -856,11 +845,12 @@ class _Sim:
         """The run state now; take it between two instants (from `on_instant`,
         or before or after `run`)."""
         entries = self.entries
+        rng = self.__dict__.get("rng")
         return Snapshot(
             self.started, tuple(self.heap), self.seq, self.tick,
             entries, len(entries), self.had_tie, self.pending_compliant,
             self.ledger.balances.copy(), self.ledger.in_flight,
-            self.rng.getstate() if self.rng.drawn else None,
+            None if rng is None else rng.getstate(),
             [(a.state, a.clock_vars.copy(), a.captured.copy(), tuple(a.inbox), a.stuck, a.due)
              for a in self._automata],
             [key.nonce for key in self._keys],
@@ -877,12 +867,10 @@ class _Sim:
         self.entries = entries[:entry_count]
         self.ledger.balances = balances.copy()
         self.ledger.in_flight = in_flight
-        if rng is not None:
+        if rng is None:
+            self.__dict__.pop("rng", None)  # the next draw starts from the seed
+        else:
             self.rng.setstate(rng)
-            self.rng.drawn = True
-        elif self.rng.drawn:
-            self.rng.seed(f"{self.sc.seed}:delays")
-            self.rng.drawn = False
         for aut, (state, clock_vars, captured, inbox, stuck, due) in zip(
                 self._automata, automata):
             aut.state = state
@@ -925,7 +913,7 @@ class _Sim:
         tick = self.tick
         entries = self.entries
         entries.append(TraceEntry(tick, len(entries), src, self.bases[src], SENT, env))
-        delay = self.sc.delay.delay_for(env, self, self.rng)
+        delay = self.sc.delay.delay_for(env, self)
         known = self.delay_ticks.get(id(delay))
         if known is None:
             known = self.delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))

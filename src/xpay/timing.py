@@ -42,7 +42,7 @@ from .protocol import TimingParams
 from .simnet import Scenario, Scripted, run_simulation
 from .trace import Trace
 
-# Parameter sets kept by `derive_timeouts` and `termination_bound`.
+# Parameter sets kept by `derive_timeouts`, `termination_bound` and `default_horizon`.
 _DERIVED_CACHED = 64
 
 
@@ -115,6 +115,12 @@ def termination_bound(p: TimingParams) -> Fraction:
     resolves, over every admissible schedule (the worst-case sweep checks the
     maximum actually attained equals this at mu = 0); every run asks, so it is kept."""
     return 2 * p.delta + 3 * p.pi + (1 + p.rho) * p.a[0] + p.pi + p.delta + p.mu
+
+
+@functools.lru_cache(maxsize=_DERIVED_CACHED)
+def default_horizon(p: TimingParams) -> Fraction:
+    """The horizon of a run whose scenario sets none: four termination bounds."""
+    return 4 * termination_bound(p)
 
 
 _WORST_CLOCK_MODES = ("identity", "worst_case", "escrows_slow", "all_fast", "all_slow")

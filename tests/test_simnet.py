@@ -31,7 +31,7 @@ from xpay.core import (
     manager,
     sign,
 )
-from xpay.explore import explore
+from xpay.explore import battery_assignments, explore
 from xpay.properties import check_termination, evaluate_all
 from xpay.protocol import PaymentInstance, TimingParams, make_weak_participants
 from xpay.simnet import (
@@ -42,7 +42,6 @@ from xpay.simnet import (
     ScriptRule,
     StrategySpec,
     Synchronous,
-    _Generator,
     _Sim,
     assign_clocks,
     run_simulation,
@@ -325,6 +324,16 @@ def test_raw_injection_of_a_forged_message_is_rejected():
     assert terminal_state(trace, customer(1)) == "paid"
 
 
+def test_a_raw_injection_of_money_is_refused():
+    """Value moves only by a send, which debits its sender. Injected money
+    would be received out of nothing in flight, or out of another message's
+    value, so a scenario that injects money is refused before its run."""
+    money = sign(Money("pay0", 1), customer(0), SigningKey(customer(0), 50))
+    with pytest.raises(ConfigError, match="money"):
+        run_simulation(strong_scenario(
+            raw_injections=((F(1, 10), Envelope(customer(0), escrow(0), money)),)))
+
+
 def test_scenario_validation_errors():
     with pytest.raises(ConfigError):
         run_simulation(strong_scenario(n=0))
@@ -462,7 +471,7 @@ class _UnlistedDelay:
     def delays(self):
         return (F(1, 2),)
 
-    def delay_for(self, env, t, rng):
+    def delay_for(self, env, run):
         return F(1, 3)
 
     def to_config(self):
@@ -660,12 +669,11 @@ def test_the_event_loop_makes_a_fraction_only_for_delays_and_lapsed_deadlines():
                      strong_scenario(n=2, seed=3, rho=F(1, 10), clock_mode="seeded",
                                      byzantine={customer(2): StrategySpec("silent")})):
         sim = _Sim(scenario)
-        # a timeout's real length is kept per delay and clock rate, so a second
-        # run of the scenario divides none again; the one Fraction left is the
-        # default horizon, 4 times the termination bound
+        # a timeout's real length is kept per delay and clock rate, and the
+        # default horizon per timing, so a second run of the scenario makes none
         _, rebuilt = _fractions_made(lambda: _Sim(scenario))
         timeouts = sum(len(aut.machine.timeouts) for aut in sim.automata.values())
-        assert rebuilt <= 1 < timeouts, (rebuilt, timeouts)
+        assert rebuilt == 0 < timeouts, (rebuilt, timeouts)
         sim._start()
         trace, made = _fractions_made(sim.run)
         delays = {e.delay for e in trace.entries if e.rec is Rec.DELIVERED}
@@ -773,13 +781,55 @@ def test_the_engine_fires_the_enabled_transition_its_policy_puts_first(data, tie
 
 def test_the_synchronous_delay_draws_are_randrange_draws():
     """`Synchronous.delay_for` draws `grid[randrange(len(grid))]` from the
-    run's generator, whatever the seed and grid size, and the generator notes
-    its first draw."""
+    run's generator, whatever the seed and grid size."""
     for size in range(1, 10):
         model = Synchronous(F(size), grid=tuple(F(k) for k in range(1, size + 1)))
         for seed in range(100):
-            rng, ref = _Generator(seed), random.Random(seed)
-            assert not rng.drawn
-            got = [model.delay_for(None, None, rng) for _ in range(12)]
-            assert rng.drawn
+            run, ref = types.SimpleNamespace(rng=random.Random(seed)), random.Random(seed)
+            got = [model.delay_for(None, run) for _ in range(12)]
             assert got == [model.grid[ref.randrange(size)] for _ in range(12)], (size, seed)
+
+
+def test_a_run_builds_its_delay_generator_on_its_first_draw(monkeypatch):
+    """A run that never draws a delay has no generator: a scripted run, and
+    every run the explorer builds over the n=1 battery, whose delays are
+    decided. A seeded run has one from its first send on, in the state of a
+    fresh generator seeded for the run's delays after one draw per send, and
+    restoring a snapshot from before that send drops it."""
+    sim = _Sim(strong_scenario(delay=Scripted(default=F(1, 2), delta=F(1))))
+    sim.run()
+    assert "rng" not in vars(sim)
+
+    built = []
+
+    def building(scenario):
+        built.append(_Sim(scenario))
+        return built[-1]
+
+    monkeypatch.setattr(sys.modules["xpay.explore"], "_Sim", building)
+    base = strong_scenario(delay=Synchronous(F(1), grid=(F(1, 4), F(1, 2), F(1))))
+    assert explore(base, assignments=battery_assignments(base)).branches == 1800
+    assert len(built) > 1 and not any("rng" in vars(run) for run in built)
+
+    scenario = strong_scenario(n=2, seed=3)
+    sim = _Sim(scenario)
+    seen, taken = [], []
+
+    def instant():
+        sent = any(e.rec is Rec.SENT for e in sim.entries)
+        seen.append(("rng" in vars(sim), sent))
+        taken.append(sim.snapshot())
+
+    sim.on_instant = instant
+    trace = sim.run()
+    assert all(has == sent for has, sent in seen), seen
+    assert seen[0] == (False, False) and seen[-1] == (True, True)
+    ref = random.Random(f"{scenario.seed}:delays")
+    for _ in range(sum(e.rec is Rec.SENT for e in trace.entries)):
+        ref.choice(scenario.delay.grid)
+    assert sim.rng.getstate() == ref.getstate()
+    assert taken[0].rng is None and taken[-1].rng is not None
+    sim.on_instant = None
+    sim.restore(taken[0])
+    assert "rng" not in vars(sim)
+    assert sim.run().render() == trace.render()
