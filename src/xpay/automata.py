@@ -10,10 +10,11 @@ captured messages, inbox).
 Each machine has three state kinds:
 
 * output states do a bounded amount of local work and leave via a single
-  unguarded transition that sends one or more messages;
+  unguarded transition that sends one or more messages; only output states
+  send;
 * input states wait (possibly forever) until a receive guard matches a
   buffered, signature-verified message, or a timeout guard over the local
-  clock becomes true, and then fire immediately;
+  clock becomes true, and then fire immediately, sending nothing;
 * terminal states have no outgoing transitions.
 
 All times are exact, so timeout boundaries are decided exactly and runs are
@@ -160,6 +161,8 @@ def validate_state(st: State, states: dict[str, State]) -> None:
             raise ConfigError(f"input state {st.name!r} needs guarded transitions only")
         if sum(isinstance(tr.guard, Timeout) for tr in st.transitions) > 1:
             raise ConfigError(f"input state {st.name!r} has more than one timeout guard")
+        if any(tr.emits for tr in st.transitions):
+            raise ConfigError(f"input state {st.name!r} sends: only output states send")
     else:
         if st.transitions:
             raise ConfigError(f"terminal state {st.name!r} must have no transitions")
@@ -212,7 +215,7 @@ class Automaton:
 
     `state` is the current `State` object itself (the machine's initial state
     when none is given), so the engine reads its kind and transitions without
-    a table lookup; `current` reads and sets it by name.
+    a table lookup; `current` reads its name.
 
     An automaton keeps time on one axis, the one `lengths` is given on: the
     `now` of `step` and `enabled_transitions`, the value of a clock variable
@@ -223,8 +226,8 @@ class Automaton:
     out once per run in int ticks, from each delay and the participant's
     clock rate. Without `lengths` each timeout lasts its delay: real time on a
     clock of rate 1. `due`, when the current state's timeout falls due (None
-    if never), is worked out on entering a state: at construction, by `step`
-    and when `current` is set.
+    if never), is worked out on entering a state: at construction and by
+    `step`.
     """
     machine: Machine
     key: Optional[SigningKey] = None
@@ -259,33 +262,23 @@ class Automaton:
         self.due = due
 
     @property
-    def id(self) -> ParticipantId:
-        return self.machine.id
-
-    @property
     def current(self) -> str:
         return self.state.name
-
-    @current.setter
-    def current(self, name: str) -> None:
-        self.state = self.machine.states[name]
-        self._arm()
 
     def is_terminal(self) -> bool:
         return self.state.kind is TERMINAL
 
     def enabled_transitions(self, now: Instant) -> list[Enabled]:
-        """Enabled transitions of the current input state at `now` (on the
+        """Enabled transitions of the current state at `now` (on the
         automaton's axis): receives matched against the buffered inbox (oldest
-        matching message per guard), plus the timeout if due.
+        matching message per guard), plus the timeout if due. Only an input
+        state has either, so for any other state the list is empty.
 
         Order: the receives in declaration order, each carrying its matched
         envelope, then the timeout. The scheduler applies its tie-break policy
         on top of this list.
         """
         st = self.state
-        if st.kind is not INPUT:
-            return []
         out: list[Enabled] = []
         for tr in st.receives:
             for env in self.inbox:
@@ -311,7 +304,7 @@ class Automaton:
         emissions relay the captured message verbatim.
         """
         if self.state.kind is TERMINAL:
-            raise ProtocolComplete(f"{self.id} already terminal in {self.current!r}")
+            raise ProtocolComplete(f"{self.machine.id} already terminal in {self.current!r}")
         for var in transition.assign:
             self.clock_vars[var] = now
         if matched is not None:

@@ -25,7 +25,6 @@ from .core import ConfigError, ParticipantId, as_fraction, fmt_fraction, parse_p
 from .deals import is_well_formed, parse_deal_file
 from .explore import battery_assignments, explore
 from .properties import Status, evaluate_all, tally
-from .protocol import TimingParams
 from .simnet import (
     PartialSync,
     Scenario,
@@ -140,24 +139,21 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
         raise ConfigError("n must be an integer")
 
     delay = _parse_delay_model(cfg["delay_model"])
+    pi = parse_rational(cfg["pi"], "pi")
+    rho = parse_rational(cfg.get("rho", 0), "rho")
+    mu = parse_rational(cfg.get("mu", 0), "mu")
+    epsilon = cfg.get("epsilon")
+    epsilon = None if epsilon in (None, "auto") else parse_rational(epsilon, "epsilon")
     timing = None
     if "timing" in cfg and cfg["timing"] not in (None, "auto"):
         tcfg = cfg["timing"]
         _take(tcfg, {"a": True, "d": True}, "timing")
-        delta = delay.delta_bound()
-        if delta is None:
+        if delay.delta is None:
             raise ConfigError("explicit timing with a scripted model also needs delay_model.delta")
-        timing = TimingParams(
-            n=n,
-            a=tuple(parse_rational(x, "a") for x in tcfg["a"]),
-            d=tuple(parse_rational(x, "d") for x in tcfg["d"]),
-            epsilon=parse_rational(cfg.get("epsilon", 0), "epsilon")
-            if cfg.get("epsilon") not in (None, "auto") else Fraction(0),
-            pi=parse_rational(cfg["pi"], "pi"),
-            delta=delta,
-            rho=parse_rational(cfg.get("rho", 0), "rho"),
-            mu=parse_rational(cfg.get("mu", 0), "mu"),
-        )
+        # the derived parameters, with the config's windows in place of the derived ones
+        timing = replace(derive_timeouts(n, delay.delta, pi, rho, epsilon, mu),
+                         a=tuple(parse_rational(x, "a") for x in tcfg["a"]),
+                         d=tuple(parse_rational(x, "d") for x in tcfg["d"]))
 
     raw_byzantine = cfg.get("byzantine") or {}
     if not isinstance(raw_byzantine, dict):
@@ -191,17 +187,16 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
         else:
             raise ConfigError("patience must be a list or an object keyed by customer")
 
-    epsilon = cfg.get("epsilon")
     scenario = Scenario(
         variant=cfg["variant"],
         n=n,
         delay=delay,
-        pi=parse_rational(cfg["pi"], "pi"),
+        pi=pi,
         amount=cfg.get("amount", 1),
-        rho=parse_rational(cfg.get("rho", 0), "rho"),
-        epsilon=None if epsilon in (None, "auto") else parse_rational(epsilon, "epsilon"),
+        rho=rho,
+        epsilon=epsilon,
         timing=timing,
-        mu=parse_rational(cfg.get("mu", 0), "mu"),
+        mu=mu,
         byzantine=byzantine,
         patience=patience,
         seed=_seed_default(cfg.get("seed")),

@@ -43,20 +43,19 @@ class _DecidedDelays:
 
     Each send to a compliant recipient consumes one decision; past the end of
     the vector the first grid point is chosen and the vector grows, which is
-    how the driver discovers the branching degree of a prefix.
+    how the driver discovers the branching degree of a prefix. It has no
+    delivery bound: its grid may pass delta, and the explorer hands every run
+    explicit timing.
     """
+    delta = None
 
     def __init__(self, grid: tuple[Fraction, ...], byzantine: set[ParticipantId],
-                 decisions: list[int], delta: Optional[Fraction]):
+                 decisions: list[int]):
         self.grid = grid
         self._grid_config = [str(g) for g in grid]
         self.byzantine = byzantine
         self.decisions = decisions
         self.cursor = 0
-        self._delta = delta
-
-    def delta_bound(self) -> Optional[Fraction]:
-        return self._delta
 
     def delays(self) -> tuple[Fraction, ...]:
         return self.grid
@@ -228,8 +227,8 @@ def explore(
     """
     if grid is None:
         grid = getattr(base.delay, "grid", None)
-        if grid is None and base.delay.delta_bound() is not None:
-            grid = (base.delay.delta_bound(),)
+        if grid is None and base.delay.delta is not None:
+            grid = (base.delay.delta,)
     if not grid:
         raise ConfigError("exploration needs a delay grid")
     grid = _check_grid(grid, None)
@@ -241,7 +240,7 @@ def explore(
         label = assignment_label(assignment)
         report.bob_paid_everywhere.setdefault(label, True)
         decisions: list[int] = []
-        model = _DecidedDelays(grid, set(assignment), decisions, base.delay.delta_bound())
+        model = _DecidedDelays(grid, set(assignment), decisions)
         scenarios = [replace(base, delay=model, timing=params, byzantine=dict(assignment),
                              tie_break=tie_break, rx_order=rx_order)
                      for tie_break, rx_order in POLICIES]
@@ -301,7 +300,7 @@ def battery_assignments(scenario: Scenario) -> list[dict[ParticipantId, Strategy
     The compliant (empty) assignment comes first. delay_own_sends posts its
     traffic 2*delta late, past any synchrony bound.
     """
-    delta = scenario.delay.delta_bound() or Fraction(1)
+    delta = scenario.delay.delta or Fraction(1)
     specs_for: dict[ParticipantId, list[StrategySpec]] = {}
     for pid in scenario.participant_ids():
         if pid.kind is ParticipantKind.MANAGER:

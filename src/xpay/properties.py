@@ -109,7 +109,7 @@ def _entries_of(trace: Trace, p: ParticipantId) -> list[int]:
     return [idx for idx, e in enumerate(trace.entries) if e.participant == p]
 
 
-def _summarize(evaluated: int, violations: list[int]) -> Status:
+def _summarize(evaluated: int, violations: list) -> Status:
     if violations:
         return Status.VIOLATED
     return Status.HOLDS if evaluated else Status.VACUOUS
@@ -301,7 +301,16 @@ class Monitor:
         return Verdict("C", Status.HOLDS)
 
     def termination(self, trace: Trace, bound=None) -> Verdict:
-        """T; see `check_termination`."""
+        """T: customers finish in time.
+
+        Strong traces are time-bounded: every compliant customer that made a
+        payment or issued a certificate, and whose escrows are compliant,
+        reaches a terminal state within `bound` (by default the derived
+        termination bound) of scenario start. Weak traces are eventual: every
+        compliant customer with compliant escrows terminates within the
+        horizon; customers who chose unbounded patience are exempt when no
+        decision was ever issued.
+        """
         meta = self.meta
         if self._weak:  # eventual: by the horizon
             limit = meta.horizon
@@ -334,7 +343,8 @@ class Monitor:
             elif hit.tick * den > num * hit.scale:
                 violations.append(hit.idx)
                 details.append(f"{c} terminal at t={Fraction(hit.tick, hit.scale)} > {limit}")
-        return Verdict("T", _summarize(evaluated, violations), violations, "; ".join(details))
+        # a customer with no entry at all still violates T, with no witness
+        return Verdict("T", _summarize(evaluated, details), violations, "; ".join(details))
 
     def escrow_security(self) -> Verdict:
         """ES: no compliant escrow ever dips below its initial balance."""
@@ -410,7 +420,8 @@ class Monitor:
         meta = self.meta
         if len(meta.compliant) != len(meta.initial_balances):
             return Verdict("L", Status.VACUOUS, detail="byzantine participants present")
-        if self._weak and not meta.patience_sufficient:
+        # a weak customer with finite patience may give up before the payment lands
+        if self._weak and any(p is not None for p in meta.patience or ()):
             return Verdict("L", Status.VACUOUS, detail="patience declared insufficient")
         if self.bob_paid():
             return Verdict("L", Status.HOLDS)
@@ -454,29 +465,11 @@ def fold(trace: Trace, monitor: Optional[Monitor] = None) -> Monitor:
 
 # ---------------------------------------------------------------------- checkers
 
-def check_termination(trace: Trace, bound=None) -> Verdict:
-    """Customers finish in time.
-
-    Strong traces are time-bounded: every compliant customer that made a
-    payment or issued a certificate, and whose escrows are compliant, reaches
-    a terminal state within `bound` (by default the derived termination bound)
-    of scenario start. Weak traces are eventual: every compliant customer with
-    compliant escrows terminates within the horizon; customers who chose
-    unbounded patience are exempt when no decision was ever issued.
-    """
-    return fold(trace).termination(trace, bound)
-
-
 def check_liveness(trace: Trace, monitor: Optional[Monitor] = None) -> Verdict:
     """Bob is paid eventually, contingent on everybody abiding (and, weak mode,
     on the customers having waited long enough). `monitor`, if given, has
     taken in a prefix of the trace."""
     return fold(trace, monitor).liveness(trace)
-
-
-def bob_paid(trace: Trace) -> bool:
-    """Bob reached a terminal state at least the payment amount richer."""
-    return fold(trace).bob_paid()
 
 
 def check_promises(trace: Trace) -> list[Verdict]:

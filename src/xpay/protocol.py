@@ -607,7 +607,7 @@ def make_transaction_manager(n: int, pay: PaymentInstance) -> Machine:
         transitions = [Transition(target(mask | (1 << i), chi), guard=recv_lock[i])
                        for i in range(n) if not mask & (1 << i)]
         if not chi:
-            transitions.append(Transition(target(mask, True), guard=recv_commit_req, capture="creq"))
+            transitions.append(Transition(target(mask, True), guard=recv_commit_req))
         return tuple(transitions) + to_abort
 
     everyone = [escrow(i) for i in range(n)] + [customer(k) for k in range(n + 1)]

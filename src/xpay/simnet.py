@@ -22,10 +22,10 @@ scheduled. A timeout deadline is the tick its clock variable was set at plus
 its length, worked out by the automaton when it enters the state and kept
 with its run state (`Automaton.due`, and in a `Snapshot`). A trace entry
 records its tick and its participant's `TimeBase` and builds its real and
-local time as Fractions only when they are read. The loop makes a Fraction
-only for a delivery delay, once per distinct length, for the local deadline
-each TIMEOUT_FIRED entry records, and for `now` when a delay model that reads
-the send instant (`PartialSync`) asks for it.
+local time as Fractions only when they are read. A delivery records the delay
+object the delay model returned for it. The loop makes a Fraction only for
+the local deadline each TIMEOUT_FIRED entry records, and for `now` when a
+delay model that reads the send instant (`PartialSync`) asks for it.
 
 An event is one pass through the engine. The loop pops it and calls its
 handler, which builds its trace entries and pushes the events it causes in
@@ -157,9 +157,6 @@ class Synchronous:
         self.grid = _check_grid(_default_grid(self.delta) if self.grid is None else self.grid,
                                 self.delta)
 
-    def delta_bound(self) -> Optional[Fraction]:
-        return self.delta
-
     def delays(self) -> tuple[Fraction, ...]:
         return self.grid
 
@@ -189,9 +186,6 @@ class PartialSync:
             raise ConfigError("stabilization time must be non-negative")
         self.grid = _check_grid(_default_grid(self.delta) if self.grid is None else self.grid,
                                 self.delta)
-
-    def delta_bound(self) -> Optional[Fraction]:
-        return self.delta
 
     def delays(self) -> tuple[Fraction, ...]:
         # a delay before stabilization is gst - t + a grid point
@@ -266,9 +260,6 @@ class Scripted:
         self.rules = tuple(self.rules)
         if self.delta is not None:
             self.delta = as_fraction(self.delta, "delta")
-
-    def delta_bound(self) -> Optional[Fraction]:
-        return self.delta
 
     def delays(self) -> tuple[Fraction, ...]:
         return (self.default, *(rule.delay for rule in self.rules))
@@ -473,8 +464,9 @@ class Scenario:
     """Everything one run depends on. Equal scenarios produce identical traces."""
     variant: str
     n: int
-    # Synchronous | PartialSync | Scripted, or any object with their methods
-    # delta_bound, delays, delay_for and to_config (a duck-typed delay model).
+    # Synchronous | PartialSync | Scripted, or any object with their `delta`
+    # attribute (the delivery bound, None when unbounded) and their methods
+    # delays, delay_for and to_config (a duck-typed delay model).
     # delay_for(env, run) is handed the run: a model draws from `run.rng`
     # (built on the first draw) and reads the send instant as `run.now`
     delay: object
@@ -536,7 +528,7 @@ class Scenario:
             raise ConfigError(f"need {self.n + 1} patience entries")
         if self.timing is not None and self.timing.n != self.n:
             raise ConfigError("explicit timing does not match n")
-        if self.timing is None and self.delay.delta_bound() is None:
+        if self.timing is None and self.delay.delta is None:
             raise ConfigError("cannot derive timeouts without a delivery bound; "
                               "give explicit timing")
         valid = set(map(str, self.participant_ids()))
@@ -563,7 +555,7 @@ class Scenario:
         if self.timing is not None:
             return self.timing
         from .timing import derive_timeouts  # simnet is imported by timing; bind late
-        return derive_timeouts(self.n, self.delay.delta_bound(), self.pi, self.rho,
+        return derive_timeouts(self.n, self.delay.delta, self.pi, self.rho,
                                epsilon=self.epsilon, margin=self.mu)
 
     def resolved_horizon(self, params: TimingParams) -> Fraction:
@@ -691,7 +683,7 @@ def time_scale(sc: Scenario, timeouts: Sequence[Fraction],
 
 
 # An event is a plain tuple on the heap, (tick, priority, seq, kind, a, b):
-#   _DELIVER      a = envelope, b = the send instant in ticks
+#   _DELIVER      a = envelope, b = its delay, as the delay model returned it
 #   _OUTPUT_DONE  a = participant, b = the output `State` it was scheduled in
 #   _TIMEOUT      a = participant, b = the input `State` whose timeout it is
 #   _SEND_LATER   a = envelope, b = None
@@ -700,6 +692,8 @@ def time_scale(sc: Scenario, timeouts: Sequence[Fraction],
 # meets the tie-break). Each push takes the next seq, so tuples never compare
 # past it.
 _DELIVER, _OUTPUT_DONE, _TIMEOUT, _SEND_LATER = range(4)
+
+_INJECTED = Fraction(0)  # the delay a raw injection's delivery records
 
 
 class Snapshot(NamedTuple):
@@ -800,7 +794,6 @@ class _Sim:
 
         # the trace header's facts, shared by every trace of this run; the
         # policy a re-run takes is read from its trace's scenario
-        patience = scenario.resolved_patience()
         self.meta = TraceMeta(
             variant=scenario.variant,
             n=scenario.n,
@@ -812,15 +805,13 @@ class _Sim:
             horizon=self.horizon,
             initial_balances=self.initial_balances,
             clock_rates=self.clocks,
-            patience=patience,
-            patience_sufficient=patience is None or all(p is None for p in patience),
+            patience=scenario.resolved_patience(),
         )
 
         self.heap: list[tuple] = []
         self.seq = 0
         self.started = False
         self.tick = 0  # the current instant in ticks
-        self.transit_times: dict[int, Fraction] = {}  # delivery delays by their length in ticks
         # the length in ticks of each delay object the delay model returned,
         # keyed by id and holding the object so that its id is not reused
         self.delay_ticks: dict[int, tuple[Fraction, int]] = {}
@@ -917,10 +908,10 @@ class _Sim:
         known = self.delay_ticks.get(id(delay))
         if known is None:
             known = self.delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))
-        heappush(self.heap, (tick + known[1], 0, self.seq, _DELIVER, env, tick))
+        heappush(self.heap, (tick + known[1], 0, self.seq, _DELIVER, env, delay))
         self.seq += 1
 
-    def _deliver(self, env: Envelope, sent_at: int) -> Optional[ParticipantId]:
+    def _deliver(self, env: Envelope, delay: Fraction) -> Optional[ParticipantId]:
         """Deliver into the inbox; returns the recipient if its automaton may now fire.
 
         Firing is the caller's job: all deliveries at one instant land before
@@ -931,13 +922,9 @@ class _Sim:
         if not verify(msg, msg.signer):
             self.entry(REJECTED, pid, env=env, reason="bad_signature")
             return None
-        tick = self.tick
-        length = tick - sent_at
-        delay = self.transit_times.get(length)
-        if delay is None:
-            delay = self.transit_times[length] = Fraction(length, self.scale)
         entries = self.entries
-        entries.append(TraceEntry(tick, len(entries), pid, self.bases[pid], DELIVERED, env, delay))
+        entries.append(TraceEntry(self.tick, len(entries), pid, self.bases[pid], DELIVERED, env,
+                                  delay))
         payload = msg.payload
         if isinstance(payload, Money):
             self.ledger.receive_value(pid, payload.amount)
@@ -995,9 +982,7 @@ class _Sim:
             if env is None:
                 self.entry(TIMEOUT_FIRED, pid, state=aut.state.name,
                            deadline=self.bases[pid].local(aut.due))
-            emissions = aut.step(tr, self.tick, env)
-            if emissions:
-                self._route_emissions(pid, aut, emissions)
+            aut.step(tr, self.tick, env)  # an input state sends nothing
             self._enter_state(pid, aut)
 
     def _fire_output(self, pid: ParticipantId, aut: Automaton) -> None:
@@ -1037,7 +1022,7 @@ class _Sim:
             self.strategies[pid].on_start(self.ctx(pid))
         for at, env in self.sc.raw_injections:
             tick = to_ticks(at, self.scale, "injection time")
-            heappush(self.heap, (tick, 0, self.seq, _DELIVER, env, tick))
+            heappush(self.heap, (tick, 0, self.seq, _DELIVER, env, _INJECTED))
             self.seq += 1
 
     def run(self) -> Trace:

@@ -176,7 +176,6 @@ class TraceMeta:
     initial_balances: dict[ParticipantId, int]
     clock_rates: dict[ParticipantId, Fraction]
     patience: Optional[tuple] = None
-    patience_sufficient: bool = True
 
 
 STOP_ALL_TERMINAL = "all_compliant_terminal"

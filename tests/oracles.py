@@ -29,7 +29,7 @@ from xpay.core import (
     verify,
 )
 from xpay.explore import POLICIES, BranchOutcome, ExploreReport, _DecidedDelays, assignment_label
-from xpay.properties import Status, bob_paid, check_liveness, safety_verdicts
+from xpay.properties import Status, check_liveness, fold, safety_verdicts
 from xpay.simnet import run_simulation
 from xpay.trace import Rec
 
@@ -186,7 +186,7 @@ def brute_force_statuses(trace, bound=None):
     out["CS3"] = "VIOLATED" if bad else ("HOLDS" if evaluated else "VACUOUS")
 
     # L
-    if len(compliant) == len(init) and (not weak or meta.patience_sufficient):
+    if len(compliant) == len(init) and (not weak or all(p is None for p in meta.patience or ())):
         paid = bob in s["terminal"] and s["balances"][bob] >= init[bob] + meta.amount
         out["L"] = "HOLDS" if paid else "VIOLATED"
     else:
@@ -290,7 +290,7 @@ def eager_manager_states(n: int, pay) -> dict[str, State]:
                     signed_by=escrow(i))))
             if not chi:
                 target = "decide_commit" if mask == full else collect_name(mask, True)
-                transitions.append(Transition(target, guard=recv_commit_req, capture="creq"))
+                transitions.append(Transition(target, guard=recv_commit_req))
             for k in range(n + 1):
                 transitions.append(Transition("decide_abort", guard=Receive(
                     customer(k), AbortReq, attrs=(("instance", pay.instance),),
@@ -334,8 +334,8 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, on_branch=
     report fields; `entries_simulated` is every entry, as nothing is reused."""
     if grid is None:
         grid = getattr(base.delay, "grid", None)
-        if grid is None and base.delay.delta_bound() is not None:
-            grid = (base.delay.delta_bound(),)
+        if grid is None and base.delay.delta is not None:
+            grid = (base.delay.delta,)
     grid = tuple(grid)
     params = base.resolved_timing()
     report = ExploreReport()
@@ -352,8 +352,7 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, on_branch=
                 if report.branches >= budget:
                     report.complete = False
                     return report
-                model = _DecidedDelays(grid, set(assignment), decisions,
-                                       base.delay.delta_bound())
+                model = _DecidedDelays(grid, set(assignment), decisions)
                 scenario = replace(base, delay=model, timing=params,
                                    byzantine=dict(assignment),
                                    tie_break=policy[0], rx_order=policy[1])
@@ -365,7 +364,7 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, on_branch=
                 live = check_liveness(trace)
                 paid = policy[0] != "receive_first" or (
                     live.status is Status.HOLDS or (
-                        live.status is not Status.VIOLATED and bob_paid(trace)))
+                        live.status is not Status.VIOLATED and fold(trace).bob_paid()))
                 for k in range(base.n + 1):
                     hit = trace.terminal_entry(customer(k))
                     if hit is not None and (report.max_customer_terminal is None

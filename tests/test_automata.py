@@ -111,20 +111,21 @@ def test_a_deadline_is_the_set_instant_plus_the_timeout_length_on_the_axis():
         assert aut.clock_vars["u"] == now
         due.append(aut.due)
         assert aut.enabled_transitions(due[-1] - 1) == []
-        assert len(aut.enabled_transitions(due[-1])) == 1
-        aut.current = "done"
-        assert aut.due is None
+        (tr, _), = aut.enabled_transitions(due[-1])
+        aut.step(tr, due[-1], None)
+        assert aut.current == "done" and aut.due is None
     assert due == [5, 40] and type(due[1]) is int
 
 
 def test_an_automaton_holds_its_state_object():
     """`state` is a plain attribute holding the current `State` of the
-    machine's table; `current` reads and sets it by name."""
+    machine's table, the initial one unless another is given; `current` reads
+    its name."""
     assert not isinstance(inspect.getattr_static(Automaton, "state"), property)
     aut = _await_automaton()
     states = aut.machine.states
     assert aut.state is states[aut.machine.initial]
-    aut.current = "paid"
+    aut = Automaton(aut.machine, state=states["paid"])
     assert aut.state is states["paid"] and aut.current == "paid"
 
 
@@ -155,8 +156,8 @@ def test_each_state_holds_the_receive_table_and_timeout_of_a_scan(variant, n):
 
 
 def test_stepping_terminal_state_signals_completion():
-    aut = _await_automaton()
-    aut.current = "paid"
+    machine = _await_automaton().machine
+    aut = Automaton(machine, state=machine.states["paid"])
     with pytest.raises(ProtocolComplete):
         aut.step(Transition("paid"), Fraction(0), None)
 
@@ -181,6 +182,13 @@ def test_state_validation_catches_malformed_machines():
     with pytest.raises(ConfigError):
         Machine(escrow(0), {
             "a": State("a", StateKind.TERMINAL, (Transition("a"),)),
+        }, "a")
+    with pytest.raises(ConfigError, match="input state 'a' sends: only output states send"):
+        Machine(escrow(0), {
+            "a": State("a", StateKind.INPUT, (
+                Transition("b", guard=Timeout(Fraction(1)),
+                           emits=((customer(0), Fresh(Money("pay0", 1))),)),)),
+            "b": State("b", StateKind.TERMINAL),
         }, "a")
 
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,8 +19,8 @@ from xpay.cli import (
     parse_rational,
     parse_scenario_config,
 )
-from xpay.core import ConfigError
-from xpay.properties import Status, evaluate_all
+from xpay.core import ConfigError, customer
+from xpay.properties import Status, check_promises, evaluate_all
 from xpay.protocol import make_escrow
 from xpay.simnet import run_simulation
 
@@ -332,3 +334,51 @@ def test_invalid_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
     assert main(["run", str(path)]) == EXIT_CONFIG
+
+
+EXPLICIT_TIMING = {
+    "variant": "strong",
+    "n": 1,
+    "delay_model": {"kind": "synchronous", "delta": "1", "grid_points": 4},
+    "pi": "1/10",
+    "timing": {"a": ["21/10"], "d": ["23/10"]},  # the derived windows
+    "seed": 3,
+}
+
+
+def test_explicit_timing_keeps_the_other_derived_parameters():
+    """Explicit windows replace the derived a and d and nothing else: epsilon
+    is the derived 2(1+rho)pi + mu unless the config gives one. With the
+    derived windows the run equals the "auto" one and keeps the payment
+    promise."""
+    explicit, _ = parse_scenario_config(EXPLICIT_TIMING)
+    auto, _ = parse_scenario_config({**EXPLICIT_TIMING, "timing": "auto"})
+    assert explicit.timing == auto.resolved_timing()
+    assert explicit.timing.epsilon == Fraction(1, 5)
+    for scenario in (explicit, auto):
+        promises = {v.name: v.status for v in check_promises(run_simulation(scenario))}
+        assert promises["P_PROMISE"] is Status.HOLDS
+    given, _ = parse_scenario_config({**EXPLICIT_TIMING, "epsilon": "1/2"})
+    assert given.timing.epsilon == Fraction(1, 2)
+
+
+def test_the_readme_scenario_config_runs_as_written(tmp_path):
+    """The JSON block under the README's "Scenario configs" heading parses,
+    its strategy parameter included, and `xpay run` on it exits 0."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Scenario configs\n", 1)[1].split("```json\n", 1)[1]
+    block = block.split("```", 1)[0]
+    scenario, _ = parse_scenario_config(json.loads(block))
+    assert scenario.byzantine[customer(2)].params == {"delay": Fraction(2)}
+    assert main(["run", write(tmp_path, "readme.json", block)]) == EXIT_OK
+
+
+def test_a_config_without_grid_or_seed_runs_on_the_defaults():
+    """With none of grid, grid_points or seed, a config runs on a grid of 4
+    points and seed 0: its trace is byte for byte the one that names them."""
+    bare = {"variant": "strong", "n": 2, "delay_model": {"kind": "synchronous", "delta": "1"},
+            "pi": "1/10", "rho": "1/10"}
+    named = {**bare, "delay_model": {**bare["delay_model"], "grid_points": 4}, "seed": 0}
+    bare_trace, named_trace = (run_simulation(parse_scenario_config(cfg)[0]).render()
+                               for cfg in (bare, named))
+    assert bare_trace == named_trace

@@ -124,7 +124,7 @@ def test_checkers_agree_with_the_brute_force_oracle(scenario):
 def single_member_assignments(scenario) -> list[dict]:
     """No Byzantine member, then each member alone under each strategy that
     applies to it, with the parameters `battery_assignments` gives it."""
-    delta = scenario.delay.delta_bound()
+    delta = scenario.delay.delta
     out: list[dict] = [{}]
     for pid in scenario.participant_ids():
         for name in sorted(STRATEGIES):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
@@ -7,16 +8,19 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import derived, entry_at, strong_scenario, verdicts_by_name, weak_scenario
 from oracles import brute_force_statuses
 from xpay.automata import Automaton, Fresh, Machine, State, StateKind, Transition
-from xpay.core import Money, customer, escrow
+from xpay.core import (
+    AbortCert, CommitCert, Envelope, Money, SigningKey, customer, escrow, manager, sign)
 from xpay.properties import (
     Monitor,
     Status,
     check_liveness,
-    check_termination,
+    check_promises,
     evaluate_all,
+    fold,
     safety_verdicts,
 )
 from xpay.simnet import Scripted, ScriptRule, StrategySpec, Synchronous, run_simulation
+from xpay.timing import derive_timeouts
 from xpay.trace import Rec, Trace
 
 F = Fraction
@@ -87,13 +91,13 @@ def test_termination_exempts_customers_that_never_engage():
     """Bob starved of the promise neither pays nor certifies: exempt."""
     byz = {customer(0): StrategySpec("silent")}  # alice never pays
     trace = run_simulation(strong_scenario(byzantine=byz, seed=3))
-    assert check_termination(trace).status is Status.VACUOUS
+    assert fold(trace).termination(trace).status is Status.VACUOUS
 
 
 def test_termination_exempts_customers_of_byzantine_escrows():
     byz = {escrow(0): StrategySpec("greedy_escrow")}
     trace = run_simulation(strong_scenario(n=2, byzantine=byz, seed=3))
-    term = check_termination(trace)
+    term = fold(trace).termination(trace)
     # alice paid but her escrow is byzantine; c1 paid, e0 is one of hers; bob's
     # escrow e1 is compliant and he is paid, so T evaluates only bob and holds
     assert term.status is Status.HOLDS
@@ -291,3 +295,62 @@ def test_weak_clause_wording():
     oracle = brute_force_statuses(trace)
     for name, want in oracle.items():
         assert got[name] == want
+
+
+def _sends(sender, messages):
+    """Hand-built SENT entries of `messages` (recipient, payload) signed by
+    `sender`, one per time unit from t=1, each followed by its TRANSFERRED
+    entry if it moves money."""
+    key = SigningKey(sender)
+    entries = []
+    for t, (dst, payload) in enumerate(messages, 1):
+        env = Envelope(sender, dst, sign(payload, sender, key))
+        entries.append(entry_at(t, t, seq=len(entries), participant=sender, rec=Rec.SENT, env=env))
+        if isinstance(payload, Money):
+            entries.append(entry_at(t, t, seq=len(entries), participant=sender,
+                                    rec=Rec.TRANSFERRED, frm=sender, to=dst,
+                                    amount=payload.amount, phase="sent"))
+    return entries
+
+
+def test_a_connector_that_terminates_below_her_start_violates_cs3():
+    """Connector c1 of a strong n=2 chain, both her escrows compliant, pays
+    e1 and terminates with nothing back: CS3 is violated, with her entries as
+    the witness, and the oracle agrees on every clause."""
+    meta = run_simulation(strong_scenario(n=2)).meta
+    c1 = customer(1)
+    entries = _sends(c1, [(escrow(1), Money(meta.instance, meta.amount))])
+    entries.append(entry_at(2, 2, seq=len(entries), participant=c1,
+                            rec=Rec.TERMINAL_REACHED, state="done"))
+    trace = Trace(meta=meta, entries=entries)
+    got = verdicts_by_name(trace)
+    assert got["CS3"].line() == (
+        "CS3: VIOLATED (c1 terminated below her starting balance) witness=[0, 1, 2]")
+    oracle = brute_force_statuses(trace)
+    assert {name: got[name].status.value for name in oracle} == oracle
+
+
+def test_a_manager_that_issues_both_certificates_violates_cc():
+    """The weak manager m0 sends a commit and then an abort certificate: CC is
+    violated, with both sends as the witness, and the oracle agrees on every
+    clause."""
+    meta = run_simulation(weak_scenario()).meta
+    entries = _sends(manager(), [(escrow(0), CommitCert(meta.instance)),
+                                 (customer(1), AbortCert(meta.instance))])
+    trace = Trace(meta=meta, entries=entries)
+    got = verdicts_by_name(trace)
+    assert got["CC"].line() == "CC: VIOLATED (both certificate kinds issued) witness=[0, 1]"
+    oracle = brute_force_statuses(trace)
+    assert {name: got[name].status.value for name in oracle} == oracle
+
+
+def test_an_escrow_without_payment_slack_breaks_the_payment_promise():
+    """With epsilon = 0 an escrow cannot pay downstream in the instant the
+    certificate reaches it (its output state takes pi), so P_PROMISE is
+    violated; at the derived epsilon it holds."""
+    derived_params = derive_timeouts(1, F(1), F(1, 10), F(0))
+    statuses = {}
+    for epsilon in (F(0), derived_params.epsilon):
+        trace = run_simulation(strong_scenario(timing=replace(derived_params, epsilon=epsilon)))
+        statuses[epsilon] = {v.name: v.status for v in check_promises(trace)}["P_PROMISE"]
+    assert statuses == {F(0): Status.VIOLATED, derived_params.epsilon: Status.HOLDS}

@@ -98,14 +98,24 @@ def test_validate_raises_when_a_guarantee_is_dishonored():
     assert info.value.trace is not None
 
 
+def test_a_window_one_grid_step_short_exceeds_the_termination_bound():
+    """a_0 of an n=2 chain one grid step short: Bob is still paid, but the
+    connector c1 never terminates, so validation fails on T."""
+    p = derive_timeouts(2, F(1), F(1, 10), F(0))
+    with pytest.raises(ValidationFailed) as info:
+        validate_timeouts(replace(p, a=(p.a[0] - F(1, 4), p.a[1])), 2)
+    assert str(info.value) == "termination bound exceeded under clock mode 'identity'"
+    assert info.value.trace is not None
+
+
 def test_halved_a0_breaks_the_sweep():
     from xpay.simnet import run_simulation
     from xpay.timing import _worst_case_scenario
-    from xpay.properties import check_termination, Status
+    from xpay.properties import Status, fold
     p = derive_timeouts(2, F(1), F(1, 10), F(0))
     halved = replace(p, a=(p.a[0] / 2, p.a[1]), d=(p.d[0], p.d[1]))
     trace = run_simulation(_worst_case_scenario(halved, 2, "identity"))
-    term = check_termination(trace, bound=termination_bound(halved))
+    term = fold(trace).termination(trace, bound=termination_bound(halved))
     assert term.status is Status.VIOLATED  # the connector above the short window starves
 
 
