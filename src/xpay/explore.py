@@ -13,17 +13,17 @@ branches without ties execute identically under every policy, so skipping
 them loses nothing.
 
 The search is depth first over checkpoints (stateless search as in VeriSoft,
-Godefroid, POPL 1997). Each assignment builds one run; its baseline runs keep
-a snapshot of the start of the instant that consumed each decision, and of the
-first instant with a tie. The odometer step that changes decision i restores
-the snapshot of decision i and simulates only the rest of the run; a tie
-re-run restores the first tied instant under the next policy. The branch
+Godefroid, POPL 1997). Each assignment builds one run. Its baseline runs take
+a snapshot only just before a draw that takes a decision (the engine's
+`on_draw`, where no event is under way), and credit it with each decision
+the draw takes. The odometer step that changes decision i restores the
+snapshot of decision i and simulates only the rest of the run, from that
+draw on; a tie re-run restores, under the next policy, the last checkpoint
+before the baseline's first tie, or the assignment's start. The branch
 order, the decision vectors and every trace are those of running each branch
-from t=0. The checks are forked the same way, but only at checkpoints a branch
-can resume from: a checkpoint credited with a decision or the first tie keeps
-a copy of the safety monitor (`properties.Monitor`) fed the entries before
-it. A branch checks only the entries it simulates, and its verdicts are those
-of checking its whole trace.
+from t=0. Each checkpoint keeps a copy of the safety monitor
+(`properties.Monitor`) fed the entries before it, so a branch checks only the
+entries it simulates, and its verdicts are those of checking its whole trace.
 """
 from __future__ import annotations
 
@@ -135,28 +135,26 @@ def assignment_label(assignment: dict[ParticipantId, StrategySpec]) -> str:
 
 
 class _Checkpoint(NamedTuple):
-    snapshot: Snapshot
-    cursor: int  # decisions consumed before the instant
-    # the checks, fed every entry before the instant; None until a branch can
-    # resume here
-    monitor: Optional[Monitor]
+    snapshot: Snapshot  # taken just before a draw that takes a decision
+    cursor: int  # decisions consumed before the draw
+    monitor: Monitor  # the checks, fed every entry before the draw
 
 
 class _Checkpoints:
     """Where the branches of one assignment resume.
 
-    The baseline (first-policy) run of each leaf records, for every decision
-    index it consumes, the snapshot taken at the start of the instant that
-    consumed it, and the start of its first tied instant. Until a decision
-    changes, every later run agrees with it up to that decision's instant, and
-    runs under the other policies agree with it up to its first tie (no policy
-    matters before there is a choice to make).
+    The baseline (first-policy) run of each leaf takes a snapshot just before
+    each draw that takes a decision (a draw with a send to a compliant
+    recipient) and credits it with each decision the draw takes. Until a
+    decision changes, every later run agrees with the baseline up to that
+    decision's draw. Runs under the other policies agree with it up to its
+    first tie (no policy matters before there is a choice to make), so they
+    resume from the last checkpoint before that tie, or from the start.
 
     `monitor` is the check of the run in progress; it takes in the entries
-    only as far as it has to. A checkpoint that a branch can resume from (one
-    credited with a decision or the tie) gets a copy of it as it stood at the
-    snapshot, so a branch feeds the monitor only the entries it simulates. The
-    other instants keep no copy: most of them are never resumed.
+    only as far as it has to. Each checkpoint keeps a copy of it as it stood
+    at the snapshot, so a branch feeds the monitor only the entries it
+    simulates.
     """
 
     def __init__(self, sim: _Sim, model: _DecidedDelays):
@@ -164,43 +162,34 @@ class _Checkpoints:
         self.model = model
         self.monitor = Monitor(sim.meta)
         self.by_decision: list[_Checkpoint] = []
-        self.current = self.start = _Checkpoint(sim.snapshot(), 0, Monitor(sim.meta))
-        self.tie: Optional[_Checkpoint] = None
+        self.start = self.tie = _Checkpoint(sim.snapshot(), 0, Monitor(sim.meta))
+        self.resumed: Optional[_Checkpoint] = None  # what the next draw stands at
 
-    def instant(self) -> None:
-        """The engine's `on_instant` during baseline runs."""
-        self.close()
-        self.current = _Checkpoint(self.sim.snapshot(), self.model.cursor, None)
-
-    def close(self) -> None:
-        """Credit the instant that just ended with the decisions it consumed
-        and, if it was the first to see a tie, with the tie."""
-        missing = self.model.cursor - len(self.by_decision)
-        tie = self.tie is None and self.sim.had_tie
-        if missing <= 0 and not tie:
+    def draw(self) -> None:
+        """The engine's `on_draw` during baseline runs."""
+        sim, byzantine = self.sim, self.model.byzantine
+        taken = sum(env.dst not in byzantine for _, env in sim.outbox)
+        if not taken:
             return
-        cp = self.current
-        if cp.monitor is None:
-            # the live monitor has taken in no entry of this instant yet
-            self.monitor.feed(self.sim.entries, cp.snapshot.entry_count)
-            cp = self.current = _Checkpoint(cp.snapshot, cp.cursor, self.monitor.copy())
-        if missing > 0:
-            self.by_decision.extend([cp] * missing)
-        if tie:
+        cp, self.resumed = self.resumed, None
+        if cp is None:
+            # the live monitor catches up to the snapshot; the checkpoint keeps a copy
+            self.monitor.feed(sim.entries)
+            cp = _Checkpoint(sim.snapshot(), self.model.cursor, self.monitor.copy())
+        self.by_decision.extend([cp] * taken)
+        if not sim.had_tie:
             self.tie = cp
 
     def resume(self, index: int) -> _Checkpoint:
-        """Restore the start of the instant that consumed decision `index` in
-        the last baseline run, or, if that run stopped short of it, the last
-        instant that consumed one (the prefix decides the run up to there)."""
+        """Restore the draw that took decision `index` in the last baseline
+        run, or, if that run stopped short of it, the last draw that took one
+        (the prefix decides the run up to there)."""
         if index < len(self.by_decision):
             cp = self.by_decision[index]
         else:
             cp = self.by_decision[-1] if self.by_decision else self.start
         del self.by_decision[cp.cursor:]
-        if not cp.snapshot.had_tie:
-            self.tie = None
-        self.current = cp
+        self.resumed = None if cp is self.start else cp
         return self.restore(cp)
 
     def restore(self, cp: _Checkpoint) -> _Checkpoint:
@@ -256,12 +245,11 @@ def explore(
                     report.complete = False
                     return report
                 if k == 0:
-                    sim.on_instant = checkpoints.instant
+                    sim.on_draw = checkpoints.draw
                     trace = run_simulation(scenarios[0], sim)
                     # unhooked, the run and its checkpoints form no reference
                     # cycle, so they are freed as soon as the assignment ends
-                    sim.on_instant = None
-                    checkpoints.close()
+                    sim.on_draw = None
                     had_tie = trace.had_tie
                 else:
                     resumed = checkpoints.restore(checkpoints.tie)

@@ -31,18 +31,24 @@ An event is one pass through the engine. The loop pops it and calls its
 handler, which builds its trace entries and pushes the events it causes in
 place; the record and state kinds are read as module globals, not off their
 Enum classes. A fire lists the automaton's enabled transitions once and
-applies the tie-break policy only when two or more are enabled.
+applies the tie-break policy only when two or more are enabled. A send
+records SENT at once and queues the envelope, with the seq its delivery
+takes, on the outbox; the loop draws the queued delays at its top, in send
+order, before the next event and before it stops: at the end of the event
+that sent them, still at their send instant.
 
-A run can be branched. Between two instants its whole state is a `Snapshot`,
-a plain value: the event heap and its sequence counter, the current tick,
-each automaton's current state, clock variables, captured messages, inbox and
+A run can be branched. At the top of its loop no part of an event is under
+way, and the whole run state is a `Snapshot`, a plain value: the event heap
+and its sequence counter, the current tick, the sends not yet drawn, each
+automaton's current state, clock variables, captured messages, inbox and
 stuck flag, each key's next nonce, the ledger's balances and value in flight,
 each Byzantine participant's vault, the delay generator's state (built on the
 first draw; restoring a snapshot from before it drops the generator), the tie
 flag, the count of compliant participants still running, and the number of
 trace entries so far (entries are only ever appended, so the count names the
-prefix). `restore` puts one back and `run` continues from there; a plain run
-is the same loop, with no snapshot taken.
+prefix). `on_draw`, when set, is called there just before each draw, which
+is where such snapshots are taken. `restore` puts one back and `run`
+continues from there; a plain run is the same loop, with no snapshot taken.
 A delay model that keeps its own state, such as the explorer's decision
 cursor, is saved by whoever drives it.
 
@@ -697,7 +703,7 @@ _INJECTED = Fraction(0)  # the delay a raw injection's delivery records
 
 
 class Snapshot(NamedTuple):
-    """The state of a run between two instants, as a plain value.
+    """The state of a run at the top of its loop, as a plain value.
 
     What does not change during a run (definitions, clock rates, keys'
     owners, timeout lengths, the time scale, the trace header facts) is not
@@ -714,6 +720,7 @@ class Snapshot(NamedTuple):
     entry_count: int
     had_tie: bool
     pending_compliant: int
+    outbox: tuple  # the sends whose delays are not drawn yet, as (seq, envelope)
     balances: dict  # pid -> balance
     in_flight: int
     rng: Optional[tuple]  # the delay generator's state; None while the run has none
@@ -726,10 +733,10 @@ class _Sim:
     """One run of a scenario.
 
     `run` takes the run from where it stands to its end and returns the trace.
-    Between two instants the whole run state can be taken as a `Snapshot` and
-    put back with `restore`, so a caller can branch a run: `on_instant`, when
-    set, is called at the start of every instant (before the t=0 setup, and
-    whenever time advances), which is where such snapshots are taken.
+    At the top of the loop the whole run state can be taken as a `Snapshot`
+    and put back with `restore`, so a caller can branch a run: `on_draw`, when
+    set, is called there just before the delays of the sends in `outbox` are
+    drawn, which is where such snapshots are taken.
     """
 
     def __init__(self, scenario: Scenario):
@@ -816,9 +823,10 @@ class _Sim:
         # keyed by id and holding the object so that its id is not reused
         self.delay_ticks: dict[int, tuple[Fraction, int]] = {}
         self.entries: list[TraceEntry] = []
+        self.outbox: list[tuple[int, Envelope]] = []
         self.had_tie = False
         self.stop_reason = STOP_QUEUE_EMPTY
-        self.on_instant: Optional[Callable[[], None]] = None
+        self.on_draw: Optional[Callable[[], None]] = None
 
     @functools.cached_property
     def rng(self) -> random.Random:
@@ -833,13 +841,13 @@ class _Sim:
     # -- snapshots -------------------------------------------------------------
 
     def snapshot(self) -> Snapshot:
-        """The run state now; take it between two instants (from `on_instant`,
-        or before or after `run`)."""
+        """The run state now; take it at the top of the loop (from `on_draw`),
+        or before or after `run`."""
         entries = self.entries
         rng = self.__dict__.get("rng")
         return Snapshot(
             self.started, tuple(self.heap), self.seq, self.tick,
-            entries, len(entries), self.had_tie, self.pending_compliant,
+            entries, len(entries), self.had_tie, self.pending_compliant, tuple(self.outbox),
             self.ledger.balances.copy(), self.ledger.in_flight,
             None if rng is None else rng.getstate(),
             [(a.state, a.clock_vars.copy(), a.captured.copy(), tuple(a.inbox), a.stuck, a.due)
@@ -852,9 +860,10 @@ class _Sim:
         """Put this run back into the state `snap` was taken in; the trace
         entries after it are left to the traces already returned."""
         (self.started, heap, self.seq, self.tick, entries, entry_count,
-         self.had_tie, self.pending_compliant, balances, in_flight, rng,
+         self.had_tie, self.pending_compliant, outbox, balances, in_flight, rng,
          automata, nonces, vaults) = snap
         self.heap = list(heap)
+        self.outbox = list(outbox)
         self.entries = entries[:entry_count]
         self.ledger.balances = balances.copy()
         self.ledger.in_flight = in_flight
@@ -901,15 +910,21 @@ class _Sim:
                 return
             self.entry(TRANSFERRED, src, frm=src, to=env.dst, amount=payload.amount,
                        phase="sent")
-        tick = self.tick
         entries = self.entries
-        entries.append(TraceEntry(tick, len(entries), src, self.bases[src], SENT, env))
-        delay = self.sc.delay.delay_for(env, self)
-        known = self.delay_ticks.get(id(delay))
-        if known is None:
-            known = self.delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))
-        heappush(self.heap, (tick + known[1], 0, self.seq, _DELIVER, env, delay))
+        entries.append(TraceEntry(self.tick, len(entries), src, self.bases[src], SENT, env))
+        self.outbox.append((self.seq, env))  # its delivery's seq, taken now
         self.seq += 1
+
+    def _draw(self, outbox: list) -> None:
+        """Draw the delay of each send in `outbox`, in send order, and schedule
+        its delivery under the seq it took when sent."""
+        for seq, env in outbox:
+            delay = self.sc.delay.delay_for(env, self)
+            known = self.delay_ticks.get(id(delay))
+            if known is None:
+                known = self.delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))
+            heappush(self.heap, (self.tick + known[1], 0, seq, _DELIVER, env, delay))
+        outbox.clear()
 
     def _deliver(self, env: Envelope, delay: Fraction) -> Optional[ParticipantId]:
         """Deliver into the inbox; returns the recipient if its automaton may now fire.
@@ -1027,25 +1042,30 @@ class _Sim:
 
     def run(self) -> Trace:
         """Run from the current state to the end and return the trace."""
-        on_instant = self.on_instant
         if not self.started:
-            if on_instant is not None:
-                on_instant()
             self._start()
         heap = self.heap
+        outbox = self.outbox
+        on_draw = self.on_draw
         horizon = self.horizon_tick
         self.stop_reason = STOP_QUEUE_EMPTY
-        while self.compliant_total == 0 or self.pending_compliant != 0:
+        while True:
+            # no part of an event is under way here: the last one's sends
+            # get their delays, at their send instant, before anything else
+            if outbox:
+                if on_draw is not None:
+                    on_draw()
+                self._draw(outbox)
+            if self.pending_compliant == 0 and self.compliant_total != 0:
+                self.stop_reason = STOP_ALL_TERMINAL
+                break
             if not heap:
                 break
             tick = heap[0][0]
             if tick > horizon:
                 self.stop_reason = STOP_HORIZON
                 break
-            if tick != self.tick:
-                self.tick = tick
-                if on_instant is not None:
-                    on_instant()
+            self.tick = tick
             if heap[0][1] == 0:
                 # drain every delivery at this instant, then let recipients fire
                 touched: dict[ParticipantId, None] = {}
@@ -1068,8 +1088,6 @@ class _Sim:
                 self._fire_output(a, aut)
             else:
                 self._try_fire(a)
-        else:  # every compliant participant is terminal
-            self.stop_reason = STOP_ALL_TERMINAL
 
         sc = self.sc
         return Trace(meta=self.meta, entries=self.entries, stop_reason=self.stop_reason,
@@ -1087,9 +1105,9 @@ def run_simulation(scenario: Scenario, sim: Optional[_Sim] = None) -> Trace:
 
     `sim` continues a run instead of starting one, under `scenario` from the
     state it stands in. It must be a run of a scenario that differs from
-    `scenario` at most in tie-break and receive order, standing before the
-    first instant at which the two could differ (a tie); this is how
-    `explore` runs the suffix of each branch.
+    `scenario` at most in tie-break and receive order, standing before its
+    first tie (where the two could first differ); this is how `explore` runs
+    the suffix of each branch.
     """
     if sim is None:
         return _Sim(scenario).run()

@@ -9,6 +9,9 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from xpay import Scenario, Synchronous, derive_timeouts, evaluate_all
+from xpay.automata import Fresh, Machine, State, StateKind, Transition
+from xpay.core import Certificate, Money, customer, escrow
+from xpay.protocol import make_strong_participants
 from xpay.trace import TimeBase, TraceEntry
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -69,3 +72,26 @@ def entry_at(t, local, scale=None, **fields) -> TraceEntry:
                        **fields)
     assert (entry.t, entry.local) == (t, local)
     return entry
+
+
+def broken_roster(params, pay):
+    """The strong n=1 roster with three compliant participants that break the
+    protocol: Alice goes terminal right after paying, Bob right after issuing
+    his certificate, and the escrow refunds twice."""
+    roster = dict(make_strong_participants(params, pay))
+    money = Fresh(Money(pay.instance, pay.amount))
+    alice, bob, e0 = customer(0), customer(1), escrow(0)
+
+    def rewire(pid, **states):
+        machine = roster[pid]
+        roster[pid] = Machine(machine.id, {**machine.states, **states}, machine.initial)
+
+    rewire(alice, pay_escrow=State("pay_escrow", StateKind.OUTPUT, (
+        Transition("refunded", emits=((e0, money),)),)))
+    rewire(bob, issue_certificate=State("issue_certificate", StateKind.OUTPUT, (
+        Transition("paid", emits=((e0, Fresh(Certificate(pay.instance))),)),)))
+    rewire(e0, resolve_refund=State("resolve_refund", StateKind.OUTPUT, (
+        Transition("refund_again", emits=((alice, money),)),)),
+        refund_again=State("refund_again", StateKind.OUTPUT, (
+            Transition("refunded", emits=((alice, money),)),)))
+    return roster

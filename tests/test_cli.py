@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import strong_scenario
-from xpay import protocol
+from conftest import broken_roster, strong_scenario
+from xpay import protocol, simnet
 from xpay.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -235,8 +236,28 @@ def test_explore_full_battery_exit_0(configs, capsys, monkeypatch):
     assert fields["entries"] == "52219" and fields["tie_reruns"] == "282"
     assert 0 < int(fields["entries_simulated"]) < 52219
     # each branch's monitor takes in only the entries the branch simulates
-    assert fields["entries_checked"] == fields["entries_simulated"] == "21127"
+    assert fields["entries_checked"] == fields["entries_simulated"] == "15537"
     assert fields["leaf_depths"] == "0:84,1:48,2:99,3:126,4:189,5:243,6:729"
+
+
+def test_explore_on_a_violating_tree_exits_1(configs, capsys, monkeypatch):
+    """On the hand-broken roster the battery violates safety on 1503 of its
+    1698 branches. `xpay explore` lists the first 20 with their decision
+    vectors (the compliant assignment's first 20 leaves, in odometer order),
+    counts them all and exits 1."""
+    monkeypatch.setattr(simnet, "make_strong_participants", broken_roster)
+    assert main(["explore", str(configs / "explore_strong_battery_n1.json")]) == EXIT_VIOLATION
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "explore branches=1698 complete=True assignments=120 patience_sets=1"
+    fields = dict(field.split("=") for field in lines[1].split()[1:])
+    assert fields["entries"] == "44110" and fields["tie_reruns"] == "270"
+    assert fields["entries_checked"] == fields["entries_simulated"] == "7384"
+    assert fields["leaf_depths"] == "0:84,1:66,2:63,3:81,4:162,5:243,6:729"
+    policy = "('receive_first', 'declared')"
+    assert lines[2:22] == [
+        f"VIOLATION CS1,CS2 byz=[compliant] policy={policy} delays={[0, 0, 0, *leaf]}"
+        for leaf in itertools.islice(itertools.product(range(3), repeat=3), 20)]
+    assert lines[22:] == ["safety violations on 1503 branch(es)"]
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--runs", "2"]])

@@ -2,21 +2,20 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import strong_scenario, weak_scenario
+from conftest import broken_roster, strong_scenario, weak_scenario
 from oracles import rerun_explore
 from xpay import simnet
-from xpay.automata import Fresh, Machine, State, StateKind, Transition
-from xpay.core import (Certificate, ConfigError, Envelope, Money, SigningKey, customer, escrow,
-                       sign)
+from xpay.core import (Certificate, ConfigError, Envelope, Guarantee, SigningKey, customer,
+                       escrow, sign)
 from xpay.explore import POLICIES, _Checkpoints, battery_assignments, explore
 from xpay.properties import Monitor, Status
-from xpay.protocol import make_strong_participants
 from xpay.simnet import StrategySpec, Synchronous, _Sim, run_simulation
 
 F = Fraction
@@ -29,6 +28,17 @@ def _strong_battery():
     return base, {"assignments": battery_assignments(base)}, 1800
 
 
+def _tie_before_any_decision():
+    """Weak n=1 with a silent escrow. Alice's guarantee is injected at her
+    patience deadline, a tie that comes before any draw takes a decision, so
+    every tie re-run resumes from the assignment's start."""
+    base = weak_scenario(delay=Synchronous(F(1), grid=GRID2), patience=(F(2), F(2)))
+    guarantee = sign(Guarantee("pay0", base.resolved_timing().d[0]), escrow(0),
+                     SigningKey(escrow(0)))
+    base = replace(base, raw_injections=((F(2), Envelope(escrow(0), customer(0), guarantee)),))
+    return base, {"assignments": [{escrow(0): StrategySpec("silent")}]}, 128
+
+
 # (base scenario, explore arguments, branches)
 DIFFERENTIAL = {
     "strong-n1-battery": _strong_battery,
@@ -38,7 +48,10 @@ DIFFERENTIAL = {
         weak_scenario(delay=Synchronous(F(1), grid=GRID2), patience=(None, None)), {}, 512),
     "strong-n2-prefix": lambda: (
         strong_scenario(n=2, delay=Synchronous(F(1), grid=GRID3)), {"budget": 5000}, 5000),
+    "weak-n1-tie-before-any-decision": _tie_before_any_decision,
 }
+# the cases some of whose tie re-runs resume from the assignment's start
+TIE_FROM_START = {"weak-n1-tie-before-any-decision"}
 
 
 def branch_sequence(explorer, base, **kw):
@@ -55,12 +68,25 @@ def branch_sequence(explorer, base, **kw):
 
 
 @pytest.mark.parametrize("case", DIFFERENTIAL)
-def test_checkpointed_exploration_matches_the_rerun_reference(case):
+def test_checkpointed_exploration_matches_the_rerun_reference(case, monkeypatch):
     """Resuming each branch from a checkpoint visits the same branches in the
-    same order as running each from t=0, with byte-identical traces."""
+    same order as running each from t=0, with byte-identical traces. A tie
+    re-run that resumes from the start (a run not yet started) does so only
+    where the first tie comes before any decision."""
     base, kw, branches = DIFFERENTIAL[case]()
     want, want_report = branch_sequence(rerun_explore, base, **kw)
+    explore_module = sys.modules["xpay.explore"]
+    resumed = Counter()
+
+    def noting(scenario, sim):
+        tie_rerun = (scenario.tie_break, scenario.rx_order) != POLICIES[0]
+        resumed[tie_rerun, sim.started] += 1
+        return run_simulation(scenario, sim)
+
+    monkeypatch.setattr(explore_module, "run_simulation", noting)
     got, report = branch_sequence(explore, base, **kw)
+    assert (resumed[True, False] > 0) == (case in TIE_FROM_START)
+    assert resumed[True, False] + resumed[True, True] == report.tie_reruns
     assert len(got) == branches
     assert got == want
     assert_same_report(report, want_report)
@@ -100,29 +126,6 @@ def assert_same_report(report, want_report):
             == [(v.assignment_label, v.policy, v.decisions) for v in want_report.violations])
 
 
-def broken_roster(params, pay):
-    """The strong n=1 roster with three compliant participants that break the
-    protocol: Alice goes terminal right after paying, Bob right after issuing
-    his certificate, and the escrow refunds twice."""
-    roster = dict(make_strong_participants(params, pay))
-    money = Fresh(Money(pay.instance, pay.amount))
-    alice, bob, e0 = customer(0), customer(1), escrow(0)
-
-    def rewire(pid, **states):
-        machine = roster[pid]
-        roster[pid] = Machine(machine.id, {**machine.states, **states}, machine.initial)
-
-    rewire(alice, pay_escrow=State("pay_escrow", StateKind.OUTPUT, (
-        Transition("refunded", emits=((e0, money),)),)))
-    rewire(bob, issue_certificate=State("issue_certificate", StateKind.OUTPUT, (
-        Transition("paid", emits=((e0, Fresh(Certificate(pay.instance))),)),)))
-    rewire(e0, resolve_refund=State("resolve_refund", StateKind.OUTPUT, (
-        Transition("refund_again", emits=((alice, money),)),)),
-        refund_again=State("refund_again", StateKind.OUTPUT, (
-            Transition("refunded", emits=((alice, money),)),)))
-    return roster
-
-
 def test_forked_violations_and_witnesses_match_the_rerun_reference(monkeypatch):
     """Branches that violate safety get the same verdict lines, witnesses
     included, from the forked monitors as from checking each whole trace. The
@@ -149,18 +152,19 @@ def test_forked_violations_and_witnesses_match_the_rerun_reference(monkeypatch):
                   byzantine={customer(2): StrategySpec("premature_certificate")}),
 ], ids=["strong-replayer", "weak-premature"])
 def test_a_restored_snapshot_finishes_the_run_it_was_taken_from(scenario):
-    """Snapshots taken at every instant of a seeded run, restored after the
-    run ended and in no particular order, each finish into the same trace,
-    and the runs leave the shared definitions as they found them."""
+    """Snapshots taken before a seeded run and just before each of its draws,
+    restored after the run ended and in no particular order, each finish into
+    the same trace, and the runs leave the shared definitions as they found
+    them."""
     want = run_simulation(scenario).render()
     sim = _Sim(scenario)
-    taken = []
-    sim.on_instant = lambda: taken.append(sim.snapshot())
+    taken = [sim.snapshot()]
+    sim.on_draw = lambda: taken.append(sim.snapshot())
     machines = {pid: aut.machine for pid, aut in sim.automata.items()}
     states = {pid: dict(m.states) for pid, m in machines.items()}
     assert sim.run().render() == want
-    assert len(taken) > 4 and taken[0].rng is None and taken[-1].rng is not None
-    sim.on_instant = None
+    assert len(taken) > 4 and taken[1].rng is None and taken[-1].rng is not None
+    sim.on_draw = None
     for snap in (taken[len(taken) // 2], taken[0], taken[-1], taken[len(taken) // 2]):
         sim.restore(snap)
         assert sim.run().render() == want
@@ -173,8 +177,8 @@ def test_a_restored_snapshot_finishes_the_run_it_was_taken_from(scenario):
 def test_a_strategy_keeps_no_state_of_its_own(name):
     """A strategy, on the last participant it applies to, changes none of its
     attributes during a run: what it learns is its vault, which a snapshot
-    keeps. Restoring the middle, first and last instant's snapshot finishes
-    into the same trace."""
+    keeps. Restoring the snapshot taken before the run and those taken just
+    before its middle and last draws finishes into the same trace."""
     _, applies = simnet.STRATEGIES[name]
     for base in (strong_scenario(n=2, seed=3, rho=F(1, 10)), weak_scenario(n=2, seed=5)):
         pids = [pid for pid in base.participant_ids() if applies(pid, base)]
@@ -185,11 +189,11 @@ def test_a_strategy_keeps_no_state_of_its_own(name):
     sim = _Sim(scenario)
     (strategy,) = sim.strategies.values()
     before = copy.deepcopy(vars(strategy))
-    taken = []
-    sim.on_instant = lambda: taken.append(sim.snapshot())
+    taken = [sim.snapshot()]
+    sim.on_draw = lambda: taken.append(sim.snapshot())
     assert sim.run().render() == want
     assert copy.deepcopy(vars(strategy)) == before
-    sim.on_instant = None
+    sim.on_draw = None
     for snap in (taken[len(taken) // 2], taken[0], taken[-1]):
         sim.restore(snap)
         assert sim.run().render() == want
@@ -205,6 +209,7 @@ def run_state(sim):
           aut.due) for aut in sim.automata.values()],
         {pid: key.nonce for pid, key in sim.keys.items()},
         {pid: list(vault) for pid, vault in sim.vaults.items()},
+        list(sim.outbox),
     )
 
 
@@ -215,8 +220,9 @@ def snapshot_contents(snap):
 
 def test_a_restore_puts_back_each_armed_deadline():
     """A snapshot keeps each automaton's state, deadline tick, clock variables,
-    captured messages, inbox and stuck flag, the ledger, the key nonces and
-    the Byzantine participants' vaults: after the run has moved on, a restore
+    captured messages, inbox and stuck flag, the ledger, the key nonces, the
+    Byzantine participants' vaults and the sends not yet drawn: after the run
+    has moved on, a restore
     puts back each of them as it stood, and neither the later runs nor the
     restores change what any snapshot holds. Clock variables hold ticks,
     ints. Bob sending his certificate early gets it captured; Bob as a
@@ -227,10 +233,10 @@ def test_a_restore_puts_back_each_armed_deadline():
         sim = _Sim(strong_scenario(n=2, seed=3, rho=F(1, 10),
                                    byzantine={customer(2): StrategySpec(strategy)}))
         taken = []
-        sim.on_instant = lambda: taken.append(
+        sim.on_draw = lambda: taken.append(
             (sim.snapshot(), run_state(sim), snapshot_contents(sim.snapshot())))
         want = sim.run().render()
-        sim.on_instant = None
+        sim.on_draw = None
         for snap, state, _ in reversed(taken):
             ended = [aut.state for aut in sim.automata.values()]
             sim.restore(snap)
@@ -249,42 +255,70 @@ def test_a_restore_puts_back_each_armed_deadline():
     assert any(captured for _, _, captured, *_ in automata)
     assert any(inbox for _, _, _, inbox, *_ in automata)
     assert any(vault for state in states for vault in state[11].values())
+    assert all(state[12] for state in states)  # each was taken just before a draw
+
+
+def test_a_snapshot_and_a_restore_copy_the_outbox():
+    """A snapshot taken just before a draw holds the sends that draw takes.
+    The draw empties the run's outbox, not the snapshot's, and a restore gives
+    the run its own list, so the sends of the resumed run do not reach the
+    snapshot. Restored twice, it finishes into the same trace both times."""
+    sim = _Sim(strong_scenario(n=2, seed=3))
+    taken = []
+    sim.on_draw = lambda: taken.append((sim.snapshot(), list(sim.outbox)))
+    want = sim.run().render()
+    sim.on_draw = None
+    assert len(taken) > 4 and all(outbox for _, outbox in taken)
+    assert all(list(snap.outbox) == outbox for snap, outbox in taken)
+    snap, outbox = taken[len(taken) // 2]
+    for _ in range(2):
+        sim.restore(snap)
+        assert sim.outbox == outbox and sim.outbox is not snap.outbox
+        assert sim.run().render() == want
+        assert list(snap.outbox) == outbox
 
 
 def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
-    """A checkpoint gets a copy of the monitor only once it is credited with a
-    decision or the first tie; every other copy is a restore's. Over the n=1
-    battery such checkpoints are under a quarter of the instants the
-    baseline runs pass."""
+    """Snapshots, and with them monitor copies, are taken only where a branch
+    can resume: apart from each assignment's start, every snapshot a baseline
+    run takes is a checkpoint credited with at least one decision, at most
+    546 snapshots over the n=1 battery. A checkpoint gets its copy of the
+    monitor when it is taken; every other copy is a restore's."""
     counts = Counter()
-    credited = {}
+    taken, starts, credited = [], [], {}
 
-    def counted(name, fn, after=None):
+    def counted(name, fn):
         def wrapper(self, *args):
             counts[name] += 1
-            out = fn(self, *args)
-            if after is not None:
-                after(self)
-            return out
+            return fn(self, *args)
         return wrapper
 
-    def note_credited(checkpoints):
-        for cp in (*checkpoints.by_decision, checkpoints.tie):
-            if cp is not None:
-                assert cp.monitor is not None
-                credited[id(cp)] = cp
+    def snapshot(sim, fn=_Sim.snapshot):
+        taken.append(fn(sim))
+        return taken[-1]
+
+    def init(checkpoints, sim, model, fn=_Checkpoints.__init__):
+        fn(checkpoints, sim, model)
+        starts.append(checkpoints.start.snapshot)
+
+    def draw(checkpoints, fn=_Checkpoints.draw):
+        fn(checkpoints)
+        for cp in checkpoints.by_decision:
+            assert cp.monitor.fed == cp.snapshot.entry_count
+            credited[id(cp.snapshot)] = cp.snapshot
 
     monkeypatch.setattr(Monitor, "copy", counted("copies", Monitor.copy))
-    monkeypatch.setattr(_Checkpoints, "instant", counted("instants", _Checkpoints.instant))
-    monkeypatch.setattr(_Checkpoints, "close", counted("closes", _Checkpoints.close,
-                                                       note_credited))
+    monkeypatch.setattr(_Sim, "snapshot", snapshot)
+    monkeypatch.setattr(_Checkpoints, "__init__", init)
+    monkeypatch.setattr(_Checkpoints, "draw", draw)
     monkeypatch.setattr(_Checkpoints, "restore", counted("restores", _Checkpoints.restore))
     base, kw, branches = _strong_battery()
     assert explore(base, **kw).branches == branches
-    assert counts["instants"] == 4201
-    assert counts["restores"] == branches - len(kw["assignments"])
+    assert len(starts) == len(kw["assignments"])
+    assert {id(snap) for snap in taken} == {id(snap) for snap in (*starts, *credited.values())}
+    assert len(taken) == len(starts) + len(credited) <= 546
+    assert counts["restores"] == branches - len(starts)
     assert counts["copies"] == len(credited) + counts["restores"]
-    assert len(credited) < counts["instants"] / 4
 
 
 @pytest.mark.parametrize("grid, point", [

@@ -792,9 +792,9 @@ def test_the_synchronous_delay_draws_are_randrange_draws():
 def test_a_run_builds_its_delay_generator_on_its_first_draw(monkeypatch):
     """A run that never draws a delay has no generator: a scripted run, and
     every run the explorer builds over the n=1 battery, whose delays are
-    decided. A seeded run has one from its first send on, in the state of a
+    decided. A seeded run has one from its first draw on, in the state of a
     fresh generator seeded for the run's delays after one draw per send, and
-    restoring a snapshot from before that send drops it."""
+    restoring a snapshot from before that draw drops it."""
     sim = _Sim(strong_scenario(delay=Scripted(default=F(1, 2), delta=F(1))))
     sim.run()
     assert "rng" not in vars(sim)
@@ -814,21 +814,21 @@ def test_a_run_builds_its_delay_generator_on_its_first_draw(monkeypatch):
     sim = _Sim(scenario)
     seen, taken = [], []
 
-    def instant():
-        sent = any(e.rec is Rec.SENT for e in sim.entries)
-        seen.append(("rng" in vars(sim), sent))
+    def draw():
+        sent = sum(e.rec is Rec.SENT for e in sim.entries)
+        seen.append(("rng" in vars(sim), sent > len(sim.outbox)))  # drawn before
         taken.append(sim.snapshot())
 
-    sim.on_instant = instant
+    sim.on_draw = draw
     trace = sim.run()
-    assert all(has == sent for has, sent in seen), seen
+    assert all(has == drawn for has, drawn in seen), seen
     assert seen[0] == (False, False) and seen[-1] == (True, True)
     ref = random.Random(f"{scenario.seed}:delays")
     for _ in range(sum(e.rec is Rec.SENT for e in trace.entries)):
         ref.choice(scenario.delay.grid)
     assert sim.rng.getstate() == ref.getstate()
     assert taken[0].rng is None and taken[-1].rng is not None
-    sim.on_instant = None
+    sim.on_draw = None
     sim.restore(taken[0])
     assert "rng" not in vars(sim)
     assert sim.run().render() == trace.render()
