@@ -10,7 +10,9 @@ verdicts of its own complete trace.
 Policies beyond the default are re-run only for leaves whose baseline run hit
 a simultaneity (two enabled receives, or a receive against a due timeout):
 branches without ties execute identically under every policy, so skipping
-them loses nothing.
+them loses nothing. Nor is a tie re-run simulated under a policy in the tie
+mask of a run of its leaf: with the same start and decisions, choosing alike
+at every tie, it is that run again, and shares its trace and verdicts.
 
 The search is depth first over checkpoints (stateless search as in VeriSoft,
 Godefroid, POPL 1997). Each assignment builds one run. Its baseline runs take
@@ -33,9 +35,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import ConfigError, Envelope, ParticipantId, ParticipantKind
-from .properties import Monitor, Status, Verdict, check_liveness, safety_verdicts, tally
-from .simnet import STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, _check_grid, run_simulation
-from .trace import Trace
+from .properties import HOLDS, VIOLATED, Monitor, Verdict, check_liveness, safety_verdicts, tally
+from .simnet import (POLICIES, STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, _check_grid,
+                     run_simulation)
+from .trace import EVERY_POLICY, Trace
 
 
 class _DecidedDelays:
@@ -76,14 +79,6 @@ class _DecidedDelays:
                 "decisions": list(self.decisions)}
 
 
-POLICIES = (
-    ("receive_first", "declared"),
-    ("receive_first", "reversed"),
-    ("timeout_first", "declared"),
-    ("timeout_first", "reversed"),
-)
-
-
 @dataclass
 class BranchOutcome:
     assignment_label: str
@@ -105,6 +100,7 @@ class ExploreReport:
     entries_simulated: int = 0  # of those, the ones a branch simulated past its checkpoint
     entries_checked: int = 0  # of those, the ones fed to a branch's monitor past its checkpoint
     tie_reruns: int = 0  # branches under a policy other than the first
+    tie_reruns_shared: int = 0  # of those, the ones that reused a run of their leaf
     leaf_depths: dict[int, int] = field(default_factory=dict)  # leaves by decisions taken
 
     @property
@@ -126,6 +122,14 @@ class ExploreReport:
         label = outcome.assignment_label
         self.bob_paid_everywhere[label] = (
             self.bob_paid_everywhere.get(label, True) and bob_paid)
+
+
+class _Run(NamedTuple):
+    """A run simulated for a leaf, which a later tie re-run of the leaf may share."""
+    mask: int  # the policies that choose as it did at every tie, and so make it again
+    trace: Trace
+    verdicts: list[Verdict]
+    paid: bool  # Bob is paid, as L and the monitor tell it
 
 
 def assignment_label(assignment: dict[ParticipantId, StrategySpec]) -> str:
@@ -177,7 +181,7 @@ class _Checkpoints:
             self.monitor.feed(sim.entries)
             cp = _Checkpoint(sim.snapshot(), self.model.cursor, self.monitor.copy())
         self.by_decision.extend([cp] * taken)
-        if not sim.had_tie:
+        if sim.mask == EVERY_POLICY:
             self.tie = cp
 
     def resume(self, index: int) -> _Checkpoint:
@@ -230,48 +234,59 @@ def explore(
         report.bob_paid_everywhere.setdefault(label, True)
         decisions: list[int] = []
         model = _DecidedDelays(grid, set(assignment), decisions)
+        tie_break, rx_order = POLICIES[0]
+        # one scenario per policy; the others are built on the first tie re-run
         scenarios = [replace(base, delay=model, timing=params, byzantine=dict(assignment),
-                             tie_break=tie_break, rx_order=rx_order)
-                     for tie_break, rx_order in POLICIES]
+                             tie_break=tie_break, rx_order=rx_order)]
         sim = _Sim(scenarios[0])
         checkpoints = _Checkpoints(sim, model)
         resumed = checkpoints.start
         while True:
-            had_tie = False
+            runs: list[_Run] = []  # the runs of this leaf simulated so far
             for k, policy in enumerate(POLICIES):
-                if k > 0 and not had_tie:
-                    break
+                if k > 0 and runs[0].mask == EVERY_POLICY:
+                    break  # no tie: every policy makes the baseline run
                 if report.branches >= budget:
                     report.complete = False
                     return report
-                if k == 0:
-                    sim.on_draw = checkpoints.draw
-                    trace = run_simulation(scenarios[0], sim)
-                    # unhooked, the run and its checkpoints form no reference
-                    # cycle, so they are freed as soon as the assignment ends
-                    sim.on_draw = None
-                    had_tie = trace.had_tie
+                if k == len(scenarios):
+                    scenarios += [replace(scenarios[0], tie_break=tie_break, rx_order=rx_order)
+                                  for tie_break, rx_order in POLICIES[1:]]
+                run = next((r for r in runs if r.mask >> k & 1), None)
+                if run is not None:
+                    # this policy makes `run` again; the header shows the
+                    # decisions as they stand now, as a run ending now would
+                    trace = replace(run.trace, scenario=scenarios[k],
+                                    delay_config=model.to_config())
+                    report.tie_reruns_shared += 1
                 else:
-                    resumed = checkpoints.restore(checkpoints.tie)
-                    trace = run_simulation(scenarios[k], sim)
-                report.entries_simulated += len(trace.entries) - resumed.snapshot.entry_count
-                monitor = checkpoints.monitor
-                verdicts = safety_verdicts(trace, monitor)
-                live = check_liveness(trace, monitor)
-                report.entries_checked += monitor.fed - resumed.monitor.fed
-                # progress is only promised under the protocol's own tie-break;
-                # timeout-first runs exist to show safety is order-independent
-                paid = policy[0] != "receive_first" or (
-                    live.status is Status.HOLDS or (
-                        live.status is not Status.VIOLATED and monitor.bob_paid()))
-                for hit in monitor.terminal.values():
-                    if hit.tick * top_scale > top_tick * hit.scale:
-                        top_tick, top_scale = hit.tick, hit.scale
-                        report.max_customer_terminal = Fraction(top_tick, top_scale)
-                outcome = BranchOutcome(label, policy, tuple(decisions), verdicts, trace)
+                    if k == 0:
+                        sim.on_draw = checkpoints.draw
+                        trace = run_simulation(scenarios[0], sim)
+                        # unhooked, the run and its checkpoints form no reference
+                        # cycle, so they are freed as soon as the assignment ends
+                        sim.on_draw = None
+                    else:
+                        resumed = checkpoints.restore(checkpoints.tie)
+                        trace = run_simulation(scenarios[k], sim)
+                    report.entries_simulated += len(trace.entries) - resumed.snapshot.entry_count
+                    monitor = checkpoints.monitor
+                    verdicts = safety_verdicts(trace, monitor)
+                    live = check_liveness(trace, monitor)
+                    report.entries_checked += monitor.fed - resumed.monitor.fed
+                    for hit in monitor.terminal.values():
+                        if hit.tick * top_scale > top_tick * hit.scale:
+                            top_tick, top_scale = hit.tick, hit.scale
+                            report.max_customer_terminal = Fraction(top_tick, top_scale)
+                    run = _Run(trace.mask, trace, verdicts, live.status is HOLDS or (
+                        live.status is not VIOLATED and monitor.bob_paid()))
+                    runs.append(run)
+                outcome = BranchOutcome(label, policy, tuple(decisions), run.verdicts, trace)
                 if on_branch is not None:
                     on_branch(outcome)
-                report._record(outcome, paid)
+                # progress is only promised under the protocol's own tie-break;
+                # timeout-first runs exist to show safety is order-independent
+                report._record(outcome, policy[0] != "receive_first" or run.paid)
             # odometer step over however many decisions this leaf consumed
             while decisions and decisions[-1] == len(grid) - 1:
                 decisions.pop()

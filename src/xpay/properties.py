@@ -66,8 +66,15 @@ class Status(Enum):
     VACUOUS = "VACUOUS"
 
 
-@dataclass
+# Status's members as globals: a read off the class takes `EnumType.__getattr__`
+HOLDS, VIOLATED, VACUOUS = Status
+
+
+@dataclass(frozen=True)
 class Verdict:
+    """One clause's verdict on one trace. It is immutable: a verdict without a
+    witness is one of the module's shared objects (`_HOLDS`, `_VACUOUS` and the
+    VACUOUS ones with a fixed detail), whose `witness` stays empty."""
     name: str
     status: Status
     witness: list[int] = field(default_factory=list)
@@ -75,15 +82,24 @@ class Verdict:
 
     @property
     def holds(self) -> bool:
-        return self.status is not Status.VIOLATED
+        return self.status is not VIOLATED
 
     def line(self) -> str:
         out = f"{self.name}: {self.status.value}"
         if self.detail:
             out += f" ({self.detail})"
-        if self.status is Status.VIOLATED and self.witness:
+        if self.status is VIOLATED and self.witness:
             out += f" witness={self.witness}"
         return out
+
+
+_NAMES = ("C", "T", "ES", "CS1", "CS2", "CS3", "L", "CC", "CONS", "AUTH", "G_PROMISE", "P_PROMISE")
+_HOLDS = {name: Verdict(name, HOLDS) for name in _NAMES}
+_VACUOUS = {name: Verdict(name, VACUOUS) for name in _NAMES}
+_ALICE_NEVER_TERMINAL = Verdict("CS1", VACUOUS, detail="alice never terminal")
+_BOB_NEVER_TERMINAL = Verdict("CS2", VACUOUS, detail="bob never terminal")
+_BYZANTINE_PRESENT = Verdict("L", VACUOUS, detail="byzantine participants present")
+_PATIENCE_INSUFFICIENT = Verdict("L", VACUOUS, detail="patience declared insufficient")
 
 
 # ------------------------------------------------------------------ trace helpers
@@ -109,10 +125,12 @@ def _entries_of(trace: Trace, p: ParticipantId) -> list[int]:
     return [idx for idx, e in enumerate(trace.entries) if e.participant == p]
 
 
-def _summarize(evaluated: int, violations: list) -> Status:
-    if violations:
-        return Status.VIOLATED
-    return Status.HOLDS if evaluated else Status.VACUOUS
+def _verdict(name: str, evaluated: int, witness: list[int], detail: str = "") -> Verdict:
+    """VIOLATED if the check found a violation (a witness or a detail), else
+    the shared HOLDS verdict of `name`, or VACUOUS if nothing was evaluated."""
+    if witness or detail:
+        return Verdict(name, VIOLATED, witness, detail)
+    return (_HOLDS if evaluated else _VACUOUS)[name]
 
 
 # ----------------------------------------------------------------------- monitor
@@ -156,7 +174,13 @@ class Monitor:
         self._roles.update({customer(0): _ALICE, customer(n): _BOB, manager(): _MANAGER})
         self._weak = meta.variant == "weak"
         self._alice_certificate = CommitCert if self._weak else Certificate
-        self._escrows = {escrow(i): i for i in range(n) if escrow(i) in meta.compliant}
+        compliant = meta.compliant
+        self._escrows = {escrow(i): i for i in range(n) if escrow(i) in compliant}
+        # the customers that are compliant, with every escrow they hold accounts
+        # at, by index: the clauses about a customer are checked for these only
+        self._guarded = {c: k for k, c in enumerate(map(customer, range(n + 1)))
+                         if c in compliant and all(e in compliant for e in escrows_of(n, c))}
+        self._connectors = [c for c, k in self._guarded.items() if 0 < k < n]
         # the state; `copy` copies each dict and set, the tuples grow by replacement
         self.fed = 0  # entries taken in
         self.net: dict[ParticipantId, int] = {}  # net balance change per participant
@@ -286,19 +310,13 @@ class Monitor:
         a customer that never did is left out."""
         return [Fraction(hit.tick, hit.scale) for _, hit in sorted(self.terminal.items())]
 
-    def _guarded(self, c: ParticipantId) -> bool:
-        """`c` and the escrows she holds accounts at are all compliant."""
-        compliant = self.meta.compliant
-        return c in compliant and all(e in compliant for e in escrows_of(self.meta.n, c))
-
     # -- verdicts ---------------------------------------------------------------
 
     def consistency(self) -> Verdict:
         """C: no compliant participant ever hit an impossible prescribed step."""
         if self.impossible:
-            return Verdict("C", Status.VIOLATED, list(self.impossible),
-                           "impossible prescribed step")
-        return Verdict("C", Status.HOLDS)
+            return Verdict("C", VIOLATED, list(self.impossible), "impossible prescribed step")
+        return _HOLDS["C"]
 
     def termination(self, trace: Trace, bound=None) -> Verdict:
         """T: customers finish in time.
@@ -325,10 +343,7 @@ class Monitor:
         evaluated = 0
         violations: list[int] = []
         details = []
-        for k in range(meta.n + 1):
-            c = customer(k)
-            if not self._guarded(c):
-                continue
+        for c, k in self._guarded.items():
             if self._weak:
                 patience = meta.patience[k] if meta.patience else None
                 if patience is None and not decision_issued:
@@ -344,14 +359,14 @@ class Monitor:
                 violations.append(hit.idx)
                 details.append(f"{c} terminal at t={Fraction(hit.tick, hit.scale)} > {limit}")
         # a customer with no entry at all still violates T, with no witness
-        return Verdict("T", _summarize(evaluated, details), violations, "; ".join(details))
+        return _verdict("T", evaluated, violations, "; ".join(details))
 
     def escrow_security(self) -> Verdict:
         """ES: no compliant escrow ever dips below its initial balance."""
         dips = sorted(self.dips)
         violations = [idx for _, idx, _ in dips]
-        return Verdict("ES", _summarize(len(self._escrows), violations), violations,
-                       "; ".join(detail for _, _, detail in dips))
+        return _verdict("ES", len(self._escrows), violations,
+                        "; ".join(detail for _, _, detail in dips))
 
     def customer_security(self, trace: Trace) -> tuple[Verdict, Verdict, Verdict]:
         """CS1, CS2 and CS3, strong or weak wording per the trace variant.
@@ -367,22 +382,22 @@ class Monitor:
         alice = customer(0)
         bob = customer(meta.n)
 
-        if self._guarded(alice):
+        if alice in self._guarded:
             hit = self.terminal.get(alice)
             if hit is None:
-                cs1 = Verdict("CS1", Status.VACUOUS, detail="alice never terminal")
+                cs1 = _ALICE_NEVER_TERMINAL
             elif hit.net >= 0 or hit.certified:
-                cs1 = Verdict("CS1", Status.HOLDS)
+                cs1 = _HOLDS["CS1"]
             else:
-                cs1 = Verdict("CS1", Status.VIOLATED, _entries_of(trace, alice),
+                cs1 = Verdict("CS1", VIOLATED, _entries_of(trace, alice),
                               "alice lost value without the certificate")
         else:
-            cs1 = Verdict("CS1", Status.VACUOUS)
+            cs1 = _VACUOUS["CS1"]
 
-        if self._guarded(bob):
+        if bob in self._guarded:
             hit = self.terminal.get(bob)
             if hit is None:
-                cs2 = Verdict("CS2", Status.VACUOUS, detail="bob never terminal")
+                cs2 = _BOB_NEVER_TERMINAL
             else:
                 got_money = hit.net >= meta.amount
                 if self._weak:
@@ -392,19 +407,16 @@ class Monitor:
                     ok = got_money or not hit.certified
                     why = "bob issued the certificate but was not paid"
                 if ok:
-                    cs2 = Verdict("CS2", Status.HOLDS)
+                    cs2 = _HOLDS["CS2"]
                 else:
-                    cs2 = Verdict("CS2", Status.VIOLATED, _entries_of(trace, bob), why)
+                    cs2 = Verdict("CS2", VIOLATED, _entries_of(trace, bob), why)
         else:
-            cs2 = Verdict("CS2", Status.VACUOUS)
+            cs2 = _VACUOUS["CS2"]
 
         evaluated = 0
         violations: list[int] = []
         details = []
-        for k in range(1, meta.n):
-            c = customer(k)
-            if not self._guarded(c):
-                continue
+        for c in self._connectors:
             hit = self.terminal.get(c)
             if hit is None:
                 continue
@@ -412,36 +424,35 @@ class Monitor:
             if hit.net < 0:
                 violations.extend(_entries_of(trace, c))
                 details.append(f"{c} terminated below her starting balance")
-        cs3 = Verdict("CS3", _summarize(evaluated, violations), violations, "; ".join(details))
+        cs3 = _verdict("CS3", evaluated, violations, "; ".join(details))
         return cs1, cs2, cs3
 
     def liveness(self, trace: Trace) -> Verdict:
         """L; see `check_liveness`."""
         meta = self.meta
         if len(meta.compliant) != len(meta.initial_balances):
-            return Verdict("L", Status.VACUOUS, detail="byzantine participants present")
+            return _BYZANTINE_PRESENT
         # a weak customer with finite patience may give up before the payment lands
         if self._weak and any(p is not None for p in meta.patience or ()):
-            return Verdict("L", Status.VACUOUS, detail="patience declared insufficient")
+            return _PATIENCE_INSUFFICIENT
         if self.bob_paid():
-            return Verdict("L", Status.HOLDS)
-        return Verdict("L", Status.VIOLATED, _entries_of(trace, customer(meta.n)),
-                       "bob was not paid")
+            return _HOLDS["L"]
+        return Verdict("L", VIOLATED, _entries_of(trace, customer(meta.n)), "bob was not paid")
 
     def certificate_consistency(self) -> Verdict:
         """CC (weak variant): the manager never issues both certificate kinds."""
         if self.commit_at is not None and self.abort_at is not None:
-            return Verdict("CC", Status.VIOLATED, sorted((self.commit_at, self.abort_at)),
+            return Verdict("CC", VIOLATED, sorted((self.commit_at, self.abort_at)),
                            "both certificate kinds issued")
-        return Verdict("CC", Status.HOLDS)
+        return _HOLDS["CC"]
 
     def conservation(self) -> Verdict:
         """CONS: no balance and no in-flight value ever goes negative; their
         total cannot change, as each transfer moves its amount between them."""
         if self.cons is not None:
             idx, detail = self.cons
-            return Verdict("CONS", Status.VIOLATED, [idx], detail)
-        return Verdict("CONS", Status.HOLDS)
+            return Verdict("CONS", VIOLATED, [idx], detail)
+        return _HOLDS["CONS"]
 
     def authentication(self) -> Verdict:
         """AUTH: every message on the wire is either signed by its transmitter or
@@ -449,9 +460,9 @@ class Monitor:
         verified delivery has a matching send. Byzantine containment,
         re-derived from the trace alone."""
         if self.auth:
-            return Verdict("AUTH", Status.VIOLATED, [idx for idx, _ in self.auth],
+            return Verdict("AUTH", VIOLATED, [idx for idx, _ in self.auth],
                            "; ".join(detail for _, detail in self.auth))
-        return Verdict("AUTH", Status.HOLDS)
+        return _HOLDS["AUTH"]
 
 
 def fold(trace: Trace, monitor: Optional[Monitor] = None) -> Monitor:
@@ -536,8 +547,8 @@ def check_promises(trace: Trace) -> list[Verdict]:
             if paid_down is None or paid_down[1] > deadline:
                 p_viol.extend(own[e])
     return [
-        Verdict("G_PROMISE", _summarize(g_eval, g_viol), g_viol),
-        Verdict("P_PROMISE", _summarize(p_eval, p_viol), p_viol),
+        _verdict("G_PROMISE", g_eval, g_viol),
+        _verdict("P_PROMISE", p_eval, p_viol),
     ]
 
 
@@ -586,10 +597,10 @@ def tally(counts: dict[str, dict[str, int]], verdicts: list[Verdict]) -> bool:
         per = counts.get(v.name)
         if per is None:
             per = counts[v.name] = {"pass": 0, "vacuous": 0, "fail": 0}
-        if v.status is Status.VIOLATED:
+        if v.status is VIOLATED:
             per["fail"] += 1
             violated = True
-        elif v.status is Status.VACUOUS:
+        elif v.status is VACUOUS:
             per["vacuous"] += 1
         else:
             per["pass"] += 1

@@ -31,7 +31,10 @@ An event is one pass through the engine. The loop pops it and calls its
 handler, which builds its trace entries and pushes the events it causes in
 place; the record and state kinds are read as module globals, not off their
 Enum classes. A fire lists the automaton's enabled transitions once and
-applies the tie-break policy only when two or more are enabled. A send
+applies the tie-break policy only when two or more are enabled (a tie). Each
+tie drops from the run's mask of the four `POLICIES` those that pick another
+transition; a tie is the one place a policy is read, so a policy left in the
+mask would have made the very same run. A send
 records SENT at once and queues the envelope, with the seq its delivery
 takes, on the outbox; the loop draws the queued delays at its top, in send
 order, before the next event and before it stops: at the end of the event
@@ -44,7 +47,7 @@ automaton's current state, clock variables, captured messages, inbox and
 stuck flag, each key's next nonce, the ledger's balances and value in flight,
 each Byzantine participant's vault, the delay generator's state (built on the
 first draw; restoring a snapshot from before it drops the generator), the tie
-flag, the count of compliant participants still running, and the number of
+mask, the count of compliant participants still running, and the number of
 trace entries so far (entries are only ever appended, so the count names the
 prefix). `on_draw`, when set, is called there just before each draw, which
 is where such snapshots are taken. `restore` puts one back and `run`
@@ -103,6 +106,7 @@ from .protocol import (
     make_weak_participants,
 )
 from .trace import (
+    EVERY_POLICY,
     Rec,
     STOP_ALL_TERMINAL,
     STOP_HORIZON,
@@ -460,6 +464,13 @@ STRATEGIES: dict[str, tuple[type, Callable[[ParticipantId, "Scenario"], bool]]] 
 
 # ---------------------------------------------------------------------- scenario
 
+# the scheduler's policies, (tie_break, rx_order); bit k of a run's mask is POLICIES[k]
+POLICIES = (
+    ("receive_first", "declared"),
+    ("receive_first", "reversed"),
+    ("timeout_first", "declared"),
+    ("timeout_first", "reversed"),
+)
 _TIE_BREAKS = ("receive_first", "timeout_first")
 _RX_ORDERS = ("declared", "reversed")
 _CLOCK_MODES = ("auto", "identity", "seeded", "worst_case", "escrows_slow", "all_fast", "all_slow")
@@ -718,7 +729,7 @@ class Snapshot(NamedTuple):
     # snapshot saw keeps its first `entry_count` entries for good
     entries: list
     entry_count: int
-    had_tie: bool
+    mask: int  # the policies that would have chosen as the run did at every tie so far
     pending_compliant: int
     outbox: tuple  # the sends whose delays are not drawn yet, as (seq, envelope)
     balances: dict  # pid -> balance
@@ -824,7 +835,7 @@ class _Sim:
         self.delay_ticks: dict[int, tuple[Fraction, int]] = {}
         self.entries: list[TraceEntry] = []
         self.outbox: list[tuple[int, Envelope]] = []
-        self.had_tie = False
+        self.mask = EVERY_POLICY  # the policies that would have chosen as this run at every tie
         self.stop_reason = STOP_QUEUE_EMPTY
         self.on_draw: Optional[Callable[[], None]] = None
 
@@ -847,7 +858,7 @@ class _Sim:
         rng = self.__dict__.get("rng")
         return Snapshot(
             self.started, tuple(self.heap), self.seq, self.tick,
-            entries, len(entries), self.had_tie, self.pending_compliant, tuple(self.outbox),
+            entries, len(entries), self.mask, self.pending_compliant, tuple(self.outbox),
             self.ledger.balances.copy(), self.ledger.in_flight,
             None if rng is None else rng.getstate(),
             [(a.state, a.clock_vars.copy(), a.captured.copy(), tuple(a.inbox), a.stuck, a.due)
@@ -860,7 +871,7 @@ class _Sim:
         """Put this run back into the state `snap` was taken in; the trace
         entries after it are left to the traces already returned."""
         (self.started, heap, self.seq, self.tick, entries, entry_count,
-         self.had_tie, self.pending_compliant, outbox, balances, in_flight, rng,
+         self.mask, self.pending_compliant, outbox, balances, in_flight, rng,
          automata, nonces, vaults) = snap
         self.heap = list(heap)
         self.outbox = list(outbox)
@@ -987,13 +998,13 @@ class _Sim:
                 return
             tr, env = cands[0]
             if len(cands) > 1:
-                self.had_tie = True
-                # receives in declaration order, then the timeout if due: a tie holds a receive
-                timed = cands[-1][1] is None
-                if timed and self.sc.tie_break == "timeout_first":
-                    tr, env = cands[-1]
-                elif self.sc.rx_order == "reversed":
-                    tr, env = cands[-2 if timed else -1]
+                # each policy's pick, in `POLICIES` order: the receives come in
+                # declaration order, then the timeout if due (a tie holds a receive)
+                m = len(cands)
+                picks = (0, m - 2, m - 1, m - 1) if cands[-1][1] is None else (0, m - 1, 0, m - 1)
+                pick = picks[POLICIES.index((self.sc.tie_break, self.sc.rx_order))]
+                self.mask &= sum(1 << k for k, other in enumerate(picks) if other == pick)
+                tr, env = cands[pick]
             if env is None:
                 self.entry(TIMEOUT_FIRED, pid, state=aut.state.name,
                            deadline=self.bases[pid].local(aut.due))
@@ -1092,7 +1103,7 @@ class _Sim:
         sc = self.sc
         return Trace(meta=self.meta, entries=self.entries, stop_reason=self.stop_reason,
                      final_balances=dict(self.ledger.balances),
-                     final_in_flight=self.ledger.in_flight, had_tie=self.had_tie,
+                     final_in_flight=self.ledger.in_flight, mask=self.mask,
                      scenario=sc, delay_config=sc.delay.to_config())
 
 
@@ -1106,8 +1117,8 @@ def run_simulation(scenario: Scenario, sim: Optional[_Sim] = None) -> Trace:
     `sim` continues a run instead of starting one, under `scenario` from the
     state it stands in. It must be a run of a scenario that differs from
     `scenario` at most in tie-break and receive order, standing before its
-    first tie (where the two could first differ); this is how `explore` runs
-    the suffix of each branch.
+    first tie (its mask still whole: the two could first differ there); this
+    is how `explore` runs the suffix of each branch.
     """
     if sim is None:
         return _Sim(scenario).run()

@@ -178,6 +178,8 @@ class TraceMeta:
     patience: Optional[tuple] = None
 
 
+EVERY_POLICY = 0b1111  # a run's tie mask while no tie has split the four policies
+
 STOP_ALL_TERMINAL = "all_compliant_terminal"
 STOP_QUEUE_EMPTY = "queue_empty"
 STOP_HORIZON = "horizon_exceeded"
@@ -190,12 +192,17 @@ class Trace:
     stop_reason: str = STOP_QUEUE_EMPTY
     final_balances: dict[ParticipantId, int] = field(default_factory=dict)
     final_in_flight: int = 0
-    had_tie: bool = False  # some instant offered the scheduler a real choice
+    mask: int = EVERY_POLICY  # bit k: `simnet.POLICIES[k]` chose as this run at every tie
     # what the header's scenario digest, seed, policy and strategy labels are
     # taken from: the scenario the run was made from, and its delay model's
     # `to_config()` when the run ended
     scenario: object = None  # Scenario
     delay_config: Optional[dict] = None
+
+    @property
+    def had_tie(self) -> bool:
+        """Some instant offered the scheduler a real choice: every tie splits the policies."""
+        return self.mask != EVERY_POLICY
 
     def participants(self) -> list[ParticipantId]:
         return sorted(self.meta.initial_balances)

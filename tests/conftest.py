@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from xpay import Scenario, Synchronous, derive_timeouts, evaluate_all
+from xpay import Scenario, Synchronous, derive_timeouts, evaluate_all, properties
 from xpay.automata import Fresh, Machine, State, StateKind, Transition
 from xpay.core import Certificate, Money, customer, escrow
 from xpay.protocol import make_strong_participants
@@ -51,6 +51,14 @@ def weak_scenario(n=1, seed=0, patience=None, **kw) -> Scenario:
 def verdicts_by_name(trace) -> dict:
     """The trace's `evaluate_all` verdicts, keyed by property name."""
     return {v.name: v for v in evaluate_all(trace)}
+
+
+def shared_verdicts() -> list:
+    """The verdicts `xpay.properties` shares between traces: one object for
+    each verdict without a witness."""
+    found = [v for v in vars(properties).values() if isinstance(v, properties.Verdict)]
+    return found + [v for table in (properties._HOLDS, properties._VACUOUS)
+                    for v in table.values()]
 
 
 def derived(n=1, delta=Fraction(1), pi=Fraction(1, 10), rho=Fraction(0), **kw):

@@ -52,7 +52,8 @@ def test_the_manager_observer_reads_the_built_definition():
 def test_explore_calls_each_wrapped_layer_once_per_branch(monkeypatch):
     """The explore spans wrap the event loop and the checkers where the
     explorer looks them up, in its module globals; each wrapper must see every
-    branch, the resumed ones and the tie re-runs included."""
+    branch that is simulated, the resumed ones and the tie re-runs included.
+    The other branches are tie re-runs that share a run of their leaf."""
     module = importlib.import_module("xpay.explore")
     names = {attr for path, attr, _ in spans.TARGETS if path == "xpay.explore"} - {"explore"}
     assert names == {"run_simulation", "safety_verdicts", "check_liveness"}
@@ -71,4 +72,6 @@ def test_explore_calls_each_wrapped_layer_once_per_branch(monkeypatch):
     report = module.explore(base, assignments=module.battery_assignments(base)[:3],
                             budget=100, on_branch=lambda o: ties.update([o.policy]))
     assert report.branches == 100 and not report.complete and len(ties) > 1
-    assert calls == {name: report.branches for name in names}
+    simulated = report.branches - report.tie_reruns_shared
+    assert 0 < report.tie_reruns_shared < report.tie_reruns
+    assert calls == {name: simulated for name in names}

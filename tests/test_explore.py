@@ -9,14 +9,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import broken_roster, strong_scenario, weak_scenario
+from conftest import broken_roster, shared_verdicts, strong_scenario, weak_scenario
 from oracles import rerun_explore
 from xpay import simnet
 from xpay.core import (Certificate, ConfigError, Envelope, Guarantee, SigningKey, customer,
                        escrow, sign)
-from xpay.explore import POLICIES, _Checkpoints, battery_assignments, explore
+from xpay.explore import (POLICIES, _Checkpoints, _DecidedDelays, assignment_label,
+                          battery_assignments, explore)
 from xpay.properties import Monitor, Status
 from xpay.simnet import StrategySpec, Synchronous, _Sim, run_simulation
+from xpay.trace import EVERY_POLICY, format_lines
 
 F = Fraction
 GRID3 = (F(1, 4), F(1, 2), F(1))
@@ -86,7 +88,9 @@ def test_checkpointed_exploration_matches_the_rerun_reference(case, monkeypatch)
     monkeypatch.setattr(explore_module, "run_simulation", noting)
     got, report = branch_sequence(explore, base, **kw)
     assert (resumed[True, False] > 0) == (case in TIE_FROM_START)
-    assert resumed[True, False] + resumed[True, True] == report.tie_reruns
+    # a tie re-run is simulated, or shares an earlier run of its leaf
+    simulated = resumed[True, False] + resumed[True, True]
+    assert simulated + report.tie_reruns_shared == report.tie_reruns
     assert len(got) == branches
     assert got == want
     assert_same_report(report, want_report)
@@ -95,6 +99,42 @@ def test_checkpointed_exploration_matches_the_rerun_reference(case, monkeypatch)
     # only suffixes were simulated, and only they were fed to the monitors
     assert 0 < report.entries_simulated < report.entries == want_report.entries_simulated
     assert report.entries_checked == report.entries_simulated
+
+
+@pytest.mark.parametrize("case", DIFFERENTIAL)
+def test_a_tie_mask_names_the_policies_that_make_the_same_run(case):
+    """At every leaf with a tie, the four policies, each run from t=0, group
+    by identical entry lines exactly as the masks of the explored branches
+    say: each branch's mask holds the policies whose run has its lines. A
+    leaf without a tie keeps the whole mask."""
+    base, kw, _ = DIFFERENTIAL[case]()
+    leaves = []  # per leaf, (assignment label, decisions, mask) of each of its branches
+
+    def record(outcome):
+        if outcome.policy == POLICIES[0]:
+            leaves.append([])
+        leaves[-1].append((outcome.assignment_label, outcome.decisions, outcome.trace.mask))
+
+    report = explore(base, on_branch=record, **kw)
+    by_label = {assignment_label(a): a for a in kw.get("assignments", ({},))}
+    params = base.resolved_timing()
+    tied = 0
+    for branches in leaves:
+        if len(branches) == 1:
+            assert branches[0][2] == EVERY_POLICY
+            continue
+        if len(branches) < len(POLICIES):
+            continue  # the budget ended the leaf
+        label, decisions, _ = branches[-1]
+        assignment = by_label[label]
+        lines = [format_lines(run_simulation(replace(
+            base, delay=_DecidedDelays(base.delay.grid, set(assignment), list(decisions)),
+            timing=params, byzantine=dict(assignment), tie_break=tie_break,
+            rx_order=rx_order)).entries) for tie_break, rx_order in POLICIES]
+        for k, (_, _, mask) in enumerate(branches):
+            assert mask == sum(1 << j for j, other in enumerate(lines) if other == lines[k])
+        tied += 1
+    assert tied == report.tie_reruns // (len(POLICIES) - 1)
 
 
 def test_exploration_across_time_scales_matches_the_rerun_reference():
@@ -202,7 +242,7 @@ def test_a_strategy_keeps_no_state_of_its_own(name):
 def run_state(sim):
     """Everything a restore puts back, read from the run's own objects."""
     return (
-        sim.started, list(sim.heap), sim.seq, sim.tick, list(sim.entries), sim.had_tie,
+        sim.started, list(sim.heap), sim.seq, sim.tick, list(sim.entries), sim.mask,
         sim.pending_compliant,
         dict(sim.ledger.balances), sim.ledger.in_flight,
         [(aut.state, dict(aut.clock_vars), dict(aut.captured), list(aut.inbox), aut.stuck,
@@ -283,7 +323,8 @@ def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
     can resume: apart from each assignment's start, every snapshot a baseline
     run takes is a checkpoint credited with at least one decision, at most
     546 snapshots over the n=1 battery. A checkpoint gets its copy of the
-    monitor when it is taken; every other copy is a restore's."""
+    monitor when it is taken; every other copy is a restore's, one per
+    branch that is simulated and does not start its assignment."""
     counts = Counter()
     taken, starts, credited = [], [], {}
 
@@ -313,12 +354,42 @@ def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
     monkeypatch.setattr(_Checkpoints, "draw", draw)
     monkeypatch.setattr(_Checkpoints, "restore", counted("restores", _Checkpoints.restore))
     base, kw, branches = _strong_battery()
-    assert explore(base, **kw).branches == branches
+    report = explore(base, **kw)
+    assert report.branches == branches
     assert len(starts) == len(kw["assignments"])
     assert {id(snap) for snap in taken} == {id(snap) for snap in (*starts, *credited.values())}
     assert len(taken) == len(starts) + len(credited) <= 546
-    assert counts["restores"] == branches - len(starts)
+    assert report.tie_reruns_shared == 188
+    assert counts["restores"] == branches - len(starts) - report.tie_reruns_shared
     assert counts["copies"] == len(credited) + counts["restores"]
+
+
+def test_a_verdict_without_a_witness_is_shared(monkeypatch):
+    """Every verdict the n=1 battery's exploration gives without a witness,
+    safety and liveness, is one of the objects `properties` shares, and each
+    of those still has an empty witness afterwards."""
+    explore_module = sys.modules["xpay.explore"]
+    given = []
+
+    def collecting(fn):
+        def wrapper(*args):
+            verdicts = fn(*args)
+            given.extend(verdicts if isinstance(verdicts, list) else [verdicts])
+            return verdicts
+        return wrapper
+
+    for name in ("safety_verdicts", "check_liveness"):
+        monkeypatch.setattr(explore_module, name, collecting(getattr(explore_module, name)))
+    base, kw, branches = _strong_battery()
+    report = explore(base, **kw)
+    assert report.branches == branches
+    # seven safety verdicts and L per simulated branch
+    assert len(given) == 8 * (branches - report.tie_reruns_shared)
+    shared = {id(v) for v in shared_verdicts()}
+    clean = [v for v in given if not v.witness]
+    assert all(id(v) in shared for v in clean), {v.line() for v in clean if id(v) not in shared}
+    assert {v.status for v in clean} == {Status.HOLDS, Status.VACUOUS}
+    assert [v.line() for v in shared_verdicts() if v.witness] == []
 
 
 @pytest.mark.parametrize("grid, point", [

@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import strong_scenario, weak_scenario
+from conftest import shared_verdicts, strong_scenario, weak_scenario
 from xpay.core import Certificate, Envelope, SigningKey, customer, escrow, sign
 from xpay.properties import Status, check_promises, evaluate_all
 from xpay.simnet import (
@@ -185,6 +185,8 @@ def _assert_recorded(cases) -> None:
     traces, verdicts = digests(cases)
     assert _mismatches(traces, GOLDEN) == []
     assert _mismatches(verdicts, GOLDEN_VERDICTS) == []
+    # the verdicts every trace shares kept their empty witness through the checks
+    assert [v.line() for v in shared_verdicts() if v.witness] == []
 
 
 def test_strong_traces_match_recorded_digests():

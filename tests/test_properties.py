@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import derived, entry_at, strong_scenario, verdicts_by_name, weak_scenario
@@ -13,6 +14,7 @@ from xpay.core import (
 from xpay.properties import (
     Monitor,
     Status,
+    Verdict,
     check_liveness,
     check_promises,
     evaluate_all,
@@ -354,3 +356,13 @@ def test_an_escrow_without_payment_slack_breaks_the_payment_promise():
         trace = run_simulation(strong_scenario(timing=replace(derived_params, epsilon=epsilon)))
         statuses[epsilon] = {v.name: v.status for v in check_promises(trace)}["P_PROMISE"]
     assert statuses == {F(0): Status.VIOLATED, derived_params.epsilon: Status.HOLDS}
+
+
+def test_a_verdict_is_immutable():
+    """A verdict's fields cannot be assigned, so a verdict without a witness
+    can be one object shared by every trace that gets it."""
+    verdict = Verdict("C", Status.VIOLATED, [3], "impossible prescribed step")
+    for name, value in (("name", "T"), ("status", Status.HOLDS), ("witness", []), ("detail", "")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(verdict, name, value)
+    assert verdict == Verdict("C", Status.VIOLATED, [3], "impossible prescribed step")

@@ -19,9 +19,11 @@ import xpay.simnet as simnet
 from conftest import derived, entry_at, strong_scenario, verdicts_by_name, weak_scenario
 from xpay.automata import Automaton, Timeout
 from xpay.core import (
+    AbortCert,
     Certificate,
     ConfigError,
     Envelope,
+    Guarantee,
     Money,
     Seal,
     SignedMessage,
@@ -47,7 +49,7 @@ from xpay.simnet import (
     run_simulation,
     to_ticks,
 )
-from xpay.trace import Rec, STOP_ALL_TERMINAL, TraceEntry
+from xpay.trace import EVERY_POLICY, Rec, STOP_ALL_TERMINAL, TraceEntry
 
 F = Fraction
 
@@ -748,7 +750,8 @@ def _roster_inputs():
 def test_the_engine_fires_the_enabled_transition_its_policy_puts_first(data, tie_break, rx_order):
     """With any inbox of delivered messages, at any instant and deadline, the
     transition `_try_fire` fires is the first of `enabled_transitions`
-    ordered by the policy, and the run notes a tie exactly when two or more
+    ordered by the policy. The run's mask keeps the policies that put the
+    same transition first, and so is left whole exactly when fewer than two
     were enabled."""
     scenario, pid, inputs, pool = data.draw(st.sampled_from(_roster_inputs()))
     sim = _Sim(replace(scenario, tie_break=tie_break, rx_order=rx_order))
@@ -775,7 +778,55 @@ def test_the_engine_fires_the_enabled_transition_its_policy_puts_first(data, tie
         pass
     want = _by_policy(cands, tie_break, rx_order)[:1]
     assert [tuple(map(id, f)) for f in fired] == [tuple(map(id, w)) for w in want]
-    assert sim.had_tie is (len(cands) >= 2)
+    agreeing = [k for k, policy in enumerate(simnet.POLICIES)
+                if len(cands) < 2 or _by_policy(cands, *policy)[0] is want[0]]
+    assert sim.mask == sum(1 << k for k in agreeing)
+    assert (sim.mask != EVERY_POLICY) is (len(cands) >= 2)
+
+
+def _fire_under_each_policy(scenario, pid, state, messages, due):
+    """Per policy, the state `pid` enters when it fires from `state` with
+    `messages` ((source, signer, payload) each) in its inbox and its deadline
+    at `due`, and the run's mask after it."""
+    out = []
+    for tie_break, rx_order in simnet.POLICIES:
+        sim = _Sim(replace(scenario, tie_break=tie_break, rx_order=rx_order))
+        aut = sim.automata[pid]
+        aut.state = aut.machine.states[state]
+        aut.inbox = [Envelope(src, pid, sign(payload, signer, SigningKey(signer)))
+                     for src, signer, payload in messages]
+        aut.due = due
+        sim._try_fire(pid)
+        entered = next(e.state for e in sim.entries if e.rec is Rec.STATE_ENTERED)
+        out.append((entered, sim.mask))
+    return out
+
+
+def test_a_tie_of_each_shape_splits_the_policies_as_they_choose():
+    """A tie's mask keeps, per policy, the policies that pick what it picks,
+    for each shape of tie: the escrow's certificate at its deadline (a timed
+    tie, one receive), the weak Alice's guarantee and abort certificate at her
+    patience deadline (timed, two receives), and the strong Alice's
+    certificate and refund at once (untimed, two receives)."""
+    bob = customer(1)
+    assert _fire_under_each_policy(
+        strong_scenario(), escrow(0), "await_certificate",
+        [(bob, bob, Certificate("pay0"))], 0) == [
+        ("resolve_paid", 0b0011), ("resolve_paid", 0b0011),
+        ("resolve_refund", 0b1100), ("resolve_refund", 0b1100)]
+    weak = weak_scenario(patience=(F(3), F(3)))
+    guarantee = Guarantee("pay0", weak.resolved_timing().d[0])
+    assert _fire_under_each_policy(
+        weak, customer(0), "await_guarantee",
+        [(escrow(0), escrow(0), guarantee), (manager(), manager(), AbortCert("pay0"))], 0) == [
+        ("pay_escrow", 0b0001), ("aborted_unfunded", 0b0010),
+        ("request_abort_unfunded", 0b1100), ("request_abort_unfunded", 0b1100)]
+    assert _fire_under_each_policy(
+        strong_scenario(), customer(0), "await_outcome",
+        [(escrow(0), bob, Certificate("pay0")), (escrow(0), escrow(0), Money("pay0", 1))],
+        None) == [
+        ("refunded", 0b0101), ("has_certificate", 0b1010),
+        ("refunded", 0b0101), ("has_certificate", 0b1010)]
 
 
 def test_the_synchronous_delay_draws_are_randrange_draws():
