@@ -168,13 +168,6 @@ def validate_state(st: State, states: dict[str, State]) -> None:
             raise ConfigError(f"terminal state {st.name!r} must have no transitions")
 
 
-def validate_states(states: dict[str, State], initial: str) -> None:
-    if initial not in states:
-        raise ConfigError(f"initial state {initial!r} is not defined")
-    for st in states.values():
-        validate_state(st, states)
-
-
 Enabled = tuple[Transition, Optional[Envelope]]
 
 
@@ -195,7 +188,10 @@ class Machine:
     timeouts: tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self):
-        validate_states(self.states, self.initial)
+        if self.initial not in self.states:
+            raise ConfigError(f"initial state {self.initial!r} is not defined")
+        for st in self.states.values():
+            validate_state(st, self.states)
         object.__setattr__(self, "states", MappingProxyType(self.states))
         object.__setattr__(self, "timeouts", tuple(
             st.timeout.guard.delay for st in self.states.values() if st.timeout is not None))

@@ -199,7 +199,7 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
         mu=mu,
         byzantine=byzantine,
         patience=patience,
-        seed=_seed_default(cfg.get("seed")),
+        seed=0 if cfg.get("seed") is None else cfg["seed"],
         horizon=None if cfg.get("horizon") in (None, "auto")
         else parse_rational(cfg["horizon"], "horizon"),
         tie_break=cfg.get("tie_break", "receive_first"),
@@ -210,14 +210,6 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
     scenario.validate()
     extras = {"patience_grid": cfg.get("patience_grid")}
     return scenario, extras
-
-
-def _seed_default(value) -> int:
-    if value is None:
-        return 0
-    if type(value) is not int:
-        raise ConfigError("seed must be an integer")
-    return value
 
 
 def load_config(path: str) -> dict:
@@ -231,14 +223,6 @@ def load_config(path: str) -> dict:
 
 
 # ------------------------------------------------------------------------ commands
-
-def _report_lines(verdicts) -> list[str]:
-    return [v.line() for v in verdicts]
-
-
-def _verdict_exit(verdicts) -> int:
-    return EXIT_VIOLATION if any(v.status is Status.VIOLATED for v in verdicts) else EXIT_OK
-
 
 def cmd_run(args) -> int:
     scenario, _ = parse_scenario_config(load_config(args.config))
@@ -261,9 +245,9 @@ def cmd_run(args) -> int:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"run seed={scenario.seed} stop={trace.stop_reason} entries={len(trace.entries)}")
-    for line in _report_lines(verdicts):
-        print(line)
-    return _verdict_exit(verdicts)
+    for v in verdicts:
+        print(v.line())
+    return EXIT_VIOLATION if any(v.status is Status.VIOLATED for v in verdicts) else EXIT_OK
 
 
 def cmd_sweep(args) -> int:

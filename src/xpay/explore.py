@@ -36,9 +36,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import ConfigError, Envelope, ParticipantId, ParticipantKind
 from .properties import HOLDS, VIOLATED, Monitor, Verdict, check_liveness, safety_verdicts, tally
-from .simnet import (POLICIES, STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, _check_grid,
+from .simnet import (STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, _check_grid,
                      run_simulation)
-from .trace import EVERY_POLICY, Trace
+from .trace import EVERY_POLICY, POLICIES, Trace
 
 
 class _DecidedDelays:

@@ -57,7 +57,9 @@ from .core import (
     manager,
     verify,
 )
-from .trace import Rec, Trace, TraceEntry, TraceMeta
+from .timing import termination_bound
+from .trace import (DELIVERED, IMPOSSIBLE_STEP, SENT, STATE_ENTERED, TERMINAL_REACHED, TRANSFERRED,
+                    Trace, TraceEntry, TraceMeta)
 
 
 class Status(Enum):
@@ -138,13 +140,6 @@ def _verdict(name: str, evaluated: int, witness: list[int], detail: str = "") ->
 # the participants whose entries the monitor reads beyond money and messages
 _ALICE, _CONNECTOR, _BOB, _MANAGER = range(4)
 
-_ENTERED = Rec.STATE_ENTERED
-_SENT = Rec.SENT
-_DELIVERED = Rec.DELIVERED
-_TRANSFERRED = Rec.TRANSFERRED
-_TERMINAL = Rec.TERMINAL_REACHED
-_IMPOSSIBLE = Rec.IMPOSSIBLE_STEP
-
 
 class _Terminal(NamedTuple):
     """A customer's first terminal entry, as the monitor saw it."""
@@ -210,9 +205,9 @@ class Monitor:
         other.engaged = set(self.engaged)
         return other
 
-    def feed(self, entries: list[TraceEntry], end: Optional[int] = None) -> None:
-        """Take in `entries[self.fed:end]`, the entries of the run since the
-        last feed (up to `end`, if given).
+    def feed(self, entries: list[TraceEntry]) -> None:
+        """Take in `entries[self.fed:]`: `entries` is the run so far, and the
+        monitor reads only the entries appended since the last feed.
 
         A customer's terminal record notes whether it was certified: Alice, if
         the certificate CS1 asks about (the commit certificate in the weak
@@ -222,15 +217,14 @@ class Monitor:
         meta = self.meta
         roles = self._roles
         net, sent, seen, terminal = self.net, self.sent, self.seen, self.terminal
-        if end is None:
-            end = len(entries)
+        end = len(entries)
         for idx in range(self.fed, end):
             e = entries[idx]
             rec = e.rec
-            if rec is _ENTERED:
+            if rec is STATE_ENTERED:
                 continue
             p = e.participant
-            if rec is _SENT:
+            if rec is SENT:
                 msg = e.env.msg
                 key = (msg.signer, msg.nonce, msg.payload)
                 sent.add(key)
@@ -251,7 +245,7 @@ class Monitor:
                 elif role == _BOB and not self.bob_signed and _own_certificate(msg, meta):
                     self.bob_signed = True
                     self.engaged.add(p)
-            elif rec is _DELIVERED:
+            elif rec is DELIVERED:
                 msg = e.env.msg
                 key = (msg.signer, msg.nonce, msg.payload)
                 if key not in sent:
@@ -265,7 +259,7 @@ class Monitor:
                 elif role == _BOB and not self.bob_aborted and _is_certificate(
                         msg, meta, AbortCert):
                     self.bob_aborted = True
-            elif rec is _TRANSFERRED:
+            elif rec is TRANSFERRED:
                 amount = e.amount
                 if e.phase == "sent":
                     frm = e.frm
@@ -283,7 +277,7 @@ class Monitor:
                     net[to] = net.get(to, 0) + amount
                     if self.cons is None and self.in_flight < 0:
                         self.cons = (idx, "in-flight value went negative")
-            elif rec is _TERMINAL:
+            elif rec is TERMINAL_REACHED:
                 role = roles.get(p)
                 if role is None or role == _MANAGER or p in terminal:
                     continue
@@ -294,7 +288,7 @@ class Monitor:
                 else:
                     certified = False
                 terminal[p] = _Terminal(idx, e.tick, e.base.scale, net.get(p, 0), certified)
-            elif rec is _IMPOSSIBLE and p in meta.compliant:
+            elif rec is IMPOSSIBLE_STEP and p in meta.compliant:
                 self.impossible += (idx,)
         self.fed = end
 
@@ -333,7 +327,6 @@ class Monitor:
         if self._weak:  # eventual: by the horizon
             limit = meta.horizon
         elif bound is None:
-            from .timing import termination_bound
             limit = termination_bound(meta.params)
         else:
             limit = as_fraction(bound, "termination bound")
@@ -515,10 +508,10 @@ def check_promises(trace: Trace) -> list[Verdict]:
         paid_down = None
         for idx in own[e]:
             entry = trace.entries[idx]
-            if (entry.rec is Rec.DELIVERED and deposit_local is None
+            if (entry.rec is DELIVERED and deposit_local is None
                     and entry.env.src == up and isinstance(entry.env.msg.payload, Money)):
                 deposit_local = entry.local
-            elif entry.rec is Rec.SENT:
+            elif entry.rec is SENT:
                 payload = entry.env.msg.payload
                 if entry.env.dst == down and isinstance(payload, Promise):
                     if promise_local is None:
@@ -530,7 +523,7 @@ def check_promises(trace: Trace) -> list[Verdict]:
                 elif entry.env.dst == down and isinstance(payload, Money):
                     if paid_down is None:
                         paid_down = (idx, entry.local)
-            elif (entry.rec is Rec.DELIVERED and chi_local is None
+            elif (entry.rec is DELIVERED and chi_local is None
                     and entry.env.src == down and _is_certificate(entry.env.msg, meta)):
                 chi_local = entry.local
         if deposit_local is not None:

@@ -18,8 +18,9 @@ Two constructions are provided:
   risking value.
 
 Every factory returns a `Machine`: the definition of one participant's
-automaton, which depends only on the hop count, the timing parameters, the
-payment instance and, in the weak variant, the patience. The roster builders
+automaton, which depends only on the hop count, the timing parameters
+(`timing.TimingParams`, imported here, so `protocol.TimingParams` names it
+too), the payment instance and, in the weak variant, the patience. The roster builders
 and the transaction manager are memoised by those values, so each definition
 is built and validated once and then shared by every run that asks for it;
 `simnet` wraps it in a per-run `Automaton` with that run's key and timeout
@@ -31,7 +32,7 @@ stated properties by the checker suite rather than against a reference.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
@@ -71,6 +72,7 @@ from .core import (
     sign,
     verify,
 )
+from .timing import TimingParams
 
 # Terminal state names shared by checkers and tests.
 ESCROW_PAID_OUT = "paid_out"
@@ -87,53 +89,6 @@ WEAK_ABORTED_UNFUNDED = "aborted_unfunded"
 # Definitions kept per memoised builder. A sweep or an exploration needs a
 # handful: one per distinct patience vector, timing and instance it runs.
 _DEFINITIONS_CACHED = 64
-
-
-@dataclass(frozen=True)
-class TimingParams:
-    """Per-hop protocol parameters, all local-time durations as exact rationals.
-
-    a[i]: escrow i's certificate-acceptance window, counted from the instant it
-    issues its downstream promise. d[i]: escrow i's resolution deadline counted
-    from deposit receipt. epsilon: pay-after-certificate slack. pi: real-time
-    output-state processing budget. delta: the delivery bound the values were
-    derived against. rho: clock drift bound. mu: safety margin folded into the
-    derived values and the termination bound.
-
-    It is hashed once, at construction, to the value the frozen dataclass
-    would compute: the memoised roster builders are keyed by it on every run.
-    """
-    n: int
-    a: tuple[Fraction, ...]
-    d: tuple[Fraction, ...]
-    epsilon: Fraction
-    pi: Fraction
-    delta: Fraction
-    rho: Fraction
-    mu: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("hop count must be at least 1")
-        if len(self.a) != self.n or len(self.d) != self.n:
-            raise ConfigError("need one a_i and one d_i per hop")
-        object.__setattr__(self, "a", tuple(as_fraction(x, "a_i") for x in self.a))
-        object.__setattr__(self, "d", tuple(as_fraction(x, "d_i") for x in self.d))
-        for name in ("epsilon", "pi", "delta", "rho", "mu"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name), name))
-        if any(x <= 0 for x in self.a) or any(x <= 0 for x in self.d):
-            raise ConfigError("timeout durations must be strictly positive")
-        for i in range(self.n):
-            if self.d[i] < self.a[i]:
-                raise ConfigError(f"d_{i} < a_{i}: an escrow cannot resolve before its own window closes")
-        if self.delta <= 0:
-            raise ConfigError("delivery bound must be strictly positive")
-        if self.pi < 0 or self.rho < 0 or self.mu < 0 or self.epsilon < 0:
-            raise ConfigError("pi, rho, mu, epsilon must be non-negative")
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 @dataclass(frozen=True)

@@ -100,27 +100,34 @@ from .core import (
 )
 from .protocol import (
     PaymentInstance,
-    TimingParams,
     make_strong_participants,
     make_transaction_manager,
     make_weak_participants,
 )
+from .timing import TimingParams, default_horizon, derive_timeouts
 from .trace import (
+    DELIVERED,
     EVERY_POLICY,
-    Rec,
+    IMPOSSIBLE_STEP,
+    POLICIES,
+    REJECTED,
+    RX_ORDERS,
+    SENT,
+    STATE_ENTERED,
     STOP_ALL_TERMINAL,
     STOP_HORIZON,
     STOP_QUEUE_EMPTY,
+    TERMINAL_REACHED,
+    TIE_BREAKS,
+    TIMEOUT_FIRED,
+    TRANSFERRED,
+    Rec,
     TimeBase,
     Trace,
     TraceEntry,
     TraceMeta,
     config_digest,
 )
-
-# Rec's members as globals: a read off the class takes `EnumType.__getattr__`, ~10x slower
-(SENT, DELIVERED, REJECTED, TIMEOUT_FIRED, STATE_ENTERED, TRANSFERRED, TERMINAL_REACHED,
- IMPOSSIBLE_STEP) = Rec  # in declaration order
 
 
 class ForgeryRejected(Exception):
@@ -154,6 +161,16 @@ def _check_grid(grid: Sequence[Fraction], delta: Optional[Fraction]) -> tuple[Fr
     return tuple(out)
 
 
+def _bound_and_grid(delta: Fraction, grid: Optional[Sequence[Fraction]],
+                    ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """A sampled model's delivery bound, exact and positive, and its grid: the
+    one given, checked against the bound, or four points evenly up to it."""
+    delta = as_fraction(delta, "delta")
+    if delta <= 0:
+        raise ConfigError("delivery bound must be strictly positive")
+    return delta, _check_grid(_default_grid(delta) if grid is None else grid, delta)
+
+
 @dataclass
 class Synchronous:
     """Every delivery within (0, delta], sampled from a finite grid by the run's RNG."""
@@ -161,11 +178,7 @@ class Synchronous:
     grid: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        self.delta = as_fraction(self.delta, "delta")
-        if self.delta <= 0:
-            raise ConfigError("delivery bound must be strictly positive")
-        self.grid = _check_grid(_default_grid(self.delta) if self.grid is None else self.grid,
-                                self.delta)
+        self.delta, self.grid = _bound_and_grid(self.delta, self.grid)
 
     def delays(self) -> tuple[Fraction, ...]:
         return self.grid
@@ -189,13 +202,9 @@ class PartialSync:
 
     def __post_init__(self):
         self.gst = as_fraction(self.gst, "gst")
-        self.delta = as_fraction(self.delta, "delta")
-        if self.delta <= 0:
-            raise ConfigError("delivery bound must be strictly positive")
         if self.gst < 0:
             raise ConfigError("stabilization time must be non-negative")
-        self.grid = _check_grid(_default_grid(self.delta) if self.grid is None else self.grid,
-                                self.delta)
+        self.delta, self.grid = _bound_and_grid(self.delta, self.grid)
 
     def delays(self) -> tuple[Fraction, ...]:
         # a delay before stabilization is gst - t + a grid point
@@ -211,13 +220,6 @@ class PartialSync:
     def to_config(self) -> dict:
         return {"kind": "partial_sync", "gst": fmt_fraction(self.gst),
                 "delta": fmt_fraction(self.delta), "grid": [fmt_fraction(g) for g in self.grid]}
-
-
-_PAYLOAD_NAMES = {cls: name for name, cls in PAYLOAD_KINDS.items()}
-
-
-def payload_kind(payload: Payload) -> str:
-    return _PAYLOAD_NAMES[type(payload)]
 
 
 @dataclass(frozen=True)
@@ -240,7 +242,7 @@ class ScriptRule:
             return False
         if self.dst is not None and env.dst != self.dst:
             return False
-        if self.payload is not None and payload_kind(env.msg.payload) != self.payload:
+        if self.payload is not None and type(env.msg.payload) is not PAYLOAD_KINDS[self.payload]:
             return False
         return True
 
@@ -464,15 +466,6 @@ STRATEGIES: dict[str, tuple[type, Callable[[ParticipantId, "Scenario"], bool]]] 
 
 # ---------------------------------------------------------------------- scenario
 
-# the scheduler's policies, (tie_break, rx_order); bit k of a run's mask is POLICIES[k]
-POLICIES = (
-    ("receive_first", "declared"),
-    ("receive_first", "reversed"),
-    ("timeout_first", "declared"),
-    ("timeout_first", "reversed"),
-)
-_TIE_BREAKS = ("receive_first", "timeout_first")
-_RX_ORDERS = ("declared", "reversed")
 _CLOCK_MODES = ("auto", "identity", "seeded", "worst_case", "escrows_slow", "all_fast", "all_slow")
 
 
@@ -529,10 +522,10 @@ class Scenario:
             raise ConfigError("amount must be at least 1")
         if self.pi < 0 or self.rho < 0 or self.mu < 0:
             raise ConfigError("pi, rho, mu must be non-negative")
-        if self.tie_break not in _TIE_BREAKS:
-            raise ConfigError(f"tie_break must be one of {_TIE_BREAKS}")
-        if self.rx_order not in _RX_ORDERS:
-            raise ConfigError(f"rx_order must be one of {_RX_ORDERS}")
+        if self.tie_break not in TIE_BREAKS:
+            raise ConfigError(f"tie_break must be one of {TIE_BREAKS}")
+        if self.rx_order not in RX_ORDERS:
+            raise ConfigError(f"rx_order must be one of {RX_ORDERS}")
         if self.clock_mode not in _CLOCK_MODES:
             raise ConfigError(f"clock_mode must be one of {_CLOCK_MODES}")
         if self.horizon is not None and self.horizon <= 0:
@@ -543,9 +536,18 @@ class Scenario:
             raise ConfigError("patience applies to the weak variant only")
         if self.patience is not None and len(self.patience) != self.n + 1:
             raise ConfigError(f"need {self.n + 1} patience entries")
-        if self.timing is not None and self.timing.n != self.n:
-            raise ConfigError("explicit timing does not match n")
-        if self.timing is None and self.delay.delta is None:
+        if self.timing is not None:
+            if self.timing.n != self.n:
+                raise ConfigError("explicit timing does not match n")
+            # the engine reads pi and rho here, T's bound and the horizon read the
+            # timing: both must describe this run (an unbounded model takes any delta)
+            own = {"pi": self.pi, "rho": self.rho, "mu": self.mu, "delta": self.delay.delta}
+            for name, value in own.items():
+                given = getattr(self.timing, name)
+                if value is not None and given != value:
+                    raise ConfigError(f"explicit timing has {name} {fmt_fraction(given)}, "
+                                      f"the scenario {fmt_fraction(value)}")
+        elif self.delay.delta is None:
             raise ConfigError("cannot derive timeouts without a delivery bound; "
                               "give explicit timing")
         valid = set(map(str, self.participant_ids()))
@@ -571,13 +573,8 @@ class Scenario:
     def resolved_timing(self) -> TimingParams:
         if self.timing is not None:
             return self.timing
-        from .timing import derive_timeouts  # simnet is imported by timing; bind late
         return derive_timeouts(self.n, self.delay.delta, self.pi, self.rho,
                                epsilon=self.epsilon, margin=self.mu)
-
-    def resolved_horizon(self, params: TimingParams) -> Fraction:
-        from .timing import default_horizon
-        return self.horizon if self.horizon is not None else default_horizon(params)
 
     def resolved_patience(self) -> Optional[tuple]:
         if self.variant != "weak":
@@ -754,7 +751,8 @@ class _Sim:
         scenario.validate()
         self.sc = scenario
         self.params = scenario.resolved_timing()
-        self.horizon = scenario.resolved_horizon(self.params)
+        self.horizon = (scenario.horizon if scenario.horizon is not None
+                        else default_horizon(self.params))
         self.pay = PaymentInstance(scenario.instance, scenario.n, scenario.amount)
         self.clocks = assign_clocks(scenario)
         self.ledger = Ledger(scenario.resolved_balances())
@@ -926,17 +924,6 @@ class _Sim:
         self.outbox.append((self.seq, env))  # its delivery's seq, taken now
         self.seq += 1
 
-    def _draw(self, outbox: list) -> None:
-        """Draw the delay of each send in `outbox`, in send order, and schedule
-        its delivery under the seq it took when sent."""
-        for seq, env in outbox:
-            delay = self.sc.delay.delay_for(env, self)
-            known = self.delay_ticks.get(id(delay))
-            if known is None:
-                known = self.delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))
-            heappush(self.heap, (self.tick + known[1], 0, seq, _DELIVER, env, delay))
-        outbox.clear()
-
     def _deliver(self, env: Envelope, delay: Fraction) -> Optional[ParticipantId]:
         """Deliver into the inbox; returns the recipient if its automaton may now fire.
 
@@ -1059,14 +1046,24 @@ class _Sim:
         outbox = self.outbox
         on_draw = self.on_draw
         horizon = self.horizon_tick
+        delay_for = self.sc.delay.delay_for
+        delay_ticks = self.delay_ticks
         self.stop_reason = STOP_QUEUE_EMPTY
         while True:
-            # no part of an event is under way here: the last one's sends
-            # get their delays, at their send instant, before anything else
+            # no part of an event is under way here: the last one's sends get
+            # their delays, at their send instant and in send order, before
+            # anything else, and each delivery is scheduled under the seq its
+            # send took
             if outbox:
                 if on_draw is not None:
                     on_draw()
-                self._draw(outbox)
+                for seq, env in outbox:
+                    delay = delay_for(env, self)
+                    known = delay_ticks.get(id(delay))
+                    if known is None:
+                        known = delay_ticks[id(delay)] = (delay, to_ticks(delay, self.scale, "delay"))
+                    heappush(heap, (self.tick + known[1], 0, seq, _DELIVER, env, delay))
+                outbox.clear()
             if self.pending_compliant == 0 and self.compliant_total != 0:
                 self.stop_reason = STOP_ALL_TERMINAL
                 break

@@ -28,22 +28,75 @@ the slowest clock ((1+rho) * a_0), one resolution step (pi), final delivery
 Windows are exactly tight at mu = 0: the worst-case sweep passes at the
 derived values (the boundary arrival is saved by the receive-wins tie-break)
 and fails once any a_i is lowered by a grid step. `validate_timeouts` is the
-empirical oracle for both claims.
+empirical oracle for both claims. A known defect escapes it: H_{i+1} is real
+time, but escrow i+1 keeps its window open for a_{i+1}/rate, up to
+(1+rho)^2 H_{i+1} on the slowest clock, so T can fail when escrow i runs fast
+and escrow i+1 slow. The sweep gives every escrow one rate and every delay
+the bound, and never meets that case.
+
+The window algebra (`TimingParams`, the windows, T's bound, the default
+horizon) sits below the engine and the checkers, which read it. Only the
+validator runs simulations, importing the engine inside its functions.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Optional
 
 from .core import ConfigError, as_fraction
-from .protocol import TimingParams
-from .simnet import Scenario, Scripted, run_simulation
 from .trace import Trace
 
 # Parameter sets kept by `derive_timeouts`, `termination_bound` and `default_horizon`.
 _DERIVED_CACHED = 64
+
+
+@dataclass(frozen=True)
+class TimingParams:
+    """Per-hop protocol parameters, all local-time durations as exact rationals.
+
+    a[i]: escrow i's certificate-acceptance window, counted from the instant it
+    issues its downstream promise. d[i]: escrow i's resolution deadline counted
+    from deposit receipt. epsilon: pay-after-certificate slack. pi: real-time
+    output-state processing budget. delta: the delivery bound the values were
+    derived against. rho: clock drift bound. mu: safety margin folded into the
+    derived values and the termination bound.
+
+    It is hashed once, at construction, to the value the frozen dataclass
+    would compute: the memoised roster builders are keyed by it on every run.
+    """
+    n: int
+    a: tuple[Fraction, ...]
+    d: tuple[Fraction, ...]
+    epsilon: Fraction
+    pi: Fraction
+    delta: Fraction
+    rho: Fraction
+    mu: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ConfigError("hop count must be at least 1")
+        if len(self.a) != self.n or len(self.d) != self.n:
+            raise ConfigError("need one a_i and one d_i per hop")
+        object.__setattr__(self, "a", tuple(as_fraction(x, "a_i") for x in self.a))
+        object.__setattr__(self, "d", tuple(as_fraction(x, "d_i") for x in self.d))
+        for name in ("epsilon", "pi", "delta", "rho", "mu"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name), name))
+        if any(x <= 0 for x in self.a) or any(x <= 0 for x in self.d):
+            raise ConfigError("timeout durations must be strictly positive")
+        for i in range(self.n):
+            if self.d[i] < self.a[i]:
+                raise ConfigError(f"d_{i} < a_{i}: an escrow cannot resolve before its own window closes")
+        if self.delta <= 0:
+            raise ConfigError("delivery bound must be strictly positive")
+        if self.pi < 0 or self.rho < 0 or self.mu < 0 or self.epsilon < 0:
+            raise ConfigError("pi, rho, mu, epsilon must be non-negative")
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class ValidationFailed(Exception):
@@ -128,10 +181,8 @@ _WORST_CLOCK_MODES = ("identity", "worst_case", "escrows_slow", "all_fast", "all
 
 @dataclass
 class SweepResult:
-    clock_mode: str
-    bob_paid: bool
-    trace: Trace
-    broken: str = ""  # which progress property the run violates, if any
+    trace: Trace  # a tightness counterexample; its scenario names the clock mode
+    broken: str  # the progress property it violates: "L" (Bob unpaid) or "T"
 
 
 @dataclass
@@ -139,14 +190,15 @@ class TimeoutValidation:
     """What `validate_timeouts` found. It is returned only when every sweep at
     the given values passed; a failing sweep raises `ValidationFailed`."""
     params: TimingParams
-    n: int
     max_customer_terminal: Optional[Fraction] = None
     tight: list[bool] = field(default_factory=list)
     tightness_step: Fraction = Fraction(0)
     counterexamples: list[SweepResult] = field(default_factory=list)
 
 
-def _worst_case_scenario(params: TimingParams, n: int, clock_mode: str) -> Scenario:
+def _worst_case_scenario(params: TimingParams, n: int, clock_mode: str):
+    """The strong scenario of one sweep: every delay at the bound, under `clock_mode`."""
+    from .simnet import Scenario, Scripted
     return Scenario(
         variant="strong",
         n=n,
@@ -154,15 +206,10 @@ def _worst_case_scenario(params: TimingParams, n: int, clock_mode: str) -> Scena
         pi=params.pi,
         rho=params.rho,
         timing=params,
+        mu=params.mu,
         clock_mode=clock_mode,
         seed=0,
     )
-
-
-def _clock_modes(rho: Fraction) -> tuple[str, ...]:
-    if rho == 0:
-        return ("identity",)
-    return _WORST_CLOCK_MODES
 
 
 def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
@@ -179,15 +226,17 @@ def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
       and waiting forever for her payment: a termination failure.
     """
     from .properties import Status, check_promises, fold
+    from .simnet import run_simulation
 
     if n != p.n:
         raise ConfigError("hop count does not match the timing parameters")
     step = p.delta / 4
-    report = TimeoutValidation(params=p, n=n, tightness_step=step)
+    report = TimeoutValidation(params=p, tightness_step=step)
+    modes = ("identity",) if p.rho == 0 else _WORST_CLOCK_MODES
 
     bound = termination_bound(p)
     worst_terminal: Optional[Fraction] = None
-    for mode in _clock_modes(p.rho):
+    for mode in modes:
         trace = run_simulation(_worst_case_scenario(p, n, mode))
         monitor = fold(trace)
         if not monitor.bob_paid():
@@ -211,14 +260,14 @@ def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
         a[i] = a[i] - step
         reduced = replace(p, a=tuple(a))
         broke = False
-        for mode in _clock_modes(p.rho):
+        for mode in modes:
             trace = run_simulation(_worst_case_scenario(reduced, n, mode))
             monitor = fold(trace)
             paid = monitor.bob_paid()
             term = monitor.termination(trace, termination_bound(reduced))
             if not paid or term.status is Status.VIOLATED:
                 which = "L" if not paid else "T"
-                report.counterexamples.append(SweepResult(mode, paid, trace, broken=which))
+                report.counterexamples.append(SweepResult(trace, which))
                 broke = True
                 break
         report.tight.append(broke)

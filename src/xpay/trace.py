@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,6 +32,12 @@ class Rec(Enum):
     TRANSFERRED = "TRANSFERRED"
     TERMINAL_REACHED = "TERMINAL_REACHED"
     IMPOSSIBLE_STEP = "IMPOSSIBLE_STEP"
+
+
+# Rec's members as module constants, for the engine and the checkers: a read
+# off the class takes `EnumType.__getattr__`, about ten times slower
+(SENT, DELIVERED, REJECTED, TIMEOUT_FIRED, STATE_ENTERED, TRANSFERRED, TERMINAL_REACHED,
+ IMPOSSIBLE_STEP) = Rec  # in declaration order
 
 
 class TimeBase(NamedTuple):
@@ -178,7 +185,11 @@ class TraceMeta:
     patience: Optional[tuple] = None
 
 
-EVERY_POLICY = 0b1111  # a run's tie mask while no tie has split the four policies
+TIE_BREAKS = ("receive_first", "timeout_first")
+RX_ORDERS = ("declared", "reversed")
+# the scheduler's policies, (tie_break, rx_order); bit k of a run's mask is POLICIES[k]
+POLICIES = tuple(itertools.product(TIE_BREAKS, RX_ORDERS))
+EVERY_POLICY = (1 << len(POLICIES)) - 1  # a run's tie mask while no tie has split the policies
 
 STOP_ALL_TERMINAL = "all_compliant_terminal"
 STOP_QUEUE_EMPTY = "queue_empty"
@@ -192,7 +203,7 @@ class Trace:
     stop_reason: str = STOP_QUEUE_EMPTY
     final_balances: dict[ParticipantId, int] = field(default_factory=dict)
     final_in_flight: int = 0
-    mask: int = EVERY_POLICY  # bit k: `simnet.POLICIES[k]` chose as this run at every tie
+    mask: int = EVERY_POLICY  # bit k: `POLICIES[k]` chose as this run at every tie
     # what the header's scenario digest, seed, policy and strategy labels are
     # taken from: the scenario the run was made from, and its delay model's
     # `to_config()` when the run ended
@@ -220,7 +231,7 @@ class Trace:
         for idx, e in enumerate(self.entries):
             if upto is not None and idx > upto:
                 break
-            if e.rec is Rec.TRANSFERRED:
+            if e.rec is TRANSFERRED:
                 if e.phase == "sent" and e.frm == p:
                     net -= e.amount
                 elif e.phase == "received" and e.to == p:
@@ -229,7 +240,7 @@ class Trace:
 
     def terminal_entry(self, p: ParticipantId) -> Optional[tuple[int, TraceEntry]]:
         for idx, e in enumerate(self.entries):
-            if e.rec is Rec.TERMINAL_REACHED and e.participant == p:
+            if e.rec is TERMINAL_REACHED and e.participant == p:
                 return idx, e
         return None
 
@@ -253,8 +264,5 @@ class Trace:
         lines.append(f"# stop reason={self.stop_reason} entries={len(self.entries)}")
         return lines
 
-    def lines(self) -> list[str]:
-        return self.header_lines() + format_lines(self.entries)
-
     def render(self) -> str:
-        return "\n".join(self.lines()) + "\n"
+        return "\n".join(self.header_lines() + format_lines(self.entries)) + "\n"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -257,7 +258,7 @@ def test_acceptance_8_determinism_golden(tmp_path, configs):
     paths = [str(tmp_path / f"run{i}.trace") for i in range(3)]
     for p in paths:
         assert main(["run", cfg, "--trace", p]) == EXIT_OK
-    blobs = [open(p, "rb").read() for p in paths]
+    blobs = [Path(p).read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
     assert len(blobs[0].splitlines()) > 30
     _passed(8, "byte-identical traces")

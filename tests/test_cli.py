@@ -91,8 +91,8 @@ def test_trace_files_are_byte_identical(tmp_path):
     t1, t2 = str(tmp_path / "a.trace"), str(tmp_path / "b.trace")
     assert main(["run", cfg, "--trace", t1]) == EXIT_OK
     assert main(["run", cfg, "--trace", t2]) == EXIT_OK
-    b1 = open(t1, "rb").read()
-    b2 = open(t2, "rb").read()
+    b1 = Path(t1).read_bytes()
+    b2 = Path(t2).read_bytes()
     assert b1 == b2
     assert b1.endswith(b"\n")
 
@@ -102,7 +102,7 @@ def test_seed_override_changes_the_trace(tmp_path):
     t1, t2 = str(tmp_path / "a.trace"), str(tmp_path / "b.trace")
     main(["run", cfg, "--trace", t1])
     main(["run", cfg, "--seed", "6", "--trace", t2])
-    assert open(t1).read() != open(t2).read()
+    assert Path(t1).read_text() != Path(t2).read_text()
 
 
 @pytest.mark.parametrize("field", ["n", "amount", "seed", "grid_points"])
@@ -122,7 +122,7 @@ def test_report_json(tmp_path):
     cfg = write(tmp_path, "c.json", NOMINAL)
     report = str(tmp_path / "report.json")
     main(["run", cfg, "--report", report])
-    data = json.loads(open(report).read())
+    data = json.loads(Path(report).read_text())
     assert data["properties"]["L"]["status"] == "HOLDS"
     assert data["seed"] == 5
 
@@ -382,6 +382,23 @@ def test_explicit_timing_keeps_the_other_derived_parameters():
         assert promises["P_PROMISE"] is Status.HOLDS
     given, _ = parse_scenario_config({**EXPLICIT_TIMING, "epsilon": "1/2"})
     assert given.timing.epsilon == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("field, value", [("pi", "1/5"), ("rho", "1/10"), ("mu", "1/100"),
+                                          ("delta", "2")])
+def test_explicit_timing_in_a_config_agrees_with_the_config(tmp_path, field, value):
+    """A config's explicit windows take pi, rho, mu and delta from the config
+    itself, so the agreement `Scenario.validate` asks of explicit timing holds
+    for every config: one that sets any of them to other than its default
+    runs."""
+    cfg = {**EXPLICIT_TIMING, "timing": {"a": ["10"], "d": ["11"]}}
+    if field == "delta":
+        cfg["delay_model"] = {**cfg["delay_model"], "delta": value}
+    else:
+        cfg[field] = value
+    scenario, _ = parse_scenario_config(cfg)
+    assert getattr(scenario.timing, field) == Fraction(value)
+    assert main(["run", write(tmp_path, "c.json", cfg)]) == EXIT_OK
 
 
 def test_the_readme_scenario_config_runs_as_written(tmp_path):

@@ -352,6 +352,26 @@ def test_scenario_validation_errors():
         run_simulation(strong_scenario(delay=Scripted(default=F(1))))
 
 
+@pytest.mark.parametrize("field, changed", [
+    ("pi", dict(pi=F(1, 5))),
+    ("rho", dict(rho=F(1, 10))),
+    ("mu", dict(mu=F(1, 100))),
+    ("delta", dict(delay=Synchronous(F(2)))),
+    ("delta", dict(delay=Scripted(default=F(1), delta=F(2)))),
+], ids=["pi", "rho", "mu", "delta", "scripted-delta"])
+def test_explicit_timing_must_agree_with_its_scenario(field, changed):
+    """The engine reads pi and rho (dwell, time scale, clock rates) from the
+    scenario, while T's bound and the horizon read the explicit timing, and
+    mu and delta are what the timing was derived for: a timing whose value
+    differs from the scenario's, or from its delay model's bound, is refused.
+    A delay model with no bound accepts any delta."""
+    timing = derived(1)  # delta 1, pi 1/10, rho 0, mu 0: strong_scenario's own
+    run_simulation(strong_scenario(timing=timing))
+    run_simulation(strong_scenario(timing=timing, delay=Scripted(default=F(1))))
+    with pytest.raises(ConfigError, match=f"explicit timing has {field} "):
+        run_simulation(strong_scenario(timing=timing, **changed))
+
+
 # Each library input that holds a time, mapped to a builder that returns the
 # value it was coerced to.
 EXACT_INPUTS = {
