@@ -146,6 +146,11 @@ class State:
         object.__setattr__(self, "receives", transitions if receives == transitions else receives)
         object.__setattr__(self, "timeout", timeout)
 
+    def __hash__(self) -> int:
+        # by name, which tells a machine's states apart: the dataclass hash
+        # would walk every transition, and a run state's key holds states
+        return hash(self.name)
+
 
 def validate_state(st: State, states: dict[str, State]) -> None:
     """The rules one state must meet: its targets are in `states`, and its

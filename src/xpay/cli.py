@@ -296,7 +296,7 @@ def cmd_explore(args) -> int:
     total_branches = 0
     complete = True
     violations = []
-    entries = simulated = checked = tie_reruns = shared = 0
+    entries = simulated = checked = tie_reruns = shared = replayed = states = 0
     depths: Counter = Counter()
     for patience in patience_sets:
         scenario.patience = patience
@@ -310,6 +310,8 @@ def cmd_explore(args) -> int:
         checked += report.entries_checked
         tie_reruns += report.tie_reruns
         shared += report.tie_reruns_shared
+        replayed += report.branches_replayed
+        states += report.states
         depths.update(report.leaf_depths)
         violations.extend(report.violations)
         if not report.complete:
@@ -318,7 +320,8 @@ def cmd_explore(args) -> int:
     print(f"explore branches={total_branches} complete={complete} "
           f"assignments={len(assignments)} patience_sets={len(patience_sets)}")
     print(f"explore entries={entries} entries_simulated={simulated} entries_checked={checked} "
-          f"tie_reruns={tie_reruns} tie_reruns_shared={shared} "
+          f"tie_reruns={tie_reruns} tie_reruns_shared={shared} branches_replayed={replayed} "
+          f"states={states} "
           f"leaf_depths={','.join(f'{d}:{depths[d]}' for d in sorted(depths))}")
     for v in violations[:20]:
         names = ",".join(x.name for x in v.verdicts if x.status is Status.VIOLATED)

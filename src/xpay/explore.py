@@ -26,6 +26,26 @@ order, the decision vectors and every trace are those of running each branch
 from t=0. Each checkpoint keeps a copy of the safety monitor
 (`properties.Monitor`) fed the entries before it, so a branch checks only the
 entries it simulates, and its verdicts are those of checking its whole trace.
+
+Nor is a subtree simulated twice: each assignment keeps a visited set, as in
+SPIN (Holzmann, IEEE TSE 1997). A decision draw that a baseline run reaches
+for the first time with its tie mask whole is a node, keyed by the
+snapshot's key (`Snapshot.key`: the run state less its entry list) and the
+monitor's projection (its state less entry indices). Every branch below a
+node resumes at that node or below it, so what lies below depends on its key
+alone. A node keeps, in the order explored, its branches (decisions and
+entries from its draw on, stop reason, final balances, mask, verdicts) and
+links to the nodes below it; it is explored to the end once the odometer
+changes a decision before its draw, and no run below it meets its key (each
+draw there has more entries before it). A baseline run that reaches a key in
+the set stops there (`_Revisit`), and each branch below that node is
+replayed: this run's prefix plus the kept entries and decisions, with the
+header and verdicts that simulating it would give. A kept verdict list
+without a violation holds only shared witness-free verdicts and is reused; a
+violating branch is checked again from the live monitor, so its witnesses
+name its own entries. The set costs memory (the kept entries of each
+explored subtree, until the assignment ends) and saves the simulation of
+every revisited subtree.
 """
 from __future__ import annotations
 
@@ -74,9 +94,10 @@ class _DecidedDelays:
         self.cursor += 1
         return self.grid[choice]
 
-    def to_config(self) -> dict:
+    def to_config(self, decisions: Optional[Sequence[int]] = None) -> dict:
+        """The model's config, with `decisions` in place of its own if given."""
         return {"kind": "explored", "grid": list(self._grid_config),
-                "decisions": list(self.decisions)}
+                "decisions": list(self.decisions if decisions is None else decisions)}
 
 
 @dataclass
@@ -97,17 +118,19 @@ class ExploreReport:
     bob_paid_everywhere: dict[str, bool] = field(default_factory=dict)
     max_customer_terminal: Optional[Fraction] = None
     entries: int = 0  # trace entries over all branches
-    entries_simulated: int = 0  # of those, the ones a branch simulated past its checkpoint
-    entries_checked: int = 0  # of those, the ones fed to a branch's monitor past its checkpoint
+    entries_simulated: int = 0  # of those, the ones a run simulated past its checkpoint
+    entries_checked: int = 0  # entries fed to a branch's monitor past its checkpoint
     tie_reruns: int = 0  # branches under a policy other than the first
     tie_reruns_shared: int = 0  # of those, the ones that reused a run of their leaf
+    branches_replayed: int = 0  # branches replayed from a subtree explored before
+    states: int = 0  # the run states explored once each (nodes), over all assignments
     leaf_depths: dict[int, int] = field(default_factory=dict)  # leaves by decisions taken
 
     @property
     def safe(self) -> bool:
         return not self.violations
 
-    def _record(self, outcome: BranchOutcome, bob_paid: bool) -> None:
+    def _record(self, outcome: BranchOutcome, paid: bool) -> None:
         self.branches += 1
         self.entries += len(outcome.trace.entries)
         if outcome.policy == POLICIES[0]:
@@ -119,9 +142,11 @@ class ExploreReport:
             self.violations.append(outcome)
         else:
             outcome.trace = None  # free the bulk of the memory on clean branches
+        # progress is only promised under the protocol's own tie-break;
+        # timeout-first runs exist to show safety is order-independent
         label = outcome.assignment_label
-        self.bob_paid_everywhere[label] = (
-            self.bob_paid_everywhere.get(label, True) and bob_paid)
+        self.bob_paid_everywhere[label] = self.bob_paid_everywhere.get(label, True) and (
+            outcome.policy[0] != "receive_first" or paid)
 
 
 class _Run(NamedTuple):
@@ -144,8 +169,63 @@ class _Checkpoint(NamedTuple):
     monitor: Monitor  # the checks, fed every entry before the draw
 
 
+class _Node(NamedTuple):
+    """A run state explored once: a draw that takes a decision in a baseline
+    run, reached with the tie mask whole, and everything explored below it.
+
+    `items` holds, in the order they were explored, each branch below it
+    (`_Leaf`) and a link to each node below it (`_Link`), the ones reached
+    again included. Every branch of a leaf resumes at the deepest node on its
+    path or below it, so what lies below a node depends only on the key it
+    is kept under.
+    """
+    cursor: int  # decisions consumed before the draw
+    entry_count: int  # entries before the draw
+    items: list
+
+
+class _Leaf(NamedTuple):
+    """A branch below a node, as far as its replay needs it."""
+    policy: int  # its index in `POLICIES`
+    decisions: tuple[int, ...]  # its decisions from the node's draw on
+    entries: list  # its entries from the node's draw on
+    stop_reason: str
+    final_balances: dict
+    final_in_flight: int
+    mask: int
+    # None if one is violated: a witness names entries, so a replay checks again
+    verdicts: Optional[list[Verdict]]
+    paid: bool
+
+
+class _Link(NamedTuple):
+    """A node below a node, with the decisions and entries between their draws."""
+    node: _Node
+    decisions: tuple[int, ...]
+    entries: list
+
+
+def _replay(node: _Node, decisions: tuple[int, ...], entries: list):
+    """Each branch below `node`, as (leaf, decision vector, entries), for a run
+    that reaches a draw with its key after `decisions` and `entries`."""
+    for item in node.items:
+        if type(item) is _Link:
+            yield from _replay(item.node, decisions + item.decisions, entries + item.entries)
+        else:
+            yield item, decisions + item.decisions, entries + item.entries
+
+
+class _Revisit(Exception):
+    """Stops a baseline run at a draw whose run state was explored before."""
+
+    def __init__(self, node: _Node):
+        super().__init__()
+        self.node = node
+
+
 class _Checkpoints:
-    """Where the branches of one assignment resume.
+    """Where the branches of one assignment resume, and the run states
+    explored in it.
 
     The baseline (first-policy) run of each leaf takes a snapshot just before
     each draw that takes a decision (a draw with a send to a compliant
@@ -154,6 +234,15 @@ class _Checkpoints:
     decision's draw. Runs under the other policies agree with it up to its
     first tie (no policy matters before there is a choice to make), so they
     resume from the last checkpoint before that tie, or from the start.
+
+    Such a draw with the tie mask still whole, reached for the first time
+    (not the draw a resumed run restarts at), is a node, kept in `visited`
+    under the snapshot's key and the monitor's projection. `path` holds the
+    nodes of the last baseline run, each being explored until the odometer
+    changes a decision before its draw. A baseline run that reaches a draw
+    whose key is in `visited` stops there (`_Revisit`). That node was
+    explored to the end: a run below a node meets no draw with its key, as
+    each such draw has more entries before it.
 
     `monitor` is the check of the run in progress; it takes in the entries
     only as far as it has to. Each checkpoint keeps a copy of it as it stood
@@ -168,6 +257,8 @@ class _Checkpoints:
         self.by_decision: list[_Checkpoint] = []
         self.start = self.tie = _Checkpoint(sim.snapshot(), 0, Monitor(sim.meta))
         self.resumed: Optional[_Checkpoint] = None  # what the next draw stands at
+        self.path: list[_Node] = []  # the nodes of the last baseline run, being explored
+        self.visited: dict[tuple, _Node] = {}  # every node, by key
 
     def draw(self) -> None:
         """The engine's `on_draw` during baseline runs."""
@@ -179,15 +270,47 @@ class _Checkpoints:
         if cp is None:
             # the live monitor catches up to the snapshot; the checkpoint keeps a copy
             self.monitor.feed(sim.entries)
-            cp = _Checkpoint(sim.snapshot(), self.model.cursor, self.monitor.copy())
+            snapshot = sim.snapshot()
+            if sim.mask == EVERY_POLICY:
+                self._enter(snapshot)
+            cp = _Checkpoint(snapshot, self.model.cursor, self.monitor.copy())
         self.by_decision.extend([cp] * taken)
         if sim.mask == EVERY_POLICY:
             self.tie = cp
 
+    def _enter(self, snapshot: Snapshot) -> None:
+        """Open a node at this draw, linked from the deepest open one; or, if
+        its key was explored, link that node and stop the run."""
+        cursor, count = self.model.cursor, snapshot.entry_count
+        new = _Node(cursor, count, [])
+        node = self.visited.setdefault((snapshot.key(), self.monitor.projection()), new)
+        if self.path:
+            up = self.path[-1]
+            up.items.append(_Link(node, tuple(self.model.decisions[up.cursor:cursor]),
+                                  snapshot.entries[up.entry_count:count]))
+        if node is not new:
+            raise _Revisit(node)
+        self.path.append(node)
+
+    def keep(self, k: int, trace: Trace, run: _Run) -> None:
+        """Keep the branch just explored under policy `k` in its node."""
+        if self.path:
+            node = self.path[-1]
+            verdicts = run.verdicts
+            if any(v.status is VIOLATED for v in verdicts):
+                verdicts = None
+            node.items.append(_Leaf(k, tuple(self.model.decisions[node.cursor:]),
+                                    trace.entries[node.entry_count:], trace.stop_reason,
+                                    trace.final_balances, trace.final_in_flight, trace.mask,
+                                    verdicts, run.paid))
+
     def resume(self, index: int) -> _Checkpoint:
         """Restore the draw that took decision `index` in the last baseline
         run, or, if that run stopped short of it, the last draw that took one
-        (the prefix decides the run up to there)."""
+        (the prefix decides the run up to there). The nodes past that draw
+        are explored to the end and leave the path."""
+        while self.path and self.path[-1].cursor > index:
+            self.path.pop()
         if index < len(self.by_decision):
             cp = self.by_decision[index]
         else:
@@ -203,6 +326,12 @@ class _Checkpoints:
         return cp
 
 
+def _tie_scenarios(first: Scenario) -> list[Scenario]:
+    """The scenarios of the policies after the first, built on first need."""
+    return [replace(first, tie_break=tie_break, rx_order=rx_order)
+            for tie_break, rx_order in POLICIES[1:]]
+
+
 def explore(
     base: Scenario,
     assignments: Sequence[dict[ParticipantId, StrategySpec]] = ({},),
@@ -212,8 +341,11 @@ def explore(
 ) -> ExploreReport:
     """Simulate and check every (assignment, delay vector, needed policy) branch.
 
-    Each branch gets the safety verdict set; the per-assignment liveness
-    outcome lands in report.bob_paid_everywhere rather than in the violations.
+    A branch is simulated, shares a run of its leaf, or is replayed from a
+    subtree explored below the same run state; each gives the outcome that
+    simulating it from t=0 would. Each branch gets the safety verdict set;
+    the per-assignment liveness outcome lands in report.bob_paid_everywhere
+    rather than in the violations.
     The report comes back complete=False once `budget` branches were run.
     `on_branch` sees every outcome (traces of clean branches are dropped after
     the callback to keep memory flat).
@@ -241,59 +373,95 @@ def explore(
         sim = _Sim(scenarios[0])
         checkpoints = _Checkpoints(sim, model)
         resumed = checkpoints.start
-        while True:
-            runs: list[_Run] = []  # the runs of this leaf simulated so far
-            for k, policy in enumerate(POLICIES):
-                if k > 0 and runs[0].mask == EVERY_POLICY:
-                    break  # no tie: every policy makes the baseline run
-                if report.branches >= budget:
-                    report.complete = False
-                    return report
-                if k == len(scenarios):
-                    scenarios += [replace(scenarios[0], tie_break=tie_break, rx_order=rx_order)
-                                  for tie_break, rx_order in POLICIES[1:]]
-                run = next((r for r in runs if r.mask >> k & 1), None)
-                if run is not None:
-                    # this policy makes `run` again; the header shows the
-                    # decisions as they stand now, as a run ending now would
-                    trace = replace(run.trace, scenario=scenarios[k],
-                                    delay_config=model.to_config())
-                    report.tie_reruns_shared += 1
-                else:
-                    if k == 0:
-                        sim.on_draw = checkpoints.draw
-                        trace = run_simulation(scenarios[0], sim)
-                        # unhooked, the run and its checkpoints form no reference
-                        # cycle, so they are freed as soon as the assignment ends
-                        sim.on_draw = None
+        try:
+            while True:
+                runs: list[_Run] = []  # the runs of this leaf simulated so far
+                revisited = None  # the node whose run state the baseline run reached again
+                for k, policy in enumerate(POLICIES):
+                    if k > 0 and runs[0].mask == EVERY_POLICY:
+                        break  # no tie: every policy makes the baseline run
+                    if report.branches >= budget:
+                        report.complete = False
+                        return report
+                    if k == len(scenarios):
+                        scenarios += _tie_scenarios(scenarios[0])
+                    run = next((r for r in runs if r.mask >> k & 1), None)
+                    if run is not None:
+                        # this policy makes `run` again; the header shows the
+                        # decisions as they stand now, as a run ending now would
+                        trace = replace(run.trace, scenario=scenarios[k],
+                                        delay_config=model.to_config())
+                        report.tie_reruns_shared += 1
                     else:
-                        resumed = checkpoints.restore(checkpoints.tie)
-                        trace = run_simulation(scenarios[k], sim)
-                    report.entries_simulated += len(trace.entries) - resumed.snapshot.entry_count
-                    monitor = checkpoints.monitor
-                    verdicts = safety_verdicts(trace, monitor)
-                    live = check_liveness(trace, monitor)
+                        if k == 0:
+                            sim.on_draw = checkpoints.draw
+                            try:
+                                trace = run_simulation(scenarios[0], sim)
+                            except _Revisit as stop:
+                                revisited = stop.node
+                                break
+                            finally:
+                                # unhooked, the run and its checkpoints form no reference
+                                # cycle, so they are freed as soon as the assignment ends
+                                sim.on_draw = None
+                        else:
+                            resumed = checkpoints.restore(checkpoints.tie)
+                            trace = run_simulation(scenarios[k], sim)
+                        report.entries_simulated += len(trace.entries) - resumed.snapshot.entry_count
+                        monitor = checkpoints.monitor
+                        verdicts = safety_verdicts(trace, monitor)
+                        live = check_liveness(trace, monitor)
+                        report.entries_checked += monitor.fed - resumed.monitor.fed
+                        for hit in monitor.terminal.values():
+                            if hit.tick * top_scale > top_tick * hit.scale:
+                                top_tick, top_scale = hit.tick, hit.scale
+                                report.max_customer_terminal = Fraction(top_tick, top_scale)
+                        run = _Run(trace.mask, trace, verdicts, live.status is HOLDS or (
+                            live.status is not VIOLATED and monitor.bob_paid()))
+                        runs.append(run)
+                    checkpoints.keep(k, trace, run)
+                    outcome = BranchOutcome(label, policy, tuple(decisions), run.verdicts, trace)
+                    if on_branch is not None:
+                        on_branch(outcome)
+                    report._record(outcome, run.paid)
+                if revisited is not None:
+                    # the run stopped at a draw explored before: each branch
+                    # below it is what simulating it would give, with this
+                    # run's prefix; a terminal time below it was counted there
+                    entries, monitor = sim.entries, checkpoints.monitor
+                    report.entries_simulated += len(entries) - resumed.snapshot.entry_count
                     report.entries_checked += monitor.fed - resumed.monitor.fed
-                    for hit in monitor.terminal.values():
-                        if hit.tick * top_scale > top_tick * hit.scale:
-                            top_tick, top_scale = hit.tick, hit.scale
-                            report.max_customer_terminal = Fraction(top_tick, top_scale)
-                    run = _Run(trace.mask, trace, verdicts, live.status is HOLDS or (
-                        live.status is not VIOLATED and monitor.bob_paid()))
-                    runs.append(run)
-                outcome = BranchOutcome(label, policy, tuple(decisions), run.verdicts, trace)
-                if on_branch is not None:
-                    on_branch(outcome)
-                # progress is only promised under the protocol's own tie-break;
-                # timeout-first runs exist to show safety is order-independent
-                report._record(outcome, policy[0] != "receive_first" or run.paid)
-            # odometer step over however many decisions this leaf consumed
-            while decisions and decisions[-1] == len(grid) - 1:
-                decisions.pop()
-            if not decisions:
-                break
-            decisions[-1] += 1
-            resumed = checkpoints.resume(len(decisions) - 1)
+                    del decisions[model.cursor:]
+                    for leaf, decided, trace_entries in _replay(revisited, tuple(decisions),
+                                                                entries):
+                        if report.branches >= budget:
+                            report.complete = False
+                            return report
+                        k = leaf.policy
+                        if k >= len(scenarios):
+                            scenarios += _tie_scenarios(scenarios[0])
+                        trace = Trace(sim.meta, trace_entries, leaf.stop_reason,
+                                      leaf.final_balances, leaf.final_in_flight, leaf.mask,
+                                      scenarios[k], model.to_config(decided))
+                        verdicts = leaf.verdicts
+                        if verdicts is None:  # check this branch's own entries
+                            check = monitor.copy()
+                            verdicts = safety_verdicts(trace, check)
+                            report.entries_checked += check.fed - monitor.fed
+                        report.branches_replayed += 1
+                        outcome = BranchOutcome(label, POLICIES[k], decided, verdicts, trace)
+                        if on_branch is not None:
+                            on_branch(outcome)
+                        report._record(outcome, leaf.paid)
+                # odometer step over however many decisions this leaf consumed
+                while decisions and decisions[-1] == len(grid) - 1:
+                    decisions.pop()
+                if not decisions:
+                    break
+                decisions[-1] += 1
+                resumed = checkpoints.resume(len(decisions) - 1)
+        finally:
+            report.states += len(checkpoints.visited)
     return report
 
 

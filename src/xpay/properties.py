@@ -156,7 +156,8 @@ class Monitor:
     """The online state of every clause's check over one trace.
 
     `feed` takes in the entries appended since the last feed; `copy` forks the
-    state, so a run that is branched can have its check branched with it. The
+    state, so a run that is branched can have its check branched with it;
+    `projection` is the state less the entry indices it holds. The
     verdict methods read the state once the last entry is in; those whose
     witness lists a participant's entries also take the trace.
     """
@@ -204,6 +205,25 @@ class Monitor:
         other.terminal = dict(self.terminal)
         other.engaged = set(self.engaged)
         return other
+
+    def projection(self) -> tuple:
+        """The state as a hashable value, less its entry indices: two monitors
+        with the same projection, fed the same entries from here on, give the
+        same verdict statuses and details, and differ at most in the entries
+        their witnesses name. A record made of indices keeps only how many
+        there are."""
+        return (
+            frozenset(self.net.items()), self.in_flight, frozenset(self.sent),
+            frozenset(self.seen),
+            # a terminal record less its first field, the entry's index
+            frozenset([(p, hit[1:]) for p, hit in self.terminal.items()]),
+            frozenset(self.engaged), len(self.impossible),
+            tuple([(i, detail) for i, _, detail in self.dips]),
+            tuple([detail for _, detail in self.auth]),
+            None if self.cons is None else self.cons[1],
+            self.alice_certified, self.bob_signed, self.bob_aborted,
+            self.commit_at is not None, self.abort_at is not None,
+        )
 
     def feed(self, entries: list[TraceEntry]) -> None:
         """Take in `entries[self.fed:]`: `entries` is the run so far, and the

@@ -52,6 +52,9 @@ trace entries so far (entries are only ever appended, so the count names the
 prefix). `on_draw`, when set, is called there just before each draw, which
 is where such snapshots are taken. `restore` puts one back and `run`
 continues from there; a plain run is the same loop, with no snapshot taken.
+Every field but the entry list is hashable, so `Snapshot.key`, the snapshot
+less its entries with each queued seq replaced by its rank, is a run state
+that two runs share exactly when they go on alike.
 A delay model that keeps its own state, such as the explorer's decision
 cursor, is saved by whoever drives it.
 
@@ -104,7 +107,7 @@ from .protocol import (
     make_transaction_manager,
     make_weak_participants,
 )
-from .timing import TimingParams, default_horizon, derive_timeouts
+from .timing import TimingParams, check_inputs, default_horizon, derive_timeouts
 from .trace import (
     DELIVERED,
     EVERY_POLICY,
@@ -516,12 +519,9 @@ class Scenario:
                 raise ConfigError(f"{name} must be an integer")
         if self.variant not in ("strong", "weak"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.n < 1:
-            raise ConfigError("n must be at least 1")
+        check_inputs(self.n, self.pi, self.rho, self.mu)
         if self.amount < 1:
             raise ConfigError("amount must be at least 1")
-        if self.pi < 0 or self.rho < 0 or self.mu < 0:
-            raise ConfigError("pi, rho, mu must be non-negative")
         if self.tie_break not in TIE_BREAKS:
             raise ConfigError(f"tie_break must be one of {TIE_BREAKS}")
         if self.rx_order not in RX_ORDERS:
@@ -716,7 +716,10 @@ class Snapshot(NamedTuple):
     What does not change during a run (definitions, clock rates, keys'
     owners, timeout lengths, the time scale, the trace header facts) is not
     in it. Restoring never changes a snapshot, so one can be restored any
-    number of times.
+    number of times. Every field but `entries` is hashable, each dict kept
+    as a tuple of its items (an automaton's sorted by name, as the order it
+    set them in is not run state), so `key` is the snapshot itself, less its
+    entries.
     """
     started: bool  # the t=0 setup is done
     heap: tuple
@@ -729,12 +732,30 @@ class Snapshot(NamedTuple):
     mask: int  # the policies that would have chosen as the run did at every tie so far
     pending_compliant: int
     outbox: tuple  # the sends whose delays are not drawn yet, as (seq, envelope)
-    balances: dict  # pid -> balance
+    balances: tuple  # (pid, balance) per participant
     in_flight: int
     rng: Optional[tuple]  # the delay generator's state; None while the run has none
-    automata: list  # per automaton: (state, clock_vars, captured, inbox, stuck, due)
-    nonces: list  # per key, the next nonce
-    vaults: Sequence  # per strategy, the messages delivered to it; empty with no strategy
+    automata: tuple  # per automaton: (state, clock_vars, captured, inbox, stuck, due)
+    nonces: tuple  # per key, the next nonce
+    vaults: tuple  # per strategy, the messages delivered to it; empty with no strategy
+
+    def key(self) -> "Snapshot":
+        """The run state as a hashable value: two snapshots of one scenario
+        with the same key go on alike under the same decisions and policy,
+        and append equal entries. It is the snapshot less its entries (their
+        count stays, which numbers the entries to come), with the seq of each
+        queued event and undrawn send replaced by its rank among them: a seq
+        only orders events, and each push takes one past every queued seq."""
+        heap, outbox = self.heap, self.outbox
+        seqs = [event[2] for event in heap]
+        seqs += [seq for seq, _ in outbox]
+        seqs.sort()
+        rank = dict(zip(seqs, range(len(seqs))))
+        # the events in the order they pop in, as the ranks keep the seqs' order
+        heap = tuple(sorted([(tick, prio, rank[seq], kind, a, b)
+                             for tick, prio, seq, kind, a, b in heap]))
+        return self._replace(heap=heap, seq=None, entries=None,
+                             outbox=tuple([(rank[seq], env) for seq, env in outbox]))
 
 
 class _Sim:
@@ -857,12 +878,12 @@ class _Sim:
         return Snapshot(
             self.started, tuple(self.heap), self.seq, self.tick,
             entries, len(entries), self.mask, self.pending_compliant, tuple(self.outbox),
-            self.ledger.balances.copy(), self.ledger.in_flight,
+            tuple(self.ledger.balances.items()), self.ledger.in_flight,
             None if rng is None else rng.getstate(),
-            [(a.state, a.clock_vars.copy(), a.captured.copy(), tuple(a.inbox), a.stuck, a.due)
-             for a in self._automata],
-            [key.nonce for key in self._keys],
-            [tuple(v) for v in self.vaults.values()] if self.vaults else (),
+            tuple((a.state, tuple(sorted(a.clock_vars.items())), tuple(sorted(a.captured.items())),
+                   tuple(a.inbox), a.stuck, a.due) for a in self._automata),
+            tuple(key.nonce for key in self._keys),
+            tuple(tuple(v) for v in self.vaults.values()),
         )
 
     def restore(self, snap: Snapshot) -> None:
@@ -874,7 +895,7 @@ class _Sim:
         self.heap = list(heap)
         self.outbox = list(outbox)
         self.entries = entries[:entry_count]
-        self.ledger.balances = balances.copy()
+        self.ledger.balances = dict(balances)
         self.ledger.in_flight = in_flight
         if rng is None:
             self.__dict__.pop("rng", None)  # the next draw starts from the seed
@@ -883,8 +904,8 @@ class _Sim:
         for aut, (state, clock_vars, captured, inbox, stuck, due) in zip(
                 self._automata, automata):
             aut.state = state
-            aut.clock_vars = clock_vars.copy()
-            aut.captured = captured.copy()
+            aut.clock_vars = dict(clock_vars)
+            aut.captured = dict(captured)
             aut.inbox = list(inbox)
             aut.stuck = stuck
             aut.due = due

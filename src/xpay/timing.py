@@ -76,27 +76,37 @@ class TimingParams:
     mu: Fraction = Fraction(0)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("hop count must be at least 1")
+        for name in ("epsilon", "pi", "delta", "rho", "mu"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name), name))
+        check_inputs(self.n, self.pi, self.rho, self.mu, delta=self.delta, epsilon=self.epsilon)
         if len(self.a) != self.n or len(self.d) != self.n:
             raise ConfigError("need one a_i and one d_i per hop")
         object.__setattr__(self, "a", tuple(as_fraction(x, "a_i") for x in self.a))
         object.__setattr__(self, "d", tuple(as_fraction(x, "d_i") for x in self.d))
-        for name in ("epsilon", "pi", "delta", "rho", "mu"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name), name))
         if any(x <= 0 for x in self.a) or any(x <= 0 for x in self.d):
             raise ConfigError("timeout durations must be strictly positive")
         for i in range(self.n):
             if self.d[i] < self.a[i]:
                 raise ConfigError(f"d_{i} < a_{i}: an escrow cannot resolve before its own window closes")
-        if self.delta <= 0:
-            raise ConfigError("delivery bound must be strictly positive")
-        if self.pi < 0 or self.rho < 0 or self.mu < 0 or self.epsilon < 0:
-            raise ConfigError("pi, rho, mu, epsilon must be non-negative")
         object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
 
     def __hash__(self) -> int:
         return self._hash
+
+
+def check_inputs(n: int, pi: Fraction, rho: Fraction, mu: Fraction,
+                 delta: Optional[Fraction] = None, epsilon: Optional[Fraction] = None) -> None:
+    """The rules on the inputs of the window algebra, one message each:
+    `derive_timeouts`, `TimingParams` and `Scenario.validate` all check them
+    here. `delta` and `epsilon` are checked when given (a scenario's delivery
+    bound is its delay model's, and epsilon is derived when not given)."""
+    if n < 1:
+        raise ConfigError("n must be at least 1")
+    if delta is not None and delta <= 0:
+        raise ConfigError("delta must be strictly positive")
+    for name, value in (("pi", pi), ("rho", rho), ("mu", mu), ("epsilon", epsilon)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{name} must be non-negative")
 
 
 class ValidationFailed(Exception):
@@ -136,13 +146,7 @@ def derive_timeouts(
 @functools.lru_cache(maxsize=_DERIVED_CACHED)
 def _derive_timeouts(n: int, delta: Fraction, pi: Fraction, rho: Fraction,
                      epsilon: Optional[Fraction], margin: Fraction) -> TimingParams:
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    if delta <= 0:
-        raise ConfigError("delta must be strictly positive")
-    if pi < 0 or rho < 0 or margin < 0:
-        raise ConfigError("pi, rho, margin must be non-negative")
-
+    check_inputs(n, pi, rho, margin, delta=delta, epsilon=epsilon)
     budgets = [Fraction(0)] * n
     budgets[n - 1] = 2 * delta + pi
     for i in range(n - 2, -1, -1):

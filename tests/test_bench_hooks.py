@@ -53,7 +53,9 @@ def test_explore_calls_each_wrapped_layer_once_per_branch(monkeypatch):
     """The explore spans wrap the event loop and the checkers where the
     explorer looks them up, in its module globals; each wrapper must see every
     branch that is simulated, the resumed ones and the tie re-runs included.
-    The other branches are tie re-runs that share a run of their leaf."""
+    The other branches are tie re-runs that share a run of their leaf, or are
+    replayed from a subtree explored before. A run that stops where such a
+    subtree starts raises out of the wrapper, so only returns are counted."""
     module = importlib.import_module("xpay.explore")
     names = {attr for path, attr, _ in spans.TARGETS if path == "xpay.explore"} - {"explore"}
     assert names == {"run_simulation", "safety_verdicts", "check_liveness"}
@@ -61,8 +63,9 @@ def test_explore_calls_each_wrapped_layer_once_per_branch(monkeypatch):
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
             calls[name] += 1
-            return fn(*args, **kwargs)
+            return result
         return wrapper
 
     for name in names:
@@ -72,6 +75,6 @@ def test_explore_calls_each_wrapped_layer_once_per_branch(monkeypatch):
     report = module.explore(base, assignments=module.battery_assignments(base)[:3],
                             budget=100, on_branch=lambda o: ties.update([o.policy]))
     assert report.branches == 100 and not report.complete and len(ties) > 1
-    simulated = report.branches - report.tie_reruns_shared
-    assert 0 < report.tie_reruns_shared < report.tie_reruns
+    simulated = report.branches - report.tie_reruns_shared - report.branches_replayed
+    assert 0 < report.tie_reruns_shared < report.tie_reruns and report.branches_replayed > 0
     assert calls == {name: simulated for name in names}

@@ -234,10 +234,13 @@ def test_explore_full_battery_exit_0(configs, capsys, monkeypatch):
     assert second[0] == "explore"
     fields = dict(field.split("=") for field in second[1:])
     assert fields["entries"] == "52219" and fields["tie_reruns"] == "282"
-    assert fields["tie_reruns_shared"] == "188"
+    # of the 1800 branches, 134 share a run of their leaf, 885 are replayed
+    # from 220 run states explored once each, and the rest are simulated
+    assert fields["tie_reruns_shared"] == "134"
+    assert (fields["branches_replayed"], fields["states"]) == ("885", "220")
     assert 0 < int(fields["entries_simulated"]) < 52219
     # each branch's monitor takes in only the entries the branch simulates
-    assert fields["entries_checked"] == fields["entries_simulated"] == "13237"
+    assert fields["entries_checked"] == fields["entries_simulated"] == "7901"
     assert fields["leaf_depths"] == "0:84,1:48,2:99,3:126,4:189,5:243,6:729"
 
 
@@ -252,7 +255,8 @@ def test_explore_on_a_violating_tree_exits_1(configs, capsys, monkeypatch):
     assert lines[0] == "explore branches=1698 complete=True assignments=120 patience_sets=1"
     fields = dict(field.split("=") for field in lines[1].split()[1:])
     assert fields["entries"] == "44110" and fields["tie_reruns"] == "270"
-    assert fields["entries_checked"] == fields["entries_simulated"] == "5944"
+    # a replayed branch that violates is checked again, 945 entries in all
+    assert (fields["entries_simulated"], fields["entries_checked"]) == ("5107", "6052")
     assert fields["leaf_depths"] == "0:84,1:66,2:63,3:81,4:162,5:243,6:729"
     policy = "('receive_first', 'declared')"
     assert lines[2:22] == [

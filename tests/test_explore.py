@@ -14,10 +14,10 @@ from oracles import rerun_explore
 from xpay import simnet
 from xpay.core import (Certificate, ConfigError, Envelope, Guarantee, SigningKey, customer,
                        escrow, sign)
-from xpay.explore import (POLICIES, _Checkpoints, _DecidedDelays, assignment_label,
+from xpay.explore import (POLICIES, _Checkpoints, _DecidedDelays, _Revisit, assignment_label,
                           battery_assignments, explore)
-from xpay.properties import Monitor, Status
-from xpay.simnet import StrategySpec, Synchronous, _Sim, run_simulation
+from xpay.properties import Monitor, Status, _Terminal, safety_verdicts
+from xpay.simnet import Snapshot, StrategySpec, Synchronous, _Sim, run_simulation
 from xpay.trace import EVERY_POLICY, format_lines
 
 F = Fraction
@@ -54,6 +54,9 @@ DIFFERENTIAL = {
 }
 # the cases some of whose tie re-runs resume from the assignment's start
 TIE_FROM_START = {"weak-n1-tie-before-any-decision"}
+# the cases with no node: every baseline run ties before its first decision
+# draw, and a node is a decision draw with the tie mask still whole
+NO_NODE = {"weak-n1-tie-before-any-decision"}
 
 
 def branch_sequence(explorer, base, **kw):
@@ -79,18 +82,23 @@ def test_checkpointed_exploration_matches_the_rerun_reference(case, monkeypatch)
     want, want_report = branch_sequence(rerun_explore, base, **kw)
     explore_module = sys.modules["xpay.explore"]
     resumed = Counter()
+    simulated = 0  # the runs that reach their end; a run stopped at an explored draw raises
 
     def noting(scenario, sim):
+        nonlocal simulated
         tie_rerun = (scenario.tie_break, scenario.rx_order) != POLICIES[0]
         resumed[tie_rerun, sim.started] += 1
-        return run_simulation(scenario, sim)
+        trace = run_simulation(scenario, sim)
+        simulated += 1
+        return trace
 
     monkeypatch.setattr(explore_module, "run_simulation", noting)
     got, report = branch_sequence(explore, base, **kw)
     assert (resumed[True, False] > 0) == (case in TIE_FROM_START)
-    # a tie re-run is simulated, or shares an earlier run of its leaf
-    simulated = resumed[True, False] + resumed[True, True]
-    assert simulated + report.tie_reruns_shared == report.tie_reruns
+    # a branch is simulated, shares an earlier run of its leaf, or is replayed
+    # from a subtree explored below the same run state
+    assert simulated + report.tie_reruns_shared + report.branches_replayed == report.branches
+    assert (report.branches_replayed > 0 and report.states > 0) == (case not in NO_NODE)
     assert len(got) == branches
     assert got == want
     assert_same_report(report, want_report)
@@ -177,10 +185,28 @@ def test_forked_violations_and_witnesses_match_the_rerun_reference(monkeypatch):
                            raw_injections=((F(3), Envelope(customer(1), escrow(0), chi)),))
     kw = {"assignments": battery_assignments(base)}
     want, want_report = branch_sequence(rerun_explore, base, **kw)
+    explore_module = sys.modules["xpay.explore"]
+    last_run = [None]
+    rechecked = []  # per replayed branch checked again, the entries its monitor takes in
+
+    def running(scenario, sim):
+        last_run[0] = run_simulation(scenario, sim)
+        return last_run[0]
+
+    def checking(trace, monitor):
+        if trace is not last_run[0]:  # no run made it: a replayed branch
+            rechecked.append(len(trace.entries) - monitor.fed)
+        return safety_verdicts(trace, monitor)
+
+    monkeypatch.setattr(explore_module, "run_simulation", running)
+    monkeypatch.setattr(explore_module, "safety_verdicts", checking)
     got, report = branch_sequence(explore, base, **kw)
     assert got == want
     assert_same_report(report, want_report)
-    assert report.entries_checked == report.entries_simulated < report.entries
+    # a replayed branch that violates is checked again, from the live monitor,
+    # so that its witnesses name its own entries
+    assert rechecked and report.branches_replayed > len(rechecked)
+    assert report.entries_checked == report.entries_simulated + sum(rechecked) < report.entries
     violated = Counter(v.name for outcome in report.violations for v in outcome.verdicts
                        if v.status is Status.VIOLATED)
     assert set(violated) == {"C", "CS1", "CS2", "AUTH"}, violated
@@ -321,12 +347,15 @@ def test_a_snapshot_and_a_restore_copy_the_outbox():
 def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
     """Snapshots, and with them monitor copies, are taken only where a branch
     can resume: apart from each assignment's start, every snapshot a baseline
-    run takes is a checkpoint credited with at least one decision, at most
-    546 snapshots over the n=1 battery. A checkpoint gets its copy of the
+    run takes is a checkpoint credited with at least one decision, or the
+    one a run stopped at because its run state was explored, at most 546
+    snapshots over the n=1 battery. A checkpoint gets its copy of the
     monitor when it is taken; every other copy is a restore's, one per
-    branch that is simulated and does not start its assignment."""
+    run that does not start its assignment: each branch that is simulated,
+    and each run that stopped."""
     counts = Counter()
-    taken, starts, credited = [], [], {}
+    taken, starts, credited, stops = [], [], {}, []
+    runs = 0  # the runs begun: the branches simulated, and the runs stopped
 
     def counted(name, fn):
         def wrapper(self, *args):
@@ -343,7 +372,11 @@ def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
         starts.append(checkpoints.start.snapshot)
 
     def draw(checkpoints, fn=_Checkpoints.draw):
-        fn(checkpoints)
+        try:
+            fn(checkpoints)
+        except _Revisit:
+            stops.append(taken[-1])
+            raise
         for cp in checkpoints.by_decision:
             assert cp.monitor.fed == cp.snapshot.entry_count
             credited[id(cp.snapshot)] = cp.snapshot
@@ -353,14 +386,22 @@ def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
     monkeypatch.setattr(_Checkpoints, "__init__", init)
     monkeypatch.setattr(_Checkpoints, "draw", draw)
     monkeypatch.setattr(_Checkpoints, "restore", counted("restores", _Checkpoints.restore))
+
+    def running(scenario, sim):
+        nonlocal runs
+        runs += 1
+        return run_simulation(scenario, sim)
+
+    monkeypatch.setattr(sys.modules["xpay.explore"], "run_simulation", running)
     base, kw, branches = _strong_battery()
     report = explore(base, **kw)
     assert report.branches == branches
     assert len(starts) == len(kw["assignments"])
-    assert {id(snap) for snap in taken} == {id(snap) for snap in (*starts, *credited.values())}
-    assert len(taken) == len(starts) + len(credited) <= 546
-    assert report.tie_reruns_shared == 188
-    assert counts["restores"] == branches - len(starts) - report.tie_reruns_shared
+    assert {id(snap) for snap in taken} == {
+        id(snap) for snap in (*starts, *credited.values(), *stops)}
+    assert len(taken) == len(starts) + len(credited) + len(stops) <= 546
+    assert runs - len(stops) + report.tie_reruns_shared + report.branches_replayed == branches
+    assert counts["restores"] == runs - len(starts)
     assert counts["copies"] == len(credited) + counts["restores"]
 
 
@@ -383,8 +424,9 @@ def test_a_verdict_without_a_witness_is_shared(monkeypatch):
     base, kw, branches = _strong_battery()
     report = explore(base, **kw)
     assert report.branches == branches
-    # seven safety verdicts and L per simulated branch
-    assert len(given) == 8 * (branches - report.tie_reruns_shared)
+    # seven safety verdicts and L per simulated branch; no replayed branch
+    # violates, so none is checked again
+    assert len(given) == 8 * (branches - report.tie_reruns_shared - report.branches_replayed)
     shared = {id(v) for v in shared_verdicts()}
     clean = [v for v in given if not v.witness]
     assert all(id(v) in shared for v in clean), {v.line() for v in clean if id(v) not in shared}
@@ -519,3 +561,141 @@ def test_runs_without_a_tie_are_the_same_under_every_policy():
                     assert [e.line() for e in run_simulation(other).entries] == lines, (
                         scenario.variant, n, seed, tie_break, rx_order)
     assert compared["strong"] >= 20 and compared["weak"] >= 15
+
+
+def _taken_snapshots(scenario):
+    """The snapshots a run of `scenario` takes just before each of its draws."""
+    sim = _Sim(scenario)
+    taken = []
+    sim.on_draw = lambda: taken.append(sim.snapshot())
+    sim.run()
+    return sim, taken
+
+
+def _bump_automaton(snap, k, part, change):
+    automata = list(snap.automata)
+    fields = list(automata[k])
+    fields[part] = change(fields[part])
+    automata[k] = tuple(fields)
+    return snap._replace(automata=tuple(automata))
+
+
+def test_a_run_state_key_tells_apart_each_field_of_a_snapshot():
+    """Two snapshots that differ in any one field but their entries get
+    different keys, and so do two that differ in any one part of one
+    automaton's state: each is run state that a later event reads. The entry
+    list is left out, its count stays. A queued event's seq counts only as
+    its rank among the queued events and undrawn sends, and the next seq not
+    at all: a push always takes one past every queued seq."""
+    scenario = strong_scenario(n=2, seed=3, rho=F(1, 10),
+                               byzantine={customer(2): StrategySpec("replayer")})
+    sim, taken = _taken_snapshots(scenario)
+    snap = next(s for s in taken if s.rng is not None and any(s.vaults) and len(s.heap) > 1
+                and any(clock_vars for _, clock_vars, *_ in s.automata))
+    states = [state for aut in sim.automata.values() for state in aut.machine.states.values()]
+    later = max(snap.heap)
+    message = next(m for vault in snap.vaults for m in vault)
+    changed = {
+        "started": snap._replace(started=not snap.started),
+        "heap": snap._replace(heap=tuple(ev for ev in snap.heap if ev is not later)),
+        "tick": snap._replace(tick=snap.tick + 1),
+        "entry_count": snap._replace(entry_count=snap.entry_count + 1),
+        "mask": snap._replace(mask=snap.mask & 1),
+        "pending_compliant": snap._replace(pending_compliant=snap.pending_compliant + 1),
+        "outbox": snap._replace(outbox=snap.outbox[1:]),
+        "balances": snap._replace(balances=((snap.balances[0][0], snap.balances[0][1] + 1),
+                                            *snap.balances[1:])),
+        "in_flight": snap._replace(in_flight=snap.in_flight + 1),
+        "rng": snap._replace(rng=None),
+        "automata": _bump_automaton(snap, 0, 0, lambda st: next(
+            other for other in states if other.name != st.name)),
+        "nonces": snap._replace(nonces=(snap.nonces[0] + 1, *snap.nonces[1:])),
+        "vaults": snap._replace(vaults=tuple(vault + (message,) for vault in snap.vaults)),
+    }
+    assert set(changed) | {"entries", "seq"} == set(Snapshot._fields)
+    parts = {  # each part of an automaton's state: (state, clock_vars, captured, inbox, stuck, due)
+        "clock_vars": (1, lambda cv: (*cv, ("a_var_no_state_sets", 0))),
+        "captured": (2, lambda cap: (*cap, ("a_slot_no_state_fills", message))),
+        "inbox": (3, lambda inbox: (*inbox, Envelope(customer(0), escrow(0), message))),
+        "stuck": (4, lambda stuck: not stuck),
+        "due": (5, lambda due: 1 if due is None else due + 1),
+    }
+    for name, (part, change) in parts.items():
+        changed[name] = _bump_automaton(snap, 0, part, change)
+    key = snap.key()
+    assert {name for name, other in changed.items() if other.key() == key} == set()
+    assert hash(key) == hash(snap._replace(entries=[]).key())
+    # seqs: the next seq and a shift of every queued seq leave the key as it
+    # is. Swapping the seqs of a queued event and an undrawn send does not:
+    # once drawn, the send's delivery may meet the event at one instant,
+    # where the seqs decide which comes first.
+    assert snap._replace(seq=snap.seq + 5).key() == key
+    shifted = snap._replace(heap=tuple((t, p, s + 7, *rest) for t, p, s, *rest in snap.heap),
+                            outbox=tuple((s + 7, env) for s, env in snap.outbox))
+    assert shifted.key() == key
+    (send_seq, env), *rest = snap.outbox
+    swapped = snap._replace(
+        heap=tuple((*ev[:2], send_seq, *ev[3:]) if ev is later else ev for ev in snap.heap),
+        outbox=((later[2], env), *rest))
+    assert swapped.key() != key
+
+
+def test_a_monitor_projection_tells_apart_each_state_attribute():
+    """Two monitors that differ in any one attribute of the state their
+    verdicts read get different projections; two that differ only in the
+    entry indices they hold (their witnesses) do not. Every attribute that
+    `Monitor.__init__` sets is one or the other, or does not change during a
+    run."""
+    trace = run_simulation(strong_scenario())
+    monitor = Monitor(trace.meta)
+    monitor.feed(trace.entries)
+    bob = customer(1)
+    hit = monitor.terminal[bob]
+    constant = {"meta", "_roles", "_weak", "_alice_certificate", "_escrows", "_guarded",
+                "_connectors"}
+
+    def changed(**attrs):
+        other = monitor.copy()
+        for name, value in attrs.items():
+            setattr(other, name, value)
+        return other
+
+    state = {
+        "net": changed(net={**monitor.net, bob: monitor.net[bob] + 1}),
+        "in_flight": changed(in_flight=monitor.in_flight + 1),
+        "sent": changed(sent=monitor.sent | {("a key", 0, None)}),
+        "seen": changed(seen=monitor.seen | {(bob, ("a key", 0, None))}),
+        "terminal": [changed(terminal={**monitor.terminal, bob: hit._replace(**{part: value})})
+                     for part, value in (("tick", hit.tick + 1), ("scale", hit.scale * 2),
+                                         ("net", hit.net - 1),
+                                         ("certified", not hit.certified))],
+        "engaged": changed(engaged=monitor.engaged - {bob}),
+        "impossible": changed(impossible=(3,)),
+        "dips": changed(dips=((0, 3, "e0 dipped"),)),
+        "auth": changed(auth=((3, "a forged send"),)),
+        "cons": changed(cons=(3, "e0 went negative")),
+        "alice_certified": changed(alice_certified=not monitor.alice_certified),
+        "bob_signed": changed(bob_signed=not monitor.bob_signed),
+        "bob_aborted": changed(bob_aborted=not monitor.bob_aborted),
+        "commit_at": changed(commit_at=3),
+        "abort_at": changed(abort_at=3),
+    }
+    indices = {  # the same state, with other entry indices
+        "fed": changed(fed=monitor.fed + 1),
+        "terminal": changed(terminal={**monitor.terminal, bob: hit._replace(idx=hit.idx + 1)}),
+        "impossible": (changed(impossible=(3,)), changed(impossible=(4,))),
+        "dips": (changed(dips=((0, 3, "e0 dipped"),)), changed(dips=((0, 4, "e0 dipped"),))),
+        "auth": (changed(auth=((3, "a forged send"),)), changed(auth=((4, "a forged send"),))),
+        "cons": (changed(cons=(3, "e0 went negative")), changed(cons=(4, "e0 went negative"))),
+        "commit_at": (changed(commit_at=3), changed(commit_at=4)),
+        "abort_at": (changed(abort_at=3), changed(abort_at=4)),
+    }
+    assert set(state) | {"fed"} | constant == set(vars(monitor))
+    assert set(_Terminal._fields) == {"idx", "tick", "scale", "net", "certified"}
+    projection = monitor.projection()
+    assert {name for name, others in state.items()
+            for other in (others if isinstance(others, list) else [others])
+            if other.projection() == projection} == set()
+    for name, pair in indices.items():
+        first, second = pair if isinstance(pair, tuple) else (monitor, pair)
+        assert first.projection() == second.projection(), name

@@ -69,6 +69,25 @@ def test_derive_rejects_bad_inputs():
         derive_timeouts(1, F(1), F(-1), F(0))
 
 
+@pytest.mark.parametrize("n, delta, pi, rho, mu, epsilon, message", [
+    (0, F(1), F(0), F(0), F(0), None, "n must be at least 1"),
+    (1, F(0), F(0), F(0), F(0), None, "delta must be strictly positive"),
+    (1, F(1), F(-1), F(0), F(0), None, "pi must be non-negative"),
+    (1, F(1), F(0), F(-1), F(0), None, "rho must be non-negative"),
+    (1, F(1), F(0), F(0), F(-1), None, "mu must be non-negative"),
+    (1, F(1), F(0), F(0), F(0), F(-1), "epsilon must be non-negative"),
+], ids=["n", "delta", "pi", "rho", "mu", "epsilon"])
+def test_both_entry_points_state_each_input_rule_alike(n, delta, pi, rho, mu, epsilon, message):
+    """`derive_timeouts` and `TimingParams` check their shared inputs in one
+    place, so a bad value gets one message whichever entry point meets it."""
+    with pytest.raises(ConfigError) as derived:
+        derive_timeouts(n, delta, pi, rho, epsilon=epsilon, margin=mu)
+    with pytest.raises(ConfigError) as built:
+        TimingParams(n=n, a=(F(2),) * n, d=(F(3),) * n, epsilon=F(0) if epsilon is None else epsilon,
+                     pi=pi, delta=delta, rho=rho, mu=mu)
+    assert str(derived.value) == str(built.value) == message
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_validate_passes_and_is_tight(n):
     p = derive_timeouts(n, F(1), F(1, 10), F(0))
