@@ -60,12 +60,22 @@ def parse_rational(value, what: str = "value") -> Fraction:
 
 
 def _take(cfg: dict, known: dict[str, bool], where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(cfg) - set(known)
     if unknown:
         raise ConfigError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
     missing = [k for k, required in known.items() if required and k not in cfg]
     if missing:
         raise ConfigError(f"missing required field(s) in {where}: {', '.join(missing)}")
+
+
+def _list(cfg: dict, key: str, where: str) -> list:
+    """The list `cfg[key]`, [] if absent; anything else, a string too, is a config error."""
+    value = cfg.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list")
+    return value
 
 
 def _parse_delay_model(cfg):
@@ -88,7 +98,7 @@ def _parse_delay_model(cfg):
         _take(cfg, {"kind": True, "default": True, "rules": False, "delta": False},
               "delay_model")
         rules = []
-        for k, rule in enumerate(cfg.get("rules", [])):
+        for k, rule in enumerate(_list(cfg, "rules", "delay_model.rules")):
             _take(rule, {"delay": True, "src": False, "dst": False, "payload": False},
                   f"delay_model.rules[{k}]")
             rules.append(ScriptRule(
@@ -107,7 +117,8 @@ def _parse_grid(cfg: dict, delta: Fraction) -> Optional[tuple[Fraction, ...]]:
     if "grid" in cfg and "grid_points" in cfg:
         raise ConfigError("give either grid or grid_points, not both")
     if "grid" in cfg:
-        return tuple(parse_rational(g, "grid delay") for g in cfg["grid"])
+        return tuple(parse_rational(g, "grid delay")
+                     for g in _list(cfg, "grid", "delay_model.grid"))
     if "grid_points" in cfg:
         points = cfg["grid_points"]
         if type(points) is not int or points < 1:
@@ -128,8 +139,9 @@ _SCENARIO_FIELDS = {
 def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
     """Build a validated Scenario from a config dict.
 
-    Returns (scenario, extras); extras currently holds the weak-exploration
-    patience_grid, which is not a single-run concern.
+    Returns (scenario, extras); extras holds the weak-exploration
+    patience_grid, parsed (None for "inf"), or None if the config has none;
+    it is not a single-run concern.
     """
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
@@ -152,8 +164,8 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
             raise ConfigError("explicit timing with a scripted model also needs delay_model.delta")
         # the derived parameters, with the config's windows in place of the derived ones
         timing = replace(derive_timeouts(n, delay.delta, pi, rho, epsilon, mu),
-                         a=tuple(parse_rational(x, "a") for x in tcfg["a"]),
-                         d=tuple(parse_rational(x, "d") for x in tcfg["d"]))
+                         a=tuple(parse_rational(x, "a") for x in _list(tcfg, "a", "timing.a")),
+                         d=tuple(parse_rational(x, "d") for x in _list(tcfg, "d", "timing.d")))
 
     raw_byzantine = cfg.get("byzantine") or {}
     if not isinstance(raw_byzantine, dict):
@@ -208,8 +220,15 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
         instance=cfg.get("instance", "pay0"),
     )
     scenario.validate()
-    extras = {"patience_grid": cfg.get("patience_grid")}
-    return scenario, extras
+    patience_grid = None
+    if "patience_grid" in cfg:
+        if patience is not None:
+            raise ConfigError("give either patience or patience_grid, not both")
+        patience_grid = [None if v == "inf" else parse_rational(v, "patience_grid")
+                         for v in _list(cfg, "patience_grid", "patience_grid")]
+        if not patience_grid:
+            raise ConfigError("patience_grid must not be empty")
+    return scenario, {"patience_grid": patience_grid}
 
 
 def load_config(path: str) -> dict:
@@ -271,6 +290,11 @@ def cmd_sweep(args) -> int:
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
+# the `ExploreReport` counters `xpay explore` sums and prints, in printed order
+_COUNTERS = ("entries", "entries_simulated", "entries_checked", "tie_reruns",
+             "tie_reruns_shared", "branches_replayed", "states")
+
+
 def cmd_explore(args) -> int:
     if args.budget < 1:
         raise ConfigError("budget must be at least 1")
@@ -284,45 +308,31 @@ def cmd_explore(args) -> int:
         raise ConfigError("exploration is a desk-scale oracle; n must be 1 or 2")
     assignments = battery_assignments(scenario) if battery else [dict(scenario.byzantine)]
 
-    patience_grid = extras.get("patience_grid")
+    patience_grid = extras["patience_grid"]
     patience_sets: list[Optional[tuple]] = [scenario.patience]
     if patience_grid is not None:
         if scenario.variant != "weak":
             raise ConfigError("patience_grid applies to the weak variant only")
-        values = [None if v == "inf" else parse_rational(v, "patience_grid") for v in patience_grid]
-        patience_sets = [tuple(combo) for combo in
-                         itertools.product(values, repeat=scenario.n + 1)]
+        patience_sets = list(itertools.product(patience_grid, repeat=scenario.n + 1))
 
-    total_branches = 0
-    complete = True
+    totals: Counter = Counter()  # the report counters, summed over the patience sets
     violations = []
-    entries = simulated = checked = tie_reruns = shared = replayed = states = 0
     depths: Counter = Counter()
     for patience in patience_sets:
         scenario.patience = patience
         # one budget for every patience set
         report = explore(scenario, assignments=assignments,
-                         budget=args.budget - total_branches)
-        total_branches += report.branches
-        complete = complete and report.complete
-        entries += report.entries
-        simulated += report.entries_simulated
-        checked += report.entries_checked
-        tie_reruns += report.tie_reruns
-        shared += report.tie_reruns_shared
-        replayed += report.branches_replayed
-        states += report.states
+                         budget=args.budget - totals["branches"])
+        totals.update({name: getattr(report, name) for name in ("branches",) + _COUNTERS})
         depths.update(report.leaf_depths)
         violations.extend(report.violations)
         if not report.complete:
-            break
+            break  # so the last report tells whether the whole grid was covered
 
-    print(f"explore branches={total_branches} complete={complete} "
+    print(f"explore branches={totals['branches']} complete={report.complete} "
           f"assignments={len(assignments)} patience_sets={len(patience_sets)}")
-    print(f"explore entries={entries} entries_simulated={simulated} entries_checked={checked} "
-          f"tie_reruns={tie_reruns} tie_reruns_shared={shared} branches_replayed={replayed} "
-          f"states={states} "
-          f"leaf_depths={','.join(f'{d}:{depths[d]}' for d in sorted(depths))}")
+    print("explore " + "".join(f"{name}={totals[name]} " for name in _COUNTERS)
+          + f"leaf_depths={','.join(f'{d}:{depths[d]}' for d in sorted(depths))}")
     for v in violations[:20]:
         names = ",".join(x.name for x in v.verdicts if x.status is Status.VIOLATED)
         print(f"VIOLATION {names} byz=[{v.assignment_label}] policy={v.policy} "
@@ -330,7 +340,7 @@ def cmd_explore(args) -> int:
     if violations:
         print(f"safety violations on {len(violations)} branch(es)")
         return EXIT_VIOLATION
-    if not complete:
+    if not report.complete:
         print("budget exceeded before full coverage")
         return EXIT_BUDGET
     print("no safety violation on any branch")

@@ -105,13 +105,15 @@ def escrows_of(n: int, c: ParticipantId) -> list[ParticipantId]:
 
 def parse_participant(token: str) -> ParticipantId:
     """Parse the compact form used in configs and trace lines, e.g. "e0", "c2", "m0"."""
-    if len(token) < 2:
+    if not isinstance(token, str) or len(token) < 2:
         raise ConfigError(f"bad participant token {token!r}")
     try:
         kind = ParticipantKind(token[0])
         index = int(token[1:])
     except ValueError as exc:
         raise ConfigError(f"bad participant token {token!r}") from exc
+    if token[1:] != str(index):  # int() also reads "01", " 1", "+1" and "1_0"
+        raise ConfigError(f"bad participant token {token!r}")
     if kind is ParticipantKind.MANAGER:
         return manager() if index == 0 else ParticipantId(kind, index)
     return _BY_KIND[kind](index)

@@ -9,43 +9,20 @@ verdicts of its own complete trace.
 
 Policies beyond the default are re-run only for leaves whose baseline run hit
 a simultaneity (two enabled receives, or a receive against a due timeout):
-branches without ties execute identically under every policy, so skipping
-them loses nothing. Nor is a tie re-run simulated under a policy in the tie
-mask of a run of its leaf: with the same start and decisions, choosing alike
-at every tie, it is that run again, and shares its trace and verdicts.
+branches without ties execute identically under every policy. A tie re-run
+under a policy in the tie mask of a run of its leaf is that run again.
 
 The search is depth first over checkpoints (stateless search as in VeriSoft,
-Godefroid, POPL 1997). Each assignment builds one run. Its baseline runs take
-a snapshot only just before a draw that takes a decision (the engine's
-`on_draw`, where no event is under way), and credit it with each decision
-the draw takes. The odometer step that changes decision i restores the
-snapshot of decision i and simulates only the rest of the run, from that
-draw on; a tie re-run restores, under the next policy, the last checkpoint
-before the baseline's first tie, or the assignment's start. The branch
-order, the decision vectors and every trace are those of running each branch
-from t=0. Each checkpoint keeps a copy of the safety monitor
-(`properties.Monitor`) fed the entries before it, so a branch checks only the
-entries it simulates, and its verdicts are those of checking its whole trace.
+Godefroid, POPL 1997): a branch resumes from a snapshot taken just before the
+draw of the decision it changes, and simulates and checks only the rest. Nor
+is a subtree simulated twice: each assignment keeps a visited set of run
+states, as in SPIN (Holzmann, IEEE TSE 1997), and a run that reaches one
+replays the branches kept below it (`_Checkpoints`). The set costs memory:
+the kept entries of each explored subtree, until the assignment ends.
 
-Nor is a subtree simulated twice: each assignment keeps a visited set, as in
-SPIN (Holzmann, IEEE TSE 1997). A decision draw that a baseline run reaches
-for the first time with its tie mask whole is a node, keyed by the
-snapshot's key (`Snapshot.key`: the run state less its entry list) and the
-monitor's projection (its state less entry indices). Every branch below a
-node resumes at that node or below it, so what lies below depends on its key
-alone. A node keeps, in the order explored, its branches (decisions and
-entries from its draw on, stop reason, final balances, mask, verdicts) and
-links to the nodes below it; it is explored to the end once the odometer
-changes a decision before its draw, and no run below it meets its key (each
-draw there has more entries before it). A baseline run that reaches a key in
-the set stops there (`_Revisit`), and each branch below that node is
-replayed: this run's prefix plus the kept entries and decisions, with the
-header and verdicts that simulating it would give. A kept verdict list
-without a violation holds only shared witness-free verdicts and is reused; a
-violating branch is checked again from the live monitor, so its witnesses
-name its own entries. The set costs memory (the kept entries of each
-explored subtree, until the assignment ends) and saves the simulation of
-every revisited subtree.
+Every branch, simulated, shared or replayed, is one `_Leaf` record reported
+by one emitter, with the outcome that simulating it from t=0 would give,
+trace and verdicts byte for byte.
 """
 from __future__ import annotations
 
@@ -149,14 +126,6 @@ class ExploreReport:
             outcome.policy[0] != "receive_first" or paid)
 
 
-class _Run(NamedTuple):
-    """A run simulated for a leaf, which a later tie re-run of the leaf may share."""
-    mask: int  # the policies that choose as it did at every tie, and so make it again
-    trace: Trace
-    verdicts: list[Verdict]
-    paid: bool  # Bob is paid, as L and the monitor tell it
-
-
 def assignment_label(assignment: dict[ParticipantId, StrategySpec]) -> str:
     if not assignment:
         return "compliant"
@@ -185,17 +154,19 @@ class _Node(NamedTuple):
 
 
 class _Leaf(NamedTuple):
-    """A branch below a node, as far as its replay needs it."""
+    """A reported branch. A run simulated for a leaf is held from t=0; a tie
+    re-run that shares it is the same record under its own policy; a node
+    keeps each branch below it as the same record cut at the node's draw."""
     policy: int  # its index in `POLICIES`
-    decisions: tuple[int, ...]  # its decisions from the node's draw on
-    entries: list  # its entries from the node's draw on
+    decisions: tuple[int, ...]  # its decisions from the cut on
+    entries: list  # its entries from the cut on
     stop_reason: str
     final_balances: dict
     final_in_flight: int
-    mask: int
-    # None if one is violated: a witness names entries, so a replay checks again
+    mask: int  # the policies that choose as it did at every tie, and so make it again
+    # None in a node if one is violated: a witness names entries, so a replay checks again
     verdicts: Optional[list[Verdict]]
-    paid: bool
+    paid: bool  # Bob is paid, as L and the monitor tell it
 
 
 class _Link(NamedTuple):
@@ -247,7 +218,7 @@ class _Checkpoints:
     `monitor` is the check of the run in progress; it takes in the entries
     only as far as it has to. Each checkpoint keeps a copy of it as it stood
     at the snapshot, so a branch feeds the monitor only the entries it
-    simulates.
+    simulates: those past `origin`, the checkpoint the run started from.
     """
 
     def __init__(self, sim: _Sim, model: _DecidedDelays):
@@ -257,6 +228,7 @@ class _Checkpoints:
         self.by_decision: list[_Checkpoint] = []
         self.start = self.tie = _Checkpoint(sim.snapshot(), 0, Monitor(sim.meta))
         self.resumed: Optional[_Checkpoint] = None  # what the next draw stands at
+        self.origin = self.start  # where the run in progress started
         self.path: list[_Node] = []  # the nodes of the last baseline run, being explored
         self.visited: dict[tuple, _Node] = {}  # every node, by key
 
@@ -292,19 +264,19 @@ class _Checkpoints:
             raise _Revisit(node)
         self.path.append(node)
 
-    def keep(self, k: int, trace: Trace, run: _Run) -> None:
-        """Keep the branch just explored under policy `k` in its node."""
+    def keep(self, leaf: _Leaf) -> None:
+        """Keep the branch just explored, held from t=0, in its node."""
         if self.path:
             node = self.path[-1]
-            verdicts = run.verdicts
+            verdicts = leaf.verdicts
             if any(v.status is VIOLATED for v in verdicts):
                 verdicts = None
-            node.items.append(_Leaf(k, tuple(self.model.decisions[node.cursor:]),
-                                    trace.entries[node.entry_count:], trace.stop_reason,
-                                    trace.final_balances, trace.final_in_flight, trace.mask,
-                                    verdicts, run.paid))
+            node.items.append(_Leaf(leaf.policy, leaf.decisions[node.cursor:],
+                                    leaf.entries[node.entry_count:], leaf.stop_reason,
+                                    leaf.final_balances, leaf.final_in_flight, leaf.mask,
+                                    verdicts, leaf.paid))
 
-    def resume(self, index: int) -> _Checkpoint:
+    def resume(self, index: int) -> None:
         """Restore the draw that took decision `index` in the last baseline
         run, or, if that run stopped short of it, the last draw that took one
         (the prefix decides the run up to there). The nodes past that draw
@@ -317,19 +289,13 @@ class _Checkpoints:
             cp = self.by_decision[-1] if self.by_decision else self.start
         del self.by_decision[cp.cursor:]
         self.resumed = None if cp is self.start else cp
-        return self.restore(cp)
+        self.restore(cp)
 
-    def restore(self, cp: _Checkpoint) -> _Checkpoint:
+    def restore(self, cp: _Checkpoint) -> None:
         self.sim.restore(cp.snapshot)
         self.model.cursor = cp.cursor
         self.monitor = cp.monitor.copy()
-        return cp
-
-
-def _tie_scenarios(first: Scenario) -> list[Scenario]:
-    """The scenarios of the policies after the first, built on first need."""
-    return [replace(first, tie_break=tie_break, rx_order=rx_order)
-            for tie_break, rx_order in POLICIES[1:]]
+        self.origin = cp
 
 
 def explore(
@@ -372,94 +338,99 @@ def explore(
                              tie_break=tie_break, rx_order=rx_order)]
         sim = _Sim(scenarios[0])
         checkpoints = _Checkpoints(sim, model)
-        resumed = checkpoints.start
+
+        def emit(leaf: _Leaf, decided: tuple[int, ...], entries: list,
+                 trace: Optional[Trace] = None) -> None:
+            """Report the branch `leaf` gives after `decided` and `entries`;
+            a simulated branch hands in the trace its run returned."""
+            k = leaf.policy
+            if trace is None:
+                trace = Trace(sim.meta, entries, leaf.stop_reason, leaf.final_balances,
+                              leaf.final_in_flight, leaf.mask, scenarios[k],
+                              model.to_config(decided))
+            verdicts = leaf.verdicts
+            if verdicts is None:  # a kept violation: check this branch's own entries
+                monitor = checkpoints.monitor
+                check = monitor.copy()
+                verdicts = safety_verdicts(trace, check)
+                report.entries_checked += check.fed - monitor.fed
+            outcome = BranchOutcome(label, POLICIES[k], decided, verdicts, trace)
+            if on_branch is not None:
+                on_branch(outcome)
+            report._record(outcome, leaf.paid)
+
         try:
             while True:
-                runs: list[_Run] = []  # the runs of this leaf simulated so far
+                runs: list[_Leaf] = []  # the runs simulated for this leaf
                 revisited = None  # the node whose run state the baseline run reached again
-                for k, policy in enumerate(POLICIES):
-                    if k > 0 and runs[0].mask == EVERY_POLICY:
-                        break  # no tie: every policy makes the baseline run
+                for k in range(len(POLICIES)):
                     if report.branches >= budget:
                         report.complete = False
                         return report
-                    if k == len(scenarios):
-                        scenarios += _tie_scenarios(scenarios[0])
-                    run = next((r for r in runs if r.mask >> k & 1), None)
-                    if run is not None:
-                        # this policy makes `run` again; the header shows the
-                        # decisions as they stand now, as a run ending now would
-                        trace = replace(run.trace, scenario=scenarios[k],
-                                        delay_config=model.to_config())
+                    if k == len(scenarios):  # the first tie re-run; a kept one comes later
+                        scenarios += [replace(scenarios[0], tie_break=tie_break,
+                                              rx_order=rx_order)
+                                      for tie_break, rx_order in POLICIES[1:]]
+                    trace = None
+                    leaf = next((r for r in runs if r.mask >> k & 1), None)
+                    if leaf is not None:
+                        # this policy makes that run again; its decisions are
+                        # those standing now, as a run ending now would show
+                        leaf = leaf._replace(policy=k, decisions=tuple(decisions))
                         report.tie_reruns_shared += 1
                     else:
                         if k == 0:
                             sim.on_draw = checkpoints.draw
-                            try:
-                                trace = run_simulation(scenarios[0], sim)
-                            except _Revisit as stop:
-                                revisited = stop.node
-                                break
-                            finally:
-                                # unhooked, the run and its checkpoints form no reference
-                                # cycle, so they are freed as soon as the assignment ends
-                                sim.on_draw = None
                         else:
-                            resumed = checkpoints.restore(checkpoints.tie)
-                            trace = run_simulation(scenarios[k], sim)
-                        report.entries_simulated += len(trace.entries) - resumed.snapshot.entry_count
+                            checkpoints.restore(checkpoints.tie)
                         monitor = checkpoints.monitor
-                        verdicts = safety_verdicts(trace, monitor)
-                        live = check_liveness(trace, monitor)
-                        report.entries_checked += monitor.fed - resumed.monitor.fed
+                        try:
+                            trace = run_simulation(scenarios[k], sim)
+                            verdicts = safety_verdicts(trace, monitor)
+                            live = check_liveness(trace, monitor)
+                        except _Revisit as stop:
+                            revisited = stop.node
+                        finally:
+                            # unhooked, the run and its checkpoints form no reference
+                            # cycle, so they are freed as soon as the assignment ends
+                            sim.on_draw = None
+                        origin = checkpoints.origin
+                        report.entries_simulated += len(sim.entries) - origin.snapshot.entry_count
+                        report.entries_checked += monitor.fed - origin.monitor.fed
+                        if revisited is not None:
+                            break
                         for hit in monitor.terminal.values():
                             if hit.tick * top_scale > top_tick * hit.scale:
                                 top_tick, top_scale = hit.tick, hit.scale
                                 report.max_customer_terminal = Fraction(top_tick, top_scale)
-                        run = _Run(trace.mask, trace, verdicts, live.status is HOLDS or (
-                            live.status is not VIOLATED and monitor.bob_paid()))
-                        runs.append(run)
-                    checkpoints.keep(k, trace, run)
-                    outcome = BranchOutcome(label, policy, tuple(decisions), run.verdicts, trace)
-                    if on_branch is not None:
-                        on_branch(outcome)
-                    report._record(outcome, run.paid)
+                        leaf = _Leaf(k, tuple(decisions), trace.entries, trace.stop_reason,
+                                     trace.final_balances, trace.final_in_flight, trace.mask,
+                                     verdicts, live.status is HOLDS or (
+                                         live.status is not VIOLATED and monitor.bob_paid()))
+                        runs.append(leaf)
+                    checkpoints.keep(leaf)
+                    emit(leaf, leaf.decisions, leaf.entries, trace)
+                    if runs[0].mask == EVERY_POLICY:
+                        break  # no tie: every policy makes the baseline run
                 if revisited is not None:
                     # the run stopped at a draw explored before: each branch
                     # below it is what simulating it would give, with this
                     # run's prefix; a terminal time below it was counted there
-                    entries, monitor = sim.entries, checkpoints.monitor
-                    report.entries_simulated += len(entries) - resumed.snapshot.entry_count
-                    report.entries_checked += monitor.fed - resumed.monitor.fed
                     del decisions[model.cursor:]
-                    for leaf, decided, trace_entries in _replay(revisited, tuple(decisions),
-                                                                entries):
+                    for leaf, decided, entries in _replay(revisited, tuple(decisions),
+                                                          sim.entries):
                         if report.branches >= budget:
                             report.complete = False
                             return report
-                        k = leaf.policy
-                        if k >= len(scenarios):
-                            scenarios += _tie_scenarios(scenarios[0])
-                        trace = Trace(sim.meta, trace_entries, leaf.stop_reason,
-                                      leaf.final_balances, leaf.final_in_flight, leaf.mask,
-                                      scenarios[k], model.to_config(decided))
-                        verdicts = leaf.verdicts
-                        if verdicts is None:  # check this branch's own entries
-                            check = monitor.copy()
-                            verdicts = safety_verdicts(trace, check)
-                            report.entries_checked += check.fed - monitor.fed
                         report.branches_replayed += 1
-                        outcome = BranchOutcome(label, POLICIES[k], decided, verdicts, trace)
-                        if on_branch is not None:
-                            on_branch(outcome)
-                        report._record(outcome, leaf.paid)
+                        emit(leaf, decided, entries)
                 # odometer step over however many decisions this leaf consumed
                 while decisions and decisions[-1] == len(grid) - 1:
                     decisions.pop()
                 if not decisions:
                     break
                 decisions[-1] += 1
-                resumed = checkpoints.resume(len(decisions) - 1)
+                checkpoints.resume(len(decisions) - 1)
         finally:
             report.states += len(checkpoints.visited)
     return report

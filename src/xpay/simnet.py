@@ -237,7 +237,8 @@ class ScriptRule:
         object.__setattr__(self, "delay", as_fraction(self.delay, "scripted delay"))
         if self.delay <= 0:
             raise ConfigError("scripted delay must be strictly positive")
-        if self.payload is not None and self.payload not in PAYLOAD_KINDS:
+        if self.payload is not None and (type(self.payload) is not str
+                                         or self.payload not in PAYLOAD_KINDS):
             raise ConfigError(f"unknown payload kind {self.payload!r}")
 
     def matches(self, env: Envelope) -> bool:
@@ -392,8 +393,9 @@ class WithholdCertificate(Strategy):
         return None if _carries_certificate(env.msg.payload) else 0
 
 
-class PrematureCertificate(Strategy):
-    """Bob signs and ships the certificate at time zero, before any promise."""
+class PrematureCertificate(WithholdCertificate):
+    """Bob signs and ships the certificate at time zero, before any promise,
+    and withholds the prescribed issue (or commit request) that would repeat it."""
 
     def on_start(self, ctx):
         pay = ctx.pay
@@ -402,10 +404,6 @@ class PrematureCertificate(Strategy):
             ctx.emit(manager(), CommitReq(pay.instance, chi))
         else:
             ctx.emit(escrow(pay.n - 1), Certificate(pay.instance))
-
-    def filter_send(self, env):
-        # already issued; prescribed issue (or commit request) is suppressed
-        return None if _carries_certificate(env.msg.payload) else 0
 
 
 class GreedyEscrow(Strategy):
@@ -528,6 +526,8 @@ class Scenario:
             raise ConfigError(f"rx_order must be one of {RX_ORDERS}")
         if self.clock_mode not in _CLOCK_MODES:
             raise ConfigError(f"clock_mode must be one of {_CLOCK_MODES}")
+        if type(self.instance) is not str:
+            raise ConfigError("instance must be a string")
         if self.horizon is not None and self.horizon <= 0:
             raise ConfigError("horizon must be positive")
         if any(isinstance(env.msg.payload, Money) for _, env in self.raw_injections):
@@ -556,7 +556,7 @@ class Scenario:
                 raise ConfigError("the transaction manager is trusted and cannot be Byzantine")
             if str(pid) not in valid:
                 raise ConfigError(f"byzantine participant {pid} not in the topology")
-            entry = STRATEGIES.get(spec.name)
+            entry = STRATEGIES.get(spec.name) if type(spec.name) is str else None
             if entry is None:
                 raise ConfigError(f"unknown strategy {spec.name!r}")
             _, role_ok = entry

@@ -216,6 +216,23 @@ def _worst_case_scenario(params: TimingParams, n: int, clock_mode: str):
     )
 
 
+def _progress(p: TimingParams, n: int, mode: str):
+    """The trace and the folded monitor of the worst-case run of `p` under
+    clock `mode`, and the progress property it breaks: "L" if Bob is not
+    paid, else "T" if a customer ends past the bound, else None."""
+    from .properties import Status, fold
+    from .simnet import run_simulation
+
+    trace = run_simulation(_worst_case_scenario(p, n, mode))
+    monitor = fold(trace)
+    broken = None
+    if not monitor.bob_paid():
+        broken = "L"
+    elif monitor.termination(trace, termination_bound(p)).status is Status.VIOLATED:
+        broken = "T"
+    return trace, monitor, broken
+
+
 def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
     """Run the worst-case scripted family (every delay at the bound, extreme clock
     assignments, full processing) and report:
@@ -229,8 +246,7 @@ def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
       connector above the shortened window forwarding the certificate too late
       and waiting forever for her payment: a termination failure.
     """
-    from .properties import Status, check_promises, fold
-    from .simnet import run_simulation
+    from .properties import Status, check_promises
 
     if n != p.n:
         raise ConfigError("hop count does not match the timing parameters")
@@ -238,18 +254,13 @@ def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
     report = TimeoutValidation(params=p, tightness_step=step)
     modes = ("identity",) if p.rho == 0 else _WORST_CLOCK_MODES
 
-    bound = termination_bound(p)
     worst_terminal: Optional[Fraction] = None
     for mode in modes:
-        trace = run_simulation(_worst_case_scenario(p, n, mode))
-        monitor = fold(trace)
-        if not monitor.bob_paid():
-            raise ValidationFailed(
-                f"liveness fails at the derived values under clock mode {mode!r}", trace)
-        term = monitor.termination(trace, bound)
-        if term.status is Status.VIOLATED:
-            raise ValidationFailed(
-                f"termination bound exceeded under clock mode {mode!r}", trace)
+        trace, monitor, broken = _progress(p, n, mode)
+        if broken is not None:
+            what = ("liveness fails at the derived values" if broken == "L"
+                    else "termination bound exceeded")
+            raise ValidationFailed(f"{what} under clock mode {mode!r}", trace)
         for verdict in check_promises(trace):
             if verdict.status is Status.VIOLATED:
                 raise ValidationFailed(
@@ -260,21 +271,13 @@ def validate_timeouts(p: TimingParams, n: int) -> TimeoutValidation:
     report.max_customer_terminal = worst_terminal
 
     for i in range(n):
-        a = list(p.a)
-        a[i] = a[i] - step
-        reduced = replace(p, a=tuple(a))
-        broke = False
+        reduced = replace(p, a=p.a[:i] + (p.a[i] - step,) + p.a[i + 1:])
         for mode in modes:
-            trace = run_simulation(_worst_case_scenario(reduced, n, mode))
-            monitor = fold(trace)
-            paid = monitor.bob_paid()
-            term = monitor.termination(trace, termination_bound(reduced))
-            if not paid or term.status is Status.VIOLATED:
-                which = "L" if not paid else "T"
-                report.counterexamples.append(SweepResult(trace, which))
-                broke = True
+            trace, _, broken = _progress(reduced, n, mode)
+            if broken is not None:
+                report.counterexamples.append(SweepResult(trace, broken))
                 break
-        report.tight.append(broke)
+        report.tight.append(broken is not None)  # the loop stops at the first break
 
     # tightness is evidence, not a requirement: a positive margin is supposed
     # to leave headroom

@@ -292,6 +292,56 @@ def test_explore_weak_patience_grid(tmp_path, capsys):
     assert "no safety violation on any branch" in out
 
 
+WEAK_GRID = {
+    "variant": "weak",
+    "n": 1,
+    "delay_model": {"kind": "synchronous", "delta": "1", "grid": ["1"]},
+    "pi": "1/10",
+    "patience_grid": ["0", "inf"],
+}
+SCRIPTED = {"kind": "scripted", "default": "1"}
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("run", dict(NOMINAL, timing=5), "timing must be an object"),
+    ("run", dict(NOMINAL, delay_model={"kind": "synchronous", "delta": "1", "grid": 5}),
+     "delay_model.grid must be a list"),
+    # a string is not a list of its characters: "12" is not the grid (1, 2)
+    ("run", dict(NOMINAL, delay_model={"kind": "synchronous", "delta": "2", "grid": "12"}),
+     "delay_model.grid must be a list"),
+    ("run", dict(NOMINAL, delay_model=dict(SCRIPTED, rules=5)), "delay_model.rules must be a list"),
+    ("run", dict(NOMINAL, delay_model=dict(SCRIPTED, rules=[5])),
+     "delay_model.rules[0] must be an object"),
+    ("run", dict(NOMINAL, delay_model=dict(SCRIPTED, rules=[{"delay": "1", "src": 5}])),
+     "bad participant token 5"),
+    ("run", dict(NOMINAL, delay_model=dict(SCRIPTED, rules=[{"delay": "1", "payload": ["x"]}])),
+     "unknown payload kind ['x']"),
+    ("run", dict(NOMINAL, byzantine={"c1": {"strategy": ["silent"]}}),
+     "unknown strategy ['silent']"),
+    # int() reads "1_0" as 10: a token is read only in its one written form
+    ("run", dict(NOMINAL, byzantine={"c1_0": {"strategy": "silent"}}),
+     "bad participant token 'c1_0'"),
+    ("run", dict(NOMINAL, instance=5), "instance must be a string"),
+    ("run", dict(NOMINAL, n=2, timing={"a": "12", "d": ["1", "2"]}), "timing.a must be a list"),
+    ("run", dict(NOMINAL, timing={"a": ["2"], "d": 5}), "timing.d must be a list"),
+    ("explore", dict(WEAK_GRID, patience_grid=5), "patience_grid must be a list"),
+    ("explore", dict(WEAK_GRID, patience_grid=[]), "patience_grid must not be empty"),
+    ("explore", dict(WEAK_GRID, patience=["inf", "inf"]),
+     "give either patience or patience_grid, not both"),
+], ids=["timing", "grid-int", "grid-string", "rules-int", "rule-int", "rule-src-int",
+        "rule-payload-list", "strategy-list", "participant-underscore", "instance-int",
+        "timing-a-string", "timing-d-int", "patience-grid-int", "patience-grid-empty",
+        "patience-and-grid"])
+def test_a_wrongly_typed_field_exits_2(tmp_path, capsys, command, cfg, named):
+    """A field of the wrong type or form is a config error naming it: not a
+    traceback (exit 1, which reads as a violation), nor a run of some other
+    reading."""
+    assert main([command, write(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {named}\n"
+
+
 def test_explore_rejects_large_n(tmp_path):
     cfg = dict(NOMINAL, n=3)
     assert main(["explore", write(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
