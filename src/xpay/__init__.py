@@ -10,8 +10,6 @@ from .core import (
     AuthorizationError,
     ConfigError,
     Envelope,
-    InsufficientFunds,
-    Ledger,
     ParticipantId,
     ParticipantKind,
     SignedMessage,

@@ -1,14 +1,14 @@
 """Command-line front end: run | sweep | explore | derive | deals-check.
 
 Scenario configs are JSON files using exactly the Scenario field names;
-unknown fields anywhere are errors (typos in adversary names must not pass
-silently). Rationals are written as "num/den" strings ("21/10"), integers are
-accepted, patience may be "inf". Counts (n, amount, seed, grid_points) are
-integers, never booleans. A run's seed is `--seed` if given, else the
-config's `seed`, else 0.
+unknown fields anywhere, strategy parameters included, are errors (a typo in
+an adversary must not pass silently). Rationals are written as "num/den"
+strings ("21/10"), integers are accepted, patience may be "inf". Counts (n,
+amount, seed, grid_points) are integers, never booleans. A run's seed is
+`--seed` if given, else the config's `seed`, else 0.
 
 Exit codes: 0 all applicable non-vacuous properties hold, 1 property
-violation, 2 configuration error, 3 exploration budget exceeded.
+violation, 2 configuration or file error, 3 exploration budget exceeded.
 """
 from __future__ import annotations
 
@@ -231,12 +231,28 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
     return scenario, {"patience_grid": patience_grid}
 
 
-def load_config(path: str) -> dict:
+def _read(path: str, what: str) -> str:
+    """The text of the `what` file at `path`, or a config error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8: {exc}") from exc
+
+
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def load_config(path: str) -> dict:
+    try:
+        return json.loads(_read(path, "config"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
@@ -250,8 +266,7 @@ def cmd_run(args) -> int:
     trace = run_simulation(scenario)
     verdicts = evaluate_all(trace)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(trace.render())
+        _write(args.trace, trace.render(), "trace")
     report = {
         "scenario": scenario.digest(),
         "seed": scenario.seed,
@@ -260,9 +275,7 @@ def cmd_run(args) -> int:
                        for v in verdicts},
     }
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.report, json.dumps(report, indent=2, sort_keys=True) + "\n", "report")
     print(f"run seed={scenario.seed} stop={trace.stop_reason} entries={len(trace.entries)}")
     for v in verdicts:
         print(v.line())
@@ -385,12 +398,7 @@ def cmd_derive(args) -> int:
 
 
 def cmd_deals_check(args) -> int:
-    try:
-        with open(args.matrix, "r", encoding="utf-8") as fh:
-            matrix = parse_deal_file(fh.read())
-    except OSError as exc:
-        print(f"config error: cannot read {args.matrix}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    matrix = parse_deal_file(_read(args.matrix, "deal matrix"))
     ok = is_well_formed(matrix)
     print(f"parties={matrix.parties} arcs={len(matrix.entries)}")
     print(f"well_formed={'yes' if ok else 'no'}")

@@ -1,4 +1,4 @@
-"""Participants, message vocabulary, capability-based signing, and the value ledger.
+"""Participants, message vocabulary, and capability-based signing.
 
 Signatures are simulated: a participant can produce a verifying message only
 through its own SigningKey capability, or by relaying a previously observed
@@ -17,10 +17,6 @@ from typing import NamedTuple
 
 class AuthorizationError(Exception):
     """Attempt to sign with a key that does not belong to the claimed signer."""
-
-
-class InsufficientFunds(Exception):
-    """A transfer was requested that would drive a balance negative."""
 
 
 class ConfigError(Exception):
@@ -365,44 +361,3 @@ class Envelope(NamedTuple):
     dst: ParticipantId
     msg: SignedMessage
 
-
-# --------------------------------------------------------------------------- ledger
-
-@dataclass
-class Ledger:
-    """Integer balances for a single fungible asset, plus the value currently in transit.
-
-    Invariants: sum(balances) + in_flight is constant under every operation,
-    and no operation ever leaves a negative balance.
-    """
-    balances: dict[ParticipantId, int]
-    in_flight: int = 0
-
-    def __post_init__(self):
-        for p, b in self.balances.items():
-            if b < 0:
-                raise InsufficientFunds(f"initial balance of {p} is negative")
-        if self.in_flight < 0:
-            raise InsufficientFunds("in-flight value is negative")
-
-    def balance(self, p: ParticipantId) -> int:
-        return self.balances.get(p, 0)
-
-    # Value leaves the sender at Sent and reaches the recipient at Delivered,
-    # spending the interim in `in_flight`.
-
-    def send_value(self, frm: ParticipantId, amount: int) -> None:
-        if amount <= 0:
-            raise ConfigError("amount must be strictly positive")
-        if self.balance(frm) < amount:
-            raise InsufficientFunds(f"{frm} holds {self.balance(frm)}, cannot send {amount}")
-        self.balances[frm] = self.balance(frm) - amount
-        self.in_flight += amount
-
-    def receive_value(self, to: ParticipantId, amount: int) -> None:
-        if amount <= 0:
-            raise ConfigError("amount must be strictly positive")
-        if self.in_flight < amount:
-            raise InsufficientFunds("receiving more than is in flight")
-        self.in_flight -= amount
-        self.balances[to] = self.balance(to) + amount

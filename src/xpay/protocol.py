@@ -74,18 +74,6 @@ from .core import (
 )
 from .timing import TimingParams
 
-# Terminal state names shared by checkers and tests.
-ESCROW_PAID_OUT = "paid_out"
-ESCROW_REFUNDED = "refunded"
-ALICE_REFUNDED = "refunded"
-ALICE_HAS_CERTIFICATE = "has_certificate"
-CONNECTOR_REFUNDED = "refunded"
-CONNECTOR_PAID = "paid"
-BOB_PAID = "paid"
-WEAK_COMMITTED = "committed"
-WEAK_ABORTED = "aborted"
-WEAK_ABORTED_UNFUNDED = "aborted_unfunded"
-
 # Definitions kept per memoised builder. A sweep or an exploration needs a
 # handful: one per distinct patience vector, timing and instance it runs.
 _DEFINITIONS_CACHED = 64
@@ -171,16 +159,16 @@ def make_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
         )),
         # One processing step settles both legs: certificate upstream, money downstream.
         "resolve_paid": State("resolve_paid", OUTPUT, (
-            Transition(ESCROW_PAID_OUT, emits=(
+            Transition("paid_out", emits=(
                 (up, Forward("chi")),
                 (down, Fresh(_money(pay))),
             )),
         )),
         "resolve_refund": State("resolve_refund", OUTPUT, (
-            Transition(ESCROW_REFUNDED, emits=((up, Fresh(_money(pay))),)),
+            Transition("refunded", emits=((up, Fresh(_money(pay))),)),
         )),
-        ESCROW_PAID_OUT: State(ESCROW_PAID_OUT, TERMINAL),
-        ESCROW_REFUNDED: State(ESCROW_REFUNDED, TERMINAL),
+        "paid_out": State("paid_out", TERMINAL),
+        "refunded": State("refunded", TERMINAL),
     }
     return Machine(me, states, "send_guarantee")
 
@@ -196,11 +184,11 @@ def make_alice(params: TimingParams, pay: PaymentInstance) -> Machine:
             Transition("await_outcome", emits=((e0, Fresh(_money(pay))),)),
         )),
         "await_outcome": State("await_outcome", INPUT, (
-            Transition(ALICE_REFUNDED, guard=_recv_money(pay, e0)),
-            Transition(ALICE_HAS_CERTIFICATE, guard=_recv_certificate(pay, e0), capture="chi"),
+            Transition("refunded", guard=_recv_money(pay, e0)),
+            Transition("has_certificate", guard=_recv_certificate(pay, e0), capture="chi"),
         )),
-        ALICE_REFUNDED: State(ALICE_REFUNDED, TERMINAL),
-        ALICE_HAS_CERTIFICATE: State(ALICE_HAS_CERTIFICATE, TERMINAL),
+        "refunded": State("refunded", TERMINAL),
+        "has_certificate": State("has_certificate", TERMINAL),
     }
     return Machine(customer(0), states, "await_guarantee")
 
@@ -224,17 +212,17 @@ def make_connector(i: int, params: TimingParams, pay: PaymentInstance) -> Machin
             Transition("await_outcome", emits=((down_escrow, Fresh(_money(pay))),)),
         )),
         "await_outcome": State("await_outcome", INPUT, (
-            Transition(CONNECTOR_REFUNDED, guard=_recv_money(pay, down_escrow)),
+            Transition("refunded", guard=_recv_money(pay, down_escrow)),
             Transition("forward_certificate", guard=_recv_certificate(pay, down_escrow), capture="chi"),
         )),
         "forward_certificate": State("forward_certificate", OUTPUT, (
             Transition("await_payment", emits=((up_escrow, Forward("chi")),)),
         )),
         "await_payment": State("await_payment", INPUT, (
-            Transition(CONNECTOR_PAID, guard=_recv_money(pay, up_escrow)),
+            Transition("paid", guard=_recv_money(pay, up_escrow)),
         )),
-        CONNECTOR_REFUNDED: State(CONNECTOR_REFUNDED, TERMINAL),
-        CONNECTOR_PAID: State(CONNECTOR_PAID, TERMINAL),
+        "refunded": State("refunded", TERMINAL),
+        "paid": State("paid", TERMINAL),
     }
     return Machine(customer(i), states, "await_guarantee")
 
@@ -254,9 +242,9 @@ def make_bob(params: TimingParams, pay: PaymentInstance) -> Machine:
             Transition("await_payment", emits=((e, Fresh(Certificate(pay.instance))),)),
         )),
         "await_payment": State("await_payment", INPUT, (
-            Transition(BOB_PAID, guard=_recv_money(pay, e)),
+            Transition("paid", guard=_recv_money(pay, e)),
         )),
-        BOB_PAID: State(BOB_PAID, TERMINAL),
+        "paid": State("paid", TERMINAL),
     }
     return Machine(customer(params.n), states, "await_promise")
 
@@ -287,6 +275,27 @@ def _impatience(target: str, patience: Patience) -> tuple[Transition, ...]:
     return () if patience is None else (Transition(target, guard=Timeout(patience)),)
 
 
+def _waiting_states(pay: PaymentInstance, patience: Patience,
+                    decision: tuple[Transition, ...]) -> dict[str, State]:
+    """The four states of a weak customer's patience. Once funded it awaits the
+    manager's `decision` until its patience runs out, then asks the manager to
+    abort and awaits the decision for good. A customer whose patience runs out
+    unfunded asks to abort too, and then waits in its own
+    `await_decision_unfunded`."""
+    abort_req = ((manager(), Fresh(AbortReq(pay.instance))),)
+    return {
+        "request_abort_unfunded": State("request_abort_unfunded", OUTPUT, (
+            Transition("await_decision_unfunded", emits=abort_req),
+        )),
+        "await_decision": State("await_decision", INPUT,
+                                decision + _impatience("request_abort", patience)),
+        "request_abort": State("request_abort", OUTPUT, (
+            Transition("await_decision_final", emits=abort_req),
+        )),
+        "await_decision_final": State("await_decision_final", INPUT, decision),
+    }
+
+
 def _weak_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
     """Weak-variant escrow: hold the deposit until the manager's decision.
 
@@ -300,8 +309,7 @@ def _weak_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
     me = escrow(i)
     up = customer(i)
     down = customer(i + 1)
-    tm = manager()
-    lock_emits: tuple = ((tm, Fresh(LockNotice(pay.instance, i))),)
+    lock_emits: tuple = ((manager(), Fresh(LockNotice(pay.instance, i))),)
     if i == params.n - 1:
         lock_emits += ((down, Fresh(LockNotice(pay.instance, i))),)
     states = {
@@ -320,16 +328,16 @@ def _weak_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
             Transition("refund", guard=_recv_decision(pay, AbortCert)),
         )),
         "pay_downstream": State("pay_downstream", OUTPUT, (
-            Transition(ESCROW_PAID_OUT, emits=((down, Fresh(_money(pay))),)),
+            Transition("paid_out", emits=((down, Fresh(_money(pay))),)),
         )),
         "refund": State("refund", OUTPUT, (
-            Transition(ESCROW_REFUNDED, emits=((up, Fresh(_money(pay))),)),
+            Transition("refunded", emits=((up, Fresh(_money(pay))),)),
         )),
         "await_stray_deposit": State("await_stray_deposit", INPUT, (
             Transition("refund", guard=_recv_money(pay, up)),
         )),
-        ESCROW_PAID_OUT: State(ESCROW_PAID_OUT, TERMINAL),
-        ESCROW_REFUNDED: State(ESCROW_REFUNDED, TERMINAL),
+        "paid_out": State("paid_out", TERMINAL),
+        "refunded": State("refunded", TERMINAL),
     }
     return Machine(me, states, "send_guarantee")
 
@@ -346,52 +354,37 @@ def _weak_depositor(i: int, params: TimingParams, pay: PaymentInstance,
     """
     me = customer(i)
     dep_escrow = escrow(i)
-    up_escrow = escrow(i - 1) if i > 0 else None
-    tm = manager()
-    recv_commit = _recv_decision(pay, CommitCert)
     recv_abort = _recv_decision(pay, AbortCert)
-    if i == 0:
-        commit_target = WEAK_COMMITTED
-    else:
-        commit_target = "await_payment"
-
-    decision_transitions = (
-        Transition(commit_target, guard=recv_commit),
+    decision = (
+        Transition("committed" if i == 0 else "await_payment",
+                   guard=_recv_decision(pay, CommitCert)),
         Transition("await_refund", guard=recv_abort),
     )
     states = {
         "await_guarantee": State("await_guarantee", INPUT, (
             Transition("pay_escrow", guard=_recv_guarantee(pay, dep_escrow, params.d[i])),
-            Transition(WEAK_ABORTED_UNFUNDED, guard=recv_abort),
+            Transition("aborted_unfunded", guard=recv_abort),
         ) + _impatience("request_abort_unfunded", patience)),
-        "request_abort_unfunded": State("request_abort_unfunded", OUTPUT, (
-            Transition("await_decision_unfunded", emits=((tm, Fresh(AbortReq(pay.instance))),)),
-        )),
         "await_decision_unfunded": State("await_decision_unfunded", INPUT, (
-            Transition(WEAK_ABORTED_UNFUNDED, guard=recv_abort),
+            Transition("aborted_unfunded", guard=recv_abort),
         )),
         "pay_escrow": State("pay_escrow", OUTPUT, (
             Transition("await_decision", emits=((dep_escrow, Fresh(_money(pay))),)),
         )),
-        "await_decision": State("await_decision", INPUT,
-                                decision_transitions + _impatience("request_abort", patience)),
-        "request_abort": State("request_abort", OUTPUT, (
-            Transition("await_decision_final", emits=((tm, Fresh(AbortReq(pay.instance))),)),
-        )),
-        "await_decision_final": State("await_decision_final", INPUT, decision_transitions),
+        **_waiting_states(pay, patience, decision),
         "await_refund": State("await_refund", INPUT, (
-            Transition(CONNECTOR_REFUNDED, guard=_recv_money(pay, dep_escrow)),
+            Transition("refunded", guard=_recv_money(pay, dep_escrow)),
         )),
-        CONNECTOR_REFUNDED: State(CONNECTOR_REFUNDED, TERMINAL),
-        WEAK_ABORTED_UNFUNDED: State(WEAK_ABORTED_UNFUNDED, TERMINAL),
+        "refunded": State("refunded", TERMINAL),
+        "aborted_unfunded": State("aborted_unfunded", TERMINAL),
     }
     if i == 0:
-        states[WEAK_COMMITTED] = State(WEAK_COMMITTED, TERMINAL)
+        states["committed"] = State("committed", TERMINAL)
     else:
         states["await_payment"] = State("await_payment", INPUT, (
-            Transition(CONNECTOR_PAID, guard=_recv_money(pay, up_escrow)),
+            Transition("paid", guard=_recv_money(pay, escrow(i - 1))),
         ))
-        states[CONNECTOR_PAID] = State(CONNECTOR_PAID, TERMINAL)
+        states["paid"] = State("paid", TERMINAL)
     return Machine(me, states, "await_guarantee")
 
 
@@ -404,13 +397,11 @@ def _weak_bob(params: TimingParams, pay: PaymentInstance, patience: Patience) ->
     first, he sends an abort request instead, funded or not."""
     me = pay.bob
     e = escrow(params.n - 1)
-    tm = manager()
     chi = sign(Certificate(pay.instance), me, SigningKey(me))
-    recv_commit = _recv_decision(pay, CommitCert)
     recv_abort = _recv_decision(pay, AbortCert)
-    decision_transitions = (
-        Transition("await_payment", guard=recv_commit),
-        Transition(WEAK_ABORTED, guard=recv_abort),
+    decision = (
+        Transition("await_payment", guard=_recv_decision(pay, CommitCert)),
+        Transition("aborted", guard=recv_abort),
     )
     states = {
         "await_funding_notice": State("await_funding_notice", INPUT, (
@@ -418,26 +409,19 @@ def _weak_bob(params: TimingParams, pay: PaymentInstance, patience: Patience) ->
                 e, LockNotice,
                 attrs=(("instance", pay.instance), ("escrow_index", params.n - 1)),
                 signed_by=e)),
-            Transition(WEAK_ABORTED, guard=recv_abort),
+            Transition("aborted", guard=recv_abort),
         ) + _impatience("request_abort_unfunded", patience)),
-        "request_abort_unfunded": State("request_abort_unfunded", OUTPUT, (
-            Transition("await_decision_unfunded", emits=((tm, Fresh(AbortReq(pay.instance))),)),
-        )),
         "request_commit": State("request_commit", OUTPUT, (
-            Transition("await_decision", emits=((tm, Fresh(CommitReq(pay.instance, chi))),)),
+            Transition("await_decision",
+                       emits=((manager(), Fresh(CommitReq(pay.instance, chi))),)),
         )),
-        "await_decision": State("await_decision", INPUT,
-                                decision_transitions + _impatience("request_abort", patience)),
-        "request_abort": State("request_abort", OUTPUT, (
-            Transition("await_decision_final", emits=((tm, Fresh(AbortReq(pay.instance))),)),
-        )),
-        "await_decision_final": State("await_decision_final", INPUT, decision_transitions),
-        "await_decision_unfunded": State("await_decision_unfunded", INPUT, decision_transitions),
+        **_waiting_states(pay, patience, decision),
+        "await_decision_unfunded": State("await_decision_unfunded", INPUT, decision),
         "await_payment": State("await_payment", INPUT, (
-            Transition(BOB_PAID, guard=_recv_money(pay, e)),
+            Transition("paid", guard=_recv_money(pay, e)),
         )),
-        BOB_PAID: State(BOB_PAID, TERMINAL),
-        WEAK_ABORTED: State(WEAK_ABORTED, TERMINAL),
+        "paid": State("paid", TERMINAL),
+        "aborted": State("aborted", TERMINAL),
     }
     return Machine(me, states, "await_funding_notice", nonces_spent=chi.nonce + 1)
 

@@ -44,7 +44,7 @@ A run can be branched. At the top of its loop no part of an event is under
 way, and the whole run state is a `Snapshot`, a plain value: the event heap
 and its sequence counter, the current tick, the sends not yet drawn, each
 automaton's current state, clock variables, captured messages, inbox and
-stuck flag, each key's next nonce, the ledger's balances and value in flight,
+stuck flag, each key's next nonce, the balances and the value in flight,
 each Byzantine participant's vault, the delay generator's state (built on the
 first draw; restoring a snapshot from before it drops the generator), the tie
 mask, the count of compliant participants still running, and the number of
@@ -84,8 +84,6 @@ from .core import (
     CommitReq,
     ConfigError,
     Envelope,
-    InsufficientFunds,
-    Ledger,
     Money,
     PAYLOAD_KINDS,
     Payload,
@@ -347,9 +345,10 @@ class Strategy:
     `filter_send` to drop or postpone prescribed messages: it returns the
     delay to send a prescribed envelope after, 0 for at once, or None to drop
     it. A strategy keeps no state of its own: what it learns is its vault
-    (`ctx.vault`), which a snapshot keeps.
+    (`ctx.vault`), which a snapshot keeps. It reads only its `parameters`.
     """
     uses_automaton = True
+    parameters: tuple[str, ...] = ()
 
     def __init__(self, pid: ParticipantId, params: dict):
         self.pid = pid
@@ -371,6 +370,7 @@ class Silent(Strategy):
 
 class DelayOwnSends(Strategy):
     """Behaves like the compliant automaton but posts every send `delay` late."""
+    parameters = ("delay",)
 
     def __init__(self, pid, params):
         super().__init__(pid, params)
@@ -559,9 +559,12 @@ class Scenario:
             entry = STRATEGIES.get(spec.name) if type(spec.name) is str else None
             if entry is None:
                 raise ConfigError(f"unknown strategy {spec.name!r}")
-            _, role_ok = entry
+            cls, role_ok = entry
             if not role_ok(pid, self):
                 raise ConfigError(f"strategy {spec.name!r} does not apply to {pid}")
+            unknown = sorted(set(spec.params) - set(cls.parameters))
+            if unknown:
+                raise ConfigError(f"strategy {spec.name!r} takes no parameter {unknown[0]}")
 
     def participant_ids(self) -> list[ParticipantId]:
         out = [escrow(i) for i in range(self.n)]
@@ -776,8 +779,10 @@ class _Sim:
                         else default_horizon(self.params))
         self.pay = PaymentInstance(scenario.instance, scenario.n, scenario.amount)
         self.clocks = assign_clocks(scenario)
-        self.ledger = Ledger(scenario.resolved_balances())
-        self.initial_balances = dict(self.ledger.balances)
+        # value sent and not yet delivered is in flight, in no balance
+        self.balances = scenario.resolved_balances()
+        self.in_flight = 0
+        self.initial_balances = dict(self.balances)
 
         # the definitions are shared between runs; only the wrappers below are this run's
         if scenario.variant == "weak":
@@ -878,7 +883,7 @@ class _Sim:
         return Snapshot(
             self.started, tuple(self.heap), self.seq, self.tick,
             entries, len(entries), self.mask, self.pending_compliant, tuple(self.outbox),
-            tuple(self.ledger.balances.items()), self.ledger.in_flight,
+            tuple(self.balances.items()), self.in_flight,
             None if rng is None else rng.getstate(),
             tuple((a.state, tuple(sorted(a.clock_vars.items())), tuple(sorted(a.captured.items())),
                    tuple(a.inbox), a.stuck, a.due) for a in self._automata),
@@ -890,13 +895,12 @@ class _Sim:
         """Put this run back into the state `snap` was taken in; the trace
         entries after it are left to the traces already returned."""
         (self.started, heap, self.seq, self.tick, entries, entry_count,
-         self.mask, self.pending_compliant, outbox, balances, in_flight, rng,
+         self.mask, self.pending_compliant, outbox, balances, self.in_flight, rng,
          automata, nonces, vaults) = snap
         self.heap = list(heap)
         self.outbox = list(outbox)
         self.entries = entries[:entry_count]
-        self.ledger.balances = dict(balances)
-        self.ledger.in_flight = in_flight
+        self.balances = dict(balances)
         if rng is None:
             self.__dict__.pop("rng", None)  # the next draw starts from the seed
         else:
@@ -930,16 +934,16 @@ class _Sim:
         src = env.src
         payload = env.msg.payload
         if isinstance(payload, Money):
-            try:
-                self.ledger.send_value(src, payload.amount)
-            except InsufficientFunds:
+            amount = payload.amount
+            if self.balances[src] < amount:
                 self.entry(IMPOSSIBLE_STEP, src, reason="insufficient_funds")
                 aut = self.automata.get(src)
                 if aut is not None and self.sc.is_compliant(src):
                     aut.stuck = True
                 return
-            self.entry(TRANSFERRED, src, frm=src, to=env.dst, amount=payload.amount,
-                       phase="sent")
+            self.balances[src] -= amount
+            self.in_flight += amount
+            self.entry(TRANSFERRED, src, frm=src, to=env.dst, amount=amount, phase="sent")
         entries = self.entries
         entries.append(TraceEntry(self.tick, len(entries), src, self.bases[src], SENT, env))
         self.outbox.append((self.seq, env))  # its delivery's seq, taken now
@@ -961,9 +965,10 @@ class _Sim:
                                   delay))
         payload = msg.payload
         if isinstance(payload, Money):
-            self.ledger.receive_value(pid, payload.amount)
-            self.entry(TRANSFERRED, pid, frm=env.src, to=pid, amount=payload.amount,
-                       phase="received")
+            amount = payload.amount
+            self.in_flight -= amount
+            self.balances[pid] += amount
+            self.entry(TRANSFERRED, pid, frm=env.src, to=pid, amount=amount, phase="received")
         strategy = self.strategies.get(pid)
         if strategy is not None:
             self.vaults[pid].append(msg)
@@ -1120,8 +1125,8 @@ class _Sim:
 
         sc = self.sc
         return Trace(meta=self.meta, entries=self.entries, stop_reason=self.stop_reason,
-                     final_balances=dict(self.ledger.balances),
-                     final_in_flight=self.ledger.in_flight, mask=self.mask,
+                     final_balances=dict(self.balances),
+                     final_in_flight=self.in_flight, mask=self.mask,
                      scenario=sc, delay_config=sc.delay.to_config())
 
 

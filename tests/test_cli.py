@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import broken_roster, strong_scenario
-from xpay import protocol, simnet
+from xpay import cli, protocol, simnet
 from xpay.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -328,10 +329,15 @@ SCRIPTED = {"kind": "scripted", "default": "1"}
     ("explore", dict(WEAK_GRID, patience_grid=[]), "patience_grid must not be empty"),
     ("explore", dict(WEAK_GRID, patience=["inf", "inf"]),
      "give either patience or patience_grid, not both"),
+    # a mistyped parameter is not left to its default, nor one the strategy never reads
+    ("run", dict(NOMINAL, byzantine={"c1": {"strategy": "delay_own_sends", "dealy": "3"}}),
+     "strategy 'delay_own_sends' takes no parameter dealy"),
+    ("run", dict(NOMINAL, byzantine={"c0": {"strategy": "silent", "delay": "3"}}),
+     "strategy 'silent' takes no parameter delay"),
 ], ids=["timing", "grid-int", "grid-string", "rules-int", "rule-int", "rule-src-int",
         "rule-payload-list", "strategy-list", "participant-underscore", "instance-int",
         "timing-a-string", "timing-d-int", "patience-grid-int", "patience-grid-empty",
-        "patience-and-grid"])
+        "patience-and-grid", "strategy-param-typo", "strategy-param-unread"])
 def test_a_wrongly_typed_field_exits_2(tmp_path, capsys, command, cfg, named):
     """A field of the wrong type or form is a config error naming it: not a
     traceback (exit 1, which reads as a violation), nor a run of some other
@@ -340,6 +346,29 @@ def test_a_wrongly_typed_field_exits_2(tmp_path, capsys, command, cfg, named):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {named}\n"
+
+
+NOT_UTF8 = b'{"variant": "\xff"}'
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", "{nominal}", "--trace", "{tmp}/missing/t"], "cannot write trace {tmp}/missing/t: "),
+    (["run", "{nominal}", "--report", "{tmp}/missing/r"], "cannot write report {tmp}/missing/r: "),
+    (["run", "{bytes}"], "config {bytes} is not UTF-8: "),
+    (["deals-check", "{bytes}"], "deal matrix {bytes} is not UTF-8: "),
+], ids=["trace-dir-missing", "report-dir-missing", "config-not-utf8", "matrix-not-utf8"])
+def test_a_file_error_exits_2(tmp_path, capsys, argv, named):
+    """A file the command cannot write, or one it reads that is not UTF-8,
+    is one config error line naming the file (exit 2), not a traceback (exit
+    1, which reads as a violation)."""
+    (tmp_path / "bytes").write_bytes(NOT_UTF8)
+    paths = {"nominal": write(tmp_path, "c.json", NOMINAL), "bytes": str(tmp_path / "bytes"),
+             "tmp": str(tmp_path)}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {named.format(**paths)}")
+    assert captured.err.count("\n") == 1
 
 
 def test_explore_rejects_large_n(tmp_path):
@@ -455,12 +484,19 @@ def test_explicit_timing_in_a_config_agrees_with_the_config(tmp_path, field, val
     assert main(["run", write(tmp_path, "c.json", cfg)]) == EXIT_OK
 
 
+def readme_configs_section() -> tuple[str, str]:
+    """The README's "Scenario configs" section: its JSON block, and the text
+    after the block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Scenario configs\n", 1)[1].split("\n## ", 1)[0]
+    block, text = section.split("```json\n", 1)[1].split("```", 1)
+    return block, text
+
+
 def test_the_readme_scenario_config_runs_as_written(tmp_path):
     """The JSON block under the README's "Scenario configs" heading parses,
     its strategy parameter included, and `xpay run` on it exits 0."""
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-    block = readme.split("\n## Scenario configs\n", 1)[1].split("```json\n", 1)[1]
-    block = block.split("```", 1)[0]
+    block, _ = readme_configs_section()
     scenario, _ = parse_scenario_config(json.loads(block))
     assert scenario.byzantine[customer(2)].params == {"delay": Fraction(2)}
     assert main(["run", write(tmp_path, "readme.json", block)]) == EXIT_OK
@@ -475,3 +511,17 @@ def test_a_config_without_grid_or_seed_runs_on_the_defaults():
     bare_trace, named_trace = (run_simulation(parse_scenario_config(cfg)[0]).render()
                                for cfg in (bare, named))
     assert bare_trace == named_trace
+
+
+def test_the_readme_names_every_config_field_and_strategy_parameter():
+    """The README's config example, with `patience_grid` (explore only),
+    names exactly the fields the parser takes, and its `byzantine` bullet
+    names every strategy with exactly the parameters the strategy declares."""
+    block, text = readme_configs_section()
+    assert set(json.loads(block)) | {"patience_grid"} == set(cli._SCENARIO_FIELDS)
+    bullet = " ".join(text.split("\n* `byzantine`:", 1)[1].split("\n* ", 1)[0].split())
+    for name, (cls, _) in simnet.STRATEGIES.items():
+        assert f"`{name}`" in bullet, name
+        # the text from the name up to the next strategy listed
+        described = bullet.split(f"`{name}`", 1)[1].split(", `", 1)[0]
+        assert re.findall(r"param `(\w+)`", described) == list(cls.parameters), name

@@ -2,11 +2,9 @@ from __future__ import annotations
 
 import copy
 import pickle
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from xpay.core import (
     AbortCert,
@@ -19,8 +17,6 @@ from xpay.core import (
     Envelope,
     Guarantee,
     LockNotice,
-    InsufficientFunds,
-    Ledger,
     Money,
     ParticipantId,
     ParticipantKind,
@@ -166,54 +162,6 @@ def test_nonces_distinguish_duplicate_payloads():
     b = sign(Money("pay0", 1), e, key)
     assert a.nonce != b.nonce
     assert a != b
-
-
-def test_transfer_insufficient_funds():
-    """Value moves by a send and a receive; neither may overdraw."""
-    ledger = Ledger({customer(0): 0, escrow(0): 0})
-    with pytest.raises(InsufficientFunds):
-        ledger.send_value(customer(0), 1)
-    with pytest.raises(InsufficientFunds):
-        ledger.receive_value(escrow(0), 1)  # nothing is in flight
-    assert ledger.balances == {customer(0): 0, escrow(0): 0} and ledger.in_flight == 0
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_transfer_sequences_conserve_total(seed):
-    """Oracle: after every random send or receive, re-sum the balances and
-    the value in flight, and predict each refusal from the ledger before it."""
-    rng = random.Random(seed)
-    parties = [customer(i) for i in range(4)] + [escrow(0)]
-    ledger = Ledger({p: rng.randrange(0, 5) for p in parties})
-    expected = sum(ledger.balances.values())
-    for _ in range(40):
-        p = rng.choice(parties)
-        amount = rng.randrange(1, 4)
-        balances, in_flight = dict(ledger.balances), ledger.in_flight
-        if rng.randrange(2):
-            move, refused = ledger.send_value, balances[p] < amount
-        else:
-            move, refused = ledger.receive_value, in_flight < amount
-        if refused:
-            with pytest.raises(InsufficientFunds):
-                move(p, amount)
-            assert (ledger.balances, ledger.in_flight) == (balances, in_flight)
-        else:
-            move(p, amount)
-        assert sum(ledger.balances.values()) + ledger.in_flight == expected
-        assert all(b >= 0 for b in ledger.balances.values())
-
-
-def test_send_receive_pair_tracks_in_flight():
-    ledger = Ledger({customer(0): 2, escrow(0): 0})
-    ledger.send_value(customer(0), 2)
-    assert ledger.balance(customer(0)) == 0
-    assert ledger.in_flight == 2
-    ledger.receive_value(escrow(0), 2)
-    assert ledger.balance(escrow(0)) == 2
-    assert ledger.in_flight == 0
-    with pytest.raises(InsufficientFunds):
-        ledger.send_value(customer(0), 1)
 
 
 def test_fmt_fraction_always_carries_denominator():

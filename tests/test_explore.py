@@ -283,7 +283,7 @@ def run_state(sim):
     return (
         sim.started, list(sim.heap), sim.seq, sim.tick, list(sim.entries), sim.mask,
         sim.pending_compliant,
-        dict(sim.ledger.balances), sim.ledger.in_flight,
+        dict(sim.balances), sim.in_flight,
         [(aut.state, dict(aut.clock_vars), dict(aut.captured), list(aut.inbox), aut.stuck,
           aut.due) for aut in sim.automata.values()],
         {pid: key.nonce for pid, key in sim.keys.items()},
@@ -299,13 +299,13 @@ def snapshot_contents(snap):
 
 def test_a_restore_puts_back_each_armed_deadline():
     """A snapshot keeps each automaton's state, deadline tick, clock variables,
-    captured messages, inbox and stuck flag, the ledger, the key nonces, the
-    Byzantine participants' vaults and the sends not yet drawn: after the run
-    has moved on, a restore
-    puts back each of them as it stood, and neither the later runs nor the
-    restores change what any snapshot holds. Clock variables hold ticks,
-    ints. Bob sending his certificate early gets it captured; Bob as a
-    replayer decides what to echo from his vault alone."""
+    captured messages, inbox and stuck flag, the balances and value in flight,
+    the key nonces, the Byzantine participants' vaults and the sends not yet
+    drawn: after the run has moved on, a restore puts back each of them as it
+    stood, and neither the later runs nor the restores change what any
+    snapshot holds. Clock variables hold ticks, ints. Bob sending his
+    certificate early gets it captured; Bob as a replayer decides what to echo
+    from his vault alone."""
     states = []
     moved_back = []  # per automaton and restore: did the restore change its state
     for strategy in ("premature_certificate", "replayer"):

@@ -115,6 +115,62 @@ def test_all_silent_run_moves_no_value():
     assert verdicts["CONS"].status is Status.HOLDS
 
 
+@functools.lru_cache(maxsize=None)
+def _battery(variant: str, n: int) -> list[dict]:
+    return battery_assignments((strong_scenario if variant == "strong" else weak_scenario)(n=n))
+
+
+def replay_transfers(trace) -> int:
+    """Replay `trace`'s TRANSFERRED entries from its initial balances: a send
+    debits its sender into the value in flight, a delivery credits its
+    recipient from it. No balance and not the value in flight may go below
+    zero, a send may be refused only where its sender holds less than the
+    amount, and the replay must end at the trace's final balances and value in
+    flight. Returns the number of refused sends."""
+    balances, in_flight, refused = dict(trace.meta.initial_balances), 0, 0
+    for e in trace.entries:
+        if e.rec is Rec.TRANSFERRED and e.phase == "sent":
+            balances[e.frm] -= e.amount
+            in_flight += e.amount
+        elif e.rec is Rec.TRANSFERRED:
+            in_flight -= e.amount
+            balances[e.to] += e.amount
+        elif e.rec is Rec.IMPOSSIBLE_STEP and e.reason == "insufficient_funds":
+            assert balances[e.participant] < trace.meta.amount
+            refused += 1
+        assert min(balances.values()) >= 0 and in_flight >= 0
+    assert balances == trace.final_balances
+    assert in_flight == trace.final_in_flight
+    return refused
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from(("strong", "weak")), st.integers(1, 3),
+       st.integers(0, 10**6), st.sampled_from(simnet._CLOCK_MODES), st.sampled_from((0, F(1, 10))))
+def test_the_run_balances_are_its_transfers_replayed(data, variant, n, seed, clock_mode, rho):
+    """The engine's balances, checked apart from the CONS monitor: each
+    example takes one Byzantine assignment of the explore battery, replayers
+    and greedy escrows included, and in the weak variant a drawn patience."""
+    assignments = _battery(variant, n)
+    byzantine = assignments[data.draw(st.integers(0, len(assignments) - 1))]
+    kw = dict(n=n, seed=seed, clock_mode=clock_mode, rho=rho, byzantine=byzantine)
+    if variant == "weak":
+        kw["patience"] = data.draw(st.tuples(*[st.sampled_from((None, F(1), F(4)))] * (n + 1)))
+    replay_transfers(run_simulation(
+        (strong_scenario if variant == "strong" else weak_scenario)(**kw)))
+
+
+def test_a_send_of_money_the_sender_does_not_hold_is_refused():
+    """A replayer connector echoes the payment it was sent to each of the
+    other four participants out of its own balance, which holds 2 (its
+    unspent deposit and the payment): the last two echoes are each an
+    IMPOSSIBLE_STEP and move no value."""
+    byzantine = {escrow(1): StrategySpec("replayer"), customer(1): StrategySpec("replayer"),
+                 customer(2): StrategySpec("premature_certificate")}
+    trace = run_simulation(strong_scenario(n=2, byzantine=byzantine))
+    assert replay_transfers(trace) == 2
+
+
 def test_partial_sync_delivers_after_stabilization():
     sc = weak_scenario(delay=PartialSync(gst=F(3), delta=F(1)), seed=4)
     trace = run_simulation(sc)
@@ -345,6 +401,9 @@ def test_scenario_validation_errors():
         run_simulation(strong_scenario(byzantine={customer(0): StrategySpec("no_such")}))
     with pytest.raises(ConfigError):
         run_simulation(strong_scenario(byzantine={customer(0): StrategySpec("greedy_escrow")}))
+    with pytest.raises(ConfigError, match="strategy 'delay_own_sends' takes no parameter dealy"):
+        run_simulation(strong_scenario(
+            byzantine={customer(1): StrategySpec("delay_own_sends", {"dealy": F(3)})}))
     with pytest.raises(ConfigError):
         run_simulation(weak_scenario(patience=(F(1),)))  # needs n+1 entries
     with pytest.raises(ConfigError):
