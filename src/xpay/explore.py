@@ -12,13 +12,16 @@ a simultaneity (two enabled receives, or a receive against a due timeout):
 branches without ties execute identically under every policy. A tie re-run
 under a policy in the tie mask of a run of its leaf is that run again.
 
-The search is depth first over checkpoints (stateless search as in VeriSoft,
-Godefroid, POPL 1997): a branch resumes from a snapshot taken just before the
-draw of the decision it changes, and simulates and checks only the rest. Nor
-is a subtree simulated twice: each assignment keeps a visited set of run
-states, as in SPIN (Holzmann, IEEE TSE 1997), and a run that reaches one
-replays the branches kept below it (`_Checkpoints`). The set costs memory:
-the kept entries of each explored subtree, until the assignment ends.
+The search is depth first over one stack of draw frames (stateless search as
+in VeriSoft, Godefroid, POPL 1997), each a snapshot taken just before a draw
+that takes a decision: a branch resumes at the frame of the decision it
+changes, and simulates and checks only the rest. Nor is a subtree simulated
+twice: each assignment keeps a visited set of run states, as in SPIN
+(Holzmann, IEEE TSE 1997). Its nodes are the frames drawn with the tie mask
+whole; a tie re-run resumes at the deepest, a run that reaches a node
+explored before replays the branches kept below it, and a node whose frame
+leaves the stack is explored to the end (`_Checkpoints`). The set costs
+memory: the kept entries of each explored subtree, until the assignment ends.
 
 Every branch, simulated, shared or replayed, is one `_Leaf` record reported
 by one emitter, with the outcome that simulating it from t=0 would give,
@@ -132,25 +135,12 @@ def assignment_label(assignment: dict[ParticipantId, StrategySpec]) -> str:
     return ",".join(f"{p}={assignment[p].label()}" for p in sorted(assignment))
 
 
-class _Checkpoint(NamedTuple):
-    snapshot: Snapshot  # taken just before a draw that takes a decision
+class _Frame(NamedTuple):
+    """A draw that takes a decision in the last baseline run."""
+    snapshot: Snapshot  # taken just before the draw
     cursor: int  # decisions consumed before the draw
     monitor: Monitor  # the checks, fed every entry before the draw
-
-
-class _Node(NamedTuple):
-    """A run state explored once: a draw that takes a decision in a baseline
-    run, reached with the tie mask whole, and everything explored below it.
-
-    `items` holds, in the order they were explored, each branch below it
-    (`_Leaf`) and a link to each node below it (`_Link`), the ones reached
-    again included. Every branch of a leaf resumes at the deepest node on its
-    path or below it, so what lies below a node depends only on the key it
-    is kept under.
-    """
-    cursor: int  # decisions consumed before the draw
-    entry_count: int  # entries before the draw
-    items: list
+    node: Optional[list]  # if a node, its `_Leaf` and `_Link` items in the order explored
 
 
 class _Leaf(NamedTuple):
@@ -171,15 +161,15 @@ class _Leaf(NamedTuple):
 
 class _Link(NamedTuple):
     """A node below a node, with the decisions and entries between their draws."""
-    node: _Node
+    node: list
     decisions: tuple[int, ...]
     entries: list
 
 
-def _replay(node: _Node, decisions: tuple[int, ...], entries: list):
+def _replay(node: list, decisions: tuple[int, ...], entries: list):
     """Each branch below `node`, as (leaf, decision vector, entries), for a run
     that reaches a draw with its key after `decisions` and `entries`."""
-    for item in node.items:
+    for item in node:
         if type(item) is _Link:
             yield from _replay(item.node, decisions + item.decisions, entries + item.entries)
         else:
@@ -189,7 +179,7 @@ def _replay(node: _Node, decisions: tuple[int, ...], entries: list):
 class _Revisit(Exception):
     """Stops a baseline run at a draw whose run state was explored before."""
 
-    def __init__(self, node: _Node):
+    def __init__(self, node: list):
         super().__init__()
         self.node = node
 
@@ -198,104 +188,104 @@ class _Checkpoints:
     """Where the branches of one assignment resume, and the run states
     explored in it.
 
-    The baseline (first-policy) run of each leaf takes a snapshot just before
-    each draw that takes a decision (a draw with a send to a compliant
-    recipient) and credits it with each decision the draw takes. Until a
-    decision changes, every later run agrees with the baseline up to that
-    decision's draw. Runs under the other policies agree with it up to its
-    first tie (no policy matters before there is a choice to make), so they
-    resume from the last checkpoint before that tie, or from the start.
+    `frames` is a stack with one frame per draw that takes a decision (a draw
+    with a send to a compliant recipient) in the last baseline (first-policy)
+    run, each with a snapshot taken just before its draw. Until a decision
+    changes, every later run agrees with the baseline up to that decision's
+    draw, so a branch resumes at the last frame whose cursor is not past the
+    decision it changes, and the frames above it leave the stack.
 
-    Such a draw with the tie mask still whole, reached for the first time
-    (not the draw a resumed run restarts at), is a node, kept in `visited`
-    under the snapshot's key and the monitor's projection. `path` holds the
-    nodes of the last baseline run, each being explored until the odometer
-    changes a decision before its draw. A baseline run that reaches a draw
-    whose key is in `visited` stops there (`_Revisit`). That node was
-    explored to the end: a run below a node meets no draw with its key, as
-    each such draw has more entries before it.
+    A frame pushed with the tie mask whole is a node: a run state explored
+    once, kept in `visited` under the snapshot's key and the monitor's
+    projection, with each branch explored below it and a link to each node
+    below it, the ones reached again included. The mask only shrinks along a
+    run, so the nodes are the stack's first frames. Runs under the other
+    policies agree with the baseline up to its first tie (no policy matters
+    before there is a choice to make), so they resume at the deepest node, or
+    at the start. Every branch of a leaf resumes at that node or below it, so
+    what lies below a node depends only on its key. A baseline run that
+    reaches a draw whose key is in `visited` stops there (`_Revisit`). That
+    node was explored to the end, as is each node whose frame left the stack:
+    a run below a node meets no draw with its key, as each such draw has more
+    entries before it.
 
     `monitor` is the check of the run in progress; it takes in the entries
-    only as far as it has to. Each checkpoint keeps a copy of it as it stood
-    at the snapshot, so a branch feeds the monitor only the entries it
-    simulates: those past `origin`, the checkpoint the run started from.
+    only as far as it has to. Each frame keeps a copy of it as it stood at
+    the snapshot, so a branch feeds the monitor only the entries it
+    simulates: those past `origin`, the frame the run started from.
     """
 
     def __init__(self, sim: _Sim, model: _DecidedDelays):
         self.sim = sim
         self.model = model
         self.monitor = Monitor(sim.meta)
-        self.by_decision: list[_Checkpoint] = []
-        self.start = self.tie = _Checkpoint(sim.snapshot(), 0, Monitor(sim.meta))
-        self.resumed: Optional[_Checkpoint] = None  # what the next draw stands at
-        self.origin = self.start  # where the run in progress started
-        self.path: list[_Node] = []  # the nodes of the last baseline run, being explored
-        self.visited: dict[tuple, _Node] = {}  # every node, by key
+        self.frames: list[_Frame] = []
+        self.start = self.origin = _Frame(sim.snapshot(), 0, Monitor(sim.meta), None)
+        self.resumed = False  # the next draw is the top frame's
+        self.visited: dict[tuple, list] = {}  # every node, by key
 
     def draw(self) -> None:
         """The engine's `on_draw` during baseline runs."""
-        sim, byzantine = self.sim, self.model.byzantine
-        taken = sum(env.dst not in byzantine for _, env in sim.outbox)
-        if not taken:
+        if self.resumed:
+            self.resumed = False
             return
-        cp, self.resumed = self.resumed, None
-        if cp is None:
-            # the live monitor catches up to the snapshot; the checkpoint keeps a copy
-            self.monitor.feed(sim.entries)
-            snapshot = sim.snapshot()
-            if sim.mask == EVERY_POLICY:
-                self._enter(snapshot)
-            cp = _Checkpoint(snapshot, self.model.cursor, self.monitor.copy())
-        self.by_decision.extend([cp] * taken)
-        if sim.mask == EVERY_POLICY:
-            self.tie = cp
+        sim, byzantine = self.sim, self.model.byzantine
+        if all(env.dst in byzantine for _, env in sim.outbox):
+            return
+        # the live monitor catches up to the snapshot; the frame keeps a copy
+        self.monitor.feed(sim.entries)
+        snapshot = sim.snapshot()
+        node = self._enter(snapshot) if sim.mask == EVERY_POLICY else None
+        self.frames.append(_Frame(snapshot, self.model.cursor, self.monitor.copy(), node))
 
-    def _enter(self, snapshot: Snapshot) -> None:
-        """Open a node at this draw, linked from the deepest open one; or, if
-        its key was explored, link that node and stop the run."""
+    def _enter(self, snapshot: Snapshot) -> list:
+        """Open a node at this draw, linked from the top frame (a node, as the
+        mask is whole); or, if its key was explored, link that node and stop
+        the run."""
         cursor, count = self.model.cursor, snapshot.entry_count
-        new = _Node(cursor, count, [])
+        new: list = []
         node = self.visited.setdefault((snapshot.key(), self.monitor.projection()), new)
-        if self.path:
-            up = self.path[-1]
-            up.items.append(_Link(node, tuple(self.model.decisions[up.cursor:cursor]),
-                                  snapshot.entries[up.entry_count:count]))
+        if self.frames:
+            up = self.frames[-1]
+            up.node.append(_Link(node, tuple(self.model.decisions[up.cursor:cursor]),
+                                 snapshot.entries[up.snapshot.entry_count:count]))
         if node is not new:
             raise _Revisit(node)
-        self.path.append(node)
+        return node
+
+    def deepest(self) -> _Frame:
+        """The deepest node on the stack, or the start if there is none."""
+        for frame in reversed(self.frames):
+            if frame.node is not None:
+                return frame
+        return self.start
 
     def keep(self, leaf: _Leaf) -> None:
-        """Keep the branch just explored, held from t=0, in its node."""
-        if self.path:
-            node = self.path[-1]
+        """Keep the branch just explored, held from t=0, in the deepest node."""
+        frame = self.deepest()
+        if frame.node is not None:
             verdicts = leaf.verdicts
             if any(v.status is VIOLATED for v in verdicts):
                 verdicts = None
-            node.items.append(_Leaf(leaf.policy, leaf.decisions[node.cursor:],
-                                    leaf.entries[node.entry_count:], leaf.stop_reason,
-                                    leaf.final_balances, leaf.final_in_flight, leaf.mask,
-                                    verdicts, leaf.paid))
+            frame.node.append(_Leaf(leaf.policy, leaf.decisions[frame.cursor:],
+                                    leaf.entries[frame.snapshot.entry_count:],
+                                    leaf.stop_reason, leaf.final_balances,
+                                    leaf.final_in_flight, leaf.mask, verdicts, leaf.paid))
 
     def resume(self, index: int) -> None:
-        """Restore the draw that took decision `index` in the last baseline
-        run, or, if that run stopped short of it, the last draw that took one
-        (the prefix decides the run up to there). The nodes past that draw
-        are explored to the end and leave the path."""
-        while self.path and self.path[-1].cursor > index:
-            self.path.pop()
-        if index < len(self.by_decision):
-            cp = self.by_decision[index]
-        else:
-            cp = self.by_decision[-1] if self.by_decision else self.start
-        del self.by_decision[cp.cursor:]
-        self.resumed = None if cp is self.start else cp
-        self.restore(cp)
+        """Restore the last frame whose cursor is not past decision `index`,
+        or the start; the frames above it leave the stack."""
+        frames = self.frames
+        while frames and frames[-1].cursor > index:
+            frames.pop()
+        self.resumed = bool(frames)
+        self.restore(frames[-1] if frames else self.start)
 
-    def restore(self, cp: _Checkpoint) -> None:
-        self.sim.restore(cp.snapshot)
-        self.model.cursor = cp.cursor
-        self.monitor = cp.monitor.copy()
-        self.origin = cp
+    def restore(self, frame: _Frame) -> None:
+        self.sim.restore(frame.snapshot)
+        self.model.cursor = frame.cursor
+        self.monitor = frame.monitor.copy()
+        self.origin = frame
 
 
 def explore(
@@ -382,7 +372,7 @@ def explore(
                         if k == 0:
                             sim.on_draw = checkpoints.draw
                         else:
-                            checkpoints.restore(checkpoints.tie)
+                            checkpoints.restore(checkpoints.deepest())
                         monitor = checkpoints.monitor
                         try:
                             trace = run_simulation(scenarios[k], sim)

@@ -540,8 +540,10 @@ class Scenario:
             if self.timing.n != self.n:
                 raise ConfigError("explicit timing does not match n")
             # the engine reads pi and rho here, T's bound and the horizon read the
-            # timing: both must describe this run (an unbounded model takes any delta)
-            own = {"pi": self.pi, "rho": self.rho, "mu": self.mu, "delta": self.delay.delta}
+            # timing: both must describe this run (an unbounded model takes any
+            # delta, and a scenario without epsilon any epsilon)
+            own = {"pi": self.pi, "rho": self.rho, "mu": self.mu, "delta": self.delay.delta,
+                   "epsilon": self.epsilon}
             for name, value in own.items():
                 given = getattr(self.timing, name)
                 if value is not None and given != value:

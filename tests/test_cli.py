@@ -245,6 +245,17 @@ def test_explore_full_battery_exit_0(configs, capsys, monkeypatch):
     assert fields["leaf_depths"] == "0:84,1:48,2:99,3:126,4:189,5:243,6:729"
 
 
+def test_explore_without_a_grid_takes_delta(configs, capsys):
+    """A model without a grid is explored at `(delta,)` alone: the scripted
+    late certificate config gives one leaf of six decisions, each delay 1,
+    and its three tie re-runs."""
+    assert main(["explore", str(configs / "late_certificate_n1.json")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "explore branches=4 complete=True assignments=1 patience_sets=1"
+    fields = dict(field.split("=") for field in lines[1].split()[1:])
+    assert (fields["tie_reruns"], fields["leaf_depths"]) == ("3", "6:1")
+
+
 def test_explore_on_a_violating_tree_exits_1(configs, capsys, monkeypatch):
     """On the hand-broken roster the battery violates safety on 1503 of its
     1698 branches. `xpay explore` lists the first 20 with their decision

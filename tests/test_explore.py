@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import broken_roster, shared_verdicts, strong_scenario, weak_scenario
+from conftest import broken_roster, derived, shared_verdicts, strong_scenario, weak_scenario
 from oracles import rerun_explore
 from xpay import simnet
 from xpay.core import (Certificate, ConfigError, Envelope, Guarantee, SigningKey, customer,
@@ -17,7 +17,7 @@ from xpay.core import (Certificate, ConfigError, Envelope, Guarantee, SigningKey
 from xpay.explore import (POLICIES, _Checkpoints, _DecidedDelays, _Revisit, assignment_label,
                           battery_assignments, explore)
 from xpay.properties import Monitor, Status, _Terminal, safety_verdicts
-from xpay.simnet import Snapshot, StrategySpec, Synchronous, _Sim, run_simulation
+from xpay.simnet import Scripted, Snapshot, StrategySpec, Synchronous, _Sim, run_simulation
 from xpay.trace import EVERY_POLICY, format_lines
 
 F = Fraction
@@ -39,6 +39,18 @@ def _tie_before_any_decision():
                      SigningKey(escrow(0)))
     base = replace(base, raw_injections=((F(2), Envelope(escrow(0), customer(0), guarantee)),))
     return base, {"assignments": [{escrow(0): StrategySpec("silent")}]}, 128
+
+
+def _tie_rerun_past_the_baseline():
+    """Weak n=1 with no patience, where some tie re-runs take more decisions
+    than their leaf's baseline run: the odometer then changes a decision that
+    no baseline draw took, and the next branch resumes at the baseline's last
+    draw that took one."""
+    base = weak_scenario(delay=Synchronous(F(1), grid=GRID2), patience=(F(0), F(0)))
+    assignments = [{escrow(0): StrategySpec("silent"),
+                    customer(1): StrategySpec("withhold_certificate")},
+                   {customer(1): StrategySpec("premature_certificate")}]
+    return base, {"assignments": assignments}, 342
 
 
 def _strong_battery_cut(budget):
@@ -64,12 +76,15 @@ DIFFERENTIAL = {
     "strong-n2-prefix": lambda: (
         strong_scenario(n=2, delay=Synchronous(F(1), grid=GRID3)), {"budget": 5000}, 5000),
     "weak-n1-tie-before-any-decision": _tie_before_any_decision,
+    "weak-n1-tie-rerun-past-the-baseline": _tie_rerun_past_the_baseline,
 }
 # the cases some of whose tie re-runs resume from the assignment's start
 TIE_FROM_START = {"weak-n1-tie-before-any-decision"}
 # the cases with no node: every baseline run ties before its first decision
 # draw, and a node is a decision draw with the tie mask still whole
 NO_NODE = {"weak-n1-tie-before-any-decision"}
+# the cases where a tie re-run takes more decisions than its leaf's baseline run
+TIE_RERUN_LONGER = {"weak-n1-tie-rerun-past-the-baseline"}
 
 
 def branch_sequence(explorer, base, **kw):
@@ -116,6 +131,13 @@ def test_checkpointed_exploration_matches_the_rerun_reference(case, monkeypatch)
     assert got == want
     assert_same_report(report, want_report)
     assert report.complete == (branches < kw.get("budget", 200_000))
+    baseline = []
+    longer = False
+    for _, policy, decisions, *_ in got:
+        if policy == POLICIES[0]:
+            baseline = decisions
+        longer = longer or len(decisions) > len(baseline)
+    assert longer == (case in TIE_RERUN_LONGER)
     assert sum(report.leaf_depths.values()) + report.tie_reruns == report.branches
     # only suffixes were simulated, and only they were fed to the monitors
     assert 0 < report.entries_simulated < report.entries == want_report.entries_simulated
@@ -360,12 +382,12 @@ def test_a_snapshot_and_a_restore_copy_the_outbox():
 def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
     """Snapshots, and with them monitor copies, are taken only where a branch
     can resume: apart from each assignment's start, every snapshot a baseline
-    run takes is a checkpoint credited with at least one decision, or the
-    one a run stopped at because its run state was explored, at most 546
-    snapshots over the n=1 battery. A checkpoint gets its copy of the
-    monitor when it is taken; every other copy is a restore's, one per
-    run that does not start its assignment: each branch that is simulated,
-    and each run that stopped."""
+    run takes is a frame on the stack, at a draw that takes at least one
+    decision, or the one a run stopped at because its run state was explored,
+    at most 546 snapshots over the n=1 battery. A frame gets its copy of the
+    monitor when it is taken, fed exactly the entries before its snapshot;
+    every other copy is a restore's, one per run that does not start its
+    assignment: each branch that is simulated, and each run that stopped."""
     counts = Counter()
     taken, starts, credited, stops = [], [], {}, []
     runs = 0  # the runs begun: the branches simulated, and the runs stopped
@@ -390,9 +412,9 @@ def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
         except _Revisit:
             stops.append(taken[-1])
             raise
-        for cp in checkpoints.by_decision:
-            assert cp.monitor.fed == cp.snapshot.entry_count
-            credited[id(cp.snapshot)] = cp.snapshot
+        for frame in checkpoints.frames:
+            assert frame.monitor.fed == frame.snapshot.entry_count
+            credited[id(frame.snapshot)] = frame.snapshot
 
     monkeypatch.setattr(Monitor, "copy", counted("copies", Monitor.copy))
     monkeypatch.setattr(_Sim, "snapshot", snapshot)
@@ -457,6 +479,14 @@ def test_grid_points_must_be_positive_and_distinct(grid, point):
     base = strong_scenario(delay=Synchronous(F(1), grid=GRID3))
     with pytest.raises(ConfigError, match=f"grid delay {point} "):
         explore(base, grid=grid)
+
+
+def test_a_model_with_neither_a_grid_nor_a_delta_is_refused():
+    """Without a grid the explorer takes `(delta,)`; a model with no delivery
+    bound gives it nothing to draw from."""
+    base = strong_scenario(delay=Scripted(default=F(1)), timing=derived(1))
+    with pytest.raises(ConfigError, match="exploration needs a delay grid"):
+        explore(base)
 
 
 def test_grid_points_past_delta_are_explored():

@@ -417,13 +417,14 @@ def test_scenario_validation_errors():
     ("mu", dict(mu=F(1, 100))),
     ("delta", dict(delay=Synchronous(F(2)))),
     ("delta", dict(delay=Scripted(default=F(1), delta=F(2)))),
-], ids=["pi", "rho", "mu", "delta", "scripted-delta"])
+    ("epsilon", dict(epsilon=F(5))),
+], ids=["pi", "rho", "mu", "delta", "scripted-delta", "epsilon"])
 def test_explicit_timing_must_agree_with_its_scenario(field, changed):
     """The engine reads pi and rho (dwell, time scale, clock rates) from the
     scenario, while T's bound and the horizon read the explicit timing, and
-    mu and delta are what the timing was derived for: a timing whose value
-    differs from the scenario's, or from its delay model's bound, is refused.
-    A delay model with no bound accepts any delta."""
+    mu, delta and epsilon are what the timing was derived for: a timing whose
+    value differs from the scenario's, or from its delay model's bound, is
+    refused. A delay model with no bound accepts any delta."""
     timing = derived(1)  # delta 1, pi 1/10, rho 0, mu 0: strong_scenario's own
     run_simulation(strong_scenario(timing=timing))
     run_simulation(strong_scenario(timing=timing, delay=Scripted(default=F(1))))
