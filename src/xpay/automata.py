@@ -181,16 +181,16 @@ class Machine:
     """A participant's automaton as its protocol role defines it, validated once.
 
     `states` is a read-only view, so the runs that share a definition cannot
-    change it. `timeouts` holds the delays of the timeout guards of the states
-    present at construction. `nonces_spent` counts the signatures the
-    definition made with its owner's key (a message signed up front and sent
-    later); a run's key starts past them.
+    change it. `timeouts` maps the name of each state present at construction
+    that has a timeout guard to that guard's delay. `nonces_spent` counts the
+    signatures the definition made with its owner's key (a message signed up
+    front and sent later); a run's key starts past them.
     """
     id: ParticipantId
     states: Mapping[str, State]
     initial: str
     nonces_spent: int = 0
-    timeouts: tuple[Fraction, ...] = field(init=False)
+    timeouts: Mapping[str, Fraction] = field(init=False)
 
     def __post_init__(self):
         if self.initial not in self.states:
@@ -198,8 +198,9 @@ class Machine:
         for st in self.states.values():
             validate_state(st, self.states)
         object.__setattr__(self, "states", MappingProxyType(self.states))
-        object.__setattr__(self, "timeouts", tuple(
-            st.timeout.guard.delay for st in self.states.values() if st.timeout is not None))
+        object.__setattr__(self, "timeouts", MappingProxyType({
+            name: st.timeout.guard.delay for name, st in self.states.items()
+            if st.timeout is not None}))
 
     def new_key(self) -> SigningKey:
         """A fresh signing key for one run, past the nonces the definition spent."""
@@ -221,18 +222,17 @@ class Automaton:
     An automaton keeps time on one axis, the one `lengths` is given on: the
     `now` of `step` and `enabled_transitions`, the value of a clock variable
     (the instant at which it was set) and `due` are all on it. `lengths` maps
-    the id of each timeout delay of the definition (the definition holds the
-    delay objects) to the time that timeout lasts, from the instant its
-    variable was set (from time zero when it has none). The engine works these
-    out once per run in int ticks, from each delay and the participant's
-    clock rate. Without `lengths` each timeout lasts its delay: real time on a
-    clock of rate 1. `due`, when the current state's timeout falls due (None
-    if never), is worked out on entering a state: at construction and by
-    `step`.
+    the name of each state with a timeout, as `Machine.timeouts` does, to the
+    time that timeout lasts, from the instant its variable was set (from time
+    zero when it has none). The engine works these out once per run in int
+    ticks, from each delay and the participant's clock rate. Without
+    `lengths` each timeout lasts its delay: real time on a clock of rate 1.
+    `due`, when the current state's timeout falls due (None if never), is
+    worked out on entering a state: at construction and by `step`.
     """
     machine: Machine
     key: Optional[SigningKey] = None
-    lengths: Optional[dict[int, Instant]] = field(default=None, repr=False, compare=False)
+    lengths: Optional[dict[str, Instant]] = field(default=None, repr=False, compare=False)
     state: Optional[State] = None
     clock_vars: dict[str, Instant] = field(default_factory=dict)
     captured: dict[str, SignedMessage] = field(default_factory=dict)
@@ -248,18 +248,19 @@ class Automaton:
         elif self.key.owner != self.machine.id:
             raise ConfigError(f"automaton {self.machine.id} was handed {self.key.owner}'s key")
         if self.lengths is None:
-            self.lengths = {id(delay): delay for delay in self.machine.timeouts}
+            self.lengths = dict(self.machine.timeouts)
         self._arm()
 
     def _arm(self) -> None:
         """Work out `due` for the state just entered."""
         due = None
-        tr = self.state.timeout
+        st = self.state
+        tr = st.timeout
         if tr is not None:
-            guard = tr.guard
-            start = 0 if guard.var is None else self.clock_vars.get(guard.var)
+            var = tr.guard.var
+            start = 0 if var is None else self.clock_vars.get(var)
             if start is not None:
-                due = start + self.lengths[id(guard.delay)]
+                due = start + self.lengths[st.name]
         self.due = due
 
     @property

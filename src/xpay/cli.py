@@ -224,10 +224,14 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
     if "patience_grid" in cfg:
         if patience is not None:
             raise ConfigError("give either patience or patience_grid, not both")
+        if scenario.variant != "weak":
+            raise ConfigError("patience_grid applies to the weak variant only")
         patience_grid = [None if v == "inf" else parse_rational(v, "patience_grid")
                          for v in _list(cfg, "patience_grid", "patience_grid")]
         if not patience_grid:
             raise ConfigError("patience_grid must not be empty")
+        if any(p is not None and p < 0 for p in patience_grid):
+            raise ConfigError("patience_grid must be non-negative or inf")
     return scenario, {"patience_grid": patience_grid}
 
 
@@ -312,7 +316,7 @@ def cmd_explore(args) -> int:
     if args.budget < 1:
         raise ConfigError("budget must be at least 1")
     raw = load_config(args.config)
-    battery = raw.get("byzantine") == "battery"
+    battery = isinstance(raw, dict) and raw.get("byzantine") == "battery"
     if battery:
         raw = dict(raw)
         raw["byzantine"] = {}
@@ -324,8 +328,6 @@ def cmd_explore(args) -> int:
     patience_grid = extras["patience_grid"]
     patience_sets: list[Optional[tuple]] = [scenario.patience]
     if patience_grid is not None:
-        if scenario.variant != "weak":
-            raise ConfigError("patience_grid applies to the weak variant only")
         patience_sets = list(itertools.product(patience_grid, repeat=scenario.n + 1))
 
     totals: Counter = Counter()  # the report counters, summed over the patience sets

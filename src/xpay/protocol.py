@@ -17,14 +17,18 @@ Two constructions are provided:
   customer may abort after a patience deadline of their own choosing without
   risking value.
 
+The variants share three steps, each built by one helper: an escrow's
+guarantee to its depositor and its paid_out/refunded terminals (`_escrow`), a
+customer's deposit (`_pay_escrow`) and a payee's await_payment -> paid (`_collect`).
+
 Every factory returns a `Machine`: the definition of one participant's
-automaton, which depends only on the hop count, the timing parameters
-(`timing.TimingParams`, imported here, so `protocol.TimingParams` names it
-too), the payment instance and, in the weak variant, the patience. The roster builders
-and the transaction manager are memoised by those values, so each definition
-is built and validated once and then shared by every run that asks for it;
-`simnet` wraps it in a per-run `Automaton` with that run's key and timeout
-lengths.
+automaton, which depends only on the timing parameters (`timing.TimingParams`,
+imported here, so `protocol.TimingParams` names it too), the payment instance
+(whose hop count the timing must share) and, in the weak variant, the patience.
+The roster builders are memoised by those values and the transaction manager
+by `(pay)`, so each definition is built and validated once and then shared by
+every run that asks for it; `simnet` wraps it in a per-run `Automaton` with
+that run's key and timeout lengths.
 
 The weak construction here is our own; it is validated against the variant's
 stated properties by the checker suite rather than against a reference.
@@ -126,6 +130,41 @@ def _recv_decision(pay: PaymentInstance, kind: type) -> Receive:
     return Receive(manager(), kind, attrs=(("instance", pay.instance),), signed_by=manager())
 
 
+def _recv_lock(pay: PaymentInstance, i: int) -> Receive:
+    """Escrow e_i's notice that hop i is locked."""
+    return Receive(escrow(i), LockNotice, attrs=(("instance", pay.instance), ("escrow_index", i)),
+                   signed_by=escrow(i))
+
+
+# ------------------------------------------------------------ steps both variants share
+
+def _escrow(i: int, params: TimingParams, pay: PaymentInstance,
+            middle: dict[str, State]) -> Machine:
+    """Escrow e_i: it guarantees its depositor resolution within d_i, goes on
+    from await_money through `middle`, and ends paid_out or refunded."""
+    states = {
+        "send_guarantee": State("send_guarantee", OUTPUT, (
+            Transition("await_money", emits=((customer(i), Fresh(Guarantee(pay.instance, params.d[i]))),)),
+        )),
+        **middle,
+        "paid_out": State("paid_out", TERMINAL),
+        "refunded": State("refunded", TERMINAL),
+    }
+    return Machine(escrow(i), states, "send_guarantee")
+
+
+def _pay_escrow(pay: PaymentInstance, e: ParticipantId, then: str) -> State:
+    """A customer's deposit: pay escrow `e`, then go on to `then`."""
+    return State("pay_escrow", OUTPUT, (Transition(then, emits=((e, Fresh(_money(pay))),)),))
+
+
+def _collect(pay: PaymentInstance, e: ParticipantId) -> dict[str, State]:
+    """A payee's last step: await the payment from escrow `e`, then stop paid."""
+    paid = Transition("paid", guard=_recv_money(pay, e))
+    return {"await_payment": State("await_payment", INPUT, (paid,)),
+            "paid": State("paid", TERMINAL)}
+
+
 # ------------------------------------------------------------------ strong variant
 
 def make_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
@@ -139,13 +178,9 @@ def make_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
     """
     if not 0 <= i < params.n:
         raise ConfigError(f"escrow index {i} out of range for n={params.n}")
-    me = escrow(i)
     up = customer(i)
     down = customer(i + 1)
-    states = {
-        "send_guarantee": State("send_guarantee", OUTPUT, (
-            Transition("await_money", emits=((up, Fresh(Guarantee(pay.instance, params.d[i]))),)),
-        )),
+    return _escrow(i, params, pay, {
         "await_money": State("await_money", INPUT, (
             Transition("send_promise", guard=_recv_money(pay, up)),
         )),
@@ -167,10 +202,7 @@ def make_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
         "resolve_refund": State("resolve_refund", OUTPUT, (
             Transition("refunded", emits=((up, Fresh(_money(pay))),)),
         )),
-        "paid_out": State("paid_out", TERMINAL),
-        "refunded": State("refunded", TERMINAL),
-    }
-    return Machine(me, states, "send_guarantee")
+    })
 
 
 def make_alice(params: TimingParams, pay: PaymentInstance) -> Machine:
@@ -180,9 +212,7 @@ def make_alice(params: TimingParams, pay: PaymentInstance) -> Machine:
         "await_guarantee": State("await_guarantee", INPUT, (
             Transition("pay_escrow", guard=_recv_guarantee(pay, e0, params.d[0])),
         )),
-        "pay_escrow": State("pay_escrow", OUTPUT, (
-            Transition("await_outcome", emits=((e0, Fresh(_money(pay))),)),
-        )),
+        "pay_escrow": _pay_escrow(pay, e0, "await_outcome"),
         "await_outcome": State("await_outcome", INPUT, (
             Transition("refunded", guard=_recv_money(pay, e0)),
             Transition("has_certificate", guard=_recv_certificate(pay, e0), capture="chi"),
@@ -208,9 +238,7 @@ def make_connector(i: int, params: TimingParams, pay: PaymentInstance) -> Machin
         "await_promise": State("await_promise", INPUT, (
             Transition("pay_escrow", guard=_recv_promise(pay, up_escrow, params.a[i - 1])),
         )),
-        "pay_escrow": State("pay_escrow", OUTPUT, (
-            Transition("await_outcome", emits=((down_escrow, Fresh(_money(pay))),)),
-        )),
+        "pay_escrow": _pay_escrow(pay, down_escrow, "await_outcome"),
         "await_outcome": State("await_outcome", INPUT, (
             Transition("refunded", guard=_recv_money(pay, down_escrow)),
             Transition("forward_certificate", guard=_recv_certificate(pay, down_escrow), capture="chi"),
@@ -218,11 +246,8 @@ def make_connector(i: int, params: TimingParams, pay: PaymentInstance) -> Machin
         "forward_certificate": State("forward_certificate", OUTPUT, (
             Transition("await_payment", emits=((up_escrow, Forward("chi")),)),
         )),
-        "await_payment": State("await_payment", INPUT, (
-            Transition("paid", guard=_recv_money(pay, up_escrow)),
-        )),
         "refunded": State("refunded", TERMINAL),
-        "paid": State("paid", TERMINAL),
+        **_collect(pay, up_escrow),
     }
     return Machine(customer(i), states, "await_guarantee")
 
@@ -241,12 +266,14 @@ def make_bob(params: TimingParams, pay: PaymentInstance) -> Machine:
         "issue_certificate": State("issue_certificate", OUTPUT, (
             Transition("await_payment", emits=((e, Fresh(Certificate(pay.instance))),)),
         )),
-        "await_payment": State("await_payment", INPUT, (
-            Transition("paid", guard=_recv_money(pay, e)),
-        )),
-        "paid": State("paid", TERMINAL),
+        **_collect(pay, e),
     }
     return Machine(customer(params.n), states, "await_promise")
+
+
+def _check_hops(params: TimingParams, pay: PaymentInstance) -> None:
+    if params.n != pay.n:
+        raise ConfigError(f"timing is for n={params.n}, the payment instance for n={pay.n}")
 
 
 @functools.lru_cache(maxsize=_DEFINITIONS_CACHED)
@@ -257,6 +284,7 @@ def make_strong_participants(
 
     Memoised by (params, pay): equal arguments get the same read-only roster.
     """
+    _check_hops(params, pay)
     roster = {escrow(i): make_escrow(i, params, pay) for i in range(params.n)}
     roster[customer(0)] = make_alice(params, pay)
     for i in range(1, params.n):
@@ -275,18 +303,21 @@ def _impatience(target: str, patience: Patience) -> tuple[Transition, ...]:
     return () if patience is None else (Transition(target, guard=Timeout(patience)),)
 
 
-def _waiting_states(pay: PaymentInstance, patience: Patience,
-                    decision: tuple[Transition, ...]) -> dict[str, State]:
-    """The four states of a weak customer's patience. Once funded it awaits the
-    manager's `decision` until its patience runs out, then asks the manager to
-    abort and awaits the decision for good. A customer whose patience runs out
-    unfunded asks to abort too, and then waits in its own
-    `await_decision_unfunded`."""
+def _waiting_states(pay: PaymentInstance, patience: Patience, decision: tuple[Transition, ...],
+                    unfunded: tuple[Transition, ...]) -> dict[str, State]:
+    """A weak customer's wait for the manager's `decision` once funded. With
+    unbounded patience that wait is all. With a finite patience, once it runs
+    out the customer asks the manager to abort and awaits the decision for
+    good; a customer whose patience runs out unfunded asks to abort too, and
+    then waits in await_decision_unfunded on `unfunded`."""
+    if patience is None:
+        return {"await_decision": State("await_decision", INPUT, decision)}
     abort_req = ((manager(), Fresh(AbortReq(pay.instance))),)
     return {
         "request_abort_unfunded": State("request_abort_unfunded", OUTPUT, (
             Transition("await_decision_unfunded", emits=abort_req),
         )),
+        "await_decision_unfunded": State("await_decision_unfunded", INPUT, unfunded),
         "await_decision": State("await_decision", INPUT,
                                 decision + _impatience("request_abort", patience)),
         "request_abort": State("request_abort", OUTPUT, (
@@ -306,16 +337,12 @@ def _weak_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
     a late (already in-flight) deposit, so an abort/deposit race can never
     strand the depositor's money.
     """
-    me = escrow(i)
     up = customer(i)
     down = customer(i + 1)
     lock_emits: tuple = ((manager(), Fresh(LockNotice(pay.instance, i))),)
     if i == params.n - 1:
         lock_emits += ((down, Fresh(LockNotice(pay.instance, i))),)
-    states = {
-        "send_guarantee": State("send_guarantee", OUTPUT, (
-            Transition("await_money", emits=((up, Fresh(Guarantee(pay.instance, params.d[i]))),)),
-        )),
+    return _escrow(i, params, pay, {
         "await_money": State("await_money", INPUT, (
             Transition("notify_lock", guard=_recv_money(pay, up)),
             Transition("await_stray_deposit", guard=_recv_decision(pay, AbortCert)),
@@ -336,10 +363,7 @@ def _weak_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
         "await_stray_deposit": State("await_stray_deposit", INPUT, (
             Transition("refund", guard=_recv_money(pay, up)),
         )),
-        "paid_out": State("paid_out", TERMINAL),
-        "refunded": State("refunded", TERMINAL),
-    }
-    return Machine(me, states, "send_guarantee")
+    })
 
 
 def _weak_depositor(i: int, params: TimingParams, pay: PaymentInstance,
@@ -352,7 +376,6 @@ def _weak_depositor(i: int, params: TimingParams, pay: PaymentInstance,
     clock, measured from start) turns into an abort request at any waiting
     point; the manager's answer is still awaited, so aborting never loses value.
     """
-    me = customer(i)
     dep_escrow = escrow(i)
     recv_abort = _recv_decision(pay, AbortCert)
     decision = (
@@ -360,18 +383,14 @@ def _weak_depositor(i: int, params: TimingParams, pay: PaymentInstance,
                    guard=_recv_decision(pay, CommitCert)),
         Transition("await_refund", guard=recv_abort),
     )
+    to_aborted = Transition("aborted_unfunded", guard=recv_abort)
     states = {
         "await_guarantee": State("await_guarantee", INPUT, (
             Transition("pay_escrow", guard=_recv_guarantee(pay, dep_escrow, params.d[i])),
-            Transition("aborted_unfunded", guard=recv_abort),
+            to_aborted,
         ) + _impatience("request_abort_unfunded", patience)),
-        "await_decision_unfunded": State("await_decision_unfunded", INPUT, (
-            Transition("aborted_unfunded", guard=recv_abort),
-        )),
-        "pay_escrow": State("pay_escrow", OUTPUT, (
-            Transition("await_decision", emits=((dep_escrow, Fresh(_money(pay))),)),
-        )),
-        **_waiting_states(pay, patience, decision),
+        "pay_escrow": _pay_escrow(pay, dep_escrow, "await_decision"),
+        **_waiting_states(pay, patience, decision, (to_aborted,)),
         "await_refund": State("await_refund", INPUT, (
             Transition("refunded", guard=_recv_money(pay, dep_escrow)),
         )),
@@ -381,11 +400,8 @@ def _weak_depositor(i: int, params: TimingParams, pay: PaymentInstance,
     if i == 0:
         states["committed"] = State("committed", TERMINAL)
     else:
-        states["await_payment"] = State("await_payment", INPUT, (
-            Transition("paid", guard=_recv_money(pay, escrow(i - 1))),
-        ))
-        states["paid"] = State("paid", TERMINAL)
-    return Machine(me, states, "await_guarantee")
+        states.update(_collect(pay, escrow(i - 1)))
+    return Machine(customer(i), states, "await_guarantee")
 
 
 def _weak_bob(params: TimingParams, pay: PaymentInstance, patience: Patience) -> Machine:
@@ -405,22 +421,15 @@ def _weak_bob(params: TimingParams, pay: PaymentInstance, patience: Patience) ->
     )
     states = {
         "await_funding_notice": State("await_funding_notice", INPUT, (
-            Transition("request_commit", guard=Receive(
-                e, LockNotice,
-                attrs=(("instance", pay.instance), ("escrow_index", params.n - 1)),
-                signed_by=e)),
+            Transition("request_commit", guard=_recv_lock(pay, params.n - 1)),
             Transition("aborted", guard=recv_abort),
         ) + _impatience("request_abort_unfunded", patience)),
         "request_commit": State("request_commit", OUTPUT, (
             Transition("await_decision",
                        emits=((manager(), Fresh(CommitReq(pay.instance, chi))),)),
         )),
-        **_waiting_states(pay, patience, decision),
-        "await_decision_unfunded": State("await_decision_unfunded", INPUT, decision),
-        "await_payment": State("await_payment", INPUT, (
-            Transition("paid", guard=_recv_money(pay, e)),
-        )),
-        "paid": State("paid", TERMINAL),
+        **_waiting_states(pay, patience, decision, decision),
+        **_collect(pay, e),
         "aborted": State("aborted", TERMINAL),
     }
     return Machine(me, states, "await_funding_notice", nonces_spent=chi.nonce + 1)
@@ -436,6 +445,7 @@ def make_weak_participants(
     arguments get the same read-only roster, and rosters that differ only in
     patience hold the same escrow definitions.
     """
+    _check_hops(params, pay)
     if len(patience) != params.n + 1:
         raise ConfigError(f"need {params.n + 1} patience entries, got {len(patience)}")
     norm = tuple(None if p is None else as_fraction(p, "patience") for p in patience)
@@ -497,10 +507,10 @@ class _CollectStates(dict):
 
 
 @functools.lru_cache(maxsize=_DEFINITIONS_CACHED)
-def make_transaction_manager(n: int, pay: PaymentInstance) -> Machine:
+def make_transaction_manager(pay: PaymentInstance) -> Machine:
     """The trusted decider of the weak variant.
 
-    Collects lock notices from the n escrows and Bob's commit request (whose
+    Collects lock notices from the pay.n escrows and Bob's commit request (whose
     inner certificate must verify as Bob's). Decides exactly once: commit when
     everything is in and no abort came first, abort on the first abort request
     before a decision. The decision is broadcast to every escrow and customer,
@@ -511,13 +521,11 @@ def make_transaction_manager(n: int, pay: PaymentInstance) -> Machine:
     enters one, and the 2n + 2 receive guards (n lock notices, the commit
     request, n + 1 abort requests) are built once and shared by every state,
     so building the manager costs time and memory linear in n. Memoised by
-    (n, pay); the collect states a run enters stay built in the shared
+    (pay); the collect states a run enters stay built in the shared
     definition for later runs.
     """
-    if n < 1:
-        raise ConfigError("hop count must be at least 1")
-    me = manager()
-    bob = customer(n)
+    n = pay.n
+    bob = pay.bob
     full = (1 << n) - 1
 
     def chi_valid(payload: Payload) -> bool:
@@ -529,10 +537,7 @@ def make_transaction_manager(n: int, pay: PaymentInstance) -> Machine:
             and verify(cert, bob)
         )
 
-    recv_lock = [Receive(escrow(i), LockNotice,
-                         attrs=(("instance", pay.instance), ("escrow_index", i)),
-                         signed_by=escrow(i))
-                 for i in range(n)]
+    recv_lock = [_recv_lock(pay, i) for i in range(n)]
     recv_commit_req = Receive(bob, CommitReq, attrs=(("instance", pay.instance),), where=chi_valid)
     recv_abort_req = [Receive(customer(k), AbortReq, attrs=(("instance", pay.instance),),
                               signed_by=customer(k))
@@ -577,4 +582,4 @@ def make_transaction_manager(n: int, pay: PaymentInstance) -> Machine:
         ))
         states[decided] = State(decided, INPUT, tuple(transitions))
 
-    return Machine(me, states, states.name(0, False))
+    return Machine(manager(), states, states.name(0, False))

@@ -536,6 +536,8 @@ class Scenario:
             raise ConfigError("patience applies to the weak variant only")
         if self.patience is not None and len(self.patience) != self.n + 1:
             raise ConfigError(f"need {self.n + 1} patience entries")
+        if any(p is not None and p < 0 for p in self.patience or ()):
+            raise ConfigError("patience must be non-negative or unbounded")
         if self.timing is not None:
             if self.timing.n != self.n:
                 raise ConfigError("explicit timing does not match n")
@@ -790,7 +792,7 @@ class _Sim:
         if scenario.variant == "weak":
             machines = {**make_weak_participants(self.params, self.pay,
                                                  scenario.resolved_patience()),
-                        manager(): make_transaction_manager(scenario.n, self.pay)}
+                        manager(): make_transaction_manager(self.pay)}
         else:
             machines = make_strong_participants(self.params, self.pay)
         self.keys = {pid: machine.new_key() for pid, machine in machines.items()}
@@ -804,13 +806,13 @@ class _Sim:
         machines = {pid: machine for pid, machine in machines.items()
                     if pid not in self.strategies or self.strategies[pid].uses_automaton}
 
-        # the run's time axis. Real timeout lengths are keyed by delay id, as
+        # the run's time axis. Real timeout lengths are keyed by state name, as
         # `Automaton.lengths` is; a manager's states built on entry have none.
         real = {}
         for pid, machine in machines.items():
             rate = self.clocks[pid].as_integer_ratio()
-            real[pid] = {id(delay): _real_length(*delay.as_integer_ratio(), *rate)
-                         for delay in machine.timeouts}
+            real[pid] = {name: _real_length(*delay.as_integer_ratio(), *rate)
+                         for name, delay in machine.timeouts.items()}
         scale = self.scale = time_scale(  # ticks per time unit
             scenario, [length for lengths in real.values() for length in lengths.values()],
             self.strategies)
@@ -821,8 +823,8 @@ class _Sim:
                       for pid, rate in self.clocks.items()}
         self.automata: dict[ParticipantId, Automaton] = {
             pid: Automaton(machine, self.keys[pid], {
-                key: to_ticks(length, scale, "timeout length")
-                for key, length in real[pid].items()})
+                name: to_ticks(length, scale, "timeout length")
+                for name, length in real[pid].items()})
             for pid, machine in machines.items()
         }
 

@@ -104,7 +104,7 @@ def test_a_deadline_is_the_set_instant_plus_the_timeout_length_on_the_axis():
         "done": State("done", StateKind.TERMINAL),
     }
     due = []
-    for lengths, now in ((None, Fraction(3)), ({id(delay): 10}, 30)):
+    for lengths, now in ((None, Fraction(3)), ({"wait": 10}, 30)):
         aut = Automaton(Machine(escrow(0), states, "out"), lengths=lengths)
         assert aut.due is None
         aut.step(states["out"].transitions[0], now, None)

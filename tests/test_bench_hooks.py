@@ -41,7 +41,7 @@ def test_every_span_target_resolves(path, attr, name):
 
 
 def test_the_manager_observer_reads_the_built_definition():
-    tm = make_transaction_manager(2, PaymentInstance("pay0", 2, 1))
+    tm = make_transaction_manager(PaymentInstance("pay0", 2, 1))
     tracer = spans.Tracer()
     tracer._observe_tm(tm)
     states, transitions = tracer.tm_sizes[0]

@@ -340,6 +340,8 @@ SCRIPTED = {"kind": "scripted", "default": "1"}
     ("explore", dict(WEAK_GRID, patience_grid=[]), "patience_grid must not be empty"),
     ("explore", dict(WEAK_GRID, patience=["inf", "inf"]),
      "give either patience or patience_grid, not both"),
+    ("explore", [], "config root must be an object"),
+    ("explore", '"x"', "config root must be an object"),
     # a mistyped parameter is not left to its default, nor one the strategy never reads
     ("run", dict(NOMINAL, byzantine={"c1": {"strategy": "delay_own_sends", "dealy": "3"}}),
      "strategy 'delay_own_sends' takes no parameter dealy"),
@@ -348,12 +350,29 @@ SCRIPTED = {"kind": "scripted", "default": "1"}
 ], ids=["timing", "grid-int", "grid-string", "rules-int", "rule-int", "rule-src-int",
         "rule-payload-list", "strategy-list", "participant-underscore", "instance-int",
         "timing-a-string", "timing-d-int", "patience-grid-int", "patience-grid-empty",
-        "patience-and-grid", "strategy-param-typo", "strategy-param-unread"])
+        "patience-and-grid", "explore-root-list", "explore-root-string",
+        "strategy-param-typo", "strategy-param-unread"])
 def test_a_wrongly_typed_field_exits_2(tmp_path, capsys, command, cfg, named):
     """A field of the wrong type or form is a config error naming it: not a
     traceback (exit 1, which reads as a violation), nor a run of some other
     reading."""
     assert main([command, write(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {named}\n"
+
+
+@pytest.mark.parametrize("argv", [["run"], ["sweep", "--runs", "1"], ["explore"]],
+                         ids=["run", "sweep", "explore"])
+@pytest.mark.parametrize("cfg, named", [
+    (dict(NOMINAL, patience_grid=["1"]), "patience_grid applies to the weak variant only"),
+    (dict(WEAK_GRID, patience_grid=["-1"]), "patience_grid must be non-negative or inf"),
+], ids=["strong", "negative"])
+def test_every_command_refuses_a_patience_grid_explore_cannot_take(tmp_path, capsys, argv, cfg,
+                                                                   named):
+    """The patience grid's rules are the parser's, so `run` and `sweep`, which
+    do not read the grid, refuse the configs `explore` refuses."""
+    assert main([argv[0], write(tmp_path, "c.json", cfg), *argv[1:]]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {named}\n"

@@ -187,6 +187,44 @@ def test_weak_rosters_share_the_escrows_across_patience_vectors():
     assert hasty[customer(0)] is not patient[customer(0)]
 
 
+@pytest.mark.parametrize("variant", ["strong", "weak"])
+def test_a_roster_refuses_timing_for_another_hop_count(variant):
+    """Timing for n = 2 with a payment instance for n = 1 or 3 is refused,
+    not built into a roster with Bob over a connector or a customer missing."""
+    params = derived(2)
+    for hops in (1, 3):
+        pay = PaymentInstance("pay0", hops, 1)
+        with pytest.raises(ConfigError, match=f"timing is for n=2, the payment instance for n={hops}"):
+            if variant == "strong":
+                make_strong_participants(params, pay)
+            else:
+                make_weak_participants(params, pay, [None] * 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_state_of_every_definition_is_reachable(n):
+    """Each state of each strong and weak definition, the manager's included,
+    is reached from its initial state by following transitions, with every
+    patience unbounded and with every patience finite: a shared step adds no
+    state its role never enters."""
+    params = derived(n)
+    pay = PaymentInstance("pay0", n, 1)
+    rosters = {"strong": make_strong_participants(params, pay)}
+    for patience in (None, Fraction(3)):
+        rosters[f"weak patience={patience}"] = {
+            **make_weak_participants(params, pay, [patience] * (n + 1)),
+            manager(): make_transaction_manager(pay)}
+    for label, roster in rosters.items():
+        for pid, machine in roster.items():
+            seen, frontier = set(), [machine.initial]
+            while frontier:
+                name = frontier.pop()
+                if name not in seen:
+                    seen.add(name)
+                    frontier.extend(tr.target for tr in machine.states[name].transitions)
+            assert seen == set(machine.states), (label, pid, set(machine.states) - seen)
+
+
 def test_weak_customer_without_patience_has_no_timeout():
     params = derived(1)
     roster = make_weak_participants(params, PAY1, patience=[None, None])
@@ -203,7 +241,7 @@ def test_weak_customer_without_patience_has_no_timeout():
 
 def _tm_feed(n=1):
     pay = PaymentInstance("pay0", n, 1)
-    tm = Automaton(make_transaction_manager(n, pay))
+    tm = Automaton(make_transaction_manager(pay))
     ids = [escrow(i) for i in range(n)] + [customer(i) for i in range(n + 1)] + [manager()]
     keys = {p: SigningKey(p) for p in ids}
     return pay, tm, keys
@@ -307,7 +345,7 @@ def _same_guard(got, want, probes) -> bool:
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_tm_matches_the_eager_reference_state_by_state(n):
     pay = PaymentInstance("pay0", n, 1)
-    tm = make_transaction_manager(n, pay)
+    tm = make_transaction_manager(pay)
     reference = eager_manager_states(n, pay)
     bob, c0 = customer(n), customer(0)
     probes = [CommitReq("pay0", sign(Certificate("pay0"), bob, SigningKey(bob))),
@@ -409,9 +447,9 @@ def test_definitions_are_shared_and_never_touched_by_a_run():
         return {
             "strong": make_strong_participants(scenarios["strong"].resolved_timing(), pay3),
             "weak": {**make_weak_participants(weak_params, pay2, [None, None, Fraction(3)]),
-                     manager(): make_transaction_manager(2, pay2)},
+                     manager(): make_transaction_manager(pay2)},
             "premature": {**make_weak_participants(weak_params, pay2, [None, None, None]),
-                          manager(): make_transaction_manager(2, pay2)},
+                          manager(): make_transaction_manager(pay2)},
         }
 
     before = definitions()

@@ -464,7 +464,7 @@ EXACT_INPUTS = {
     "derive_timeouts.epsilon": lambda x: derived(epsilon=x).epsilon,
     "Timeout.delay": lambda x: Timeout(x).delay,
     "make_weak_participants.patience": lambda x: make_weak_participants(
-        derived(1), PaymentInstance("pay0", 1, 1), [x, None])[customer(0)].timeouts[0],
+        derived(1), PaymentInstance("pay0", 1, 1), [x, None])[customer(0)].timeouts["await_guarantee"],
 }
 
 
@@ -593,8 +593,8 @@ def test_a_timeout_lasts_its_delay_on_its_participants_clock(clock_rates, a0, a1
     checked = 0
     for pid, aut in sim.automata.items():
         base = sim.bases[pid]
-        for delay in aut.machine.timeouts:
-            length = aut.lengths[id(delay)]
+        for name, delay in aut.machine.timeouts.items():
+            length = aut.lengths[name]
             assert type(length) is int
             assert base.local(k + length) - base.local(k) == delay
             checked += 1
@@ -652,6 +652,11 @@ def test_a_run_is_freed_without_the_cycle_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_a_negative_patience_is_refused_by_the_scenario():
+    with pytest.raises(ConfigError, match="patience must be non-negative or unbounded"):
+        weak_scenario(patience=(None, F(-1))).validate()
 
 
 @pytest.mark.parametrize("horizon", [0, -1])
