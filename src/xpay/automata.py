@@ -38,6 +38,7 @@ from .core import (
     ParticipantId,
     SignedMessage,
     SigningKey,
+    _mint,
     as_fraction,
     sign,
     verify,
@@ -278,8 +279,12 @@ class Automaton:
 
         Order: the receives in declaration order, each carrying its matched
         envelope, then the timeout. The scheduler applies its tie-break policy
-        on top of this list.
+        on top of this list. With an empty inbox and no timeout due (the
+        engine's most common call) it is empty at once.
         """
+        due = self.due
+        if not self.inbox and (due is None or now < due):
+            return []
         st = self.state
         out: list[Enabled] = []
         for tr in st.receives:
@@ -287,7 +292,6 @@ class Automaton:
                 if tr.guard.matches(env):
                     out.append((tr, env))
                     break
-        due = self.due
         if due is not None and now >= due:
             out.append((st.timeout, None))
         return out
@@ -320,7 +324,7 @@ class Automaton:
                 msg = self.captured[spec.slot]
             else:
                 msg = sign(spec.payload, me, self.key)
-            emissions.append(Envelope(me, recipient, msg))
+            emissions.append(_mint(Envelope, (me, recipient, msg)))
         self.state = self.machine.states[transition.target]
         self._arm()
         return emissions

@@ -138,6 +138,11 @@ def _recv_lock(pay: PaymentInstance, i: int) -> Receive:
 
 # ------------------------------------------------------------ steps both variants share
 
+def _check_hops(params: TimingParams, pay: PaymentInstance) -> None:
+    if params.n != pay.n:
+        raise ConfigError(f"timing is for n={params.n}, the payment instance for n={pay.n}")
+
+
 def _escrow(i: int, params: TimingParams, pay: PaymentInstance,
             middle: dict[str, State]) -> Machine:
     """Escrow e_i: it guarantees its depositor resolution within d_i, goes on
@@ -176,6 +181,7 @@ def make_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
     downstream, or the window lapses and the deposit is refunded. Exactly two
     terminal states: paid_out and refunded.
     """
+    _check_hops(params, pay)
     if not 0 <= i < params.n:
         raise ConfigError(f"escrow index {i} out of range for n={params.n}")
     up = customer(i)
@@ -207,6 +213,7 @@ def make_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
 
 def make_alice(params: TimingParams, pay: PaymentInstance) -> Machine:
     """Customer c_0: pays e_0 once its guarantee arrives, then awaits refund or certificate."""
+    _check_hops(params, pay)
     e0 = escrow(0)
     states = {
         "await_guarantee": State("await_guarantee", INPUT, (
@@ -227,6 +234,7 @@ def make_connector(i: int, params: TimingParams, pay: PaymentInstance) -> Machin
     """Connector c_i (0 < i < n): fronts her own deposit downstream once both the
     downstream guarantee and the upstream promise are in, then either takes the
     refund (done) or relays the certificate upstream and collects the payment."""
+    _check_hops(params, pay)
     if not 1 <= i <= params.n - 1:
         raise ConfigError(f"connector index {i} out of range for n={params.n}")
     up_escrow = escrow(i - 1)
@@ -258,6 +266,7 @@ def make_bob(params: TimingParams, pay: PaymentInstance) -> Machine:
     Structurally issues at most one certificate (single send state), and never
     before a verified promise arrived.
     """
+    _check_hops(params, pay)
     e = escrow(params.n - 1)
     states = {
         "await_promise": State("await_promise", INPUT, (
@@ -271,11 +280,6 @@ def make_bob(params: TimingParams, pay: PaymentInstance) -> Machine:
     return Machine(customer(params.n), states, "await_promise")
 
 
-def _check_hops(params: TimingParams, pay: PaymentInstance) -> None:
-    if params.n != pay.n:
-        raise ConfigError(f"timing is for n={params.n}, the payment instance for n={pay.n}")
-
-
 @functools.lru_cache(maxsize=_DEFINITIONS_CACHED)
 def make_strong_participants(
     params: TimingParams, pay: PaymentInstance,
@@ -284,7 +288,6 @@ def make_strong_participants(
 
     Memoised by (params, pay): equal arguments get the same read-only roster.
     """
-    _check_hops(params, pay)
     roster = {escrow(i): make_escrow(i, params, pay) for i in range(params.n)}
     roster[customer(0)] = make_alice(params, pay)
     for i in range(1, params.n):

@@ -30,15 +30,19 @@ delay model that reads the send instant (`PartialSync`) asks for it.
 An event is one pass through the engine. The loop pops it and calls its
 handler, which builds its trace entries and pushes the events it causes in
 place; the record and state kinds are read as module globals, not off their
-Enum classes. A fire lists the automaton's enabled transitions once and
-applies the tie-break policy only when two or more are enabled (a tie). Each
-tie drops from the run's mask of the four `POLICIES` those that pick another
+Enum classes. The entries every hop and participant makes (SENT, DELIVERED,
+TRANSFERRED, STATE_ENTERED, TERMINAL_REACHED) are built from positional
+fields, in place: keywords passed on through `entry` take more than twice as
+long to bind. A fire lists the automaton's enabled transitions once (at
+once empty when the inbox is empty and no deadline is due) and applies the
+tie-break policy only when two or more are enabled (a tie). Each tie drops
+from the run's mask of the four `POLICIES` those that pick another
 transition; a tie is the one place a policy is read, so a policy left in the
-mask would have made the very same run. A send
-records SENT at once and queues the envelope, with the seq its delivery
-takes, on the outbox; the loop draws the queued delays at its top, in send
-order, before the next event and before it stops: at the end of the event
-that sent them, still at their send instant.
+mask would have made the very same run. A send records SENT at once and
+queues the envelope, with the seq its delivery takes, on the outbox; the
+loop draws the queued delays at its top, in send order, before the next
+event and before it stops: at the end of the event that sent them, still at
+their send instant.
 
 A run can be branched. At the top of its loop no part of an event is under
 way, and the whole run state is a `Snapshot`, a plain value: the event heap
@@ -925,7 +929,10 @@ class _Sim:
     # -- bookkeeping ---------------------------------------------------------
 
     def entry(self, rec: Rec, pid: ParticipantId, **fields) -> None:
-        """Record `rec` for `pid` now (SENT, DELIVERED, STATE_ENTERED: in place)."""
+        """Record `rec` for `pid` now: a timeout, a rejection or an impossible
+        step. The entries every run makes (SENT, DELIVERED, TRANSFERRED,
+        STATE_ENTERED, TERMINAL_REACHED) are built in place instead, from
+        positional fields."""
         entries = self.entries
         entries.append(TraceEntry(self.tick, len(entries), pid, self.bases[pid], rec, **fields))
 
@@ -937,6 +944,8 @@ class _Sim:
     def send(self, env: Envelope) -> None:
         src = env.src
         payload = env.msg.payload
+        entries = self.entries
+        base = self.bases[src]
         if isinstance(payload, Money):
             amount = payload.amount
             if self.balances[src] < amount:
@@ -947,9 +956,9 @@ class _Sim:
                 return
             self.balances[src] -= amount
             self.in_flight += amount
-            self.entry(TRANSFERRED, src, frm=src, to=env.dst, amount=amount, phase="sent")
-        entries = self.entries
-        entries.append(TraceEntry(self.tick, len(entries), src, self.bases[src], SENT, env))
+            entries.append(TraceEntry(self.tick, len(entries), src, base, TRANSFERRED,
+                                      None, None, None, None, src, env.dst, amount, "sent"))
+        entries.append(TraceEntry(self.tick, len(entries), src, base, SENT, env))
         self.outbox.append((self.seq, env))  # its delivery's seq, taken now
         self.seq += 1
 
@@ -965,14 +974,15 @@ class _Sim:
             self.entry(REJECTED, pid, env=env, reason="bad_signature")
             return None
         entries = self.entries
-        entries.append(TraceEntry(self.tick, len(entries), pid, self.bases[pid], DELIVERED, env,
-                                  delay))
+        base = self.bases[pid]
+        entries.append(TraceEntry(self.tick, len(entries), pid, base, DELIVERED, env, delay))
         payload = msg.payload
         if isinstance(payload, Money):
             amount = payload.amount
             self.in_flight -= amount
             self.balances[pid] += amount
-            self.entry(TRANSFERRED, pid, frm=env.src, to=pid, amount=amount, phase="received")
+            entries.append(TraceEntry(self.tick, len(entries), pid, base, TRANSFERRED,
+                                      None, None, None, None, env.src, pid, amount, "received"))
         strategy = self.strategies.get(pid)
         if strategy is not None:
             self.vaults[pid].append(msg)
@@ -990,13 +1000,15 @@ class _Sim:
         st = aut.state
         tick = self.tick
         entries = self.entries
-        entries.append(TraceEntry(tick, len(entries), pid, self.bases[pid], STATE_ENTERED,
+        base = self.bases[pid]
+        entries.append(TraceEntry(tick, len(entries), pid, base, STATE_ENTERED,
                                   None, None, st.name))
         if st.kind is OUTPUT:
             heappush(self.heap, (tick + self.pi_ticks, 1, self.seq, _OUTPUT_DONE, pid, st))
             self.seq += 1
         elif st.kind is TERMINAL:
-            self.entry(TERMINAL_REACHED, pid, state=st.name, discarded=len(aut.inbox))
+            entries.append(TraceEntry(tick, len(entries), pid, base, TERMINAL_REACHED, None, None,
+                                      st.name, None, None, None, None, None, None, len(aut.inbox)))
             if self.sc.is_compliant(pid):
                 self.pending_compliant -= 1
         else:
@@ -1009,8 +1021,9 @@ class _Sim:
         """Fire enabled input transitions of `pid`'s automaton, one at a time,
         until none is; on a tie (two or more enabled) the policy picks one."""
         aut = self.automata[pid]
+        tick = self.tick
         while not aut.stuck and aut.state.kind is INPUT:
-            cands = aut.enabled_transitions(self.tick)
+            cands = aut.enabled_transitions(tick)
             if not cands:
                 return
             tr, env = cands[0]
@@ -1025,7 +1038,7 @@ class _Sim:
             if env is None:
                 self.entry(TIMEOUT_FIRED, pid, state=aut.state.name,
                            deadline=self.bases[pid].local(aut.due))
-            aut.step(tr, self.tick, env)  # an input state sends nothing
+            aut.step(tr, tick, env)  # an input state sends nothing
             self._enter_state(pid, aut)
 
     def _fire_output(self, pid: ParticipantId, aut: Automaton) -> None:

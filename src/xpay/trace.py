@@ -98,9 +98,13 @@ def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
     differs from the previous entry's, with one `math.gcd` to put tick/scale
     in lowest terms; a run's entries of one instant follow each other, so that
     is once per instant. " p=P lt=N/D ev=" is made once per participant and
-    time base object within the instant, kept in a dict keyed by participant
-    that each instant starts afresh: the local time is num/den times the
-    reduced instant, put in lowest terms with one more gcd. A relayed message
+    time base object within the instant: the local time is num/den times the
+    reduced instant, put in lowest terms with one more gcd. A line whose
+    participant and time base object are both those of the line before it,
+    at the same instant, reuses that line's prefix; any other line looks its
+    prefix up in a dict keyed by participant that each instant starts afresh,
+    checked against the time base object. Two participants may hold one time
+    base object, so the object alone never names a prefix. A relayed message
     is the same object wherever it goes, so each message token is formatted
     once, and so is each delay and deadline object; those are kept by object
     id, which stays valid because `entries` holds the objects until the call
@@ -110,6 +114,7 @@ def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
     sent, delivered, rejected, fired, entered, transferred, terminal, _ = Rec  # in Rec's order
     gcd = math.gcd
     tick_at = scale_at = None  # the instant of the entries so far
+    who_p = who_base = None  # whose prefix `who` is, and under which time base
     out = []
     append = out.append
     for e in entries:
@@ -123,15 +128,18 @@ def format_lines(entries: Sequence[TraceEntry]) -> list[str]:
             t_den = scale_at // g
             when = f"t={t_num}/{t_den} seq="
             heads = {}  # participant -> (time base, its prefix) at this instant
-        head = heads.get(p)
-        if head is not None and head[0] is base:
-            who = head[1]
-        else:
-            lt_num = base.num * t_num
-            lt_den = base.den * t_den
-            g = gcd(lt_num, lt_den)
-            who = f" p={p.text} lt={lt_num // g}/{lt_den // g} ev="
-            heads[p] = (base, who)
+            who_p = None
+        if p is not who_p or base is not who_base:
+            head = heads.get(p)
+            if head is not None and head[0] is base:
+                who = head[1]
+            else:
+                lt_num = base.num * t_num
+                lt_den = base.den * t_den
+                g = gcd(lt_num, lt_den)
+                who = f" p={p.text} lt={lt_num // g}/{lt_den // g} ev="
+                heads[p] = (base, who)
+            who_p, who_base = p, base
         rec = e.rec
         if rec is entered:
             append(f"{when}{e.seq}{who}STATE_ENTERED state={e.state}")

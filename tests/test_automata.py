@@ -155,6 +155,52 @@ def test_each_state_holds_the_receive_table_and_timeout_of_a_scan(variant, n):
                    for name in sim.automata[manager()].machine.states)
 
 
+FAST_FIRE_ROSTERS = ([("strong", n, None) for n in (1, 2, 3)]
+                     + [("weak", n, patience) for n in (1, 2)
+                        for patience in (None, Fraction(0), Fraction(3))])
+
+
+@pytest.mark.parametrize("variant, n, patience", FAST_FIRE_ROSTERS,
+                         ids=[f"{v}-{n}-{p}" for v, n, p in FAST_FIRE_ROSTERS])
+def test_an_empty_inbox_enables_nothing_before_the_deadline(variant, n, patience):
+    """`enabled_transitions` returns at once when the inbox is empty and no
+    deadline is due. For every state of the shipped definitions (the weak
+    manager's after a run has built its collect states), with each clock
+    variable unset, set at 0 and set at 7 ticks: with an empty inbox nothing
+    is enabled before `due`, and nothing at all when `due` is None. At `due`
+    the timeout alone is enabled."""
+    if variant == "strong":
+        scenario = strong_scenario(n=n, rho=Fraction(1, 10), clock_mode="seeded")
+    else:
+        scenario = weak_scenario(n=n, rho=Fraction(1, 10), clock_mode="seeded",
+                                 patience=(patience,) * (n + 1))
+    sim = _Sim(scenario)
+    sim.run()
+    dues = []
+    for aut in sim.automata.values():
+        for st in aut.machine.states.values():
+            var = st.timeout.guard.var if st.timeout is not None else None
+            for clock_vars in ({}, {var: 0}, {var: 7}) if var else ({},):
+                probe = Automaton(aut.machine, lengths=aut.lengths, state=st,
+                                  clock_vars=dict(clock_vars))
+                due = probe.due
+                dues.append(due)
+                if due is None:
+                    for now in (0, 1, 7, 10**30):
+                        assert probe.enabled_transitions(now) == [], st.name
+                    continue
+                for now in (0, 1, due // 2, due - 1):
+                    if 0 <= now < due:
+                        assert probe.enabled_transitions(now) == [], (st.name, now)
+                assert probe.enabled_transitions(due) == [(st.timeout, None)], st.name
+    assert None in dues
+    # only a weak roster of unbounded patience has no timeout at all
+    assert any(due is not None for due in dues) is (variant == "strong" or patience is not None)
+    if variant == "weak":
+        assert any(name.startswith("collect_")
+                   for name in sim.automata[manager()].machine.states)
+
+
 def test_stepping_terminal_state_signals_completion():
     machine = _await_automaton().machine
     aut = Automaton(machine, state=machine.states["paid"])

@@ -201,6 +201,28 @@ def test_a_roster_refuses_timing_for_another_hop_count(variant):
                 make_weak_participants(params, pay, [None] * 3)
 
 
+SINGLE_ROLES = {
+    "escrow": lambda params, pay: make_escrow(0, params, pay),
+    "alice": make_alice,
+    "connector": lambda params, pay: make_connector(1, params, pay),
+    "bob": make_bob,
+}
+
+
+@pytest.mark.parametrize("role", SINGLE_ROLES)
+def test_a_single_role_refuses_timing_for_another_hop_count(role):
+    """Each public single-role factory refuses timing for n = 2 with a
+    payment instance for n = 1 or 3, as the roster builders do: no Bob keyed
+    c2 whose guards expect the signer c1, no escrow for a hop the payment
+    does not have."""
+    params = derived(2)
+    assert SINGLE_ROLES[role](params, PaymentInstance("pay0", 2, 1)).states
+    for hops in (1, 3):
+        pay = PaymentInstance("pay0", hops, 1)
+        with pytest.raises(ConfigError, match=f"timing is for n=2, the payment instance for n={hops}"):
+            SINGLE_ROLES[role](params, pay)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_state_of_every_definition_is_reachable(n):
     """Each state of each strong and weak definition, the manager's included,

@@ -1,9 +1,11 @@
 """Render differential: the library's trace lines against `oracles.format_lines`.
 
 The library formats an entry's times from its tick and time base, makes the
-instant's prefix when the instant changes and keeps each participant's prefix
-in a dict that each instant starts afresh, keyed by participant and checked
-against the time base object. The reference reads every time as a Fraction
+instant's prefix when the instant changes, reuses the previous line's
+participant prefix while the participant and its time base object stay the
+same, and otherwise keeps each participant's prefix in a dict that each
+instant starts afresh, keyed by participant and checked against the time base
+object. The reference reads every time as a Fraction
 and formats every line from its entry's fields alone. Both must agree byte for
 byte on simulated traces, under seeded and identity clocks and at time scales
 of about 10^21, and on hand-built entries of every record kind whose times are
@@ -26,7 +28,7 @@ from xpay.core import (
     manager, sign)
 from xpay.explore import battery_assignments
 from xpay.simnet import run_simulation
-from xpay.trace import Rec, format_lines
+from xpay.trace import Rec, TimeBase, TraceEntry, format_lines
 
 F = Fraction
 
@@ -130,6 +132,36 @@ def test_hand_built_entries_of_every_kind_render_as_the_reference():
     assert lines[3 * len(identity)] == (
         "t=5/4 seq=27 p=e0 lt=3/2 ev=STATE_ENTERED state=await_chi")
     assert lines[-1] == "t=3/1 seq=44 p=c1 lt=11/4 ev=SENT dst=c0 msg=$[pay0,1]@e0/0"
+
+
+def test_participants_sharing_one_time_base_object_keep_their_own_prefixes():
+    """A prefix is reused for the next line only while both its participant
+    and its time base object stay the same. Here e0 and c1 hold one and the
+    same `TimeBase` object and alternate within an instant (e0, c1, e0), e0's
+    time base object changes within the instant (to another rate and back),
+    and so does c1's (to an equal but distinct object); the next instant
+    starts afresh."""
+    e0, c1 = escrow(0), customer(1)
+    shared = TimeBase(10, 1, 1)
+    drifted = TimeBase(10, 11, 10)
+    rows = [(25, e0, shared), (25, c1, shared), (25, e0, shared), (25, e0, drifted),
+            (25, e0, drifted), (25, e0, shared), (25, c1, TimeBase(10, 1, 1)), (25, c1, shared),
+            (26, c1, shared), (26, e0, shared)]
+    entries = [TraceEntry(tick, k, p, base, Rec.STATE_ENTERED, state="s")
+               for k, (tick, p, base) in enumerate(rows)]
+    _assert_same_lines(entries)
+    assert [line.split(" ev=")[0] for line in format_lines(entries)] == [
+        "t=5/2 seq=0 p=e0 lt=5/2",
+        "t=5/2 seq=1 p=c1 lt=5/2",
+        "t=5/2 seq=2 p=e0 lt=5/2",
+        "t=5/2 seq=3 p=e0 lt=11/4",
+        "t=5/2 seq=4 p=e0 lt=11/4",
+        "t=5/2 seq=5 p=e0 lt=5/2",
+        "t=5/2 seq=6 p=c1 lt=5/2",
+        "t=5/2 seq=7 p=c1 lt=5/2",
+        "t=13/5 seq=8 p=c1 lt=13/5",
+        "t=13/5 seq=9 p=e0 lt=13/5",
+    ]
 
 
 def test_each_message_token_and_time_is_formatted_once_per_object():
