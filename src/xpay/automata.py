@@ -2,8 +2,11 @@
 
 A participant's automaton comes in two parts. A `Machine` is its definition:
 id, states and initial state, validated once and never changed by a run, so one
-definition serves every run of the same protocol role. An `Automaton` is one
-run of a machine: the key of that run, the length of each timeout on the run's
+definition serves every run of the same protocol role. The one exception is
+the transaction manager (`protocol._CollectStates`): the first run to enter
+one of its collect states builds it and adds it to the shared definition,
+the same state whichever run builds it. An `Automaton` is one run of a
+machine: the key of that run, the length of each timeout on the run's
 time axis, and the state it has reached (current state, clock variables,
 captured messages, inbox).
 
@@ -182,8 +185,10 @@ class Machine:
     """A participant's automaton as its protocol role defines it, validated once.
 
     `states` is a read-only view, so the runs that share a definition cannot
-    change it. `timeouts` maps the name of each state present at construction
-    that has a timeout guard to that guard's delay. `nonces_spent` counts the
+    change it, with one exception: the transaction manager's collect states
+    are added to it on a run's first entry to each (`protocol._CollectStates`).
+    `timeouts` maps the name of each state present at construction that has
+    a timeout guard to that guard's delay. `nonces_spent` counts the
     signatures the definition made with its owner's key (a message signed up
     front and sent later); a run's key starts past them.
     """

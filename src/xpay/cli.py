@@ -21,10 +21,11 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import ConfigError, ParticipantId, as_fraction, fmt_fraction, parse_participant
+from .core import ConfigError, ParticipantId, as_count, as_fraction, fmt_fraction, parse_participant
 from .deals import is_well_formed, parse_deal_file
 from .explore import battery_assignments, explore
 from .properties import Status, evaluate_all, tally
+from .protocol import as_patience
 from .simnet import (
     PartialSync,
     Scenario,
@@ -120,10 +121,7 @@ def _parse_grid(cfg: dict, delta: Fraction) -> Optional[tuple[Fraction, ...]]:
         return tuple(parse_rational(g, "grid delay")
                      for g in _list(cfg, "grid", "delay_model.grid"))
     if "grid_points" in cfg:
-        points = cfg["grid_points"]
-        if type(points) is not int or points < 1:
-            raise ConfigError("grid_points must be a positive integer")
-        return _default_grid(delta, points)
+        return _default_grid(delta, as_count(cfg["grid_points"], "grid_points"))
     return None
 
 
@@ -146,9 +144,7 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
     _take(cfg, _SCENARIO_FIELDS, "config")
-    n = cfg["n"]
-    if type(n) is not int:
-        raise ConfigError("n must be an integer")
+    n = as_count(cfg["n"], "n")
 
     delay = _parse_delay_model(cfg["delay_model"])
     pi = parse_rational(cfg["pi"], "pi")
@@ -230,8 +226,8 @@ def parse_scenario_config(cfg: dict) -> tuple[Scenario, dict]:
                          for v in _list(cfg, "patience_grid", "patience_grid")]
         if not patience_grid:
             raise ConfigError("patience_grid must not be empty")
-        if any(p is not None and p < 0 for p in patience_grid):
-            raise ConfigError("patience_grid must be non-negative or inf")
+        for p in patience_grid:  # a grid value may be every customer's patience
+            as_patience((p,) * (n + 1), n, "patience_grid")
     return scenario, {"patience_grid": patience_grid}
 
 
@@ -272,7 +268,7 @@ def cmd_run(args) -> int:
     if args.trace:
         _write(args.trace, trace.render(), "trace")
     report = {
-        "scenario": scenario.digest(),
+        "scenario": trace.digest,
         "seed": scenario.seed,
         "stop": trace.stop_reason,
         "properties": {v.name: {"status": v.status.value, "witness": v.witness}
@@ -287,8 +283,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.runs < 1:
-        raise ConfigError("runs must be at least 1")
+    as_count(args.runs, "runs")
     scenario, _ = parse_scenario_config(load_config(args.config))
     base_seed = args.seed if args.seed is not None else scenario.seed
     seeds = [base_seed + k for k in range(args.runs)]
@@ -313,8 +308,7 @@ _COUNTERS = ("entries", "entries_simulated", "entries_checked", "tie_reruns",
 
 
 def cmd_explore(args) -> int:
-    if args.budget < 1:
-        raise ConfigError("budget must be at least 1")
+    as_count(args.budget, "budget")
     raw = load_config(args.config)
     battery = isinstance(raw, dict) and raw.get("byzantine") == "battery"
     if battery:

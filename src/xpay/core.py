@@ -45,8 +45,7 @@ class ParticipantId(tuple):
     """
 
     def __new__(cls, kind: ParticipantKind, index: int):
-        if index < 0:
-            raise ConfigError(f"participant index must be non-negative, got {index}")
+        as_non_negative(as_integer(index, "participant index"), "participant index")
         pid = super().__new__(cls, (_KINDS.index(kind), index))
         pid.text = f"{kind.value}{index}"
         return pid
@@ -129,6 +128,41 @@ def as_fraction(value, what: str = "value") -> Fraction:
                       "(floats are not accepted; times are exact)")
 
 
+# The three rules on input values, each stated here alone: a count, an exact
+# quantity > 0 and an exact quantity >= 0. Each is applied where a value
+# enters (a constructor, `derive_timeouts`, `Scenario.validate`), before any
+# memo is keyed by it: True and 1.0 equal (and hash like) 1.
+
+def as_integer(value, what: str) -> int:
+    """`value` if it is an int and not a bool."""
+    if type(value) is not int:
+        raise ConfigError(f"{what} must be an integer")
+    return value
+
+
+def as_count(value, what: str) -> int:
+    """`value` if it is an integer (`as_integer`) of at least 1."""
+    if as_integer(value, what) < 1:
+        raise ConfigError(f"{what} must be at least 1")
+    return value
+
+
+def as_positive(value, what: str) -> Fraction:
+    """`value` as an exact rational (`as_fraction`) strictly greater than 0."""
+    x = as_fraction(value, what)
+    if x <= 0:
+        raise ConfigError(f"{what} must be strictly positive")
+    return x
+
+
+def as_non_negative(value, what: str) -> Fraction:
+    """`value` as an exact rational (`as_fraction`) of at least 0."""
+    x = as_fraction(value, what)
+    if x < 0:
+        raise ConfigError(f"{what} must be non-negative")
+    return x
+
+
 def fmt_fraction(x: Fraction) -> str:
     """Render a rational (or an int) as num/den, denominator always explicit
     (bit-exact trace fields)."""
@@ -181,9 +215,8 @@ class Guarantee(Payload):
     resolve_within: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "resolve_within", as_fraction(self.resolve_within, "guarantee"))
-        if self.resolve_within <= 0:
-            raise ConfigError("guarantee duration must be strictly positive")
+        object.__setattr__(self, "resolve_within",
+                           as_positive(self.resolve_within, "guarantee duration"))
         super().__post_init__()
 
     def token(self) -> str:
@@ -197,9 +230,7 @@ class Promise(Payload):
     accept_within: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "accept_within", as_fraction(self.accept_within, "promise"))
-        if self.accept_within <= 0:
-            raise ConfigError("promise window must be strictly positive")
+        object.__setattr__(self, "accept_within", as_positive(self.accept_within, "promise window"))
         super().__post_init__()
 
     def token(self) -> str:
@@ -212,8 +243,7 @@ class Money(Payload):
     amount: int
 
     def __post_init__(self):
-        if not isinstance(self.amount, int) or self.amount <= 0:
-            raise ConfigError("money amount must be a strictly positive integer")
+        as_count(self.amount, "money amount")
         super().__post_init__()
 
     def token(self) -> str:

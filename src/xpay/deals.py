@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .core import ConfigError
+from .core import ConfigError, as_count
 
 Arc = tuple[int, int]
 
@@ -28,8 +28,7 @@ class Asset:
     magnitude: int
 
     def __post_init__(self):
-        if self.magnitude <= 0:
-            raise ConfigError("asset magnitude must be strictly positive")
+        as_count(self.magnitude, "asset magnitude")
 
 
 @dataclass
@@ -38,8 +37,7 @@ class DealMatrix:
     entries: dict[Arc, Asset] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.parties < 1:
-            raise ConfigError("a deal needs at least one party")
+        as_count(self.parties, "parties")
         for (i, j) in self.entries:
             if i == j:
                 raise ConfigError("diagonal entries are not allowed")
@@ -97,8 +95,7 @@ def payment_to_deal(n: int, amount: int = 1) -> DealMatrix:
     The result is never well-formed for n >= 1 (a path is not strongly
     connected): chained payments and swap deals do not coincide.
     """
-    if n < 1:
-        raise ConfigError("n must be at least 1")
+    as_count(n, "n")
     return DealMatrix(n + 1, {(i, i + 1): Asset("$", amount) for i in range(n)})
 
 

@@ -69,7 +69,8 @@ from .core import (
     Promise,
     SignedMessage,
     SigningKey,
-    as_fraction,
+    as_count,
+    as_non_negative,
     customer,
     escrow,
     manager,
@@ -91,10 +92,8 @@ class PaymentInstance:
     amount: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("hop count must be at least 1")
-        if self.amount <= 0:
-            raise ConfigError("amount must be strictly positive")
+        as_count(self.n, "hop count")
+        as_count(self.amount, "amount")
 
     @property
     def bob(self) -> ParticipantId:
@@ -301,6 +300,14 @@ def make_strong_participants(
 Patience = Optional[Fraction]  # None means unbounded patience
 
 
+def as_patience(values: Sequence, n: int, what: str = "patience") -> tuple[Patience, ...]:
+    """`values` as the patience of an n-hop payment: one entry per customer
+    c_0..c_n, each None (unbounded) or an exact time of at least 0."""
+    if len(values) != n + 1:
+        raise ConfigError(f"need {n + 1} {what} entries, got {len(values)}")
+    return tuple(None if p is None else as_non_negative(p, what) for p in values)
+
+
 def _impatience(target: str, patience: Patience) -> tuple[Transition, ...]:
     """The timeout to `target` once `patience` runs out; none when it is unbounded."""
     return () if patience is None else (Transition(target, guard=Timeout(patience)),)
@@ -449,12 +456,7 @@ def make_weak_participants(
     patience hold the same escrow definitions.
     """
     _check_hops(params, pay)
-    if len(patience) != params.n + 1:
-        raise ConfigError(f"need {params.n + 1} patience entries, got {len(patience)}")
-    norm = tuple(None if p is None else as_fraction(p, "patience") for p in patience)
-    if any(p is not None and p < 0 for p in norm):
-        raise ConfigError("patience must be non-negative or unbounded")
-    return _weak_roster(params, pay, norm)
+    return _weak_roster(params, pay, as_patience(patience, params.n))
 
 
 @functools.lru_cache(maxsize=_DEFINITIONS_CACHED)

@@ -94,7 +94,11 @@ from .core import (
     ParticipantId,
     ParticipantKind,
     SignedMessage,
+    as_count,
     as_fraction,
+    as_integer,
+    as_non_negative,
+    as_positive,
     customer,
     escrow,
     fmt_fraction,
@@ -105,11 +109,12 @@ from .core import (
 )
 from .protocol import (
     PaymentInstance,
+    as_patience,
     make_strong_participants,
     make_transaction_manager,
     make_weak_participants,
 )
-from .timing import TimingParams, check_inputs, default_horizon, derive_timeouts
+from .timing import TimingParams, default_horizon, derive_timeouts
 from .trace import (
     DELIVERED,
     EVERY_POLICY,
@@ -131,7 +136,6 @@ from .trace import (
     Trace,
     TraceEntry,
     TraceMeta,
-    config_digest,
 )
 
 
@@ -153,11 +157,9 @@ def _check_grid(grid: Sequence[Fraction], delta: Optional[Fraction]) -> tuple[Fr
     points past delta model lost synchrony."""
     out: list[Fraction] = []
     for g in grid:
-        g = as_fraction(g, "grid delay")
-        if delta is not None and not 0 < g <= delta:
+        g = as_positive(g, f"grid delay {g}")
+        if delta is not None and g > delta:
             raise ConfigError(f"grid delay {g} outside (0, {delta}]")
-        if g <= 0:
-            raise ConfigError(f"grid delay {g} must be positive")
         if g in out:
             raise ConfigError(f"grid delay {g} is repeated")
         out.append(g)
@@ -170,9 +172,7 @@ def _bound_and_grid(delta: Fraction, grid: Optional[Sequence[Fraction]],
                     ) -> tuple[Fraction, tuple[Fraction, ...]]:
     """A sampled model's delivery bound, exact and positive, and its grid: the
     one given, checked against the bound, or four points evenly up to it."""
-    delta = as_fraction(delta, "delta")
-    if delta <= 0:
-        raise ConfigError("delivery bound must be strictly positive")
+    delta = as_positive(delta, "delivery bound")
     return delta, _check_grid(_default_grid(delta) if grid is None else grid, delta)
 
 
@@ -206,9 +206,7 @@ class PartialSync:
     grid: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        self.gst = as_fraction(self.gst, "gst")
-        if self.gst < 0:
-            raise ConfigError("stabilization time must be non-negative")
+        self.gst = as_non_negative(self.gst, "stabilization time")
         self.delta, self.grid = _bound_and_grid(self.delta, self.grid)
 
     def delays(self) -> tuple[Fraction, ...]:
@@ -236,9 +234,7 @@ class ScriptRule:
     payload: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "delay", as_fraction(self.delay, "scripted delay"))
-        if self.delay <= 0:
-            raise ConfigError("scripted delay must be strictly positive")
+        object.__setattr__(self, "delay", as_positive(self.delay, "scripted delay"))
         if self.payload is not None and (type(self.payload) is not str
                                          or self.payload not in PAYLOAD_KINDS):
             raise ConfigError(f"unknown payload kind {self.payload!r}")
@@ -272,12 +268,10 @@ class Scripted:
     delta: Optional[Fraction] = None
 
     def __post_init__(self):
-        self.default = as_fraction(self.default, "default delay")
-        if self.default <= 0:
-            raise ConfigError("default delay must be strictly positive")
+        self.default = as_positive(self.default, "default delay")
         self.rules = tuple(self.rules)
         if self.delta is not None:
-            self.delta = as_fraction(self.delta, "delta")
+            self.delta = as_positive(self.delta, "delta")
 
     def delays(self) -> tuple[Fraction, ...]:
         return (self.default, *(rule.delay for rule in self.rules))
@@ -378,9 +372,7 @@ class DelayOwnSends(Strategy):
 
     def __init__(self, pid, params):
         super().__init__(pid, params)
-        self.delay = as_fraction(params.get("delay", 1), "delay_own_sends delay")
-        if self.delay <= 0:
-            raise ConfigError("delay_own_sends needs a positive delay")
+        self.delay = as_positive(params.get("delay", 1), "delay_own_sends delay")
 
     def filter_send(self, env):
         return self.delay
@@ -516,14 +508,13 @@ class Scenario:
                                     for t, env in self.raw_injections)
 
     def validate(self) -> None:
-        for name in ("n", "amount", "seed"):
-            if type(getattr(self, name)) is not int:  # a bool is not a count
-                raise ConfigError(f"{name} must be an integer")
+        as_count(self.n, "n")
+        as_count(self.amount, "amount")
+        as_integer(self.seed, "seed")
         if self.variant not in ("strong", "weak"):
             raise ConfigError(f"unknown variant {self.variant!r}")
-        check_inputs(self.n, self.pi, self.rho, self.mu)
-        if self.amount < 1:
-            raise ConfigError("amount must be at least 1")
+        for name in ("pi", "rho", "mu"):
+            as_non_negative(getattr(self, name), name)
         if self.tie_break not in TIE_BREAKS:
             raise ConfigError(f"tie_break must be one of {TIE_BREAKS}")
         if self.rx_order not in RX_ORDERS:
@@ -532,16 +523,14 @@ class Scenario:
             raise ConfigError(f"clock_mode must be one of {_CLOCK_MODES}")
         if type(self.instance) is not str:
             raise ConfigError("instance must be a string")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
+        if self.horizon is not None:
+            as_positive(self.horizon, "horizon")
         if any(isinstance(env.msg.payload, Money) for _, env in self.raw_injections):
             raise ConfigError("a raw injection cannot carry money: value moves only by a send")
         if self.variant == "strong" and self.patience is not None:
             raise ConfigError("patience applies to the weak variant only")
-        if self.patience is not None and len(self.patience) != self.n + 1:
-            raise ConfigError(f"need {self.n + 1} patience entries")
-        if any(p is not None and p < 0 for p in self.patience or ()):
-            raise ConfigError("patience must be non-negative or unbounded")
+        if self.patience is not None:
+            as_patience(self.patience, self.n)
         if self.timing is not None:
             if self.timing.n != self.n:
                 raise ConfigError("explicit timing does not match n")
@@ -634,9 +623,6 @@ class Scenario:
             "rx_order": self.rx_order,
             "clock_mode": self.clock_mode,
         }
-
-    def digest(self) -> str:
-        return config_digest(self.config_dict())
 
 
 _IDENTITY = Fraction(1)
@@ -836,11 +822,10 @@ class _Sim:
         self._automata = list(self.automata.values())
         self._keys = list(self.keys.values())
 
-        self.pending_compliant = sum(
-            1 for pid, aut in self.automata.items()
-            if scenario.is_compliant(pid) and not aut.is_terminal()
-        )
-        self.compliant_total = sum(1 for pid in self.automata if scenario.is_compliant(pid))
+        # a compliant participant has no strategy, so it has an automaton
+        compliant = frozenset(pid for pid in self.automata if scenario.is_compliant(pid))
+        self.pending_compliant = sum(1 for pid in compliant if not self.automata[pid].is_terminal())
+        self.compliant_total = len(compliant)
 
         # the trace header's facts, shared by every trace of this run; the
         # policy a re-run takes is read from its trace's scenario
@@ -849,8 +834,7 @@ class _Sim:
             n=scenario.n,
             amount=scenario.amount,
             instance=scenario.instance,
-            compliant=frozenset(p for p in scenario.participant_ids()
-                                if scenario.is_compliant(p)),
+            compliant=compliant,
             params=self.params,
             horizon=self.horizon,
             initial_balances=self.initial_balances,

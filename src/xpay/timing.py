@@ -45,7 +45,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Optional
 
-from .core import ConfigError, as_fraction
+from .core import ConfigError, as_count, as_fraction, as_non_negative, as_positive
 from .trace import Trace
 
 # Parameter sets kept by `derive_timeouts`, `termination_bound` and `default_horizon`.
@@ -76,15 +76,14 @@ class TimingParams:
     mu: Fraction = Fraction(0)
 
     def __post_init__(self):
-        for name in ("epsilon", "pi", "delta", "rho", "mu"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name), name))
-        check_inputs(self.n, self.pi, self.rho, self.mu, delta=self.delta, epsilon=self.epsilon)
+        as_count(self.n, "n")
+        object.__setattr__(self, "delta", as_positive(self.delta, "delta"))
+        for name in ("pi", "rho", "mu", "epsilon"):
+            object.__setattr__(self, name, as_non_negative(getattr(self, name), name))
         if len(self.a) != self.n or len(self.d) != self.n:
             raise ConfigError("need one a_i and one d_i per hop")
-        object.__setattr__(self, "a", tuple(as_fraction(x, "a_i") for x in self.a))
-        object.__setattr__(self, "d", tuple(as_fraction(x, "d_i") for x in self.d))
-        if any(x <= 0 for x in self.a) or any(x <= 0 for x in self.d):
-            raise ConfigError("timeout durations must be strictly positive")
+        object.__setattr__(self, "a", tuple(as_positive(x, f"a_{i}") for i, x in enumerate(self.a)))
+        object.__setattr__(self, "d", tuple(as_positive(x, f"d_{i}") for i, x in enumerate(self.d)))
         for i in range(self.n):
             if self.d[i] < self.a[i]:
                 raise ConfigError(f"d_{i} < a_{i}: an escrow cannot resolve before its own window closes")
@@ -92,21 +91,6 @@ class TimingParams:
 
     def __hash__(self) -> int:
         return self._hash
-
-
-def check_inputs(n: int, pi: Fraction, rho: Fraction, mu: Fraction,
-                 delta: Optional[Fraction] = None, epsilon: Optional[Fraction] = None) -> None:
-    """The rules on the inputs of the window algebra, one message each:
-    `derive_timeouts`, `TimingParams` and `Scenario.validate` all check them
-    here. `delta` and `epsilon` are checked when given (a scenario's delivery
-    bound is its delay model's, and epsilon is derived when not given)."""
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    if delta is not None and delta <= 0:
-        raise ConfigError("delta must be strictly positive")
-    for name, value in (("pi", pi), ("rho", rho), ("mu", mu), ("epsilon", epsilon)):
-        if value is not None and value < 0:
-            raise ConfigError(f"{name} must be non-negative")
 
 
 class ValidationFailed(Exception):
@@ -130,23 +114,21 @@ def derive_timeouts(
     epsilon defaults to 2*(1+rho)*pi + margin, twice the slack the resolution
     step actually needs.
 
-    Equal arguments get the same `TimingParams` object, derived once. Floats
-    and booleans are refused before the memo is consulted: 1.0 and True equal
-    (and hash like) Fraction(1), and must not be answered from its entry.
+    Equal arguments get the same `TimingParams` object, derived once. `n` is
+    checked and the times made exact before the memo is consulted: 2.0 and
+    True equal (and hash like) 2 and 1, and must not be answered from their
+    entries. `TimingParams` checks the other rules, and a call it refuses
+    leaves no entry.
     """
-    delta = as_fraction(delta, "delta")
-    pi = as_fraction(pi, "pi")
-    rho = as_fraction(rho, "rho")
-    margin = as_fraction(margin, "margin")
     if epsilon is not None:
         epsilon = as_fraction(epsilon, "epsilon")
-    return _derive_timeouts(n, delta, pi, rho, epsilon, margin)
+    return _derive_timeouts(as_count(n, "n"), as_fraction(delta, "delta"), as_fraction(pi, "pi"),
+                            as_fraction(rho, "rho"), epsilon, as_fraction(margin, "margin"))
 
 
 @functools.lru_cache(maxsize=_DERIVED_CACHED)
 def _derive_timeouts(n: int, delta: Fraction, pi: Fraction, rho: Fraction,
                      epsilon: Optional[Fraction], margin: Fraction) -> TimingParams:
-    check_inputs(n, pi, rho, margin, delta=delta, epsilon=epsilon)
     budgets = [Fraction(0)] * n
     budgets[n - 1] = 2 * delta + pi
     for i in range(n - 2, -1, -1):

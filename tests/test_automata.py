@@ -238,6 +238,25 @@ def test_state_validation_catches_malformed_machines():
         }, "a")
 
 
+_END = State("b", StateKind.TERMINAL)
+_TIMEOUT = Transition("b", guard=Timeout(Fraction(1)))
+
+
+@pytest.mark.parametrize("states, initial, message", [
+    ({"a": State("a", StateKind.INPUT, ()), "b": _END}, "a",
+     "input state 'a' needs guarded transitions only"),
+    ({"a": State("a", StateKind.INPUT, (_TIMEOUT, Transition("b"))), "b": _END}, "a",
+     "input state 'a' needs guarded transitions only"),
+    ({"a": State("a", StateKind.INPUT, (_TIMEOUT, _TIMEOUT)), "b": _END}, "a",
+     "input state 'a' has more than one timeout guard"),
+    ({"b": _END}, "a", "initial state 'a' is not defined"),
+], ids=["input-without-transitions", "input-unguarded", "two-timeouts", "initial-undefined"])
+def test_each_malformed_definition_is_refused_naming_its_rule(states, initial, message):
+    with pytest.raises(ConfigError) as refused:
+        Machine(escrow(0), states, initial)
+    assert str(refused.value) == message
+
+
 def test_automaton_refuses_foreign_key():
     states = {"a": State("a", StateKind.TERMINAL)}
     with pytest.raises(ConfigError):

@@ -366,13 +366,50 @@ def test_a_wrongly_typed_field_exits_2(tmp_path, capsys, command, cfg, named):
                          ids=["run", "sweep", "explore"])
 @pytest.mark.parametrize("cfg, named", [
     (dict(NOMINAL, patience_grid=["1"]), "patience_grid applies to the weak variant only"),
-    (dict(WEAK_GRID, patience_grid=["-1"]), "patience_grid must be non-negative or inf"),
+    (dict(WEAK_GRID, patience_grid=["-1"]), "patience_grid must be non-negative"),
 ], ids=["strong", "negative"])
 def test_every_command_refuses_a_patience_grid_explore_cannot_take(tmp_path, capsys, argv, cfg,
                                                                    named):
     """The patience grid's rules are the parser's, so `run` and `sweep`, which
     do not read the grid, refuse the configs `explore` refuses."""
     assert main([argv[0], write(tmp_path, "c.json", cfg), *argv[1:]]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {named}\n"
+
+
+WEAK = {k: v for k, v in WEAK_GRID.items() if k != "patience_grid"}
+
+
+@pytest.mark.parametrize("argv, cfg, named", [
+    (["run"], dict(NOMINAL, delay_model=5), "delay_model must be an object"),
+    (["run"], dict(NOMINAL, delay_model={"kind": "lognormal"}),
+     "unknown delay model kind 'lognormal'"),
+    (["run"], dict(NOMINAL, delay_model={"kind": "synchronous", "delta": "1", "grid": ["1"],
+                                         "grid_points": 2}),
+     "give either grid or grid_points, not both"),
+    (["run"], dict(NOMINAL, delay_model={"kind": "synchronous", "delta": "1", "grid_points": 0}),
+     "grid_points must be at least 1"),
+    (["run"], dict(NOMINAL, delay_model=SCRIPTED, timing={"a": ["21/10"], "d": ["23/10"]}),
+     "explicit timing with a scripted model also needs delay_model.delta"),
+    (["run"], dict(NOMINAL, byzantine={"c1": 5}), "byzantine[c1] must be an object"),
+    (["run"], dict(NOMINAL, byzantine={"c1": {"delay": "1"}}),
+     "byzantine[c1] needs a strategy name"),
+    (["run"], dict(WEAK, patience={"e0": "1"}), "patience key 'e0' is not a customer"),
+    (["run"], dict(WEAK, patience={"c2": "1"}), "patience key 'c2' is not a customer"),
+    (["run"], dict(WEAK, patience="1"), "patience must be a list or an object keyed by customer"),
+    (["run"], dict(WEAK, patience=["1"]), "need 2 patience entries, got 1"),
+    (["derive", "--n", "2", "--delta", "1", "--force-a", "3"], None,
+     "--force-a needs 2 comma-separated values"),
+], ids=["delay-model-int", "delay-model-kind", "grid-and-points", "grid-points-zero",
+        "timing-without-delta", "strategy-int", "strategy-unnamed", "patience-key-escrow",
+        "patience-key-past-bob", "patience-string", "patience-short", "force-a-short"])
+def test_each_refusal_of_the_parser_exits_2_naming_it(tmp_path, capsys, argv, cfg, named):
+    """Every refusal the parser or a command states itself is one config
+    error line (exit 2) with its own message."""
+    if cfg is not None:
+        argv = [argv[0], write(tmp_path, "c.json", cfg), *argv[1:]]
+    assert main(argv) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {named}\n"
@@ -462,7 +499,7 @@ def test_weak_config_with_patience(tmp_path, configs):
 def test_a_horizon_that_is_not_positive_exits_2(tmp_path, capsys, horizon):
     cfg = dict(NOMINAL, horizon=horizon)
     assert main(["run", write(tmp_path, "c.json", cfg)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: horizon must be positive\n"
+    assert capsys.readouterr().err == "config error: horizon must be strictly positive\n"
 
 
 def test_invalid_json_exit_2(tmp_path):

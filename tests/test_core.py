@@ -80,6 +80,25 @@ def test_payload_invariants():
     assert Guarantee("pay0", Fraction(23, 10)).token() == "G[pay0,d=23/10]"
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Money("pay0", True), "money amount must be an integer"),
+    (lambda: Money("pay0", 1.0), "money amount must be an integer"),
+    (lambda: Money("pay0", 0), "money amount must be at least 1"),
+    (lambda: Guarantee("pay0", 0), "guarantee duration must be strictly positive"),
+    (lambda: Promise("pay0", Fraction(-1)), "promise window must be strictly positive"),
+    # a bool index equals (and hashes like) 0 or 1, yet renders as eFalse or cTrue
+    (lambda: ParticipantId(ParticipantKind.CUSTOMER, True), "participant index must be an integer"),
+    (lambda: ParticipantId(ParticipantKind.ESCROW, -1), "participant index must be non-negative"),
+], ids=["money-bool", "money-float", "money-zero", "guarantee-zero", "promise-negative",
+        "index-bool", "index-negative"])
+def test_each_value_rule_has_its_one_message(build, message):
+    """True equals 1 and hashes like it, so a value holding it would equal
+    the one holding the count 1 and be found in its place; it is refused."""
+    with pytest.raises(ConfigError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 def test_payload_hash_is_the_hash_of_its_fields():
     """Each payload's hash, taken once at construction, is the value its frozen
     dataclass derives from its fields; equal payloads hash alike."""

@@ -126,3 +126,24 @@ def test_deal_file_round_trip():
         parse_deal_file("parties=2\n0 1 x\n")
     with pytest.raises(ConfigError):
         parse_deal_file("parties=2\n0 1 x 1\n0 1 y 2\n")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Asset("x", 1.5), "asset magnitude must be an integer"),
+    (lambda: Asset("x", True), "asset magnitude must be an integer"),
+    (lambda: Asset("x", 0), "asset magnitude must be at least 1"),
+    (lambda: DealMatrix(True), "parties must be an integer"),
+    (lambda: DealMatrix(0), "parties must be at least 1"),
+    (lambda: DealMatrix(2, {(0, 2): Asset("x", 1)}), "entry (0,2) outside 0..1"),
+    (lambda: payment_to_deal(True), "n must be an integer"),
+    (lambda: payment_to_deal(0), "n must be at least 1"),
+    (lambda: parse_deal_file("parties=two\n"), "bad parties header"),
+    (lambda: parse_deal_file("parties=2\n0 1 x one\n"), "bad entry line '0 1 x one'"),
+], ids=["magnitude-float", "magnitude-bool", "magnitude-zero", "parties-bool", "parties-zero",
+        "entry-outside", "payment-hops-bool", "payment-hops-zero", "file-parties",
+        "file-magnitude"])
+def test_each_malformed_deal_is_refused_naming_its_rule(build, message):
+    """A bool is not the count 1, and a float magnitude is not a whole asset."""
+    with pytest.raises(ConfigError) as refused:
+        build()
+    assert str(refused.value) == message

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import xpay
 from conftest import derived, strong_scenario, weak_scenario
 from oracles import eager_manager_states
 from xpay.simnet import StrategySpec
@@ -50,6 +55,56 @@ def test_timing_params_invariants():
     with pytest.raises(ConfigError):
         TimingParams(2, (Fraction(2),), (Fraction(2),), Fraction(0), Fraction(0),
                      Fraction(1), Fraction(0))  # wrong arity
+
+
+@pytest.mark.parametrize("args, message", [
+    (("pay0", True, 1), "hop count must be an integer"),
+    (("pay0", 1.0, 1), "hop count must be an integer"),
+    (("pay0", 0, 1), "hop count must be at least 1"),
+    (("pay0", 1, True), "amount must be an integer"),
+    (("pay0", 1, 0), "amount must be at least 1"),
+], ids=["hops-bool", "hops-float", "hops-zero", "amount-bool", "amount-zero"])
+def test_a_payment_instance_takes_counts_only(args, message):
+    with pytest.raises(ConfigError) as refused:
+        PaymentInstance(*args)
+    assert str(refused.value) == message
+
+
+# Asks for strong rosters with a bool hop count (refused), then prints the
+# render of a strong n=1 run. It runs in a process of its own, so that the
+# memos start empty, as in any fresh process.
+_RENDER_AFTER_BOOL_HOPS = """
+import sys
+from fractions import Fraction as F
+from xpay.core import ConfigError
+from xpay.protocol import PaymentInstance, make_strong_participants
+from xpay.simnet import Scenario, Synchronous, run_simulation
+from xpay.timing import derive_timeouts
+builds = (lambda: make_strong_participants(derive_timeouts(True, 1, F(1, 10), 0),
+                                           PaymentInstance("pay0", True, 1)),
+          lambda: make_strong_participants(derive_timeouts(1, 1, F(1, 10), 0),
+                                           PaymentInstance("pay0", True, 1)))
+for build in builds if sys.argv[1] == "bool" else ():
+    try:
+        build()
+    except ConfigError:
+        pass
+sys.stdout.write(run_simulation(Scenario("strong", 1, Synchronous(F(1)), F(1, 10))).render())
+"""
+
+
+def test_a_bool_hop_count_leaves_no_entry_a_later_run_reads():
+    """`True` equals 1 and hashes like it, so an entry made for it would be
+    found by every later n=1 call: Bob would render as cTrue."""
+    env = {**os.environ, "PYTHONPATH": str(Path(xpay.__file__).parent.parent)}
+
+    def render(*argv):
+        return subprocess.run([sys.executable, "-c", _RENDER_AFTER_BOOL_HOPS, *argv],
+                              check=True, capture_output=True, text=True, env=env).stdout
+
+    after = render("bool")
+    assert "cTrue" not in after
+    assert after == render("fresh")
 
 
 def test_escrow_has_exactly_two_terminal_states():

@@ -488,7 +488,7 @@ GRID_MODELS = {
 @pytest.mark.parametrize("grid, refused", [
     ((F(1, 2), F(1, 2), F(1)), "1/2 is repeated"),
     ((F(1, 4), F(1), F(1, 4)), "1/4 is repeated"),
-    ((F(0), F(1)), "0 outside"),
+    ((F(0), F(1)), "0 must be strictly positive"),
     ((F(1, 2), F(2)), "2 outside"),
 ], ids=["repeated", "repeated-apart", "zero", "past-delta"])
 def test_delay_model_grids_are_positive_distinct_and_within_delta(build, grid, refused):
@@ -655,14 +655,38 @@ def test_a_run_is_freed_without_the_cycle_collector():
 
 
 def test_a_negative_patience_is_refused_by_the_scenario():
-    with pytest.raises(ConfigError, match="patience must be non-negative or unbounded"):
+    with pytest.raises(ConfigError, match="patience must be non-negative"):
         weak_scenario(patience=(None, F(-1))).validate()
 
 
 @pytest.mark.parametrize("horizon", [0, -1])
 def test_a_horizon_that_is_not_positive_is_refused(horizon):
-    with pytest.raises(ConfigError, match="horizon must be positive"):
+    with pytest.raises(ConfigError, match="horizon must be strictly positive"):
         run_simulation(strong_scenario(horizon=horizon))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: strong_scenario(variant="medium").validate(), "unknown variant 'medium'"),
+    (lambda: strong_scenario(tie_break="sideways").validate(),
+     f"tie_break must be one of {simnet.TIE_BREAKS}"),
+    (lambda: strong_scenario(rx_order="shuffled").validate(),
+     f"rx_order must be one of {simnet.RX_ORDERS}"),
+    (lambda: strong_scenario(clock_mode="wobbly").validate(),
+     f"clock_mode must be one of {simnet._CLOCK_MODES}"),
+    (lambda: strong_scenario(n=2, timing=derived(1)).validate(),
+     "explicit timing does not match n"),
+    (lambda: weak_scenario(byzantine={manager(): StrategySpec("silent")}).validate(),
+     "the transaction manager is trusted and cannot be Byzantine"),
+    (lambda: weak_scenario(patience=(None,)).validate(), "need 2 patience entries, got 1"),
+    (lambda: Scripted(1, delta=-1), "delta must be strictly positive"),
+    (lambda: DelayOwnSends(customer(0), {"delay": 0}),
+     "delay_own_sends delay must be strictly positive"),
+], ids=["variant", "tie-break", "rx-order", "clock-mode", "timing-hops", "byzantine-manager",
+        "patience-short", "scripted-delta", "delay-own-sends"])
+def test_each_malformed_scenario_is_refused_naming_its_rule(build, message):
+    with pytest.raises(ConfigError) as refused:
+        build()
+    assert str(refused.value) == message
 
 
 def test_a_delay_the_model_does_not_list_is_refused_not_rounded():

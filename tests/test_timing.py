@@ -88,6 +88,34 @@ def test_both_entry_points_state_each_input_rule_alike(n, delta, pi, rho, mu, ep
     assert str(derived.value) == str(built.value) == message
 
 
+def _after_the_integer_is_kept(n, exact):
+    """`n` refused or answered after `exact`, which equals it, was derived."""
+    derive_timeouts(exact, F(1), F(1, 10), F(0))
+    return derive_timeouts(n, F(1), F(1, 10), F(0))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: derive_timeouts(True, F(1), F(1, 10), F(0)), "n must be an integer"),
+    # a delta no other call derives, so that no entry can answer for it
+    (lambda: derive_timeouts(2.0, F(13, 7), F(1, 10), F(0)), "n must be an integer"),
+    (lambda: _after_the_integer_is_kept(2.0, 2), "n must be an integer"),
+    (lambda: _after_the_integer_is_kept(True, 1), "n must be an integer"),
+    (lambda: TimingParams(1, (F(0),), (F(1),), F(0), F(0), F(1), F(0)),
+     "a_0 must be strictly positive"),
+    (lambda: TimingParams(2, (F(2), F(1)), (F(3), F(-1)), F(0), F(0), F(1), F(0)),
+     "d_1 must be strictly positive"),
+    (lambda: validate_timeouts(derive_timeouts(1, F(1), F(1, 10), F(0)), 2),
+     "hop count does not match the timing parameters"),
+], ids=["n-bool", "n-float", "n-float-kept", "n-bool-kept", "a-zero", "d-negative",
+        "validate-hops"])
+def test_each_bad_timing_input_is_refused_naming_its_rule(build, message):
+    """A bool or a float hop count is refused before the memo is consulted,
+    where it would be answered from the equal integer's entry."""
+    with pytest.raises(ConfigError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_validate_passes_and_is_tight(n):
     p = derive_timeouts(n, F(1), F(1, 10), F(0))
