@@ -7,8 +7,8 @@ the transaction manager (`protocol._CollectStates`): the first run to enter
 one of its collect states builds it and adds it to the shared definition,
 the same state whichever run builds it. An `Automaton` is one run of a
 machine: the key of that run, the length of each timeout on the run's
-time axis, and the state it has reached (current state, clock variables,
-captured messages, inbox).
+time axis, and the state it has reached (current state, the one message it
+captured, inbox, and when the current state's timeout falls due).
 
 Each machine has three state kinds:
 
@@ -17,7 +17,8 @@ Each machine has three state kinds:
   send;
 * input states wait (possibly forever) until a receive guard matches a
   buffered, signature-verified message, or a timeout guard over the local
-  clock becomes true, and then fire immediately, sending nothing;
+  clock becomes true, and then fire immediately, sending nothing; a timeout
+  counts from local time zero or from the instant its state was entered;
 * terminal states have no outgoing transitions.
 
 All times are exact, so timeout boundaries are decided exactly and runs are
@@ -94,13 +95,12 @@ class Receive:
 
 @dataclass(frozen=True, slots=True)
 class Timeout:
-    """Guard of the form now >= var + delay over the local clock.
-
-    var=None is the absolute form now >= delay measured from local time zero
-    (used for patience deadlines that precede any transition).
+    """Guard that holds once `delay` has passed on the local clock: from
+    local time zero (a patience deadline), or with `from_entry` from the
+    instant its own state was entered (a window opened by the send before it).
     """
     delay: Fraction
-    var: Optional[str] = None
+    from_entry: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "delay", as_fraction(self.delay, "timeout delay"))
@@ -114,8 +114,7 @@ class Fresh:
 
 @dataclass(frozen=True, slots=True)
 class Forward:
-    """Emit spec: relay the captured message stored under `slot` verbatim."""
-    slot: str
+    """Emit spec: relay the captured message verbatim."""
 
 
 EmitSpec = Union[Fresh, Forward]
@@ -126,8 +125,7 @@ Guard = Union[Receive, Timeout]
 class Transition:
     target: str
     guard: Optional[Guard] = None  # None only on the single send of an output state
-    assign: tuple[str, ...] = ()   # clock variables set to `now` when the transition fires
-    capture: Optional[str] = None  # slot for the consumed message, enabling later Forward
+    capture: bool = False  # keep the consumed message, for a later Forward
     emits: tuple[tuple[ParticipantId, EmitSpec], ...] = ()
 
 
@@ -226,22 +224,23 @@ class Automaton:
     a table lookup; `current` reads its name.
 
     An automaton keeps time on one axis, the one `lengths` is given on: the
-    `now` of `step` and `enabled_transitions`, the value of a clock variable
-    (the instant at which it was set) and `due` are all on it. `lengths` maps
-    the name of each state with a timeout, as `Machine.timeouts` does, to the
-    time that timeout lasts, from the instant its variable was set (from time
-    zero when it has none). The engine works these out once per run in int
-    ticks, from each delay and the participant's clock rate. Without
-    `lengths` each timeout lasts its delay: real time on a clock of rate 1.
-    `due`, when the current state's timeout falls due (None if never), is
-    worked out on entering a state: at construction and by `step`.
+    `now` of `step` and `enabled_transitions` and `due` are both on it.
+    `lengths` maps the name of each state with a timeout, as
+    `Machine.timeouts` does, to the time that timeout lasts, from time zero or
+    from the instant the state was entered (`Timeout.from_entry`). The engine
+    works these out once per run in int ticks, from each delay and the
+    participant's clock rate. Without `lengths` each timeout lasts its delay:
+    real time on a clock of rate 1. `due`, when the current state's timeout
+    falls due (None if it has none), is the one timer an automaton keeps. It
+    is worked out on entering a state: at construction, as entered at time
+    zero, and by `step`. `captured` is the last message a capturing
+    transition consumed (None before any), which a `Forward` relays.
     """
     machine: Machine
     key: Optional[SigningKey] = None
     lengths: Optional[dict[str, Instant]] = field(default=None, repr=False, compare=False)
     state: Optional[State] = None
-    clock_vars: dict[str, Instant] = field(default_factory=dict)
-    captured: dict[str, SignedMessage] = field(default_factory=dict)
+    captured: Optional[SignedMessage] = None
     inbox: list[Envelope] = field(default_factory=list)
     stuck: bool = False
     due: Optional[Instant] = field(default=None, init=False)
@@ -255,19 +254,16 @@ class Automaton:
             raise ConfigError(f"automaton {self.machine.id} was handed {self.key.owner}'s key")
         if self.lengths is None:
             self.lengths = dict(self.machine.timeouts)
-        self._arm()
+        self._arm(0)
 
-    def _arm(self) -> None:
-        """Work out `due` for the state just entered."""
-        due = None
+    def _arm(self, entered: Instant) -> None:
+        """Work out `due` for the state just entered, at `entered`."""
         st = self.state
         tr = st.timeout
-        if tr is not None:
-            var = tr.guard.var
-            start = 0 if var is None else self.clock_vars.get(var)
-            if start is not None:
-                due = start + self.lengths[st.name]
-        self.due = due
+        if tr is None:
+            self.due = None
+        else:
+            self.due = (entered if tr.guard.from_entry else 0) + self.lengths[st.name]
 
     @property
     def current(self) -> str:
@@ -307,29 +303,27 @@ class Automaton:
         now: Instant,
         matched: Optional[Envelope] = None,
     ) -> list[Envelope]:
-        """Fire `transition` at `now` (on the automaton's axis): set its clock
-        variables to `now`, consume the matched message, move to the target
-        state, and return the envelopes to be sent.
+        """Fire `transition` at `now` (on the automaton's axis): consume the
+        matched message (keeping it if the transition captures), move to the
+        target state, and return the envelopes to be sent.
 
         Fresh emissions are signed here with the automaton's own key; Forward
         emissions relay the captured message verbatim.
         """
         if self.state.kind is TERMINAL:
             raise ProtocolComplete(f"{self.machine.id} already terminal in {self.current!r}")
-        for var in transition.assign:
-            self.clock_vars[var] = now
         if matched is not None:
             self.inbox.remove(matched)
             if transition.capture:
-                self.captured[transition.capture] = matched.msg
+                self.captured = matched.msg
         me = self.machine.id
         emissions: list[Envelope] = []
         for recipient, spec in transition.emits:
             if isinstance(spec, Forward):
-                msg = self.captured[spec.slot]
+                msg = self.captured
             else:
                 msg = sign(spec.payload, me, self.key)
             emissions.append(_mint(Envelope, (me, recipient, msg)))
         self.state = self.machine.states[transition.target]
-        self._arm()
+        self._arm(now)
         return emissions

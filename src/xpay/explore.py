@@ -34,7 +34,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core import ConfigError, Envelope, ParticipantId, ParticipantKind
+from .core import (ConfigError, Envelope, ParticipantId, ParticipantKind, as_integer,
+                   as_non_negative)
 from .properties import HOLDS, VIOLATED, Monitor, Verdict, check_liveness, safety_verdicts, tally
 from .simnet import (STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, _check_grid,
                      run_simulation)
@@ -302,7 +303,8 @@ def explore(
     simulating it from t=0 would. Each branch gets the safety verdict set;
     the per-assignment liveness outcome lands in report.bob_paid_everywhere
     rather than in the violations.
-    The report comes back complete=False once `budget` branches were run.
+    The report comes back complete=False once `budget` branches were run;
+    a budget is an integer of at least 0.
     `on_branch` sees every outcome (traces of clean branches are dropped after
     the callback to keep memory flat).
     """
@@ -313,6 +315,7 @@ def explore(
     if not grid:
         raise ConfigError("exploration needs a delay grid")
     grid = _check_grid(grid, None)
+    as_non_negative(as_integer(budget, "budget"), "budget")
     params = base.resolved_timing()
     report = ExploreReport()
     top_tick, top_scale = -1, 1  # max_customer_terminal as a tick of a scale

@@ -50,7 +50,7 @@ from .core import (
     ParticipantId,
     Promise,
     SignedMessage,
-    as_fraction,
+    as_positive,
     customer,
     escrow,
     escrows_of,
@@ -341,15 +341,16 @@ class Monitor:
         termination bound) of scenario start. Weak traces are eventual: every
         compliant customer with compliant escrows terminates within the
         horizon; customers who chose unbounded patience are exempt when no
-        decision was ever issued.
+        decision was ever issued. A `bound` given must be an exact time
+        strictly greater than 0, whichever the variant.
         """
         meta = self.meta
+        if bound is not None:
+            bound = as_positive(bound, "termination bound")
         if self._weak:  # eventual: by the horizon
             limit = meta.horizon
-        elif bound is None:
-            limit = termination_bound(meta.params)
         else:
-            limit = as_fraction(bound, "termination bound")
+            limit = termination_bound(meta.params) if bound is None else bound
         num, den = limit.numerator, limit.denominator
         decision_issued = self._weak and (self.commit_at is not None or self.abort_at is not None)
 

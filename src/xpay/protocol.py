@@ -174,8 +174,9 @@ def _collect(pay: PaymentInstance, e: ParticipantId) -> dict[str, State]:
 def make_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
     """Escrow e_i of the time-bounded protocol.
 
-    Guarantee out, deposit in, promise out (recording its issue time u), then
-    either a verified certificate arrives within the local window u + a_i and
+    Guarantee out, deposit in, promise out, then either a verified
+    certificate arrives within the local window a_i, counted from the
+    promise's issue (the entry to await_certificate), and
     one resolution step forwards the certificate upstream and the money
     downstream, or the window lapses and the deposit is refunded. Exactly two
     terminal states: paid_out and refunded.
@@ -190,17 +191,17 @@ def make_escrow(i: int, params: TimingParams, pay: PaymentInstance) -> Machine:
             Transition("send_promise", guard=_recv_money(pay, up)),
         )),
         "send_promise": State("send_promise", OUTPUT, (
-            Transition("await_certificate", assign=("u",),
+            Transition("await_certificate",
                        emits=((down, Fresh(Promise(pay.instance, params.a[i]))),)),
         )),
         "await_certificate": State("await_certificate", INPUT, (
-            Transition("resolve_paid", guard=_recv_certificate(pay, down), capture="chi"),
-            Transition("resolve_refund", guard=Timeout(params.a[i], var="u")),
+            Transition("resolve_paid", guard=_recv_certificate(pay, down), capture=True),
+            Transition("resolve_refund", guard=Timeout(params.a[i], from_entry=True)),
         )),
         # One processing step settles both legs: certificate upstream, money downstream.
         "resolve_paid": State("resolve_paid", OUTPUT, (
             Transition("paid_out", emits=(
-                (up, Forward("chi")),
+                (up, Forward()),
                 (down, Fresh(_money(pay))),
             )),
         )),
@@ -221,7 +222,7 @@ def make_alice(params: TimingParams, pay: PaymentInstance) -> Machine:
         "pay_escrow": _pay_escrow(pay, e0, "await_outcome"),
         "await_outcome": State("await_outcome", INPUT, (
             Transition("refunded", guard=_recv_money(pay, e0)),
-            Transition("has_certificate", guard=_recv_certificate(pay, e0), capture="chi"),
+            Transition("has_certificate", guard=_recv_certificate(pay, e0)),
         )),
         "refunded": State("refunded", TERMINAL),
         "has_certificate": State("has_certificate", TERMINAL),
@@ -248,10 +249,11 @@ def make_connector(i: int, params: TimingParams, pay: PaymentInstance) -> Machin
         "pay_escrow": _pay_escrow(pay, down_escrow, "await_outcome"),
         "await_outcome": State("await_outcome", INPUT, (
             Transition("refunded", guard=_recv_money(pay, down_escrow)),
-            Transition("forward_certificate", guard=_recv_certificate(pay, down_escrow), capture="chi"),
+            Transition("forward_certificate", guard=_recv_certificate(pay, down_escrow),
+                       capture=True),
         )),
         "forward_certificate": State("forward_certificate", OUTPUT, (
-            Transition("await_payment", emits=((up_escrow, Forward("chi")),)),
+            Transition("await_payment", emits=((up_escrow, Forward()),)),
         )),
         "refunded": State("refunded", TERMINAL),
         **_collect(pay, up_escrow),

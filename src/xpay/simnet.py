@@ -15,12 +15,12 @@ A run fixes its time axis when it is built, where every input is known: the
 scale S (`time_scale`), so that every instant of the run is a whole number of
 ticks; pi and the horizon in ticks; each participant's `TimeBase`; and each
 automaton's timeout lengths in ticks, handed to it when it is built. Event
-times, heap keys, delivery delays, the horizon test, clock variables and
-timeout deadlines are then int arithmetic. Each delay object the delay model
-returns is converted once, and a strategy's delayed send when it is
-scheduled. A timeout deadline is the tick its clock variable was set at plus
-its length, worked out by the automaton when it enters the state and kept
-with its run state (`Automaton.due`, and in a `Snapshot`). A trace entry
+times, heap keys, delivery delays, the horizon test and timeout deadlines
+are then int arithmetic. Each delay object the delay model returns is
+converted once, and a strategy's delayed send when it is scheduled. A timeout
+deadline is its length past tick 0 or past the tick its state was entered,
+worked out by the automaton when it enters the state and kept with its run
+state (`Automaton.due`, and in a `Snapshot`). A trace entry
 records its tick and its participant's `TimeBase` and builds its real and
 local time as Fractions only when they are read. A delivery records the delay
 object the delay model returned for it. The loop makes a Fraction only for
@@ -47,8 +47,8 @@ their send instant.
 A run can be branched. At the top of its loop no part of an event is under
 way, and the whole run state is a `Snapshot`, a plain value: the event heap
 and its sequence counter, the current tick, the sends not yet drawn, each
-automaton's current state, clock variables, captured messages, inbox and
-stuck flag, each key's next nonce, the balances and the value in flight,
+automaton's current state, captured message, inbox, stuck flag and deadline,
+each key's next nonce, the balances and the value in flight,
 each Byzantine participant's vault, the delay generator's state (built on the
 first draw; restoring a snapshot from before it drops the generator), the tie
 mask, the count of compliant participants still running, and the number of
@@ -694,15 +694,15 @@ def time_scale(sc: Scenario, timeouts: Sequence[Fraction],
 
 
 # An event is a plain tuple on the heap, (tick, priority, seq, kind, a, b):
-#   _DELIVER      a = envelope, b = its delay, as the delay model returned it
-#   _OUTPUT_DONE  a = participant, b = the output `State` it was scheduled in
-#   _TIMEOUT      a = participant, b = the input `State` whose timeout it is
-#   _SEND_LATER   a = envelope, b = None
+#   _DELIVER     a = envelope, b = its delay, as the delay model returned it
+#   _WAKE        a = participant, b = the `State` it was scheduled in: an
+#                output state's dwell ends, or an input state's timeout falls due
+#   _SEND_LATER  a = envelope, b = None
 # Deliveries have priority 0 and everything else 1, so all arrivals at an
 # instant land before any transition fires there (a message due at a deadline
 # meets the tie-break). Each push takes the next seq, so tuples never compare
 # past it.
-_DELIVER, _OUTPUT_DONE, _TIMEOUT, _SEND_LATER = range(4)
+_DELIVER, _WAKE, _SEND_LATER = range(3)
 
 _INJECTED = Fraction(0)  # the delay a raw injection's delivery records
 
@@ -713,9 +713,8 @@ class Snapshot(NamedTuple):
     What does not change during a run (definitions, clock rates, keys'
     owners, timeout lengths, the time scale, the trace header facts) is not
     in it. Restoring never changes a snapshot, so one can be restored any
-    number of times. Every field but `entries` is hashable, each dict kept
-    as a tuple of its items (an automaton's sorted by name, as the order it
-    set them in is not run state), so `key` is the snapshot itself, less its
+    number of times. Every field but `entries` is hashable, the balances kept
+    as a tuple of their items, so `key` is the snapshot itself, less its
     entries.
     """
     started: bool  # the t=0 setup is done
@@ -732,7 +731,7 @@ class Snapshot(NamedTuple):
     balances: tuple  # (pid, balance) per participant
     in_flight: int
     rng: Optional[tuple]  # the delay generator's state; None while the run has none
-    automata: tuple  # per automaton: (state, clock_vars, captured, inbox, stuck, due)
+    automata: tuple  # per automaton: (state, captured, inbox, stuck, due)
     nonces: tuple  # per key, the next nonce
     vaults: tuple  # per strategy, the messages delivered to it; empty with no strategy
 
@@ -877,8 +876,7 @@ class _Sim:
             entries, len(entries), self.mask, self.pending_compliant, tuple(self.outbox),
             tuple(self.balances.items()), self.in_flight,
             None if rng is None else rng.getstate(),
-            tuple((a.state, tuple(sorted(a.clock_vars.items())), tuple(sorted(a.captured.items())),
-                   tuple(a.inbox), a.stuck, a.due) for a in self._automata),
+            tuple((a.state, a.captured, tuple(a.inbox), a.stuck, a.due) for a in self._automata),
             tuple(key.nonce for key in self._keys),
             tuple(tuple(v) for v in self.vaults.values()),
         )
@@ -897,11 +895,9 @@ class _Sim:
             self.__dict__.pop("rng", None)  # the next draw starts from the seed
         else:
             self.rng.setstate(rng)
-        for aut, (state, clock_vars, captured, inbox, stuck, due) in zip(
-                self._automata, automata):
+        for aut, (state, captured, inbox, stuck, due) in zip(self._automata, automata):
             aut.state = state
-            aut.clock_vars = dict(clock_vars)
-            aut.captured = dict(captured)
+            aut.captured = captured
             aut.inbox = list(inbox)
             aut.stuck = stuck
             aut.due = due
@@ -988,7 +984,7 @@ class _Sim:
         entries.append(TraceEntry(tick, len(entries), pid, base, STATE_ENTERED,
                                   None, None, st.name))
         if st.kind is OUTPUT:
-            heappush(self.heap, (tick + self.pi_ticks, 1, self.seq, _OUTPUT_DONE, pid, st))
+            heappush(self.heap, (tick + self.pi_ticks, 1, self.seq, _WAKE, pid, st))
             self.seq += 1
         elif st.kind is TERMINAL:
             entries.append(TraceEntry(tick, len(entries), pid, base, TERMINAL_REACHED, None, None,
@@ -998,7 +994,7 @@ class _Sim:
         else:
             due = aut.due
             if due is not None and due > tick:
-                heappush(self.heap, (due, 1, self.seq, _TIMEOUT, pid, st))
+                heappush(self.heap, (due, 1, self.seq, _WAKE, pid, st))
                 self.seq += 1
 
     def _try_fire(self, pid: ParticipantId) -> None:
@@ -1119,7 +1115,7 @@ class _Sim:
             aut = self.automata[a]
             if aut.stuck or aut.state is not b:
                 continue  # the automaton left the state the event was set in
-            if kind == _OUTPUT_DONE:
+            if b.kind is OUTPUT:
                 self._fire_output(a, aut)
             else:
                 self._try_fire(a)

@@ -7,6 +7,7 @@ import pytest
 
 from xpay.automata import (
     Automaton,
+    Forward,
     Fresh,
     Machine,
     ProtocolComplete,
@@ -23,17 +24,21 @@ from xpay.simnet import _Sim
 from conftest import strong_scenario, weak_scenario
 
 def _await_automaton():
-    """Input state awaiting a certificate from c1, with a timeout over var u."""
+    """Input state awaiting a certificate from c1, entered at 1 from an output
+    state, with a timeout of 2 counted from its entry."""
     bob = customer(1)
     states = {
+        "open": State("open", StateKind.OUTPUT, (Transition("await"),)),
         "await": State("await", StateKind.INPUT, (
-            Transition("paid", guard=Receive(bob, Certificate), capture="chi"),
-            Transition("refunded", guard=Timeout(Fraction(2), var="u")),
+            Transition("paid", guard=Receive(bob, Certificate), capture=True),
+            Transition("refunded", guard=Timeout(Fraction(2), from_entry=True)),
         )),
         "paid": State("paid", StateKind.TERMINAL),
         "refunded": State("refunded", StateKind.TERMINAL),
     }
-    return Automaton(Machine(escrow(0), states, "await"), clock_vars={"u": Fraction(1)})
+    aut = Automaton(Machine(escrow(0), states, "open"))
+    assert aut.step(states["open"].transitions[0], Fraction(1), None) == []
+    return aut
 
 
 def _chi_envelope(instance="pay0"):
@@ -72,49 +77,59 @@ def test_step_consumes_message_and_captures():
     assert emitted == []
     assert aut.current == "paid"
     assert aut.inbox == []
-    assert aut.captured["chi"] == env.msg
+    assert aut.captured == env.msg
 
 
-def test_step_assigns_clock_variables_at_local_now():
-    e0 = escrow(0)
+def test_step_signs_fresh_emissions_and_forwards_the_captured_message():
+    """A Fresh emission is signed with the automaton's own key; a Forward
+    relays the message the last capturing transition consumed, verbatim."""
+    e0, c0, c1 = escrow(0), customer(0), customer(1)
     states = {
+        "await": State("await", StateKind.INPUT, (
+            Transition("out", guard=Receive(c1, Certificate), capture=True),)),
         "out": State("out", StateKind.OUTPUT, (
-            Transition("done", assign=("u",), emits=((customer(1), Fresh(Money("pay0", 1))),)),
+            Transition("done", emits=((c1, Fresh(Money("pay0", 1))), (c0, Forward()))),
         )),
         "done": State("done", StateKind.TERMINAL),
     }
-    aut = Automaton(Machine(e0, states, "out"))
-    emitted = aut.step(states["out"].transitions[0], Fraction(3), None)
-    assert aut.clock_vars["u"] == 3  # the instant it was set
-    assert len(emitted) == 1
-    assert emitted[0].dst == customer(1)
-    assert emitted[0].msg.signer == e0
+    aut = Automaton(Machine(e0, states, "await"))
+    assert aut.captured is None
+    env = _chi_envelope()
+    aut.inbox.append(env)
+    aut.step(states["await"].transitions[0], Fraction(1), env)
+    fresh, relayed = aut.step(states["out"].transitions[0], Fraction(3), None)
+    assert (fresh.src, fresh.dst, fresh.msg.signer) == (e0, c1, e0)
+    assert (relayed.src, relayed.dst, relayed.msg) == (e0, c0, env.msg)
 
 
-def test_a_deadline_is_the_set_instant_plus_the_timeout_length_on_the_axis():
-    """Without `lengths` a timeout lasts its delay: set at 3, a delay of 2
-    falls due at 5. Handed a length of 10 ticks for it (a clock of rate 2 on
-    an axis of 10 ticks per unit), set at tick 30 it falls due at tick 40, an
-    int. `due` is worked out on entering each state."""
+def test_a_deadline_is_its_length_past_entry_or_past_time_zero_on_the_axis():
+    """Without `lengths` a timeout lasts its delay: counted from entry, a
+    delay of 2 entered at 3 falls due at 5. Handed a length of 10 ticks for
+    it (a clock of rate 2 on an axis of 10 ticks per unit), entered at tick
+    30 it falls due at tick 40, an int. A timeout counted from time zero
+    falls due at its length wherever its state is entered. `due` is worked
+    out on entering each state."""
     delay = Fraction(2)
-    states = {
-        "out": State("out", StateKind.OUTPUT, (Transition("wait", assign=("u",)),)),
-        "wait": State("wait", StateKind.INPUT, (
-            Transition("done", guard=Timeout(delay, var="u")),)),
-        "done": State("done", StateKind.TERMINAL),
-    }
     due = []
-    for lengths, now in ((None, Fraction(3)), ({"wait": 10}, 30)):
-        aut = Automaton(Machine(escrow(0), states, "out"), lengths=lengths)
-        assert aut.due is None
-        aut.step(states["out"].transitions[0], now, None)
-        assert aut.clock_vars["u"] == now
-        due.append(aut.due)
-        assert aut.enabled_transitions(due[-1] - 1) == []
-        (tr, _), = aut.enabled_transitions(due[-1])
-        aut.step(tr, due[-1], None)
-        assert aut.current == "done" and aut.due is None
-    assert due == [5, 40] and type(due[1]) is int
+    for from_entry in (True, False):
+        states = {
+            "out": State("out", StateKind.OUTPUT, (Transition("wait"),)),
+            "wait": State("wait", StateKind.INPUT, (
+                Transition("done", guard=Timeout(delay, from_entry=from_entry)),)),
+            "done": State("done", StateKind.TERMINAL),
+        }
+        for lengths, now in ((None, Fraction(3)), ({"wait": 10}, 30)):
+            aut = Automaton(Machine(escrow(0), states, "out"), lengths=lengths)
+            assert aut.due is None
+            aut.step(states["out"].transitions[0], now, None)
+            due.append(aut.due)
+            if due[-1] > now:
+                assert aut.enabled_transitions(due[-1] - 1) == []
+            fire = max(due[-1], now)  # counted from time zero, it is due on entry
+            (tr, _), = aut.enabled_transitions(fire)
+            aut.step(tr, fire, None)
+            assert aut.current == "done" and aut.due is None
+    assert due == [5, 40, 2, 10] and type(due[1]) is int
 
 
 def test_an_automaton_holds_its_state_object():
@@ -122,10 +137,10 @@ def test_an_automaton_holds_its_state_object():
     machine's table, the initial one unless another is given; `current` reads
     its name."""
     assert not isinstance(inspect.getattr_static(Automaton, "state"), property)
-    aut = _await_automaton()
-    states = aut.machine.states
-    assert aut.state is states[aut.machine.initial]
-    aut = Automaton(aut.machine, state=states["paid"])
+    machine = _await_automaton().machine
+    states = machine.states
+    assert Automaton(machine).state is states[machine.initial]
+    aut = Automaton(machine, state=states["paid"])
     assert aut.state is states["paid"] and aut.current == "paid"
 
 
@@ -165,10 +180,10 @@ FAST_FIRE_ROSTERS = ([("strong", n, None) for n in (1, 2, 3)]
 def test_an_empty_inbox_enables_nothing_before_the_deadline(variant, n, patience):
     """`enabled_transitions` returns at once when the inbox is empty and no
     deadline is due. For every state of the shipped definitions (the weak
-    manager's after a run has built its collect states), with each clock
-    variable unset, set at 0 and set at 7 ticks: with an empty inbox nothing
-    is enabled before `due`, and nothing at all when `due` is None. At `due`
-    the timeout alone is enabled."""
+    manager's after a run has built its collect states), entered at tick 0
+    and, if its timeout counts from entry, at tick 7: with an empty inbox
+    nothing is enabled before `due`, and nothing at all when `due` is None.
+    At `due` the timeout alone is enabled."""
     if variant == "strong":
         scenario = strong_scenario(n=n, rho=Fraction(1, 10), clock_mode="seeded")
     else:
@@ -179,10 +194,10 @@ def test_an_empty_inbox_enables_nothing_before_the_deadline(variant, n, patience
     dues = []
     for aut in sim.automata.values():
         for st in aut.machine.states.values():
-            var = st.timeout.guard.var if st.timeout is not None else None
-            for clock_vars in ({}, {var: 0}, {var: 7}) if var else ({},):
-                probe = Automaton(aut.machine, lengths=aut.lengths, state=st,
-                                  clock_vars=dict(clock_vars))
+            from_entry = st.timeout is not None and st.timeout.guard.from_entry
+            for entered in (0, 7) if from_entry else (0,):
+                probe = Automaton(aut.machine, lengths=aut.lengths, state=st)
+                probe._arm(entered)
                 due = probe.due
                 dues.append(due)
                 if due is None:

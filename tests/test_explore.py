@@ -12,13 +12,13 @@ import pytest
 from conftest import broken_roster, derived, shared_verdicts, strong_scenario, weak_scenario
 from oracles import rerun_explore
 from xpay import simnet
-from xpay.core import (Certificate, ConfigError, Envelope, Guarantee, SigningKey, customer,
-                       escrow, sign)
+from xpay.core import (Certificate, ConfigError, Envelope, Guarantee, Promise, SigningKey,
+                       customer, escrow, sign)
 from xpay.explore import (POLICIES, _Checkpoints, _DecidedDelays, _Revisit, assignment_label,
                           battery_assignments, explore)
 from xpay.properties import Monitor, Status, _Terminal, safety_verdicts
 from xpay.simnet import Scripted, Snapshot, StrategySpec, Synchronous, _Sim, run_simulation
-from xpay.trace import EVERY_POLICY, format_lines
+from xpay.trace import EVERY_POLICY, SENT, format_lines
 
 F = Fraction
 GRID3 = (F(1, 4), F(1, 2), F(1))
@@ -53,6 +53,15 @@ def _tie_rerun_past_the_baseline():
     return base, {"assignments": assignments}, 342
 
 
+def _strong_drift_slice():
+    """Strong n=2 with seeded clocks of mixed rates (rho 1/10), over the
+    first 40 battery assignments: run states merge under clock rates other
+    than 1."""
+    base = strong_scenario(n=2, seed=3, rho=F(1, 10), clock_mode="seeded",
+                           delay=Synchronous(F(1), grid=GRID2))
+    return base, {"assignments": battery_assignments(base)[:40], "budget": 4000}, 4000
+
+
 def _strong_battery_cut(budget):
     def case():
         base, kw, _ = _strong_battery()
@@ -75,6 +84,7 @@ DIFFERENTIAL = {
         weak_scenario(delay=Synchronous(F(1), grid=GRID2), patience=(None, None)), {}, 512),
     "strong-n2-prefix": lambda: (
         strong_scenario(n=2, delay=Synchronous(F(1), grid=GRID3)), {"budget": 5000}, 5000),
+    "strong-n2-drift-battery-slice": _strong_drift_slice,
     "weak-n1-tie-before-any-decision": _tie_before_any_decision,
     "weak-n1-tie-rerun-past-the-baseline": _tie_rerun_past_the_baseline,
 }
@@ -306,8 +316,8 @@ def run_state(sim):
         sim.started, list(sim.heap), sim.seq, sim.tick, list(sim.entries), sim.mask,
         sim.pending_compliant,
         dict(sim.balances), sim.in_flight,
-        [(aut.state, dict(aut.clock_vars), dict(aut.captured), list(aut.inbox), aut.stuck,
-          aut.due) for aut in sim.automata.values()],
+        [(aut.state, aut.captured, list(aut.inbox), aut.stuck, aut.due)
+         for aut in sim.automata.values()],
         {pid: key.nonce for pid, key in sim.keys.items()},
         {pid: list(vault) for pid, vault in sim.vaults.items()},
         list(sim.outbox),
@@ -320,14 +330,14 @@ def snapshot_contents(snap):
 
 
 def test_a_restore_puts_back_each_armed_deadline():
-    """A snapshot keeps each automaton's state, deadline tick, clock variables,
-    captured messages, inbox and stuck flag, the balances and value in flight,
-    the key nonces, the Byzantine participants' vaults and the sends not yet
-    drawn: after the run has moved on, a restore puts back each of them as it
-    stood, and neither the later runs nor the restores change what any
-    snapshot holds. Clock variables hold ticks, ints. Bob sending his
-    certificate early gets it captured; Bob as a replayer decides what to echo
-    from his vault alone."""
+    """A snapshot keeps each automaton's state, captured message, inbox,
+    stuck flag and deadline tick, the balances and value in flight, the key
+    nonces, the Byzantine participants' vaults and the sends not yet drawn:
+    after the run has moved on, a restore puts back each of them as it stood,
+    and neither the later runs nor the restores change what any snapshot
+    holds. Deadlines are ticks, ints. Bob sending his certificate early gets
+    it captured; Bob as a replayer decides what to echo from his vault
+    alone."""
     states = []
     moved_back = []  # per automaton and restore: did the restore change its state
     for strategy in ("premature_certificate", "replayer"):
@@ -349,12 +359,10 @@ def test_a_restore_puts_back_each_armed_deadline():
         states += [state for _, state, _ in taken]
     automata = [aut for state in states for aut in state[9]]
     assert any(moved_back)
-    assert any(isinstance(due, int) for *_, due in automata)
-    assert any(clock_vars for _, clock_vars, *_ in automata)
-    assert all(type(tick) is int for _, clock_vars, *_ in automata
-               for tick in clock_vars.values())
-    assert any(captured for _, _, captured, *_ in automata)
-    assert any(inbox for _, _, _, inbox, *_ in automata)
+    assert any(due is not None for *_, due in automata)
+    assert all(due is None or type(due) is int for *_, due in automata)
+    assert any(captured for _, captured, *_ in automata)
+    assert any(inbox for _, _, inbox, *_ in automata)
     assert any(vault for state in states for vault in state[11].values())
     assert all(state[12] for state in states)  # each was taken just before a draw
 
@@ -540,6 +548,22 @@ def test_budget_exhaustion_reports_incomplete():
     assert report.branches == 10
 
 
+@pytest.mark.parametrize("budget, message", [
+    (True, "budget must be an integer"), (2.5, "budget must be an integer"),
+    (F(3), "budget must be an integer"), (-3, "budget must be non-negative"),
+])
+def test_a_budget_is_an_integer_of_at_least_zero(budget, message):
+    """The library refuses a budget the CLI would refuse, bools and floats
+    included. A budget of 0 runs no branch and reports the tree incomplete:
+    the CLI's one budget for every patience set can run out between two."""
+    base = strong_scenario(delay=Synchronous(F(1), grid=GRID2))
+    with pytest.raises(ConfigError) as refused:
+        explore(base, budget=budget)
+    assert str(refused.value) == message
+    report = explore(base, budget=0)
+    assert (report.branches, report.complete) == (0, False)
+
+
 def test_battery_covers_roles_and_subsets():
     base = strong_scenario(delay=Synchronous(F(1), grid=GRID3))
     assignments = battery_assignments(base)
@@ -634,7 +658,7 @@ def test_a_run_state_key_tells_apart_each_field_of_a_snapshot():
                                byzantine={customer(2): StrategySpec("replayer")})
     sim, taken = _taken_snapshots(scenario)
     snap = next(s for s in taken if s.rng is not None and any(s.vaults) and len(s.heap) > 1
-                and any(clock_vars for _, clock_vars, *_ in s.automata))
+                and any(due is not None for *_, due in s.automata))
     states = [state for aut in sim.automata.values() for state in aut.machine.states.values()]
     later = max(snap.heap)
     message = next(m for vault in snap.vaults for m in vault)
@@ -656,12 +680,11 @@ def test_a_run_state_key_tells_apart_each_field_of_a_snapshot():
         "vaults": snap._replace(vaults=tuple(vault + (message,) for vault in snap.vaults)),
     }
     assert set(changed) | {"entries", "seq"} == set(Snapshot._fields)
-    parts = {  # each part of an automaton's state: (state, clock_vars, captured, inbox, stuck, due)
-        "clock_vars": (1, lambda cv: (*cv, ("a_var_no_state_sets", 0))),
-        "captured": (2, lambda cap: (*cap, ("a_slot_no_state_fills", message))),
-        "inbox": (3, lambda inbox: (*inbox, Envelope(customer(0), escrow(0), message))),
-        "stuck": (4, lambda stuck: not stuck),
-        "due": (5, lambda due: 1 if due is None else due + 1),
+    parts = {  # each part of an automaton's state: (state, captured, inbox, stuck, due)
+        "captured": (1, lambda cap: message),
+        "inbox": (2, lambda inbox: (*inbox, Envelope(customer(0), escrow(0), message))),
+        "stuck": (3, lambda stuck: not stuck),
+        "due": (4, lambda due: 1 if due is None else due + 1),
     }
     for name, (part, change) in parts.items():
         changed[name] = _bump_automaton(snap, 0, part, change)
@@ -681,6 +704,23 @@ def test_a_run_state_key_tells_apart_each_field_of_a_snapshot():
         heap=tuple((*ev[:2], send_seq, *ev[3:]) if ev is later else ev for ev in snap.heap),
         outbox=((later[2], env), *rest))
     assert swapped.key() != key
+
+
+def test_an_escrow_past_its_window_keeps_no_trace_of_when_it_opened():
+    """An escrow's window counts from its entry to await_certificate, and
+    `due` is the one timer it keeps. Once paid out, its part of the run state
+    is the same whenever its promise went out, so run states that differ
+    only there share a key."""
+    issued, parts = set(), set()
+    for seed in range(6):
+        sim = _Sim(strong_scenario(seed=seed, delay=Synchronous(F(1), grid=GRID3)))
+        trace = sim.run()
+        issued |= {e.tick for e in trace.entries
+                   if e.rec is SENT and isinstance(e.env.msg.payload, Promise)}
+        aut = sim.automata[escrow(0)]
+        assert aut.current == "paid_out" and aut.due is None
+        parts.add(sim.snapshot().automata[list(sim.automata).index(escrow(0))])
+    assert len(issued) > 1 and len(parts) == 1
 
 
 def test_a_monitor_projection_tells_apart_each_state_attribute():

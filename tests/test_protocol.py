@@ -22,6 +22,7 @@ from xpay.core import (
     ConfigError,
     Envelope,
     LockNotice,
+    Promise,
     SigningKey,
     customer,
     escrow,
@@ -164,12 +165,18 @@ def test_bob_issues_certificate_at_most_once():
 
 
 def test_escrow_timeout_guard_references_promise_issue_time():
+    """The window counts from the entry to await_certificate, and the one way
+    in is the send of the promise: so it counts from the promise's issue."""
     aut = make_escrow(0, derived(1), PAY1)
     guards = [tr.guard for tr in aut.states["await_certificate"].transitions
               if isinstance(tr.guard, Timeout)]
     assert len(guards) == 1
-    assert guards[0].var == "u"
+    assert guards[0].from_entry
     assert guards[0].delay == derived(1).a[0]
+    ways_in = [(st.name, [type(spec.payload) for _, spec in tr.emits])
+               for st in aut.states.values() for tr in st.transitions
+               if tr.target == "await_certificate"]
+    assert ways_in == [("send_promise", [Promise])]
 
 
 def test_roster_covers_topology():
@@ -439,7 +446,7 @@ def test_tm_matches_the_eager_reference_state_by_state(n):
         assert (got.name, got.kind) == (want.name, want.kind)
         assert len(got.transitions) == len(want.transitions), name
         for g, w in zip(got.transitions, want.transitions):
-            assert (g.target, g.capture, g.assign, g.emits) == (w.target, w.capture, w.assign, w.emits)
+            assert (g.target, g.capture, g.emits) == (w.target, w.capture, w.emits)
             assert (g.guard is None) == (w.guard is None)
             assert g.guard is None or _same_guard(g.guard, w.guard, probes), (name, g.target)
         frontier.extend(tr.target for tr in got.transitions)

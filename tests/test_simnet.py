@@ -545,6 +545,20 @@ def test_exploration_grid_and_termination_bound_refuse_floats():
         assert verdict.line() == monitor.termination(trace, bound=F(bound)).line()
 
 
+@pytest.mark.parametrize("bound", [0, -1, F(-1, 2)])
+def test_a_termination_bound_must_be_strictly_positive(bound):
+    """A bound of 0 or below is refused, on either variant, by the monitor
+    and by `evaluate_all`, rather than read as a deadline every customer
+    misses."""
+    for scenario in (strong_scenario(n=2), weak_scenario(n=1)):
+        trace = run_simulation(scenario)
+        for check in (lambda: fold(trace).termination(trace, bound=bound),
+                      lambda: evaluate_all(trace, bound=bound)):
+            with pytest.raises(ConfigError) as refused:
+                check()
+            assert str(refused.value) == "termination bound must be strictly positive"
+
+
 class _UnlistedDelay:
     """A duck-typed delay model whose delays() lists 1/2 but which returns 1/3."""
 
