@@ -26,18 +26,30 @@ memory: the kept entries of each explored subtree, until the assignment ends.
 Every branch, simulated, shared or replayed, is one `_Leaf` record reported
 by one emitter, with the outcome that simulating it from t=0 would give,
 trace and verdicts byte for byte.
+
+Work is done where its inputs change. Once per tree: the grid, the scenario
+less its assignment, and the roster every run is built on (`simnet._Roster`:
+every check but the assignment's, the timing, clocks, balances and
+definitions). Once per assignment: its check, its run (`simnet._Sim`, with
+the strategies, automata, time scale and compliant set), its checkpoints
+and its scenarios, the tie-break ones on its first tie re-run. Once per
+leaf: the run's verdicts and their tally row (`_Row`). Once per branch: the
+counts the report keeps, and only where something reads them, a trace, an
+outcome and the decision config, built when a rendered header asks for it.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import partial
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (ConfigError, Envelope, ParticipantId, ParticipantKind, as_integer,
                    as_non_negative)
-from .properties import HOLDS, VIOLATED, Monitor, Verdict, check_liveness, safety_verdicts, tally
-from .simnet import (STRATEGIES, Scenario, Snapshot, StrategySpec, _Sim, _check_grid,
+from .properties import (HOLDS, VIOLATED, Monitor, Verdict, add_row, check_liveness,
+                         safety_verdicts, tally_row)
+from .simnet import (STRATEGIES, Scenario, Snapshot, StrategySpec, _Roster, _Sim, _check_grid,
                      run_simulation)
 from .trace import EVERY_POLICY, POLICIES, Trace
 
@@ -56,7 +68,6 @@ class _DecidedDelays:
     def __init__(self, grid: tuple[Fraction, ...], byzantine: set[ParticipantId],
                  decisions: list[int]):
         self.grid = grid
-        self._grid_config = [str(g) for g in grid]
         self.byzantine = byzantine
         self.decisions = decisions
         self.cursor = 0
@@ -77,7 +88,7 @@ class _DecidedDelays:
 
     def to_config(self, decisions: Optional[Sequence[int]] = None) -> dict:
         """The model's config, with `decisions` in place of its own if given."""
-        return {"kind": "explored", "grid": list(self._grid_config),
+        return {"kind": "explored", "grid": [str(g) for g in self.grid],
                 "decisions": list(self.decisions if decisions is None else decisions)}
 
 
@@ -111,24 +122,6 @@ class ExploreReport:
     def safe(self) -> bool:
         return not self.violations
 
-    def _record(self, outcome: BranchOutcome, paid: bool) -> None:
-        self.branches += 1
-        self.entries += len(outcome.trace.entries)
-        if outcome.policy == POLICIES[0]:
-            depth = len(outcome.decisions)
-            self.leaf_depths[depth] = self.leaf_depths.get(depth, 0) + 1
-        else:
-            self.tie_reruns += 1
-        if tally(self.counts, outcome.verdicts):
-            self.violations.append(outcome)
-        else:
-            outcome.trace = None  # free the bulk of the memory on clean branches
-        # progress is only promised under the protocol's own tie-break;
-        # timeout-first runs exist to show safety is order-independent
-        label = outcome.assignment_label
-        self.bob_paid_everywhere[label] = self.bob_paid_everywhere.get(label, True) and (
-            outcome.policy[0] != "receive_first" or paid)
-
 
 def assignment_label(assignment: dict[ParticipantId, StrategySpec]) -> str:
     if not assignment:
@@ -144,6 +137,24 @@ class _Frame(NamedTuple):
     node: Optional[list]  # if a node, its `_Leaf` and `_Link` items in the order explored
 
 
+class _Row:
+    """The tally of one verdict list: each verdict's property and count
+    column (`tally_row`), whether one is violated, and how many branches
+    reported it. A leaf's verdicts get their row when the leaf is made, and
+    each report of the leaf, shared or replayed, adds one branch to it.
+
+    A row holds its list, so that the ids of its verdicts name it: a verdict
+    without a witness is a shared object, so the lists of clean runs share
+    a few rows, and one with a witness lives as long as the row."""
+    __slots__ = ("verdicts", "cells", "violated", "branches")
+
+    def __init__(self, verdicts: list[Verdict]):
+        self.verdicts = verdicts
+        self.cells = tally_row(verdicts)
+        self.violated = any(column == "fail" for _, column in self.cells)
+        self.branches = 0
+
+
 class _Leaf(NamedTuple):
     """A reported branch. A run simulated for a leaf is held from t=0; a tie
     re-run that shares it is the same record under its own policy; a node
@@ -157,6 +168,7 @@ class _Leaf(NamedTuple):
     mask: int  # the policies that choose as it did at every tie, and so make it again
     # None in a node if one is violated: a witness names entries, so a replay checks again
     verdicts: Optional[list[Verdict]]
+    row: Optional[_Row]  # the verdicts' tally row; None where they are
     paid: bool  # Bob is paid, as L and the monitor tell it
 
 
@@ -221,7 +233,7 @@ class _Checkpoints:
         self.model = model
         self.monitor = Monitor(sim.meta)
         self.frames: list[_Frame] = []
-        self.start = self.origin = _Frame(sim.snapshot(), 0, Monitor(sim.meta), None)
+        self.start = self.origin = _Frame(sim.snapshot(), 0, self.monitor.copy(), None)
         self.resumed = False  # the next draw is the top frame's
         self.visited: dict[tuple, list] = {}  # every node, by key
 
@@ -231,7 +243,10 @@ class _Checkpoints:
             self.resumed = False
             return
         sim, byzantine = self.sim, self.model.byzantine
-        if all(env.dst in byzantine for _, env in sim.outbox):
+        for _, env in sim.outbox:
+            if env.dst not in byzantine:
+                break  # a send whose delay is a decision
+        else:
             return
         # the live monitor catches up to the snapshot; the frame keeps a copy
         self.monitor.feed(sim.entries)
@@ -265,13 +280,13 @@ class _Checkpoints:
         """Keep the branch just explored, held from t=0, in the deepest node."""
         frame = self.deepest()
         if frame.node is not None:
-            verdicts = leaf.verdicts
-            if any(v.status is VIOLATED for v in verdicts):
-                verdicts = None
+            verdicts, row = leaf.verdicts, leaf.row
+            if row.violated:
+                verdicts = row = None
             frame.node.append(_Leaf(leaf.policy, leaf.decisions[frame.cursor:],
                                     leaf.entries[frame.snapshot.entry_count:],
                                     leaf.stop_reason, leaf.final_balances,
-                                    leaf.final_in_flight, leaf.mask, verdicts, leaf.paid))
+                                    leaf.final_in_flight, leaf.mask, verdicts, row, leaf.paid))
 
     def resume(self, index: int) -> None:
         """Restore the last frame whose cursor is not past decision `index`,
@@ -306,7 +321,8 @@ def explore(
     The report comes back complete=False once `budget` branches were run;
     a budget is an integer of at least 0.
     `on_branch` sees every outcome (traces of clean branches are dropped after
-    the callback to keep memory flat).
+    the callback to keep memory flat). Without it, a clean branch gets no
+    outcome or trace at all: it only adds to the counts.
     """
     if grid is None:
         grid = getattr(base.delay, "grid", None)
@@ -316,116 +332,156 @@ def explore(
         raise ConfigError("exploration needs a delay grid")
     grid = _check_grid(grid, None)
     as_non_negative(as_integer(budget, "budget"), "budget")
-    params = base.resolved_timing()
     report = ExploreReport()
+    leaf_depths, bob_paid = report.leaf_depths, report.bob_paid_everywhere
     top_tick, top_scale = -1, 1  # max_customer_terminal as a tick of a scale
+    rows: dict[tuple, _Row] = {}  # the row of each verdict list, by its verdicts' ids
+    # once per tree: the scenario of every assignment's baseline runs, less
+    # the assignment and its delay model, and the roster their runs share
+    tie_break, rx_order = POLICIES[0]
+    first = replace(base, delay=_DecidedDelays(grid, set(), []), timing=base.resolved_timing(),
+                    byzantine={}, tie_break=tie_break, rx_order=rx_order)
+    roster = _Roster(first)
 
-    for assignment in assignments:
-        label = assignment_label(assignment)
-        report.bob_paid_everywhere.setdefault(label, True)
-        decisions: list[int] = []
-        model = _DecidedDelays(grid, set(assignment), decisions)
-        tie_break, rx_order = POLICIES[0]
-        # one scenario per policy; the others are built on the first tie re-run
-        scenarios = [replace(base, delay=model, timing=params, byzantine=dict(assignment),
-                             tie_break=tie_break, rx_order=rx_order)]
-        sim = _Sim(scenarios[0])
-        checkpoints = _Checkpoints(sim, model)
+    def row_of(verdicts: list[Verdict]) -> _Row:
+        key = tuple(map(id, verdicts))
+        row = rows.get(key)
+        if row is None:
+            row = rows[key] = _Row(verdicts)
+        return row
 
-        def emit(leaf: _Leaf, decided: tuple[int, ...], entries: list,
-                 trace: Optional[Trace] = None) -> None:
-            """Report the branch `leaf` gives after `decided` and `entries`;
-            a simulated branch hands in the trace its run returned."""
-            k = leaf.policy
-            if trace is None:
-                trace = Trace(sim.meta, entries, leaf.stop_reason, leaf.final_balances,
-                              leaf.final_in_flight, leaf.mask, scenarios[k],
-                              model.to_config(decided))
-            verdicts = leaf.verdicts
-            if verdicts is None:  # a kept violation: check this branch's own entries
-                monitor = checkpoints.monitor
-                check = monitor.copy()
-                verdicts = safety_verdicts(trace, check)
-                report.entries_checked += check.fed - monitor.fed
-            outcome = BranchOutcome(label, POLICIES[k], decided, verdicts, trace)
-            if on_branch is not None:
-                on_branch(outcome)
-            report._record(outcome, leaf.paid)
+    try:
+        for assignment in assignments:
+            label = assignment_label(assignment)
+            bob_paid.setdefault(label, True)
+            decisions: list[int] = []
+            model = _DecidedDelays(grid, set(assignment), decisions)
+            # one scenario per policy; the others are built on the first tie re-run
+            scenarios = [replace(first, delay=model, byzantine=dict(assignment))]
+            sim = _Sim(scenarios[0], roster)
+            checkpoints = _Checkpoints(sim, model)
 
-        try:
-            while True:
-                runs: list[_Leaf] = []  # the runs simulated for this leaf
-                revisited = None  # the node whose run state the baseline run reached again
-                for k in range(len(POLICIES)):
-                    if report.branches >= budget:
-                        report.complete = False
-                        return report
-                    if k == len(scenarios):  # the first tie re-run; a kept one comes later
-                        scenarios += [replace(scenarios[0], tie_break=tie_break,
-                                              rx_order=rx_order)
-                                      for tie_break, rx_order in POLICIES[1:]]
-                    trace = None
-                    leaf = next((r for r in runs if r.mask >> k & 1), None)
-                    if leaf is not None:
-                        # this policy makes that run again; its decisions are
-                        # those standing now, as a run ending now would show
-                        leaf = leaf._replace(policy=k, decisions=tuple(decisions))
-                        report.tie_reruns_shared += 1
+            def emit(leaf: _Leaf, decided: tuple[int, ...], entries: list,
+                     trace: Optional[Trace] = None) -> None:
+                """Report the branch `leaf` gives after `decided` and `entries`;
+                a simulated branch hands in the trace its run returned."""
+                k = leaf.policy
+                row = leaf.row
+                if on_branch is not None or row is None or row.violated:
+                    config = partial(model.to_config, decided)  # the decisions as they stand
+                    if trace is None:
+                        trace = Trace(sim.meta, entries, leaf.stop_reason, leaf.final_balances,
+                                      leaf.final_in_flight, leaf.mask, scenarios[k], config)
                     else:
-                        if k == 0:
-                            sim.on_draw = checkpoints.draw
-                        else:
-                            checkpoints.restore(checkpoints.deepest())
+                        trace.delay_config = config
+                    verdicts = leaf.verdicts
+                    if verdicts is None:  # a kept violation: check this branch's own entries
                         monitor = checkpoints.monitor
-                        try:
-                            trace = run_simulation(scenarios[k], sim)
-                            verdicts = safety_verdicts(trace, monitor)
-                            live = check_liveness(trace, monitor)
-                        except _Revisit as stop:
-                            revisited = stop.node
-                        finally:
-                            # unhooked, the run and its checkpoints form no reference
-                            # cycle, so they are freed as soon as the assignment ends
-                            sim.on_draw = None
-                        origin = checkpoints.origin
-                        report.entries_simulated += len(sim.entries) - origin.snapshot.entry_count
-                        report.entries_checked += monitor.fed - origin.monitor.fed
-                        if revisited is not None:
-                            break
-                        for hit in monitor.terminal.values():
-                            if hit.tick * top_scale > top_tick * hit.scale:
-                                top_tick, top_scale = hit.tick, hit.scale
-                                report.max_customer_terminal = Fraction(top_tick, top_scale)
-                        leaf = _Leaf(k, tuple(decisions), trace.entries, trace.stop_reason,
-                                     trace.final_balances, trace.final_in_flight, trace.mask,
-                                     verdicts, live.status is HOLDS or (
-                                         live.status is not VIOLATED and monitor.bob_paid()))
-                        runs.append(leaf)
-                    checkpoints.keep(leaf)
-                    emit(leaf, leaf.decisions, leaf.entries, trace)
-                    if runs[0].mask == EVERY_POLICY:
-                        break  # no tie: every policy makes the baseline run
-                if revisited is not None:
-                    # the run stopped at a draw explored before: each branch
-                    # below it is what simulating it would give, with this
-                    # run's prefix; a terminal time below it was counted there
-                    del decisions[model.cursor:]
-                    for leaf, decided, entries in _replay(revisited, tuple(decisions),
-                                                          sim.entries):
+                        check = monitor.copy()
+                        verdicts = safety_verdicts(trace, check)
+                        report.entries_checked += check.fed - monitor.fed
+                        row = row_of(verdicts)
+                    outcome = BranchOutcome(label, POLICIES[k], decided, verdicts, trace)
+                    if on_branch is not None:
+                        on_branch(outcome)
+                    if row.violated:
+                        report.violations.append(outcome)
+                    else:
+                        outcome.trace = None  # free the bulk of the memory on clean branches
+                row.branches += 1
+                report.branches += 1
+                report.entries += len(entries)
+                if k:
+                    report.tie_reruns += 1
+                else:
+                    depth = len(decided)
+                    leaf_depths[depth] = leaf_depths.get(depth, 0) + 1
+                # progress is only promised under the protocol's own tie-break;
+                # timeout-first runs exist to show safety is order-independent
+                if not leaf.paid and POLICIES[k][0] == "receive_first":
+                    bob_paid[label] = False
+
+            try:
+                while True:
+                    runs: list[_Leaf] = []  # the runs simulated for this leaf
+                    revisited = None  # the node whose run state the baseline run reached again
+                    for k in range(len(POLICIES)):
                         if report.branches >= budget:
                             report.complete = False
                             return report
-                        report.branches_replayed += 1
-                        emit(leaf, decided, entries)
-                # odometer step over however many decisions this leaf consumed
-                while decisions and decisions[-1] == len(grid) - 1:
-                    decisions.pop()
-                if not decisions:
-                    break
-                decisions[-1] += 1
-                checkpoints.resume(len(decisions) - 1)
-        finally:
-            report.states += len(checkpoints.visited)
+                        if k == len(scenarios):  # the first tie re-run; a kept one comes later
+                            scenarios += [replace(scenarios[0], tie_break=tie_break,
+                                                  rx_order=rx_order)
+                                          for tie_break, rx_order in POLICIES[1:]]
+                        trace = leaf = None
+                        for run in runs:  # a tie re-run: some run of this leaf may be its run
+                            if run.mask >> k & 1:
+                                # this policy makes that run again; its decisions are
+                                # those standing now, as a run ending now would show
+                                leaf = _Leaf(k, tuple(decisions), *run[2:])
+                                report.tie_reruns_shared += 1
+                                break
+                        if leaf is None:
+                            if k == 0:
+                                sim.on_draw = checkpoints.draw
+                            else:
+                                checkpoints.restore(checkpoints.deepest())
+                            monitor = checkpoints.monitor
+                            try:
+                                trace = run_simulation(scenarios[k], sim)
+                                verdicts = safety_verdicts(trace, monitor)
+                                live = check_liveness(trace, monitor)
+                            except _Revisit as stop:
+                                revisited = stop.node
+                            finally:
+                                # unhooked, the run and its checkpoints form no reference
+                                # cycle, so they are freed as soon as the assignment ends
+                                sim.on_draw = None
+                            origin = checkpoints.origin
+                            report.entries_simulated += (len(sim.entries)
+                                                         - origin.snapshot.entry_count)
+                            report.entries_checked += monitor.fed - origin.monitor.fed
+                            if revisited is not None:
+                                break
+                            for hit in monitor.terminal.values():
+                                if hit.tick * top_scale > top_tick * hit.scale:
+                                    top_tick, top_scale = hit.tick, hit.scale
+                                    report.max_customer_terminal = Fraction(top_tick, top_scale)
+                            leaf = _Leaf(k, tuple(decisions), trace.entries, trace.stop_reason,
+                                         trace.final_balances, trace.final_in_flight, trace.mask,
+                                         verdicts, row_of(verdicts), live.status is HOLDS or (
+                                             live.status is not VIOLATED and monitor.bob_paid()))
+                            runs.append(leaf)
+                        checkpoints.keep(leaf)
+                        emit(leaf, leaf.decisions, leaf.entries, trace)
+                        if runs[0].mask == EVERY_POLICY:
+                            break  # no tie: every policy makes the baseline run
+                    if revisited is not None:
+                        # the run stopped at a draw explored before: each branch
+                        # below it is what simulating it would give, with this
+                        # run's prefix; a terminal time below it was counted there
+                        del decisions[model.cursor:]
+                        for leaf, decided, entries in _replay(revisited, tuple(decisions),
+                                                              sim.entries):
+                            if report.branches >= budget:
+                                report.complete = False
+                                return report
+                            report.branches_replayed += 1
+                            emit(leaf, decided, entries)
+                    # odometer step over however many decisions this leaf consumed
+                    while decisions and decisions[-1] == len(grid) - 1:
+                        decisions.pop()
+                    if not decisions:
+                        break
+                    decisions[-1] += 1
+                    checkpoints.resume(len(decisions) - 1)
+            finally:
+                report.states += len(checkpoints.visited)
+    finally:
+        # the counts, from each row and the branches that reported it, in the
+        # order the rows were made: the order of the first branch of each
+        for row in rows.values():
+            add_row(report.counts, row.cells, row.branches)
     return report
 
 

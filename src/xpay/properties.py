@@ -603,19 +603,25 @@ def safety_verdicts(trace: Trace, monitor: Optional[Monitor] = None) -> list[Ver
     return verdicts
 
 
+def tally_row(verdicts: list[Verdict]) -> tuple[tuple[str, str], ...]:
+    """Each verdict's property and its column of the counts: "pass",
+    "vacuous" or "fail"."""
+    return tuple([(v.name, "fail" if v.status is VIOLATED else
+                   "vacuous" if v.status is VACUOUS else "pass") for v in verdicts])
+
+
+def add_row(counts: dict[str, dict[str, int]], row: tuple[tuple[str, str], ...],
+            times: int = 1) -> None:
+    """Add `times` to each (property, column) count of `row` in `counts`."""
+    for name, column in row:
+        per = counts.get(name)
+        if per is None:
+            per = counts[name] = {"pass": 0, "vacuous": 0, "fail": 0}
+        per[column] += times
+
+
 def tally(counts: dict[str, dict[str, int]], verdicts: list[Verdict]) -> bool:
     """Add each verdict to its property's pass/vacuous/fail count in `counts`;
     True if any verdict is a violation."""
-    violated = False
-    for v in verdicts:
-        per = counts.get(v.name)
-        if per is None:
-            per = counts[v.name] = {"pass": 0, "vacuous": 0, "fail": 0}
-        if v.status is VIOLATED:
-            per["fail"] += 1
-            violated = True
-        elif v.status is VACUOUS:
-            per["vacuous"] += 1
-        else:
-            per["pass"] += 1
-    return violated
+    add_row(counts, tally_row(verdicts))
+    return any(v.status is VIOLATED for v in verdicts)

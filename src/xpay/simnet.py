@@ -10,39 +10,37 @@ Real time is an integer count of ticks of 1/S, from the event loop all the
 way into the trace, and this module is the one place where a duration becomes
 ticks (`to_ticks`, which raises rather than round). A participant's clock is
 a rate r within [1/(1+rho), 1+rho], so a timeout of local delay d lasts d/r
-real time, worked out once per delay and rate and shared between runs.
-A run fixes its time axis when it is built, where every input is known: the
-scale S (`time_scale`), so that every instant of the run is a whole number of
+real time, worked out once per delay and rate and shared between runs. A run
+fixes its time axis when it is built, where every input is known: the scale S
+(`_Roster.time_scale`), so that every instant of the run is a whole number of
 ticks; pi and the horizon in ticks; each participant's `TimeBase`; and each
 automaton's timeout lengths in ticks, handed to it when it is built. Event
-times, heap keys, delivery delays, the horizon test and timeout deadlines
-are then int arithmetic. Each delay object the delay model returns is
-converted once, and a strategy's delayed send when it is scheduled. A timeout
-deadline is its length past tick 0 or past the tick its state was entered,
-worked out by the automaton when it enters the state and kept with its run
-state (`Automaton.due`, and in a `Snapshot`). A trace entry
-records its tick and its participant's `TimeBase` and builds its real and
-local time as Fractions only when they are read. A delivery records the delay
-object the delay model returned for it. The loop makes a Fraction only for
-the local deadline each TIMEOUT_FIRED entry records, and for `now` when a
-delay model that reads the send instant (`PartialSync`) asks for it.
+times, heap keys, delivery delays, the horizon test and timeout deadlines are
+then int arithmetic. Each delay object the delay model returns is converted
+once, and a strategy's delayed send when it is scheduled. A timeout deadline
+is its length past tick 0 or past the tick its state was entered, worked out
+by the automaton when it enters the state and kept with its run state
+(`Automaton.due`, and in a `Snapshot`). A trace entry records its tick and
+its participant's `TimeBase` and builds its real and local time as Fractions
+only when they are read. A delivery records the delay object the delay model
+returned for it. The loop makes a Fraction only for the local deadline each
+TIMEOUT_FIRED entry records, and for `now` when a delay model that reads the
+send instant (`PartialSync`) asks for it.
 
 An event is one pass through the engine. The loop pops it and calls its
 handler, which builds its trace entries and pushes the events it causes in
 place; the record and state kinds are read as module globals, not off their
-Enum classes. The entries every hop and participant makes (SENT, DELIVERED,
-TRANSFERRED, STATE_ENTERED, TERMINAL_REACHED) are built from positional
-fields, in place: keywords passed on through `entry` take more than twice as
-long to bind. A fire lists the automaton's enabled transitions once (at
-once empty when the inbox is empty and no deadline is due) and applies the
-tie-break policy only when two or more are enabled (a tie). Each tie drops
-from the run's mask of the four `POLICIES` those that pick another
-transition; a tie is the one place a policy is read, so a policy left in the
-mask would have made the very same run. A send records SENT at once and
-queues the envelope, with the seq its delivery takes, on the outbox; the
-loop draws the queued delays at its top, in send order, before the next
-event and before it stops: at the end of the event that sent them, still at
-their send instant.
+Enum classes. Every entry is built from positional fields, in place, as
+keywords take more than twice as long to bind. A fire lists the automaton's
+enabled transitions once (at once empty when the inbox is empty and no
+deadline is due) and applies the tie-break policy only when two or more are
+enabled (a tie). Each tie drops from the run's mask of the four `POLICIES`
+those that pick another transition; a tie is the one place a policy is read,
+so a policy left in the mask would have made the very same run. A send
+records SENT at once and queues the envelope, with the seq its delivery
+takes, on the outbox; the loop draws the queued delays at its top, in send
+order, before the next event and before it stops: at the end of the event
+that sent them, still at their send instant.
 
 A run can be branched. At the top of its loop no part of an event is under
 way, and the whole run state is a `Snapshot`, a plain value: the event heap
@@ -131,7 +129,6 @@ from .trace import (
     TIE_BREAKS,
     TIMEOUT_FIRED,
     TRANSFERRED,
-    Rec,
     TimeBase,
     Trace,
     TraceEntry,
@@ -508,6 +505,17 @@ class Scenario:
                                     for t, env in self.raw_injections)
 
     def validate(self) -> None:
+        """Refuse a malformed scenario, naming the rule it breaks.
+
+        A run checks in two parts. `_Roster` checks every field but the
+        Byzantine assignment (`_validate_fixed`), once per roster: once per
+        run, or once per `explore` call, whose runs share one. `_Sim` checks
+        the assignment (`_validate_byzantine`), once per run. This checks
+        both, in that order, as a run does."""
+        self._validate_fixed()
+        self._validate_byzantine()
+
+    def _validate_fixed(self) -> None:
         as_count(self.n, "n")
         as_count(self.amount, "amount")
         as_integer(self.seed, "seed")
@@ -547,11 +555,15 @@ class Scenario:
         elif self.delay.delta is None:
             raise ConfigError("cannot derive timeouts without a delivery bound; "
                               "give explicit timing")
-        valid = set(map(str, self.participant_ids()))
+
+    def _validate_byzantine(self) -> None:
+        if not self.byzantine:
+            return
+        ids = self.participant_ids()
         for pid, spec in self.byzantine.items():
             if pid.kind is ParticipantKind.MANAGER:
                 raise ConfigError("the transaction manager is trusted and cannot be Byzantine")
-            if str(pid) not in valid:
+            if pid not in ids:
                 raise ConfigError(f"byzantine participant {pid} not in the topology")
             entry = STRATEGIES.get(spec.name) if type(spec.name) is str else None
             if entry is None:
@@ -559,9 +571,9 @@ class Scenario:
             cls, role_ok = entry
             if not role_ok(pid, self):
                 raise ConfigError(f"strategy {spec.name!r} does not apply to {pid}")
-            unknown = sorted(set(spec.params) - set(cls.parameters))
+            unknown = [name for name in spec.params if name not in cls.parameters]
             if unknown:
-                raise ConfigError(f"strategy {spec.name!r} takes no parameter {unknown[0]}")
+                raise ConfigError(f"strategy {spec.name!r} takes no parameter {min(unknown)}")
 
     def participant_ids(self) -> list[ParticipantId]:
         out = [escrow(i) for i in range(self.n)]
@@ -678,21 +690,6 @@ def _real_length(num: int, den: int, rate_num: int, rate_den: int) -> Fraction:
     return Fraction(num * rate_den, den * rate_num)
 
 
-def time_scale(sc: Scenario, timeouts: Sequence[Fraction],
-               strategies: dict[ParticipantId, Strategy]) -> int:
-    """Ticks per time unit for one run: the lcm of the denominators of every
-    length that can separate two instants of the run.
-
-    Those are pi, the delays the delay model lists, the real length of each
-    timeout (`timeouts`: a deadline is the assignment instant plus
-    delay/rate), the strategies' own delays and the injection instants.
-    """
-    lengths = [sc.pi, *sc.delay.delays(), *timeouts]
-    lengths += [s.delay for s in strategies.values() if isinstance(s, DelayOwnSends)]
-    lengths += [t for t, _ in sc.raw_injections]
-    return math.lcm(*(x.denominator for x in lengths))
-
-
 # An event is a plain tuple on the heap, (tick, priority, seq, kind, a, b):
 #   _DELIVER     a = envelope, b = its delay, as the delay model returned it
 #   _WAKE        a = participant, b = the `State` it was scheduled in: an
@@ -754,6 +751,58 @@ class Snapshot(NamedTuple):
                              outbox=tuple([(rank[seq], env) for seq, env in outbox]))
 
 
+class _Roster:
+    """What every run of a scenario shares, whatever its Byzantine assignment.
+
+    Every field of the scenario but `byzantine` is checked here, and the
+    timing, horizon, payment instance, clock rates, initial balances,
+    participant definitions and each definition's timeout lengths in real
+    time are worked out here. A run builds one for itself; `explore` builds
+    one per call and hands it to each assignment's run (`_Sim`), which works
+    out the rest.
+    """
+
+    def __init__(self, scenario: Scenario):
+        scenario._validate_fixed()
+        self.params = scenario.resolved_timing()
+        self.horizon = (scenario.horizon if scenario.horizon is not None
+                        else default_horizon(self.params))
+        self.pay = PaymentInstance(scenario.instance, scenario.n, scenario.amount)
+        self.clocks = assign_clocks(scenario)
+        self.rates = {pid: rate.as_integer_ratio() for pid, rate in self.clocks.items()}
+        self.initial_balances = scenario.resolved_balances()
+        self.patience = scenario.resolved_patience()
+        # the definitions are shared between runs; only a run's automata are its own
+        if scenario.variant == "weak":
+            self.machines = {**make_weak_participants(self.params, self.pay, self.patience),
+                             manager(): make_transaction_manager(self.pay)}
+        else:
+            self.machines = make_strong_participants(self.params, self.pay)
+        # each timeout's real length, keyed by state name as `Automaton.lengths`
+        # is (a manager's states built on entry have none)
+        rates = self.rates
+        self.real = {pid: {name: _real_length(*delay.as_integer_ratio(), *rates[pid])
+                           for name, delay in machine.timeouts.items()}
+                     for pid, machine in self.machines.items()}
+        # the lcm of the denominators of the lengths no assignment changes: pi,
+        # the delays the delay model lists and the injection instants
+        lengths = [scenario.pi, *scenario.delay.delays(), *(t for t, _ in scenario.raw_injections)]
+        self.fixed_scale = math.lcm(*[x.denominator for x in lengths])
+
+    def time_scale(self, kept: Sequence[ParticipantId],
+                   strategies: dict[ParticipantId, "Strategy"]) -> int:
+        """Ticks per time unit for one run: the lcm of the denominators of
+        every length that can separate two instants of the run. Those are the
+        fixed ones, the real length of each timeout of the definitions `kept`
+        (a deadline is its state's entry instant, or time zero, plus
+        delay/rate) and the strategies' own delays."""
+        real = self.real
+        return math.lcm(self.fixed_scale,
+                        *[length.denominator for pid in kept for length in real[pid].values()],
+                        *[s.delay.denominator for s in strategies.values()
+                          if isinstance(s, DelayOwnSends)])
+
+
 class _Sim:
     """One run of a scenario.
 
@@ -762,28 +811,30 @@ class _Sim:
     and put back with `restore`, so a caller can branch a run: `on_draw`, when
     set, is called there just before the delays of the sends in `outbox` are
     drawn, which is where such snapshots are taken.
+
+    A run is built on a `_Roster`, the set-up its Byzantine assignment does
+    not change: its own, or `roster`, built from a scenario that differs
+    from this one at most in the assignment, the policy and the delay model
+    object, whose `delta` and `delays()` it shares. What the assignment does
+    change is worked out here: its check, the strategies and their vaults,
+    the automata kept, the time scale and time bases, the compliant set, the
+    trace header's facts and a fresh run state.
     """
 
-    def __init__(self, scenario: Scenario):
-        scenario.validate()
+    def __init__(self, scenario: Scenario, roster: Optional[_Roster] = None):
+        if roster is None:
+            roster = _Roster(scenario)
+        scenario._validate_byzantine()
         self.sc = scenario
-        self.params = scenario.resolved_timing()
-        self.horizon = (scenario.horizon if scenario.horizon is not None
-                        else default_horizon(self.params))
-        self.pay = PaymentInstance(scenario.instance, scenario.n, scenario.amount)
-        self.clocks = assign_clocks(scenario)
+        self.params = roster.params
+        self.horizon = roster.horizon
+        self.pay = roster.pay
+        self.clocks = roster.clocks
         # value sent and not yet delivered is in flight, in no balance
-        self.balances = scenario.resolved_balances()
+        self.initial_balances = roster.initial_balances
+        self.balances = dict(self.initial_balances)
         self.in_flight = 0
-        self.initial_balances = dict(self.balances)
-
-        # the definitions are shared between runs; only the wrappers below are this run's
-        if scenario.variant == "weak":
-            machines = {**make_weak_participants(self.params, self.pay,
-                                                 scenario.resolved_patience()),
-                        manager(): make_transaction_manager(self.pay)}
-        else:
-            machines = make_strong_participants(self.params, self.pay)
+        machines = roster.machines
         self.keys = {pid: machine.new_key() for pid, machine in machines.items()}
 
         self.strategies: dict[ParticipantId, Strategy] = {}
@@ -792,24 +843,17 @@ class _Sim:
             cls, _ = STRATEGIES[spec.name]
             self.strategies[pid] = cls(pid, spec.params)
             self.vaults[pid] = []
-        machines = {pid: machine for pid, machine in machines.items()
-                    if pid not in self.strategies or self.strategies[pid].uses_automaton}
+        if self.strategies:
+            machines = {pid: machine for pid, machine in machines.items()
+                        if pid not in self.strategies or self.strategies[pid].uses_automaton}
 
-        # the run's time axis. Real timeout lengths are keyed by state name, as
-        # `Automaton.lengths` is; a manager's states built on entry have none.
-        real = {}
-        for pid, machine in machines.items():
-            rate = self.clocks[pid].as_integer_ratio()
-            real[pid] = {name: _real_length(*delay.as_integer_ratio(), *rate)
-                         for name, delay in machine.timeouts.items()}
-        scale = self.scale = time_scale(  # ticks per time unit
-            scenario, [length for lengths in real.values() for length in lengths.values()],
-            self.strategies)
+        # the run's time axis
+        scale = self.scale = roster.time_scale(machines, self.strategies)  # ticks per time unit
         self.pi_ticks = to_ticks(scenario.pi, scale, "pi")
         # the last tick not beyond the horizon
         self.horizon_tick = self.horizon.numerator * scale // self.horizon.denominator
-        self.bases = {pid: TimeBase(scale, rate.numerator, rate.denominator)
-                      for pid, rate in self.clocks.items()}
+        self.bases = {pid: TimeBase(scale, num, den) for pid, (num, den) in roster.rates.items()}
+        real = roster.real
         self.automata: dict[ParticipantId, Automaton] = {
             pid: Automaton(machine, self.keys[pid], {
                 name: to_ticks(length, scale, "timeout length")
@@ -838,7 +882,7 @@ class _Sim:
             horizon=self.horizon,
             initial_balances=self.initial_balances,
             clock_rates=self.clocks,
-            patience=scenario.resolved_patience(),
+            patience=roster.patience,
         )
 
         self.heap: list[tuple] = []
@@ -908,14 +952,6 @@ class _Sim:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def entry(self, rec: Rec, pid: ParticipantId, **fields) -> None:
-        """Record `rec` for `pid` now: a timeout, a rejection or an impossible
-        step. The entries every run makes (SENT, DELIVERED, TRANSFERRED,
-        STATE_ENTERED, TERMINAL_REACHED) are built in place instead, from
-        positional fields."""
-        entries = self.entries
-        entries.append(TraceEntry(self.tick, len(entries), pid, self.bases[pid], rec, **fields))
-
     def ctx(self, pid: ParticipantId) -> StrategyContext:
         return StrategyContext(self, pid)
 
@@ -929,7 +965,9 @@ class _Sim:
         if isinstance(payload, Money):
             amount = payload.amount
             if self.balances[src] < amount:
-                self.entry(IMPOSSIBLE_STEP, src, reason="insufficient_funds")
+                entries.append(TraceEntry(self.tick, len(entries), src, base, IMPOSSIBLE_STEP,
+                                          None, None, None, None, None, None, None, None,
+                                          "insufficient_funds"))
                 aut = self.automata.get(src)
                 if aut is not None and self.sc.is_compliant(src):
                     aut.stuck = True
@@ -950,11 +988,12 @@ class _Sim:
         """
         pid = env.dst
         msg = env.msg
-        if not verify(msg, msg.signer):
-            self.entry(REJECTED, pid, env=env, reason="bad_signature")
-            return None
         entries = self.entries
         base = self.bases[pid]
+        if not verify(msg, msg.signer):
+            entries.append(TraceEntry(self.tick, len(entries), pid, base, REJECTED, env,
+                                      None, None, None, None, None, None, None, "bad_signature"))
+            return None
         entries.append(TraceEntry(self.tick, len(entries), pid, base, DELIVERED, env, delay))
         payload = msg.payload
         if isinstance(payload, Money):
@@ -1016,8 +1055,10 @@ class _Sim:
                 self.mask &= sum(1 << k for k, other in enumerate(picks) if other == pick)
                 tr, env = cands[pick]
             if env is None:
-                self.entry(TIMEOUT_FIRED, pid, state=aut.state.name,
-                           deadline=self.bases[pid].local(aut.due))
+                entries = self.entries
+                base = self.bases[pid]
+                entries.append(TraceEntry(tick, len(entries), pid, base, TIMEOUT_FIRED, None,
+                                          None, aut.state.name, base.local(aut.due)))
             aut.step(tr, tick, env)  # an input state sends nothing
             self._enter_state(pid, aut)
 
@@ -1121,10 +1162,9 @@ class _Sim:
                 self._try_fire(a)
 
         sc = self.sc
-        return Trace(meta=self.meta, entries=self.entries, stop_reason=self.stop_reason,
-                     final_balances=dict(self.balances),
-                     final_in_flight=self.in_flight, mask=self.mask,
-                     scenario=sc, delay_config=sc.delay.to_config())
+        # the delay model's config is built only if the digest is taken
+        return Trace(self.meta, self.entries, self.stop_reason, dict(self.balances),
+                     self.in_flight, self.mask, sc, sc.delay.to_config)
 
 
 def run_simulation(scenario: Scenario, sim: Optional[_Sim] = None) -> Trace:

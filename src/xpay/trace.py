@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import Envelope, ParticipantId, fmt_fraction
 
@@ -213,10 +213,12 @@ class Trace:
     final_in_flight: int = 0
     mask: int = EVERY_POLICY  # bit k: `POLICIES[k]` chose as this run at every tie
     # what the header's scenario digest, seed, policy and strategy labels are
-    # taken from: the scenario the run was made from, and its delay model's
-    # `to_config()` when the run ended
+    # taken from: the scenario the run was made from, and a call that builds
+    # its delay model's config as it stood when the run ended. It is called
+    # only when the digest is taken, so the explorer, whose model's decisions
+    # move on, binds it to the decisions of the branch
     scenario: object = None  # Scenario
-    delay_config: Optional[dict] = None
+    delay_config: Optional[Callable[[], dict]] = None
 
     @property
     def had_tie(self) -> bool:
@@ -231,7 +233,7 @@ class Trace:
         """sha256 of the scenario the run was made from, taken on first use
         (only a rendered header shows it), with the delay model as it stood
         when the run ended."""
-        return config_digest({**self.scenario.config_dict(), "delay_model": self.delay_config})
+        return config_digest({**self.scenario.config_dict(), "delay_model": self.delay_config()})
 
     def net_change(self, p: ParticipantId, upto: Optional[int] = None) -> int:
         """Balance change of `p` over the entry prefix [0, upto] (whole trace if None)."""

@@ -328,10 +328,16 @@ def eager_manager_states(n: int, pay) -> dict[str, State]:
     return states
 
 
+_COLUMN = {Status.HOLDS: "pass", Status.VACUOUS: "vacuous", Status.VIOLATED: "fail"}
+
+
 def rerun_explore(base, assignments=({},), grid=None, budget=200_000, on_branch=None):
     """`xpay.explore.explore` as it was before checkpoints: every branch runs
     from t=0 under its own scenario. Same arguments, same branch order, same
-    report fields; `entries_simulated` is every entry, as nothing is reused."""
+    report fields; `entries_simulated` is every entry, as nothing is reused.
+    It counts every field itself, branch by branch, with none of the
+    library's bookkeeping: each verdict goes into its property's count, in
+    the order the properties first appear."""
     if grid is None:
         grid = getattr(base.delay, "grid", None)
         if grid is None and base.delay.delta is not None:
@@ -365,15 +371,27 @@ def rerun_explore(base, assignments=({},), grid=None, budget=200_000, on_branch=
                 paid = policy[0] != "receive_first" or (
                     live.status is Status.HOLDS or (
                         live.status is not Status.VIOLATED and fold(trace).bob_paid()))
-                for k in range(base.n + 1):
-                    hit = trace.terminal_entry(customer(k))
+                for i in range(base.n + 1):
+                    hit = trace.terminal_entry(customer(i))
                     if hit is not None and (report.max_customer_terminal is None
                                             or hit[1].t > report.max_customer_terminal):
                         report.max_customer_terminal = hit[1].t
                 outcome = BranchOutcome(label, policy, tuple(decisions), verdicts, trace)
                 if on_branch is not None:
                     on_branch(outcome)
-                report._record(outcome, paid)
+                report.branches += 1
+                report.entries += len(trace.entries)
+                if k == 0:
+                    depth = len(decisions)
+                    report.leaf_depths[depth] = report.leaf_depths.get(depth, 0) + 1
+                else:
+                    report.tie_reruns += 1
+                for v in verdicts:
+                    per = report.counts.setdefault(v.name, {"pass": 0, "vacuous": 0, "fail": 0})
+                    per[_COLUMN[v.status]] += 1
+                if any(v.status is Status.VIOLATED for v in verdicts):
+                    report.violations.append(outcome)
+                report.bob_paid_everywhere[label] = report.bob_paid_everywhere[label] and paid
             while decisions and decisions[-1] == len(grid) - 1:
                 decisions.pop()
             if not decisions:

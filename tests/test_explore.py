@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -9,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import broken_roster, derived, shared_verdicts, strong_scenario, weak_scenario
+from conftest import (CONFIG_DIR, broken_roster, derived, shared_verdicts, strong_scenario,
+                      weak_scenario)
 from oracles import rerun_explore
-from xpay import simnet
+from xpay import cli, simnet
 from xpay.core import (Certificate, ConfigError, Envelope, Guarantee, Promise, SigningKey,
-                       customer, escrow, sign)
+                       customer, escrow, manager, sign)
 from xpay.explore import (POLICIES, _Checkpoints, _DecidedDelays, _Revisit, assignment_label,
                           battery_assignments, explore)
 from xpay.properties import Monitor, Status, _Terminal, safety_verdicts
@@ -211,12 +213,110 @@ def test_exploration_across_time_scales_matches_the_rerun_reference():
     assert report.max_customer_terminal == want_report.max_customer_terminal is not None
 
 
-def assert_same_report(report, want_report):
-    for name in ("branches", "complete", "counts", "bob_paid_everywhere",
-                 "max_customer_terminal", "entries", "tie_reruns", "leaf_depths"):
+def assert_same_report(report, want_report, names=("branches", "complete", "counts",
+                                                   "bob_paid_everywhere", "max_customer_terminal",
+                                                   "entries", "tie_reruns", "leaf_depths")):
+    for name in names:
         assert getattr(report, name) == getattr(want_report, name), name
+    # the counts list the properties, and each its columns, in one order
+    assert ([(name, list(per.items())) for name, per in report.counts.items()]
+            == [(name, list(per.items())) for name, per in want_report.counts.items()])
     assert ([(v.assignment_label, v.policy, v.decisions) for v in report.violations]
             == [(v.assignment_label, v.policy, v.decisions) for v in want_report.violations])
+
+
+# every field of an `ExploreReport` but its violations, which `assert_same_report` compares
+EVERY_FIELD = ("branches", "complete", "counts", "bob_paid_everywhere", "max_customer_terminal",
+               "entries", "entries_simulated", "entries_checked", "tie_reruns",
+               "tie_reruns_shared", "branches_replayed", "states", "leaf_depths")
+
+
+def _shipped_explorations():
+    """Each exploration `xpay explore` runs for the shipped explore configs:
+    one per patience set, over the battery where the config asks for it."""
+    out = []
+    for name in ("explore_strong_battery_n1.json", "explore_weak_n1.json"):
+        raw = cli.load_config(str(CONFIG_DIR / name))
+        battery = raw.get("byzantine") == "battery"
+        if battery:
+            raw = dict(raw, byzantine={})
+        base, extras = cli.parse_scenario_config(raw)
+        assignments = battery_assignments(base) if battery else [dict(base.byzantine)]
+        grid = extras["patience_grid"]
+        for patience in ([base.patience] if grid is None
+                         else itertools.product(grid, repeat=base.n + 1)):
+            shown = "none" if patience is None else ",".join(
+                "inf" if p is None else str(p) for p in patience)
+            out.append((f"{name}-patience-{shown}",
+                        lambda base=base, patience=patience, assignments=assignments: (
+                            replace(base, patience=patience), {"assignments": assignments})))
+    return out
+
+
+def _broken_battery():
+    """The n=1 battery with the broken roster of `broken_roster` (patched in
+    by the caller): violations on most branches, some kept in nodes."""
+    base = strong_scenario(delay=Synchronous(F(1), grid=GRID3))
+    return base, {"assignments": battery_assignments(base)}
+
+
+NO_CALLBACK = {**{case: (lambda case=case: DIFFERENTIAL[case]()[:2]) for case in DIFFERENTIAL},
+               **dict(_shipped_explorations()), "strong-n1-broken-battery": _broken_battery}
+
+
+# the cases with a safety violation; on the broken battery, violations kept
+# in a node are checked again where they are replayed
+NO_CALLBACK_VIOLATING = {"weak-n1-tie-before-any-decision", "strong-n1-broken-battery"}
+
+
+@pytest.mark.parametrize("case", NO_CALLBACK)
+def test_exploring_without_a_callback_reports_what_a_callback_sees(case, monkeypatch):
+    """Without `on_branch`, a clean branch gets no outcome or trace; the report
+    is the same, field for field, as with a callback that sees every branch:
+    every `DIFFERENTIAL` tree, each exploration of the shipped explore
+    configs, and a battery whose roster breaks safety on most branches."""
+    if case == "strong-n1-broken-battery":
+        monkeypatch.setattr(simnet, "make_strong_participants", broken_roster)
+    base, kw = NO_CALLBACK[case]()
+    seen = []
+    called = explore(base, on_branch=seen.append, **kw)
+    report = explore(base, **kw)
+    assert len(seen) == called.branches > 0
+    assert_same_report(report, called, EVERY_FIELD)
+    assert ([[v.line() for v in outcome.verdicts] for outcome in report.violations]
+            == [[v.line() for v in outcome.verdicts] for outcome in called.violations])
+    if case == "strong-n1-broken-battery":
+        assert report.entries_checked > report.entries_simulated
+    assert bool(report.violations) == (case in NO_CALLBACK_VIOLATING)
+
+
+def _bad_assignments():
+    """Byzantine maps `run_simulation` refuses, each with a base it is refused on."""
+    strong = strong_scenario(delay=Synchronous(F(1), grid=GRID2))
+    weak = weak_scenario(delay=Synchronous(F(1), grid=GRID2), patience=(F(2), F(2)))
+    return {
+        "manager": (weak, {manager(): StrategySpec("silent")}),
+        "outside-the-topology": (strong, {escrow(1): StrategySpec("silent")}),
+        "unknown-strategy": (strong, {customer(0): StrategySpec("vanish")}),
+        "role-does-not-fit": (strong, {escrow(0): StrategySpec("withhold_certificate")}),
+        "unknown-parameter": (strong, {customer(1): StrategySpec("silent", {"delay": F(1)})}),
+    }
+
+
+@pytest.mark.parametrize("later", [False, True], ids=["first", "later"])
+@pytest.mark.parametrize("case", _bad_assignments())
+def test_explore_refuses_a_malformed_assignment_as_a_run_does(case, later):
+    """An assignment is checked once per run, apart from the rest of the
+    scenario, which `explore` checks once: a malformed one is refused with
+    the message a run of the same Byzantine map gives, whether it is the
+    first assignment or comes after one that was explored."""
+    base, bad = _bad_assignments()[case]
+    with pytest.raises(ConfigError) as refused_run:
+        run_simulation(replace(base, byzantine=bad))
+    assignments = [{}, bad] if later else [bad]
+    with pytest.raises(ConfigError) as refused:
+        explore(base, assignments=assignments)
+    assert str(refused.value) == str(refused_run.value)
 
 
 def test_forked_violations_and_witnesses_match_the_rerun_reference(monkeypatch):
@@ -393,8 +493,9 @@ def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
     run takes is a frame on the stack, at a draw that takes at least one
     decision, or the one a run stopped at because its run state was explored,
     at most 546 snapshots over the n=1 battery. A frame gets its copy of the
-    monitor when it is taken, fed exactly the entries before its snapshot;
-    every other copy is a restore's, one per run that does not start its
+    monitor when it is taken, fed exactly the entries before its snapshot,
+    and each assignment's start frame a copy of the fresh monitor; every
+    other copy is a restore's, one per run that does not start its
     assignment: each branch that is simulated, and each run that stopped."""
     counts = Counter()
     taken, starts, credited, stops = [], [], {}, []
@@ -445,7 +546,7 @@ def test_monitors_are_forked_only_where_a_branch_can_resume(monkeypatch):
     assert len(taken) == len(starts) + len(credited) + len(stops) <= 546
     assert runs - len(stops) + report.tie_reruns_shared + report.branches_replayed == branches
     assert counts["restores"] == runs - len(starts)
-    assert counts["copies"] == len(credited) + counts["restores"]
+    assert counts["copies"] == len(starts) + len(credited) + counts["restores"]
 
 
 def test_a_verdict_without_a_witness_is_shared(monkeypatch):

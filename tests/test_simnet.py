@@ -975,8 +975,8 @@ def test_a_run_builds_its_delay_generator_on_its_first_draw(monkeypatch):
 
     built = []
 
-    def building(scenario):
-        built.append(_Sim(scenario))
+    def building(scenario, roster):
+        built.append(_Sim(scenario, roster))
         return built[-1]
 
     monkeypatch.setattr(sys.modules["xpay.explore"], "_Sim", building)
